@@ -25,15 +25,12 @@ from .experiments import (
     run_tradeoff_curve,
 )
 from .scheduling import (
-    ActiveJob,
     Job,
     JobSet,
     ScheduleResult,
-    combine,
     prediction_error,
     prr,
     round_robin,
-    run_rate_schedule,
     sjf_opt,
     spjf,
 )

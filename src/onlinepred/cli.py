@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Dict, List, Optional
 
@@ -50,9 +51,10 @@ EXIT_VIOLATION = 3
 SWEEP_HEADER = "experiment,algorithm,lambda,sigma,trials,mean_ratio,mean_eta,max_ratio"
 CURVE_HEADER = "lambda,det_robustness,det_consistency,rand_robustness,rand_consistency"
 FAMILY_HEADER = "family,points,violations,worst_excess,tolerance,status"
+SIGMA_GRID_MAX_POINTS = 10_001
 
 
-class UsageError(ValueError):
+class UsageError(ValueError, argparse.ArgumentTypeError):
     """Bad flags or config; argparse converts it to an exit-2 as well."""
 
 
@@ -72,16 +74,19 @@ def _parse_sigma_grid(text: str) -> List[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"sigma grid must be numeric start:stop:step, got {text!r}")
-    if step <= 0 or stop < start:
-        raise UsageError("sigma grid needs step > 0 and stop >= start")
+    if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and stop >= start):
+        raise UsageError("sigma grid needs finite values, step > 0 and stop >= start")
+    span = (stop - start) / step
+    if not span < SIGMA_GRID_MAX_POINTS:  # floor(span) + 1 points; inf if stop - start overflows
+        raise UsageError(
+            f"sigma grid {text!r} exceeds the limit of {SIGMA_GRID_MAX_POINTS} points"
+        )
     grid = []
-    i = 0
-    while True:
+    for i in range(math.floor(span) + 2):  # one extra for a stop reached by rounding
         v = start + i * step
         if v > stop + 1e-9 * max(1.0, step):
             break
         grid.append(v)
-        i += 1
     return grid
 
 

@@ -240,7 +240,7 @@ def _sched_algorithms(config: ExperimentConfig) -> List[Tuple[str, Optional[floa
 def _sched_block(config: ExperimentConfig, sigma: float, alg_index: int) -> TrialReport:
     """One (sigma, algorithm) grid point of the scheduling sweep."""
     label, lam = _sched_algorithms(config)[alg_index]
-    model = ParetoJobModel(alpha=config.alpha, scale=1.0, n=config.n, seed=config.master_seed)
+    model = ParetoJobModel(alpha=config.alpha, scale=1.0, n=config.n)
     fixed_jobs = None
     if not config.regenerate_jobs:
         fixed_jobs = gen_pareto_jobs(model, derived_rng(config.master_seed, _FIXED_JOBS_STREAM))

@@ -1,23 +1,22 @@
-"""Preemptive single-machine schedulers driven by an exact rate-based executor.
+"""Preemptive single-machine schedulers, each simulated exactly.
 
-A schedule is described by a rate policy: given the set of unfinished jobs it
-assigns each one an execution rate, with rates summing to at most 1.  The
-executor advances from completion to completion, so any policy whose rates
-are constant between completions is simulated exactly (up to float error).
-The objective throughout is the sum of completion times.
+SJF and SPJF run jobs to completion one after another.  Round-robin and
+preferential round-robin (PRR) share the machine: with k jobs unfinished every
+job runs at rate (1-lam)/k and the unfinished job with the smallest prediction
+gets an extra lam (round-robin is lam = 0).  One event sweep serves both; it
+advances from completion to completion, so the schedule is exact up to float
+error.  The objective throughout is the sum of completion times.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 # Remaining work below this fraction of the original length counts as done;
 # prevents zero-length phases caused by float residue.
 COMPLETION_EPS = 1e-12
-
-RATE_SUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,16 +78,6 @@ def prediction_error(jobs: JobSet) -> float:
 
 
 @dataclass(frozen=True)
-class ActiveJob:
-    """Executor view of an unfinished job, handed to rate policies."""
-
-    id: int
-    length: float
-    predicted: float
-    remaining: float
-
-
-@dataclass(frozen=True)
 class ScheduleResult:
     """Completion time per job id, the summed objective, and the event log."""
 
@@ -96,107 +85,6 @@ class ScheduleResult:
     objective: float
     executed_work: float
     events: Tuple[Tuple[float, Tuple[int, ...]], ...]
-
-
-class UniformRates:
-    """Round-robin: all k unfinished jobs run at rate 1/k."""
-
-    def rates(self, active: Sequence[ActiveJob]) -> Mapping[int, float]:
-        share = 1.0 / len(active)
-        return {job.id: share for job in active}
-
-
-class PredictedFirstRates:
-    """Full rate to the unfinished job with the smallest prediction (ties by id)."""
-
-    def rates(self, active: Sequence[ActiveJob]) -> Mapping[int, float]:
-        current = min(active, key=lambda job: (job.predicted, job.id))
-        return {job.id: (1.0 if job.id == current.id else 0.0) for job in active}
-
-
-class TrueSizeFirstRates:
-    """Full rate to the unfinished job with the smallest true length (clairvoyant)."""
-
-    def rates(self, active: Sequence[ActiveJob]) -> Mapping[int, float]:
-        current = min(active, key=lambda job: (job.length, job.id))
-        return {job.id: (1.0 if job.id == current.id else 0.0) for job in active}
-
-
-class MixedRates:
-    """Convex combination of two policies: lam * first + (1 - lam) * second."""
-
-    def __init__(self, lam: float, first, second):
-        self.lam = lam
-        self.first = first
-        self.second = second
-
-    def rates(self, active: Sequence[ActiveJob]) -> Mapping[int, float]:
-        ra = self.first.rates(active)
-        rb = self.second.rates(active)
-        lam = self.lam
-        return {
-            job.id: lam * ra.get(job.id, 0.0) + (1.0 - lam) * rb.get(job.id, 0.0)
-            for job in active
-        }
-
-
-def run_rate_schedule(jobs: JobSet, policy) -> ScheduleResult:
-    """Event-driven execution of ``policy`` until every job completes.
-
-    Between events each job advances at its policy rate; the next event is the
-    earliest completion.  Simultaneous completions are processed as one event
-    and the policy is re-queried afterwards.  A policy that leaves all
-    remaining jobs at rate zero is rejected as a livelock.
-    """
-    remaining = {j.id: j.length for j in jobs.jobs}
-    by_id = {j.id: j for j in jobs.jobs}
-    active = [j.id for j in jobs.jobs]
-    completions: Dict[int, float] = {}
-    events = []
-    t = 0.0
-    executed = 0.0
-
-    while active:
-        state = tuple(
-            ActiveJob(i, by_id[i].length, by_id[i].predicted, remaining[i]) for i in active
-        )
-        rates = policy.rates(state)
-        total_rate = 0.0
-        for i in active:
-            r = rates.get(i, 0.0)
-            if r < -1e-15:
-                raise ValueError(f"policy assigned negative rate {r!r} to job {i}")
-            total_rate += r
-        if total_rate > 1.0 + RATE_SUM_TOLERANCE:
-            raise ValueError(f"policy rates sum to {total_rate!r} > 1")
-
-        dt = math.inf
-        for i in active:
-            r = rates.get(i, 0.0)
-            if r > 0.0:
-                dt = min(dt, remaining[i] / r)
-        if not math.isfinite(dt):
-            raise ValueError("livelock: policy assigned total rate 0 while jobs remain")
-
-        t += dt
-        done = []
-        for i in active:
-            r = rates.get(i, 0.0)
-            if r > 0.0:
-                work = r * dt
-                remaining[i] -= work
-                executed += work
-            if remaining[i] <= COMPLETION_EPS * by_id[i].length:
-                done.append(i)
-        if not done:  # the argmin job always crosses the threshold
-            raise RuntimeError("event advanced time without completing a job")
-        for i in done:
-            completions[i] = t
-        events.append((t, tuple(done)))
-        active = [i for i in active if remaining[i] > COMPLETION_EPS * by_id[i].length]
-
-    objective = sum(completions[j.id] for j in jobs.jobs)
-    return ScheduleResult(completions, objective, executed, tuple(events))
 
 
 def _run_sequential(jobs: JobSet, order: Sequence[Job]) -> ScheduleResult:
@@ -217,9 +105,75 @@ def sjf_opt(jobs: JobSet) -> ScheduleResult:
     return _run_sequential(jobs, order)
 
 
+def _prr_sweep(jobs: JobSet, lam: float) -> ScheduleResult:
+    """Exact event sweep of the PRR rates for ``0 <= lam < 1``.
+
+    Every unfinished job that has never been favoured has received the same
+    work S, so those jobs finish in length order.  The favoured job keeps its
+    favour until it finishes (the unfinished set only shrinks), then hands it
+    to the next unfinished job in (prediction, id) order.  One pointer walks
+    each order, so an event costs O(1) apart from sorting its completions.
+    """
+    js = jobs.jobs
+    n = len(js)
+    by_length = sorted(range(n), key=lambda i: (js[i].length, js[i].id))
+    by_pred = sorted(range(n), key=lambda i: (js[i].predicted, js[i].id))
+    gone = [False] * n  # finished, or the favoured job (no longer at progress S)
+    completions: Dict[int, float] = {}
+    events = []
+    t = common = extra = executed = 0.0  # extra: favoured job's work beyond S
+    next_short = next_pred = 0
+    favoured = None
+    k = n
+    while k:
+        if favoured is None:
+            while gone[by_pred[next_pred]]:
+                next_pred += 1
+            favoured = by_pred[next_pred]
+            gone[favoured] = True
+            extra = 0.0
+        while next_short < n and gone[by_length[next_short]]:
+            next_short += 1
+        share = (1.0 - lam) * (1.0 / k)
+        boost = lam + share
+        fav_length = js[favoured].length
+        dt = (fav_length - common - extra) / boost
+        if next_short < n:
+            dt = min(dt, (js[by_length[next_short]].length - common) / share)
+
+        t += dt
+        common += share * dt
+        extra += lam * dt
+        executed += (boost + (k - 1) * share) * dt
+        done = []
+        if fav_length - common - extra <= COMPLETION_EPS * fav_length:
+            done.append(favoured)
+            favoured = None
+        pos = next_short
+        while pos < n:
+            i = by_length[pos]
+            pos += 1
+            if gone[i]:
+                continue
+            if js[i].length - common > COMPLETION_EPS * js[i].length:
+                break
+            gone[i] = True
+            done.append(i)
+        if not done:  # the job that set dt always crosses the threshold
+            raise RuntimeError("event advanced time without completing a job")
+        done.sort()
+        for i in done:
+            completions[js[i].id] = t
+        events.append((t, tuple(js[i].id for i in done)))
+        k -= len(done)
+
+    objective = sum(completions[j.id] for j in js)
+    return ScheduleResult(completions, objective, executed, tuple(events))
+
+
 def round_robin(jobs: JobSet) -> ScheduleResult:
     """Equal-rate sharing among all unfinished jobs."""
-    return run_rate_schedule(jobs, UniformRates())
+    return _prr_sweep(jobs, 0.0)
 
 
 def spjf(jobs: JobSet, adversarial_ties: bool = False) -> ScheduleResult:
@@ -236,26 +190,12 @@ def spjf(jobs: JobSet, adversarial_ties: bool = False) -> ScheduleResult:
     return _run_sequential(jobs, order)
 
 
-def _check_mix_lambda(lam: float) -> None:
-    if not (isinstance(lam, (int, float)) and 0 < lam < 1):
-        raise ValueError(f"combination parameter lambda must lie in (0, 1), got {lam!r}")
-
-
-def combine(jobs: JobSet, policy_a, policy_b, lam: float) -> ScheduleResult:
-    """Run two rate policies in parallel at rates lam and 1 - lam.
-
-    Each constituent policy sees the true remaining-work state, so (for
-    monotone policies) neither can be hurt by the other's progress.
-    """
-    _check_mix_lambda(lam)
-    return run_rate_schedule(jobs, MixedRates(lam, policy_a, policy_b))
-
-
 def prr(jobs: JobSet, lam: float) -> ScheduleResult:
     """Preferential round-robin: predicted-shortest-first blended with round-robin.
 
     With k jobs unfinished every job runs at rate (1-lam)/k and the unfinished
     job with the smallest prediction gets an additional lam.
     """
-    _check_mix_lambda(lam)
-    return combine(jobs, PredictedFirstRates(), UniformRates(), lam)
+    if not (isinstance(lam, (int, float)) and 0 < lam < 1):
+        raise ValueError(f"combination parameter lambda must lie in (0, 1), got {lam!r}")
+    return _prr_sweep(jobs, lam)

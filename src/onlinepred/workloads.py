@@ -26,7 +26,6 @@ class NoiseModel:
     """Additive Gaussian prediction noise with standard deviation sigma."""
 
     sigma: float
-    seed: int = 0
     kind: str = GAUSSIAN_ADDITIVE
 
     def __post_init__(self):
@@ -34,9 +33,6 @@ class NoiseModel:
             raise ValueError(f"unsupported noise kind {self.kind!r}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be a finite real >= 0, got {self.sigma!r}")
-
-    def make_rng(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self.seed))
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,6 @@ class ParetoJobModel:
     alpha: float
     scale: float = 1.0
     n: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         if not self.alpha > 1:

@@ -1,6 +1,90 @@
-"""Independent closed-form oracles for the rate executor, in exact arithmetic."""
+"""Independent oracles for the schedulers.
 
+The closed forms and the phase-by-phase simulation run in exact rational
+arithmetic.  ``run_rate_schedule`` is a generic float executor for any rate
+policy; it re-queries the policy after every completion, so it shares no
+bookkeeping with the event sweep in ``onlinepred.scheduling``.
+"""
+
+import math
 from fractions import Fraction
+
+from onlinepred.scheduling import COMPLETION_EPS, ScheduleResult
+
+RATE_SUM_TOLERANCE = 1e-9
+
+
+def rr_rates(active):
+    """Round-robin: all k unfinished jobs run at rate 1/k."""
+    share = 1.0 / len(active)
+    return {job.id: share for job in active}
+
+
+def prr_rates(lam):
+    """PRR: (1-lam)/k each, plus lam for the lowest (prediction, id) job."""
+
+    def rates(active):
+        favoured = min(active, key=lambda job: (job.predicted, job.id))
+        share = (1.0 - lam) * (1.0 / len(active))
+        return {job.id: share + (lam if job is favoured else 0.0) for job in active}
+
+    return rates
+
+
+def run_rate_schedule(jobs, rates):
+    """Event-driven execution of a rate policy until every job completes.
+
+    ``rates`` maps the tuple of unfinished jobs to {id: rate}.  Between events
+    each job advances at its rate; the next event is the earliest completion.
+    Simultaneous completions are processed as one event and the policy is
+    re-queried afterwards.  Negative rates, rates summing above 1 and a policy
+    that leaves every remaining job at rate zero (a livelock) are rejected.
+    """
+    remaining = {j.id: j.length for j in jobs.jobs}
+    active = list(jobs.jobs)
+    completions = {}
+    events = []
+    t = 0.0
+    executed = 0.0
+
+    while active:
+        assigned = rates(tuple(active))
+        total_rate = 0.0
+        for job in active:
+            r = assigned.get(job.id, 0.0)
+            if r < -1e-15:
+                raise ValueError(f"policy assigned negative rate {r!r} to job {job.id}")
+            total_rate += r
+        if total_rate > 1.0 + RATE_SUM_TOLERANCE:
+            raise ValueError(f"policy rates sum to {total_rate!r} > 1")
+
+        dt = math.inf
+        for job in active:
+            r = assigned.get(job.id, 0.0)
+            if r > 0.0:
+                dt = min(dt, remaining[job.id] / r)
+        if not math.isfinite(dt):
+            raise ValueError("livelock: policy assigned total rate 0 while jobs remain")
+
+        t += dt
+        done = []
+        for job in active:
+            r = assigned.get(job.id, 0.0)
+            if r > 0.0:
+                work = r * dt
+                remaining[job.id] -= work
+                executed += work
+            if remaining[job.id] <= COMPLETION_EPS * job.length:
+                done.append(job.id)
+        if not done:  # the argmin job always crosses the threshold
+            raise RuntimeError("event advanced time without completing a job")
+        for i in done:
+            completions[i] = t
+        events.append((t, tuple(done)))
+        active = [job for job in active if job.id not in completions]
+
+    objective = sum(completions[j.id] for j in jobs.jobs)
+    return ScheduleResult(completions, objective, executed, tuple(events))
 
 
 def rr_closed_form(lengths):

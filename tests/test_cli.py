@@ -6,7 +6,14 @@ import sys
 
 import pytest
 
-from onlinepred.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from onlinepred.cli import (
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VIOLATION,
+    SIGMA_GRID_MAX_POINTS,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -91,8 +98,20 @@ class TestSkiSweepCommand:
         assert "nonsense" in err
 
     def test_bad_sigma_grid(self, capsys):
-        code, _, err = run_cli(capsys, "ski-sweep", "--sigma-grid", "10")
+        for grid in ("10", "0:inf:1", "0:1:inf", "nan:1:1"):
+            code, _, err = run_cli(capsys, "ski-sweep", "--sigma-grid", grid)
+            assert code == EXIT_USAGE
+
+    def test_oversized_sigma_grid_names_limit(self, tmp_path, capsys):
+        # 10^15 points: rejected from the point count, before any list is built
+        code, _, err = run_cli(capsys, "ski-sweep", "--sigma-grid", "0:1e9:1e-6")
         assert code == EXIT_USAGE
+        assert f"limit of {SIGMA_GRID_MAX_POINTS} points" in err
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("sigma_grid=0:1e9:1e-6\n")
+        code, _, err = run_cli(capsys, "sched-sweep", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert f"limit of {SIGMA_GRID_MAX_POINTS} points" in err
 
 
 class TestSchedSweepCommand:

@@ -1,30 +1,45 @@
 """Scheduler tests: hand traces, closed-form oracles, and structural properties.
 
-The executor oracle re-runs the phase structure in exact rational arithmetic
-(fractions.Fraction), so any float drift in the event-driven executor shows
-up as a mismatch.
+The rational oracles re-run the phase structure in exact arithmetic
+(fractions.Fraction), so any float drift in the event sweep shows up as a
+mismatch.  The generic float rate executor (``run_rate_schedule``) re-queries
+the stated rates after every completion; property tests check the sweep
+against it on random job sets.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onlinepred.bounds import prr_perfect_bound, spjf_bound
 from onlinepred.scheduling import (
     JobSet,
-    MixedRates,
-    PredictedFirstRates,
-    UniformRates,
-    combine,
     prediction_error,
     prr,
     round_robin,
-    run_rate_schedule,
     sjf_opt,
     spjf,
 )
-from scheduling_oracles import prr_exact_rational, prr_two_job_formula, rr_closed_form
+from scheduling_oracles import (
+    prr_exact_rational,
+    prr_rates,
+    prr_two_job_formula,
+    rr_closed_form,
+    rr_rates,
+    run_rate_schedule,
+)
+
+
+def assert_matches_oracle(got, want, jobs):
+    """Same event grouping, completions within 1e-12 relative, work conserved."""
+    assert [ids for _, ids in got.events] == [ids for _, ids in want.events]
+    for j in jobs.jobs:
+        assert abs(got.completions[j.id] - want.completions[j.id]) <= 1e-12 * want.completions[j.id]
+    total = jobs.total_length
+    assert abs(got.executed_work - total) <= 1e-9 * total
 
 
 class TestSequential:
@@ -81,8 +96,9 @@ class TestSequential:
 
 class TestExecutor:
     def test_single_job(self):
-        r = run_rate_schedule(JobSet.from_lengths([5]), UniformRates())
-        assert r.completions == {0: 5.0}
+        jobs = JobSet.from_lengths([5])
+        assert round_robin(jobs).completions == {0: 5.0}
+        assert run_rate_schedule(jobs, rr_rates).completions == {0: 5.0}
 
     def test_rr_hand_trace(self):
         r = round_robin(JobSet.from_lengths([1, 2]))
@@ -105,20 +121,18 @@ class TestExecutor:
             assert ratio == pytest.approx(2 * n / (n + 1), rel=1e-12)
 
     def test_livelock_rejected(self):
-        class ZeroRates:
-            def rates(self, active):
-                return {j.id: 0.0 for j in active}
+        def zero_rates(active):
+            return {j.id: 0.0 for j in active}
 
         with pytest.raises(ValueError, match="livelock"):
-            run_rate_schedule(JobSet.from_lengths([1, 2]), ZeroRates())
+            run_rate_schedule(JobSet.from_lengths([1, 2]), zero_rates)
 
     def test_oversubscribed_rates_rejected(self):
-        class TooMuch:
-            def rates(self, active):
-                return {j.id: 1.0 for j in active}
+        def too_much(active):
+            return {j.id: 1.0 for j in active}
 
         with pytest.raises(ValueError, match="sum"):
-            run_rate_schedule(JobSet.from_lengths([1, 2]), TooMuch())
+            run_rate_schedule(JobSet.from_lengths([1, 2]), too_much)
 
     def test_work_conservation_random_policies(self):
         rng = np.random.default_rng(21)
@@ -163,17 +177,17 @@ class TestPrr:
         # lam + (1-lam)/k for the predicted-shortest active job, (1-lam)/k others
         jobs = JobSet.from_lengths([4, 2, 3], [2, 3, 1])
         lam = 0.3
-        policy = MixedRates(lam, PredictedFirstRates(), UniformRates())
-        from onlinepred.scheduling import ActiveJob
-
-        active = tuple(ActiveJob(j.id, j.length, j.predicted, j.length) for j in jobs.jobs)
-        rates = policy.rates(active)
-        k = len(active)
+        k = jobs.n
+        rates = prr_rates(lam)(jobs.jobs)
         assert rates[2] == pytest.approx(lam + (1 - lam) / k, abs=1e-15)
         assert rates[0] == pytest.approx((1 - lam) / k, abs=1e-15)
         assert rates[1] == pytest.approx((1 - lam) / k, abs=1e-15)
+        # the sweep's first phase runs at those rates: job 2 finishes first
+        t, done = prr(jobs, lam).events[0]
+        assert done == (2,)
+        assert t == pytest.approx(3 / (lam + (1 - lam) / k), rel=1e-15)
 
-    def test_definitional_equality_with_combine(self):
+    def test_matches_rate_oracle(self):
         rng = np.random.default_rng(33)
         for _ in range(30):
             n = int(rng.integers(1, 8))
@@ -181,24 +195,32 @@ class TestPrr:
                 rng.uniform(1, 10, n).tolist(), rng.uniform(-3, 13, n).tolist()
             )
             lam = float(rng.uniform(0.1, 0.9))
-            a = prr(jobs, lam)
-            b = combine(jobs, PredictedFirstRates(), UniformRates(), lam)
-            assert a.completions == b.completions  # same code path, bit-identical
+            assert_matches_oracle(prr(jobs, lam), run_rate_schedule(jobs, prr_rates(lam)), jobs)
 
 
-class TestCombine:
-    def test_rr_with_itself_is_rr(self):
+@st.composite
+def job_sets(draw):
+    """Up to 40 jobs; lengths drawn from a pool of at most ceil(n/2) values,
+    so every set of two or more jobs has tied lengths."""
+    n = draw(st.integers(1, 40))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    length_pool = draw(st.lists(st.floats(1.0, 1e6), min_size=1, max_size=(n + 1) // 2))
+    pred_pool = draw(st.lists(finite, min_size=1, max_size=n))
+    lengths = draw(st.lists(st.sampled_from(length_pool), min_size=n, max_size=n))
+    preds = draw(st.lists(st.sampled_from(pred_pool), min_size=n, max_size=n))
+    return JobSet.from_lengths(lengths, preds)
+
+
+class TestRateOracle:
+    def test_rr_matches_oracle(self):
         jobs = JobSet.from_lengths([2, 5, 3.5])
-        a = combine(jobs, UniformRates(), UniformRates(), 0.5)
-        b = round_robin(jobs)
-        for j in jobs.jobs:
-            assert a.completions[j.id] == pytest.approx(b.completions[j.id], abs=1e-12)
+        assert_matches_oracle(round_robin(jobs), run_rate_schedule(jobs, rr_rates), jobs)
 
-    def test_rejects_endpoint_lambda(self):
-        jobs = JobSet.from_lengths([1, 2])
-        for lam in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                combine(jobs, UniformRates(), UniformRates(), lam)
+    @settings(max_examples=200, deadline=None)
+    @given(jobs=job_sets(), lam=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_sweep_matches_oracle_property(self, jobs, lam):
+        assert_matches_oracle(round_robin(jobs), run_rate_schedule(jobs, rr_rates), jobs)
+        assert_matches_oracle(prr(jobs, lam), run_rate_schedule(jobs, prr_rates(lam)), jobs)
 
 
 class TestMonotonicity:
