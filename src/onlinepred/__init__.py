@@ -1,9 +1,7 @@
 """Online rent-or-buy and non-clairvoyant scheduling with predictions."""
 
 from .bounds import (
-    BoundReport,
     E_OVER_E_MINUS_1,
-    check_appendix_lemmas,
     det_consistency,
     det_robustness,
     det_ski_bound,
@@ -46,6 +44,7 @@ from .ski_rental import (
     PolicyKind,
     SkiInstance,
     SkiPolicy,
+    branch_cost,
     deterministic_buy_day,
     naive_buy_day,
     policy_cost,

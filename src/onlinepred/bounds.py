@@ -1,4 +1,4 @@
-"""Closed-form competitive-ratio guarantees and the helper-inequality checks.
+"""Closed-form competitive-ratio guarantees.
 
 These expressions are the proven guarantees for the decision rules in
 `ski_rental` and `scheduling`; the simulators never use them, which keeps
@@ -9,30 +9,8 @@ ceiling, consistency is the value at zero prediction error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List
-
-import numpy as np
 
 E_OVER_E_MINUS_1 = math.e / (math.e - 1.0)
-
-DEFAULT_SLACK = 1e-9
-LEMMA_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Outcome of comparing an observed value against a guaranteed bound."""
-
-    bound_name: str
-    parameters: Dict[str, float]
-    bound_value: float
-    observed_ratio: float
-    slack: float = DEFAULT_SLACK
-
-    @property
-    def satisfied(self) -> bool:
-        return self.observed_ratio <= self.bound_value + self.slack
 
 
 def det_robustness(lam: float) -> float:
@@ -65,7 +43,7 @@ def rand_consistency(lam: float) -> float:
     return lam / (1.0 - math.exp(-lam))
 
 
-def det_ski_bound(b: int, lam: float, eta: float, opt: float) -> float:
+def det_ski_bound(lam: float, eta: float, opt: float) -> float:
     """Per-instance guarantee of the deterministic rule at error eta."""
     if not 0 < lam < 1:
         raise ValueError(f"lambda must lie in (0, 1) for the error term, got {lam!r}")
@@ -104,69 +82,3 @@ def prr_perfect_bound(lam: float) -> float:
     if not 0 < lam < 1:
         raise ValueError(f"lambda must lie in (0, 1), got {lam!r}")
     return (1.0 + lam) / (2.0 * lam)
-
-
-def _family_report(name: str, observed: np.ndarray, bound: np.ndarray,
-                   points: Dict[str, np.ndarray], slack: float) -> BoundReport:
-    gap = observed - bound
-    worst = int(np.argmax(gap))
-    params = {key: float(vals.flat[worst]) for key, vals in points.items()}
-    params["points"] = float(gap.size)
-    params["max_gap"] = float(gap.flat[worst])
-    params["violations"] = float(np.count_nonzero(gap > slack))
-    return BoundReport(
-        bound_name=name,
-        parameters=params,
-        bound_value=float(bound.flat[worst]),
-        observed_ratio=float(observed.flat[worst]),
-        slack=slack,
-    )
-
-
-def check_appendix_lemmas(
-    a1_step: float = 1e-3,
-    a2_b_max: int = 1000,
-    a2_lambda_points: int = 100,
-    slack: float = LEMMA_SLACK,
-) -> List[BoundReport]:
-    """Grid-check the four helper inequalities; one report per family.
-
-    Family 1 (three parts), over x in (0, 1]:
-      (i)   exp(x - 1/x) <= 1
-      (ii)  exp(-1/x)    <= x/e
-      (iii) x/e          <= 1 - 1/x + exp(-x)/x
-    Family 2, over integer b >= 2 and lambda in (1/b, 1):
-      (1/lambda + 1/b) / (1 - exp(-1/lambda))
-          <= (1 + 1/b) / (1 - exp(-(lambda - 1/b)))
-    """
-    if a1_step <= 0:
-        raise ValueError(f"a1_step must be positive, got {a1_step!r}")
-    n = max(1, round(1.0 / a1_step))
-    x = np.arange(1, n + 1) * (1.0 / n)
-
-    reports = [
-        _family_report(
-            "lemma-helper-i", np.exp(x - 1.0 / x), np.ones_like(x), {"x": x}, slack
-        ),
-        _family_report(
-            "lemma-helper-ii", np.exp(-1.0 / x), x * math.exp(-1.0), {"x": x}, slack
-        ),
-        _family_report(
-            "lemma-helper-iii",
-            x * math.exp(-1.0),
-            1.0 - 1.0 / x + np.exp(-x) / x,
-            {"x": x},
-            slack,
-        ),
-    ]
-
-    b = np.arange(2, a2_b_max + 1, dtype=float)[:, None]
-    j = np.arange(1, a2_lambda_points + 1, dtype=float)[None, :]
-    lam = 1.0 / b + (1.0 - 1.0 / b) * j / (a2_lambda_points + 1)
-    lhs = (1.0 / lam + 1.0 / b) / (1.0 - np.exp(-1.0 / lam))
-    rhs = (1.0 + 1.0 / b) / (1.0 - np.exp(-(lam - 1.0 / b)))
-    bb = np.broadcast_to(b, lam.shape)
-    reports.append(
-        _family_report("lemma-robustness-transfer", lhs, rhs, {"b": bb, "lambda": lam}, slack)
-    )
-    return reports

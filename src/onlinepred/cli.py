@@ -35,10 +35,9 @@ from .ski_rental import (
     SkiPolicy,
     deterministic_buy_day,
     naive_buy_day,
+    policy_cost,
     randomized_distribution,
-    randomized_expected_cost,
     sample_buy_day,
-    simulate_buy_day,
     ski_opt,
 )
 from .verification import run_all_checks
@@ -303,6 +302,7 @@ def cmd_trace_ski(args: argparse.Namespace) -> int:
     policy = SkiPolicy(kind, args.lam if needs_lambda else None)
     opt = ski_opt(instance)
     eta = instance.error
+    cost = policy_cost(instance, policy)
 
     info: Dict[str, object] = {
         "algorithm": args.algo,
@@ -315,25 +315,19 @@ def cmd_trace_ski(args: argparse.Namespace) -> int:
     }
     if kind is PolicyKind.NAIVE:
         day = naive_buy_day(instance)
-        cost = float(simulate_buy_day(instance, day))
         info["buy_day"] = day if day is not None else "never"
         info["guarantee"] = round(opt + eta, 4)
     elif kind in (PolicyKind.BREAK_EVEN, PolicyKind.DETERMINISTIC):
         lam = policy.effective_lambda()
-        day = deterministic_buy_day(instance, lam)
-        cost = float(simulate_buy_day(instance, day))
         info["lambda"] = round(lam, 6)
-        info["buy_day"] = day
+        info["buy_day"] = deterministic_buy_day(instance, lam)
         bound = (
-            bounds.det_robustness(lam)
-            if lam == 1.0
-            else bounds.det_ski_bound(args.b, lam, eta, opt)
+            bounds.det_robustness(lam) if lam == 1.0 else bounds.det_ski_bound(lam, eta, opt)
         )
         info["bound"] = round(bound, 6)
     else:
         lam = policy.effective_lambda()
         dist = randomized_distribution(instance, lam)
-        cost = randomized_expected_cost(instance, lam)
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         info["lambda"] = round(lam, 6)
         info["support_size"] = dist.support_size

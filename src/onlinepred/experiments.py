@@ -25,12 +25,9 @@ from .ski_rental import (
     PolicyKind,
     SkiInstance,
     SkiPolicy,
+    branch_cost,
     buy_day_from_uniform,
-    deterministic_buy_day,
-    naive_buy_day,
     randomized_distribution,
-    randomized_expected_cost,
-    simulate_buy_day,
 )
 from .workloads import ParetoJobModel, derived_rng, gen_pareto_jobs, gen_ski_instance
 
@@ -97,13 +94,12 @@ class ExperimentConfig:
 
 @dataclass
 class TrialReport:
-    """Per-trial costs for one (sigma, algorithm) grid point, plus aggregates."""
+    """Per-trial optima, ratios and errors for one (sigma, algorithm) grid point."""
 
     experiment: str
     algorithm: str
     lam: Optional[float]
     sigma: float
-    alg_costs: np.ndarray
     opt_costs: np.ndarray
     ratios: np.ndarray
     etas: np.ndarray
@@ -143,10 +139,10 @@ def ski_sweep_algorithms(config: ExperimentConfig) -> List[Tuple[str, SkiPolicy]
 def _validate_ski_config(config: ExperimentConfig) -> None:
     if config.b < 2:
         raise ValueError(f"b must be >= 2, got {config.b!r}")
-    # surface lambda range errors before any work happens
-    probe = SkiInstance(config.b, 1, 0.0)
-    deterministic_buy_day(probe, config.lambda_det)
-    randomized_distribution(probe, config.lambda_rand)
+    # surface lambda range errors before any work happens; the kernel checks
+    # lambda without building a buy-day distribution
+    for _, policy in ski_sweep_algorithms(config):
+        branch_cost(policy, config.b, False, 1)
 
 
 @lru_cache(maxsize=4)
@@ -169,27 +165,6 @@ def _draw_ski_trials(config: ExperimentConfig):
             us[0, t] = rng.random()  # classical randomized rule
             us[1, t] = rng.random()  # prediction randomized rule
     return xs, zs, us
-
-
-@lru_cache(maxsize=16)
-def _branch_cost_table(policy: SkiPolicy, b: int) -> np.ndarray:
-    """costs[branch, x] for x in 1..4b; branch 0 is y < b, branch 1 is y >= b.
-
-    Index 0 of the x axis is unused padding so the table indexes by x directly.
-    """
-    table = np.zeros((2, 4 * b + 1), dtype=float)
-    for branch, y in ((0, 0.0), (1, float(b))):
-        for x in range(1, 4 * b + 1):
-            inst = SkiInstance(b, x, y)
-            if policy.kind is PolicyKind.NAIVE:
-                cost = float(simulate_buy_day(inst, naive_buy_day(inst)))
-            elif policy.kind in (PolicyKind.BREAK_EVEN, PolicyKind.DETERMINISTIC):
-                lam = policy.effective_lambda()
-                cost = float(simulate_buy_day(inst, deterministic_buy_day(inst, lam)))
-            else:
-                cost = randomized_expected_cost(inst, policy.effective_lambda())
-            table[branch, x] = cost
-    return table
 
 
 def _ski_block(config: ExperimentConfig, sigma: float, alg_index: int) -> TrialReport:
@@ -218,15 +193,15 @@ def _ski_block(config: ExperimentConfig, sigma: float, alg_index: int) -> TrialR
         )
         costs = np.where(xs >= days, b + days - 1.0, xs.astype(float))
     else:
-        table = _branch_cost_table(policy, b)
-        costs = np.where(big, table[1, xs], table[0, xs])
+        costs = np.where(
+            big, branch_cost(policy, b, True, xs), branch_cost(policy, b, False, xs)
+        )
 
     return TrialReport(
         experiment=SKI_SWEEP,
         algorithm=label,
         lam=policy.effective_lambda(),
         sigma=float(sigma),
-        alg_costs=costs,
         opt_costs=opts,
         ratios=costs / opts,
         etas=etas,
@@ -270,7 +245,6 @@ def _sched_block(config: ExperimentConfig, sigma: float, alg_index: int) -> Tria
         algorithm=label,
         lam=lam,
         sigma=float(sigma),
-        alg_costs=costs,
         opt_costs=opts,
         ratios=costs / opts,
         etas=etas,

@@ -4,6 +4,13 @@ Costs are in rent-day units: renting costs 1 per day, buying costs ``b``
 once.  Day indexing is 1-based and "buy at the start of day j" means j-1
 rental days were paid before the purchase.  Everything here is a pure
 function of its inputs; sampling takes an explicit numpy generator.
+
+The rules see the prediction only through the branch y >= b, and
+`branch_cost` turns a rule and a branch into exact costs in closed form.
+A day rule buys on a fixed day d, so x days cost x if x < d, else b + d - 1.
+A randomized rule puts mass proportional to r^(m-i) on buy days 1..m, with
+r = (b-1)/b, and its expected cost telescopes to min(x, m) / (1 - r^m).
+The buy-day distribution itself is only built for sampling.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-# |sum(mass) - 1| above this means the distribution formula was misused.
+# A mass vector passed to BuyDayDistribution must sum to 1 within this.
 MASS_TOLERANCE = 1e-12
 
 
@@ -139,40 +146,62 @@ def _check_randomized_lambda(lam: float, b: int) -> None:
         )
 
 
+def _threshold_day(b: int, lam: float, big: bool) -> int:
+    _check_deterministic_lambda(lam)
+    return math.ceil(lam * b) if big else math.ceil(b / lam)
+
+
+def _support_size(b: int, lam: float, big: bool) -> int:
+    _check_randomized_lambda(lam, b)
+    return math.floor(lam * b) if big else math.ceil(b / lam)
+
+
 def deterministic_buy_day(instance: SkiInstance, lam: float) -> int:
     """Threshold rule: buy early when the prediction says buy, late otherwise."""
-    _check_deterministic_lambda(lam)
-    if instance.y >= instance.b:
-        return math.ceil(lam * instance.b)
-    return math.ceil(instance.b / lam)
+    return _threshold_day(instance.b, lam, instance.y >= instance.b)
 
 
 def randomized_distribution(instance: SkiInstance, lam: float) -> BuyDayDistribution:
-    """Buy-day distribution of the randomized rule.
+    """Buy-day distribution of the randomized rule, for sampling.
 
     The prediction only selects the support size: floor(lambda*b) days when
     y >= b, ceil(b/lambda) days otherwise.  Within the support, day i gets
-    mass proportional to ((b-1)/b)^(size-i); the geometric normalizer makes
-    the masses sum to exactly 1.
+    mass proportional to ((b-1)/b)^(size-i).  The weights are normalised by
+    their own sum, so the masses sum to 1 to rounding at any support size.
     """
-    _check_randomized_lambda(lam, instance.b)
     b = instance.b
-    if instance.y >= b:
-        size = math.floor(lam * b)
+    size = _support_size(b, lam, instance.y >= b)
+    weights = ((b - 1) / b) ** np.arange(size - 1, -1, -1)
+    return BuyDayDistribution(weights / weights.sum())
+
+
+def branch_cost(policy: SkiPolicy, b: int, big: bool, xs):
+    """Exact cost of ``policy`` on one prediction branch for skiing days ``xs``.
+
+    ``big`` selects the branch y >= b; ``xs`` is an int or an int array and
+    the result a float or a float array of the same shape.  The day rules
+    (break-even, deterministic, naive) buy on a fixed day d and cost x if
+    x < d, else b + d - 1.  The randomized rules (Karlin, randomized) have
+    support size m and expected cost min(x, m) / (1 - r^m), r = (b-1)/b:
+    each skiing day up to m adds the same 1 / (1 - r^m).
+    """
+    kind = policy.kind
+    if kind in (PolicyKind.KARLIN, PolicyKind.RANDOMIZED):
+        m = _support_size(b, policy.effective_lambda(), big)
+        ratio = (b - 1) / b
+        return np.minimum(xs, m) / (1.0 - ratio**m)
+    if kind is PolicyKind.NAIVE:
+        if not big:
+            return xs * 1.0  # never buys
+        day = 1
     else:
-        size = math.ceil(b / lam)
-    ratio = (b - 1) / b
-    days = np.arange(1, size + 1)
-    mass = ratio ** (size - days) / (b * (1.0 - ratio**size))
-    return BuyDayDistribution(mass)
+        day = _threshold_day(b, policy.effective_lambda(), big)
+    return 1.0 * np.where(xs < day, xs, b + day - 1)
 
 
 def randomized_expected_cost(instance: SkiInstance, lam: float) -> float:
-    """Exact expected cost of the randomized rule, by summation over the support."""
-    dist = randomized_distribution(instance, lam)
-    days = np.arange(1, dist.support_size + 1)
-    costs = np.where(instance.x >= days, instance.b + days - 1, instance.x)
-    return float(dist.mass @ costs)
+    """Exact expected cost of the randomized rule."""
+    return policy_cost(instance, SkiPolicy(PolicyKind.RANDOMIZED, lam))
 
 
 def sample_buy_day(dist: BuyDayDistribution, rng: np.random.Generator, size=None):
@@ -200,15 +229,7 @@ def policy_cost(
     Randomized rules are scored by their exact expected cost unless a
     generator is supplied, in which case a single buy day is sampled.
     """
-    kind = policy.kind
-    if kind is PolicyKind.NAIVE:
-        return float(simulate_buy_day(instance, naive_buy_day(instance)))
-    lam = policy.effective_lambda()
-    if kind in (PolicyKind.BREAK_EVEN, PolicyKind.DETERMINISTIC):
-        return float(simulate_buy_day(instance, deterministic_buy_day(instance, lam)))
-    if kind in (PolicyKind.KARLIN, PolicyKind.RANDOMIZED):
-        if rng is None:
-            return randomized_expected_cost(instance, lam)
-        day = sample_buy_day(randomized_distribution(instance, lam), rng)
-        return float(simulate_buy_day(instance, day))
-    raise ValueError(f"unknown policy kind {kind!r}")
+    if rng is not None and policy.kind in (PolicyKind.KARLIN, PolicyKind.RANDOMIZED):
+        dist = randomized_distribution(instance, policy.effective_lambda())
+        return float(simulate_buy_day(instance, sample_buy_day(dist, rng)))
+    return float(branch_cost(policy, instance.b, instance.y >= instance.b, instance.x))

@@ -17,17 +17,12 @@ import numpy as np
 
 from . import bounds
 from .scheduling import JobSet, prediction_error, prr, sjf_opt, spjf
-from .ski_rental import (
-    SkiInstance,
-    deterministic_buy_day,
-    naive_buy_day,
-    randomized_expected_cost,
-    simulate_buy_day,
-)
+from .ski_rental import PolicyKind, SkiInstance, SkiPolicy, branch_cost, deterministic_buy_day
 from .experiments import DEFAULT_SEED
 from .workloads import derived_rng
 
 NINE_LAMBDAS = tuple(round(0.1 * i, 10) for i in range(1, 10))
+LEMMA_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,59 +57,52 @@ def _collect(family: str, tolerance: float, excesses, labels) -> FamilyResult:
     return FamilyResult(family, points, violations, worst, tolerance, worst_label)
 
 
-def _det_cost_vector(b: int, lam: float, branch_big: bool) -> np.ndarray:
-    """Deterministic-rule cost for every x in 1..4b on one prediction branch."""
-    y = float(b) if branch_big else 0.0
-    day = deterministic_buy_day(SkiInstance(b, 1, y), lam)
-    return np.array(
-        [simulate_buy_day(SkiInstance(b, x, y), day) for x in range(1, 4 * b + 1)],
-        dtype=float,
-    )
+def _grid_excess(excess: np.ndarray, tolerance: float) -> Tuple[float, int, int]:
+    """Worst excess on a grid, its flat index, and the count above tolerance."""
+    at = int(np.argmax(excess))
+    return float(excess.flat[at]), at, int(np.count_nonzero(excess > tolerance))
 
 
-def _rand_cost_vector(b: int, lam: float, branch_big: bool) -> np.ndarray:
-    y = float(b) if branch_big else 0.0
-    return np.array(
-        [randomized_expected_cost(SkiInstance(b, x, y), lam) for x in range(1, 4 * b + 1)],
-        dtype=float,
-    )
+def _check_ski_rule(
+    family: str, b_max: int, lambdas: Sequence, tolerance: float, rule
+) -> FamilyResult:
+    """Fold cost/OPT minus its bound over b in 2..b_max, lambdas, x in 1..4b, y in 0..4b.
 
-
-def _naive_cost_vector(b: int, branch_big: bool) -> np.ndarray:
-    y = float(b) if branch_big else 0.0
-    return np.array(
-        [
-            simulate_buy_day(SkiInstance(b, x, y), naive_buy_day(SkiInstance(b, x, y)))
-            for x in range(1, 4 * b + 1)
-        ],
-        dtype=float,
-    )
-
-
-def _ski_grid_excess(
-    b: int,
-    cost_small: np.ndarray,
-    cost_big: np.ndarray,
-    bound_fn,
-    tolerance: float,
-) -> Tuple[float, int, str]:
-    """Worst excess of cost/OPT over its bound across all (x, y) pairs.
-
-    The cost depends on y only through the branch y >= b, so two cost vectors
-    cover the whole y range while the bound is evaluated on the full grid.
+    rule(b, lam) gives (policy, allowed), where allowed(eta, opt) is the
+    guaranteed ratio, or None where lam is outside the rule's domain.  The
+    cost depends on y only through the branch y >= b, so one kernel call per
+    branch covers the whole y range while the bound is evaluated on the grid.
     """
-    xs = np.arange(1, 4 * b + 1, dtype=float)[:, None]
-    ys = np.arange(0, 4 * b + 1, dtype=float)[None, :]
-    opt = np.minimum(xs, float(b))
-    eta = np.abs(ys - xs)
-    cost = np.where(ys >= b, cost_big[:, None], cost_small[:, None])
-    allowed = bound_fn(eta, opt)
-    excess = cost / opt - allowed
-    flat = int(np.argmax(excess))
-    xi, yi = np.unravel_index(flat, excess.shape)
-    worst = float(excess[xi, yi])
-    violations = int(np.count_nonzero(excess > tolerance))
-    return worst, violations, f"b={b} x={int(xs[xi, 0])} y={int(ys[0, yi])}"
+    worst = -math.inf
+    worst_label = ""
+    violations = 0
+    points = 0
+    for b in range(2, b_max + 1):
+        x = np.arange(1, 4 * b + 1)
+        xs = x[:, None].astype(float)
+        ys = np.arange(0, 4 * b + 1, dtype=float)[None, :]
+        opt = np.minimum(xs, float(b))
+        eta = np.abs(ys - xs)
+        for lam in lambdas:
+            case = rule(b, lam)
+            if case is None:
+                continue
+            policy, allowed = case
+            cost = np.where(
+                ys >= b,
+                branch_cost(policy, b, True, x)[:, None],
+                branch_cost(policy, b, False, x)[:, None],
+            )
+            excess, at, nviol = _grid_excess(cost / opt - allowed(eta, opt), tolerance)
+            points += cost.size
+            violations += nviol
+            if excess > worst:
+                xi, yi = np.unravel_index(at, cost.shape)
+                worst = excess
+                worst_label = f"b={b} x={xi + 1} y={yi}"
+                if lam is not None:
+                    worst_label += f" lambda={lam}"
+    return FamilyResult(family, points, violations, worst, tolerance, worst_label)
 
 
 def check_det_ski_guarantee(
@@ -123,31 +111,16 @@ def check_det_ski_guarantee(
     tolerance: float = 1e-9,
 ) -> FamilyResult:
     """Deterministic rule vs its guarantee, exhaustively over b, x, y, lambda."""
-    worst = -math.inf
-    worst_label = ""
-    violations = 0
-    points = 0
-    for b in range(2, b_max + 1):
-        for lam in lambdas:
-            cost_small = _det_cost_vector(b, lam, branch_big=False)
-            cost_big = _det_cost_vector(b, lam, branch_big=True)
-            rob = bounds.det_robustness(lam)
-            cons = bounds.det_consistency(lam)
 
-            def allowed(eta, opt, rob=rob, cons=cons, lam=lam):
-                return np.minimum(rob, cons + eta / ((1.0 - lam) * opt))
+    def rule(b, lam):
+        rob, cons = bounds.det_robustness(lam), bounds.det_consistency(lam)
 
-            excess, nviol, label = _ski_grid_excess(
-                b, cost_small, cost_big, allowed, tolerance
-            )
-            points += (4 * b) * (4 * b + 1)
-            violations += nviol
-            if excess > worst:
-                worst = excess
-                worst_label = f"{label} lambda={lam}"
-    return FamilyResult(
-        "deterministic-rule-guarantee", points, violations, worst, tolerance, worst_label
-    )
+        def allowed(eta, opt):
+            return np.minimum(rob, cons + eta / ((1.0 - lam) * opt))
+
+        return SkiPolicy(PolicyKind.DETERMINISTIC, lam), allowed
+
+    return _check_ski_rule("deterministic-rule-guarantee", b_max, lambdas, tolerance, rule)
 
 
 def check_rand_ski_guarantee(
@@ -159,57 +132,30 @@ def check_rand_ski_guarantee(
 
     Lambdas at or below 1/b are outside the rule's domain and are skipped.
     """
-    worst = -math.inf
-    worst_label = ""
-    violations = 0
-    points = 0
-    for b in range(2, b_max + 1):
-        for lam in lambdas:
-            if lam <= 1.0 / b:
-                continue
-            cost_small = _rand_cost_vector(b, lam, branch_big=False)
-            cost_big = _rand_cost_vector(b, lam, branch_big=True)
-            rob = bounds.rand_robustness(b, lam)
-            cons = bounds.rand_consistency(lam)
 
-            def allowed(eta, opt, rob=rob, cons=cons):
-                return np.minimum(rob, cons * (1.0 + eta / opt))
+    def rule(b, lam):
+        if lam <= 1.0 / b:
+            return None
+        rob, cons = bounds.rand_robustness(b, lam), bounds.rand_consistency(lam)
 
-            excess, nviol, label = _ski_grid_excess(
-                b, cost_small, cost_big, allowed, tolerance
-            )
-            points += (4 * b) * (4 * b + 1)
-            violations += nviol
-            if excess > worst:
-                worst = excess
-                worst_label = f"{label} lambda={lam}"
-    return FamilyResult(
-        "randomized-rule-guarantee", points, violations, worst, tolerance, worst_label
-    )
+        def allowed(eta, opt):
+            return np.minimum(rob, cons * (1.0 + eta / opt))
+
+        return SkiPolicy(PolicyKind.RANDOMIZED, lam), allowed
+
+    return _check_ski_rule("randomized-rule-guarantee", b_max, lambdas, tolerance, rule)
 
 
 def check_naive_lemma(b_max: int = 50, tolerance: float = 1e-9) -> FamilyResult:
     """Naive rule: cost <= OPT + eta on every instance of the grid."""
-    worst = -math.inf
-    worst_label = ""
-    violations = 0
-    points = 0
-    for b in range(2, b_max + 1):
-        cost_small = _naive_cost_vector(b, branch_big=False)
-        cost_big = _naive_cost_vector(b, branch_big=True)
 
+    def rule(b, lam):
         def allowed(eta, opt):
             return 1.0 + eta / opt  # cost <= OPT + eta, as a ratio
 
-        excess, nviol, label = _ski_grid_excess(b, cost_small, cost_big, allowed, tolerance)
-        points += (4 * b) * (4 * b + 1)
-        violations += nviol
-        if excess > worst:
-            worst = excess
-            worst_label = label
-    return FamilyResult(
-        "naive-rule-additive-guarantee", points, violations, worst, tolerance, worst_label
-    )
+        return SkiPolicy(PolicyKind.NAIVE), allowed
+
+    return _check_ski_rule("naive-rule-additive-guarantee", b_max, (None,), tolerance, rule)
 
 
 def check_classical_recovery(
@@ -222,6 +168,7 @@ def check_classical_recovery(
     {1..4b} sits within 1/b of e/(e-1); for smaller b it stays below
     e/(e-1) + 1/b.
     """
+    karlin = SkiPolicy(PolicyKind.KARLIN)
     excesses = []
     labels = []
     for b in range(2, b_max + 1):
@@ -229,15 +176,13 @@ def check_classical_recovery(
             day = deterministic_buy_day(SkiInstance(b, 1, y), 1.0)
             excesses.append(float(abs(day - b)))
             labels.append(f"deterministic b={b} y={y}")
-        costs = _rand_cost_vector(b, 1.0, branch_big=True)
-        opts = np.minimum(np.arange(1, 4 * b + 1, dtype=float), float(b))
-        worst_ratio = float(np.max(costs / opts))
+        x = np.arange(1, 4 * b + 1)
+        worst_ratio = float(np.max(branch_cost(karlin, b, True, x) / np.minimum(x, b)))
         excesses.append(worst_ratio - (bounds.E_OVER_E_MINUS_1 + 1.0 / b))
         labels.append(f"randomized-ceiling b={b}")
 
-    costs = _rand_cost_vector(b_ratio, 1.0, branch_big=True)
-    opts = np.minimum(np.arange(1, 4 * b_ratio + 1, dtype=float), float(b_ratio))
-    worst_ratio = float(np.max(costs / opts))
+    x = np.arange(1, 4 * b_ratio + 1)
+    worst_ratio = float(np.max(branch_cost(karlin, b_ratio, True, x) / np.minimum(x, b_ratio)))
     excesses.append(abs(worst_ratio - bounds.E_OVER_E_MINUS_1) - 1.0 / b_ratio)
     labels.append(f"randomized-proximity b={b_ratio} worst_ratio={worst_ratio:.6f}")
     return _collect("classical-recovery", tolerance, excesses, labels)
@@ -345,23 +290,58 @@ def check_prr_perfect_guarantee(
     return _collect("prr-perfect-prediction-guarantee", tolerance, excesses, labels)
 
 
+def _inequality_family(
+    family: str, lhs: np.ndarray, rhs: np.ndarray, coords: Dict[str, np.ndarray],
+    tolerance: float,
+) -> FamilyResult:
+    """lhs <= rhs on a grid; ``coords`` name the grid point reported as the worst."""
+    worst, at, violations = _grid_excess(lhs - rhs, tolerance)
+    case = ", ".join(f"{k}={v.flat[at]:.6g}" for k, v in coords.items())
+    return FamilyResult(family, lhs.size, violations, worst, tolerance, case)
+
+
 def check_appendix_families(
     a1_step: float = 1e-3, a2_b_max: int = 1000, a2_lambda_points: int = 100
 ) -> List[FamilyResult]:
-    """Wrap the helper-inequality reports into family results."""
-    results = []
-    for report in bounds.check_appendix_lemmas(a1_step, a2_b_max, a2_lambda_points):
-        worst = report.parameters["max_gap"]
-        points = int(report.parameters["points"])
-        violations = int(report.parameters["violations"])
-        case = ", ".join(
-            f"{k}={v:.6g}"
-            for k, v in report.parameters.items()
-            if k not in ("points", "max_gap", "violations")
-        )
-        results.append(
-            FamilyResult(report.bound_name, points, violations, worst, report.slack, case)
-        )
+    """Grid-check the four helper inequalities; one result per family.
+
+    Family 1 (three parts), over x in (0, 1]:
+      (i)   exp(x - 1/x) <= 1
+      (ii)  exp(-1/x)    <= x/e
+      (iii) x/e          <= 1 - 1/x + exp(-x)/x
+    Family 2, over integer b >= 2 and lambda in (1/b, 1):
+      (1/lambda + 1/b) / (1 - exp(-1/lambda))
+          <= (1 + 1/b) / (1 - exp(-(lambda - 1/b)))
+    """
+    if a1_step <= 0:
+        raise ValueError(f"a1_step must be positive, got {a1_step!r}")
+    n = max(1, round(1.0 / a1_step))
+    x = np.arange(1, n + 1) * (1.0 / n)
+    results = [
+        _inequality_family(
+            "lemma-helper-i", np.exp(x - 1.0 / x), np.ones_like(x), {"x": x}, LEMMA_SLACK
+        ),
+        _inequality_family(
+            "lemma-helper-ii", np.exp(-1.0 / x), x * math.exp(-1.0), {"x": x}, LEMMA_SLACK
+        ),
+        _inequality_family(
+            "lemma-helper-iii",
+            x * math.exp(-1.0),
+            1.0 - 1.0 / x + np.exp(-x) / x,
+            {"x": x},
+            LEMMA_SLACK,
+        ),
+    ]
+
+    b = np.arange(2, a2_b_max + 1, dtype=float)[:, None]
+    j = np.arange(1, a2_lambda_points + 1, dtype=float)[None, :]
+    lam = 1.0 / b + (1.0 - 1.0 / b) * j / (a2_lambda_points + 1)
+    lhs = (1.0 / lam + 1.0 / b) / (1.0 - np.exp(-1.0 / lam))
+    rhs = (1.0 + 1.0 / b) / (1.0 - np.exp(-(lam - 1.0 / b)))
+    coords = {"b": np.broadcast_to(b, lam.shape), "lambda": lam}
+    results.append(
+        _inequality_family("lemma-robustness-transfer", lhs, rhs, coords, LEMMA_SLACK)
+    )
     return results
 
 

@@ -4,22 +4,25 @@ import math
 
 import pytest
 
+import numpy as np
+
 from onlinepred import bounds
+from onlinepred.verification import LEMMA_SLACK, _inequality_family, check_appendix_families
 
 
 class TestDeterministicBound:
     def test_consistency_side(self):
-        assert bounds.det_ski_bound(100, 0.5, 0.0, 100.0) == pytest.approx(1.5)
+        assert bounds.det_ski_bound(0.5, 0.0, 100.0) == pytest.approx(1.5)
 
     def test_robustness_side(self):
-        assert bounds.det_ski_bound(100, 0.5, 1e12, 100.0) == pytest.approx(3.0)
+        assert bounds.det_ski_bound(0.5, 1e12, 100.0) == pytest.approx(3.0)
 
     def test_substitution(self):
-        assert bounds.det_ski_bound(100, 0.9, 0.0, 50.0) == pytest.approx(1.9)
+        assert bounds.det_ski_bound(0.9, 0.0, 50.0) == pytest.approx(1.9)
 
     def test_rejects_lambda_one(self):
         with pytest.raises(ValueError):
-            bounds.det_ski_bound(100, 1.0, 5.0, 10.0)
+            bounds.det_ski_bound(1.0, 5.0, 10.0)
 
 
 class TestRandomizedBound:
@@ -73,9 +76,7 @@ class TestMonotoneInError:
         etas = [0.0, 0.5, 1.0, 5.0, 100.0, 1e6]
         for lam in (0.1, 0.5, 0.9):
             for lo, hi in zip(etas, etas[1:]):
-                assert bounds.det_ski_bound(50, lam, lo, 10.0) <= bounds.det_ski_bound(
-                    50, lam, hi, 10.0
-                )
+                assert bounds.det_ski_bound(lam, lo, 10.0) <= bounds.det_ski_bound(lam, hi, 10.0)
                 assert bounds.rand_ski_bound(50, lam, lo, 10.0) <= bounds.rand_ski_bound(
                     50, lam, hi, 10.0
                 )
@@ -85,21 +86,19 @@ class TestMonotoneInError:
 
 class TestAppendixLemmas:
     def test_families_pass_on_contract_grid(self):
-        reports = bounds.check_appendix_lemmas()
-        assert len(reports) == 4
-        for report in reports:
-            assert report.satisfied, report
-            assert report.parameters["violations"] == 0
+        results = check_appendix_families()
+        assert len(results) == 4
+        for result in results:
+            assert result.passed, result
+            assert result.violations == 0
+            assert result.tolerance == LEMMA_SLACK
 
     def test_helper_equality_at_x_one(self):
-        reports = {r.bound_name: r for r in bounds.check_appendix_lemmas(a1_step=1e-2)}
-        # parts (i) and (iii) are tight exactly at x = 1
-        r1 = reports["lemma-helper-i"]
-        assert r1.parameters["x"] == pytest.approx(1.0)
-        assert r1.observed_ratio == pytest.approx(1.0, abs=1e-15)
-        r3 = reports["lemma-helper-iii"]
-        assert r3.parameters["x"] == pytest.approx(1.0)
-        assert r3.observed_ratio == pytest.approx(math.exp(-1.0), abs=1e-15)
+        results = {r.family: r for r in check_appendix_families(a1_step=1e-2)}
+        # parts (i) and (iii) are tight exactly at x = 1, the worst grid point
+        for family in ("lemma-helper-i", "lemma-helper-iii"):
+            assert results[family].worst_case == "x=1"
+            assert results[family].worst_excess == pytest.approx(0.0, abs=1e-15)
 
     def test_transfer_inequality_spot_value(self):
         b, lam = 2, 0.9
@@ -110,14 +109,15 @@ class TestAppendixLemmas:
         assert lhs <= rhs
 
     def test_grid_sizes(self):
-        reports = {r.bound_name: r for r in bounds.check_appendix_lemmas()}
-        assert reports["lemma-helper-i"].parameters["points"] == 1000
-        assert reports["lemma-robustness-transfer"].parameters["points"] == 999 * 100
+        results = {r.family: r for r in check_appendix_families()}
+        assert results["lemma-helper-i"].points == 1000
+        assert results["lemma-robustness-transfer"].points == 999 * 100
 
 
-class TestBoundReport:
-    def test_satisfied_uses_slack(self):
-        r = bounds.BoundReport("x", {}, bound_value=1.0, observed_ratio=1.0 + 5e-10)
-        assert r.satisfied
-        r = bounds.BoundReport("x", {}, bound_value=1.0, observed_ratio=1.0 + 5e-9)
-        assert not r.satisfied
+class TestFamilyResult:
+    def test_violation_uses_tolerance(self):
+        one = np.ones(1)
+        r = _inequality_family("x", one + 5e-10, one, {}, tolerance=1e-9)
+        assert r.passed and r.violations == 0
+        r = _inequality_family("x", one + 5e-9, one, {}, tolerance=1e-9)
+        assert not r.passed and r.violations == 1

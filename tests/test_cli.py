@@ -41,6 +41,13 @@ class TestSkiSweepCommand:
         assert out == ""
         assert "(1/100, 1]" in err
 
+    def test_large_b_exact_mode(self, capsys):
+        code, out, err = run_cli(
+            capsys, "ski-sweep", "--b", "100000", "--trials", "5", "--sigma-grid", "0:0:1",
+        )
+        assert code == EXIT_OK, err
+        assert len(out.strip().split("\n")) == 1 + 4
+
     def test_byte_identical_reruns(self, capsys):
         args = ("ski-sweep", "--b", "50", "--trials", "200", "--sigma-grid", "0:100:50",
                 "--seed", "11")
@@ -177,6 +184,15 @@ class TestTraceCommand:
         info = json.loads(out)
         assert info["support_size"] == 2
         assert info["cost"] == pytest.approx(8.0 / 3.0, abs=1e-4)
+
+    def test_ski_randomized_large_b(self, capsys):
+        code, out, err = run_cli(
+            capsys, "trace", "ski", "--b", "100000", "--x", "5", "--y", "0",
+            "--algo", "rand", "--lambda", "0.5",
+        )
+        assert code == EXIT_OK, err
+        assert "support_size: 200000" in out
+        assert "cost: 5.7826" in out
 
     def test_ski_missing_lambda(self, capsys):
         code, _, err = run_cli(

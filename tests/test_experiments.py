@@ -71,7 +71,7 @@ class TestSkiSweep:
         for r in reports:
             if r.algorithm == "deterministic":
                 for ratio, eta, opt in zip(r.ratios, r.etas, r.opt_costs):
-                    assert ratio <= bounds.det_ski_bound(100, 0.5, eta, opt) + 1e-9
+                    assert ratio <= bounds.det_ski_bound(0.5, eta, opt) + 1e-9
             elif r.algorithm == "randomized":
                 for ratio, eta, opt in zip(r.ratios, r.etas, r.opt_costs):
                     assert (

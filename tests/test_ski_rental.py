@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onlinepred.ski_rental import (
     BuyDayDistribution,
     PolicyKind,
     SkiInstance,
     SkiPolicy,
+    branch_cost,
     deterministic_buy_day,
     naive_buy_day,
     policy_cost,
@@ -41,6 +44,25 @@ def geometric_cost_oracle(b: int, x: int, size: int) -> float:
     """
     denom = 1.0 - (1.0 - 1.0 / b) ** size
     return (size if x >= size else x) / denom
+
+
+def summed_expected_cost(inst: SkiInstance, lam: float) -> float:
+    """Oracle: sum day_probability(d) * simulate_buy_day(d) over the support.
+
+    The per-day products are formed with numpy (the support can reach b^2
+    days) and added exactly with math.fsum.
+    """
+    dist = randomized_distribution(inst, lam)
+    days = np.arange(1, dist.support_size + 1)
+    return math.fsum(dist.mass * np.where(inst.x >= days, inst.b + days - 1, inst.x))
+
+
+@st.composite
+def branch_cases(draw):
+    b = draw(st.integers(2, 2000))
+    lam = draw(st.floats(min_value=1.0 / b, max_value=1.0, exclude_min=True))
+    x = draw(st.integers(1, 4 * b))
+    return b, lam, x, draw(st.booleans())
 
 
 class TestInstanceValidation:
@@ -197,6 +219,38 @@ class TestRandomizedExpectedCost:
         assert got == pytest.approx(1.5773675300856044, abs=1e-9)
 
 
+class TestBranchCost:
+    @settings(max_examples=200, deadline=None)
+    @given(branch_cases())
+    def test_matches_summation_and_buy_days(self, case):
+        b, lam, x, big = case
+        inst = SkiInstance(b, x, float(b) if big else 0.0)
+        expected = summed_expected_cost(inst, lam)
+        got = branch_cost(SkiPolicy(PolicyKind.RANDOMIZED, lam), b, big, x)
+        assert got == pytest.approx(expected, rel=1e-12)
+        day_rules = [
+            (SkiPolicy(PolicyKind.DETERMINISTIC, lam), deterministic_buy_day(inst, lam)),
+            (SkiPolicy(PolicyKind.BREAK_EVEN), deterministic_buy_day(inst, 1.0)),
+            (SkiPolicy(PolicyKind.NAIVE), naive_buy_day(inst)),
+        ]
+        for policy, day in day_rules:
+            assert branch_cost(policy, b, big, x) == simulate_buy_day(inst, day)
+
+    def test_array_matches_scalar_calls(self):
+        xs = np.arange(1, 41)
+        for policy in (
+            SkiPolicy(PolicyKind.NAIVE),
+            SkiPolicy(PolicyKind.BREAK_EVEN),
+            SkiPolicy(PolicyKind.KARLIN),
+            SkiPolicy(PolicyKind.DETERMINISTIC, 0.3),
+            SkiPolicy(PolicyKind.RANDOMIZED, 0.3),
+        ):
+            for big in (False, True):
+                costs = branch_cost(policy, 10, big, xs)
+                assert costs.shape == xs.shape and costs.dtype == float
+                assert costs.tolist() == [branch_cost(policy, 10, big, int(x)) for x in xs]
+
+
 class TestSampling:
     def test_point_mass(self):
         dist = BuyDayDistribution([0.0, 0.0, 1.0])
@@ -246,6 +300,18 @@ class TestPolicyCost:
     def test_naive_policy(self):
         inst = SkiInstance(30, 45, 2.0)
         assert policy_cost(inst, SkiPolicy(PolicyKind.NAIVE)) == 45.0
+
+    def test_large_b(self):
+        # at b = 10^5 the geometric masses no longer sum to 1 within 1e-12
+        # under the closed-form normalizer; both scoring modes must still work
+        b, lam = 100_000, 0.5
+        inst = SkiInstance(b, 5, 0.0)
+        policy = SkiPolicy(PolicyKind.RANDOMIZED, lam)
+        exact = policy_cost(inst, policy)
+        assert exact == pytest.approx(geometric_cost_oracle(b, 5, 200_000), rel=1e-12)
+        assert exact == pytest.approx(summed_expected_cost(inst, lam), rel=1e-12)
+        sampled = {policy_cost(inst, policy, np.random.default_rng(s)) for s in range(20)}
+        assert sampled <= {5.0} | {float(b + d - 1) for d in range(1, 6)}
 
     def test_lambda_required(self):
         with pytest.raises(ValueError):
