@@ -34,7 +34,6 @@ from .scheduling import (
 )
 from .ski_demand import (
     DemandInstance,
-    DemandLevel,
     decompose,
     demand_algorithm_cost,
     demand_opt,

@@ -244,6 +244,8 @@ def cmd_sched_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_bounds(args: argparse.Namespace) -> int:
+    if args.b < 2:
+        raise UsageError(f"--b must be >= 2, got {args.b}")
     results = run_all_checks(args.grid_density, args.seed)
     lines = []
     width = max(len(r.family) for r in results)

@@ -21,14 +21,7 @@ import numpy as np
 
 from . import bounds
 from .scheduling import prediction_error, prr, round_robin, sjf_opt, spjf
-from .ski_rental import (
-    PolicyKind,
-    SkiInstance,
-    SkiPolicy,
-    branch_cost,
-    buy_day_from_uniform,
-    randomized_distribution,
-)
+from .ski_rental import PolicyKind, SkiPolicy, branch_cost
 from .workloads import ParetoJobModel, derived_rng, gen_pareto_jobs, gen_ski_instance
 
 DEFAULT_SEED = 271828
@@ -177,25 +170,11 @@ def _ski_block(config: ExperimentConfig, sigma: float, alg_index: int) -> TrialR
     etas = np.abs(ys - xs)
     opts = np.minimum(xs, b).astype(float)
 
-    sampled_random = (
-        not config.exact_expectation
-        and policy.kind in (PolicyKind.KARLIN, PolicyKind.RANDOMIZED)
+    # sampled mode: one uniform per trial and randomized rule; day rules ignore it
+    u = None if us is None else us[0 if policy.kind is PolicyKind.KARLIN else 1]
+    costs = np.where(
+        big, branch_cost(policy, b, True, xs, u), branch_cost(policy, b, False, xs, u)
     )
-    if sampled_random:
-        lam = policy.effective_lambda()
-        u = us[0 if policy.kind is PolicyKind.KARLIN else 1]
-        dist_small = randomized_distribution(SkiInstance(b, 1, 0.0), lam)
-        dist_big = randomized_distribution(SkiInstance(b, 1, float(b)), lam)
-        days = np.where(
-            big,
-            buy_day_from_uniform(dist_big, u),
-            buy_day_from_uniform(dist_small, u),
-        )
-        costs = np.where(xs >= days, b + days - 1.0, xs.astype(float))
-    else:
-        costs = np.where(
-            big, branch_cost(policy, b, True, xs), branch_cost(policy, b, False, xs)
-        )
 
     return TrialReport(
         experiment=SKI_SWEEP,

@@ -3,8 +3,10 @@ for b and cover one unit of demand on every later day.
 
 An instance with daily demands decomposes into independent classical
 instances, one per demand unit: unit j exists exactly on the days with
-demand >= j, and those days are renumbered consecutively so each unit sees
-an ordinary rent-or-buy problem.  Predictions decompose the same way.
+demand >= j, and those days renumbered consecutively form an ordinary
+rent-or-buy problem.  Level j is therefore described in full by two counts,
+x_j (days with demand >= j) and y_j (days predicted >= j), and every
+function here scores the level arrays through `ski_rental.branch_cost`.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .ski_rental import (
-    PolicyKind,
-    SkiInstance,
-    SkiPolicy,
-    policy_cost,
-    ski_opt,
-)
+from .ski_rental import PolicyKind, SkiPolicy, branch_cost
 
 
 @dataclass(frozen=True)
@@ -60,35 +56,23 @@ class DemandInstance:
         return float(sum(abs(x - y) for x, y in zip(self.demand, self.predicted)))
 
 
-@dataclass(frozen=True)
-class DemandLevel:
-    """One demand unit viewed as a classical rent-or-buy instance."""
+def decompose(instance: DemandInstance) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-level counts ``(xs, ys)`` for demand levels 1..max demand.
 
-    level: int
-    active_days: Tuple[int, ...]
-    predicted_days: int
-
-    def ski_instance(self, b: int) -> SkiInstance:
-        return SkiInstance(b, len(self.active_days), float(self.predicted_days))
-
-
-def decompose(instance: DemandInstance) -> List[DemandLevel]:
-    """Split an instance into one classical level per demand unit.
-
-    Level j is active on the (renumbered) days with demand >= j and carries
-    the thresholded prediction: the count of days with predicted demand >= j.
+    ``xs[j-1]`` counts the days with demand >= j (the skiing days of level
+    j) and ``ys[j-1]`` the days with predicted demand >= j (its prediction).
     """
-    levels = []
-    for level in range(1, instance.max_demand + 1):
-        days = tuple(i + 1 for i, d in enumerate(instance.demand) if d >= level)
-        predicted = sum(1 for y in instance.predicted if y >= level)
-        levels.append(DemandLevel(level, days, predicted))
-    return levels
+    levels = np.arange(1, instance.max_demand + 1)
+    horizon = instance.horizon
+    xs = horizon - np.searchsorted(np.sort(instance.demand), levels)
+    ys = horizon - np.searchsorted(np.sort(instance.predicted), levels)
+    return xs, ys
 
 
 def demand_opt(instance: DemandInstance) -> int:
     """Offline optimum: each demand unit independently rents or buys."""
-    return sum(min(instance.b, len(level.active_days)) for level in decompose(instance))
+    xs, _ = decompose(instance)
+    return int(np.minimum(xs, instance.b).sum())
 
 
 def demand_algorithm_cost(
@@ -99,23 +83,28 @@ def demand_algorithm_cost(
     """Total cost of running a lambda rule independently on every level.
 
     Randomized levels are scored by exact expectation when no generator is
-    passed, otherwise each level samples its own buy day from ``rng``.
+    passed, otherwise each level, in level order, samples its own buy day
+    from one uniform draw of ``rng``.
     """
     if policy.kind is PolicyKind.NAIVE:
         raise ValueError("the demand extension is defined for the lambda rules only")
-    total = 0.0
-    for level in decompose(instance):
-        total += policy_cost(level.ski_instance(instance.b), policy, rng)
-    return total
+    xs, ys = decompose(instance)
+    b = instance.b
+    u = rng.random(xs.size) if rng is not None and policy.randomized else None
+    costs = np.where(
+        ys >= b, branch_cost(policy, b, True, xs, u), branch_cost(policy, b, False, xs, u)
+    )
+    # level-order sum: numpy's pairwise sum would round differently
+    return sum(costs.tolist(), 0.0)
 
 
 def demand_level_error(instance: DemandInstance) -> float:
     """Sum over levels of the per-level prediction error |x_level - y_level|."""
-    return float(
-        sum(abs(len(lv.active_days) - lv.predicted_days) for lv in decompose(instance))
-    )
+    xs, ys = decompose(instance)
+    return float(np.abs(xs - ys).sum())
 
 
 def demand_opt_levels(instance: DemandInstance) -> List[int]:
     """Per-level offline optima; sums to `demand_opt`."""
-    return [ski_opt(lv.ski_instance(instance.b)) for lv in decompose(instance)]
+    xs, _ = decompose(instance)
+    return np.minimum(xs, instance.b).tolist()

@@ -10,7 +10,10 @@ The rules see the prediction only through the branch y >= b, and
 A day rule buys on a fixed day d, so x days cost x if x < d, else b + d - 1.
 A randomized rule puts mass proportional to r^(m-i) on buy days 1..m, with
 r = (b-1)/b, and its expected cost telescopes to min(x, m) / (1 - r^m).
-The buy-day distribution itself is only built for sampling.
+Given uniform draws ``u`` instead, a randomized rule buys on the day its
+branch's inverse CDF picks for each draw and then costs like a day rule,
+so every sampled score goes through `branch_cost` too.  The buy-day
+distribution itself is only built for sampling.
 """
 
 from __future__ import annotations
@@ -79,6 +82,11 @@ class SkiPolicy:
         if self.lam is None:
             raise ValueError(f"policy {self.kind.value!r} requires a lambda value")
         return self.lam
+
+    @property
+    def randomized(self) -> bool:
+        """Whether the rule draws its buy day (Karlin, randomized)."""
+        return self.kind in (PolicyKind.KARLIN, PolicyKind.RANDOMIZED)
 
 
 class BuyDayDistribution:
@@ -161,6 +169,12 @@ def deterministic_buy_day(instance: SkiInstance, lam: float) -> int:
     return _threshold_day(instance.b, lam, instance.y >= instance.b)
 
 
+def _branch_distribution(b: int, lam: float, big: bool) -> BuyDayDistribution:
+    size = _support_size(b, lam, big)
+    weights = ((b - 1) / b) ** np.arange(size - 1, -1, -1)
+    return BuyDayDistribution(weights / weights.sum())
+
+
 def randomized_distribution(instance: SkiInstance, lam: float) -> BuyDayDistribution:
     """Buy-day distribution of the randomized rule, for sampling.
 
@@ -169,28 +183,30 @@ def randomized_distribution(instance: SkiInstance, lam: float) -> BuyDayDistribu
     mass proportional to ((b-1)/b)^(size-i).  The weights are normalised by
     their own sum, so the masses sum to 1 to rounding at any support size.
     """
-    b = instance.b
-    size = _support_size(b, lam, instance.y >= b)
-    weights = ((b - 1) / b) ** np.arange(size - 1, -1, -1)
-    return BuyDayDistribution(weights / weights.sum())
+    return _branch_distribution(instance.b, lam, instance.y >= instance.b)
 
 
-def branch_cost(policy: SkiPolicy, b: int, big: bool, xs):
-    """Exact cost of ``policy`` on one prediction branch for skiing days ``xs``.
+def branch_cost(policy: SkiPolicy, b: int, big: bool, xs, u=None):
+    """Cost of ``policy`` on one prediction branch for skiing days ``xs``.
 
     ``big`` selects the branch y >= b; ``xs`` is an int or an int array and
     the result a float or a float array of the same shape.  The day rules
     (break-even, deterministic, naive) buy on a fixed day d and cost x if
-    x < d, else b + d - 1.  The randomized rules (Karlin, randomized) have
-    support size m and expected cost min(x, m) / (1 - r^m), r = (b-1)/b:
-    each skiing day up to m adds the same 1 / (1 - r^m).
+    x < d, else b + d - 1.  Without ``u`` the randomized rules (Karlin,
+    randomized) are scored exactly: support size m, expected cost
+    min(x, m) / (1 - r^m), r = (b-1)/b, since each skiing day up to m adds
+    the same 1 / (1 - r^m).  With uniform [0,1) draws ``u`` (shaped like
+    ``xs``) they buy on the day the branch's inverse CDF picks for each draw
+    and cost like a day rule; the day rules ignore ``u``.
     """
-    kind = policy.kind
-    if kind in (PolicyKind.KARLIN, PolicyKind.RANDOMIZED):
-        m = _support_size(b, policy.effective_lambda(), big)
-        ratio = (b - 1) / b
-        return np.minimum(xs, m) / (1.0 - ratio**m)
-    if kind is PolicyKind.NAIVE:
+    if policy.randomized:
+        lam = policy.effective_lambda()
+        if u is None:
+            m = _support_size(b, lam, big)
+            ratio = (b - 1) / b
+            return np.minimum(xs, m) / (1.0 - ratio**m)
+        day = buy_day_from_uniform(_branch_distribution(b, lam, big), u)
+    elif policy.kind is PolicyKind.NAIVE:
         if not big:
             return xs * 1.0  # never buys
         day = 1
@@ -229,7 +245,5 @@ def policy_cost(
     Randomized rules are scored by their exact expected cost unless a
     generator is supplied, in which case a single buy day is sampled.
     """
-    if rng is not None and policy.kind in (PolicyKind.KARLIN, PolicyKind.RANDOMIZED):
-        dist = randomized_distribution(instance, policy.effective_lambda())
-        return float(simulate_buy_day(instance, sample_buy_day(dist, rng)))
-    return float(branch_cost(policy, instance.b, instance.y >= instance.b, instance.x))
+    u = rng.random() if rng is not None and policy.randomized else None
+    return float(branch_cost(policy, instance.b, instance.y >= instance.b, instance.x, u))

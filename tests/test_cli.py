@@ -247,6 +247,18 @@ class TestVerifyBoundsCommand:
         assert code == EXIT_VIOLATION
         assert "OVERALL: FAIL" in out
 
+    @pytest.mark.parametrize("b", ["0", "1", "-3"])
+    def test_buy_cost_below_two_is_usage_error(self, b, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        code, out, err = run_cli(
+            capsys, "verify-bounds", "--grid-density", "tiny",
+            "--b", b, "--curve-out", str(curve),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--b" in err
+        assert not curve.exists()
+
     def test_reports_and_curve_files(self, tmp_path, capsys):
         report = tmp_path / "families.csv"
         curve = tmp_path / "curve.csv"

@@ -1,9 +1,11 @@
-"""Demand-decomposition tests with a brute-force offline optimum oracle."""
+"""Demand-decomposition tests with brute-force optimum and per-level scan oracles."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from onlinepred.bounds import (
     det_consistency,
@@ -19,7 +21,7 @@ from onlinepred.ski_demand import (
     demand_opt,
     demand_opt_levels,
 )
-from onlinepred.ski_rental import PolicyKind, SkiPolicy, policy_cost
+from onlinepred.ski_rental import PolicyKind, SkiInstance, SkiPolicy, policy_cost
 from onlinepred.workloads import derived_rng
 
 
@@ -44,18 +46,52 @@ def brute_force_opt(b, demand):
     return best
 
 
+def scan_levels(instance):
+    """Oracle: per-level counts from a scan of the horizon for each level.
+
+    Level j is active on the days with demand >= j and predicts the count of
+    days with predicted demand >= j.
+    """
+    xs, ys = [], []
+    for level in range(1, instance.max_demand + 1):
+        active_days = tuple(i + 1 for i, d in enumerate(instance.demand) if d >= level)
+        xs.append(len(active_days))
+        ys.append(sum(1 for y in instance.predicted if y >= level))
+    return xs, ys
+
+
+def level_cost_loop(instance, policy, rng=None):
+    """Oracle: `policy_cost` run level by level on the scanned counts."""
+    total = 0.0
+    for x, y in zip(*scan_levels(instance)):
+        total += policy_cost(SkiInstance(instance.b, x, float(y)), policy, rng)
+    return total
+
+
+@st.composite
+def demand_cases(draw):
+    horizon = draw(st.integers(1, 30))
+    demand = draw(st.lists(st.integers(0, 6), min_size=horizon, max_size=horizon))
+    assume(max(demand) > 0)
+    # integral predictions make ties with the levels likely
+    value = st.one_of(st.integers(0, 7).map(float), st.floats(0.0, 7.0))
+    predicted = draw(st.lists(value, min_size=horizon, max_size=horizon))
+    b = draw(st.sampled_from([2, 3, 5, 9, 40]))
+    return DemandInstance(b, tuple(demand), tuple(predicted))
+
+
 class TestDecompose:
     def test_classical_reduction(self):
         inst = DemandInstance(5, (1, 1, 1, 0), (1.0, 1.0, 1.0, 0.0))
-        levels = decompose(inst)
-        assert len(levels) == 1
-        assert levels[0].active_days == (1, 2, 3)
+        xs, ys = decompose(inst)
+        assert xs.tolist() == [3]
+        assert ys.tolist() == [3]
 
     def test_threshold_decomposition(self):
         inst = DemandInstance(5, (2, 1), (2.0, 1.0))
-        levels = decompose(inst)
-        assert levels[0].active_days == (1, 2)
-        assert levels[1].active_days == (1,)
+        xs, ys = decompose(inst)
+        assert xs.tolist() == [2, 1]
+        assert ys.tolist() == [2, 1]
 
     def test_zero_demand_rejected(self):
         with pytest.raises(ValueError):
@@ -69,8 +105,8 @@ class TestDecompose:
             if max(demand) == 0:
                 continue
             inst = DemandInstance(3, demand, tuple(float(d) for d in demand))
-            total_active = sum(len(lv.active_days) for lv in decompose(inst))
-            assert total_active == sum(demand)
+            xs, _ = decompose(inst)
+            assert xs.sum() == sum(demand)
 
     def test_level_error_bounded_by_total_error_integral(self):
         # with integral predictions the per-level errors sum to at most eta
@@ -83,6 +119,37 @@ class TestDecompose:
             predicted = tuple(float(p) for p in rng.integers(0, 4, T))
             inst = DemandInstance(3, demand, predicted)
             assert demand_level_error(inst) <= inst.error + 1e-12
+
+    def test_fractional_prediction_breaks_level_error_bound(self):
+        # demand 3 predicted 2.5: level 3 predicts 0 days, so the level error
+        # is 1 against a total error of 0.5
+        inst = DemandInstance(5, (3,), (2.5,))
+        assert decompose(inst)[1].tolist() == [1, 1, 0]
+        assert demand_level_error(inst) == 1.0
+        assert inst.error == 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        demand_cases(),
+        st.sampled_from(["det", "rand", "karlin", "break-even"]),
+        st.floats(0.05, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_counts_and_costs_match_level_scan(self, inst, rule, lam, seed):
+        xs, ys = decompose(inst)
+        assert (xs.tolist(), ys.tolist()) == scan_levels(inst)
+        if rule == "rand":
+            assume(lam > 1.0 / inst.b)
+        policy = {
+            "det": SkiPolicy(PolicyKind.DETERMINISTIC, lam),
+            "rand": SkiPolicy(PolicyKind.RANDOMIZED, lam),
+            "karlin": SkiPolicy(PolicyKind.KARLIN),
+            "break-even": SkiPolicy(PolicyKind.BREAK_EVEN),
+        }[rule]
+        assert demand_algorithm_cost(inst, policy) == level_cost_loop(inst, policy)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert demand_algorithm_cost(inst, policy, rng) == level_cost_loop(inst, policy, twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestDemandOpt:
@@ -112,9 +179,7 @@ class TestAlgorithmCost:
         # unit demand for 7 days is exactly a classical instance with x = 7
         inst = DemandInstance(4, (1,) * 7, (1.0,) * 7)
         policy = SkiPolicy(PolicyKind.DETERMINISTIC, 0.5)
-        classical = policy_cost(
-            decompose(inst)[0].ski_instance(4), policy
-        )
+        classical = policy_cost(SkiInstance(4, 7, 7.0), policy)
         assert demand_algorithm_cost(inst, policy) == classical
 
     def test_deterministic_lambda_one_example(self):

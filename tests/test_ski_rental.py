@@ -13,6 +13,7 @@ from onlinepred.ski_rental import (
     SkiInstance,
     SkiPolicy,
     branch_cost,
+    buy_day_from_uniform,
     deterministic_buy_day,
     naive_buy_day,
     policy_cost,
@@ -249,6 +250,26 @@ class TestBranchCost:
                 costs = branch_cost(policy, 10, big, xs)
                 assert costs.shape == xs.shape and costs.dtype == float
                 assert costs.tolist() == [branch_cost(policy, 10, big, int(x)) for x in xs]
+
+    def test_sampled_matches_buy_day_simulation(self):
+        # with uniforms a randomized rule costs like the buy day its branch's
+        # inverse CDF picks; day rules ignore the uniforms
+        xs = np.arange(1, 41)
+        us = np.random.default_rng(4).random(xs.size)
+        for y in (0.0, 10.0):
+            for policy in (SkiPolicy(PolicyKind.KARLIN), SkiPolicy(PolicyKind.RANDOMIZED, 0.3)):
+                dist = randomized_distribution(SkiInstance(10, 1, y), policy.effective_lambda())
+                expected = [
+                    simulate_buy_day(SkiInstance(10, int(x), y), buy_day_from_uniform(dist, u))
+                    for x, u in zip(xs, us)
+                ]
+                assert branch_cost(policy, 10, y >= 10, xs, us).tolist() == expected
+                scalar = [branch_cost(policy, 10, y >= 10, int(x), u) for x, u in zip(xs, us)]
+                assert scalar == expected
+            det = SkiPolicy(PolicyKind.DETERMINISTIC, 0.3)
+            assert branch_cost(det, 10, y >= 10, xs, us).tolist() == branch_cost(
+                det, 10, y >= 10, xs
+            ).tolist()
 
 
 class TestSampling:
