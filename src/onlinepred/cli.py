@@ -27,6 +27,8 @@ from .experiments import (
     run_scheduling_sweep,
     run_ski_sweep,
     run_tradeoff_curve,
+    sched_sweep_algorithms,
+    ski_sweep_algorithms,
 )
 from .scheduling import JobSet, prediction_error, prr, round_robin, sjf_opt, spjf
 from .ski_rental import (
@@ -51,6 +53,14 @@ SWEEP_HEADER = "experiment,algorithm,lambda,sigma,trials,mean_ratio,mean_eta,max
 CURVE_HEADER = "lambda,det_robustness,det_consistency,rand_robustness,rand_consistency"
 FAMILY_HEADER = "family,points,violations,worst_excess,tolerance,status"
 SIGMA_GRID_MAX_POINTS = 10_001
+JOBS_MAX = 64  # worker processes; the pool starts them all at once
+N_MAX = 100_000  # jobs per set: about 23 MB of Job objects per set
+TRIALS_MAX = 1_000_000
+# A sweep holds one float64 ratio per sigma point, algorithm and trial.  The
+# default ski grid (41 points, 4 algorithms) at TRIALS_MAX is
+# 41 * 4 * 10**6 * 8 B = 1.3 GB, plus 41 * 10**6 * 8 B = 0.3 GB of errors;
+# finer grids get proportionally fewer trials.
+SWEEP_MAX_RATIOS = 41 * 4 * TRIALS_MAX
 
 
 class UsageError(ValueError, argparse.ArgumentTypeError):
@@ -151,10 +161,9 @@ def _write_output(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _sweep_rows(reports: List[TrialReport]) -> List[Dict]:
-    rows = []
-    for r in reports:
-        rows.append(
+def _render_sweep(reports: List[TrialReport], fmt: str) -> str:
+    if fmt == "json":
+        rows = [
             {
                 "experiment": r.experiment,
                 "algorithm": r.algorithm,
@@ -165,13 +174,8 @@ def _sweep_rows(reports: List[TrialReport]) -> List[Dict]:
                 "mean_eta": round(r.mean_eta, 4),
                 "max_ratio": round(r.max_ratio, 6),
             }
-        )
-    return rows
-
-
-def _render_sweep(reports: List[TrialReport], fmt: str) -> str:
-    rows = _sweep_rows(reports)
-    if fmt == "json":
+            for r in reports
+        ]
         return json.dumps(rows, indent=2) + "\n"
     lines = [SWEEP_HEADER]
     for r in reports:
@@ -183,34 +187,54 @@ def _render_sweep(reports: List[TrialReport], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SWEEP_SCHEMA = {
+    "sigma_grid": (_parse_sigma_grid, None),
+    "seed": (int, DEFAULT_SEED),
+    "jobs": (int, 1),
+    "format": (_parse_format, "csv"),
+    "out": (str, "-"),
+}
+
+
+def _run_sweep(opts: Dict, run, algorithms, **fields) -> int:
+    """Check the sizes in ``opts`` against their limits, then run and write one sweep."""
+    config = ExperimentConfig(
+        trials=opts["trials"],
+        sigma_grid=tuple(opts["sigma_grid"] or ()),
+        master_seed=opts["seed"],
+        workers=opts["jobs"],
+        **fields,
+    )
+    for key, limit in (("jobs", JOBS_MAX), ("trials", TRIALS_MAX), ("n", N_MAX)):
+        if opts.get(key, 0) > limit:
+            raise UsageError(f"{key} = {opts[key]} exceeds the limit of {limit}")
+    points, count = len(config.sigma_grid), len(algorithms(config))
+    if points * count * config.trials > SWEEP_MAX_RATIOS:
+        raise UsageError(
+            f"{points} sigma points x {count} algorithms x {config.trials} trials "
+            f"exceeds the limit of {SWEEP_MAX_RATIOS} ratios"
+        )
+    _write_output(_render_sweep(run(config), opts["format"]), opts["out"])
+    return EXIT_OK
+
+
 def cmd_ski_sweep(args: argparse.Namespace) -> int:
     schema = {
         "b": (int, 100),
         "trials": (int, 10000),
-        "sigma_grid": (_parse_sigma_grid, None),
         "lambda_det": (float, 0.5),
         "lambda_rand": (float, LAMBDA_RAND_DEFAULT),
-        "seed": (int, DEFAULT_SEED),
-        "jobs": (int, 1),
-        "format": (_parse_format, "csv"),
-        "out": (str, "-"),
         "sampled": (_parse_bool, False),
     }
-    opts = _merge_config(args, schema)
-    config = ExperimentConfig(
+    opts = _merge_config(args, {**schema, **_SWEEP_SCHEMA})
+    return _run_sweep(
+        opts, run_ski_sweep, ski_sweep_algorithms,
         experiment=SKI_SWEEP,
         b=opts["b"],
-        trials=opts["trials"],
         lambda_det=opts["lambda_det"],
         lambda_rand=opts["lambda_rand"],
-        sigma_grid=tuple(opts["sigma_grid"]) if opts["sigma_grid"] else (),
-        master_seed=opts["seed"],
         exact_expectation=not opts["sampled"],
-        workers=opts["jobs"],
     )
-    reports = run_ski_sweep(config)
-    _write_output(_render_sweep(reports, opts["format"]), opts["out"])
-    return EXIT_OK
 
 
 def cmd_sched_sweep(args: argparse.Namespace) -> int:
@@ -218,29 +242,18 @@ def cmd_sched_sweep(args: argparse.Namespace) -> int:
         "n": (int, 50),
         "alpha": (float, 1.1),
         "trials": (int, 1000),
-        "sigma_grid": (_parse_sigma_grid, None),
         "lambda_sched": (float, 0.5),
-        "seed": (int, DEFAULT_SEED),
-        "jobs": (int, 1),
-        "format": (_parse_format, "csv"),
-        "out": (str, "-"),
         "fixed_jobs": (_parse_bool, False),
     }
-    opts = _merge_config(args, schema)
-    config = ExperimentConfig(
+    opts = _merge_config(args, {**schema, **_SWEEP_SCHEMA})
+    return _run_sweep(
+        opts, run_scheduling_sweep, sched_sweep_algorithms,
         experiment=SCHED_SWEEP,
         n=opts["n"],
         alpha=opts["alpha"],
-        trials=opts["trials"],
         lambda_sched=opts["lambda_sched"],
-        sigma_grid=tuple(opts["sigma_grid"]) if opts["sigma_grid"] else (),
-        master_seed=opts["seed"],
         regenerate_jobs=not opts["fixed_jobs"],
-        workers=opts["jobs"],
     )
-    reports = run_scheduling_sweep(config)
-    _write_output(_render_sweep(reports, opts["format"]), opts["out"])
-    return EXIT_OK
 
 
 def cmd_verify_bounds(args: argparse.Namespace) -> int:
@@ -451,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (ski, sched):
         p.add_argument("--seed", type=int, default=None,
                        help=f"master seed (default {DEFAULT_SEED})")
-        p.add_argument("--jobs", type=int, default=None, help="worker processes (default 1)")
+        p.add_argument("--jobs", type=int, default=None,
+                       help=f"worker processes (default 1, at most {JOBS_MAX})")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="output format (default csv)")
         p.add_argument("--out", default=None, help="output path, '-' for stdout (default)")

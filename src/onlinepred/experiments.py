@@ -4,9 +4,10 @@ Trial t of a sweep derives its own generator from (master seed, t) and draws
 the instance plus a unit-variance noise direction once; the prediction at
 noise level sigma is truth + sigma * direction.  Sharing the draws across
 sigma levels and algorithms is plain common-random-numbers variance
-reduction; determinism and per-trial seeding are unaffected.  Work is
-parallelized over (sigma, algorithm) blocks whose results depend only on the
-configuration, so any worker count yields identical output.
+reduction; determinism and per-trial seeding are unaffected.  Each trial is
+drawn and scored once for every (sigma, algorithm) point; workers split the
+trials into contiguous ranges whose results are stitched back in trial
+order, so any worker count yields identical output.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -129,136 +130,110 @@ def ski_sweep_algorithms(config: ExperimentConfig) -> List[Tuple[str, SkiPolicy]
     ]
 
 
-def _validate_ski_config(config: ExperimentConfig) -> None:
-    if config.b < 2:
-        raise ValueError(f"b must be >= 2, got {config.b!r}")
-    # surface lambda range errors before any work happens; the kernel checks
-    # lambda without building a buy-day distribution
-    for _, policy in ski_sweep_algorithms(config):
-        branch_cost(policy, config.b, False, 1)
+def _ski_trials(config: ExperimentConfig, lo: int, hi: int):
+    """Optima, errors and ratios of ski trials lo..hi-1 at every grid point.
 
-
-@lru_cache(maxsize=4)
-def _draw_ski_trials(config: ExperimentConfig):
-    """Per-trial (x, z, uniforms): x days, noise direction, sampling draws.
-
-    Cached per configuration so every (sigma, algorithm) block in a process
-    reuses the same draws; the blocks never mutate these arrays.
+    Each trial draws x days, a noise direction and, in sampled mode, one
+    uniform each for the classical and the prediction randomized rule.
     """
-    trials = config.trials
-    xs = np.empty(trials, dtype=np.int64)
-    zs = np.empty(trials, dtype=float)
-    needs_u = not config.exact_expectation
-    us = np.empty((2, trials), dtype=float) if needs_u else None
-    for t in range(trials):
+    xs, draws, sampled = [], [], not config.exact_expectation
+    for t in range(lo, hi):
         rng = derived_rng(config.master_seed, t)
-        xs[t] = gen_ski_instance(config.b, rng).x
-        zs[t] = rng.standard_normal()
-        if needs_u:
-            us[0, t] = rng.random()  # classical randomized rule
-            us[1, t] = rng.random()  # prediction randomized rule
-    return xs, zs, us
+        xs.append(gen_ski_instance(config.b, rng).x)
+        draws.append((rng.standard_normal(), *(rng.random(2) if sampled else ())))
+    xs, (zs, *us) = np.array(xs, dtype=np.int64), np.array(draws).T
 
-
-def _ski_block(config: ExperimentConfig, sigma: float, alg_index: int) -> TrialReport:
-    """One (sigma, algorithm) grid point of the ski sweep."""
-    label, policy = ski_sweep_algorithms(config)[alg_index]
-    xs, zs, us = _draw_ski_trials(config)
-    b = config.b
-    ys = np.maximum(xs + sigma * zs, 0.0)
-    big = ys >= b
-    etas = np.abs(ys - xs)
+    b, grid, entrants = config.b, config.sigma_grid, ski_sweep_algorithms(config)
     opts = np.minimum(xs, b).astype(float)
-
-    # sampled mode: one uniform per trial and randomized rule; day rules ignore it
-    u = None if us is None else us[0 if policy.kind is PolicyKind.KARLIN else 1]
-    costs = np.where(
-        big, branch_cost(policy, b, True, xs, u), branch_cost(policy, b, False, xs, u)
-    )
-
-    return TrialReport(
-        experiment=SKI_SWEEP,
-        algorithm=label,
-        lam=policy.effective_lambda(),
-        sigma=float(sigma),
-        opt_costs=opts,
-        ratios=costs / opts,
-        etas=etas,
-    )
+    etas = np.empty((len(grid), xs.size))
+    ratios = np.empty((len(grid), len(entrants), xs.size))
+    for s, sigma in enumerate(grid):
+        ys = np.maximum(xs + sigma * zs, 0.0)
+        etas[s] = np.abs(ys - xs)
+        for a, (_, policy) in enumerate(entrants):
+            u = us[0 if policy.kind is PolicyKind.KARLIN else 1] if sampled else None
+            costs = np.where(
+                ys >= b, branch_cost(policy, b, True, xs, u), branch_cost(policy, b, False, xs, u)
+            )
+            ratios[s, a] = costs / opts
+    return opts, etas, ratios
 
 
-def _sched_algorithms(config: ExperimentConfig) -> List[Tuple[str, Optional[float]]]:
-    return [(RR_LABEL, None), (SPJF_LABEL, None), (PRR_LABEL, config.lambda_sched)]
-
-
-def _sched_block(config: ExperimentConfig, sigma: float, alg_index: int) -> TrialReport:
-    """One (sigma, algorithm) grid point of the scheduling sweep."""
-    label, lam = _sched_algorithms(config)[alg_index]
-    model = ParetoJobModel(alpha=config.alpha, scale=1.0, n=config.n)
-    fixed_jobs = None
-    if not config.regenerate_jobs:
-        fixed_jobs = gen_pareto_jobs(model, derived_rng(config.master_seed, _FIXED_JOBS_STREAM))
-
-    trials = config.trials
-    costs = np.empty(trials, dtype=float)
-    opts = np.empty(trials, dtype=float)
-    etas = np.empty(trials, dtype=float)
-    for t in range(trials):
-        rng = derived_rng(config.master_seed, t)
-        base = fixed_jobs if fixed_jobs is not None else gen_pareto_jobs(model, rng)
-        z = rng.standard_normal(config.n)
-        preds = [j.length + sigma * z[i] for i, j in enumerate(base.jobs)]
-        jobs = base.with_predictions(preds)
-        if label == RR_LABEL:
-            result = round_robin(jobs)
-        elif label == SPJF_LABEL:
-            result = spjf(jobs)
-        else:
-            result = prr(jobs, lam)
-        costs[t] = result.objective
-        opts[t] = sjf_opt(jobs).objective
-        etas[t] = prediction_error(jobs)
-
-    return TrialReport(
-        experiment=SCHED_SWEEP,
-        algorithm=label,
-        lam=lam,
-        sigma=float(sigma),
-        opt_costs=opts,
-        ratios=costs / opts,
-        etas=etas,
-    )
-
-
-def _run_blocks(block_fn, config: ExperimentConfig, n_algs: int) -> List[TrialReport]:
-    tasks = [
-        (config, sigma, alg_index)
-        for sigma in config.sigma_grid
-        for alg_index in range(n_algs)
+def sched_sweep_algorithms(config: ExperimentConfig):
+    """(label, lambda, scheduler) of the three scheduling entrants."""
+    lam = config.lambda_sched
+    return [
+        (RR_LABEL, None, round_robin), (SPJF_LABEL, None, spjf), (PRR_LABEL, lam, partial(prr, lam=lam))
     ]
-    if config.workers <= 1 or len(tasks) <= 1:
-        return [block_fn(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(block_fn, *zip(*tasks)))
+
+
+def _sched_trials(config: ExperimentConfig, lo: int, hi: int):
+    """Optima, errors and ratios of scheduling trials lo..hi-1 at every grid point.
+
+    Each trial draws its job set (unless the jobs are fixed) and noise
+    direction once; the SJF optimum depends only on the true lengths.
+    """
+    model = ParetoJobModel(alpha=config.alpha, scale=1.0, n=config.n)
+    fixed = None
+    if not config.regenerate_jobs:
+        fixed = gen_pareto_jobs(model, derived_rng(config.master_seed, _FIXED_JOBS_STREAM))
+    grid, entrants = config.sigma_grid, sched_sweep_algorithms(config)
+    opts = np.empty(hi - lo)
+    etas = np.empty((len(grid), hi - lo))
+    ratios = np.empty((len(grid), len(entrants), hi - lo))
+    for i, t in enumerate(range(lo, hi)):
+        rng = derived_rng(config.master_seed, t)
+        base = fixed if fixed is not None else gen_pareto_jobs(model, rng)
+        z = rng.standard_normal(config.n)
+        opts[i] = sjf_opt(base).objective
+        for s, sigma in enumerate(grid):
+            jobs = base.with_predictions([j.length + sigma * z[k] for k, j in enumerate(base.jobs)])
+            etas[s, i] = prediction_error(jobs)
+            for a, (_, _, schedule) in enumerate(entrants):
+                ratios[s, a, i] = schedule(jobs).objective / opts[i]
+    return opts, etas, ratios
+
+
+def _run_trials(config: ExperimentConfig, draw, experiment: str, entrants) -> List[TrialReport]:
+    """One report per (sigma, entrant) from ``draw(config, lo, hi)`` over all trials.
+
+    Workers take contiguous trial ranges, at most one per trial; the chunks
+    are stitched back in trial order, so the worker count changes no value.
+    """
+    chunks = min(config.workers, config.trials)
+    if chunks == 1:
+        opts, etas, ratios = draw(config, 0, config.trials)
+    else:
+        edges = [config.trials * k // chunks for k in range(chunks + 1)]
+        with ProcessPoolExecutor(max_workers=chunks) as pool:
+            parts = list(pool.map(draw, [config] * chunks, edges[:-1], edges[1:]))
+        opts, etas, ratios = (np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
+    return [
+        TrialReport(experiment, label, lam, sigma, opts, ratios[s, a], etas[s])
+        for s, sigma in enumerate(config.sigma_grid)
+        for a, (label, lam) in enumerate(entrants)
+    ]
 
 
 def run_ski_sweep(config: ExperimentConfig) -> List[TrialReport]:
     """Mean competitive ratio per (sigma, algorithm) for the rent-or-buy rules."""
-    _validate_ski_config(config)
-    return _run_blocks(_ski_block, config, len(ski_sweep_algorithms(config)))
+    if config.b < 2:
+        raise ValueError(f"b must be >= 2, got {config.b!r}")
+    entrants = []
+    for label, policy in ski_sweep_algorithms(config):
+        # surface lambda range errors before any work; the kernel checks lambda
+        branch_cost(policy, config.b, False, 1)
+        entrants.append((label, policy.effective_lambda()))
+    return _run_trials(config, _ski_trials, SKI_SWEEP, entrants)
 
 
 def run_scheduling_sweep(config: ExperimentConfig) -> List[TrialReport]:
     """Mean competitive ratio per (sigma, algorithm) for the schedulers."""
-    if config.n < 1:
-        raise ValueError(f"n must be >= 1, got {config.n!r}")
+    ParetoJobModel(alpha=config.alpha, n=config.n)  # rejects alpha <= 1 and n < 1
     if not 0 < config.lambda_sched < 1:
-        raise ValueError(
-            f"scheduling lambda must lie in (0, 1), got {config.lambda_sched!r}"
-        )
-    if not config.alpha > 1:
-        raise ValueError(f"alpha must exceed 1, got {config.alpha!r}")
-    return _run_blocks(_sched_block, config, len(_sched_algorithms(config)))
+        raise ValueError(f"scheduling lambda must lie in (0, 1), got {config.lambda_sched!r}")
+    entrants = [(label, lam) for label, lam, _ in sched_sweep_algorithms(config)]
+    return _run_trials(config, _sched_trials, SCHED_SWEEP, entrants)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -55,18 +56,23 @@ class DemandInstance:
         """Total L1 error between predicted and actual daily demand."""
         return float(sum(abs(x - y) for x, y in zip(self.demand, self.predicted)))
 
+    @cached_property
+    def _level_counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        levels = np.arange(1, self.max_demand + 1)
+        xs = self.horizon - np.searchsorted(np.sort(self.demand), levels)
+        ys = self.horizon - np.searchsorted(np.sort(self.predicted), levels)
+        xs.flags.writeable = ys.flags.writeable = False  # shared by every caller
+        return xs, ys
+
 
 def decompose(instance: DemandInstance) -> Tuple[np.ndarray, np.ndarray]:
     """Per-level counts ``(xs, ys)`` for demand levels 1..max demand.
 
     ``xs[j-1]`` counts the days with demand >= j (the skiing days of level
     j) and ``ys[j-1]`` the days with predicted demand >= j (its prediction).
+    The read-only arrays are computed once per instance.
     """
-    levels = np.arange(1, instance.max_demand + 1)
-    horizon = instance.horizon
-    xs = horizon - np.searchsorted(np.sort(instance.demand), levels)
-    ys = horizon - np.searchsorted(np.sort(instance.predicted), levels)
-    return xs, ys
+    return instance._level_counts
 
 
 def demand_opt(instance: DemandInstance) -> int:

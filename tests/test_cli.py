@@ -1,5 +1,6 @@
 """CLI behaviour: flags, exit codes, formats, and byte determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,9 +12,14 @@ from onlinepred.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    JOBS_MAX,
+    N_MAX,
     SIGMA_GRID_MAX_POINTS,
+    SWEEP_MAX_RATIOS,
+    TRIALS_MAX,
     main,
 )
+from onlinepred import cli, experiments
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +125,78 @@ class TestSkiSweepCommand:
         code, _, err = run_cli(capsys, "sched-sweep", "--config", str(cfg))
         assert code == EXIT_USAGE
         assert f"limit of {SIGMA_GRID_MAX_POINTS} points" in err
+
+
+class TestSweepLimits:
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("an over-limit sweep must not start")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(cli, "run_ski_sweep", refuse)
+        monkeypatch.setattr(cli, "run_scheduling_sweep", refuse)
+
+    @pytest.mark.parametrize(
+        "command, key, limit",
+        [
+            ("ski-sweep", "jobs", JOBS_MAX),
+            ("sched-sweep", "jobs", JOBS_MAX),
+            ("ski-sweep", "trials", TRIALS_MAX),
+            ("sched-sweep", "trials", TRIALS_MAX),
+            ("sched-sweep", "n", N_MAX),
+        ],
+    )
+    def test_count_above_limit_names_it(self, command, key, limit, tmp_path, capsys):
+        code, out, err = run_cli(capsys, command, f"--{key}", str(limit + 1))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"limit of {limit}" in err
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"{key}={limit + 1}\n")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"limit of {limit}" in err
+
+    def test_ratio_count_above_limit_names_it(self, tmp_path, capsys):
+        # 101 sigma points x 4 algorithms x 10^6 trials
+        argv = ("ski-sweep", "--trials", str(TRIALS_MAX), "--sigma-grid", "0:100:1")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"limit of {SWEEP_MAX_RATIOS} ratios" in err
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"trials={TRIALS_MAX}\nsigma_grid=0:100:1\n")
+        code, out, err = run_cli(capsys, "ski-sweep", "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"limit of {SWEEP_MAX_RATIOS} ratios" in err
+
+
+# stdout sha256 of small sweeps, recorded before the sweeps were split over
+# trial ranges; any worker count must reproduce them
+PINNED_SWEEPS = {
+    "ski-sweep --b 20 --trials 300 --seed 5":
+        "149bd1b557b7d46a683d9fb3ac2b0d65facecc9c4a3943024d4e3041ad3ce795",
+    "ski-sweep --b 20 --trials 300 --seed 5 --format json":
+        "871cf25c7b36a0bf08cf22f92f6700e31cae51d2589c2732b27ccb73ff5e7723",
+    "ski-sweep --b 20 --trials 300 --seed 5 --sampled":
+        "ec6024f1873fdb70b4519ce59501468dd32035a11284a8fc7dbbec1208f177b1",
+    "ski-sweep --b 20 --trials 300 --seed 5 --sampled --format json":
+        "60eff8d0e0d45affc7ffeb1b20a7120d6aed3ef6cefd29a10480b27a54b557eb",
+    "sched-sweep --n 20 --trials 15 --seed 5":
+        "7c8e2f8b9f5304358bd98ac7699e81ffdae4a18b005b64c6215df086661baf4d",
+    "sched-sweep --n 20 --trials 15 --seed 5 --format json":
+        "fb366df75cf10dbe4830e2918e63a01e3a976c68fa7d6f242c15eb7cdaaaba79",
+    "sched-sweep --n 20 --trials 15 --seed 5 --fixed-jobs":
+        "3bc61e534d393187ca34b9be36745d9c3e28d00c4f8571a1ac8ac54fbb9d802b",
+    "sched-sweep --n 20 --trials 15 --seed 5 --fixed-jobs --format json":
+        "45d52ae45859ba3a00ce04e0129188e2d45c824360e7ed717a5323ddeaa982ce",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_SWEEPS))
+def test_sweep_bytes_pinned(command, capsys):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEPS[command]
 
 
 class TestSchedSweepCommand:

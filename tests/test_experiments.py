@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from onlinepred import bounds
+from onlinepred import bounds, experiments
 from onlinepred.experiments import (
     DEFAULT_SEED,
     LAMBDA_RAND_DEFAULT,
@@ -40,6 +40,15 @@ def small_sched_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def assert_same_reports(expected, actual):
+    assert len(expected) == len(actual)
+    for re, ra in zip(expected, actual):
+        assert (re.algorithm, re.lam, re.sigma) == (ra.algorithm, ra.lam, ra.sigma)
+        assert np.array_equal(re.ratios, ra.ratios)
+        assert np.array_equal(re.etas, ra.etas)
+        assert np.array_equal(re.opt_costs, ra.opt_costs)
 
 
 class TestSkiSweep:
@@ -103,12 +112,16 @@ class TestSkiSweep:
         with pytest.raises(ValueError):
             run_ski_sweep(small_ski_config(lambda_det=1.5))
 
-    def test_workers_do_not_change_results(self):
-        serial = run_ski_sweep(small_ski_config())
-        parallel = run_ski_sweep(small_ski_config(workers=4))
-        for rs, rp in zip(serial, parallel):
-            assert rs.algorithm == rp.algorithm and rs.sigma == rp.sigma
-            assert np.array_equal(rs.ratios, rp.ratios)
+    @pytest.mark.parametrize(
+        "trials, workers, exact",
+        [(3, 4, True), (401, 3, True), (401, 3, False)],
+        ids=["fewer-trials-than-workers", "uneven-split", "sampled"],
+    )
+    def test_workers_do_not_change_results(self, trials, workers, exact):
+        cfg = dict(trials=trials, exact_expectation=exact)
+        serial = run_ski_sweep(small_ski_config(**cfg))
+        parallel = run_ski_sweep(small_ski_config(workers=workers, **cfg))
+        assert_same_reports(serial, parallel)
 
     def test_endpoint_monotonicity_for_prediction_rules(self):
         reports = run_ski_sweep(small_ski_config(trials=2000))
@@ -156,11 +169,36 @@ class TestSchedulingSweep:
         rr = next(r for r in a if r.algorithm == "round-robin")
         assert rr.ratios.max() - rr.ratios.min() == 0.0
 
-    def test_workers_do_not_change_results(self):
-        serial = run_scheduling_sweep(small_sched_config())
-        parallel = run_scheduling_sweep(small_sched_config(workers=3))
-        for rs, rp in zip(serial, parallel):
-            assert np.array_equal(rs.ratios, rp.ratios)
+    @pytest.mark.parametrize(
+        "trials, workers, regenerate",
+        [(2, 3, True), (100, 3, True), (100, 3, False)],
+        ids=["fewer-trials-than-workers", "uneven-split", "fixed-jobs"],
+    )
+    def test_workers_do_not_change_results(self, trials, workers, regenerate):
+        cfg = dict(trials=trials, regenerate_jobs=regenerate)
+        serial = run_scheduling_sweep(small_sched_config(**cfg))
+        parallel = run_scheduling_sweep(small_sched_config(workers=workers, **cfg))
+        assert_same_reports(serial, parallel)
+
+    def test_one_worker_per_trial_at_most(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        pooled = run_scheduling_sweep(small_sched_config(trials=2, workers=8))
+        assert started == [2]
+        assert_same_reports(run_scheduling_sweep(small_sched_config(trials=2)), pooled)
 
     def test_validation(self):
         with pytest.raises(ValueError):

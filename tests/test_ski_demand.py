@@ -138,6 +138,9 @@ class TestDecompose:
     def test_counts_and_costs_match_level_scan(self, inst, rule, lam, seed):
         xs, ys = decompose(inst)
         assert (xs.tolist(), ys.tolist()) == scan_levels(inst)
+        for first, again in zip((xs, ys), decompose(inst)):
+            assert np.array_equal(first, again)
+            assert not first.flags.writeable and not again.flags.writeable
         if rule == "rand":
             assume(lam > 1.0 / inst.b)
         policy = {
