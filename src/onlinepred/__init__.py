@@ -39,7 +39,6 @@ from .ski_demand import (
     demand_opt,
 )
 from .ski_rental import (
-    BuyDayDistribution,
     PolicyKind,
     SkiInstance,
     SkiPolicy,
@@ -47,16 +46,12 @@ from .ski_rental import (
     deterministic_buy_day,
     naive_buy_day,
     policy_cost,
-    randomized_distribution,
     randomized_expected_cost,
-    sample_buy_day,
     simulate_buy_day,
     ski_opt,
 )
 from .workloads import (
-    NoiseModel,
     ParetoJobModel,
-    apply_noise,
     derived_rng,
     gen_pareto_jobs,
     gen_ski_instance,

@@ -35,11 +35,11 @@ from .ski_rental import (
     PolicyKind,
     SkiInstance,
     SkiPolicy,
+    _support_size,
     deterministic_buy_day,
     naive_buy_day,
     policy_cost,
-    randomized_distribution,
-    sample_buy_day,
+    randomized_buy_day,
     ski_opt,
 )
 from .verification import run_all_checks
@@ -53,6 +53,12 @@ SWEEP_HEADER = "experiment,algorithm,lambda,sigma,trials,mean_ratio,mean_eta,max
 CURVE_HEADER = "lambda,det_robustness,det_consistency,rand_robustness,rand_consistency"
 FAMILY_HEADER = "family,points,violations,worst_excess,tolerance,status"
 SIGMA_GRID_MAX_POINTS = 10_001
+# The randomized rules use r = (b-1)/b, which float64 rounds within 2**-53
+# relatively.  Their normaliser 1 - r**m then carries a relative error of at
+# most 2**-53 * m r**m / (1 - r**m) <= 2**-53 * (b - 1): 1.1e-10 at B_MAX,
+# far below the printed 6 decimals.  Supports reach m = ceil(b / lambda) < b**2,
+# 10**12 days at B_MAX, still exact in float64 (below 2**53).
+B_MAX = 1_000_000
 JOBS_MAX = 64  # worker processes; the pool starts them all at once
 N_MAX = 100_000  # jobs per set: about 23 MB of Job objects per set
 TRIALS_MAX = 1_000_000
@@ -65,6 +71,21 @@ SWEEP_MAX_RATIOS = 41 * 4 * TRIALS_MAX
 
 class UsageError(ValueError, argparse.ArgumentTypeError):
     """Bad flags or config; argparse converts it to an exit-2 as well."""
+
+
+def _check_limit(key: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise UsageError(f"{key} = {value} exceeds the limit of {limit}")
+
+
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _fmt_ratio(v: float) -> str:
@@ -102,7 +123,11 @@ def _parse_sigma_grid(text: str) -> List[float]:
 def _read_config_file(path: str) -> Dict[str, str]:
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        for lineno, raw in enumerate(lines, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -189,7 +214,7 @@ def _render_sweep(reports: List[TrialReport], fmt: str) -> str:
 
 _SWEEP_SCHEMA = {
     "sigma_grid": (_parse_sigma_grid, None),
-    "seed": (int, DEFAULT_SEED),
+    "seed": (_parse_seed, DEFAULT_SEED),
     "jobs": (int, 1),
     "format": (_parse_format, "csv"),
     "out": (str, "-"),
@@ -198,16 +223,18 @@ _SWEEP_SCHEMA = {
 
 def _run_sweep(opts: Dict, run, algorithms, **fields) -> int:
     """Check the sizes in ``opts`` against their limits, then run and write one sweep."""
-    config = ExperimentConfig(
-        trials=opts["trials"],
-        sigma_grid=tuple(opts["sigma_grid"] or ()),
-        master_seed=opts["seed"],
-        workers=opts["jobs"],
-        **fields,
-    )
-    for key, limit in (("jobs", JOBS_MAX), ("trials", TRIALS_MAX), ("n", N_MAX)):
-        if opts.get(key, 0) > limit:
-            raise UsageError(f"{key} = {opts[key]} exceeds the limit of {limit}")
+    for key, limit in (("jobs", JOBS_MAX), ("trials", TRIALS_MAX), ("n", N_MAX), ("b", B_MAX)):
+        _check_limit(key, opts.get(key, 0), limit)
+    try:  # the config rejects values outside the sweep's domain
+        config = ExperimentConfig(
+            trials=opts["trials"],
+            sigma_grid=tuple(opts["sigma_grid"] or ()),
+            master_seed=opts["seed"],
+            workers=opts["jobs"],
+            **fields,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     points, count = len(config.sigma_grid), len(algorithms(config))
     if points * count * config.trials > SWEEP_MAX_RATIOS:
         raise UsageError(
@@ -259,6 +286,7 @@ def cmd_sched_sweep(args: argparse.Namespace) -> int:
 def cmd_verify_bounds(args: argparse.Namespace) -> int:
     if args.b < 2:
         raise UsageError(f"--b must be >= 2, got {args.b}")
+    _check_limit("--b", args.b, B_MAX)
     results = run_all_checks(args.grid_density, args.seed)
     lines = []
     width = max(len(r.family) for r in results)
@@ -313,18 +341,23 @@ def cmd_trace_ski(args: argparse.Namespace) -> int:
     needs_lambda = kind in (PolicyKind.DETERMINISTIC, PolicyKind.RANDOMIZED)
     if needs_lambda and args.lam is None:
         raise UsageError(f"algorithm {args.algo!r} requires --lambda")
-    instance = SkiInstance(args.b, args.x, args.y)
+    _check_limit("b", args.b, B_MAX)
     policy = SkiPolicy(kind, args.lam if needs_lambda else None)
+    try:  # the instance checks b, x and y, the cost the rule's lambda range
+        instance = SkiInstance(args.b, args.x, args.y)
+        cost = policy_cost(instance, policy)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     opt = ski_opt(instance)
     eta = instance.error
-    cost = policy_cost(instance, policy)
+    big = instance.y >= instance.b
 
     info: Dict[str, object] = {
         "algorithm": args.algo,
         "b": args.b,
         "x": args.x,
         "y": args.y,
-        "branch": "y >= b" if instance.y >= instance.b else "y < b",
+        "branch": "y >= b" if big else "y < b",
         "opt": opt,
         "eta": round(eta, 4),
     }
@@ -342,11 +375,10 @@ def cmd_trace_ski(args: argparse.Namespace) -> int:
         info["bound"] = round(bound, 6)
     else:
         lam = policy.effective_lambda()
-        dist = randomized_distribution(instance, lam)
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         info["lambda"] = round(lam, 6)
-        info["support_size"] = dist.support_size
-        info["sampled_buy_day"] = sample_buy_day(dist, rng)
+        info["support_size"] = _support_size(args.b, lam, big)
+        info["sampled_buy_day"] = int(randomized_buy_day(args.b, lam, big, rng.random()))
         info["bound"] = round(bounds.rand_ski_bound(args.b, lam, eta, opt), 6)
     info["cost"] = round(cost, 4)
     info["ratio"] = round(cost / opt, 6)
@@ -387,6 +419,8 @@ def cmd_trace_sched(args: argparse.Namespace) -> int:
     if args.algo == "prr":
         if args.lam is None:
             raise UsageError("algorithm 'prr' requires --lambda")
+        if not 0 < args.lam < 1:
+            raise UsageError(f"algorithm 'prr' requires --lambda in (0, 1), got {args.lam}")
         result = prr(jobs, args.lam)
     elif args.algo == "rr":
         result = round_robin(jobs)
@@ -437,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ski = sub.add_parser("ski-sweep", help="mean competitive ratio vs noise, rent-or-buy")
-    ski.add_argument("--b", type=int, default=None, help="buy cost (default 100)")
+    ski.add_argument("--b", type=int, default=None,
+                     help=f"buy cost (default 100, at most {B_MAX})")
     ski.add_argument("--trials", type=int, default=None, help="trials per grid point (default 10000)")
     ski.add_argument("--sigma-grid", dest="sigma_grid", type=_parse_sigma_grid, default=None,
                      help="noise grid start:stop:step (default 0:4b:b/10)")
@@ -462,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     sched.set_defaults(func=cmd_sched_sweep)
 
     for p in (ski, sched):
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_parse_seed, default=None,
                        help=f"master seed (default {DEFAULT_SEED})")
         p.add_argument("--jobs", type=int, default=None,
                        help=f"worker processes (default 1, at most {JOBS_MAX})")
@@ -475,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify-bounds", help="grid-check every proven guarantee")
     verify.add_argument("--grid-density", choices=("tiny", "default", "dense"),
                         default="default", help="grid size preset (default 'default')")
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    verify.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                         help=f"seed for the random job-set grids (default {DEFAULT_SEED})")
     verify.add_argument("--b", type=int, default=100,
                         help="buy cost for the trade-off curve (default 100)")
@@ -493,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     tski.add_argument("--y", type=float, required=True)
     tski.add_argument("--algo", choices=sorted(_TRACE_SKI_ALGOS), required=True)
     tski.add_argument("--lambda", dest="lam", type=float, default=None)
-    tski.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    tski.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
     tski.add_argument("--format", choices=("text", "json"), default="text")
     tski.set_defaults(func=cmd_trace_ski)
 
@@ -515,7 +550,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

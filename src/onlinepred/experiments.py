@@ -52,7 +52,12 @@ def default_sched_sigma_grid(alpha: float, scale: float = 1.0) -> Tuple[float, .
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a sweep needs; two configs are equal iff their outputs are."""
+    """Everything a sweep needs; two configs are equal iff their outputs are.
+
+    Construction rejects values outside the sweep's domain: b, and both
+    lambdas, for a ski sweep; alpha, n and the PRR lambda for a scheduling
+    sweep.
+    """
 
     experiment: str = SKI_SWEEP
     b: int = 100
@@ -84,6 +89,17 @@ class ExperimentConfig:
             raise ValueError("sigma grid entries must be non-negative")
         if any(lo > hi for lo, hi in zip(self.sigma_grid, self.sigma_grid[1:])):
             raise ValueError("sigma grid must be ascending")
+        if self.experiment == SCHED_SWEEP:
+            ParetoJobModel(alpha=self.alpha, n=self.n)  # rejects alpha <= 1 and n < 1
+            if not 0 < self.lambda_sched < 1:
+                raise ValueError(
+                    f"scheduling lambda must lie in (0, 1), got {self.lambda_sched!r}"
+                )
+        else:
+            if self.b < 2:
+                raise ValueError(f"b must be >= 2, got {self.b!r}")
+            for _, policy in ski_sweep_algorithms(self):
+                branch_cost(policy, self.b, False, 1)  # the kernel checks lambda
 
 
 @dataclass
@@ -217,21 +233,12 @@ def _run_trials(config: ExperimentConfig, draw, experiment: str, entrants) -> Li
 
 def run_ski_sweep(config: ExperimentConfig) -> List[TrialReport]:
     """Mean competitive ratio per (sigma, algorithm) for the rent-or-buy rules."""
-    if config.b < 2:
-        raise ValueError(f"b must be >= 2, got {config.b!r}")
-    entrants = []
-    for label, policy in ski_sweep_algorithms(config):
-        # surface lambda range errors before any work; the kernel checks lambda
-        branch_cost(policy, config.b, False, 1)
-        entrants.append((label, policy.effective_lambda()))
+    entrants = [(label, p.effective_lambda()) for label, p in ski_sweep_algorithms(config)]
     return _run_trials(config, _ski_trials, SKI_SWEEP, entrants)
 
 
 def run_scheduling_sweep(config: ExperimentConfig) -> List[TrialReport]:
     """Mean competitive ratio per (sigma, algorithm) for the schedulers."""
-    ParetoJobModel(alpha=config.alpha, n=config.n)  # rejects alpha <= 1 and n < 1
-    if not 0 < config.lambda_sched < 1:
-        raise ValueError(f"scheduling lambda must lie in (0, 1), got {config.lambda_sched!r}")
     entrants = [(label, lam) for label, lam, _ in sched_sweep_algorithms(config)]
     return _run_trials(config, _sched_trials, SCHED_SWEEP, entrants)
 

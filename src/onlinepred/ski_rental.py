@@ -10,10 +10,12 @@ The rules see the prediction only through the branch y >= b, and
 A day rule buys on a fixed day d, so x days cost x if x < d, else b + d - 1.
 A randomized rule puts mass proportional to r^(m-i) on buy days 1..m, with
 r = (b-1)/b, and its expected cost telescopes to min(x, m) / (1 - r^m).
-Given uniform draws ``u`` instead, a randomized rule buys on the day its
-branch's inverse CDF picks for each draw and then costs like a day rule,
-so every sampled score goes through `branch_cost` too.  The buy-day
-distribution itself is only built for sampling.
+That mass is the geometric family of Karlin, Manasse, McGeoch and Owicki
+(1994), whose CDF has the closed form F(i) = (r^(m-i) - r^m) / (1 - r^m).
+Given uniform draws ``u`` instead, a randomized rule buys on the day that
+inverts this CDF for each draw, in O(1) per draw and with no mass vector
+built, and then costs like a day rule; so every sampled score goes
+through `branch_cost` too.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-# A mass vector passed to BuyDayDistribution must sum to 1 within this.
-MASS_TOLERANCE = 1e-12
+# lambda * b or b / lambda within this relative distance of an integer is that integer
+SNAP_TOLERANCE = 1e-12
 
 
 class PolicyKind(Enum):
@@ -89,34 +91,6 @@ class SkiPolicy:
         return self.kind in (PolicyKind.KARLIN, PolicyKind.RANDOMIZED)
 
 
-class BuyDayDistribution:
-    """Probability mass over buy days 1..m."""
-
-    __slots__ = ("mass", "_cdf")
-
-    def __init__(self, mass):
-        arr = np.asarray(mass, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("mass must be a non-empty 1-d vector")
-        if np.any(arr < 0):
-            raise ValueError("mass entries must be non-negative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > MASS_TOLERANCE:
-            raise ValueError(f"mass must sum to 1 within {MASS_TOLERANCE}, got {total!r}")
-        self.mass = arr
-        self._cdf = np.cumsum(arr)
-
-    @property
-    def support_size(self) -> int:
-        return int(self.mass.size)
-
-    def day_probability(self, day: int) -> float:
-        """Mass assigned to buying at the start of ``day``."""
-        if not 1 <= day <= self.support_size:
-            return 0.0
-        return float(self.mass[day - 1])
-
-
 def ski_opt(instance: SkiInstance) -> int:
     """Offline optimum: buy up front or rent every day, whichever is cheaper."""
     return min(instance.b, instance.x)
@@ -154,14 +128,28 @@ def _check_randomized_lambda(lam: float, b: int) -> None:
         )
 
 
+def _snap(q: float):
+    """``q``, or the nearest integer when ``q`` lies within a relative SNAP_TOLERANCE of it.
+
+    Decimal lambdas are not exact in binary: 21 / 0.7 evaluates to
+    30.000000000000004 and 0.28 * 25 to 7.000000000000001, so without the
+    snap the rules would round to days 31 and 8 where 30 and 7 were meant.
+    Scalar math only, since every kernel call goes through it.
+    """
+    n = round(q)
+    return n if abs(q - n) <= SNAP_TOLERANCE * n else q
+
+
 def _threshold_day(b: int, lam: float, big: bool) -> int:
+    """Buy day of the deterministic rule: ceil(lambda*b) if big, else ceil(b/lambda), snapped."""
     _check_deterministic_lambda(lam)
-    return math.ceil(lam * b) if big else math.ceil(b / lam)
+    return math.ceil(_snap(lam * b if big else b / lam))
 
 
 def _support_size(b: int, lam: float, big: bool) -> int:
+    """Support of the randomized rule: floor(lambda*b) if big, else ceil(b/lambda), snapped."""
     _check_randomized_lambda(lam, b)
-    return math.floor(lam * b) if big else math.ceil(b / lam)
+    return math.floor(_snap(lam * b)) if big else math.ceil(_snap(b / lam))
 
 
 def deterministic_buy_day(instance: SkiInstance, lam: float) -> int:
@@ -169,21 +157,21 @@ def deterministic_buy_day(instance: SkiInstance, lam: float) -> int:
     return _threshold_day(instance.b, lam, instance.y >= instance.b)
 
 
-def _branch_distribution(b: int, lam: float, big: bool) -> BuyDayDistribution:
-    size = _support_size(b, lam, big)
-    weights = ((b - 1) / b) ** np.arange(size - 1, -1, -1)
-    return BuyDayDistribution(weights / weights.sum())
+def randomized_buy_day(b: int, lam: float, big: bool, u):
+    """Buy day a randomized rule (Karlin at lambda = 1) picks for uniform [0,1) draws ``u``.
 
-
-def randomized_distribution(instance: SkiInstance, lam: float) -> BuyDayDistribution:
-    """Buy-day distribution of the randomized rule, for sampling.
-
-    The prediction only selects the support size: floor(lambda*b) days when
-    y >= b, ceil(b/lambda) days otherwise.  Within the support, day i gets
-    mass proportional to ((b-1)/b)^(size-i).  The weights are normalised by
-    their own sum, so the masses sum to 1 to rounding at any support size.
+    With support m and r = (b-1)/b, day i has mass proportional to r^(m-i),
+    so the CDF is F(i) = (r^(m-i) - r^m) / (1 - r^m) and the smallest day
+    with F(i) > u is m + 1 - ceil(log(u(1 - r^m) + r^m) / log r).  The day
+    is clipped to [1, m] in float before the cast: u = 0 with an underflowed
+    r^m takes the log of 0.  Returns an int64 scalar or array shaped like u.
     """
-    return _branch_distribution(instance.b, lam, instance.y >= instance.b)
+    m = _support_size(b, lam, big)
+    ratio = (b - 1) / b
+    tail = ratio**m
+    with np.errstate(divide="ignore"):
+        day = m + 1 - np.ceil(np.log(u * (1.0 - tail) + tail) / math.log(ratio))
+    return np.clip(day, 1, m).astype(np.int64)
 
 
 def branch_cost(policy: SkiPolicy, b: int, big: bool, xs, u=None):
@@ -197,7 +185,7 @@ def branch_cost(policy: SkiPolicy, b: int, big: bool, xs, u=None):
     min(x, m) / (1 - r^m), r = (b-1)/b, since each skiing day up to m adds
     the same 1 / (1 - r^m).  With uniform [0,1) draws ``u`` (shaped like
     ``xs``) they buy on the day the branch's inverse CDF picks for each draw
-    and cost like a day rule; the day rules ignore ``u``.
+    (`randomized_buy_day`) and cost like a day rule; the day rules ignore ``u``.
     """
     if policy.randomized:
         lam = policy.effective_lambda()
@@ -205,7 +193,7 @@ def branch_cost(policy: SkiPolicy, b: int, big: bool, xs, u=None):
             m = _support_size(b, lam, big)
             ratio = (b - 1) / b
             return np.minimum(xs, m) / (1.0 - ratio**m)
-        day = buy_day_from_uniform(_branch_distribution(b, lam, big), u)
+        day = randomized_buy_day(b, lam, big, u)
     elif policy.kind is PolicyKind.NAIVE:
         if not big:
             return xs * 1.0  # never buys
@@ -218,21 +206,6 @@ def branch_cost(policy: SkiPolicy, b: int, big: bool, xs, u=None):
 def randomized_expected_cost(instance: SkiInstance, lam: float) -> float:
     """Exact expected cost of the randomized rule."""
     return policy_cost(instance, SkiPolicy(PolicyKind.RANDOMIZED, lam))
-
-
-def sample_buy_day(dist: BuyDayDistribution, rng: np.random.Generator, size=None):
-    """Inverse-CDF sample of a buy day; an int, or an array when ``size`` is given."""
-    u = rng.random(size)
-    return buy_day_from_uniform(dist, u)
-
-
-def buy_day_from_uniform(dist: BuyDayDistribution, u):
-    """Map uniform [0,1) draws to buy days through the distribution's CDF."""
-    idx = np.searchsorted(dist._cdf, u, side="right")
-    idx = np.minimum(idx, dist.support_size - 1)  # guard the cdf[-1] < 1 rounding case
-    if np.isscalar(u) or getattr(u, "ndim", 0) == 0:
-        return int(idx) + 1
-    return idx.astype(int) + 1
 
 
 def policy_cost(

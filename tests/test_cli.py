@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from onlinepred.cli import (
+    B_MAX,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -53,6 +54,55 @@ class TestSkiSweepCommand:
         )
         assert code == EXIT_OK, err
         assert len(out.strip().split("\n")) == 1 + 4
+
+    def test_sampled_huge_support(self, capsys):
+        # b / lambda = 5 * 10^9 buy days: sampling must not build the support
+        code, out, err = run_cli(
+            capsys, "ski-sweep", "--sampled", "--b", "100000", "--lambda-rand", "0.00002",
+            "--trials", "20",
+        )
+        assert code == EXIT_OK, err
+        assert len(out.strip().split("\n")) == 1 + 41 * 4
+
+    def test_internal_value_error_is_not_usage(self, monkeypatch, capsys):
+        def broken(config):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "run_ski_sweep", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["ski-sweep", "--trials", "5"])
+        assert "error:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ski-sweep", "--b", "1"),
+            ("ski-sweep", "--trials", "0"),
+            ("ski-sweep", "--jobs", "0"),
+            ("ski-sweep", "--lambda-det", "nan"),
+            ("ski-sweep", "--seed", "-1"),
+            ("sched-sweep", "--alpha", "inf"),
+            ("sched-sweep", "--lambda", "0"),
+            ("verify-bounds", "--seed", "-1"),
+            ("trace", "ski", "--b", "10", "--x", "3", "--y", "nan", "--algo", "naive"),
+            ("trace", "ski", "--b", "10", "--x", "3", "--y", "1", "--algo", "det",
+             "--lambda", "1.5"),
+            ("trace", "ski", "--b", "10", "--x", "3", "--y", "1", "--algo", "karlin",
+             "--seed", "-1"),
+            ("trace", "sched", "--jobs", "1:1", "--algo", "prr", "--lambda", "1.5"),
+        ],
+    )
+    def test_bad_input_is_usage_error(self, argv, capsys):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "Traceback" not in err
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"\xff\xfe=1\n")
+        code, out, err = run_cli(capsys, "ski-sweep", "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "UTF-8" in err
 
     def test_byte_identical_reruns(self, capsys):
         args = ("ski-sweep", "--b", "50", "--trials", "200", "--sigma-grid", "0:100:50",
@@ -136,10 +186,13 @@ class TestSweepLimits:
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(cli, "run_ski_sweep", refuse)
         monkeypatch.setattr(cli, "run_scheduling_sweep", refuse)
+        monkeypatch.setattr(cli, "run_all_checks", refuse)
+        monkeypatch.setattr(cli, "policy_cost", refuse)
 
     @pytest.mark.parametrize(
         "command, key, limit",
         [
+            ("ski-sweep", "b", B_MAX),
             ("ski-sweep", "jobs", JOBS_MAX),
             ("sched-sweep", "jobs", JOBS_MAX),
             ("ski-sweep", "trials", TRIALS_MAX),
@@ -156,6 +209,18 @@ class TestSweepLimits:
         code, out, err = run_cli(capsys, command, "--config", str(cfg))
         assert (code, out) == (EXIT_USAGE, "")
         assert f"limit of {limit}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("trace", "ski", "--x", "5", "--y", "0", "--algo", "rand", "--lambda", "0.5"),
+            ("verify-bounds", "--grid-density", "tiny"),
+        ],
+    )
+    def test_buy_cost_above_limit_names_it(self, argv, capsys):
+        code, out, err = run_cli(capsys, *argv, "--b", str(B_MAX + 1))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"limit of {B_MAX}" in err
 
     def test_ratio_count_above_limit_names_it(self, tmp_path, capsys):
         # 101 sigma points x 4 algorithms x 10^6 trials
@@ -271,6 +336,15 @@ class TestTraceCommand:
         assert code == EXIT_OK, err
         assert "support_size: 200000" in out
         assert "cost: 5.7826" in out
+
+    def test_ski_randomized_huge_support(self, capsys):
+        # b / lambda = 5 * 10^9 buy days: sampling must not build the support
+        code, out, err = run_cli(
+            capsys, "trace", "ski", "--b", "100000", "--x", "5", "--y", "0",
+            "--algo", "rand", "--lambda", "0.00002",
+        )
+        assert code == EXIT_OK, err
+        assert "support_size: 5000000000" in out
 
     def test_ski_missing_lambda(self, capsys):
         code, _, err = run_cli(

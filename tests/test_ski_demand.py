@@ -120,6 +120,16 @@ class TestDecompose:
             inst = DemandInstance(3, demand, predicted)
             assert demand_level_error(inst) <= inst.error + 1e-12
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 30))
+    def test_level_error_bounded_by_total_error_property(self, data, horizon):
+        # integral predictions: each day's |x - y| covers its per-level misses
+        days = st.lists(st.integers(0, 6), min_size=horizon, max_size=horizon)
+        demand, predicted = data.draw(days), data.draw(days)
+        assume(max(demand) > 0)
+        inst = DemandInstance(3, tuple(demand), tuple(map(float, predicted)))
+        assert demand_level_error(inst) <= inst.error
+
     def test_fractional_prediction_breaks_level_error_bound(self):
         # demand 3 predicted 2.5: level 3 predicts 0 days, so the level error
         # is 1 against a total error of 0.5
@@ -163,6 +173,14 @@ class TestDemandOpt:
 
     def test_levels_sum_to_total(self):
         inst = DemandInstance(3, (3, 1, 2), (3.0, 1.0, 2.0))
+        assert sum(demand_opt_levels(inst)) == demand_opt(inst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=5), st.integers(2, 7))
+    def test_decomposition_preserves_opt_property(self, demand, b):
+        assume(max(demand) > 0)
+        inst = DemandInstance(b, tuple(demand), (0.0,) * len(demand))
+        assert demand_opt(inst) == brute_force_opt(b, demand)
         assert sum(demand_opt_levels(inst)) == demand_opt(inst)
 
     def test_against_brute_force(self):

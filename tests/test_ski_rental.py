@@ -4,25 +4,54 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from onlinepred.ski_rental import (
-    BuyDayDistribution,
     PolicyKind,
     SkiInstance,
     SkiPolicy,
+    _support_size,
+    _threshold_day,
     branch_cost,
-    buy_day_from_uniform,
     deterministic_buy_day,
     naive_buy_day,
     policy_cost,
-    randomized_distribution,
+    randomized_buy_day,
     randomized_expected_cost,
-    sample_buy_day,
     simulate_buy_day,
     ski_opt,
 )
+
+
+class TableOracle:
+    """Oracle: the randomized rule's buy days on one branch as an explicit table.
+
+    Day i of the support 1..m gets weight r^(m-i), r = (b-1)/b, normalised
+    by the weights' own sum; a uniform u picks the first day whose
+    cumulative mass exceeds u.  O(m) memory, so only for small supports.
+    """
+
+    def __init__(self, b: int, lam: float, big: bool):
+        m = _support_size(b, lam, big)
+        weights = ((b - 1) / b) ** np.arange(m - 1, -1, -1)
+        self.mass = weights / weights.sum()
+        self.cdf = np.cumsum(self.mass)
+
+    @classmethod
+    def of(cls, inst: SkiInstance, lam: float) -> "TableOracle":
+        return cls(inst.b, lam, inst.y >= inst.b)
+
+    @property
+    def support_size(self) -> int:
+        return int(self.mass.size)
+
+    def day_probability(self, day: int) -> float:
+        return float(self.mass[day - 1]) if 1 <= day <= self.support_size else 0.0
+
+    def buy_day(self, u):
+        idx = np.searchsorted(self.cdf, u, side="right")
+        return np.minimum(idx, self.support_size - 1) + 1  # cdf[-1] may round below 1
 
 
 def day_by_day_cost(b: int, x: int, buy_day) -> int:
@@ -53,7 +82,7 @@ def summed_expected_cost(inst: SkiInstance, lam: float) -> float:
     The per-day products are formed with numpy (the support can reach b^2
     days) and added exactly with math.fsum.
     """
-    dist = randomized_distribution(inst, lam)
+    dist = TableOracle.of(inst, lam)
     days = np.arange(1, dist.support_size + 1)
     return math.fsum(dist.mass * np.where(inst.x >= days, inst.b + days - 1, inst.x))
 
@@ -146,31 +175,35 @@ class TestDeterministic:
 
 class TestRandomizedDistribution:
     def test_hand_computed_b2(self):
-        dist = randomized_distribution(SkiInstance(2, 5, 5.0), 1.0)
-        assert dist.support_size == 2
+        # masses 1/3 and 2/3: the closed form switches days at u = 1/3
+        dist = TableOracle(2, 1.0, True)
+        assert dist.support_size == _support_size(2, 1.0, True) == 2
         np.testing.assert_allclose(dist.mass, [1.0 / 3.0, 2.0 / 3.0], rtol=1e-14)
+        us = np.array([0.0, 0.333, 0.3334, 1.0 - 2.0**-53])
+        assert randomized_buy_day(2, 1.0, True, us).tolist() == [1, 1, 2, 2]
 
     def test_masses_sum_to_one(self):
         for b in (2, 3, 10, 50, 100):
             for lam in (2.0 / b, 0.5, 0.9, 1.0):
                 if lam <= 1.0 / b or lam > 1.0:
                     continue
-                for y in (0.0, float(b)):
-                    dist = randomized_distribution(SkiInstance(b, 1, y), lam)
+                for big in (False, True):
+                    dist = TableOracle(b, lam, big)
                     assert abs(dist.mass.sum() - 1.0) <= 1e-12
                     assert np.all(dist.mass >= 0)
 
     def test_support_sizes(self):
-        big = randomized_distribution(SkiInstance(100, 1, 100.0), 0.5)
-        small = randomized_distribution(SkiInstance(100, 1, 0.0), 0.5)
-        assert big.support_size == 50  # floor(lambda * b)
-        assert small.support_size == 200  # ceil(b / lambda)
+        assert _support_size(100, 0.5, True) == 50  # floor(lambda * b)
+        assert _support_size(100, 0.5, False) == 200  # ceil(b / lambda)
 
     def test_rejects_lambda_at_or_below_1_over_b(self):
-        inst = SkiInstance(100, 1, 0.0)
         for lam in (0.01, 0.005, 0.0, 1.0001):
+            policy = SkiPolicy(PolicyKind.RANDOMIZED, lam)
+            for u in (None, 0.5):
+                with pytest.raises(ValueError):
+                    branch_cost(policy, 100, False, 1, u)
             with pytest.raises(ValueError):
-                randomized_distribution(inst, lam)
+                randomized_buy_day(100, lam, True, 0.5)
 
     def test_classical_expected_cost_anchor(self):
         # lambda = 1, b = 100: flat expected cost over x >= b, near (e/(e-1)) * b
@@ -190,7 +223,7 @@ class TestRandomizedExpectedCost:
         # the vectorized expectation equals the literal per-day summation
         for b, lam, x, y in [(7, 0.6, 11, 7.0), (10, 0.35, 3, 0.0), (25, 1.0, 60, 30.0)]:
             inst = SkiInstance(b, x, y)
-            dist = randomized_distribution(inst, lam)
+            dist = TableOracle.of(inst, lam)
             literal = sum(
                 dist.day_probability(day) * simulate_buy_day(inst, day)
                 for day in range(1, dist.support_size + 1)
@@ -258,9 +291,9 @@ class TestBranchCost:
         us = np.random.default_rng(4).random(xs.size)
         for y in (0.0, 10.0):
             for policy in (SkiPolicy(PolicyKind.KARLIN), SkiPolicy(PolicyKind.RANDOMIZED, 0.3)):
-                dist = randomized_distribution(SkiInstance(10, 1, y), policy.effective_lambda())
+                dist = TableOracle(10, policy.effective_lambda(), y >= 10)
                 expected = [
-                    simulate_buy_day(SkiInstance(10, int(x), y), buy_day_from_uniform(dist, u))
+                    simulate_buy_day(SkiInstance(10, int(x), y), int(dist.buy_day(u)))
                     for x, u in zip(xs, us)
                 ]
                 assert branch_cost(policy, 10, y >= 10, xs, us).tolist() == expected
@@ -274,28 +307,106 @@ class TestBranchCost:
 
 class TestSampling:
     def test_point_mass(self):
-        dist = BuyDayDistribution([0.0, 0.0, 1.0])
-        rng = np.random.default_rng(0)
-        assert all(sample_buy_day(dist, rng) == 3 for _ in range(20))
+        # floor(0.15 * 10) = 1: a one-day support buys on day 1 for every draw
+        us = np.concatenate([[0.0, 1.0 - 2.0**-53], np.random.default_rng(0).random(20)])
+        assert randomized_buy_day(10, 0.15, True, us).tolist() == [1] * us.size
+        policy = SkiPolicy(PolicyKind.RANDOMIZED, 0.15)
+        assert branch_cost(policy, 10, True, np.full(us.size, 4), us).tolist() == [10.0] * us.size
 
     def test_frequencies_converge(self):
-        dist = randomized_distribution(SkiInstance(2, 5, 5.0), 1.0)
-        rng = np.random.default_rng(12345)
-        days = sample_buy_day(dist, rng, size=1_000_000)
-        freq_day1 = np.mean(days == 1)
-        assert abs(freq_day1 - 1.0 / 3.0) < 0.002
+        # b = 2, lambda = 1: day 1 (cost b = 2 at x = 5) has mass 1/3
+        us = np.random.default_rng(12345).random(1_000_000)
+        costs = branch_cost(SkiPolicy(PolicyKind.KARLIN), 2, True, np.full(us.size, 5), us)
+        assert set(np.unique(costs).tolist()) == {2.0, 3.0}
+        assert abs(np.mean(costs == 2.0) - 1.0 / 3.0) < 0.002
 
     def test_same_seed_same_stream(self):
-        dist = randomized_distribution(SkiInstance(50, 10, 60.0), 0.8)
-        a = sample_buy_day(dist, np.random.default_rng(7), size=1000)
-        b = sample_buy_day(dist, np.random.default_rng(7), size=1000)
+        policy = SkiPolicy(PolicyKind.RANDOMIZED, 0.8)
+        xs = np.full(1000, 10)
+        a = branch_cost(policy, 50, True, xs, np.random.default_rng(7).random(1000))
+        b = branch_cost(policy, 50, True, xs, np.random.default_rng(7).random(1000))
         assert np.array_equal(a, b)
+        inst = SkiInstance(50, 10, 60.0)
+        a = [policy_cost(inst, policy, rng) for rng in [np.random.default_rng(7)] * 50]
+        b = [policy_cost(inst, policy, rng) for rng in [np.random.default_rng(7)] * 50]
+        assert a == b
 
-    def test_distribution_validation(self):
-        with pytest.raises(ValueError):
-            BuyDayDistribution([0.5, 0.4])  # does not sum to 1
-        with pytest.raises(ValueError):
-            BuyDayDistribution([1.5, -0.5])
+
+@st.composite
+def sampler_cases(draw):
+    """A branch, plus draws at 0, at and next to one CDF step, and one free draw."""
+    b = draw(st.integers(2, 2000))
+    lam = draw(st.floats(min_value=1.0 / b, max_value=1.0, exclude_min=True))
+    big = draw(st.booleans())
+    oracle = TableOracle(b, lam, big)
+    step = oracle.cdf[draw(st.integers(0, oracle.support_size - 1))]
+    ulps = draw(st.lists(st.integers(-64, 64), min_size=1, max_size=8))
+    us = [0.0, draw(st.integers(0, 2**53 - 1)) * 2.0**-53]
+    us += [step + k * np.spacing(step) for k in ulps]
+    # Generator.random draws 0 or a multiple of 2^-53 below 1
+    us = np.array([u for u in us if u == 0.0 or 2.0**-53 <= u < 1.0])
+    return b, lam, big, oracle, us
+
+
+class TestClosedFormSampler:
+    @settings(max_examples=200, deadline=None)
+    @given(sampler_cases())
+    def test_matches_table_oracle(self, case):
+        b, lam, big, oracle, us = case
+        days = randomized_buy_day(b, lam, big, us)
+        assert days.tolist() == [randomized_buy_day(b, lam, big, float(u)) for u in us]
+        m = oracle.support_size
+        assert np.all((days >= 1) & (days <= m))
+        for u, got, want in zip(us.tolist(), days.tolist(), oracle.buy_day(us).tolist()):
+            if got == want:
+                continue
+            if u == 0.0:
+                # r^m is subnormal or 0, so both days carry no mass a positive
+                # draw could reach: the cumulative mass up to either is below 2^-53
+                event("mismatch at u = 0")
+                assert oracle.cdf[max(got, want) - 1] < 2.0**-53
+            else:
+                # the two round the CDF step between adjacent days differently:
+                # the table's cumsum of m masses drifts up to ~m ulps, and the
+                # closed form's 1 - r^m and log of a value near 1 cancel ~b ulps
+                event("mismatch next to a CDF step")
+                assert abs(got - want) == 1
+                assert abs(u - oracle.cdf[min(got, want) - 1]) <= (m + b) * 2.0**-52
+
+    def test_zero_draw_with_underflowed_tail(self):
+        # r^m = 0.999^909091 underflows to 0; u = 0 takes log(0) = -inf
+        assert _support_size(1000, 0.0011, False) == 909_091
+        assert (999 / 1000) ** 909_091 == 0.0
+        assert randomized_buy_day(1000, 0.0011, False, 0.0) == 1
+        assert randomized_buy_day(1000, 0.0011, False, np.zeros(3)).tolist() == [1] * 3
+
+    def test_huge_support_builds_nothing(self):
+        # b / lambda = 5 * 10^9 days; a mass table would need 40 GB
+        policy = SkiPolicy(PolicyKind.RANDOMIZED, 0.00002)
+        assert _support_size(100_000, 0.00002, False) == 5_000_000_000
+        days = randomized_buy_day(100_000, 0.00002, False, np.array([0.0, 0.5, 1.0 - 2.0**-53]))
+        assert days[0] == 1 and days[-1] == 5_000_000_000 and 1 < days[1] < days[-1]
+        assert branch_cost(policy, 100_000, False, 5, 0.5) == 5.0
+
+
+class TestDecimalLambda:
+    @pytest.mark.parametrize(
+        "rule, b, lam, big, expected",
+        [
+            (_threshold_day, 21, 0.7, False, 30),  # 21 / 0.7 = 30.000000000000004
+            (_threshold_day, 25, 0.28, True, 7),  # 0.28 * 25 = 7.000000000000001
+            (_support_size, 21, 0.7, False, 30),
+            (_threshold_day, 21, 0.35, False, 60),  # 60.00000000000001
+            (_support_size, 21, 0.35, False, 60),
+            (_threshold_day, 42, 0.7, False, 60),  # 60.00000000000001
+            (_support_size, 42, 0.7, False, 60),
+            (_support_size, 100, 0.29, True, 29),  # 0.29 * 100 = 28.999999999999996
+            (_threshold_day, 10, 0.300000001, True, 4),  # 3.00000001 is not snapped
+            (_support_size, 100, 0.5, False, 200),
+        ],
+    )
+    def test_snaps_within_relative_1e_12(self, rule, b, lam, big, expected):
+        assert rule(b, lam, big) == expected
 
 
 class TestPolicyCost:
@@ -304,8 +415,8 @@ class TestPolicyCost:
         inst = SkiInstance(20, 30, 25.0)
         policy = SkiPolicy(PolicyKind.RANDOMIZED, 0.7)
         exact = policy_cost(inst, policy)
-        dist = randomized_distribution(inst, 0.7)
-        days = sample_buy_day(dist, np.random.default_rng(3), size=100_000)
+        us = np.random.default_rng(3).random(100_000)
+        days = randomized_buy_day(inst.b, 0.7, inst.y >= inst.b, us)
         costs = np.array([simulate_buy_day(inst, int(d)) for d in np.unique(days)])
         counts = np.bincount(days)[np.unique(days)]
         samples = np.repeat(costs, counts).astype(float)

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from onlinepred.workloads import (
-    NoiseModel,
     ParetoJobModel,
-    apply_noise,
     derived_rng,
     gen_pareto_jobs,
     gen_ski_instance,
@@ -35,42 +33,6 @@ class TestSkiInstanceGenerator:
     def test_rejects_small_b(self):
         with pytest.raises(ValueError):
             gen_ski_instance(1, np.random.default_rng(0))
-
-
-class TestNoise:
-    def test_zero_sigma_exact(self):
-        model = NoiseModel(0.0)
-        rng = np.random.default_rng(2)
-        assert apply_noise(7.0, model, rng) == 7.0
-
-    def test_sigma_moment(self):
-        model = NoiseModel(100.0)
-        rng = np.random.default_rng(3)
-        eps = np.array([apply_noise(0.0, model, rng) for _ in range(100_000)])
-        assert abs(eps.std() - 100.0) / 100.0 < 0.02
-        assert abs(eps.mean()) < 3 * 100.0 / math.sqrt(len(eps))
-
-    def test_clamp_rule(self):
-        model = NoiseModel(5.0)
-        # drive predictions negative and watch the clamp
-        clamped = [
-            apply_noise(1.0, model, np.random.default_rng(s), clamp_zero=True)
-            for s in range(500)
-        ]
-        assert min(clamped) == 0.0
-        assert all(v >= 0.0 for v in clamped)
-
-    def test_ski_generator_clamps(self):
-        model = NoiseModel(50.0)
-        rng = np.random.default_rng(4)
-        ys = [gen_ski_instance(2, rng, model).y for _ in range(2000)]
-        assert min(ys) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NoiseModel(-1.0)
-        with pytest.raises(ValueError):
-            NoiseModel(1.0, kind="uniform")
 
 
 class TestParetoJobs:
@@ -107,6 +69,8 @@ class TestParetoJobs:
     def test_validation(self):
         with pytest.raises(ValueError):
             ParetoJobModel(alpha=1.0)
+        with pytest.raises(ValueError):
+            ParetoJobModel(alpha=math.inf)
         with pytest.raises(ValueError):
             ParetoJobModel(alpha=1.1, n=0)
         with pytest.raises(ValueError):
