@@ -54,9 +54,9 @@ def default_sched_sigma_grid(alpha: float, scale: float = 1.0) -> Tuple[float, .
 class ExperimentConfig:
     """Everything a sweep needs; two configs are equal iff their outputs are.
 
-    Construction rejects values outside the sweep's domain: b, and both
-    lambdas, for a ski sweep; alpha, n and the PRR lambda for a scheduling
-    sweep.
+    Construction rejects values outside the sweep's domain: a sigma grid
+    that is not finite, non-negative and ascending; b, and both lambdas, for
+    a ski sweep; alpha, n and the PRR lambda for a scheduling sweep.
     """
 
     experiment: str = SKI_SWEEP
@@ -85,8 +85,8 @@ class ExperimentConfig:
             else:
                 grid = default_ski_sigma_grid(self.b)
             object.__setattr__(self, "sigma_grid", grid)
-        if any(s < 0 for s in self.sigma_grid):
-            raise ValueError("sigma grid entries must be non-negative")
+        if not all(math.isfinite(s) and s >= 0 for s in self.sigma_grid):
+            raise ValueError("sigma grid entries must be finite and non-negative")
         if any(lo > hi for lo, hi in zip(self.sigma_grid, self.sigma_grid[1:])):
             raise ValueError("sigma grid must be ascending")
         if self.experiment == SCHED_SWEEP:
@@ -203,7 +203,7 @@ def _sched_trials(config: ExperimentConfig, lo: int, hi: int):
         z = rng.standard_normal(config.n)
         opts[i] = sjf_opt(base).objective
         for s, sigma in enumerate(grid):
-            jobs = base.with_predictions([j.length + sigma * z[k] for k, j in enumerate(base.jobs)])
+            jobs = base.with_predictions(base.lengths + sigma * z)
             etas[s, i] = prediction_error(jobs)
             for a, (_, _, schedule) in enumerate(entrants):
                 ratios[s, a, i] = schedule(jobs).objective / opts[i]

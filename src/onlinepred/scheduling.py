@@ -1,108 +1,121 @@
 """Preemptive single-machine schedulers, each simulated exactly.
 
-SJF and SPJF run jobs to completion one after another.  Round-robin and
-preferential round-robin (PRR) share the machine: with k jobs unfinished every
-job runs at rate (1-lam)/k and the unfinished job with the smallest prediction
-gets an extra lam (round-robin is lam = 0).  One event sweep serves both; it
-advances from completion to completion, so the schedule is exact up to float
-error.  The objective throughout is the sum of completion times.
+A job set is a pair of read-only float64 arrays, true lengths and predicted
+lengths; a job's id is its index.  SJF and SPJF run jobs to completion one
+after another, in a stable argsort order.  Round-robin and preferential
+round-robin (PRR) share the machine: with k jobs unfinished every job runs at
+rate (1-lam)/k and the unfinished job with the smallest prediction gets an
+extra lam (round-robin is lam = 0).  One event sweep serves both; it advances
+from completion to completion, so the schedule is exact up to float error.
+The objective throughout is the sum of completion times, added up in id order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 # Remaining work below this fraction of the original length counts as done;
 # prevents zero-length phases caused by float residue.
 COMPLETION_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Job:
-    """A job with its true length and a (possibly wrong) predicted length."""
+class Job(NamedTuple):
+    """One column of a JobSet, for readers that want records (unvalidated)."""
 
     id: int
     length: float
     predicted: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.length) and self.length >= 1):
-            raise ValueError(f"job length must be finite and >= 1, got {self.length!r}")
-        if not math.isfinite(self.predicted):
-            raise ValueError(f"predicted length must be finite, got {self.predicted!r}")
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 vector holding ``values``; frozen vectors are reused."""
+    if isinstance(values, np.ndarray):
+        reuse = values.dtype == np.float64 and not values.flags.writeable
+        array = values if reuse else values.astype(np.float64)
+    else:
+        array = np.array(list(values), dtype=np.float64)
+    if array.ndim != 1:
+        raise ValueError(f"job values must form a vector, got shape {array.shape}")
+    array.flags.writeable = False
+    return array
 
 
-@dataclass(frozen=True)
+def _require(ok: np.ndarray, values: np.ndarray, message: str) -> None:
+    if not ok.all():
+        raise ValueError(f"{message}, got {float(values[np.argmin(ok)])!r}")
+
+
+@dataclass(frozen=True, eq=False)
 class JobSet:
-    """An immutable collection of jobs with distinct ids."""
+    """True and predicted lengths of n >= 1 jobs; job i is column i."""
 
-    jobs: Tuple[Job, ...]
+    lengths: np.ndarray
+    predicted: np.ndarray
 
     def __post_init__(self):
-        if len(self.jobs) < 1:
+        lengths, predicted = _frozen(self.lengths), _frozen(self.predicted)
+        if predicted.shape != lengths.shape:
+            raise ValueError("lengths and predictions must have equal length")
+        if lengths.size < 1:
             raise ValueError("a JobSet needs at least one job")
-        ids = [j.id for j in self.jobs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("job ids must be distinct")
+        valid = np.isfinite(lengths) & (lengths >= 1)
+        _require(valid, lengths, "job length must be finite and >= 1")
+        _require(np.isfinite(predicted), predicted, "predicted length must be finite")
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "predicted", predicted)
 
     @classmethod
     def from_lengths(cls, lengths: Iterable[float], predictions: Optional[Iterable[float]] = None) -> "JobSet":
-        lengths = [float(v) for v in lengths]
-        if predictions is None:
-            predictions = lengths
-        preds = [float(v) for v in predictions]
-        if len(preds) != len(lengths):
-            raise ValueError("lengths and predictions must have equal length")
-        return cls(tuple(Job(i, x, y) for i, (x, y) in enumerate(zip(lengths, preds))))
+        lengths = _frozen(lengths)
+        return cls(lengths, lengths if predictions is None else predictions)
 
     def with_predictions(self, predictions: Iterable[float]) -> "JobSet":
-        preds = [float(v) for v in predictions]
-        if len(preds) != len(self.jobs):
+        """The same jobs under new predictions; the lengths array is shared."""
+        predicted = _frozen(predictions)
+        if predicted.shape != self.lengths.shape:
             raise ValueError("predictions must match the number of jobs")
-        return JobSet(tuple(Job(j.id, j.length, y) for j, y in zip(self.jobs, preds)))
+        return JobSet(self.lengths, predicted)
+
+    @property
+    def jobs(self) -> Tuple[Job, ...]:
+        return tuple(map(Job, range(self.n), self.lengths.tolist(), self.predicted.tolist()))
 
     @property
     def n(self) -> int:
-        return len(self.jobs)
+        return self.lengths.size
 
     @property
     def total_length(self) -> float:
-        return sum(j.length for j in self.jobs)
+        return sum(self.lengths.tolist(), 0.0)
 
 
 def prediction_error(jobs: JobSet) -> float:
     """Total L1 prediction error over the job set."""
-    return sum(abs(j.length - j.predicted) for j in jobs.jobs)
+    return sum(np.abs(jobs.lengths - jobs.predicted).tolist(), 0.0)
 
 
-@dataclass(frozen=True)
-class ScheduleResult:
-    """Completion time per job id, the summed objective, and the event log."""
+class ScheduleResult(NamedTuple):
+    """Completion times in id order, their sum, and the (time, ids) event log."""
 
-    completions: Dict[int, float]
+    completions: np.ndarray
     objective: float
-    executed_work: float
     events: Tuple[Tuple[float, Tuple[int, ...]], ...]
 
 
-def _run_sequential(jobs: JobSet, order: Sequence[Job]) -> ScheduleResult:
-    t = 0.0
-    completions = {}
-    events = []
-    for job in order:
-        t += job.length
-        completions[job.id] = t
-        events.append((t, (job.id,)))
-    objective = sum(completions[j.id] for j in jobs.jobs)
-    return ScheduleResult(completions, objective, jobs.total_length, tuple(events))
+def _run_sequential(jobs: JobSet, order: np.ndarray) -> ScheduleResult:
+    ends = np.cumsum(jobs.lengths[order])
+    completions = np.empty(jobs.n)
+    completions[order] = ends
+    events = tuple(zip(ends.tolist(), zip(order.tolist())))
+    return ScheduleResult(completions, sum(completions.tolist(), 0.0), events)
 
 
 def sjf_opt(jobs: JobSet) -> ScheduleResult:
     """Clairvoyant optimum: run jobs to completion in ascending true length."""
-    order = sorted(jobs.jobs, key=lambda j: (j.length, j.id))
-    return _run_sequential(jobs, order)
+    return _run_sequential(jobs, np.argsort(jobs.lengths, kind="stable"))
 
 
 def _prr_sweep(jobs: JobSet, lam: float) -> ScheduleResult:
@@ -114,14 +127,14 @@ def _prr_sweep(jobs: JobSet, lam: float) -> ScheduleResult:
     to the next unfinished job in (prediction, id) order.  One pointer walks
     each order, so an event costs O(1) apart from sorting its completions.
     """
-    js = jobs.jobs
-    n = len(js)
-    by_length = sorted(range(n), key=lambda i: (js[i].length, js[i].id))
-    by_pred = sorted(range(n), key=lambda i: (js[i].predicted, js[i].id))
+    lengths = jobs.lengths.tolist()
+    n = len(lengths)
+    by_length = np.argsort(jobs.lengths, kind="stable").tolist()
+    by_pred = np.argsort(jobs.predicted, kind="stable").tolist()
     gone = [False] * n  # finished, or the favoured job (no longer at progress S)
-    completions: Dict[int, float] = {}
+    completions = [0.0] * n
     events = []
-    t = common = extra = executed = 0.0  # extra: favoured job's work beyond S
+    t = common = extra = 0.0  # extra: favoured job's work beyond S
     next_short = next_pred = 0
     favoured = None
     k = n
@@ -136,15 +149,14 @@ def _prr_sweep(jobs: JobSet, lam: float) -> ScheduleResult:
             next_short += 1
         share = (1.0 - lam) * (1.0 / k)
         boost = lam + share
-        fav_length = js[favoured].length
+        fav_length = lengths[favoured]
         dt = (fav_length - common - extra) / boost
         if next_short < n:
-            dt = min(dt, (js[by_length[next_short]].length - common) / share)
+            dt = min(dt, (lengths[by_length[next_short]] - common) / share)
 
         t += dt
         common += share * dt
         extra += lam * dt
-        executed += (boost + (k - 1) * share) * dt
         done = []
         if fav_length - common - extra <= COMPLETION_EPS * fav_length:
             done.append(favoured)
@@ -155,7 +167,7 @@ def _prr_sweep(jobs: JobSet, lam: float) -> ScheduleResult:
             pos += 1
             if gone[i]:
                 continue
-            if js[i].length - common > COMPLETION_EPS * js[i].length:
+            if lengths[i] - common > COMPLETION_EPS * lengths[i]:
                 break
             gone[i] = True
             done.append(i)
@@ -163,12 +175,11 @@ def _prr_sweep(jobs: JobSet, lam: float) -> ScheduleResult:
             raise RuntimeError("event advanced time without completing a job")
         done.sort()
         for i in done:
-            completions[js[i].id] = t
-        events.append((t, tuple(js[i].id for i in done)))
+            completions[i] = t
+        events.append((t, tuple(done)))
         k -= len(done)
 
-    objective = sum(completions[j.id] for j in js)
-    return ScheduleResult(completions, objective, executed, tuple(events))
+    return ScheduleResult(np.array(completions), sum(completions, 0.0), tuple(events))
 
 
 def round_robin(jobs: JobSet) -> ScheduleResult:
@@ -184,9 +195,9 @@ def spjf(jobs: JobSet, adversarial_ties: bool = False) -> ScheduleResult:
     worst-case tie schedule in tests.
     """
     if adversarial_ties:
-        order = sorted(jobs.jobs, key=lambda j: (j.predicted, -j.id))
+        order = np.lexsort((-np.arange(jobs.n), jobs.predicted))
     else:
-        order = sorted(jobs.jobs, key=lambda j: (j.predicted, j.id))
+        order = np.argsort(jobs.predicted, kind="stable")
     return _run_sequential(jobs, order)
 
 

@@ -201,7 +201,7 @@ def random_jobsets(count: int, seed: int, n_max: int = 8, x_max: float = 10.0) -
         lengths = rng.uniform(1.0, x_max, n)
         mode = s % 5
         if mode == 0:
-            preds = lengths.copy()
+            preds = lengths
         elif mode == 1:
             preds = lengths + rng.normal(0.0, 0.5, n)
         elif mode == 2:
@@ -210,23 +210,40 @@ def random_jobsets(count: int, seed: int, n_max: int = 8, x_max: float = 10.0) -
             preds = rng.uniform(-5.0, 15.0, n)
         else:
             preds = -lengths
-        sets.append(JobSet.from_lengths(lengths.tolist(), preds.tolist()))
+        sets.append(JobSet.from_lengths(lengths, preds))
     return sets
 
 
-def check_spjf_lemma(
-    count: int = 10000, seed: int = DEFAULT_SEED, tolerance: float = 1e-9
-) -> FamilyResult:
-    """SPJF ratio <= 1 + 2*eta/n on the random job-set grid."""
-    excesses = []
-    labels = []
+def check_jobset_families(
+    count: int = 10000,
+    lambdas: Sequence[float] = NINE_LAMBDAS,
+    seed: int = DEFAULT_SEED,
+    tolerance: float = 1e-9,
+) -> List[FamilyResult]:
+    """Three guarantees on one random job-set grid, drawn once.
+
+    SPJF ratio <= 1 + 2*eta/n; PRR ratio <= min((1/lam)(1 + 2*eta/n),
+    2/(1-lam)); with perfect predictions, PRR ratio <= (1+lam)/(2*lam).  The
+    SJF optimum ignores predictions, so the perfect family reuses it.
+    """
+    spjf_excess, spjf_labels = [], []
+    prr_excess, perfect_excess, lambda_labels = [], [], []
     for idx, jobs in enumerate(random_jobsets(count, seed)):
         opt = sjf_opt(jobs).objective
-        ratio = spjf(jobs).objective / opt
-        allowed = bounds.spjf_bound(jobs.n, prediction_error(jobs))
-        excesses.append(ratio - allowed)
-        labels.append(f"jobset#{idx} n={jobs.n}")
-    return _collect("spjf-guarantee", tolerance, excesses, labels)
+        eta = prediction_error(jobs)
+        spjf_excess.append(spjf(jobs).objective / opt - bounds.spjf_bound(jobs.n, eta))
+        spjf_labels.append(f"jobset#{idx} n={jobs.n}")
+        perfect = jobs.with_predictions(jobs.lengths)
+        for lam in lambdas:
+            prr_excess.append(prr(jobs, lam).objective / opt - bounds.prr_bound(jobs.n, eta, lam))
+            perfect_ratio = prr(perfect, lam).objective / opt
+            perfect_excess.append(perfect_ratio - bounds.prr_perfect_bound(lam))
+            lambda_labels.append(f"jobset#{idx} lambda={lam}")
+    return [
+        _collect("spjf-guarantee", tolerance, spjf_excess, spjf_labels),
+        _collect("prr-guarantee", tolerance, prr_excess, lambda_labels),
+        _collect("prr-perfect-prediction-guarantee", tolerance, perfect_excess, lambda_labels),
+    ]
 
 
 def check_spjf_tightness(
@@ -250,44 +267,6 @@ def check_spjf_tightness(
         [required - ratio],
         [f"n={n} eps={eps} ratio={ratio:.9f} required>={required:.9f}"],
     )
-
-
-def check_prr_guarantee(
-    count: int = 10000,
-    lambdas: Sequence[float] = NINE_LAMBDAS,
-    seed: int = DEFAULT_SEED,
-    tolerance: float = 1e-9,
-) -> FamilyResult:
-    """PRR ratio <= min((1/lam)(1 + 2*eta/n), 2/(1-lam)) on the random grid."""
-    excesses = []
-    labels = []
-    for idx, jobs in enumerate(random_jobsets(count, seed)):
-        opt = sjf_opt(jobs).objective
-        eta = prediction_error(jobs)
-        for lam in lambdas:
-            ratio = prr(jobs, lam).objective / opt
-            excesses.append(ratio - bounds.prr_bound(jobs.n, eta, lam))
-            labels.append(f"jobset#{idx} lambda={lam}")
-    return _collect("prr-guarantee", tolerance, excesses, labels)
-
-
-def check_prr_perfect_guarantee(
-    count: int = 10000,
-    lambdas: Sequence[float] = NINE_LAMBDAS,
-    seed: int = DEFAULT_SEED,
-    tolerance: float = 1e-9,
-) -> FamilyResult:
-    """With perfect predictions, PRR ratio <= (1+lam)/(2*lam) on the same grid."""
-    excesses = []
-    labels = []
-    for idx, jobs in enumerate(random_jobsets(count, seed)):
-        perfect = jobs.with_predictions([j.length for j in jobs.jobs])
-        opt = sjf_opt(perfect).objective
-        for lam in lambdas:
-            ratio = prr(perfect, lam).objective / opt
-            excesses.append(ratio - bounds.prr_perfect_bound(lam))
-            labels.append(f"jobset#{idx} lambda={lam}")
-    return _collect("prr-perfect-prediction-guarantee", tolerance, excesses, labels)
 
 
 def _inequality_family(
@@ -409,15 +388,18 @@ def run_all_checks(density: str = "default", seed: int = DEFAULT_SEED) -> List[F
     if density not in DENSITIES:
         raise ValueError(f"unknown grid density {density!r}; choose from {sorted(DENSITIES)}")
     d = DENSITIES[density]
+    spjf_family, prr_family, perfect_family = check_jobset_families(
+        d["jobsets"], d["lambdas"], seed
+    )
     results = [
         check_det_ski_guarantee(d["b_max"], d["lambdas"]),
         check_rand_ski_guarantee(d["b_max"], d["lambdas"]),
         check_naive_lemma(d["b_max"]),
         check_classical_recovery(d["b_max"]),
-        check_spjf_lemma(d["jobsets"], seed),
+        spjf_family,
         check_spjf_tightness(),
-        check_prr_guarantee(d["jobsets"], d["lambdas"], seed),
-        check_prr_perfect_guarantee(d["jobsets"], d["lambdas"], seed),
+        prr_family,
+        perfect_family,
     ]
     results.extend(
         check_appendix_families(d["a1_step"], d["a2_b_max"], d["a2_lambda_points"])

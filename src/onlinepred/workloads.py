@@ -55,4 +55,4 @@ def gen_pareto_jobs(model: ParetoJobModel, rng: np.random.Generator) -> JobSet:
     """Job set with Pareto lengths; predictions start out perfect (y = x)."""
     lengths = model.scale * (1.0 + rng.pareto(model.alpha, model.n))
     lengths = np.maximum(lengths, max(model.scale, 1.0))
-    return JobSet.from_lengths(lengths.tolist())
+    return JobSet.from_lengths(lengths)

@@ -4,10 +4,14 @@ The closed forms and the phase-by-phase simulation run in exact rational
 arithmetic.  ``run_rate_schedule`` is a generic float executor for any rate
 policy; it re-queries the policy after every completion, so it shares no
 bookkeeping with the event sweep in ``onlinepred.scheduling``.
+``run_sorted`` replays a sequential rule over ``Job`` records in ``sorted``
+key order, with none of the argsort machinery of the real schedulers.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from onlinepred.scheduling import COMPLETION_EPS, ScheduleResult
 
@@ -38,7 +42,8 @@ def run_rate_schedule(jobs, rates):
     each job advances at its rate; the next event is the earliest completion.
     Simultaneous completions are processed as one event and the policy is
     re-queried afterwards.  Negative rates, rates summing above 1 and a policy
-    that leaves every remaining job at rate zero (a livelock) are rejected.
+    that leaves every remaining job at rate zero (a livelock) are rejected, and
+    the work executed must equal the total length within 1e-9 relative.
     """
     remaining = {j.id: j.length for j in jobs.jobs}
     active = list(jobs.jobs)
@@ -83,8 +88,24 @@ def run_rate_schedule(jobs, rates):
         events.append((t, tuple(done)))
         active = [job for job in active if job.id not in completions]
 
-    objective = sum(completions[j.id] for j in jobs.jobs)
-    return ScheduleResult(completions, objective, executed, tuple(events))
+    total = jobs.total_length
+    if abs(executed - total) > 1e-9 * total:
+        raise RuntimeError(f"executed work {executed!r} differs from total length {total!r}")
+    ordered = [completions[j.id] for j in jobs.jobs]
+    return ScheduleResult(np.array(ordered), sum(ordered), tuple(events))
+
+
+def run_sorted(jobs, key):
+    """Run jobs to completion one after another in ``sorted(jobs.jobs, key=key)`` order."""
+    t = 0.0
+    completions = {}
+    events = []
+    for job in sorted(jobs.jobs, key=key):
+        t += job.length
+        completions[job.id] = t
+        events.append((t, (job.id,)))
+    ordered = [completions[j.id] for j in jobs.jobs]
+    return ScheduleResult(np.array(ordered), sum(ordered), tuple(events))
 
 
 def rr_closed_form(lengths):

@@ -27,10 +27,8 @@ from onlinepred.verification import (
     check_appendix_families,
     check_classical_recovery,
     check_det_ski_guarantee,
-    check_prr_perfect_guarantee,
-    check_prr_guarantee,
+    check_jobset_families,
     check_rand_ski_guarantee,
-    check_spjf_lemma,
     check_spjf_tightness,
     check_tradeoff_dominance,
 )
@@ -92,7 +90,9 @@ def test_criterion_3_classical_recovery():
 
 
 def test_criterion_4_spjf_guarantee_and_tightness():
-    result = check_spjf_lemma(count=10000, seed=DEFAULT_SEED, tolerance=1e-9)
+    families = check_jobset_families(count=10000, lambdas=(), seed=DEFAULT_SEED, tolerance=1e-9)
+    result = {r.family: r for r in families}["spjf-guarantee"]
+    assert result.points == 10000
     assert result.violations == 0, result
     tight = check_spjf_tightness(n=50, eps=1e-3, safety=0.9)
     assert tight.violations == 0, tight
@@ -101,9 +101,11 @@ def test_criterion_4_spjf_guarantee_and_tightness():
 
 
 def test_criterion_5_prr_guarantees():
-    general = check_prr_guarantee(count=10000, seed=DEFAULT_SEED, tolerance=1e-9)
+    families = check_jobset_families(count=10000, seed=DEFAULT_SEED, tolerance=1e-9)
+    by_name = {r.family: r for r in families}
+    general = by_name["prr-guarantee"]
     assert general.violations == 0, general
-    perfect = check_prr_perfect_guarantee(count=10000, seed=DEFAULT_SEED, tolerance=1e-9)
+    perfect = by_name["prr-perfect-prediction-guarantee"]
     assert perfect.violations == 0, perfect
     report(5, f"{general.points} + {perfect.points} ratio checks, 0 violations")
 
@@ -212,10 +214,10 @@ def test_criterion_9_executor_matches_closed_forms():
         jobs = JobSet.from_lengths([float(v) for v in lengths])
         got = round_robin(jobs)
         want = rr_closed_form(lengths)
-        for g, w in zip(sorted(got.completions.values()), want):
+        for g, w in zip(sorted(got.completions.tolist()), want):
             assert g == pytest.approx(float(w), abs=1e-9)
         total = jobs.total_length
-        assert abs(got.executed_work - total) <= 1e-9 * total
+        assert abs(got.completions.max() - total) <= 1e-9 * total
         checked += 1
     for lengths, preds, lam in PRR_FIXTURES:
         jobs = JobSet.from_lengths(
@@ -226,11 +228,11 @@ def test_criterion_9_executor_matches_closed_forms():
         for i, w in want.items():
             assert got.completions[i] == pytest.approx(float(w), abs=1e-9)
         total = jobs.total_length
-        assert abs(got.executed_work - total) <= 1e-9 * total
+        assert abs(got.completions.max() - total) <= 1e-9 * total
         checked += 1
     assert checked >= 20
     report(9, f"{checked} rational fixtures match the exact phase oracle within 1e-9, "
-              f"work conserved within 1e-9 relative")
+              f"machine never idle (last completion = total work) within 1e-9 relative")
 
 
 def test_criterion_10_tradeoff_dominance():
@@ -239,15 +241,16 @@ def test_criterion_10_tradeoff_dominance():
     report(10, f"all {result.points} deterministic grid points dominated at b=100")
 
 
-def _run(argv):
+def _run(argv, env):
     proc = subprocess.run(
-        [sys.executable, "-m", "onlinepred.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "onlinepred.cli", *argv], capture_output=True, text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
-def test_criterion_11_cli_determinism():
+def test_criterion_11_cli_determinism(package_env):
     commands = {
         "ski-sweep": ["ski-sweep", "--b", "50", "--trials", "500",
                       "--sigma-grid", "0:100:25", "--seed", "13"],
@@ -260,11 +263,11 @@ def test_criterion_11_cli_determinism():
                         "--lambda", "0.5"],
     }
     for name, argv in commands.items():
-        first = _run(argv)
-        second = _run(argv)
+        first = _run(argv, package_env)
+        second = _run(argv, package_env)
         assert first == second, f"{name} output changed between identical runs"
     for name in ("ski-sweep", "sched-sweep"):
-        one = _run(commands[name] + ["--jobs", "1"])
-        eight = _run(commands[name] + ["--jobs", "8"])
+        one = _run(commands[name] + ["--jobs", "1"], package_env)
+        eight = _run(commands[name] + ["--jobs", "8"], package_env)
         assert one == eight, f"{name} output depends on the worker count"
     report(11, "all commands byte-identical across reruns and worker counts 1 vs 8")

@@ -430,13 +430,13 @@ class TestVerifyBoundsCommand:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self):
+    def test_module_invocation(self, package_env):
         proc = subprocess.run(
             [sys.executable, "-m", "onlinepred.cli", "trace", "sched",
              "--jobs", "1:1,2:2", "--algo", "prr", "--lambda", "0.5"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=package_env,
         )
-        assert proc.returncode == EXIT_OK
+        assert proc.returncode == EXIT_OK, proc.stderr
         assert "objective: 4.3333" in proc.stdout
 
     def test_usage_error_from_argparse(self, capsys):

@@ -211,6 +211,17 @@ class TestSchedulingSweep:
             ExperimentConfig(sigma_grid=(3.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "make_config", [small_ski_config, small_sched_config], ids=["ski", "sched"]
+)
+@pytest.mark.parametrize(
+    "grid", [(math.nan,), (math.inf,), (0.0, math.nan)], ids=["nan", "inf", "zero-then-nan"]
+)
+def test_non_finite_sigma_rejected(make_config, grid):
+    with pytest.raises(ValueError, match="finite"):
+        make_config(sigma_grid=grid)
+
+
 class TestTradeoffCurve:
     def test_classical_endpoint(self):
         point = run_tradeoff_curve(100, [1.0])[0]

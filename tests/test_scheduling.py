@@ -4,8 +4,11 @@ The rational oracles re-run the phase structure in exact arithmetic
 (fractions.Fraction), so any float drift in the event sweep shows up as a
 mismatch.  The generic float rate executor (``run_rate_schedule``) re-queries
 the stated rates after every completion; property tests check the sweep
-against it on random job sets.
+against it on random job sets, and the sequential rules against a plain
+``sorted`` replay (``run_sorted``) bit for bit.
 """
+
+import math
 
 from fractions import Fraction
 
@@ -30,22 +33,27 @@ from scheduling_oracles import (
     rr_closed_form,
     rr_rates,
     run_rate_schedule,
+    run_sorted,
 )
 
 
-def assert_matches_oracle(got, want, jobs):
-    """Same event grouping, completions within 1e-12 relative, work conserved."""
-    assert [ids for _, ids in got.events] == [ids for _, ids in want.events]
-    for j in jobs.jobs:
-        assert abs(got.completions[j.id] - want.completions[j.id]) <= 1e-12 * want.completions[j.id]
+def assert_never_idles(result, jobs):
+    """The last completion equals the total work within 1e-9 relative."""
     total = jobs.total_length
-    assert abs(got.executed_work - total) <= 1e-9 * total
+    assert abs(result.completions.max() - total) <= 1e-9 * total
+
+
+def assert_matches_oracle(got, want, jobs):
+    """Same event grouping, completions within 1e-12 relative, machine never idle."""
+    assert [ids for _, ids in got.events] == [ids for _, ids in want.events]
+    assert np.all(np.abs(got.completions - want.completions) <= 1e-12 * want.completions)
+    assert_never_idles(got, jobs)
 
 
 class TestSequential:
     def test_sjf_examples(self):
         r = sjf_opt(JobSet.from_lengths([1, 2]))
-        assert r.completions == {0: 1.0, 1: 3.0}
+        assert r.completions.tolist() == [1.0, 3.0]
         assert r.objective == 4.0
 
         r = sjf_opt(JobSet.from_lengths([1.0] * 50))
@@ -71,7 +79,7 @@ class TestSequential:
     def test_spjf_hand_trace(self):
         jobs = JobSet.from_lengths([1, 2], [2, 1])
         r = spjf(jobs)
-        assert r.completions == {1: 2.0, 0: 3.0}
+        assert r.completions.tolist() == [3.0, 2.0]
         assert r.objective == 5.0
         eta = prediction_error(jobs)
         assert eta == 2.0
@@ -97,18 +105,18 @@ class TestSequential:
 class TestExecutor:
     def test_single_job(self):
         jobs = JobSet.from_lengths([5])
-        assert round_robin(jobs).completions == {0: 5.0}
-        assert run_rate_schedule(jobs, rr_rates).completions == {0: 5.0}
+        assert round_robin(jobs).completions.tolist() == [5.0]
+        assert run_rate_schedule(jobs, rr_rates).completions.tolist() == [5.0]
 
     def test_rr_hand_trace(self):
         r = round_robin(JobSet.from_lengths([1, 2]))
-        assert r.completions == {0: 2.0, 1: 3.0}
+        assert r.completions.tolist() == [2.0, 3.0]
         assert r.objective == 5.0
         assert r.objective / sjf_opt(JobSet.from_lengths([1, 2])).objective == 1.25
 
     def test_simultaneous_completions(self):
         r = round_robin(JobSet.from_lengths([1, 1]))
-        assert r.completions == {0: 2.0, 1: 2.0}
+        assert r.completions.tolist() == [2.0, 2.0]
         assert len(r.events) == 1
 
     def test_equal_jobs_ratio_family(self):
@@ -143,12 +151,10 @@ class TestExecutor:
             )
             opt = sjf_opt(jobs).objective
             for result in (round_robin(jobs), prr(jobs, float(rng.uniform(0.05, 0.95)))):
-                total = jobs.total_length
-                assert abs(result.executed_work - total) <= 1e-9 * total
-                assert result.objective >= total - 1e-9
+                assert_never_idles(result, jobs)
+                assert result.objective >= jobs.total_length - 1e-9
                 assert result.objective >= opt - 1e-9
-                for j in jobs.jobs:
-                    assert result.completions[j.id] >= j.length - 1e-9
+                assert np.all(result.completions >= jobs.lengths - 1e-9)
 
 
 class TestPrr:
@@ -223,6 +229,44 @@ class TestRateOracle:
         assert_matches_oracle(prr(jobs, lam), run_rate_schedule(jobs, prr_rates(lam)), jobs)
 
 
+@st.composite
+def tied_job_sets(draw):
+    """Up to 30 jobs drawn from small pools of lengths and predictions, so
+    ties are common; predictions include +0.0, -0.0 and negative values."""
+    n = draw(st.integers(1, 30))
+    length_pool = draw(st.lists(st.floats(1.0, 1e6), min_size=1, max_size=4))
+    pred_pool = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-1e6, 1e6)),
+        min_size=1, max_size=4,
+    ))
+    lengths = draw(st.lists(st.sampled_from(length_pool), min_size=n, max_size=n))
+    preds = draw(st.lists(st.sampled_from(pred_pool), min_size=n, max_size=n))
+    return JobSet.from_lengths(lengths, preds)
+
+
+def assert_identical(got, want):
+    assert got.completions.tobytes() == want.completions.tobytes()
+    assert got.objective == want.objective
+    assert got.events == want.events
+
+
+class TestSequentialReference:
+    @settings(max_examples=300, deadline=None)
+    @given(jobs=tied_job_sets())
+    def test_rules_match_sorted_replay_bit_for_bit(self, jobs):
+        assert_identical(sjf_opt(jobs), run_sorted(jobs, key=lambda j: (j.length, j.id)))
+        assert_identical(spjf(jobs), run_sorted(jobs, key=lambda j: (j.predicted, j.id)))
+        assert_identical(
+            spjf(jobs, adversarial_ties=True),
+            run_sorted(jobs, key=lambda j: (j.predicted, -j.id)),
+        )
+
+    def test_signed_zero_predictions_tie(self):
+        jobs = JobSet.from_lengths([3, 2, 1], [0.0, -0.0, 0.0])
+        assert [ids for _, ids in spjf(jobs).events] == [(0,), (1,), (2,)]
+        assert [ids for _, ids in spjf(jobs, adversarial_ties=True).events] == [(2,), (1,), (0,)]
+
+
 class TestMonotonicity:
     """Shrinking any single true length never increases the objective."""
 
@@ -265,7 +309,7 @@ class TestExactRationalOracle:
             jobs = JobSet.from_lengths([float(v) for v in lengths])
             got = round_robin(jobs)
             want = rr_closed_form(lengths)
-            got_sorted = sorted(got.completions.values())
+            got_sorted = sorted(got.completions.tolist())
             for g, w in zip(got_sorted, want):
                 assert g == pytest.approx(float(w), abs=1e-9)
 
@@ -317,11 +361,49 @@ class TestJobSetValidation:
         with pytest.raises(ValueError):
             JobSet.from_lengths([])
 
-    def test_rejects_duplicate_ids(self):
-        from onlinepred.scheduling import Job
+    @pytest.mark.parametrize("lengths", [[1.0, math.nan], [math.inf], [1.0, -2.0]])
+    def test_rejects_bad_lengths(self, lengths):
+        with pytest.raises(ValueError, match="job length must be finite and >= 1"):
+            JobSet.from_lengths(lengths)
 
-        with pytest.raises(ValueError):
-            JobSet((Job(0, 1.0, 1.0), Job(0, 2.0, 2.0)))
+    def test_rejects_mismatched_predictions(self):
+        with pytest.raises(ValueError, match="equal length"):
+            JobSet.from_lengths([1.0, 2.0], [1.0])
+
+    def test_arrays_are_read_only(self):
+        source = np.array([2.0, 1.0])
+        jobs = JobSet.from_lengths(source, [5.0, 6.0])
+        for array in (jobs.lengths, jobs.predicted):
+            with pytest.raises(ValueError):
+                array[0] = 3.0
+        source[0] = 9.0  # the set holds its own copy
+        assert jobs.lengths.tolist() == [2.0, 1.0]
+        assert source.flags.writeable
+
+    def test_with_predictions_shares_lengths(self):
+        jobs = JobSet.from_lengths([2.0, 1.0])
+        noisy = jobs.with_predictions(np.array([0.5, -4.0]))
+        assert noisy.lengths is jobs.lengths
+        assert noisy.predicted.tolist() == [0.5, -4.0]
+        assert not noisy.predicted.flags.writeable
+        assert jobs.predicted.tolist() == [2.0, 1.0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_with_predictions_rejects_non_finite(self, bad):
+        jobs = JobSet.from_lengths([2.0, 1.0])
+        with pytest.raises(ValueError, match="predicted length must be finite"):
+            jobs.with_predictions([1.0, bad])
+
+    @pytest.mark.parametrize("preds", [[1.0], [1.0, 2.0, 3.0]])
+    def test_with_predictions_rejects_wrong_length(self, preds):
+        jobs = JobSet.from_lengths([2.0, 1.0])
+        with pytest.raises(ValueError, match="match the number of jobs"):
+            jobs.with_predictions(preds)
+
+    def test_jobs_view(self):
+        jobs = JobSet.from_lengths([2.0, 1.0], [0.5, 3.0])
+        assert jobs.jobs == ((0, 2.0, 0.5), (1, 1.0, 3.0))
+        assert jobs.jobs[1].length == 1.0
 
     def test_negative_predictions_allowed(self):
         jobs = JobSet.from_lengths([1, 2], [-5.0, -7.0])
