@@ -3,12 +3,16 @@
 These expressions are the proven guarantees for the decision rules in
 `ski_rental` and `scheduling`; the simulators never use them, which keeps
 them usable as independent oracles.  Robustness is the error-independent
-ceiling, consistency is the value at zero prediction error.
+ceiling, consistency is the value at zero prediction error.  The four
+per-instance bounds also take numpy arrays for eta, opt and n (lambda and b
+stay scalars); they reject a NaN opt or n, and the ski bounds a NaN eta.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 E_OVER_E_MINUS_1 = math.e / (math.e - 1.0)
 
@@ -43,38 +47,38 @@ def rand_consistency(lam: float) -> float:
     return lam / (1.0 - math.exp(-lam))
 
 
-def det_ski_bound(lam: float, eta: float, opt: float) -> float:
+def det_ski_bound(lam: float, eta, opt):
     """Per-instance guarantee of the deterministic rule at error eta."""
     if not 0 < lam < 1:
         raise ValueError(f"lambda must lie in (0, 1) for the error term, got {lam!r}")
-    if opt < 1:
+    if not np.all(opt >= 1):
         raise ValueError(f"opt must be >= 1, got {opt!r}")
-    if eta < 0:
+    if not np.all(eta >= 0):
         raise ValueError(f"eta must be >= 0, got {eta!r}")
-    return min(det_robustness(lam), det_consistency(lam) + eta / ((1.0 - lam) * opt))
+    return np.minimum(det_robustness(lam), det_consistency(lam) + eta / ((1.0 - lam) * opt))
 
 
-def rand_ski_bound(b: int, lam: float, eta: float, opt: float) -> float:
+def rand_ski_bound(b: int, lam: float, eta, opt):
     """Per-instance guarantee of the randomized rule at error eta."""
-    if opt < 1:
+    if not np.all(opt >= 1):
         raise ValueError(f"opt must be >= 1, got {opt!r}")
-    if eta < 0:
+    if not np.all(eta >= 0):
         raise ValueError(f"eta must be >= 0, got {eta!r}")
-    return min(rand_robustness(b, lam), rand_consistency(lam) * (1.0 + eta / opt))
+    return np.minimum(rand_robustness(b, lam), rand_consistency(lam) * (1.0 + eta / opt))
 
 
-def spjf_bound(n: int, eta: float) -> float:
+def spjf_bound(n, eta):
     """Shortest-predicted-job-first guarantee: 1 + 2*eta/n."""
-    if n < 1:
+    if not np.all(n >= 1):
         raise ValueError(f"n must be >= 1, got {n!r}")
     return 1.0 + 2.0 * eta / n
 
 
-def prr_bound(n: int, eta: float, lam: float) -> float:
+def prr_bound(n, eta, lam: float):
     """Preferential round-robin guarantee: min of the two mixture terms."""
     if not 0 < lam < 1:
         raise ValueError(f"lambda must lie in (0, 1), got {lam!r}")
-    return min(spjf_bound(n, eta) / lam, 2.0 / (1.0 - lam))
+    return np.minimum(spjf_bound(n, eta) / lam, 2.0 / (1.0 - lam))
 
 
 def prr_perfect_bound(lam: float) -> float:

@@ -372,14 +372,14 @@ def cmd_trace_ski(args: argparse.Namespace) -> int:
         bound = (
             bounds.det_robustness(lam) if lam == 1.0 else bounds.det_ski_bound(lam, eta, opt)
         )
-        info["bound"] = round(bound, 6)
+        info["bound"] = round(float(bound), 6)
     else:
         lam = policy.effective_lambda()
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         info["lambda"] = round(lam, 6)
         info["support_size"] = _support_size(args.b, lam, big)
         info["sampled_buy_day"] = int(randomized_buy_day(args.b, lam, big, rng.random()))
-        info["bound"] = round(bounds.rand_ski_bound(args.b, lam, eta, opt), 6)
+        info["bound"] = round(float(bounds.rand_ski_bound(args.b, lam, eta, opt)), 6)
     info["cost"] = round(cost, 4)
     info["ratio"] = round(cost / opt, 6)
 

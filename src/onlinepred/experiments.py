@@ -44,9 +44,9 @@ def default_ski_sigma_grid(b: int) -> Tuple[float, ...]:
     return tuple(i * (b / 10.0) for i in range(41))
 
 
-def default_sched_sigma_grid(alpha: float, scale: float = 1.0) -> Tuple[float, ...]:
+def default_sched_sigma_grid(alpha: float) -> Tuple[float, ...]:
     """Noise grid 0..20*mean in steps of 2*mean of the job-length distribution."""
-    mean = scale * alpha / (alpha - 1.0)
+    mean = alpha / (alpha - 1.0)
     return tuple(i * 2.0 * mean for i in range(11))
 
 
@@ -189,7 +189,7 @@ def _sched_trials(config: ExperimentConfig, lo: int, hi: int):
     Each trial draws its job set (unless the jobs are fixed) and noise
     direction once; the SJF optimum depends only on the true lengths.
     """
-    model = ParetoJobModel(alpha=config.alpha, scale=1.0, n=config.n)
+    model = ParetoJobModel(alpha=config.alpha, n=config.n)
     fixed = None
     if not config.regenerate_jobs:
         fixed = gen_pareto_jobs(model, derived_rng(config.master_seed, _FIXED_JOBS_STREAM))

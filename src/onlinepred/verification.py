@@ -2,8 +2,10 @@
 
 Each check family enumerates instances (exhaustively where the domain is
 finite, from a seeded generator otherwise), runs the real decision rule, and
-compares the observed ratio against the closed-form guarantee.  A positive
-excess beyond the family tolerance is a violation, and since every guarantee
+compares the observed ratio against the closed-form guarantee in `bounds`,
+evaluated on whole arrays.  One fold, `_fold`, turns every family's excesses
+(observed - allowed) into a `FamilyResult`; an excess that is not at most
+the family tolerance, NaN included, is a violation.  Since every guarantee
 is proven, any violation is an implementation bug.
 """
 
@@ -11,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +25,12 @@ from .experiments import DEFAULT_SEED
 from .workloads import derived_rng
 
 NINE_LAMBDAS = tuple(round(0.1 * i, 10) for i in range(1, 10))
+TOLERANCE = 1e-9
 LEMMA_SLACK = 1e-12
+CLASSICAL_B = 100  # b at which the randomized classical rule must sit within 1/b of e/(e-1)
+TIGHTNESS_N, TIGHTNESS_EPS, TIGHTNESS_SAFETY = 50, 1e-3, 0.9
+DOMINANCE_B = 100
+DOMINANCE_LAMBDAS = tuple(round(0.05 * i, 10) for i in range(1, 21))
 
 
 @dataclass(frozen=True)
@@ -41,42 +49,44 @@ class FamilyResult:
         return self.violations == 0
 
 
-def _collect(family: str, tolerance: float, excesses, labels) -> FamilyResult:
-    """Fold per-point excesses (observed - allowed) into a family result."""
-    worst = -math.inf
-    worst_label = ""
-    violations = 0
-    points = 0
-    for excess, label in zip(excesses, labels):
-        points += 1
-        if excess > worst:
-            worst = excess
-            worst_label = label
-        if excess > tolerance:
-            violations += 1
+def _fold(
+    family: str, tolerance: float, grids: Iterable[Tuple[np.ndarray, Callable[[int], str]]]
+) -> FamilyResult:
+    """Fold (excess array, label(i)) pairs into one family result.
+
+    A point is a violation unless its excess is <= tolerance, so NaN fails.
+    The worst point is the first maximum in grid order, or the first NaN;
+    only its label is formatted.  Empty grids add nothing.
+    """
+    points = violations = 0
+    worst, worst_label = -math.inf, ""
+    for excess, label in grids:
+        excess = np.asarray(excess, dtype=float)
+        if excess.size == 0:
+            continue
+        points += excess.size
+        violations += excess.size - int(np.count_nonzero(excess <= tolerance))
+        at = int(np.argmax(excess))  # the first NaN, if there is one
+        value = float(excess.flat[at])
+        if not math.isnan(worst) and (math.isnan(value) or value > worst):
+            worst, worst_label = value, label(at)
     return FamilyResult(family, points, violations, worst, tolerance, worst_label)
 
 
-def _grid_excess(excess: np.ndarray, tolerance: float) -> Tuple[float, int, int]:
-    """Worst excess on a grid, its flat index, and the count above tolerance."""
-    at = int(np.argmax(excess))
-    return float(excess.flat[at]), at, int(np.count_nonzero(excess > tolerance))
+def _ski_label(b: int, lam, shape, at: int) -> str:
+    xi, yi = np.unravel_index(at, shape)
+    text = f"b={b} x={xi + 1} y={yi}"
+    return text if lam is None else f"{text} lambda={lam}"
 
 
-def _check_ski_rule(
-    family: str, b_max: int, lambdas: Sequence, tolerance: float, rule
-) -> FamilyResult:
-    """Fold cost/OPT minus its bound over b in 2..b_max, lambdas, x in 1..4b, y in 0..4b.
+def _ski_grids(b_max: int, lambdas: Sequence, rule):
+    """cost/OPT minus its bound over b in 2..b_max, lambdas, x in 1..4b, y in 0..4b.
 
     rule(b, lam) gives (policy, allowed), where allowed(eta, opt) is the
     guaranteed ratio, or None where lam is outside the rule's domain.  The
     cost depends on y only through the branch y >= b, so one kernel call per
     branch covers the whole y range while the bound is evaluated on the grid.
     """
-    worst = -math.inf
-    worst_label = ""
-    violations = 0
-    points = 0
     for b in range(2, b_max + 1):
         x = np.arange(1, 4 * b + 1)
         xs = x[:, None].astype(float)
@@ -93,40 +103,22 @@ def _check_ski_rule(
                 branch_cost(policy, b, True, x)[:, None],
                 branch_cost(policy, b, False, x)[:, None],
             )
-            excess, at, nviol = _grid_excess(cost / opt - allowed(eta, opt), tolerance)
-            points += cost.size
-            violations += nviol
-            if excess > worst:
-                xi, yi = np.unravel_index(at, cost.shape)
-                worst = excess
-                worst_label = f"b={b} x={xi + 1} y={yi}"
-                if lam is not None:
-                    worst_label += f" lambda={lam}"
-    return FamilyResult(family, points, violations, worst, tolerance, worst_label)
+            yield cost / opt - allowed(eta, opt), partial(_ski_label, b, lam, cost.shape)
 
 
 def check_det_ski_guarantee(
-    b_max: int = 50,
-    lambdas: Sequence[float] = NINE_LAMBDAS,
-    tolerance: float = 1e-9,
+    b_max: int = 50, lambdas: Sequence[float] = NINE_LAMBDAS
 ) -> FamilyResult:
     """Deterministic rule vs its guarantee, exhaustively over b, x, y, lambda."""
 
     def rule(b, lam):
-        rob, cons = bounds.det_robustness(lam), bounds.det_consistency(lam)
+        return SkiPolicy(PolicyKind.DETERMINISTIC, lam), partial(bounds.det_ski_bound, lam)
 
-        def allowed(eta, opt):
-            return np.minimum(rob, cons + eta / ((1.0 - lam) * opt))
-
-        return SkiPolicy(PolicyKind.DETERMINISTIC, lam), allowed
-
-    return _check_ski_rule("deterministic-rule-guarantee", b_max, lambdas, tolerance, rule)
+    return _fold("deterministic-rule-guarantee", TOLERANCE, _ski_grids(b_max, lambdas, rule))
 
 
 def check_rand_ski_guarantee(
-    b_max: int = 50,
-    lambdas: Sequence[float] = NINE_LAMBDAS,
-    tolerance: float = 1e-9,
+    b_max: int = 50, lambdas: Sequence[float] = NINE_LAMBDAS
 ) -> FamilyResult:
     """Randomized rule (exact expectation) vs its guarantee on the same grid.
 
@@ -136,35 +128,25 @@ def check_rand_ski_guarantee(
     def rule(b, lam):
         if lam <= 1.0 / b:
             return None
-        rob, cons = bounds.rand_robustness(b, lam), bounds.rand_consistency(lam)
+        return SkiPolicy(PolicyKind.RANDOMIZED, lam), partial(bounds.rand_ski_bound, b, lam)
 
-        def allowed(eta, opt):
-            return np.minimum(rob, cons * (1.0 + eta / opt))
-
-        return SkiPolicy(PolicyKind.RANDOMIZED, lam), allowed
-
-    return _check_ski_rule("randomized-rule-guarantee", b_max, lambdas, tolerance, rule)
+    return _fold("randomized-rule-guarantee", TOLERANCE, _ski_grids(b_max, lambdas, rule))
 
 
-def check_naive_lemma(b_max: int = 50, tolerance: float = 1e-9) -> FamilyResult:
-    """Naive rule: cost <= OPT + eta on every instance of the grid."""
+def check_naive_lemma(b_max: int = 50) -> FamilyResult:
+    """Naive rule: cost <= OPT + eta, a ratio of 1 + eta/OPT, on every instance of the grid."""
 
     def rule(b, lam):
-        def allowed(eta, opt):
-            return 1.0 + eta / opt  # cost <= OPT + eta, as a ratio
+        return SkiPolicy(PolicyKind.NAIVE), lambda eta, opt: 1.0 + eta / opt
 
-        return SkiPolicy(PolicyKind.NAIVE), allowed
-
-    return _check_ski_rule("naive-rule-additive-guarantee", b_max, (None,), tolerance, rule)
+    return _fold("naive-rule-additive-guarantee", TOLERANCE, _ski_grids(b_max, (None,), rule))
 
 
-def check_classical_recovery(
-    b_max: int = 50, b_ratio: int = 100, tolerance: float = 1e-9
-) -> FamilyResult:
+def check_classical_recovery(b_max: int = 50) -> FamilyResult:
     """lambda = 1 recovers the classical rules.
 
     Deterministic: the buy day equals b on both prediction branches for every
-    b.  Randomized: for b = b_ratio the worst expected ratio over x in
+    b.  Randomized: for b = CLASSICAL_B the worst expected ratio over x in
     {1..4b} sits within 1/b of e/(e-1); for smaller b it stays below
     e/(e-1) + 1/b.
     """
@@ -181,15 +163,16 @@ def check_classical_recovery(
         excesses.append(worst_ratio - (bounds.E_OVER_E_MINUS_1 + 1.0 / b))
         labels.append(f"randomized-ceiling b={b}")
 
-    x = np.arange(1, 4 * b_ratio + 1)
-    worst_ratio = float(np.max(branch_cost(karlin, b_ratio, True, x) / np.minimum(x, b_ratio)))
-    excesses.append(abs(worst_ratio - bounds.E_OVER_E_MINUS_1) - 1.0 / b_ratio)
-    labels.append(f"randomized-proximity b={b_ratio} worst_ratio={worst_ratio:.6f}")
-    return _collect("classical-recovery", tolerance, excesses, labels)
+    b = CLASSICAL_B
+    x = np.arange(1, 4 * b + 1)
+    worst_ratio = float(np.max(branch_cost(karlin, b, True, x) / np.minimum(x, b)))
+    excesses.append(abs(worst_ratio - bounds.E_OVER_E_MINUS_1) - 1.0 / b)
+    labels.append(f"randomized-proximity b={b} worst_ratio={worst_ratio:.6f}")
+    return _fold("classical-recovery", TOLERANCE, [(excesses, labels.__getitem__)])
 
 
-def random_jobsets(count: int, seed: int, n_max: int = 8, x_max: float = 10.0) -> List[JobSet]:
-    """Seeded job sets with lengths in [1, x_max] and assorted prediction styles.
+def random_jobsets(count: int, seed: int) -> List[JobSet]:
+    """Seeded job sets of 1..8 jobs with lengths in [1, 10] and assorted prediction styles.
 
     Prediction modes rotate by index: perfect, mild noise, heavy noise,
     unrelated uniform (may be negative), and fully reversed order.
@@ -197,8 +180,8 @@ def random_jobsets(count: int, seed: int, n_max: int = 8, x_max: float = 10.0) -
     sets = []
     for s in range(count):
         rng = derived_rng(seed, s)
-        n = int(rng.integers(1, n_max + 1))
-        lengths = rng.uniform(1.0, x_max, n)
+        n = int(rng.integers(1, 9))
+        lengths = rng.uniform(1.0, 10.0, n)
         mode = s % 5
         if mode == 0:
             preds = lengths
@@ -218,7 +201,6 @@ def check_jobset_families(
     count: int = 10000,
     lambdas: Sequence[float] = NINE_LAMBDAS,
     seed: int = DEFAULT_SEED,
-    tolerance: float = 1e-9,
 ) -> List[FamilyResult]:
     """Three guarantees on one random job-set grid, drawn once.
 
@@ -226,57 +208,63 @@ def check_jobset_families(
     2/(1-lam)); with perfect predictions, PRR ratio <= (1+lam)/(2*lam).  The
     SJF optimum ignores predictions, so the perfect family reuses it.
     """
-    spjf_excess, spjf_labels = [], []
-    prr_excess, perfect_excess, lambda_labels = [], [], []
-    for idx, jobs in enumerate(random_jobsets(count, seed)):
+    sets = random_jobsets(count, seed)
+    n = np.array([jobs.n for jobs in sets])
+    eta, spjf_excess = np.empty(count), np.empty(count)
+    prr_excess, perfect_excess = np.empty((count, len(lambdas))), np.empty((count, len(lambdas)))
+    for s, jobs in enumerate(sets):
         opt = sjf_opt(jobs).objective
-        eta = prediction_error(jobs)
-        spjf_excess.append(spjf(jobs).objective / opt - bounds.spjf_bound(jobs.n, eta))
-        spjf_labels.append(f"jobset#{idx} n={jobs.n}")
+        eta[s] = prediction_error(jobs)
+        spjf_excess[s] = spjf(jobs).objective / opt
         perfect = jobs.with_predictions(jobs.lengths)
-        for lam in lambdas:
-            prr_excess.append(prr(jobs, lam).objective / opt - bounds.prr_bound(jobs.n, eta, lam))
-            perfect_ratio = prr(perfect, lam).objective / opt
-            perfect_excess.append(perfect_ratio - bounds.prr_perfect_bound(lam))
-            lambda_labels.append(f"jobset#{idx} lambda={lam}")
+        for k, lam in enumerate(lambdas):
+            prr_excess[s, k] = prr(jobs, lam).objective / opt
+            perfect_excess[s, k] = prr(perfect, lam).objective / opt
+    # the excess arrays hold ratios until one bounds call per family and lambda
+    spjf_excess -= bounds.spjf_bound(n, eta)
+    for k, lam in enumerate(lambdas):
+        prr_excess[:, k] -= bounds.prr_bound(n, eta, lam)
+        perfect_excess[:, k] -= bounds.prr_perfect_bound(lam)
+
+    def lambda_label(at: int) -> str:
+        s, k = divmod(at, len(lambdas))
+        return f"jobset#{s} lambda={lambdas[k]}"
+
     return [
-        _collect("spjf-guarantee", tolerance, spjf_excess, spjf_labels),
-        _collect("prr-guarantee", tolerance, prr_excess, lambda_labels),
-        _collect("prr-perfect-prediction-guarantee", tolerance, perfect_excess, lambda_labels),
+        _fold("spjf-guarantee", TOLERANCE, [(spjf_excess, lambda s: f"jobset#{s} n={n[s]}")]),
+        _fold("prr-guarantee", TOLERANCE, [(prr_excess, lambda_label)]),
+        _fold("prr-perfect-prediction-guarantee", TOLERANCE, [(perfect_excess, lambda_label)]),
     ]
 
 
-def check_spjf_tightness(
-    n: int = 50, eps: float = 1e-3, safety: float = 0.9
-) -> FamilyResult:
+def check_spjf_tightness() -> FamilyResult:
     """The equal-predictions family drives SPJF close to its guarantee.
 
     n-1 unit jobs plus one of length 1+eps, all predicted 1; scheduling the
     long job first (worst tie order) must reach at least ``safety`` of the
-    guarantee's excess 2(n-1)eta / (n(n+1)).
+    guarantee's excess 2(n-1)eta / (n(n+1)), with n, eps and safety the
+    TIGHTNESS_* constants.
     """
+    n, eps, safety = TIGHTNESS_N, TIGHTNESS_EPS, TIGHTNESS_SAFETY
     lengths = [1.0] * (n - 1) + [1.0 + eps]
     jobs = JobSet.from_lengths(lengths, [1.0] * n)
     opt = sjf_opt(jobs).objective
     ratio = spjf(jobs, adversarial_ties=True).objective / opt
     eta = prediction_error(jobs)
     required = 1.0 + safety * 2.0 * (n - 1) * eta / (n * (n + 1))
-    return _collect(
-        "spjf-tightness-family",
-        0.0,
-        [required - ratio],
-        [f"n={n} eps={eps} ratio={ratio:.9f} required>={required:.9f}"],
-    )
+    label = f"n={n} eps={eps} ratio={ratio:.9f} required>={required:.9f}"
+    return _fold("spjf-tightness-family", 0.0, [([required - ratio], lambda at: label)])
 
 
 def _inequality_family(
-    family: str, lhs: np.ndarray, rhs: np.ndarray, coords: Dict[str, np.ndarray],
-    tolerance: float,
+    family: str, lhs: np.ndarray, rhs: np.ndarray, coords: Dict[str, np.ndarray]
 ) -> FamilyResult:
     """lhs <= rhs on a grid; ``coords`` name the grid point reported as the worst."""
-    worst, at, violations = _grid_excess(lhs - rhs, tolerance)
-    case = ", ".join(f"{k}={v.flat[at]:.6g}" for k, v in coords.items())
-    return FamilyResult(family, lhs.size, violations, worst, tolerance, case)
+
+    def label(at: int) -> str:
+        return ", ".join(f"{k}={v.flat[at]:.6g}" for k, v in coords.items())
+
+    return _fold(family, LEMMA_SLACK, [(lhs - rhs, label)])
 
 
 def check_appendix_families(
@@ -297,18 +285,10 @@ def check_appendix_families(
     n = max(1, round(1.0 / a1_step))
     x = np.arange(1, n + 1) * (1.0 / n)
     results = [
+        _inequality_family("lemma-helper-i", np.exp(x - 1.0 / x), np.ones_like(x), {"x": x}),
+        _inequality_family("lemma-helper-ii", np.exp(-1.0 / x), x * math.exp(-1.0), {"x": x}),
         _inequality_family(
-            "lemma-helper-i", np.exp(x - 1.0 / x), np.ones_like(x), {"x": x}, LEMMA_SLACK
-        ),
-        _inequality_family(
-            "lemma-helper-ii", np.exp(-1.0 / x), x * math.exp(-1.0), {"x": x}, LEMMA_SLACK
-        ),
-        _inequality_family(
-            "lemma-helper-iii",
-            x * math.exp(-1.0),
-            1.0 - 1.0 / x + np.exp(-x) / x,
-            {"x": x},
-            LEMMA_SLACK,
+            "lemma-helper-iii", x * math.exp(-1.0), 1.0 - 1.0 / x + np.exp(-x) / x, {"x": x}
         ),
     ]
 
@@ -318,22 +298,18 @@ def check_appendix_families(
     lhs = (1.0 / lam + 1.0 / b) / (1.0 - np.exp(-1.0 / lam))
     rhs = (1.0 + 1.0 / b) / (1.0 - np.exp(-(lam - 1.0 / b)))
     coords = {"b": np.broadcast_to(b, lam.shape), "lambda": lam}
-    results.append(
-        _inequality_family("lemma-robustness-transfer", lhs, rhs, coords, LEMMA_SLACK)
-    )
+    results.append(_inequality_family("lemma-robustness-transfer", lhs, rhs, coords))
     return results
 
 
-def check_tradeoff_dominance(
-    b: int = 100,
-    det_lambdas: Sequence[float] = tuple(round(0.05 * i, 10) for i in range(1, 21)),
-    rand_grid_size: int = 20000,
-) -> FamilyResult:
+def check_tradeoff_dominance(rand_grid_size: int = 20000) -> FamilyResult:
     """At every deterministic lambda some randomized lambda dominates it.
 
-    Dominance: no worse robustness with strictly better consistency.  At the
-    shared classical endpoint (lambda = 1) equal consistency is accepted.
+    Checked at b = DOMINANCE_B for each of DOMINANCE_LAMBDAS.  Dominance: no
+    worse robustness with strictly better consistency.  At the shared
+    classical endpoint (lambda = 1) equal consistency is accepted.
     """
+    b = DOMINANCE_B
     lo = 1.0 / b + 1e-9
     grid = np.linspace(lo, 1.0, rand_grid_size)
     rand_rob = np.array([bounds.rand_robustness(b, lam) for lam in grid])
@@ -341,7 +317,7 @@ def check_tradeoff_dominance(
 
     excesses = []
     labels = []
-    for lam_d in det_lambdas:
+    for lam_d in DOMINANCE_LAMBDAS:
         dr = bounds.det_robustness(lam_d)
         dc = bounds.det_consistency(lam_d)
         mask = rand_rob <= dr
@@ -349,7 +325,7 @@ def check_tradeoff_dominance(
         strict = best < dc or (lam_d == 1.0 and best <= dc)
         excesses.append(-1.0 if strict else best - dc)
         labels.append(f"lambda_det={lam_d} best_rand_consistency={best:.6f}")
-    return _collect("tradeoff-dominance", 0.0, excesses, labels)
+    return _fold("tradeoff-dominance", 0.0, [(excesses, labels.__getitem__)])
 
 
 DENSITIES: Dict[str, Dict] = {

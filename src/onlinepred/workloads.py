@@ -19,21 +19,18 @@ from .ski_rental import SkiInstance
 
 @dataclass(frozen=True)
 class ParetoJobModel:
-    """I.i.d. Pareto job lengths: survival (scale/t)^alpha for t >= scale.
+    """I.i.d. Pareto job lengths: survival (1/t)^alpha for t >= 1.
 
-    Lengths are floored at max(scale, 1) so the shortest job is never below
-    one unit, matching the normalization the schedulers assume.
+    The shortest job is therefore never below one unit, matching the
+    normalization the schedulers assume.
     """
 
     alpha: float
-    scale: float = 1.0
     n: int = 50
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 1):
             raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha!r}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n!r}")
 
@@ -53,6 +50,4 @@ def gen_ski_instance(b: int, rng: np.random.Generator) -> SkiInstance:
 
 def gen_pareto_jobs(model: ParetoJobModel, rng: np.random.Generator) -> JobSet:
     """Job set with Pareto lengths; predictions start out perfect (y = x)."""
-    lengths = model.scale * (1.0 + rng.pareto(model.alpha, model.n))
-    lengths = np.maximum(lengths, max(model.scale, 1.0))
-    return JobSet.from_lengths(lengths)
+    return JobSet.from_lengths(1.0 + rng.pareto(model.alpha, model.n))

@@ -58,8 +58,9 @@ def report(criterion: int, text: str) -> None:
 
 def test_criterion_1_deterministic_rule_exhaustive():
     start = time.monotonic()
-    result = check_det_ski_guarantee(b_max=50, tolerance=1e-9)
+    result = check_det_ski_guarantee(b_max=50)
     elapsed = time.monotonic() - start
+    assert result.tolerance == 1e-9
     assert result.violations == 0, result
     assert result.points == sum(9 * 4 * b * (4 * b + 1) for b in range(2, 51))
     assert elapsed < 60.0
@@ -68,7 +69,8 @@ def test_criterion_1_deterministic_rule_exhaustive():
 
 
 def test_criterion_2_randomized_rule_exhaustive():
-    result = check_rand_ski_guarantee(b_max=50, tolerance=1e-9)
+    result = check_rand_ski_guarantee(b_max=50)
+    assert result.tolerance == 1e-9
     assert result.violations == 0, result
     # lambda <= 1/b points are skipped: only b = 2..10 lose grid slices
     assert result.points > 6_000_000
@@ -90,22 +92,26 @@ def test_criterion_3_classical_recovery():
 
 
 def test_criterion_4_spjf_guarantee_and_tightness():
-    families = check_jobset_families(count=10000, lambdas=(), seed=DEFAULT_SEED, tolerance=1e-9)
+    families = check_jobset_families(count=10000, lambdas=(), seed=DEFAULT_SEED)
     result = {r.family: r for r in families}["spjf-guarantee"]
+    assert result.tolerance == 1e-9
     assert result.points == 10000
     assert result.violations == 0, result
-    tight = check_spjf_tightness(n=50, eps=1e-3, safety=0.9)
+    tight = check_spjf_tightness()
+    assert tight.worst_case.startswith("n=50 eps=0.001 ")
     assert tight.violations == 0, tight
     report(4, f"10000 job sets respect 1+2eta/n; tightness family reached "
               f"{tight.worst_case}")
 
 
 def test_criterion_5_prr_guarantees():
-    families = check_jobset_families(count=10000, seed=DEFAULT_SEED, tolerance=1e-9)
+    families = check_jobset_families(count=10000, seed=DEFAULT_SEED)
     by_name = {r.family: r for r in families}
     general = by_name["prr-guarantee"]
+    assert general.tolerance == 1e-9
     assert general.violations == 0, general
     perfect = by_name["prr-perfect-prediction-guarantee"]
+    assert perfect.tolerance == 1e-9
     assert perfect.violations == 0, perfect
     report(5, f"{general.points} + {perfect.points} ratio checks, 0 violations")
 
@@ -236,7 +242,7 @@ def test_criterion_9_executor_matches_closed_forms():
 
 
 def test_criterion_10_tradeoff_dominance():
-    result = check_tradeoff_dominance(b=100)
+    result = check_tradeoff_dominance()
     assert result.violations == 0, result
     report(10, f"all {result.points} deterministic grid points dominated at b=100")
 

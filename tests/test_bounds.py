@@ -5,9 +5,11 @@ import math
 import pytest
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onlinepred import bounds
-from onlinepred.verification import LEMMA_SLACK, _inequality_family, check_appendix_families
+from onlinepred.verification import LEMMA_SLACK, _fold, check_appendix_families
 
 
 class TestDeterministicBound:
@@ -71,6 +73,73 @@ class TestSchedulingBounds:
         assert bounds.prr_perfect_bound(1.0 - 1e-12) == pytest.approx(1.0, abs=1e-9)
 
 
+NAN = math.nan
+
+
+class TestRejectsNan:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: bounds.det_ski_bound(0.5, NAN, 10.0),
+            lambda: bounds.det_ski_bound(0.5, 1.0, NAN),
+            lambda: bounds.rand_ski_bound(100, 0.5, NAN, 10.0),
+            lambda: bounds.rand_ski_bound(100, 0.5, 1.0, NAN),
+            lambda: bounds.spjf_bound(NAN, 1.0),
+            lambda: bounds.prr_bound(NAN, 1.0, 0.5),
+            lambda: bounds.det_ski_bound(0.5, np.array([0.0, NAN]), np.array([1.0, 2.0])),
+            lambda: bounds.det_ski_bound(0.5, np.zeros(2), np.array([NAN, 2.0])),
+            lambda: bounds.rand_ski_bound(100, 0.5, np.array([NAN, 1.0]), 10.0),
+            lambda: bounds.rand_ski_bound(100, 0.5, 1.0, np.array([10.0, NAN])),
+            lambda: bounds.spjf_bound(np.array([1.0, NAN]), np.zeros(2)),
+            lambda: bounds.prr_bound(np.array([NAN, 3.0]), np.zeros(2), 0.5),
+        ],
+    )
+    def test_nan_input_raises(self, call):
+        with pytest.raises(ValueError, match=r"must be >= (0|1), got"):
+            call()
+
+    def test_array_below_domain_raises(self):
+        with pytest.raises(ValueError, match="opt must be >= 1"):
+            bounds.det_ski_bound(0.5, np.zeros(2), np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="eta must be >= 0"):
+            bounds.rand_ski_bound(100, 0.5, np.array([0.0, -1.0]), 10.0)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            bounds.spjf_bound(np.array([2, 0]), np.zeros(2))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestArrayForms:
+    """Each bound on arrays equals its scalar calls bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lam=st.floats(0.01, 0.99),
+        b=st.integers(101, 10**6),
+        instances=st.lists(
+            st.tuples(
+                st.floats(0.0, 1e6), st.floats(1.0, 1e6), st.integers(1, 10**4)
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_array_equals_scalar(self, lam, b, instances):
+        eta, opt, n = (np.array(column) for column in zip(*instances))
+        cases = [
+            (bounds.det_ski_bound, (lam,), (eta, opt)),
+            (bounds.rand_ski_bound, (b, lam), (eta, opt)),
+            (bounds.spjf_bound, (), (n, eta)),
+        ]
+        for fn, head, arrays in cases:
+            scalars = [fn(*head, *(a[i].item() for a in arrays)) for i in range(len(eta))]
+            assert _bits(fn(*head, *arrays)) == _bits(scalars)
+        scalars = [bounds.prr_bound(int(n[i]), float(eta[i]), lam) for i in range(len(eta))]
+        assert _bits(bounds.prr_bound(n, eta, lam)) == _bits(scalars)
+
+
 class TestMonotoneInError:
     def test_all_bounds_nondecreasing_in_eta(self):
         etas = [0.0, 0.5, 1.0, 5.0, 100.0, 1e6]
@@ -116,8 +185,7 @@ class TestAppendixLemmas:
 
 class TestFamilyResult:
     def test_violation_uses_tolerance(self):
-        one = np.ones(1)
-        r = _inequality_family("x", one + 5e-10, one, {}, tolerance=1e-9)
+        r = _fold("x", 1e-9, [(np.array([5e-10]), str)])
         assert r.passed and r.violations == 0
-        r = _inequality_family("x", one + 5e-9, one, {}, tolerance=1e-9)
+        r = _fold("x", 1e-9, [(np.array([5e-9]), str)])
         assert not r.passed and r.violations == 1

@@ -1,0 +1,97 @@
+"""The shared excess fold and its fail-closed handling of NaN."""
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from onlinepred import cli, verification
+from onlinepred.ski_rental import PolicyKind, branch_cost
+from onlinepred.verification import (
+    TOLERANCE,
+    _fold,
+    check_det_ski_guarantee,
+    check_jobset_families,
+)
+
+# ties, values on either side of the tolerance, infinities and NaN
+VALUES = [-1.0, -math.inf, 0.0, 5e-10, 1e-9, 2e-9, 1.0, math.inf, math.nan]
+
+
+def reference_fold(grids, tolerance):
+    """Plain-Python fold: strict > in global order, the first NaN wins."""
+    points = violations = 0
+    worst, label = -math.inf, ""
+    for g, values in enumerate(grids):
+        for i, value in enumerate(values):
+            points += 1
+            violations += not value <= tolerance
+            if not math.isnan(worst) and (math.isnan(value) or value > worst):
+                worst, label = value, f"grid{g}[{i}]"
+    return points, violations, repr(worst), label
+
+
+class TestFold:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(VALUES), max_size=6), max_size=5))
+    def test_matches_plain_loop(self, grids):
+        labelled = [
+            (np.array(values), lambda i, g=g: f"grid{g}[{i}]") for g, values in enumerate(grids)
+        ]
+        got = _fold("family", TOLERANCE, labelled)
+        assert (got.points, got.violations, repr(got.worst_excess), got.worst_case) == (
+            reference_fold(grids, TOLERANCE)
+        )
+        assert got.family == "family" and got.tolerance == TOLERANCE
+
+    def test_only_worst_label_is_formatted(self):
+        formatted = []
+
+        def label(i):
+            formatted.append(i)
+            return str(i)
+
+        grid = np.array([[0.0, 3.0], [3.0, 1.0]])
+        result = _fold("family", TOLERANCE, [(grid, label), (np.array([3.0]), label)])
+        assert formatted == [1]
+        assert (result.points, result.violations, result.worst_case) == (5, 4, "1")
+
+    def test_all_empty_family(self):
+        result = _fold("family", TOLERANCE, [(np.empty((10, 0)), str), ([], str)])
+        assert (result.points, result.violations, result.worst_case) == (0, 0, "")
+        assert result.worst_excess == -math.inf and result.passed
+
+
+def _nan_deterministic(policy, b, big, xs, u=None):
+    cost = branch_cost(policy, b, big, xs, u)
+    if policy.kind is PolicyKind.DETERMINISTIC:
+        return np.full_like(cost, math.nan)
+    return cost
+
+
+class TestFailsClosed:
+    def test_nan_cost_fails_ski_family(self, monkeypatch):
+        monkeypatch.setattr(verification, "branch_cost", _nan_deterministic)
+        result = check_det_ski_guarantee(b_max=4, lambdas=(0.5,))
+        assert not result.passed
+        assert result.violations == result.points > 0
+        assert math.isnan(result.worst_excess)
+
+    def test_nan_objective_fails_prr_families(self, monkeypatch):
+        monkeypatch.setattr(
+            verification, "prr", lambda jobs, lam: SimpleNamespace(objective=math.nan)
+        )
+        spjf_family, *prr_families = check_jobset_families(count=20, lambdas=(0.5,))
+        assert spjf_family.passed
+        for result in prr_families:
+            assert result.violations == result.points == 20
+            assert math.isnan(result.worst_excess)
+            assert result.worst_case == "jobset#0 lambda=0.5"
+
+    def test_nan_cost_fails_verify_bounds(self, monkeypatch, capsys):
+        monkeypatch.setattr(verification, "branch_cost", _nan_deterministic)
+        code = cli.main(["verify-bounds", "--grid-density", "tiny"])
+        assert code == cli.EXIT_VIOLATION == 3
+        assert "OVERALL: FAIL" in capsys.readouterr().out

@@ -73,8 +73,6 @@ class TestParetoJobs:
             ParetoJobModel(alpha=math.inf)
         with pytest.raises(ValueError):
             ParetoJobModel(alpha=1.1, n=0)
-        with pytest.raises(ValueError):
-            ParetoJobModel(alpha=1.1, scale=0.0)
 
 
 class TestDerivedStreams:
