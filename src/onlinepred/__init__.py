@@ -15,7 +15,8 @@ from .bounds import (
 from .experiments import (
     DEFAULT_SEED,
     LAMBDA_RAND_DEFAULT,
-    ExperimentConfig,
+    SchedSweepConfig,
+    SkiSweepConfig,
     TradeoffPoint,
     TrialReport,
     run_scheduling_sweep,

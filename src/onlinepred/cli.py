@@ -9,20 +9,19 @@ never changes a byte.  Exit codes: 0 ok, 1 I/O failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, get_type_hints
 
 import numpy as np
 
 from . import bounds
 from .experiments import (
     DEFAULT_SEED,
-    LAMBDA_RAND_DEFAULT,
-    ExperimentConfig,
-    SCHED_SWEEP,
-    SKI_SWEEP,
+    SchedSweepConfig,
+    SkiSweepConfig,
     TrialReport,
     run_scheduling_sweep,
     run_ski_sweep,
@@ -212,27 +211,73 @@ def _render_sweep(reports: List[TrialReport], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SWEEP_SCHEMA = {
-    "sigma_grid": (_parse_sigma_grid, None),
-    "seed": (_parse_seed, DEFAULT_SEED),
-    "jobs": (int, 1),
-    "format": (_parse_format, "csv"),
-    "out": (str, "-"),
-}
+# Parsers of sweep option text, from a flag or a config file: by field name
+# where the field's type alone does not say how, else by the field's type.
+_FIELD_PARSERS = {"seed": _parse_seed, "sigma_grid": _parse_sigma_grid}
+_TYPE_PARSERS = {int: int, float: float, bool: _parse_bool}
+# Config-file keys of a sweep besides its config fields: (parser, default).
+_OUTPUT_KEYS = {"format": (_parse_format, "csv"), "out": (str, "-")}
+
+# One row per config field of each sweep: (field, flag, help).  The field's
+# type picks its parser, and "{default}" in the help shows its default.
+_SHARED_OPTIONS = (
+    ("seed", "--seed", "master seed (default {default})"),
+    ("jobs", "--jobs", f"worker processes (default {{default}}, at most {JOBS_MAX})"),
+)
+_SKI_OPTIONS = (
+    ("b", "--b", f"buy cost (default {{default}}, at most {B_MAX})"),
+    ("trials", "--trials", "trials per grid point (default {default})"),
+    ("sigma_grid", "--sigma-grid", "noise grid start:stop:step (default 0:4b:b/10)"),
+    ("lambda_det", "--lambda-det", "lambda of the deterministic rule (default {default})"),
+    ("lambda_rand", "--lambda-rand", "lambda of the randomized rule (default ln(3/2))"),
+    ("sampled", "--sampled",
+     "score randomized rules by one sampled buy day instead of exact expectation"),
+) + _SHARED_OPTIONS
+_SCHED_OPTIONS = (
+    ("n", "--n", "jobs per set (default {default})"),
+    ("alpha", "--alpha", "Pareto exponent (default {default})"),
+    ("trials", "--trials", "trials per grid point (default {default})"),
+    ("sigma_grid", "--sigma-grid",
+     "noise grid start:stop:step (default 0 to 20 mean job lengths in steps of 2, "
+     "which is 0:220:22 at alpha 1.1)"),
+    ("lambda_sched", "--lambda", "preferential round-robin lambda (default {default})"),
+    ("fixed_jobs", "--fixed-jobs", "draw one job set and only resample noise per trial"),
+) + _SHARED_OPTIONS
 
 
-def _run_sweep(opts: Dict, run, algorithms, **fields) -> int:
-    """Check the sizes in ``opts`` against their limits, then run and write one sweep."""
+def _field_schema(cls) -> Dict[str, tuple]:
+    """(parser, default) of each field of the sweep config ``cls``."""
+    types = get_type_hints(cls)
+    return {
+        f.name: (_FIELD_PARSERS.get(f.name) or _TYPE_PARSERS[types[f.name]], f.default)
+        for f in dataclasses.fields(cls)
+    }
+
+
+def _add_sweep_parser(sub, name: str, text: str, cls, options, func) -> None:
+    """The subcommand of one sweep: a flag per row of ``options``, then the output flags."""
+    schema = _field_schema(cls)
+    p = sub.add_parser(name, help=text)
+    for key, flag, help_text in options:
+        parse, default = schema[key]
+        kind = {"action": "store_const", "const": True} if parse is _parse_bool else {"type": parse}
+        p.add_argument(flag, dest=key, default=None, help=help_text.format(default=default), **kind)
+    p.add_argument("--format", choices=("csv", "json"), default=None,
+                   help="output format (default csv)")
+    p.add_argument("--out", default=None, help="output path, '-' for stdout (default)")
+    p.add_argument("--config", default=None,
+                   help="key=value config file; flags override file values")
+    p.set_defaults(func=func)
+
+
+def _run_sweep(args: argparse.Namespace, cls, run, algorithms) -> int:
+    """Resolve the fields of ``cls``, check sizes against their limits, run and write a sweep."""
+    opts = _merge_config(args, {**_field_schema(cls), **_OUTPUT_KEYS})
+    fmt, out = opts.pop("format"), opts.pop("out")
     for key, limit in (("jobs", JOBS_MAX), ("trials", TRIALS_MAX), ("n", N_MAX), ("b", B_MAX)):
         _check_limit(key, opts.get(key, 0), limit)
     try:  # the config rejects values outside the sweep's domain
-        config = ExperimentConfig(
-            trials=opts["trials"],
-            sigma_grid=tuple(opts["sigma_grid"] or ()),
-            master_seed=opts["seed"],
-            workers=opts["jobs"],
-            **fields,
-        )
+        config = cls(**opts)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     points, count = len(config.sigma_grid), len(algorithms(config))
@@ -241,46 +286,17 @@ def _run_sweep(opts: Dict, run, algorithms, **fields) -> int:
             f"{points} sigma points x {count} algorithms x {config.trials} trials "
             f"exceeds the limit of {SWEEP_MAX_RATIOS} ratios"
         )
-    _write_output(_render_sweep(run(config), opts["format"]), opts["out"])
+    _write_output(_render_sweep(run(config), fmt), out)
     return EXIT_OK
 
 
+# The runners are looked up here at call time, so tests and tracers can replace them.
 def cmd_ski_sweep(args: argparse.Namespace) -> int:
-    schema = {
-        "b": (int, 100),
-        "trials": (int, 10000),
-        "lambda_det": (float, 0.5),
-        "lambda_rand": (float, LAMBDA_RAND_DEFAULT),
-        "sampled": (_parse_bool, False),
-    }
-    opts = _merge_config(args, {**schema, **_SWEEP_SCHEMA})
-    return _run_sweep(
-        opts, run_ski_sweep, ski_sweep_algorithms,
-        experiment=SKI_SWEEP,
-        b=opts["b"],
-        lambda_det=opts["lambda_det"],
-        lambda_rand=opts["lambda_rand"],
-        exact_expectation=not opts["sampled"],
-    )
+    return _run_sweep(args, SkiSweepConfig, run_ski_sweep, ski_sweep_algorithms)
 
 
 def cmd_sched_sweep(args: argparse.Namespace) -> int:
-    schema = {
-        "n": (int, 50),
-        "alpha": (float, 1.1),
-        "trials": (int, 1000),
-        "lambda_sched": (float, 0.5),
-        "fixed_jobs": (_parse_bool, False),
-    }
-    opts = _merge_config(args, {**schema, **_SWEEP_SCHEMA})
-    return _run_sweep(
-        opts, run_scheduling_sweep, sched_sweep_algorithms,
-        experiment=SCHED_SWEEP,
-        n=opts["n"],
-        alpha=opts["alpha"],
-        lambda_sched=opts["lambda_sched"],
-        regenerate_jobs=not opts["fixed_jobs"],
-    )
+    return _run_sweep(args, SchedSweepConfig, run_scheduling_sweep, sched_sweep_algorithms)
 
 
 def cmd_verify_bounds(args: argparse.Namespace) -> int:
@@ -406,8 +422,6 @@ def _parse_job_spec(text: str) -> JobSet:
         except ValueError:
             raise UsageError(f"jobs must contain numbers, got chunk {chunk!r}")
         pairs.append((x, y))
-    if not pairs:
-        raise UsageError("at least one job is required")
     try:
         return JobSet.from_lengths([p[0] for p in pairs], [p[1] for p in pairs])
     except ValueError as exc:
@@ -470,42 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ski = sub.add_parser("ski-sweep", help="mean competitive ratio vs noise, rent-or-buy")
-    ski.add_argument("--b", type=int, default=None,
-                     help=f"buy cost (default 100, at most {B_MAX})")
-    ski.add_argument("--trials", type=int, default=None, help="trials per grid point (default 10000)")
-    ski.add_argument("--sigma-grid", dest="sigma_grid", type=_parse_sigma_grid, default=None,
-                     help="noise grid start:stop:step (default 0:4b:b/10)")
-    ski.add_argument("--lambda-det", dest="lambda_det", type=float, default=None,
-                     help="lambda of the deterministic rule (default 0.5)")
-    ski.add_argument("--lambda-rand", dest="lambda_rand", type=float, default=None,
-                     help="lambda of the randomized rule (default ln(3/2))")
-    ski.add_argument("--sampled", dest="sampled", action="store_const", const=True, default=None,
-                     help="score randomized rules by one sampled buy day instead of exact expectation")
-    ski.set_defaults(func=cmd_ski_sweep)
-
-    sched = sub.add_parser("sched-sweep", help="mean competitive ratio vs noise, scheduling")
-    sched.add_argument("--n", type=int, default=None, help="jobs per set (default 50)")
-    sched.add_argument("--alpha", type=float, default=None, help="Pareto exponent (default 1.1)")
-    sched.add_argument("--trials", type=int, default=None, help="trials per grid point (default 1000)")
-    sched.add_argument("--sigma-grid", dest="sigma_grid", type=_parse_sigma_grid, default=None,
-                       help="noise grid start:stop:step (default 0:220:22)")
-    sched.add_argument("--lambda", dest="lambda_sched", type=float, default=None,
-                       help="preferential round-robin lambda (default 0.5)")
-    sched.add_argument("--fixed-jobs", dest="fixed_jobs", action="store_const", const=True,
-                       default=None, help="draw one job set and only resample noise per trial")
-    sched.set_defaults(func=cmd_sched_sweep)
-
-    for p in (ski, sched):
-        p.add_argument("--seed", type=_parse_seed, default=None,
-                       help=f"master seed (default {DEFAULT_SEED})")
-        p.add_argument("--jobs", type=int, default=None,
-                       help=f"worker processes (default 1, at most {JOBS_MAX})")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format (default csv)")
-        p.add_argument("--out", default=None, help="output path, '-' for stdout (default)")
-        p.add_argument("--config", default=None,
-                       help="key=value config file; flags override file values")
+    _add_sweep_parser(sub, "ski-sweep", "mean competitive ratio vs noise, rent-or-buy",
+                      SkiSweepConfig, _SKI_OPTIONS, cmd_ski_sweep)
+    _add_sweep_parser(sub, "sched-sweep", "mean competitive ratio vs noise, scheduling",
+                      SchedSweepConfig, _SCHED_OPTIONS, cmd_sched_sweep)
 
     verify = sub.add_parser("verify-bounds", help="grid-check every proven guarantee")
     verify.add_argument("--grid-density", choices=("tiny", "default", "dense"),

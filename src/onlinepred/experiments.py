@@ -1,18 +1,20 @@
 """Monte Carlo sweeps: average competitive ratio versus prediction noise.
 
-Trial t of a sweep derives its own generator from (master seed, t) and draws
-the instance plus a unit-variance noise direction once; the prediction at
-noise level sigma is truth + sigma * direction.  Sharing the draws across
-sigma levels and algorithms is plain common-random-numbers variance
-reduction; determinism and per-trial seeding are unaffected.  Each trial is
-drawn and scored once for every (sigma, algorithm) point; workers split the
-trials into contiguous ranges whose results are stitched back in trial
-order, so any worker count yields identical output.
+Each problem has its own config type, ``SkiSweepConfig`` or
+``SchedSweepConfig``, and its own runner.  Trial t of a sweep derives its
+own generator from (seed, t) and draws the instance plus a unit-variance
+noise direction once; the prediction at noise level sigma is
+truth + sigma * direction.  Sharing the draws across sigma levels and
+algorithms is plain common-random-numbers variance reduction.  Each trial is
+drawn and scored once for every (sigma, algorithm) point; ``jobs`` workers
+split the trials into contiguous ranges whose results are stitched back in
+trial order, so any worker count yields identical output.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -31,75 +33,83 @@ LAMBDA_RAND_DEFAULT = math.log(1.5)
 # Stream key for the job set in fixed-jobs mode; far above any trial index.
 _FIXED_JOBS_STREAM = 0x4A4F4253
 
-SKI_SWEEP = "ski-sweep"
-SCHED_SWEEP = "sched-sweep"
-
 RR_LABEL = "round-robin"
 SPJF_LABEL = "spjf"
 PRR_LABEL = "prr"
 
 
-def default_ski_sigma_grid(b: int) -> Tuple[float, ...]:
-    """Noise grid 0..4b in steps of b/10."""
-    return tuple(i * (b / 10.0) for i in range(41))
+def _check_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
-def default_sched_sigma_grid(alpha: float) -> Tuple[float, ...]:
-    """Noise grid 0..20*mean in steps of 2*mean of the job-length distribution."""
-    mean = alpha / (alpha - 1.0)
-    return tuple(i * 2.0 * mean for i in range(11))
+def _check_sweep(config, default_grid: Tuple[float, ...]) -> None:
+    """Check the counts shared by both sweeps; store the sigma grid, or the default if empty."""
+    _check_count("trials", config.trials, 1)
+    _check_count("jobs", config.jobs, 1)
+    _check_count("seed", config.seed, 0)
+    grid = tuple(float(s) for s in config.sigma_grid) or default_grid
+    if not all(math.isfinite(s) and s >= 0 for s in grid):
+        raise ValueError("sigma grid entries must be finite and non-negative")
+    if any(lo > hi for lo, hi in zip(grid, grid[1:])):
+        raise ValueError("sigma grid must be ascending")
+    object.__setattr__(config, "sigma_grid", grid)
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything a sweep needs; two configs are equal iff their outputs are.
+class SkiSweepConfig:
+    """Everything a rent-or-buy sweep needs; two configs are equal iff their outputs are.
 
-    Construction rejects values outside the sweep's domain: a sigma grid
-    that is not finite, non-negative and ascending; b, and both lambdas, for
-    a ski sweep; alpha, n and the PRR lambda for a scheduling sweep.
+    Construction rejects a non-integer count, b < 2, a lambda outside its
+    rule's range and a sigma grid that is not finite, non-negative and
+    ascending.  An empty grid means 0..4b in steps of b/10.  ``sampled``
+    scores the randomized rules by one sampled buy day.
     """
 
-    experiment: str = SKI_SWEEP
     b: int = 100
     trials: int = 10000
     lambda_det: float = 0.5
     lambda_rand: float = LAMBDA_RAND_DEFAULT
-    n: int = 50
-    alpha: float = 1.1
-    lambda_sched: float = 0.5
+    sampled: bool = False
     sigma_grid: Tuple[float, ...] = ()
-    master_seed: int = DEFAULT_SEED
-    exact_expectation: bool = True
-    regenerate_jobs: bool = True
-    workers: int = 1
+    seed: int = DEFAULT_SEED
+    jobs: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
-        grid = tuple(float(s) for s in self.sigma_grid)
-        if not grid:
-            if self.experiment == SCHED_SWEEP:
-                grid = default_sched_sigma_grid(self.alpha)
-            else:
-                grid = default_ski_sigma_grid(self.b)
-            object.__setattr__(self, "sigma_grid", grid)
-        if not all(math.isfinite(s) and s >= 0 for s in self.sigma_grid):
-            raise ValueError("sigma grid entries must be finite and non-negative")
-        if any(lo > hi for lo, hi in zip(self.sigma_grid, self.sigma_grid[1:])):
-            raise ValueError("sigma grid must be ascending")
-        if self.experiment == SCHED_SWEEP:
-            ParetoJobModel(alpha=self.alpha, n=self.n)  # rejects alpha <= 1 and n < 1
-            if not 0 < self.lambda_sched < 1:
-                raise ValueError(
-                    f"scheduling lambda must lie in (0, 1), got {self.lambda_sched!r}"
-                )
-        else:
-            if self.b < 2:
-                raise ValueError(f"b must be >= 2, got {self.b!r}")
-            for _, policy in ski_sweep_algorithms(self):
-                branch_cost(policy, self.b, False, 1)  # the kernel checks lambda
+        _check_count("b", self.b, 2)
+        _check_sweep(self, tuple(i * (self.b / 10.0) for i in range(41)))
+        for _, policy in ski_sweep_algorithms(self):
+            branch_cost(policy, self.b, False, 1)  # the kernel checks lambda
+
+
+@dataclass(frozen=True)
+class SchedSweepConfig:
+    """Everything a scheduling sweep needs; two configs are equal iff their outputs are.
+
+    Construction rejects a non-integer count, n < 1, alpha <= 1, a PRR lambda
+    outside (0, 1) and a sigma grid that is not finite, non-negative and
+    ascending.  An empty grid means 0..20 mean job lengths in steps of 2.
+    ``fixed_jobs`` draws one job set and resamples only the noise.
+    """
+
+    n: int = 50
+    alpha: float = 1.1
+    trials: int = 1000
+    lambda_sched: float = 0.5
+    fixed_jobs: bool = False
+    sigma_grid: Tuple[float, ...] = ()
+    seed: int = DEFAULT_SEED
+    jobs: int = 1
+
+    def __post_init__(self):
+        _check_count("n", self.n, 1)
+        ParetoJobModel(alpha=self.alpha, n=self.n)  # rejects alpha <= 1
+        mean = self.alpha / (self.alpha - 1.0)
+        _check_sweep(self, tuple(i * 2.0 * mean for i in range(11)))
+        if not 0 < self.lambda_sched < 1:
+            raise ValueError(f"scheduling lambda must lie in (0, 1), got {self.lambda_sched!r}")
 
 
 @dataclass
@@ -131,13 +141,13 @@ class TrialReport:
         return float(self.ratios.max())
 
 
-def ski_sweep_algorithms(config: ExperimentConfig) -> List[Tuple[str, SkiPolicy]]:
+def ski_sweep_algorithms(config: SkiSweepConfig) -> List[Tuple[str, SkiPolicy]]:
     """The four sweep entrants: both classical rules and both lambda rules.
 
     Sampled-mode randomized entrants carry a "-sampled" suffix so the output
     records how they were scored.
     """
-    rand_suffix = "" if config.exact_expectation else "-sampled"
+    rand_suffix = "-sampled" if config.sampled else ""
     return [
         ("break-even", SkiPolicy(PolicyKind.BREAK_EVEN)),
         ("karlin" + rand_suffix, SkiPolicy(PolicyKind.KARLIN)),
@@ -146,15 +156,15 @@ def ski_sweep_algorithms(config: ExperimentConfig) -> List[Tuple[str, SkiPolicy]
     ]
 
 
-def _ski_trials(config: ExperimentConfig, lo: int, hi: int):
+def _ski_trials(config: SkiSweepConfig, lo: int, hi: int):
     """Optima, errors and ratios of ski trials lo..hi-1 at every grid point.
 
     Each trial draws x days, a noise direction and, in sampled mode, one
     uniform each for the classical and the prediction randomized rule.
     """
-    xs, draws, sampled = [], [], not config.exact_expectation
+    xs, draws, sampled = [], [], config.sampled
     for t in range(lo, hi):
-        rng = derived_rng(config.master_seed, t)
+        rng = derived_rng(config.seed, t)
         xs.append(gen_ski_instance(config.b, rng).x)
         draws.append((rng.standard_normal(), *(rng.random(2) if sampled else ())))
     xs, (zs, *us) = np.array(xs, dtype=np.int64), np.array(draws).T
@@ -175,7 +185,7 @@ def _ski_trials(config: ExperimentConfig, lo: int, hi: int):
     return opts, etas, ratios
 
 
-def sched_sweep_algorithms(config: ExperimentConfig):
+def sched_sweep_algorithms(config: SchedSweepConfig):
     """(label, lambda, scheduler) of the three scheduling entrants."""
     lam = config.lambda_sched
     return [
@@ -183,7 +193,7 @@ def sched_sweep_algorithms(config: ExperimentConfig):
     ]
 
 
-def _sched_trials(config: ExperimentConfig, lo: int, hi: int):
+def _sched_trials(config: SchedSweepConfig, lo: int, hi: int):
     """Optima, errors and ratios of scheduling trials lo..hi-1 at every grid point.
 
     Each trial draws its job set (unless the jobs are fixed) and noise
@@ -191,14 +201,14 @@ def _sched_trials(config: ExperimentConfig, lo: int, hi: int):
     """
     model = ParetoJobModel(alpha=config.alpha, n=config.n)
     fixed = None
-    if not config.regenerate_jobs:
-        fixed = gen_pareto_jobs(model, derived_rng(config.master_seed, _FIXED_JOBS_STREAM))
+    if config.fixed_jobs:
+        fixed = gen_pareto_jobs(model, derived_rng(config.seed, _FIXED_JOBS_STREAM))
     grid, entrants = config.sigma_grid, sched_sweep_algorithms(config)
     opts = np.empty(hi - lo)
     etas = np.empty((len(grid), hi - lo))
     ratios = np.empty((len(grid), len(entrants), hi - lo))
     for i, t in enumerate(range(lo, hi)):
-        rng = derived_rng(config.master_seed, t)
+        rng = derived_rng(config.seed, t)
         base = fixed if fixed is not None else gen_pareto_jobs(model, rng)
         z = rng.standard_normal(config.n)
         opts[i] = sjf_opt(base).objective
@@ -210,13 +220,13 @@ def _sched_trials(config: ExperimentConfig, lo: int, hi: int):
     return opts, etas, ratios
 
 
-def _run_trials(config: ExperimentConfig, draw, experiment: str, entrants) -> List[TrialReport]:
+def _run_trials(config, draw, experiment: str, entrants) -> List[TrialReport]:
     """One report per (sigma, entrant) from ``draw(config, lo, hi)`` over all trials.
 
     Workers take contiguous trial ranges, at most one per trial; the chunks
     are stitched back in trial order, so the worker count changes no value.
     """
-    chunks = min(config.workers, config.trials)
+    chunks = min(config.jobs, config.trials)
     if chunks == 1:
         opts, etas, ratios = draw(config, 0, config.trials)
     else:
@@ -231,16 +241,20 @@ def _run_trials(config: ExperimentConfig, draw, experiment: str, entrants) -> Li
     ]
 
 
-def run_ski_sweep(config: ExperimentConfig) -> List[TrialReport]:
+def run_ski_sweep(config: SkiSweepConfig) -> List[TrialReport]:
     """Mean competitive ratio per (sigma, algorithm) for the rent-or-buy rules."""
+    if not isinstance(config, SkiSweepConfig):
+        raise TypeError(f"expected a SkiSweepConfig, got {type(config).__name__}")
     entrants = [(label, p.effective_lambda()) for label, p in ski_sweep_algorithms(config)]
-    return _run_trials(config, _ski_trials, SKI_SWEEP, entrants)
+    return _run_trials(config, _ski_trials, "ski-sweep", entrants)
 
 
-def run_scheduling_sweep(config: ExperimentConfig) -> List[TrialReport]:
+def run_scheduling_sweep(config: SchedSweepConfig) -> List[TrialReport]:
     """Mean competitive ratio per (sigma, algorithm) for the schedulers."""
+    if not isinstance(config, SchedSweepConfig):
+        raise TypeError(f"expected a SchedSweepConfig, got {type(config).__name__}")
     entrants = [(label, lam) for label, lam, _ in sched_sweep_algorithms(config)]
-    return _run_trials(config, _sched_trials, SCHED_SWEEP, entrants)
+    return _run_trials(config, _sched_trials, "sched-sweep", entrants)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,8 @@ import pytest
 from onlinepred import bounds
 from onlinepred.experiments import (
     DEFAULT_SEED,
-    SCHED_SWEEP,
-    SKI_SWEEP,
-    ExperimentConfig,
+    SchedSweepConfig,
+    SkiSweepConfig,
     run_scheduling_sweep,
     run_ski_sweep,
 )
@@ -40,15 +39,14 @@ from scheduling_oracles import prr_exact_rational, rr_closed_form
 # occasional huge job keeps SPJF's mean below round-robin's until noise levels
 # at which the preferential rule has already drifted past round-robin, so the
 # crossing regime this test checks only exists under the fixed-set protocol.
-FIGURE_2B_CONFIG = ExperimentConfig(
-    experiment=SCHED_SWEEP,
+FIGURE_2B_CONFIG = SchedSweepConfig(
     n=50,
     alpha=1.1,
     trials=1000,
     lambda_sched=0.5,
     sigma_grid=(0.0, 15.0, 30.0, 45.0, 60.0),
-    master_seed=4,
-    regenerate_jobs=False,
+    seed=4,
+    fixed_jobs=True,
 )
 
 
@@ -133,8 +131,7 @@ def test_criterion_6_appendix_inequalities():
 
 def test_criterion_7_ski_sweep_figure():
     start = time.monotonic()
-    config = ExperimentConfig(experiment=SKI_SWEEP, b=100, trials=10000,
-                              master_seed=DEFAULT_SEED)
+    config = SkiSweepConfig(b=100, trials=10000, seed=DEFAULT_SEED)
     reports = run_ski_sweep(config)
     elapsed = time.monotonic() - start
     by = {(r.sigma, r.algorithm): r for r in reports}

@@ -1,9 +1,11 @@
 """CLI behaviour: flags, exit codes, formats, and byte determinism."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,9 @@ from onlinepred.cli import (
     main,
 )
 from onlinepred import cli, experiments
+from onlinepred.experiments import SchedSweepConfig, SkiSweepConfig
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ski-sweep.example.cfg"
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +180,55 @@ class TestSkiSweepCommand:
         code, _, err = run_cli(capsys, "sched-sweep", "--config", str(cfg))
         assert code == EXIT_USAGE
         assert f"limit of {SIGMA_GRID_MAX_POINTS} points" in err
+
+
+def field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+class TestSweepOptions:
+    @pytest.mark.parametrize(
+        "options, cls",
+        [(cli._SKI_OPTIONS, SkiSweepConfig), (cli._SCHED_OPTIONS, SchedSweepConfig)],
+        ids=["ski", "sched"],
+    )
+    def test_one_flag_per_config_field(self, options, cls):
+        keys = [key for key, _, _ in options]
+        assert sorted(keys) == sorted(field_names(cls))
+
+    @pytest.mark.parametrize(
+        "command, cls", [("ski-sweep", SkiSweepConfig), ("sched-sweep", SchedSweepConfig)]
+    )
+    def test_help_shows_config_defaults(self, command, cls, capsys):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == EXIT_OK
+        text = " ".join(out.split())
+        config = cls()
+        assert f"trials per grid point (default {config.trials})" in text
+        assert f"master seed (default {config.seed})" in text
+        assert f"worker processes (default {config.jobs}," in text
+
+    def test_sched_help_states_default_grid_rule(self, capsys):
+        _, out, _ = run_cli(capsys, "sched-sweep", "--help")
+        assert "default 0 to 20 mean job lengths in steps of 2" in " ".join(out.split())
+
+    def test_example_config_matches_flagless_run(self, capsys):
+        lines = EXAMPLE_CONFIG.read_text().splitlines()
+        keys = {line.partition("=")[0] for line in lines if "=" in line and line[0] != "#"}
+        assert keys == field_names(SkiSweepConfig) | {"format", "out"}
+        # the header lists the sched-sweep fields in parentheses
+        header = " ".join(line.lstrip("# ") for line in lines if line.startswith("#"))
+        sched_keys = header.partition("(")[2].partition(")")[0].split(", ")
+        assert set(sched_keys) == field_names(SchedSweepConfig)
+
+        code, from_file, _ = run_cli(capsys, "ski-sweep", "--config", str(EXAMPLE_CONFIG))
+        assert code == EXIT_OK
+        code, flagless, _ = run_cli(capsys, "ski-sweep")
+        assert code == EXIT_OK
+        assert from_file == flagless
+        assert hashlib.sha256(flagless.encode()).hexdigest() == (
+            "3244dd46537798a2e2092592bb3b98687e0524885de4b8b3b17cc20acd882ae7"
+        )
 
 
 class TestSweepLimits:

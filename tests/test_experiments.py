@@ -9,9 +9,8 @@ from onlinepred import bounds, experiments
 from onlinepred.experiments import (
     DEFAULT_SEED,
     LAMBDA_RAND_DEFAULT,
-    SCHED_SWEEP,
-    SKI_SWEEP,
-    ExperimentConfig,
+    SchedSweepConfig,
+    SkiSweepConfig,
     run_scheduling_sweep,
     run_ski_sweep,
     run_tradeoff_curve,
@@ -20,26 +19,24 @@ from onlinepred.experiments import (
 
 def small_ski_config(**overrides):
     base = dict(
-        experiment=SKI_SWEEP,
         b=100,
         trials=400,
         sigma_grid=(0.0, 100.0, 200.0),
-        master_seed=DEFAULT_SEED,
+        seed=DEFAULT_SEED,
     )
     base.update(overrides)
-    return ExperimentConfig(**base)
+    return SkiSweepConfig(**base)
 
 
 def small_sched_config(**overrides):
     base = dict(
-        experiment=SCHED_SWEEP,
         n=12,
         trials=100,
         sigma_grid=(0.0, 10.0),
-        master_seed=DEFAULT_SEED,
+        seed=DEFAULT_SEED,
     )
     base.update(overrides)
-    return ExperimentConfig(**base)
+    return SchedSweepConfig(**base)
 
 
 def assert_same_reports(expected, actual):
@@ -100,11 +97,25 @@ class TestSkiSweep:
 
     def test_sampled_mode_agrees_in_mean(self):
         exact = run_ski_sweep(small_ski_config(trials=4000))
-        sampled = run_ski_sweep(small_ski_config(trials=4000, exact_expectation=False))
+        sampled = run_ski_sweep(small_ski_config(trials=4000, sampled=True))
         ex = next(r for r in exact if r.algorithm == "randomized" and r.sigma == 0.0)
         sa = next(r for r in sampled if r.algorithm == "randomized-sampled" and r.sigma == 0.0)
         se = sa.ratios.std() / math.sqrt(sa.count)
         assert abs(sa.mean_ratio - ex.mean_ratio) < 4 * se
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            SkiSweepConfig(b=1)
+        with pytest.raises(ValueError):
+            SkiSweepConfig(sigma_grid=(3.0, 1.0))
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SkiSweepConfig(seed=-1)
+        for bad in (
+            dict(b=100.5), dict(b=True), dict(trials=2.5), dict(jobs=1.5), dict(seed=0.5)
+        ):
+            with pytest.raises(ValueError, match="must be an integer"):
+                SkiSweepConfig(**bad)
+        assert SkiSweepConfig(b=np.int64(20), trials=np.int64(3)).sigma_grid[-1] == 80.0
 
     def test_invalid_lambdas_rejected(self):
         with pytest.raises(ValueError):
@@ -113,14 +124,14 @@ class TestSkiSweep:
             run_ski_sweep(small_ski_config(lambda_det=1.5))
 
     @pytest.mark.parametrize(
-        "trials, workers, exact",
-        [(3, 4, True), (401, 3, True), (401, 3, False)],
+        "trials, workers, sampled",
+        [(3, 4, False), (401, 3, False), (401, 3, True)],
         ids=["fewer-trials-than-workers", "uneven-split", "sampled"],
     )
-    def test_workers_do_not_change_results(self, trials, workers, exact):
-        cfg = dict(trials=trials, exact_expectation=exact)
+    def test_workers_do_not_change_results(self, trials, workers, sampled):
+        cfg = dict(trials=trials, sampled=sampled)
         serial = run_ski_sweep(small_ski_config(**cfg))
-        parallel = run_ski_sweep(small_ski_config(workers=workers, **cfg))
+        parallel = run_ski_sweep(small_ski_config(jobs=workers, **cfg))
         assert_same_reports(serial, parallel)
 
     def test_endpoint_monotonicity_for_prediction_rules(self):
@@ -160,7 +171,7 @@ class TestSchedulingSweep:
                     assert ratio <= bounds.prr_bound(n, eta, 0.5) + 1e-9
 
     def test_fixed_jobs_mode(self):
-        cfg = small_sched_config(regenerate_jobs=False)
+        cfg = small_sched_config(fixed_jobs=True)
         a = run_scheduling_sweep(cfg)
         b = run_scheduling_sweep(cfg)
         for ra, rb in zip(a, b):
@@ -170,14 +181,14 @@ class TestSchedulingSweep:
         assert rr.ratios.max() - rr.ratios.min() == 0.0
 
     @pytest.mark.parametrize(
-        "trials, workers, regenerate",
-        [(2, 3, True), (100, 3, True), (100, 3, False)],
+        "trials, workers, fixed",
+        [(2, 3, False), (100, 3, False), (100, 3, True)],
         ids=["fewer-trials-than-workers", "uneven-split", "fixed-jobs"],
     )
-    def test_workers_do_not_change_results(self, trials, workers, regenerate):
-        cfg = dict(trials=trials, regenerate_jobs=regenerate)
+    def test_workers_do_not_change_results(self, trials, workers, fixed):
+        cfg = dict(trials=trials, fixed_jobs=fixed)
         serial = run_scheduling_sweep(small_sched_config(**cfg))
-        parallel = run_scheduling_sweep(small_sched_config(workers=workers, **cfg))
+        parallel = run_scheduling_sweep(small_sched_config(jobs=workers, **cfg))
         assert_same_reports(serial, parallel)
 
     def test_one_worker_per_trial_at_most(self, monkeypatch):
@@ -196,7 +207,7 @@ class TestSchedulingSweep:
             map = staticmethod(map)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-        pooled = run_scheduling_sweep(small_sched_config(trials=2, workers=8))
+        pooled = run_scheduling_sweep(small_sched_config(trials=2, jobs=8))
         assert started == [2]
         assert_same_reports(run_scheduling_sweep(small_sched_config(trials=2)), pooled)
 
@@ -206,9 +217,12 @@ class TestSchedulingSweep:
         with pytest.raises(ValueError):
             run_scheduling_sweep(small_sched_config(lambda_sched=1.0))
         with pytest.raises(ValueError):
-            ExperimentConfig(experiment=SCHED_SWEEP, trials=0)
+            SchedSweepConfig(trials=0)
         with pytest.raises(ValueError):
-            ExperimentConfig(sigma_grid=(3.0, 1.0))
+            SchedSweepConfig(sigma_grid=(3.0, 1.0))
+        for bad in (dict(n=3.5), dict(n=True), dict(trials=2.5), dict(jobs=1.5)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                SchedSweepConfig(**bad)
 
 
 @pytest.mark.parametrize(
@@ -220,6 +234,20 @@ class TestSchedulingSweep:
 def test_non_finite_sigma_rejected(make_config, grid):
     with pytest.raises(ValueError, match="finite"):
         make_config(sigma_grid=grid)
+
+
+class TestConfigTypes:
+    def test_each_config_rejects_the_other_sweeps_fields(self):
+        with pytest.raises(TypeError):
+            SchedSweepConfig(b=5)
+        with pytest.raises(TypeError):
+            SkiSweepConfig(n=5)
+
+    def test_each_runner_rejects_the_other_sweeps_config(self):
+        with pytest.raises(TypeError, match="SchedSweepConfig"):
+            run_scheduling_sweep(SkiSweepConfig(trials=2))
+        with pytest.raises(TypeError, match="SkiSweepConfig"):
+            run_ski_sweep(SchedSweepConfig(trials=2))
 
 
 class TestTradeoffCurve:
