@@ -43,12 +43,9 @@ from .ski_rental import (
     PolicyKind,
     SkiInstance,
     SkiPolicy,
-    branch_cost,
-    deterministic_buy_day,
-    naive_buy_day,
+    buy_day,
     policy_cost,
-    randomized_expected_cost,
-    simulate_buy_day,
+    ski_cost,
     ski_opt,
 )
 from .workloads import (

@@ -35,8 +35,7 @@ from .ski_rental import (
     SkiInstance,
     SkiPolicy,
     _support_size,
-    deterministic_buy_day,
-    naive_buy_day,
+    buy_day,
     policy_cost,
     randomized_buy_day,
     ski_opt,
@@ -341,24 +340,26 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK if total_violations == 0 else EXIT_VIOLATION
 
 
+# --algo name: (rule, its fixed lambda, or None where --lambda sets it)
 _TRACE_SKI_ALGOS = {
-    "naive": PolicyKind.NAIVE,
-    "break-even": PolicyKind.BREAK_EVEN,
-    "karlin": PolicyKind.KARLIN,
-    "deterministic": PolicyKind.DETERMINISTIC,
-    "det": PolicyKind.DETERMINISTIC,
-    "randomized": PolicyKind.RANDOMIZED,
-    "rand": PolicyKind.RANDOMIZED,
+    "naive": (PolicyKind.NAIVE, None),
+    "break-even": (PolicyKind.DETERMINISTIC, 1.0),
+    "karlin": (PolicyKind.RANDOMIZED, 1.0),
+    "deterministic": (PolicyKind.DETERMINISTIC, None),
+    "det": (PolicyKind.DETERMINISTIC, None),
+    "randomized": (PolicyKind.RANDOMIZED, None),
+    "rand": (PolicyKind.RANDOMIZED, None),
 }
 
 
 def cmd_trace_ski(args: argparse.Namespace) -> int:
-    kind = _TRACE_SKI_ALGOS[args.algo]
-    needs_lambda = kind in (PolicyKind.DETERMINISTIC, PolicyKind.RANDOMIZED)
-    if needs_lambda and args.lam is None:
-        raise UsageError(f"algorithm {args.algo!r} requires --lambda")
+    kind, lam = _TRACE_SKI_ALGOS[args.algo]
+    if lam is None and kind is not PolicyKind.NAIVE:
+        if args.lam is None:
+            raise UsageError(f"algorithm {args.algo!r} requires --lambda")
+        lam = args.lam
     _check_limit("b", args.b, B_MAX)
-    policy = SkiPolicy(kind, args.lam if needs_lambda else None)
+    policy = SkiPolicy(kind, lam)
     try:  # the instance checks b, x and y, the cost the rule's lambda range
         instance = SkiInstance(args.b, args.x, args.y)
         cost = policy_cost(instance, policy)
@@ -378,19 +379,17 @@ def cmd_trace_ski(args: argparse.Namespace) -> int:
         "eta": round(eta, 4),
     }
     if kind is PolicyKind.NAIVE:
-        day = naive_buy_day(instance)
+        day = buy_day(policy, args.b, big)
         info["buy_day"] = day if day is not None else "never"
         info["guarantee"] = round(opt + eta, 4)
-    elif kind in (PolicyKind.BREAK_EVEN, PolicyKind.DETERMINISTIC):
-        lam = policy.effective_lambda()
+    elif kind is PolicyKind.DETERMINISTIC:
         info["lambda"] = round(lam, 6)
-        info["buy_day"] = deterministic_buy_day(instance, lam)
+        info["buy_day"] = buy_day(policy, args.b, big)
         bound = (
             bounds.det_robustness(lam) if lam == 1.0 else bounds.det_ski_bound(lam, eta, opt)
         )
         info["bound"] = round(float(bound), 6)
     else:
-        lam = policy.effective_lambda()
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         info["lambda"] = round(lam, 6)
         info["support_size"] = _support_size(args.b, lam, big)

@@ -14,7 +14,6 @@ trial order, so any worker count yields identical output.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -24,8 +23,8 @@ import numpy as np
 
 from . import bounds
 from .scheduling import prediction_error, prr, round_robin, sjf_opt, spjf
-from .ski_rental import PolicyKind, SkiPolicy, branch_cost
-from .workloads import ParetoJobModel, derived_rng, gen_pareto_jobs, gen_ski_instance
+from .ski_rental import PolicyKind, SkiPolicy, ski_cost
+from .workloads import ParetoJobModel, _check_count, derived_rng, gen_pareto_jobs, gen_ski_instance
 
 DEFAULT_SEED = 271828
 LAMBDA_RAND_DEFAULT = math.log(1.5)
@@ -36,13 +35,6 @@ _FIXED_JOBS_STREAM = 0x4A4F4253
 RR_LABEL = "round-robin"
 SPJF_LABEL = "spjf"
 PRR_LABEL = "prr"
-
-
-def _check_count(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 def _check_sweep(config, default_grid: Tuple[float, ...]) -> None:
@@ -81,7 +73,7 @@ class SkiSweepConfig:
         _check_count("b", self.b, 2)
         _check_sweep(self, tuple(i * (self.b / 10.0) for i in range(41)))
         for _, policy in ski_sweep_algorithms(self):
-            branch_cost(policy, self.b, False, 1)  # the kernel checks lambda
+            ski_cost(policy, self.b, 1, 0.0)  # the kernel checks lambda
 
 
 @dataclass(frozen=True)
@@ -104,8 +96,7 @@ class SchedSweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        _check_count("n", self.n, 1)
-        ParetoJobModel(alpha=self.alpha, n=self.n)  # rejects alpha <= 1
+        ParetoJobModel(alpha=self.alpha, n=self.n)  # rejects a bad n, then alpha <= 1
         mean = self.alpha / (self.alpha - 1.0)
         _check_sweep(self, tuple(i * 2.0 * mean for i in range(11)))
         if not 0 < self.lambda_sched < 1:
@@ -142,15 +133,16 @@ class TrialReport:
 
 
 def ski_sweep_algorithms(config: SkiSweepConfig) -> List[Tuple[str, SkiPolicy]]:
-    """The four sweep entrants: both classical rules and both lambda rules.
+    """The four sweep entrants: both lambda rules at lambda = 1 and at the config's lambdas.
 
+    At lambda = 1 the rules are the classical break-even and Karlin rules.
     Sampled-mode randomized entrants carry a "-sampled" suffix so the output
     records how they were scored.
     """
     rand_suffix = "-sampled" if config.sampled else ""
     return [
-        ("break-even", SkiPolicy(PolicyKind.BREAK_EVEN)),
-        ("karlin" + rand_suffix, SkiPolicy(PolicyKind.KARLIN)),
+        ("break-even", SkiPolicy(PolicyKind.DETERMINISTIC, 1.0)),
+        ("karlin" + rand_suffix, SkiPolicy(PolicyKind.RANDOMIZED, 1.0)),
         ("deterministic", SkiPolicy(PolicyKind.DETERMINISTIC, config.lambda_det)),
         ("randomized" + rand_suffix, SkiPolicy(PolicyKind.RANDOMIZED, config.lambda_rand)),
     ]
@@ -160,7 +152,8 @@ def _ski_trials(config: SkiSweepConfig, lo: int, hi: int):
     """Optima, errors and ratios of ski trials lo..hi-1 at every grid point.
 
     Each trial draws x days, a noise direction and, in sampled mode, one
-    uniform each for the classical and the prediction randomized rule.
+    uniform per randomized entrant: the k-th randomized entrant takes the
+    k-th uniform, so two entrants that share a policy still draw apart.
     """
     xs, draws, sampled = [], [], config.sampled
     for t in range(lo, hi):
@@ -170,6 +163,11 @@ def _ski_trials(config: SkiSweepConfig, lo: int, hi: int):
     xs, (zs, *us) = np.array(xs, dtype=np.int64), np.array(draws).T
 
     b, grid, entrants = config.b, config.sigma_grid, ski_sweep_algorithms(config)
+    draws_left = iter(us)
+    uniforms = [
+        next(draws_left) if sampled and p.kind is PolicyKind.RANDOMIZED else None
+        for _, p in entrants
+    ]
     opts = np.minimum(xs, b).astype(float)
     etas = np.empty((len(grid), xs.size))
     ratios = np.empty((len(grid), len(entrants), xs.size))
@@ -177,11 +175,7 @@ def _ski_trials(config: SkiSweepConfig, lo: int, hi: int):
         ys = np.maximum(xs + sigma * zs, 0.0)
         etas[s] = np.abs(ys - xs)
         for a, (_, policy) in enumerate(entrants):
-            u = us[0 if policy.kind is PolicyKind.KARLIN else 1] if sampled else None
-            costs = np.where(
-                ys >= b, branch_cost(policy, b, True, xs, u), branch_cost(policy, b, False, xs, u)
-            )
-            ratios[s, a] = costs / opts
+            ratios[s, a] = ski_cost(policy, b, xs, ys, uniforms[a]) / opts
     return opts, etas, ratios
 
 
@@ -245,7 +239,7 @@ def run_ski_sweep(config: SkiSweepConfig) -> List[TrialReport]:
     """Mean competitive ratio per (sigma, algorithm) for the rent-or-buy rules."""
     if not isinstance(config, SkiSweepConfig):
         raise TypeError(f"expected a SkiSweepConfig, got {type(config).__name__}")
-    entrants = [(label, p.effective_lambda()) for label, p in ski_sweep_algorithms(config)]
+    entrants = [(label, p.lam) for label, p in ski_sweep_algorithms(config)]
     return _run_trials(config, _ski_trials, "ski-sweep", entrants)
 
 

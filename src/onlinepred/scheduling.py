@@ -87,10 +87,6 @@ class JobSet:
     def n(self) -> int:
         return self.lengths.size
 
-    @property
-    def total_length(self) -> float:
-        return sum(self.lengths.tolist(), 0.0)
-
 
 def prediction_error(jobs: JobSet) -> float:
     """Total L1 prediction error over the job set."""

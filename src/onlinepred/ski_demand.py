@@ -6,7 +6,7 @@ instances, one per demand unit: unit j exists exactly on the days with
 demand >= j, and those days renumbered consecutively form an ordinary
 rent-or-buy problem.  Level j is therefore described in full by two counts,
 x_j (days with demand >= j) and y_j (days predicted >= j), and every
-function here scores the level arrays through `ski_rental.branch_cost`.
+function here scores the level arrays through `ski_rental.ski_cost`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .ski_rental import PolicyKind, SkiPolicy, branch_cost
+from .ski_rental import PolicyKind, SkiPolicy, ski_cost
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,8 @@ class DemandInstance:
     predicted: Tuple[float, ...]
 
     def __post_init__(self):
-        if self.b < 2:
-            raise ValueError(f"buy cost b must be >= 2, got {self.b!r}")
+        if not isinstance(self.b, (int, np.integer)) or self.b < 2:
+            raise ValueError(f"buy cost b must be an integer >= 2, got {self.b!r}")
         if len(self.demand) < 1 or len(self.demand) != len(self.predicted):
             raise ValueError("demand and predicted must be non-empty vectors of equal length")
         for d in self.demand:
@@ -95,11 +95,8 @@ def demand_algorithm_cost(
     if policy.kind is PolicyKind.NAIVE:
         raise ValueError("the demand extension is defined for the lambda rules only")
     xs, ys = decompose(instance)
-    b = instance.b
-    u = rng.random(xs.size) if rng is not None and policy.randomized else None
-    costs = np.where(
-        ys >= b, branch_cost(policy, b, True, xs, u), branch_cost(policy, b, False, xs, u)
-    )
+    u = rng.random(xs.size) if rng is not None and policy.kind is PolicyKind.RANDOMIZED else None
+    costs = ski_cost(policy, instance.b, xs, ys, u)
     # level-order sum: numpy's pairwise sum would round differently
     return sum(costs.tolist(), 0.0)
 

@@ -5,17 +5,20 @@ once.  Day indexing is 1-based and "buy at the start of day j" means j-1
 rental days were paid before the purchase.  Everything here is a pure
 function of its inputs; sampling takes an explicit numpy generator.
 
-The rules see the prediction only through the branch y >= b, and
-`branch_cost` turns a rule and a branch into exact costs in closed form.
-A day rule buys on a fixed day d, so x days cost x if x < d, else b + d - 1.
-A randomized rule puts mass proportional to r^(m-i) on buy days 1..m, with
-r = (b-1)/b, and its expected cost telescopes to min(x, m) / (1 - r^m).
-That mass is the geometric family of Karlin, Manasse, McGeoch and Owicki
-(1994), whose CDF has the closed form F(i) = (r^(m-i) - r^m) / (1 - r^m).
-Given uniform draws ``u`` instead, a randomized rule buys on the day that
-inverts this CDF for each draw, in O(1) per draw and with no mass vector
-built, and then costs like a day rule; so every sampled score goes
-through `branch_cost` too.
+There are three rules: naive, deterministic and randomized.  At lambda = 1
+the deterministic rule is break-even (buy on day b) and the randomized rule
+is the e/(e-1) rule of Karlin, Manasse, McGeoch and Owicki (1994), so the
+classical rules are the lambda rules at lambda = 1.  The rules see the
+prediction only through the branch y >= b; the kernel `ski_cost` takes
+predictions, picks that branch itself and returns exact costs in closed form.
+A day rule buys on a fixed day d (`buy_day`), so x days cost x if x < d,
+else b + d - 1.  A randomized rule puts mass proportional to r^(m-i) on buy
+days 1..m, with r = (b-1)/b, and its expected cost telescopes to
+min(x, m) / (1 - r^m).  That mass is the geometric family of the 1994 rule,
+whose CDF has the closed form F(i) = (r^(m-i) - r^m) / (1 - r^m).  Given
+uniform draws ``u`` instead, a randomized rule buys on the day that inverts
+this CDF for each draw, in O(1) per draw and with no mass vector built, and
+then costs like a day rule; so every sampled score goes through `ski_cost` too.
 """
 
 from __future__ import annotations
@@ -32,13 +35,11 @@ SNAP_TOLERANCE = 1e-12
 
 
 class PolicyKind(Enum):
-    """The five rent-or-buy decision rules."""
+    """The three rent-or-buy decision rules."""
 
-    BREAK_EVEN = "break-even"          # rent b-1 days, buy on day b
-    KARLIN = "karlin"                  # classical randomized rule
     NAIVE = "naive"                    # trust the prediction outright
-    DETERMINISTIC = "deterministic"    # threshold rule with parameter lambda
-    RANDOMIZED = "randomized"          # randomized rule with parameter lambda
+    DETERMINISTIC = "deterministic"    # threshold rule; break-even at lambda = 1
+    RANDOMIZED = "randomized"          # randomized rule; Karlin et al.'s at lambda = 1
 
 
 @dataclass(frozen=True)
@@ -70,50 +71,19 @@ class SkiInstance:
 
 @dataclass(frozen=True)
 class SkiPolicy:
-    """A decision rule plus its hyperparameter, validated at use time."""
+    """A decision rule plus its hyperparameter, validated at use time.
+
+    Break-even is ``SkiPolicy(DETERMINISTIC, 1.0)`` and Karlin's rule
+    ``SkiPolicy(RANDOMIZED, 1.0)``; the naive rule takes no lambda.
+    """
 
     kind: PolicyKind
     lam: Optional[float] = None
-
-    def effective_lambda(self) -> float:
-        """The lambda actually applied: the classical rules pin it to 1."""
-        if self.kind in (PolicyKind.BREAK_EVEN, PolicyKind.KARLIN):
-            return 1.0
-        if self.kind is PolicyKind.NAIVE:
-            raise ValueError("the naive rule has no lambda parameter")
-        if self.lam is None:
-            raise ValueError(f"policy {self.kind.value!r} requires a lambda value")
-        return self.lam
-
-    @property
-    def randomized(self) -> bool:
-        """Whether the rule draws its buy day (Karlin, randomized)."""
-        return self.kind in (PolicyKind.KARLIN, PolicyKind.RANDOMIZED)
 
 
 def ski_opt(instance: SkiInstance) -> int:
     """Offline optimum: buy up front or rent every day, whichever is cheaper."""
     return min(instance.b, instance.x)
-
-
-def simulate_buy_day(instance: SkiInstance, buy_day: Optional[int]) -> int:
-    """Cost of renting until ``buy_day`` then buying; ``None`` means never buy.
-
-    If the skier leaves before the buy day the purchase never happens and
-    every skiing day was rented.
-    """
-    if buy_day is None:
-        return instance.x
-    if not isinstance(buy_day, (int, np.integer)) or buy_day < 1:
-        raise ValueError(f"buy_day must be a positive integer or None, got {buy_day!r}")
-    if instance.x >= buy_day:
-        return instance.b + int(buy_day) - 1
-    return instance.x
-
-
-def naive_buy_day(instance: SkiInstance) -> Optional[int]:
-    """Trust the prediction: buy immediately if y >= b, otherwise never."""
-    return 1 if instance.y >= instance.b else None
 
 
 def _check_deterministic_lambda(lam: float) -> None:
@@ -140,21 +110,25 @@ def _snap(q: float):
     return n if abs(q - n) <= SNAP_TOLERANCE * n else q
 
 
-def _threshold_day(b: int, lam: float, big: bool) -> int:
-    """Buy day of the deterministic rule: ceil(lambda*b) if big, else ceil(b/lambda), snapped."""
-    _check_deterministic_lambda(lam)
-    return math.ceil(_snap(lam * b if big else b / lam))
-
-
 def _support_size(b: int, lam: float, big: bool) -> int:
     """Support of the randomized rule: floor(lambda*b) if big, else ceil(b/lambda), snapped."""
     _check_randomized_lambda(lam, b)
     return math.floor(_snap(lam * b)) if big else math.ceil(_snap(b / lam))
 
 
-def deterministic_buy_day(instance: SkiInstance, lam: float) -> int:
-    """Threshold rule: buy early when the prediction says buy, late otherwise."""
-    return _threshold_day(instance.b, lam, instance.y >= instance.b)
+def buy_day(policy: SkiPolicy, b: int, big: bool) -> Optional[int]:
+    """Buy day of a day rule on one prediction branch; ``None`` means never buy.
+
+    ``big`` selects the branch y >= b.  The naive rule buys on day 1 if big
+    and never otherwise.  The deterministic rule buys on day ceil(lambda*b)
+    if big, else ceil(b/lambda), snapped; at lambda = 1 both are day b.
+    """
+    if policy.kind is PolicyKind.NAIVE:
+        return 1 if big else None
+    if policy.kind is not PolicyKind.DETERMINISTIC:
+        raise ValueError("the randomized rule draws its buy day; see randomized_buy_day")
+    _check_deterministic_lambda(policy.lam)
+    return math.ceil(_snap(policy.lam * b if big else b / policy.lam))
 
 
 def randomized_buy_day(b: int, lam: float, big: bool, u):
@@ -174,38 +148,37 @@ def randomized_buy_day(b: int, lam: float, big: bool, u):
     return np.clip(day, 1, m).astype(np.int64)
 
 
-def branch_cost(policy: SkiPolicy, b: int, big: bool, xs, u=None):
-    """Cost of ``policy`` on one prediction branch for skiing days ``xs``.
-
-    ``big`` selects the branch y >= b; ``xs`` is an int or an int array and
-    the result a float or a float array of the same shape.  The day rules
-    (break-even, deterministic, naive) buy on a fixed day d and cost x if
-    x < d, else b + d - 1.  Without ``u`` the randomized rules (Karlin,
-    randomized) are scored exactly: support size m, expected cost
-    min(x, m) / (1 - r^m), r = (b-1)/b, since each skiing day up to m adds
-    the same 1 / (1 - r^m).  With uniform [0,1) draws ``u`` (shaped like
-    ``xs``) they buy on the day the branch's inverse CDF picks for each draw
-    (`randomized_buy_day`) and cost like a day rule; the day rules ignore ``u``.
-    """
-    if policy.randomized:
-        lam = policy.effective_lambda()
+def _cost_on_branch(policy: SkiPolicy, b: int, big: bool, xs, u):
+    """`ski_cost` on the branch ``big`` for every entry of ``xs``."""
+    if policy.kind is PolicyKind.RANDOMIZED:
         if u is None:
-            m = _support_size(b, lam, big)
+            m = _support_size(b, policy.lam, big)
             ratio = (b - 1) / b
             return np.minimum(xs, m) / (1.0 - ratio**m)
-        day = randomized_buy_day(b, lam, big, u)
-    elif policy.kind is PolicyKind.NAIVE:
-        if not big:
-            return xs * 1.0  # never buys
-        day = 1
+        day = randomized_buy_day(b, policy.lam, big, u)
     else:
-        day = _threshold_day(b, policy.effective_lambda(), big)
+        day = buy_day(policy, b, big)
+        if day is None:
+            return xs * 1.0  # never buys
     return 1.0 * np.where(xs < day, xs, b + day - 1)
 
 
-def randomized_expected_cost(instance: SkiInstance, lam: float) -> float:
-    """Exact expected cost of the randomized rule."""
-    return policy_cost(instance, SkiPolicy(PolicyKind.RANDOMIZED, lam))
+def ski_cost(policy: SkiPolicy, b: int, xs, ys, u=None):
+    """Cost of ``policy`` for skiing days ``xs`` under predictions ``ys``.
+
+    ``xs`` and ``ys`` are scalars or broadcastable arrays, and the result a
+    float array of their broadcast shape; each entry takes the branch its own
+    prediction selects, y >= b or y < b.  The day rules (naive,
+    deterministic) buy on their `buy_day` d and cost x if x < d, else
+    b + d - 1.  Without ``u`` the randomized rule is scored exactly: support
+    size m, expected cost min(x, m) / (1 - r^m), r = (b-1)/b, since each
+    skiing day up to m adds the same 1 / (1 - r^m).  With uniform [0,1)
+    draws ``u`` (broadcastable too) it buys on the day the branch's inverse
+    CDF picks for each draw (`randomized_buy_day`) and costs like a day rule;
+    the day rules ignore ``u``.
+    """
+    big, small = (_cost_on_branch(policy, b, branch, xs, u) for branch in (True, False))
+    return np.where(np.greater_equal(ys, b), big, small)
 
 
 def policy_cost(
@@ -215,8 +188,8 @@ def policy_cost(
 ) -> float:
     """Cost of running ``policy`` on ``instance``.
 
-    Randomized rules are scored by their exact expected cost unless a
+    The randomized rule is scored by its exact expected cost unless a
     generator is supplied, in which case a single buy day is sampled.
     """
-    u = rng.random() if rng is not None and policy.randomized else None
-    return float(branch_cost(policy, instance.b, instance.y >= instance.b, instance.x, u))
+    u = rng.random() if rng is not None and policy.kind is PolicyKind.RANDOMIZED else None
+    return float(ski_cost(policy, instance.b, instance.x, instance.y, u))

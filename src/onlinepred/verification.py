@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds
 from .scheduling import JobSet, prediction_error, prr, sjf_opt, spjf
-from .ski_rental import PolicyKind, SkiInstance, SkiPolicy, branch_cost, deterministic_buy_day
+from .ski_rental import PolicyKind, SkiPolicy, buy_day, ski_cost
 from .experiments import DEFAULT_SEED
 from .workloads import derived_rng
 
@@ -83,13 +83,12 @@ def _ski_grids(b_max: int, lambdas: Sequence, rule):
     """cost/OPT minus its bound over b in 2..b_max, lambdas, x in 1..4b, y in 0..4b.
 
     rule(b, lam) gives (policy, allowed), where allowed(eta, opt) is the
-    guaranteed ratio, or None where lam is outside the rule's domain.  The
-    cost depends on y only through the branch y >= b, so one kernel call per
-    branch covers the whole y range while the bound is evaluated on the grid.
+    guaranteed ratio, or None where lam is outside the rule's domain.  One
+    kernel call covers the whole (x, y) grid, since the kernel picks the
+    branch y >= b per point, while the bound is evaluated on the same grid.
     """
     for b in range(2, b_max + 1):
-        x = np.arange(1, 4 * b + 1)
-        xs = x[:, None].astype(float)
+        xs = np.arange(1, 4 * b + 1, dtype=float)[:, None]
         ys = np.arange(0, 4 * b + 1, dtype=float)[None, :]
         opt = np.minimum(xs, float(b))
         eta = np.abs(ys - xs)
@@ -98,11 +97,7 @@ def _ski_grids(b_max: int, lambdas: Sequence, rule):
             if case is None:
                 continue
             policy, allowed = case
-            cost = np.where(
-                ys >= b,
-                branch_cost(policy, b, True, x)[:, None],
-                branch_cost(policy, b, False, x)[:, None],
-            )
+            cost = ski_cost(policy, b, xs, ys)
             yield cost / opt - allowed(eta, opt), partial(_ski_label, b, lam, cost.shape)
 
 
@@ -143,29 +138,29 @@ def check_naive_lemma(b_max: int = 50) -> FamilyResult:
 
 
 def check_classical_recovery(b_max: int = 50) -> FamilyResult:
-    """lambda = 1 recovers the classical rules.
+    """lambda = 1 recovers the classical rules, break-even and Karlin's.
 
     Deterministic: the buy day equals b on both prediction branches for every
     b.  Randomized: for b = CLASSICAL_B the worst expected ratio over x in
     {1..4b} sits within 1/b of e/(e-1); for smaller b it stays below
     e/(e-1) + 1/b.
     """
-    karlin = SkiPolicy(PolicyKind.KARLIN)
+    break_even = SkiPolicy(PolicyKind.DETERMINISTIC, 1.0)
+    karlin = SkiPolicy(PolicyKind.RANDOMIZED, 1.0)  # both branches have support b
     excesses = []
     labels = []
     for b in range(2, b_max + 1):
-        for y in (0.0, float(b)):
-            day = deterministic_buy_day(SkiInstance(b, 1, y), 1.0)
-            excesses.append(float(abs(day - b)))
-            labels.append(f"deterministic b={b} y={y}")
+        for big in (False, True):
+            excesses.append(float(abs(buy_day(break_even, b, big) - b)))
+            labels.append(f"deterministic b={b} {'y >= b' if big else 'y < b'}")
         x = np.arange(1, 4 * b + 1)
-        worst_ratio = float(np.max(branch_cost(karlin, b, True, x) / np.minimum(x, b)))
+        worst_ratio = float(np.max(ski_cost(karlin, b, x, b) / np.minimum(x, b)))
         excesses.append(worst_ratio - (bounds.E_OVER_E_MINUS_1 + 1.0 / b))
         labels.append(f"randomized-ceiling b={b}")
 
     b = CLASSICAL_B
     x = np.arange(1, 4 * b + 1)
-    worst_ratio = float(np.max(branch_cost(karlin, b, True, x) / np.minimum(x, b)))
+    worst_ratio = float(np.max(ski_cost(karlin, b, x, b) / np.minimum(x, b)))
     excesses.append(abs(worst_ratio - bounds.E_OVER_E_MINUS_1) - 1.0 / b)
     labels.append(f"randomized-proximity b={b} worst_ratio={worst_ratio:.6f}")
     return _fold("classical-recovery", TOLERANCE, [(excesses, labels.__getitem__)])

@@ -9,12 +9,21 @@ parallel without changing a single draw.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .scheduling import JobSet
 from .ski_rental import SkiInstance
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a ``value`` that is a bool, not an integer, or below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -29,10 +38,9 @@ class ParetoJobModel:
     n: int = 50
 
     def __post_init__(self):
+        _check_count("n", self.n, 1)
         if not (math.isfinite(self.alpha) and self.alpha > 1):
             raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n!r}")
 
 
 def derived_rng(master_seed: int, *key: int) -> np.random.Generator:

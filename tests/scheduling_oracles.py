@@ -88,7 +88,7 @@ def run_rate_schedule(jobs, rates):
         events.append((t, tuple(done)))
         active = [job for job in active if job.id not in completions]
 
-    total = jobs.total_length
+    total = sum(jobs.lengths.tolist(), 0.0)
     if abs(executed - total) > 1e-9 * total:
         raise RuntimeError(f"executed work {executed!r} differs from total length {total!r}")
     ordered = [completions[j.id] for j in jobs.jobs]

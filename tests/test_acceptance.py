@@ -21,7 +21,7 @@ from onlinepred.experiments import (
     run_ski_sweep,
 )
 from onlinepred.scheduling import JobSet, prr, round_robin
-from onlinepred.ski_rental import SkiInstance, deterministic_buy_day, randomized_expected_cost
+from onlinepred.ski_rental import PolicyKind, SkiInstance, SkiPolicy, buy_day, policy_cost
 from onlinepred.verification import (
     check_appendix_families,
     check_classical_recovery,
@@ -77,10 +77,12 @@ def test_criterion_2_randomized_rule_exhaustive():
 
 
 def test_criterion_3_classical_recovery():
+    break_even = SkiPolicy(PolicyKind.DETERMINISTIC, 1.0)
+    karlin = SkiPolicy(PolicyKind.RANDOMIZED, 1.0)
     for b in list(range(2, 51)) + [100]:
         for y in (0.0, float(b)):
-            assert deterministic_buy_day(SkiInstance(b, 1, y), 1.0) == b
-    costs = [randomized_expected_cost(SkiInstance(100, x, 100.0), 1.0) for x in range(1, 401)]
+            assert buy_day(break_even, b, y >= b) == b
+    costs = [policy_cost(SkiInstance(100, x, 100.0), karlin) for x in range(1, 401)]
     worst = max(c / min(100, x) for c, x in zip(costs, range(1, 401)))
     assert abs(worst - bounds.E_OVER_E_MINUS_1) <= 1.0 / 100
     result = check_classical_recovery()
@@ -219,7 +221,7 @@ def test_criterion_9_executor_matches_closed_forms():
         want = rr_closed_form(lengths)
         for g, w in zip(sorted(got.completions.tolist()), want):
             assert g == pytest.approx(float(w), abs=1e-9)
-        total = jobs.total_length
+        total = sum(jobs.lengths.tolist(), 0.0)
         assert abs(got.completions.max() - total) <= 1e-9 * total
         checked += 1
     for lengths, preds, lam in PRR_FIXTURES:
@@ -230,7 +232,7 @@ def test_criterion_9_executor_matches_closed_forms():
         want = prr_exact_rational(lengths, preds, lam)
         for i, w in want.items():
             assert got.completions[i] == pytest.approx(float(w), abs=1e-9)
-        total = jobs.total_length
+        total = sum(jobs.lengths.tolist(), 0.0)
         assert abs(got.completions.max() - total) <= 1e-9 * total
         checked += 1
     assert checked >= 20

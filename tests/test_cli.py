@@ -300,6 +300,9 @@ PINNED_SWEEPS = {
         "ec6024f1873fdb70b4519ce59501468dd32035a11284a8fc7dbbec1208f177b1",
     "ski-sweep --b 20 --trials 300 --seed 5 --sampled --format json":
         "60eff8d0e0d45affc7ffeb1b20a7120d6aed3ef6cefd29a10480b27a54b557eb",
+    # both randomized entrants are the lambda = 1 rule here, yet draw different uniforms
+    "ski-sweep --sampled --lambda-rand 1 --b 20 --trials 300 --seed 5":
+        "7d7fcf9fffd86ed361b2a43989da66213afc51d8bbb74fe8f717de61363eeeaf",
     "sched-sweep --n 20 --trials 15 --seed 5":
         "7c8e2f8b9f5304358bd98ac7699e81ffdae4a18b005b64c6215df086661baf4d",
     "sched-sweep --n 20 --trials 15 --seed 5 --format json":

@@ -97,6 +97,12 @@ class TestDecompose:
         with pytest.raises(ValueError):
             DemandInstance(5, (0, 0), (0.0, 0.0))
 
+    def test_non_integer_buy_cost_rejected(self):
+        # int(2.5) would truncate: demand_opt 2 against level optima summing to 2.5
+        for b in (2.5, 3.0, True, "3"):
+            with pytest.raises(ValueError):
+                DemandInstance(b, (1,) * 5, (1.0,) * 5)
+
     def test_active_day_conservation(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
@@ -156,8 +162,8 @@ class TestDecompose:
         policy = {
             "det": SkiPolicy(PolicyKind.DETERMINISTIC, lam),
             "rand": SkiPolicy(PolicyKind.RANDOMIZED, lam),
-            "karlin": SkiPolicy(PolicyKind.KARLIN),
-            "break-even": SkiPolicy(PolicyKind.BREAK_EVEN),
+            "karlin": SkiPolicy(PolicyKind.RANDOMIZED, 1.0),
+            "break-even": SkiPolicy(PolicyKind.DETERMINISTIC, 1.0),
         }[rule]
         assert demand_algorithm_cost(inst, policy) == level_cost_loop(inst, policy)
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 """Unit tests for the rent-or-buy rules, with independent cost oracles."""
 
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -12,16 +13,41 @@ from onlinepred.ski_rental import (
     SkiInstance,
     SkiPolicy,
     _support_size,
-    _threshold_day,
-    branch_cost,
-    deterministic_buy_day,
-    naive_buy_day,
+    buy_day,
     policy_cost,
     randomized_buy_day,
-    randomized_expected_cost,
-    simulate_buy_day,
+    ski_cost,
     ski_opt,
 )
+
+NAIVE = SkiPolicy(PolicyKind.NAIVE)
+BREAK_EVEN = SkiPolicy(PolicyKind.DETERMINISTIC, 1.0)
+KARLIN = SkiPolicy(PolicyKind.RANDOMIZED, 1.0)
+
+
+def simulate_buy_day(instance: SkiInstance, day: Optional[int]) -> int:
+    """Oracle: cost of renting until ``day`` then buying; ``None`` means never buy.
+
+    If the skier leaves before the buy day the purchase never happens and
+    every skiing day was rented.
+    """
+    if day is None:
+        return instance.x
+    if not isinstance(day, (int, np.integer)) or day < 1:
+        raise ValueError(f"buy day must be a positive integer or None, got {day!r}")
+    if instance.x >= day:
+        return instance.b + int(day) - 1
+    return instance.x
+
+
+def day_of(policy: SkiPolicy, inst: SkiInstance) -> Optional[int]:
+    """The buy day a day rule picks on the instance's prediction branch."""
+    return buy_day(policy, inst.b, inst.y >= inst.b)
+
+
+def _threshold_day(b: int, lam: float, big: bool) -> int:
+    """The deterministic rule's buy day on one branch, shaped like `_support_size`."""
+    return buy_day(SkiPolicy(PolicyKind.DETERMINISTIC, lam), b, big)
 
 
 class TableOracle:
@@ -89,10 +115,14 @@ def summed_expected_cost(inst: SkiInstance, lam: float) -> float:
 
 @st.composite
 def branch_cases(draw):
+    """b, a lambda (1.0 included), x, and a prediction y on either side of b, or at it."""
     b = draw(st.integers(2, 2000))
-    lam = draw(st.floats(min_value=1.0 / b, max_value=1.0, exclude_min=True))
+    lam = draw(
+        st.one_of(st.just(1.0), st.floats(min_value=1.0 / b, max_value=1.0, exclude_min=True))
+    )
     x = draw(st.integers(1, 4 * b))
-    return b, lam, x, draw(st.booleans())
+    y = draw(st.one_of(st.just(float(b)), st.floats(0.0, 4.0 * b)))
+    return b, lam, x, y
 
 
 class TestInstanceValidation:
@@ -137,13 +167,13 @@ class TestSimulateBuyDay:
 
 class TestNaive:
     def test_branches(self):
-        assert naive_buy_day(SkiInstance(100, 1, 150.0)) == 1
-        assert naive_buy_day(SkiInstance(100, 1, 20.0)) is None
-        assert naive_buy_day(SkiInstance(100, 1, 100.0)) == 1  # ties take the buy branch
+        assert day_of(NAIVE, SkiInstance(100, 1, 150.0)) == 1
+        assert day_of(NAIVE, SkiInstance(100, 1, 20.0)) is None
+        assert day_of(NAIVE, SkiInstance(100, 1, 100.0)) == 1  # ties take the buy branch
 
     def test_additive_guarantee_example(self):
         inst = SkiInstance(100, 300, 20.0)
-        cost = simulate_buy_day(inst, naive_buy_day(inst))
+        cost = simulate_buy_day(inst, day_of(NAIVE, inst))
         assert cost == 300
         assert cost <= ski_opt(inst) + inst.error  # 300 <= 100 + 280
 
@@ -152,25 +182,30 @@ class TestNaive:
             for x in range(1, 4 * b + 1):
                 for y in range(0, 4 * b + 1):
                     inst = SkiInstance(b, x, float(y))
-                    cost = simulate_buy_day(inst, naive_buy_day(inst))
+                    cost = simulate_buy_day(inst, day_of(NAIVE, inst))
                     assert cost <= ski_opt(inst) + inst.error + 1e-12
 
 
 class TestDeterministic:
     def test_branch_examples(self):
-        assert deterministic_buy_day(SkiInstance(100, 1, 120.0), 0.5) == 50
-        assert deterministic_buy_day(SkiInstance(100, 1, 80.0), 0.5) == 200
+        det = SkiPolicy(PolicyKind.DETERMINISTIC, 0.5)
+        assert day_of(det, SkiInstance(100, 1, 120.0)) == 50
+        assert day_of(det, SkiInstance(100, 1, 80.0)) == 200
 
     def test_lambda_one_recovers_break_even(self):
         for b in (2, 7, 100):
             for y in (0.0, float(b), float(10 * b)):
-                assert deterministic_buy_day(SkiInstance(b, 1, y), 1.0) == b
+                assert day_of(BREAK_EVEN, SkiInstance(b, 1, y)) == b
+
+    def test_randomized_rule_has_no_fixed_day(self):
+        with pytest.raises(ValueError):
+            buy_day(KARLIN, 100, True)
 
     def test_rejects_bad_lambda(self):
         inst = SkiInstance(100, 1, 0.0)
         for lam in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                deterministic_buy_day(inst, lam)
+                day_of(SkiPolicy(PolicyKind.DETERMINISTIC, lam), inst)
 
 
 class TestRandomizedDistribution:
@@ -201,13 +236,13 @@ class TestRandomizedDistribution:
             policy = SkiPolicy(PolicyKind.RANDOMIZED, lam)
             for u in (None, 0.5):
                 with pytest.raises(ValueError):
-                    branch_cost(policy, 100, False, 1, u)
+                    ski_cost(policy, 100, 1, 0.0, u)
             with pytest.raises(ValueError):
                 randomized_buy_day(100, lam, True, 0.5)
 
     def test_classical_expected_cost_anchor(self):
         # lambda = 1, b = 100: flat expected cost over x >= b, near (e/(e-1)) * b
-        cost = randomized_expected_cost(SkiInstance(100, 150, 150.0), 1.0)
+        cost = policy_cost(SkiInstance(100, 150, 150.0), KARLIN)
         assert abs(cost - 157.73675300856044) < 1e-9
         assert abs(cost - 100.0 * math.e / (math.e - 1.0)) < 0.5
 
@@ -215,9 +250,9 @@ class TestRandomizedDistribution:
 class TestRandomizedExpectedCost:
     def test_hand_sums(self):
         # E = (1/3) * 2 + (2/3) * 3 = 8/3
-        assert abs(randomized_expected_cost(SkiInstance(2, 5, 5.0), 1.0) - 8.0 / 3.0) < 1e-12
+        assert abs(policy_cost(SkiInstance(2, 5, 5.0), KARLIN) - 8.0 / 3.0) < 1e-12
         # buy day 2 is never reached when x = 1: E = (1/3) * 2 + (2/3) * 1 = 4/3
-        assert abs(randomized_expected_cost(SkiInstance(2, 1, 2.0), 1.0) - 4.0 / 3.0) < 1e-12
+        assert abs(policy_cost(SkiInstance(2, 1, 2.0), KARLIN) - 4.0 / 3.0) < 1e-12
 
     def test_literal_summation_agreement(self):
         # the vectorized expectation equals the literal per-day summation
@@ -228,7 +263,7 @@ class TestRandomizedExpectedCost:
                 dist.day_probability(day) * simulate_buy_day(inst, day)
                 for day in range(1, dist.support_size + 1)
             )
-            assert abs(randomized_expected_cost(inst, lam) - literal) < 1e-12
+            assert abs(policy_cost(inst, SkiPolicy(PolicyKind.RANDOMIZED, lam)) - literal) < 1e-12
 
     def test_closed_form_oracle(self):
         for b in (2, 5, 20, 100):
@@ -244,11 +279,11 @@ class TestRandomizedExpectedCost:
                             continue
                         inst = SkiInstance(b, x, y)
                         expected = geometric_cost_oracle(b, x, size)
-                        got = randomized_expected_cost(inst, lam)
+                        got = policy_cost(inst, SkiPolicy(PolicyKind.RANDOMIZED, lam))
                         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_small_x(self):
-        got = randomized_expected_cost(SkiInstance(100, 1, 200.0), 1.0)
+        got = policy_cost(SkiInstance(100, 1, 200.0), KARLIN)
         assert got == pytest.approx(geometric_cost_oracle(100, 1, 100), rel=1e-12)
         assert got == pytest.approx(1.5773675300856044, abs=1e-9)
 
@@ -257,32 +292,43 @@ class TestBranchCost:
     @settings(max_examples=200, deadline=None)
     @given(branch_cases())
     def test_matches_summation_and_buy_days(self, case):
-        b, lam, x, big = case
-        inst = SkiInstance(b, x, float(b) if big else 0.0)
-        expected = summed_expected_cost(inst, lam)
-        got = branch_cost(SkiPolicy(PolicyKind.RANDOMIZED, lam), b, big, x)
-        assert got == pytest.approx(expected, rel=1e-12)
-        day_rules = [
-            (SkiPolicy(PolicyKind.DETERMINISTIC, lam), deterministic_buy_day(inst, lam)),
-            (SkiPolicy(PolicyKind.BREAK_EVEN), deterministic_buy_day(inst, 1.0)),
-            (SkiPolicy(PolicyKind.NAIVE), naive_buy_day(inst)),
-        ]
-        for policy, day in day_rules:
-            assert branch_cost(policy, b, big, x) == simulate_buy_day(inst, day)
+        b, lam, x, y = case
+        event("y >= b" if y >= b else "y < b")
+        inst = SkiInstance(b, x, y)
+        # Karlin's rule is the randomized rule at lambda = 1
+        for policy in (SkiPolicy(PolicyKind.RANDOMIZED, lam), KARLIN):
+            expected = summed_expected_cost(inst, policy.lam)
+            assert ski_cost(policy, b, x, y) == pytest.approx(expected, rel=1e-12)
+        # break-even is the deterministic rule at lambda = 1: it buys on day b
+        assert day_of(BREAK_EVEN, inst) == b
+        for policy in (SkiPolicy(PolicyKind.DETERMINISTIC, lam), BREAK_EVEN, NAIVE):
+            assert ski_cost(policy, b, x, y) == simulate_buy_day(inst, day_of(policy, inst))
 
     def test_array_matches_scalar_calls(self):
         xs = np.arange(1, 41)
         for policy in (
-            SkiPolicy(PolicyKind.NAIVE),
-            SkiPolicy(PolicyKind.BREAK_EVEN),
-            SkiPolicy(PolicyKind.KARLIN),
+            NAIVE,
+            BREAK_EVEN,
+            KARLIN,
             SkiPolicy(PolicyKind.DETERMINISTIC, 0.3),
             SkiPolicy(PolicyKind.RANDOMIZED, 0.3),
         ):
-            for big in (False, True):
-                costs = branch_cost(policy, 10, big, xs)
+            for y in (0.0, 10.0):
+                costs = ski_cost(policy, 10, xs, y)
                 assert costs.shape == xs.shape and costs.dtype == float
-                assert costs.tolist() == [branch_cost(policy, 10, big, int(x)) for x in xs]
+                assert costs.tolist() == [ski_cost(policy, 10, int(x), y) for x in xs]
+
+    def test_each_prediction_picks_its_branch(self):
+        xs, ys = np.arange(1, 41), np.array([0.0, 9.5, 10.0, 30.0])
+        us = np.random.default_rng(5).random(xs.size)
+        for policy in (NAIVE, BREAK_EVEN, SkiPolicy(PolicyKind.DETERMINISTIC, 0.3), KARLIN,
+                       SkiPolicy(PolicyKind.RANDOMIZED, 0.3)):
+            for u in (None, us[:, None]):
+                grid = ski_cost(policy, 10, xs[:, None], ys[None, :], u)
+                assert grid.shape == (xs.size, ys.size)
+                for j, y in enumerate(ys):
+                    column = ski_cost(policy, 10, xs, y, None if u is None else us)
+                    assert grid[:, j].tolist() == column.tolist()
 
     def test_sampled_matches_buy_day_simulation(self):
         # with uniforms a randomized rule costs like the buy day its branch's
@@ -290,19 +336,17 @@ class TestBranchCost:
         xs = np.arange(1, 41)
         us = np.random.default_rng(4).random(xs.size)
         for y in (0.0, 10.0):
-            for policy in (SkiPolicy(PolicyKind.KARLIN), SkiPolicy(PolicyKind.RANDOMIZED, 0.3)):
-                dist = TableOracle(10, policy.effective_lambda(), y >= 10)
+            for policy in (KARLIN, SkiPolicy(PolicyKind.RANDOMIZED, 0.3)):
+                dist = TableOracle(10, policy.lam, y >= 10)
                 expected = [
                     simulate_buy_day(SkiInstance(10, int(x), y), int(dist.buy_day(u)))
                     for x, u in zip(xs, us)
                 ]
-                assert branch_cost(policy, 10, y >= 10, xs, us).tolist() == expected
-                scalar = [branch_cost(policy, 10, y >= 10, int(x), u) for x, u in zip(xs, us)]
+                assert ski_cost(policy, 10, xs, y, us).tolist() == expected
+                scalar = [ski_cost(policy, 10, int(x), y, u) for x, u in zip(xs, us)]
                 assert scalar == expected
             det = SkiPolicy(PolicyKind.DETERMINISTIC, 0.3)
-            assert branch_cost(det, 10, y >= 10, xs, us).tolist() == branch_cost(
-                det, 10, y >= 10, xs
-            ).tolist()
+            assert ski_cost(det, 10, xs, y, us).tolist() == ski_cost(det, 10, xs, y).tolist()
 
 
 class TestSampling:
@@ -311,20 +355,20 @@ class TestSampling:
         us = np.concatenate([[0.0, 1.0 - 2.0**-53], np.random.default_rng(0).random(20)])
         assert randomized_buy_day(10, 0.15, True, us).tolist() == [1] * us.size
         policy = SkiPolicy(PolicyKind.RANDOMIZED, 0.15)
-        assert branch_cost(policy, 10, True, np.full(us.size, 4), us).tolist() == [10.0] * us.size
+        assert ski_cost(policy, 10, np.full(us.size, 4), 10.0, us).tolist() == [10.0] * us.size
 
     def test_frequencies_converge(self):
         # b = 2, lambda = 1: day 1 (cost b = 2 at x = 5) has mass 1/3
         us = np.random.default_rng(12345).random(1_000_000)
-        costs = branch_cost(SkiPolicy(PolicyKind.KARLIN), 2, True, np.full(us.size, 5), us)
+        costs = ski_cost(KARLIN, 2, np.full(us.size, 5), 2.0, us)
         assert set(np.unique(costs).tolist()) == {2.0, 3.0}
         assert abs(np.mean(costs == 2.0) - 1.0 / 3.0) < 0.002
 
     def test_same_seed_same_stream(self):
         policy = SkiPolicy(PolicyKind.RANDOMIZED, 0.8)
         xs = np.full(1000, 10)
-        a = branch_cost(policy, 50, True, xs, np.random.default_rng(7).random(1000))
-        b = branch_cost(policy, 50, True, xs, np.random.default_rng(7).random(1000))
+        a = ski_cost(policy, 50, xs, 50.0, np.random.default_rng(7).random(1000))
+        b = ski_cost(policy, 50, xs, 50.0, np.random.default_rng(7).random(1000))
         assert np.array_equal(a, b)
         inst = SkiInstance(50, 10, 60.0)
         a = [policy_cost(inst, policy, rng) for rng in [np.random.default_rng(7)] * 50]
@@ -386,7 +430,7 @@ class TestClosedFormSampler:
         assert _support_size(100_000, 0.00002, False) == 5_000_000_000
         days = randomized_buy_day(100_000, 0.00002, False, np.array([0.0, 0.5, 1.0 - 2.0**-53]))
         assert days[0] == 1 and days[-1] == 5_000_000_000 and 1 < days[1] < days[-1]
-        assert branch_cost(policy, 100_000, False, 5, 0.5) == 5.0
+        assert ski_cost(policy, 100_000, 5, 0.0, 0.5) == 5.0
 
 
 class TestDecimalLambda:
@@ -425,13 +469,13 @@ class TestPolicyCost:
 
     def test_break_even_is_deterministic_lambda_one(self):
         inst = SkiInstance(30, 45, 2.0)
-        assert policy_cost(inst, SkiPolicy(PolicyKind.BREAK_EVEN)) == float(
+        assert policy_cost(inst, BREAK_EVEN) == float(
             simulate_buy_day(inst, 30)
         )
 
     def test_naive_policy(self):
         inst = SkiInstance(30, 45, 2.0)
-        assert policy_cost(inst, SkiPolicy(PolicyKind.NAIVE)) == 45.0
+        assert policy_cost(inst, NAIVE) == 45.0
 
     def test_large_b(self):
         # at b = 10^5 the geometric masses no longer sum to 1 within 1e-12

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onlinepred import cli, verification
-from onlinepred.ski_rental import PolicyKind, branch_cost
+from onlinepred.ski_rental import PolicyKind, ski_cost
 from onlinepred.verification import (
     TOLERANCE,
     _fold,
@@ -64,8 +64,8 @@ class TestFold:
         assert result.worst_excess == -math.inf and result.passed
 
 
-def _nan_deterministic(policy, b, big, xs, u=None):
-    cost = branch_cost(policy, b, big, xs, u)
+def _nan_deterministic(policy, b, xs, ys, u=None):
+    cost = ski_cost(policy, b, xs, ys, u)
     if policy.kind is PolicyKind.DETERMINISTIC:
         return np.full_like(cost, math.nan)
     return cost
@@ -73,7 +73,7 @@ def _nan_deterministic(policy, b, big, xs, u=None):
 
 class TestFailsClosed:
     def test_nan_cost_fails_ski_family(self, monkeypatch):
-        monkeypatch.setattr(verification, "branch_cost", _nan_deterministic)
+        monkeypatch.setattr(verification, "ski_cost", _nan_deterministic)
         result = check_det_ski_guarantee(b_max=4, lambdas=(0.5,))
         assert not result.passed
         assert result.violations == result.points > 0
@@ -91,7 +91,7 @@ class TestFailsClosed:
             assert result.worst_case == "jobset#0 lambda=0.5"
 
     def test_nan_cost_fails_verify_bounds(self, monkeypatch, capsys):
-        monkeypatch.setattr(verification, "branch_cost", _nan_deterministic)
+        monkeypatch.setattr(verification, "ski_cost", _nan_deterministic)
         code = cli.main(["verify-bounds", "--grid-density", "tiny"])
         assert code == cli.EXIT_VIOLATION == 3
         assert "OVERALL: FAIL" in capsys.readouterr().out

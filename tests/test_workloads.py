@@ -73,6 +73,9 @@ class TestParetoJobs:
             ParetoJobModel(alpha=math.inf)
         with pytest.raises(ValueError):
             ParetoJobModel(alpha=1.1, n=0)
+        for n in (3.5, True):  # gen_pareto_jobs would fail inside numpy
+            with pytest.raises(ValueError):
+                ParetoJobModel(alpha=1.1, n=n)
 
 
 class TestDerivedStreams:
