@@ -27,9 +27,12 @@ from .scheduling import (
     Job,
     JobSet,
     ScheduleResult,
+    objectives,
     prediction_error,
     prr,
+    prr_batch,
     round_robin,
+    sequential_batch,
     sjf_opt,
     spjf,
 )

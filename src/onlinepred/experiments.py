@@ -9,6 +9,12 @@ algorithms is plain common-random-numbers variance reduction.  Each trial is
 drawn and scored once for every (sigma, algorithm) point; ``jobs`` workers
 split the trials into contiguous ranges whose results are stitched back in
 trial order, so any worker count yields identical output.
+
+The scheduling sweep scores a block of trials with one call of the batched
+round-robin/PRR kernel: round-robin ignores predictions, so it is one row
+per trial, stacked over one PRR row per (sigma, trial).  Blocks keep kernel
+rows times jobs within ``KERNEL_ENTRIES``, which bounds the working set at
+any trial count; rows are independent, so block sizes change no value.
 """
 
 from __future__ import annotations
@@ -16,21 +22,24 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import bounds
-from .scheduling import prediction_error, prr, round_robin, sjf_opt, spjf
-from .ski_rental import PolicyKind, SkiPolicy, ski_cost
-from .workloads import ParetoJobModel, _check_count, derived_rng, gen_pareto_jobs, gen_ski_instance
+from .scheduling import objectives, prr_batch, sequential_batch
+from .ski_rental import PolicyKind, SkiPolicy, _check_count, ski_cost
+from .workloads import ParetoJobModel, derived_rng, gen_pareto_jobs, gen_ski_instance
 
 DEFAULT_SEED = 271828
 LAMBDA_RAND_DEFAULT = math.log(1.5)
 
 # Stream key for the job set in fixed-jobs mode; far above any trial index.
 _FIXED_JOBS_STREAM = 0x4A4F4253
+
+# Bound on kernel rows times jobs per block of scheduling trials, which bounds
+# the sweep's working set whatever the trial count.
+KERNEL_ENTRIES = 1 << 19
 
 RR_LABEL = "round-robin"
 SPJF_LABEL = "spjf"
@@ -179,39 +188,69 @@ def _ski_trials(config: SkiSweepConfig, lo: int, hi: int):
     return opts, etas, ratios
 
 
-def sched_sweep_algorithms(config: SchedSweepConfig):
-    """(label, lambda, scheduler) of the three scheduling entrants."""
-    lam = config.lambda_sched
-    return [
-        (RR_LABEL, None, round_robin), (SPJF_LABEL, None, spjf), (PRR_LABEL, lam, partial(prr, lam=lam))
-    ]
+def sched_sweep_algorithms(config: SchedSweepConfig) -> List[Tuple[str, Optional[float]]]:
+    """(label, lambda) of the three scheduling entrants."""
+    return [(RR_LABEL, None), (SPJF_LABEL, None), (PRR_LABEL, config.lambda_sched)]
 
 
 def _sched_trials(config: SchedSweepConfig, lo: int, hi: int):
     """Optima, errors and ratios of scheduling trials lo..hi-1 at every grid point.
 
-    Each trial draws its job set (unless the jobs are fixed) and noise
-    direction once; the SJF optimum depends only on the true lengths.
+    The trials go through in blocks whose kernel rows times jobs stay within
+    KERNEL_ENTRIES (a block is at least one trial); rows are independent, so
+    the split changes no value.
     """
-    model = ParetoJobModel(alpha=config.alpha, n=config.n)
     fixed = None
     if config.fixed_jobs:
-        fixed = gen_pareto_jobs(model, derived_rng(config.seed, _FIXED_JOBS_STREAM))
-    grid, entrants = config.sigma_grid, sched_sweep_algorithms(config)
-    opts = np.empty(hi - lo)
-    etas = np.empty((len(grid), hi - lo))
-    ratios = np.empty((len(grid), len(entrants), hi - lo))
-    for i, t in enumerate(range(lo, hi)):
+        model = ParetoJobModel(alpha=config.alpha, n=config.n)
+        fixed = gen_pareto_jobs(model, derived_rng(config.seed, _FIXED_JOBS_STREAM)).lengths
+    per_block = max(1, KERNEL_ENTRIES // ((len(config.sigma_grid) + 1) * config.n))
+    parts = [
+        _sched_block(config, fixed, start, min(start + per_block, hi))
+        for start in range(lo, hi, per_block)
+    ]
+    return tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
+
+
+def _sched_block(config: SchedSweepConfig, fixed: Optional[np.ndarray], lo: int, hi: int):
+    """``_sched_trials`` for one block of T trials, in one kernel call.
+
+    Each trial draws its job set (unless the jobs are fixed) and noise
+    direction once.  Kernel rows come in groups of T, one per trial: first
+    round-robin at lambda = 0, scored once per trial since it ignores
+    predictions (its group takes the sigma = 0 predictions, which are the
+    lengths), then PRR at each sigma.  SPJF and the errors come from the same
+    predictions.  Only when one trial's groups exceed KERNEL_ENTRIES do the
+    groups take more than one call.
+    """
+    model = ParetoJobModel(alpha=config.alpha, n=config.n)
+    lengths, directions = [], []
+    for t in range(lo, hi):
         rng = derived_rng(config.seed, t)
-        base = fixed if fixed is not None else gen_pareto_jobs(model, rng)
-        z = rng.standard_normal(config.n)
-        opts[i] = sjf_opt(base).objective
-        for s, sigma in enumerate(grid):
-            jobs = base.with_predictions(base.lengths + sigma * z)
-            etas[s, i] = prediction_error(jobs)
-            for a, (_, _, schedule) in enumerate(entrants):
-                ratios[s, a, i] = schedule(jobs).objective / opts[i]
-    return opts, etas, ratios
+        lengths.append(fixed if fixed is not None else gen_pareto_jobs(model, rng).lengths)
+        directions.append(rng.standard_normal(config.n))
+    lengths, directions = np.array(lengths), np.array(directions)
+    trials, n = lengths.shape
+    sigmas = np.array((0.0, *config.sigma_grid))
+    lams = np.array((0.0,) + (config.lambda_sched,) * len(config.sigma_grid))
+
+    opts = objectives(sequential_batch(lengths, lengths))
+    etas, spjf_costs, shared = (np.empty((sigmas.size, trials)) for _ in range(3))
+    per_call = max(1, KERNEL_ENTRIES // (trials * n))
+    for g in range(0, sigmas.size, per_call):
+        groups = slice(g, g + per_call)
+        predicted = lengths + sigmas[groups, None, None] * directions
+        etas[groups] = objectives(np.abs(lengths - predicted))
+        spjf_costs[groups] = objectives(sequential_batch(lengths, predicted))
+        kernel_lengths = np.broadcast_to(lengths, predicted.shape).reshape(-1, n)
+        lam = np.repeat(lams[groups], trials)
+        completions, _ = prr_batch(kernel_lengths, predicted.reshape(-1, n), lam)
+        shared[groups] = objectives(completions).reshape(-1, trials)
+    ratios = np.empty((len(config.sigma_grid), 3, trials))
+    ratios[:, 0] = shared[0] / opts
+    ratios[:, 1] = spjf_costs[1:] / opts
+    ratios[:, 2] = shared[1:] / opts
+    return opts, etas[1:], ratios
 
 
 def _run_trials(config, draw, experiment: str, entrants) -> List[TrialReport]:
@@ -247,8 +286,7 @@ def run_scheduling_sweep(config: SchedSweepConfig) -> List[TrialReport]:
     """Mean competitive ratio per (sigma, algorithm) for the schedulers."""
     if not isinstance(config, SchedSweepConfig):
         raise TypeError(f"expected a SchedSweepConfig, got {type(config).__name__}")
-    entrants = [(label, lam) for label, lam, _ in sched_sweep_algorithms(config)]
-    return _run_trials(config, _sched_trials, "sched-sweep", entrants)
+    return _run_trials(config, _sched_trials, "sched-sweep", sched_sweep_algorithms(config))
 
 
 @dataclass(frozen=True)

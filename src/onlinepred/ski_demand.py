@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .ski_rental import PolicyKind, SkiPolicy, ski_cost
+from .ski_rental import PolicyKind, SkiPolicy, _check_count, ski_cost
 
 
 @dataclass(frozen=True)
@@ -30,13 +30,11 @@ class DemandInstance:
     predicted: Tuple[float, ...]
 
     def __post_init__(self):
-        if not isinstance(self.b, (int, np.integer)) or self.b < 2:
-            raise ValueError(f"buy cost b must be an integer >= 2, got {self.b!r}")
+        _check_count("buy cost b", self.b, 2)
         if len(self.demand) < 1 or len(self.demand) != len(self.predicted):
             raise ValueError("demand and predicted must be non-empty vectors of equal length")
         for d in self.demand:
-            if not isinstance(d, (int, np.integer)) or d < 0:
-                raise ValueError(f"daily demand must be a non-negative integer, got {d!r}")
+            _check_count("daily demand", d, 0)
         for y in self.predicted:
             if not (math.isfinite(y) and y >= 0):
                 raise ValueError(f"predicted demand must be a finite real >= 0, got {y!r}")

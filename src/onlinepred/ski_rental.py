@@ -24,6 +24,7 @@ then costs like a day rule; so every sampled score goes through `ski_cost` too.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -32,6 +33,19 @@ import numpy as np
 
 # lambda * b or b / lambda within this relative distance of an integer is that integer
 SNAP_TOLERANCE = 1e-12
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a ``value`` that is a bool, not an integer, or below ``least``.
+
+    The one count check of the package: instances, job models and sweep
+    configs all use it.  Plain ints skip the slower abstract-class check.
+    """
+    plain = type(value) is int
+    if not plain and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 class PolicyKind(Enum):
@@ -56,10 +70,8 @@ class SkiInstance:
     y: float
 
     def __post_init__(self):
-        if not isinstance(self.b, (int, np.integer)) or self.b < 2:
-            raise ValueError(f"buy cost b must be an integer >= 2, got {self.b!r}")
-        if not isinstance(self.x, (int, np.integer)) or self.x < 1:
-            raise ValueError(f"skiing days x must be an integer >= 1, got {self.x!r}")
+        _check_count("buy cost b", self.b, 2)
+        _check_count("skiing days x", self.x, 1)
         if not math.isfinite(self.y) or self.y < 0:
             raise ValueError(f"prediction y must be a finite real >= 0, got {self.y!r}")
 

@@ -19,7 +19,9 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from . import bounds
-from .scheduling import JobSet, prediction_error, prr, sjf_opt, spjf
+from .scheduling import (
+    JobSet, objectives, prediction_error, prr_batch, sequential_batch, sjf_opt, spjf,
+)
 from .ski_rental import PolicyKind, SkiPolicy, buy_day, ski_cost
 from .experiments import DEFAULT_SEED
 from .workloads import derived_rng
@@ -201,20 +203,31 @@ def check_jobset_families(
 
     SPJF ratio <= 1 + 2*eta/n; PRR ratio <= min((1/lam)(1 + 2*eta/n),
     2/(1-lam)); with perfect predictions, PRR ratio <= (1+lam)/(2*lam).  The
-    SJF optimum ignores predictions, so the perfect family reuses it.
+    SJF optimum ignores predictions, so the perfect family reuses it.  Job
+    sets are stacked by size; each size is one PRR kernel call over every
+    lambda, noisy and perfect.
     """
     sets = random_jobsets(count, seed)
     n = np.array([jobs.n for jobs in sets])
     eta, spjf_excess = np.empty(count), np.empty(count)
     prr_excess, perfect_excess = np.empty((count, len(lambdas))), np.empty((count, len(lambdas)))
-    for s, jobs in enumerate(sets):
-        opt = sjf_opt(jobs).objective
-        eta[s] = prediction_error(jobs)
-        spjf_excess[s] = spjf(jobs).objective / opt
-        perfect = jobs.with_predictions(jobs.lengths)
-        for k, lam in enumerate(lambdas):
-            prr_excess[s, k] = prr(jobs, lam).objective / opt
-            perfect_excess[s, k] = prr(perfect, lam).objective / opt
+    lam_rows = np.array(lambdas, dtype=float)
+    for size in sorted(set(n.tolist())):
+        ids = np.flatnonzero(n == size)
+        lengths = np.array([sets[s].lengths for s in ids])
+        predicted = np.array([sets[s].predicted for s in ids])
+        opt = objectives(sequential_batch(lengths, lengths))
+        eta[ids] = objectives(np.abs(lengths - predicted))
+        spjf_excess[ids] = objectives(sequential_batch(lengths, predicted)) / opt
+        # rows: every lambda on the noisy predictions, then on the perfect ones
+        per_lambda = (len(lambdas), 1)
+        completions, _ = prr_batch(
+            np.tile(lengths, (2 * len(lambdas), 1)),
+            np.concatenate([np.tile(predicted, per_lambda), np.tile(lengths, per_lambda)]),
+            np.tile(np.repeat(lam_rows, ids.size), 2),
+        )
+        noisy, perfect = objectives(completions).reshape(2, len(lambdas), ids.size) / opt
+        prr_excess[ids], perfect_excess[ids] = noisy.T, perfect.T
     # the excess arrays hold ratios until one bounds call per family and lambda
     spjf_excess -= bounds.spjf_bound(n, eta)
     for k, lam in enumerate(lambdas):
@@ -235,16 +248,16 @@ def check_jobset_families(
 def check_spjf_tightness() -> FamilyResult:
     """The equal-predictions family drives SPJF close to its guarantee.
 
-    n-1 unit jobs plus one of length 1+eps, all predicted 1; scheduling the
-    long job first (worst tie order) must reach at least ``safety`` of the
-    guarantee's excess 2(n-1)eta / (n(n+1)), with n, eps and safety the
-    TIGHTNESS_* constants.
+    One job of length 1+eps, then n-1 unit jobs, all predicted 1; ties run in
+    id order, so the long job runs first (the worst tie order) and must reach
+    at least ``safety`` of the guarantee's excess 2(n-1)eta / (n(n+1)), with
+    n, eps and safety the TIGHTNESS_* constants.
     """
     n, eps, safety = TIGHTNESS_N, TIGHTNESS_EPS, TIGHTNESS_SAFETY
-    lengths = [1.0] * (n - 1) + [1.0 + eps]
+    lengths = [1.0 + eps] + [1.0] * (n - 1)
     jobs = JobSet.from_lengths(lengths, [1.0] * n)
     opt = sjf_opt(jobs).objective
-    ratio = spjf(jobs, adversarial_ties=True).objective / opt
+    ratio = spjf(jobs).objective / opt
     eta = prediction_error(jobs)
     required = 1.0 + safety * 2.0 * (n - 1) * eta / (n * (n + 1))
     label = f"n={n} eps={eps} ratio={ratio:.9f} required>={required:.9f}"

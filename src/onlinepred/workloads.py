@@ -9,21 +9,12 @@ parallel without changing a single draw.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .scheduling import JobSet
-from .ski_rental import SkiInstance
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Reject a ``value`` that is a bool, not an integer, or below ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+from .ski_rental import SkiInstance, _check_count
 
 
 @dataclass(frozen=True)

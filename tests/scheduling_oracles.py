@@ -3,7 +3,9 @@
 The closed forms and the phase-by-phase simulation run in exact rational
 arithmetic.  ``run_rate_schedule`` is a generic float executor for any rate
 policy; it re-queries the policy after every completion, so it shares no
-bookkeeping with the event sweep in ``onlinepred.scheduling``.
+bookkeeping with the batched kernel in ``onlinepred.scheduling``.
+``prr_sweep`` is the one-job-set event sweep the kernel replaced, kept as a
+bit-exact reference: the kernel must reproduce its float operations.
 ``run_sorted`` replays a sequential rule over ``Job`` records in ``sorted``
 key order, with none of the argsort machinery of the real schedulers.
 """
@@ -93,6 +95,70 @@ def run_rate_schedule(jobs, rates):
         raise RuntimeError(f"executed work {executed!r} differs from total length {total!r}")
     ordered = [completions[j.id] for j in jobs.jobs]
     return ScheduleResult(np.array(ordered), sum(ordered), tuple(events))
+
+
+def prr_sweep(jobs, lam):
+    """Exact event sweep of the PRR rates for ``0 <= lam < 1``.
+
+    Every unfinished job that has never been favoured has received the same
+    work S, so those jobs finish in length order.  The favoured job keeps its
+    favour until it finishes (the unfinished set only shrinks), then hands it
+    to the next unfinished job in (prediction, id) order.  One pointer walks
+    each order, so an event costs O(1) apart from sorting its completions.
+    """
+    lengths = jobs.lengths.tolist()
+    n = len(lengths)
+    by_length = np.argsort(jobs.lengths, kind="stable").tolist()
+    by_pred = np.argsort(jobs.predicted, kind="stable").tolist()
+    gone = [False] * n  # finished, or the favoured job (no longer at progress S)
+    completions = [0.0] * n
+    events = []
+    t = common = extra = 0.0  # extra: favoured job's work beyond S
+    next_short = next_pred = 0
+    favoured = None
+    k = n
+    while k:
+        if favoured is None:
+            while gone[by_pred[next_pred]]:
+                next_pred += 1
+            favoured = by_pred[next_pred]
+            gone[favoured] = True
+            extra = 0.0
+        while next_short < n and gone[by_length[next_short]]:
+            next_short += 1
+        share = (1.0 - lam) * (1.0 / k)
+        boost = lam + share
+        fav_length = lengths[favoured]
+        dt = (fav_length - common - extra) / boost
+        if next_short < n:
+            dt = min(dt, (lengths[by_length[next_short]] - common) / share)
+
+        t += dt
+        common += share * dt
+        extra += lam * dt
+        done = []
+        if fav_length - common - extra <= COMPLETION_EPS * fav_length:
+            done.append(favoured)
+            favoured = None
+        pos = next_short
+        while pos < n:
+            i = by_length[pos]
+            pos += 1
+            if gone[i]:
+                continue
+            if lengths[i] - common > COMPLETION_EPS * lengths[i]:
+                break
+            gone[i] = True
+            done.append(i)
+        if not done:  # the job that set dt always crosses the threshold
+            raise RuntimeError("event advanced time without completing a job")
+        done.sort()
+        for i in done:
+            completions[i] = t
+        events.append((t, tuple(done)))
+        k -= len(done)
+
+    return ScheduleResult(np.array(completions), sum(completions, 0.0), tuple(events))
 
 
 def run_sorted(jobs, key):

@@ -321,6 +321,23 @@ def test_sweep_bytes_pinned(command, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEPS[command]
 
 
+# stdout sha256 at default sizes (and one large n), recorded from the per-job-set
+# event sweep before round-robin and PRR moved onto the batched kernel
+PINNED_FULL_SIZE = {
+    "sched-sweep": "56c1bd0e101693d3231ab8dc9325af3eec93fe5e5bf6299a599d5c69e872846b",
+    "sched-sweep --n 1000 --trials 20":
+        "b92be334b0e647dda248cc83445c0ac9e09aa7d031ae1ea5ffcf34095f0654b5",
+    "verify-bounds": "c17ddece1646e7296d6b65336f429138a8d1b3c5ce0bf6bea86fc257b6b87b0a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_FULL_SIZE))
+def test_full_size_bytes_pinned(command, capsys):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_FULL_SIZE[command]
+
+
 class TestSchedSweepCommand:
     def test_default_algorithms_present(self, capsys):
         code, out, _ = run_cli(

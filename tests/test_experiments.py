@@ -191,6 +191,38 @@ class TestSchedulingSweep:
         parallel = run_scheduling_sweep(small_sched_config(jobs=workers, **cfg))
         assert_same_reports(serial, parallel)
 
+    @pytest.mark.parametrize("fixed", [False, True], ids=["drawn-jobs", "fixed-jobs"])
+    def test_block_split_changes_no_bit(self, monkeypatch, fixed):
+        cfg = small_sched_config(trials=23, fixed_jobs=fixed, sigma_grid=(0.0, 5.0, 40.0))
+        lo, groups = 3, len(cfg.sigma_grid) + 1  # a round-robin row group, then one per sigma
+        trials = cfg.trials - lo
+        assert experiments.KERNEL_ENTRIES >= trials * groups * cfg.n
+        calls = []
+
+        def recording_kernel(lengths, predicted, lam):
+            calls.append(lengths.shape)
+            return kernel(lengths, predicted, lam)
+
+        kernel = experiments.prr_batch
+        monkeypatch.setattr(experiments, "prr_batch", recording_kernel)
+        whole = experiments._sched_trials(cfg, lo, cfg.trials)
+        assert calls == [(groups * trials, cfg.n)]
+        # (entries, kernel calls): one trial and one row group per call, two
+        # row groups per call, one trial per call, four trials per call
+        for entries, count in [
+            (1, groups * trials),
+            (2 * cfg.n, 2 * trials),
+            (groups * cfg.n, trials),
+            (4 * groups * cfg.n + 5, math.ceil(trials / 4)),
+        ]:
+            monkeypatch.setattr(experiments, "KERNEL_ENTRIES", entries)
+            calls.clear()
+            split = experiments._sched_trials(cfg, lo, cfg.trials)
+            for a, b in zip(whole, split):
+                assert a.tobytes() == b.tobytes()
+            assert len(calls) == count
+            assert all(rows * n <= max(entries, n) for rows, n in calls)
+
     def test_one_worker_per_trial_at_most(self, monkeypatch):
         started = []
 

@@ -20,15 +20,19 @@ from hypothesis import strategies as st
 from onlinepred.bounds import prr_perfect_bound, spjf_bound
 from onlinepred.scheduling import (
     JobSet,
+    objectives,
     prediction_error,
     prr,
+    prr_batch,
     round_robin,
+    sequential_batch,
     sjf_opt,
     spjf,
 )
 from scheduling_oracles import (
     prr_exact_rational,
     prr_rates,
+    prr_sweep,
     prr_two_job_formula,
     rr_closed_form,
     rr_rates,
@@ -92,14 +96,13 @@ class TestSequential:
             jobs = JobSet.from_lengths(lengths)
             assert spjf(jobs).objective == sjf_opt(jobs).objective
 
-    def test_spjf_tie_break_flags(self):
-        # three unit jobs plus a long one, all predicted equal
-        jobs = JobSet.from_lengths([1, 1, 1, 1.5], [1, 1, 1, 1])
-        asc = spjf(jobs)
-        desc = spjf(jobs, adversarial_ties=True)
-        assert asc.completions[0] == 1.0  # id order: short jobs first
-        assert desc.completions[3] == 1.5  # long job scheduled first
-        assert desc.objective > asc.objective
+    def test_spjf_ties_run_in_id_order(self):
+        # a long job and three unit jobs, all predicted equal
+        short_first = spjf(JobSet.from_lengths([1, 1, 1, 1.5], [1, 1, 1, 1]))
+        long_first = spjf(JobSet.from_lengths([1.5, 1, 1, 1], [1, 1, 1, 1]))
+        assert short_first.completions.tolist() == [1.0, 2.0, 3.0, 4.5]
+        assert long_first.completions.tolist() == [1.5, 2.5, 3.5, 4.5]
+        assert long_first.objective > short_first.objective
 
 
 class TestExecutor:
@@ -256,15 +259,97 @@ class TestSequentialReference:
     def test_rules_match_sorted_replay_bit_for_bit(self, jobs):
         assert_identical(sjf_opt(jobs), run_sorted(jobs, key=lambda j: (j.length, j.id)))
         assert_identical(spjf(jobs), run_sorted(jobs, key=lambda j: (j.predicted, j.id)))
-        assert_identical(
-            spjf(jobs, adversarial_ties=True),
-            run_sorted(jobs, key=lambda j: (j.predicted, -j.id)),
-        )
 
     def test_signed_zero_predictions_tie(self):
         jobs = JobSet.from_lengths([3, 2, 1], [0.0, -0.0, 0.0])
         assert [ids for _, ids in spjf(jobs).events] == [(0,), (1,), (2,)]
-        assert [ids for _, ids in spjf(jobs, adversarial_ties=True).events] == [(2,), (1,), (0,)]
+
+
+@st.composite
+def stacked_job_sets(draw):
+    """1-6 rows of n <= 25 jobs from small pools, so lengths and predictions
+    tie within and across rows; predictions include +0.0, -0.0 and negative
+    values, and each row gets lambda = 0 (round-robin) or one in (0, 1)."""
+    n, rows = draw(st.integers(1, 25)), draw(st.integers(1, 6))
+    length_pool = draw(st.lists(st.floats(1.0, 1e6), min_size=1, max_size=4))
+    pred_pool = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-1e6, 1e6)),
+        min_size=1, max_size=4,
+    ))
+
+    def table(pool):
+        return [draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)) for _ in range(rows)]
+
+    lams = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        min_size=rows, max_size=rows,
+    ))
+    return np.array(table(length_pool)), np.array(table(pred_pool)), np.array(lams)
+
+
+def event_groups(event_index):
+    """Job ids grouped by event, in event order, as an event log lists them."""
+    return [tuple(np.flatnonzero(event_index == e).tolist()) for e in range(event_index.max() + 1)]
+
+
+class TestBatchedKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(stacked=stacked_job_sets())
+    def test_rows_match_reference_sweep_bit_for_bit(self, stacked):
+        lengths, predicted, lams = stacked
+        completions, event_index = prr_batch(lengths, predicted, lams)
+        totals = objectives(completions)
+        for r, lam in enumerate(lams.tolist()):
+            want = prr_sweep(JobSet.from_lengths(lengths[r], predicted[r]), lam)
+            assert completions[r].tobytes() == want.completions.tobytes()
+            assert totals[r] == want.objective
+            assert event_groups(event_index[r]) == [ids for _, ids in want.events]
+            alone, alone_events = prr_batch(lengths[r:r + 1], predicted[r:r + 1], lam)
+            assert alone.tobytes() == completions[r:r + 1].tobytes()
+            assert alone_events.tobytes() == event_index[r:r + 1].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(jobs=tied_job_sets(), lam=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_schedulers_are_one_row_calls(self, jobs, lam):
+        assert_identical(prr(jobs, lam), prr_sweep(jobs, lam))
+        assert_identical(round_robin(jobs), prr_sweep(jobs, 0.0))
+
+    def test_scalar_lambda_broadcasts(self):
+        lengths = np.array([[2.0, 1.0, 3.0], [1.0, 1.0, 4.0]])
+        predicted = np.array([[3.0, 2.0, 1.0], [0.0, -0.0, 5.0]])
+        per_row, _ = prr_batch(lengths, predicted, [0.4, 0.4])
+        scalar, _ = prr_batch(lengths, predicted, 0.4)
+        assert per_row.tobytes() == scalar.tobytes()
+
+    def test_sequential_batch_matches_rules(self):
+        rng = np.random.default_rng(4)
+        lengths = np.round(1 + rng.pareto(1.1, (30, 9)))
+        predicted = np.round(lengths + rng.normal(0, 3, lengths.shape))
+        opt = objectives(sequential_batch(lengths, lengths))
+        by_pred = objectives(sequential_batch(lengths, predicted))
+        for r in range(30):
+            jobs = JobSet.from_lengths(lengths[r], predicted[r])
+            assert opt[r] == sjf_opt(jobs).objective
+            assert by_pred[r] == spjf(jobs).objective
+
+    @pytest.mark.parametrize(
+        "lengths, predicted, lam, message",
+        [
+            ([[1.0, 2.0]], [[1.0, 2.0]], 1.0, "lambda must lie in"),
+            ([[1.0, 2.0]], [[1.0, 2.0]], [0.5, 0.5], "one value per row"),
+            ([[1.0, 2.0]], [[1.0, 2.0]], -0.1, "lambda must lie in"),
+            ([[1.0, 2.0]], [[1.0, 2.0]], math.nan, "lambda must lie in"),
+            ([1.0, 2.0], [1.0, 2.0], 0.5, "arrays with n >= 1"),
+            ([[1.0, 2.0]], [[1.0]], 0.5, "arrays with n >= 1"),
+            (np.empty((2, 0)), np.empty((2, 0)), 0.5, "arrays with n >= 1"),
+            ([[1.0, 0.5]], [[1.0, 2.0]], 0.5, "job length must be finite and >= 1"),
+            ([[1.0, math.inf]], [[1.0, 2.0]], 0.5, "job length must be finite and >= 1"),
+            ([[1.0, 2.0]], [[1.0, math.nan]], 0.5, "predicted length must be finite"),
+        ],
+    )
+    def test_rejects_bad_input(self, lengths, predicted, lam, message):
+        with pytest.raises(ValueError, match=message):
+            prr_batch(lengths, predicted, lam)
 
 
 class TestMonotonicity:

@@ -103,6 +103,11 @@ class TestDecompose:
             with pytest.raises(ValueError):
                 DemandInstance(b, (1,) * 5, (1.0,) * 5)
 
+    @pytest.mark.parametrize("demand", [(True, 2), (1, False), (1, 2.0)])
+    def test_non_integer_daily_demand_rejected(self, demand):
+        with pytest.raises(ValueError, match="daily demand must be an integer"):
+            DemandInstance(10, demand, (1.0, 1.0))
+
     def test_active_day_conservation(self):
         rng = np.random.default_rng(8)
         for _ in range(100):

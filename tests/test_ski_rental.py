@@ -136,6 +136,11 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             SkiInstance(10, 5, math.inf)
 
+    @pytest.mark.parametrize("b, x", [(True, 5), (10, True), (10, False), (10, 5.0), (10.0, 5)])
+    def test_rejects_bools_and_floats_as_counts(self, b, x):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SkiInstance(b, x, 5.0)
+
     def test_error_is_absolute(self):
         assert SkiInstance(10, 5, 8.0).error == 3.0
         assert SkiInstance(10, 5, 2.0).error == 3.0

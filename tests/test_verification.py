@@ -1,7 +1,6 @@
 """The shared excess fold and its fail-closed handling of NaN."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -80,9 +79,10 @@ class TestFailsClosed:
         assert math.isnan(result.worst_excess)
 
     def test_nan_objective_fails_prr_families(self, monkeypatch):
-        monkeypatch.setattr(
-            verification, "prr", lambda jobs, lam: SimpleNamespace(objective=math.nan)
-        )
+        def nan_kernel(lengths, predicted, lam):
+            return np.full(np.shape(lengths), math.nan), np.zeros(np.shape(lengths), dtype=int)
+
+        monkeypatch.setattr(verification, "prr_batch", nan_kernel)
         spjf_family, *prr_families = check_jobset_families(count=20, lambdas=(0.5,))
         assert spjf_family.passed
         for result in prr_families:
