@@ -54,6 +54,7 @@ from .ski_rental import (
 from .workloads import (
     ParetoJobModel,
     derived_rng,
+    derived_rngs,
     gen_pareto_jobs,
     gen_ski_instance,
 )

@@ -29,7 +29,9 @@ import numpy as np
 from . import bounds
 from .scheduling import objectives, prr_batch, sequential_batch
 from .ski_rental import PolicyKind, SkiPolicy, _check_count, ski_cost
-from .workloads import ParetoJobModel, derived_rng, gen_pareto_jobs, gen_ski_instance
+from .workloads import (
+    ParetoJobModel, derived_rng, derived_rngs, gen_pareto_jobs, gen_ski_instance,
+)
 
 DEFAULT_SEED = 271828
 LAMBDA_RAND_DEFAULT = math.log(1.5)
@@ -165,8 +167,7 @@ def _ski_trials(config: SkiSweepConfig, lo: int, hi: int):
     k-th uniform, so two entrants that share a policy still draw apart.
     """
     xs, draws, sampled = [], [], config.sampled
-    for t in range(lo, hi):
-        rng = derived_rng(config.seed, t)
+    for rng in derived_rngs(config.seed, range(lo, hi)):
         xs.append(gen_ski_instance(config.b, rng).x)
         draws.append((rng.standard_normal(), *(rng.random(2) if sampled else ())))
     xs, (zs, *us) = np.array(xs, dtype=np.int64), np.array(draws).T
@@ -225,8 +226,7 @@ def _sched_block(config: SchedSweepConfig, fixed: Optional[np.ndarray], lo: int,
     """
     model = ParetoJobModel(alpha=config.alpha, n=config.n)
     lengths, directions = [], []
-    for t in range(lo, hi):
-        rng = derived_rng(config.seed, t)
+    for rng in derived_rngs(config.seed, range(lo, hi)):
         lengths.append(fixed if fixed is not None else gen_pareto_jobs(model, rng).lengths)
         directions.append(rng.standard_normal(config.n))
     lengths, directions = np.array(lengths), np.array(directions)

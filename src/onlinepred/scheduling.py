@@ -50,6 +50,13 @@ def _require(ok: np.ndarray, values: np.ndarray, message: str) -> None:
         raise ValueError(f"{message}, got {float(values[np.argmin(ok)])!r}")
 
 
+def _require_jobs(lengths: np.ndarray, predicted: np.ndarray) -> None:
+    """The checks on any array of jobs: lengths finite and >= 1, predictions finite."""
+    lengths, predicted = lengths.ravel(), predicted.ravel()
+    _require(np.isfinite(lengths) & (lengths >= 1), lengths, "job length must be finite and >= 1")
+    _require(np.isfinite(predicted), predicted, "predicted length must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class JobSet:
     """True and predicted lengths of n >= 1 jobs; job i is column i."""
@@ -63,9 +70,7 @@ class JobSet:
             raise ValueError("lengths and predictions must have equal length")
         if lengths.size < 1:
             raise ValueError("a JobSet needs at least one job")
-        valid = np.isfinite(lengths) & (lengths >= 1)
-        _require(valid, lengths, "job length must be finite and >= 1")
-        _require(np.isfinite(predicted), predicted, "predicted length must be finite")
+        _require_jobs(lengths, predicted)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "predicted", predicted)
 
@@ -174,9 +179,7 @@ def prr_batch(lengths, predicted, lam) -> Tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"lambda must be a scalar or one value per row, got shape {lam.shape}")
     lam = np.broadcast_to(lam, (rows_total,)).copy()
     _require((lam >= 0) & (lam < 1), lam, "combination parameter lambda must lie in [0, 1)")
-    valid = np.isfinite(lengths) & (lengths >= 1)
-    _require(valid.ravel(), lengths.ravel(), "job length must be finite and >= 1")
-    _require(np.isfinite(predicted).ravel(), predicted.ravel(), "predicted length must be finite")
+    _require_jobs(lengths, predicted)
 
     # Per row: both stable orders, the lengths in length order and, at each
     # position of one order, that job's position in the other order.  Every

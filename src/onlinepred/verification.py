@@ -20,11 +20,12 @@ import numpy as np
 
 from . import bounds
 from .scheduling import (
-    JobSet, objectives, prediction_error, prr_batch, sequential_batch, sjf_opt, spjf,
+    JobSet, _require_jobs, objectives, prediction_error, prr_batch, sequential_batch, sjf_opt,
+    spjf,
 )
 from .ski_rental import PolicyKind, SkiPolicy, buy_day, ski_cost
 from .experiments import DEFAULT_SEED
-from .workloads import derived_rng
+from .workloads import derived_rngs
 
 NINE_LAMBDAS = tuple(round(0.1 * i, 10) for i in range(1, 10))
 TOLERANCE = 1e-9
@@ -168,15 +169,17 @@ def check_classical_recovery(b_max: int = 50) -> FamilyResult:
     return _fold("classical-recovery", TOLERANCE, [(excesses, labels.__getitem__)])
 
 
-def random_jobsets(count: int, seed: int) -> List[JobSet]:
+def random_jobsets(count: int, seed: int) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Seeded job sets of 1..8 jobs with lengths in [1, 10] and assorted prediction styles.
 
-    Prediction modes rotate by index: perfect, mild noise, heavy noise,
-    unrelated uniform (may be negative), and fully reversed order.
+    Set s draws from ``derived_rng(seed, s)``.  Prediction modes rotate by
+    index: perfect, mild noise, heavy noise, unrelated uniform (may be
+    negative), and fully reversed order.  The sets come stacked by size, as
+    one (set indices, lengths, predictions) triple per size in ascending
+    order, each stack checked as a JobSet checks its jobs.
     """
-    sets = []
-    for s in range(count):
-        rng = derived_rng(seed, s)
+    by_size: Dict[int, list] = {}
+    for s, rng in enumerate(derived_rngs(seed, range(count))):
         n = int(rng.integers(1, 9))
         lengths = rng.uniform(1.0, 10.0, n)
         mode = s % 5
@@ -190,8 +193,13 @@ def random_jobsets(count: int, seed: int) -> List[JobSet]:
             preds = rng.uniform(-5.0, 15.0, n)
         else:
             preds = -lengths
-        sets.append(JobSet.from_lengths(lengths, preds))
-    return sets
+        by_size.setdefault(n, []).append((s, lengths, preds))
+    stacks = []
+    for size in sorted(by_size):
+        ids, lengths, preds = (np.array(column) for column in zip(*by_size[size]))
+        _require_jobs(lengths, preds)
+        stacks.append((ids, lengths, preds))
+    return stacks
 
 
 def check_jobset_families(
@@ -203,19 +211,16 @@ def check_jobset_families(
 
     SPJF ratio <= 1 + 2*eta/n; PRR ratio <= min((1/lam)(1 + 2*eta/n),
     2/(1-lam)); with perfect predictions, PRR ratio <= (1+lam)/(2*lam).  The
-    SJF optimum ignores predictions, so the perfect family reuses it.  Job
-    sets are stacked by size; each size is one PRR kernel call over every
-    lambda, noisy and perfect.
+    SJF optimum ignores predictions, so the perfect family reuses it.  Each
+    stack of equal-size job sets is one PRR kernel call over every lambda,
+    noisy and perfect.
     """
-    sets = random_jobsets(count, seed)
-    n = np.array([jobs.n for jobs in sets])
+    n = np.empty(count, dtype=np.int64)
     eta, spjf_excess = np.empty(count), np.empty(count)
     prr_excess, perfect_excess = np.empty((count, len(lambdas))), np.empty((count, len(lambdas)))
     lam_rows = np.array(lambdas, dtype=float)
-    for size in sorted(set(n.tolist())):
-        ids = np.flatnonzero(n == size)
-        lengths = np.array([sets[s].lengths for s in ids])
-        predicted = np.array([sets[s].predicted for s in ids])
+    for ids, lengths, predicted in random_jobsets(count, seed):
+        n[ids] = lengths.shape[1]
         opt = objectives(sequential_batch(lengths, lengths))
         eta[ids] = objectives(np.abs(lengths - predicted))
         spjf_excess[ids] = objectives(sequential_batch(lengths, predicted)) / opt

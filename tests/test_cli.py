@@ -311,6 +311,18 @@ PINNED_SWEEPS = {
         "3bc61e534d393187ca34b9be36745d9c3e28d00c4f8571a1ac8ac54fbb9d802b",
     "sched-sweep --n 20 --trials 15 --seed 5 --fixed-jobs --format json":
         "45d52ae45859ba3a00ce04e0129188e2d45c824360e7ed717a5323ddeaa982ce",
+    # master seeds of two and five uint32 words (2^32 and 2^130), recorded from
+    # numpy's SeedSequence one trial at a time before trials were seeded in batches
+    "ski-sweep --b 20 --trials 300 --seed 4294967296":
+        "c87e8de27ebd929d8449102b9f89b1a66b7ad2327a6879235a2f284db492261a",
+    "ski-sweep --b 20 --trials 300 --seed 1361129467683753853853498429727072845824":
+        "ee33cb8aa7e5e00d1c9106f3d022b5f1378f63fde8e91ed7dda057d237cf9fb1",
+    "ski-sweep --b 20 --trials 300 --seed 1361129467683753853853498429727072845824 --sampled":
+        "23d47560826163e19349b091998ae9f75770f0777070868791a093645e230022",
+    "sched-sweep --n 20 --trials 15 --seed 4294967296":
+        "01b30aa42aaabd89f1dee0748ee638b2781813e219070347349ea1fcf1d584cd",
+    "verify-bounds --grid-density tiny --seed 4294967296":
+        "d2c56ee38bd07430d5f3f725ed38a97032b389883ed46f3cecc2581a77f4d1c9",
 }
 
 

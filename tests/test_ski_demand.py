@@ -22,7 +22,7 @@ from onlinepred.ski_demand import (
     demand_opt_levels,
 )
 from onlinepred.ski_rental import PolicyKind, SkiInstance, SkiPolicy, policy_cost
-from onlinepred.workloads import derived_rng
+from onlinepred.workloads import derived_rngs
 
 
 def brute_force_opt(b, demand):
@@ -230,7 +230,7 @@ class TestAlgorithmCost:
         policy = SkiPolicy(PolicyKind.RANDOMIZED, 0.8)
         exact = demand_algorithm_cost(inst, policy)
         samples = [
-            demand_algorithm_cost(inst, policy, derived_rng(17, t)) for t in range(20000)
+            demand_algorithm_cost(inst, policy, rng) for rng in derived_rngs(17, range(20000))
         ]
         se = np.std(samples) / np.sqrt(len(samples))
         assert abs(np.mean(samples) - exact) < 3 * se
@@ -242,8 +242,7 @@ class TestAlgorithmCost:
         policy = SkiPolicy(PolicyKind.RANDOMIZED, lam)
         opt = demand_opt(inst)
         ratios = [
-            demand_algorithm_cost(inst, policy, derived_rng(23, t)) / opt
-            for t in range(10000)
+            demand_algorithm_cost(inst, policy, rng) / opt for rng in derived_rngs(23, range(10000))
         ]
         assert np.mean(ratios) <= rand_consistency(lam) + 0.01
 

@@ -1,19 +1,23 @@
-"""The shared excess fold and its fail-closed handling of NaN."""
+"""The shared excess fold, its fail-closed handling of NaN, and the job-set draws."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onlinepred import cli, verification
+from onlinepred.scheduling import JobSet
 from onlinepred.ski_rental import PolicyKind, ski_cost
 from onlinepred.verification import (
     TOLERANCE,
     _fold,
     check_det_ski_guarantee,
     check_jobset_families,
+    random_jobsets,
 )
+from onlinepred.workloads import derived_rng
 
 # ties, values on either side of the tolerance, infinities and NaN
 VALUES = [-1.0, -math.inf, 0.0, 5e-10, 1e-9, 2e-9, 1.0, math.inf, math.nan]
@@ -95,3 +99,55 @@ class TestFailsClosed:
         code = cli.main(["verify-bounds", "--grid-density", "tiny"])
         assert code == cli.EXIT_VIOLATION == 3
         assert "OVERALL: FAIL" in capsys.readouterr().out
+
+
+def one_jobset(seed, s):
+    """Job set s drawn on its own from derived_rng(seed, s), in the stacks' draw order."""
+    rng = derived_rng(seed, s)
+    n = int(rng.integers(1, 9))
+    lengths = rng.uniform(1.0, 10.0, n)
+    preds = [
+        lambda: lengths,
+        lambda: lengths + rng.normal(0.0, 0.5, n),
+        lambda: lengths + rng.normal(0.0, 5.0, n),
+        lambda: rng.uniform(-5.0, 15.0, n),
+        lambda: -lengths,
+    ][s % 5]()
+    return JobSet.from_lengths(lengths, preds)
+
+
+class TestRandomJobsets:
+    def test_stacks_hold_every_set_once_by_ascending_size(self):
+        stacks = random_jobsets(300, 11)
+        sizes = [lengths.shape[1] for _, lengths, _ in stacks]
+        assert sizes == sorted(set(sizes))
+        assert sorted(np.concatenate([ids for ids, _, _ in stacks]).tolist()) == list(range(300))
+        for ids, lengths, preds in stacks:
+            assert np.all(np.diff(ids) > 0)
+            for row, s in enumerate(ids.tolist()):
+                jobs = one_jobset(11, s)
+                assert np.array_equal(lengths[row], jobs.lengths)
+                assert np.array_equal(preds[row], jobs.predicted)
+
+    @pytest.mark.parametrize(
+        "draw, bad, message",
+        [
+            ("uniform", lambda low, high, size: np.full(size, 0.5), "job length"),
+            ("normal", lambda loc, scale, size: np.full(size, math.nan), "predicted length"),
+        ],
+        ids=["length-below-one", "nan-prediction"],
+    )
+    def test_stacks_are_checked_like_jobsets(self, monkeypatch, draw, bad, message):
+        class Faulty:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return bad if name == draw else getattr(self.rng, name)
+
+        streams = verification.derived_rngs
+        monkeypatch.setattr(
+            verification, "derived_rngs", lambda seed, keys: map(Faulty, streams(seed, keys))
+        )
+        with pytest.raises(ValueError, match=message):
+            random_jobsets(10, 3)

@@ -1,13 +1,18 @@
 """Generator tests: ranges, moments, determinism, seed-stream separation."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onlinepred.workloads import (
     ParetoJobModel,
     derived_rng,
+    derived_rngs,
     gen_pareto_jobs,
     gen_ski_instance,
 )
@@ -92,3 +97,69 @@ class TestDerivedStreams:
         a = derived_rng(7, 1, 2).standard_normal()
         b = derived_rng(7, 2, 1).standard_normal()
         assert a != b
+
+
+# master seeds at every word-count boundary, up to entropy longer than the pool
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 - 1, 2**128, 2**130,
+              2**256 - 1)
+KEYS = st.integers(0, 2**32 - 1)
+
+
+class TestBatchedStreams:
+    """derived_rngs against numpy's own SeedSequence, one key at a time."""
+
+    @staticmethod
+    def assert_matches_reference(seed, keys):
+        got = list(derived_rngs(seed, keys))
+        assert len(got) == len(keys)
+        for key, rng in zip(keys, got):
+            ref = derived_rng(seed, key)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.integers(0, 2**63) == ref.integers(0, 2**63)
+            assert rng.standard_normal() == ref.standard_normal()
+            assert rng.random() == ref.random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**256)),
+        st.lists(st.one_of(st.sampled_from((0, 2**32 - 1)), KEYS), max_size=6),
+    )
+    def test_matches_seed_sequence(self, seed, keys):
+        self.assert_matches_reference(seed, keys)
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS, ids=lambda seed: f"{seed.bit_length()}-bit")
+    def test_edge_seeds_and_keys(self, seed):
+        self.assert_matches_reference(seed, [0, 1, 2**31, 2**32 - 1])
+
+    def test_chunk_boundaries_keep_key_order(self):
+        keys = range(4090, 4100)  # straddles the first chunk of 4096 keys
+        got = [rng.random() for rng in derived_rngs(271828, range(4100))][4090:]
+        assert got == [derived_rng(271828, k).random() for k in keys]
+
+    def test_empty_keys_yield_nothing(self):
+        assert list(derived_rngs(5, [])) == []
+        assert list(derived_rngs(5, range(0))) == []
+        assert list(derived_rngs(5, np.array([], dtype=np.int64))) == []
+
+    @pytest.mark.parametrize(
+        "keys",
+        [[-1], [2**32], [0, 2**40], [1.5], np.array([0.0]), [True], [2**70], [[1, 2]]],
+    )
+    def test_rejects_keys_outside_one_word(self, keys):
+        with pytest.raises(ValueError):
+            derived_rngs(5, keys)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError):
+            derived_rngs(-1, [0])
+
+
+def test_package_import_leaves_numpy_random_unloaded(package_env):
+    # numpy.random loads on first use, not while the package and its CLI
+    # parser are set up, so start-up cost excludes it
+    code = (
+        "import sys, onlinepred, onlinepred.cli; onlinepred.cli.build_parser(); "
+        "sys.exit('numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
