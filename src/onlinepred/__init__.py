@@ -51,12 +51,6 @@ from .ski_rental import (
     ski_cost,
     ski_opt,
 )
-from .workloads import (
-    ParetoJobModel,
-    derived_rng,
-    derived_rngs,
-    gen_pareto_jobs,
-    gen_ski_instance,
-)
+from .workloads import derived_rngs, gen_pareto_lengths, gen_ski_days
 
 __version__ = "0.1.0"

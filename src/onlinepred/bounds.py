@@ -3,7 +3,7 @@
 These expressions are the proven guarantees for the decision rules in
 `ski_rental` and `scheduling`; the simulators never use them, which keeps
 them usable as independent oracles.  Robustness is the error-independent
-ceiling, consistency is the value at zero prediction error.  The four
+ceiling, consistency is the value at zero prediction error.  The five
 per-instance bounds also take numpy arrays for eta, opt and n (lambda and b
 stay scalars); they reject a NaN opt or n, and the ski bounds a NaN eta.
 """
@@ -47,23 +47,31 @@ def rand_consistency(lam: float) -> float:
     return lam / (1.0 - math.exp(-lam))
 
 
-def det_ski_bound(lam: float, eta, opt):
-    """Per-instance guarantee of the deterministic rule at error eta."""
-    if not 0 < lam < 1:
-        raise ValueError(f"lambda must lie in (0, 1) for the error term, got {lam!r}")
+def _check_ski_instance(eta, opt) -> None:
+    """Reject an opt below 1 or an eta below 0, NaN included."""
     if not np.all(opt >= 1):
         raise ValueError(f"opt must be >= 1, got {opt!r}")
     if not np.all(eta >= 0):
         raise ValueError(f"eta must be >= 0, got {eta!r}")
+
+
+def naive_ski_bound(eta, opt):
+    """Per-instance guarantee of the naive rule: cost <= OPT + eta, a ratio of 1 + eta/OPT."""
+    _check_ski_instance(eta, opt)
+    return 1.0 + eta / opt
+
+
+def det_ski_bound(lam: float, eta, opt):
+    """Per-instance guarantee of the deterministic rule at error eta."""
+    if not 0 < lam < 1:
+        raise ValueError(f"lambda must lie in (0, 1) for the error term, got {lam!r}")
+    _check_ski_instance(eta, opt)
     return np.minimum(det_robustness(lam), det_consistency(lam) + eta / ((1.0 - lam) * opt))
 
 
 def rand_ski_bound(b: int, lam: float, eta, opt):
     """Per-instance guarantee of the randomized rule at error eta."""
-    if not np.all(opt >= 1):
-        raise ValueError(f"opt must be >= 1, got {opt!r}")
-    if not np.all(eta >= 0):
-        raise ValueError(f"eta must be >= 0, got {eta!r}")
+    _check_ski_instance(eta, opt)
     return np.minimum(rand_robustness(b, lam), rand_consistency(lam) * (1.0 + eta / opt))
 
 

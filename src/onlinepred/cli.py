@@ -57,6 +57,7 @@ SIGMA_GRID_MAX_POINTS = 10_001
 # far below the printed 6 decimals.  Supports reach m = ceil(b / lambda) < b**2,
 # 10**12 days at B_MAX, still exact in float64 (below 2**53).
 B_MAX = 1_000_000
+X_MAX = 2**53  # skiing days of a trace: the largest count a float64 cost holds exactly
 JOBS_MAX = 64  # worker processes; the pool starts them all at once
 N_MAX = 100_000  # jobs per set: 16 B per job (two float64 arrays)
 TRIALS_MAX = 1_000_000
@@ -114,7 +115,8 @@ def _parse_sigma_grid(text: str) -> List[float]:
         v = start + i * step
         if v > stop + 1e-9 * max(1.0, step):
             break
-        grid.append(v)
+        if not grid or v > grid[-1]:  # a step below the float spacing repeats a point
+            grid.append(v)
     return grid
 
 
@@ -359,6 +361,7 @@ def cmd_trace_ski(args: argparse.Namespace) -> int:
             raise UsageError(f"algorithm {args.algo!r} requires --lambda")
         lam = args.lam
     _check_limit("b", args.b, B_MAX)
+    _check_limit("x", args.x, X_MAX)
     policy = SkiPolicy(kind, lam)
     try:  # the instance checks b, x and y, the cost the rule's lambda range
         instance = SkiInstance(args.b, args.x, args.y)

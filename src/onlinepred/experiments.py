@@ -29,12 +29,13 @@ import numpy as np
 from . import bounds
 from .scheduling import objectives, prr_batch, sequential_batch
 from .ski_rental import PolicyKind, SkiPolicy, _check_count, ski_cost
-from .workloads import (
-    ParetoJobModel, derived_rng, derived_rngs, gen_pareto_jobs, gen_ski_instance,
-)
+from .workloads import derived_rngs, gen_pareto_lengths, gen_ski_days
 
 DEFAULT_SEED = 271828
 LAMBDA_RAND_DEFAULT = math.log(1.5)
+# Largest accepted noise level: truth + sigma * direction stays finite for
+# any direction a trial can draw, so every prediction passes the kernels.
+SIGMA_MAX = 1e300
 
 # Stream key for the job set in fixed-jobs mode; far above any trial index.
 _FIXED_JOBS_STREAM = 0x4A4F4253
@@ -54,8 +55,11 @@ def _check_sweep(config, default_grid: Tuple[float, ...]) -> None:
     _check_count("jobs", config.jobs, 1)
     _check_count("seed", config.seed, 0)
     grid = tuple(float(s) for s in config.sigma_grid) or default_grid
-    if not all(math.isfinite(s) and s >= 0 for s in grid):
-        raise ValueError("sigma grid entries must be finite and non-negative")
+    bad = [s for s in grid if not 0 <= s <= SIGMA_MAX]  # NaN fails too
+    if bad:
+        raise ValueError(
+            f"sigma grid entries must be finite and in [0, {SIGMA_MAX:g}], got {bad[0]!r}"
+        )
     if any(lo > hi for lo, hi in zip(grid, grid[1:])):
         raise ValueError("sigma grid must be ascending")
     object.__setattr__(config, "sigma_grid", grid)
@@ -107,7 +111,9 @@ class SchedSweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        ParetoJobModel(alpha=self.alpha, n=self.n)  # rejects a bad n, then alpha <= 1
+        _check_count("n", self.n, 1)
+        if not (math.isfinite(self.alpha) and self.alpha > 1):
+            raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha!r}")
         mean = self.alpha / (self.alpha - 1.0)
         _check_sweep(self, tuple(i * 2.0 * mean for i in range(11)))
         if not 0 < self.lambda_sched < 1:
@@ -162,13 +168,14 @@ def ski_sweep_algorithms(config: SkiSweepConfig) -> List[Tuple[str, SkiPolicy]]:
 def _ski_trials(config: SkiSweepConfig, lo: int, hi: int):
     """Optima, errors and ratios of ski trials lo..hi-1 at every grid point.
 
-    Each trial draws x days, a noise direction and, in sampled mode, one
-    uniform per randomized entrant: the k-th randomized entrant takes the
-    k-th uniform, so two entrants that share a policy still draw apart.
+    Each trial's ``derived_rngs`` generator draws x days, a noise direction
+    and, in sampled mode, one uniform per randomized entrant: the k-th
+    randomized entrant takes the k-th uniform, so two entrants that share a
+    policy still draw apart.
     """
     xs, draws, sampled = [], [], config.sampled
     for rng in derived_rngs(config.seed, range(lo, hi)):
-        xs.append(gen_ski_instance(config.b, rng).x)
+        xs.append(gen_ski_days(config.b, rng))
         draws.append((rng.standard_normal(), *(rng.random(2) if sampled else ())))
     xs, (zs, *us) = np.array(xs, dtype=np.int64), np.array(draws).T
 
@@ -203,8 +210,8 @@ def _sched_trials(config: SchedSweepConfig, lo: int, hi: int):
     """
     fixed = None
     if config.fixed_jobs:
-        model = ParetoJobModel(alpha=config.alpha, n=config.n)
-        fixed = gen_pareto_jobs(model, derived_rng(config.seed, _FIXED_JOBS_STREAM)).lengths
+        rng = next(derived_rngs(config.seed, [_FIXED_JOBS_STREAM]))
+        fixed = gen_pareto_lengths(config.alpha, config.n, rng)
     per_block = max(1, KERNEL_ENTRIES // ((len(config.sigma_grid) + 1) * config.n))
     parts = [
         _sched_block(config, fixed, start, min(start + per_block, hi))
@@ -216,18 +223,19 @@ def _sched_trials(config: SchedSweepConfig, lo: int, hi: int):
 def _sched_block(config: SchedSweepConfig, fixed: Optional[np.ndarray], lo: int, hi: int):
     """``_sched_trials`` for one block of T trials, in one kernel call.
 
-    Each trial draws its job set (unless the jobs are fixed) and noise
-    direction once.  Kernel rows come in groups of T, one per trial: first
+    Each trial's ``derived_rngs`` generator draws its job lengths (unless the
+    jobs are fixed) and noise direction once, straight into the kernel
+    arrays.  Kernel rows come in groups of T, one per trial: first
     round-robin at lambda = 0, scored once per trial since it ignores
     predictions (its group takes the sigma = 0 predictions, which are the
     lengths), then PRR at each sigma.  SPJF and the errors come from the same
     predictions.  Only when one trial's groups exceed KERNEL_ENTRIES do the
     groups take more than one call.
     """
-    model = ParetoJobModel(alpha=config.alpha, n=config.n)
     lengths, directions = [], []
     for rng in derived_rngs(config.seed, range(lo, hi)):
-        lengths.append(fixed if fixed is not None else gen_pareto_jobs(model, rng).lengths)
+        drawn = fixed if fixed is not None else gen_pareto_lengths(config.alpha, config.n, rng)
+        lengths.append(drawn)
         directions.append(rng.standard_normal(config.n))
     lengths, directions = np.array(lengths), np.array(directions)
     trials, n = lengths.shape

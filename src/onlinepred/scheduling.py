@@ -79,13 +79,6 @@ class JobSet:
         lengths = _frozen(lengths)
         return cls(lengths, lengths if predictions is None else predictions)
 
-    def with_predictions(self, predictions: Iterable[float]) -> "JobSet":
-        """The same jobs under new predictions; the lengths array is shared."""
-        predicted = _frozen(predictions)
-        if predicted.shape != self.lengths.shape:
-            raise ValueError("predictions must match the number of jobs")
-        return JobSet(self.lengths, predicted)
-
     @property
     def jobs(self) -> Tuple[Job, ...]:
         return tuple(map(Job, range(self.n), self.lengths.tolist(), self.predicted.tolist()))

@@ -38,7 +38,7 @@ SNAP_TOLERANCE = 1e-12
 def _check_count(name: str, value, least: int) -> None:
     """Reject a ``value`` that is a bool, not an integer, or below ``least``.
 
-    The one count check of the package: instances, job models and sweep
+    The one count check of the package: instances, demands and sweep
     configs all use it.  Plain ints skip the slower abstract-class check.
     """
     plain = type(value) is int

@@ -19,10 +19,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from . import bounds
-from .scheduling import (
-    JobSet, _require_jobs, objectives, prediction_error, prr_batch, sequential_batch, sjf_opt,
-    spjf,
-)
+from .scheduling import _require_jobs, objectives, prr_batch, sequential_batch
 from .ski_rental import PolicyKind, SkiPolicy, buy_day, ski_cost
 from .experiments import DEFAULT_SEED
 from .workloads import derived_rngs
@@ -135,7 +132,7 @@ def check_naive_lemma(b_max: int = 50) -> FamilyResult:
     """Naive rule: cost <= OPT + eta, a ratio of 1 + eta/OPT, on every instance of the grid."""
 
     def rule(b, lam):
-        return SkiPolicy(PolicyKind.NAIVE), lambda eta, opt: 1.0 + eta / opt
+        return SkiPolicy(PolicyKind.NAIVE), bounds.naive_ski_bound
 
     return _fold("naive-rule-additive-guarantee", TOLERANCE, _ski_grids(b_max, (None,), rule))
 
@@ -172,11 +169,12 @@ def check_classical_recovery(b_max: int = 50) -> FamilyResult:
 def random_jobsets(count: int, seed: int) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Seeded job sets of 1..8 jobs with lengths in [1, 10] and assorted prediction styles.
 
-    Set s draws from ``derived_rng(seed, s)``.  Prediction modes rotate by
-    index: perfect, mild noise, heavy noise, unrelated uniform (may be
-    negative), and fully reversed order.  The sets come stacked by size, as
-    one (set indices, lengths, predictions) triple per size in ascending
-    order, each stack checked as a JobSet checks its jobs.
+    Set s draws from generator s of ``derived_rngs(seed, range(count))``.
+    Prediction modes rotate by index: perfect, mild noise, heavy noise,
+    unrelated uniform (may be negative), and fully reversed order.  The sets
+    come stacked by size, as one (set indices, lengths, predictions) triple
+    per size in ascending order, each stack checked as a JobSet checks its
+    jobs.
     """
     by_size: Dict[int, list] = {}
     for s, rng in enumerate(derived_rngs(seed, range(count))):
@@ -259,11 +257,11 @@ def check_spjf_tightness() -> FamilyResult:
     n, eps and safety the TIGHTNESS_* constants.
     """
     n, eps, safety = TIGHTNESS_N, TIGHTNESS_EPS, TIGHTNESS_SAFETY
-    lengths = [1.0 + eps] + [1.0] * (n - 1)
-    jobs = JobSet.from_lengths(lengths, [1.0] * n)
-    opt = sjf_opt(jobs).objective
-    ratio = spjf(jobs).objective / opt
-    eta = prediction_error(jobs)
+    lengths = np.array([1.0 + eps] + [1.0] * (n - 1))
+    predicted = np.ones(n)
+    opt = objectives(sequential_batch(lengths, lengths))
+    ratio = objectives(sequential_batch(lengths, predicted)) / opt
+    eta = objectives(np.abs(lengths - predicted))
     required = 1.0 + safety * 2.0 * (n - 1) * eta / (n * (n + 1))
     label = f"n={n} eps={eps} ratio={ratio:.9f} required>={required:.9f}"
     return _fold("spjf-tightness-family", 0.0, [([required - ratio], lambda at: label)])

@@ -1,47 +1,21 @@
 """Synthetic workload generators: uniform ski demand and heavy-tailed job lengths.
 
 Reproducibility contract: every generator is a deterministic function of its
-arguments and the generator passed in; `derived_rng` builds per-trial streams
-by hashing (master seed, indices), so trials can run in any order or in
-parallel without changing a single draw.  `derived_rngs` is its batch form
-for one-word keys: it runs numpy's `SeedSequence` hash (O'Neill's seed_seq
-mixing) on uint32 arrays over a chunk of keys at once and yields the same
-generators, bit for bit, which the tests check against the installed numpy.
+arguments and the generator passed in, and checks none of them (the sweep
+configs do).  `derived_rngs` builds one stream per trial key by hashing
+(master seed, key), so trials can run in any order or in parallel without
+changing a single draw: it runs numpy's `SeedSequence` hash (O'Neill's
+seed_seq mixing) on uint32 arrays over a chunk of keys at once and yields the
+generators ``default_rng(SeedSequence((master_seed, key)))`` would, bit for
+bit, which the tests check against the installed numpy.
 """
 
 from __future__ import annotations
 
-import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List
 
 import numpy as np
-
-from .scheduling import JobSet
-from .ski_rental import SkiInstance, _check_count
-
-
-@dataclass(frozen=True)
-class ParetoJobModel:
-    """I.i.d. Pareto job lengths: survival (1/t)^alpha for t >= 1.
-
-    The shortest job is therefore never below one unit, matching the
-    normalization the schedulers assume.
-    """
-
-    alpha: float
-    n: int = 50
-
-    def __post_init__(self):
-        _check_count("n", self.n, 1)
-        if not (math.isfinite(self.alpha) and self.alpha > 1):
-            raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha!r}")
-
-
-def derived_rng(master_seed: int, *key: int) -> np.random.Generator:
-    """Generator for one trial: a deterministic hash of (master seed, key)."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, *key)))
 
 
 # numpy's SeedSequence constants: pool words, the two hash multiplier chains,
@@ -130,7 +104,7 @@ class _SeedState:
 
 
 def derived_rngs(master_seed: int, keys: Iterable[int]) -> Iterator[np.random.Generator]:
-    """``derived_rng(master_seed, key)`` for each key in order, bit for bit.
+    """``default_rng(SeedSequence((master_seed, key)))`` for each key in order, bit for bit.
 
     Keys must be integers in [0, 2^32); anything else raises ValueError here,
     not when iterated.  Generators come lazily, their seed states derived
@@ -155,14 +129,15 @@ def derived_rngs(master_seed: int, keys: Iterable[int]) -> Iterator[np.random.Ge
     )
 
 
-def gen_ski_instance(b: int, rng: np.random.Generator) -> SkiInstance:
-    """Ski instance with x uniform on {1..4b} and a perfect prediction y = x."""
-    if b < 2:
-        raise ValueError(f"b must be >= 2, got {b!r}")
-    x = int(rng.integers(1, 4 * b + 1))
-    return SkiInstance(b, x, float(x))
+def gen_ski_days(b: int, rng: np.random.Generator) -> int:
+    """Skiing days uniform on {1..4b}."""
+    return int(rng.integers(1, 4 * b + 1))
 
 
-def gen_pareto_jobs(model: ParetoJobModel, rng: np.random.Generator) -> JobSet:
-    """Job set with Pareto lengths; predictions start out perfect (y = x)."""
-    return JobSet.from_lengths(1.0 + rng.pareto(model.alpha, model.n))
+def gen_pareto_lengths(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n i.i.d. Pareto job lengths, survival (1/t)^alpha for t >= 1.
+
+    The shortest job is therefore never below one unit, matching the
+    normalization the schedulers assume.
+    """
+    return 1.0 + rng.pareto(alpha, n)

@@ -55,6 +55,14 @@ class TestRandomizedBound:
             bounds.rand_ski_bound(100, 0.005, 0.0, 1.0)
 
 
+class TestNaiveBound:
+    def test_cost_at_most_opt_plus_eta(self):
+        assert bounds.naive_ski_bound(0.0, 7.0) == 1.0
+        assert bounds.naive_ski_bound(5.0, 10.0) == 1.5
+        eta, opt = np.array([0.0, 3.0, 40.0]), np.array([1.0, 4.0, 10.0])
+        assert bounds.naive_ski_bound(eta, opt).tolist() == [1.0, 1.75, 5.0]
+
+
 class TestSchedulingBounds:
     @pytest.mark.parametrize(
         "n,eta,expected", [(50, 0.0, 1.0), (2, 2.0, 3.0), (50, 25.0, 2.0)]
@@ -92,6 +100,8 @@ class TestRejectsNan:
             lambda: bounds.rand_ski_bound(100, 0.5, 1.0, np.array([10.0, NAN])),
             lambda: bounds.spjf_bound(np.array([1.0, NAN]), np.zeros(2)),
             lambda: bounds.prr_bound(np.array([NAN, 3.0]), np.zeros(2), 0.5),
+            lambda: bounds.naive_ski_bound(NAN, 10.0),
+            lambda: bounds.naive_ski_bound(np.array([0.0, 1.0]), np.array([NAN, 2.0])),
         ],
     )
     def test_nan_input_raises(self, call):
@@ -105,6 +115,10 @@ class TestRejectsNan:
             bounds.rand_ski_bound(100, 0.5, np.array([0.0, -1.0]), 10.0)
         with pytest.raises(ValueError, match="n must be >= 1"):
             bounds.spjf_bound(np.array([2, 0]), np.zeros(2))
+        with pytest.raises(ValueError, match="opt must be >= 1"):
+            bounds.naive_ski_bound(0.0, np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="eta must be >= 0"):
+            bounds.naive_ski_bound(np.array([1.0, -1.0]), 2.0)
 
 
 def _bits(values) -> bytes:
@@ -131,6 +145,7 @@ class TestArrayForms:
         cases = [
             (bounds.det_ski_bound, (lam,), (eta, opt)),
             (bounds.rand_ski_bound, (b, lam), (eta, opt)),
+            (bounds.naive_ski_bound, (), (eta, opt)),
             (bounds.spjf_bound, (), (n, eta)),
         ]
         for fn, head, arrays in cases:

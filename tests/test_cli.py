@@ -170,6 +170,23 @@ class TestSkiSweepCommand:
             code, _, err = run_cli(capsys, "ski-sweep", "--sigma-grid", grid)
             assert code == EXIT_USAGE
 
+    def test_sigma_grid_below_float_spacing_has_no_duplicates(self, capsys):
+        # at 1e17 the float spacing is 16, so start + step rounds back to start
+        assert cli._parse_sigma_grid("1e17:1e17:1") == [1e17]
+        assert cli._parse_sigma_grid("1e17:1.0000000000000002e17:4") == [1e17, 1e17 + 16]
+        code, out, _ = run_cli(
+            capsys, "ski-sweep", "--b", "10", "--trials", "2", "--sigma-grid", "1e17:1e17:1"
+        )
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 1 + 4  # header + 4 algorithms at one sigma
+
+    def test_sigma_above_limit_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sched-sweep", "--trials", "2", "--sigma-grid", "1e308:1e308:1"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "1e+300" in err
+
     def test_oversized_sigma_grid_names_limit(self, tmp_path, capsys):
         # 10^15 points: rejected from the point count, before any list is built
         code, _, err = run_cli(capsys, "ski-sweep", "--sigma-grid", "0:1e9:1e-6")
@@ -431,6 +448,15 @@ class TestTraceCommand:
         )
         assert code == EXIT_OK, err
         assert "support_size: 5000000000" in out
+
+    def test_skiing_days_above_limit_names_it(self, capsys):
+        base = ("trace", "ski", "--b", "100", "--y", "5", "--algo", "naive")
+        code, out, err = run_cli(capsys, *base, "--x", str(2**64))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"limit of {2**53}" in err
+        code, out, _ = run_cli(capsys, *base, "--x", str(2**53))
+        assert code == EXIT_OK
+        assert f"cost: {float(2**53)}\n" in out  # y < b: rents every day, exactly
 
     def test_ski_missing_lambda(self, capsys):
         code, _, err = run_cli(

@@ -255,6 +255,11 @@ class TestSchedulingSweep:
         for bad in (dict(n=3.5), dict(n=True), dict(trials=2.5), dict(jobs=1.5)):
             with pytest.raises(ValueError, match="must be an integer"):
                 SchedSweepConfig(**bad)
+        for alpha in (1.0, 0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha must be finite and exceed 1"):
+                SchedSweepConfig(alpha=alpha)
+        with pytest.raises(ValueError, match="n must be >= 1"):  # n is checked before alpha
+            SchedSweepConfig(n=0, alpha=1.0)
 
 
 @pytest.mark.parametrize(
@@ -266,6 +271,19 @@ class TestSchedulingSweep:
 def test_non_finite_sigma_rejected(make_config, grid):
     with pytest.raises(ValueError, match="finite"):
         make_config(sigma_grid=grid)
+
+
+@pytest.mark.parametrize(
+    "make_config", [small_ski_config, small_sched_config], ids=["ski", "sched"]
+)
+def test_sigma_above_limit_rejected(make_config):
+    # truth + sigma * direction must stay finite; at 1e308 a sched sweep's
+    # predictions overflowed to inf inside the kernel
+    assert make_config(sigma_grid=(0.0, 1e300)).sigma_grid[-1] == 1e300
+    for grid in ((0.0, 1e301), (1e308,)):
+        with pytest.raises(ValueError, match=r"in \[0, 1e\+300\]"):
+            make_config(sigma_grid=grid)
+    assert experiments.SIGMA_MAX == 1e300
 
 
 class TestConfigTypes:

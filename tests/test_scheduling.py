@@ -465,9 +465,10 @@ class TestJobSetValidation:
         assert jobs.lengths.tolist() == [2.0, 1.0]
         assert source.flags.writeable
 
+    # new predictions for the same jobs go through the constructor
     def test_with_predictions_shares_lengths(self):
         jobs = JobSet.from_lengths([2.0, 1.0])
-        noisy = jobs.with_predictions(np.array([0.5, -4.0]))
+        noisy = JobSet(jobs.lengths, np.array([0.5, -4.0]))
         assert noisy.lengths is jobs.lengths
         assert noisy.predicted.tolist() == [0.5, -4.0]
         assert not noisy.predicted.flags.writeable
@@ -477,13 +478,13 @@ class TestJobSetValidation:
     def test_with_predictions_rejects_non_finite(self, bad):
         jobs = JobSet.from_lengths([2.0, 1.0])
         with pytest.raises(ValueError, match="predicted length must be finite"):
-            jobs.with_predictions([1.0, bad])
+            JobSet(jobs.lengths, [1.0, bad])
 
     @pytest.mark.parametrize("preds", [[1.0], [1.0, 2.0, 3.0]])
     def test_with_predictions_rejects_wrong_length(self, preds):
         jobs = JobSet.from_lengths([2.0, 1.0])
-        with pytest.raises(ValueError, match="match the number of jobs"):
-            jobs.with_predictions(preds)
+        with pytest.raises(ValueError, match="equal length"):
+            JobSet(jobs.lengths, preds)
 
     def test_jobs_view(self):
         jobs = JobSet.from_lengths([2.0, 1.0], [0.5, 3.0])

@@ -17,7 +17,7 @@ from onlinepred.verification import (
     check_jobset_families,
     random_jobsets,
 )
-from onlinepred.workloads import derived_rng
+from test_workloads import derived_rng
 
 # ties, values on either side of the tolerance, infinities and NaN
 VALUES = [-1.0, -math.inf, 0.0, 5e-10, 1e-9, 2e-9, 1.0, math.inf, math.nan]

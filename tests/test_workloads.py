@@ -9,94 +9,82 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onlinepred.workloads import (
-    ParetoJobModel,
-    derived_rng,
-    derived_rngs,
-    gen_pareto_jobs,
-    gen_ski_instance,
-)
+from onlinepred.experiments import SchedSweepConfig, SkiSweepConfig
+from onlinepred.workloads import derived_rngs, gen_pareto_lengths, gen_ski_days
+
+
+def derived_rng(master_seed: int, key: int) -> np.random.Generator:
+    """The per-trial stream by definition: numpy's own SeedSequence of (master seed, key)."""
+    return np.random.default_rng(np.random.SeedSequence((master_seed, key)))
 
 
 class TestSkiInstanceGenerator:
     def test_range_and_mean(self):
         rng = np.random.default_rng(0)
-        xs = np.array([gen_ski_instance(100, rng).x for _ in range(100_000)])
+        xs = np.array([gen_ski_days(100, rng) for _ in range(100_000)])
         assert xs.min() >= 1 and xs.max() <= 400
         assert abs(xs.mean() - 200.5) / 200.5 < 0.01
 
     def test_small_b_range(self):
         rng = np.random.default_rng(1)
-        xs = {gen_ski_instance(2, rng).x for _ in range(2000)}
+        xs = {gen_ski_days(2, rng) for _ in range(2000)}
         assert xs == set(range(1, 9))
 
     def test_reproducible(self):
-        a = [gen_ski_instance(50, np.random.default_rng(42)).x for _ in range(100)]
-        b = [gen_ski_instance(50, np.random.default_rng(42)).x for _ in range(100)]
+        a = [gen_ski_days(50, np.random.default_rng(42)) for _ in range(100)]
+        b = [gen_ski_days(50, np.random.default_rng(42)) for _ in range(100)]
         assert a == b
+        assert all(type(x) is int for x in a)
 
     def test_rejects_small_b(self):
-        with pytest.raises(ValueError):
-            gen_ski_instance(1, np.random.default_rng(0))
+        # gen_ski_days checks nothing; the ski sweep config owns the b >= 2 check
+        for b in (1, 0, -3):
+            with pytest.raises(ValueError, match="b must be >= 2"):
+                SkiSweepConfig(b=b)
 
 
 class TestParetoJobs:
     def test_all_lengths_at_least_one(self):
-        model = ParetoJobModel(alpha=1.1, n=200)
-        rng = np.random.default_rng(5)
-        jobs = gen_pareto_jobs(model, rng)
-        assert min(j.length for j in jobs.jobs) >= 1.0
+        lengths = gen_pareto_lengths(1.1, 200, np.random.default_rng(5))
+        assert lengths.shape == (200,) and lengths.dtype == np.float64
+        assert lengths.min() >= 1.0
 
     def test_fixed_seed_identical(self):
-        model = ParetoJobModel(alpha=1.1, n=50)
-        a = gen_pareto_jobs(model, np.random.default_rng(6))
-        b = gen_pareto_jobs(model, np.random.default_rng(6))
-        assert [j.length for j in a.jobs] == [j.length for j in b.jobs]
+        a = gen_pareto_lengths(1.1, 50, np.random.default_rng(6))
+        b = gen_pareto_lengths(1.1, 50, np.random.default_rng(6))
+        assert np.array_equal(a, b)
 
     def test_median_of_per_set_means(self):
         # frozen from the sampling oracle: scale-1 Pareto(1.1), n=50 gives a
         # median per-set mean near 4.5 (heavy right tail, so a wide band)
-        model = ParetoJobModel(alpha=1.1, n=50)
-        means = []
-        for s in range(600):
-            jobs = gen_pareto_jobs(model, derived_rng(99, s))
-            means.append(np.mean([j.length for j in jobs.jobs]))
+        means = [gen_pareto_lengths(1.1, 50, rng).mean() for rng in derived_rngs(99, range(600))]
         assert 2.0 <= np.median(means) <= 30.0
 
     def test_heavy_tail_present(self):
-        model = ParetoJobModel(alpha=1.1, n=50)
-        maxima = [
-            max(j.length for j in gen_pareto_jobs(model, derived_rng(98, s)).jobs)
-            for s in range(200)
-        ]
+        maxima = [gen_pareto_lengths(1.1, 50, rng).max() for rng in derived_rngs(98, range(200))]
         assert np.median(maxima) > 5.0  # the tail dominates most sets
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ParetoJobModel(alpha=1.0)
-        with pytest.raises(ValueError):
-            ParetoJobModel(alpha=math.inf)
-        with pytest.raises(ValueError):
-            ParetoJobModel(alpha=1.1, n=0)
-        for n in (3.5, True):  # gen_pareto_jobs would fail inside numpy
-            with pytest.raises(ValueError):
-                ParetoJobModel(alpha=1.1, n=n)
+        # gen_pareto_lengths checks nothing; the scheduling sweep config owns these checks
+        for alpha in (1.0, math.inf):
+            with pytest.raises(ValueError, match="alpha must be finite and exceed 1"):
+                SchedSweepConfig(alpha=alpha)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            SchedSweepConfig(n=0)
+        for n in (3.5, True):  # gen_pareto_lengths would fail inside numpy
+            with pytest.raises(ValueError, match="must be an integer"):
+                SchedSweepConfig(n=n)
 
 
 class TestDerivedStreams:
     def test_distinct_trials_distinct_draws(self):
-        draws = {derived_rng(7, t).integers(0, 2**62) for t in range(200)}
+        draws = {rng.integers(0, 2**62) for rng in derived_rngs(7, range(200))}
         assert len(draws) == 200
 
     def test_same_key_same_stream(self):
-        a = derived_rng(7, 3).standard_normal(10)
-        b = derived_rng(7, 3).standard_normal(10)
+        a = next(derived_rngs(7, [3])).standard_normal(10)
+        b = next(derived_rngs(7, [3])).standard_normal(10)
         assert np.array_equal(a, b)
-
-    def test_key_order_matters(self):
-        a = derived_rng(7, 1, 2).standard_normal()
-        b = derived_rng(7, 2, 1).standard_normal()
-        assert a != b
 
 
 # master seeds at every word-count boundary, up to entropy longer than the pool
