@@ -20,20 +20,21 @@ import numpy as np
 from . import bounds
 from .experiments import (
     DEFAULT_SEED,
+    JOBS_MAX,
     SchedSweepConfig,
     SkiSweepConfig,
     TrialReport,
     run_scheduling_sweep,
     run_ski_sweep,
     run_tradeoff_curve,
-    sched_sweep_algorithms,
-    ski_sweep_algorithms,
 )
 from .scheduling import JobSet, prediction_error, prr, round_robin, sjf_opt, spjf
 from .ski_rental import (
+    B_MAX,
     PolicyKind,
     SkiInstance,
     SkiPolicy,
+    _check_count,
     _support_size,
     buy_day,
     policy_cost,
@@ -51,30 +52,18 @@ SWEEP_HEADER = "experiment,algorithm,lambda,sigma,trials,mean_ratio,mean_eta,max
 CURVE_HEADER = "lambda,det_robustness,det_consistency,rand_robustness,rand_consistency"
 FAMILY_HEADER = "family,points,violations,worst_excess,tolerance,status"
 SIGMA_GRID_MAX_POINTS = 10_001
-# The randomized rules use r = (b-1)/b, which float64 rounds within 2**-53
-# relatively.  Their normaliser 1 - r**m then carries a relative error of at
-# most 2**-53 * m r**m / (1 - r**m) <= 2**-53 * (b - 1): 1.1e-10 at B_MAX,
-# far below the printed 6 decimals.  Supports reach m = ceil(b / lambda) < b**2,
-# 10**12 days at B_MAX, still exact in float64 (below 2**53).
-B_MAX = 1_000_000
-X_MAX = 2**53  # skiing days of a trace: the largest count a float64 cost holds exactly
-JOBS_MAX = 64  # worker processes; the pool starts them all at once
-N_MAX = 100_000  # jobs per set: 16 B per job (two float64 arrays)
-TRIALS_MAX = 1_000_000
-# A sweep holds one float64 ratio per sigma point, algorithm and trial.  The
-# default ski grid (41 points, 4 algorithms) at TRIALS_MAX is
-# 41 * 4 * 10**6 * 8 B = 1.3 GB, plus 41 * 10**6 * 8 B = 0.3 GB of errors;
-# finer grids get proportionally fewer trials.
-SWEEP_MAX_RATIOS = 41 * 4 * TRIALS_MAX
 
 
 class UsageError(ValueError, argparse.ArgumentTypeError):
     """Bad flags or config; argparse converts it to an exit-2 as well."""
 
 
-def _check_limit(key: str, value: int, limit: int) -> None:
-    if value > limit:
-        raise UsageError(f"{key} = {value} exceeds the limit of {limit}")
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, whose ValueError means bad input: a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _parse_seed(text: str) -> int:
@@ -271,39 +260,26 @@ def _add_sweep_parser(sub, name: str, text: str, cls, options, func) -> None:
     p.set_defaults(func=func)
 
 
-def _run_sweep(args: argparse.Namespace, cls, run, algorithms) -> int:
-    """Resolve the fields of ``cls``, check sizes against their limits, run and write a sweep."""
+def _run_sweep(args: argparse.Namespace, cls, run) -> int:
+    """Resolve the fields of ``cls``, build the config (it checks them), run and write a sweep."""
     opts = _merge_config(args, {**_field_schema(cls), **_OUTPUT_KEYS})
     fmt, out = opts.pop("format"), opts.pop("out")
-    for key, limit in (("jobs", JOBS_MAX), ("trials", TRIALS_MAX), ("n", N_MAX), ("b", B_MAX)):
-        _check_limit(key, opts.get(key, 0), limit)
-    try:  # the config rejects values outside the sweep's domain
-        config = cls(**opts)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    points, count = len(config.sigma_grid), len(algorithms(config))
-    if points * count * config.trials > SWEEP_MAX_RATIOS:
-        raise UsageError(
-            f"{points} sigma points x {count} algorithms x {config.trials} trials "
-            f"exceeds the limit of {SWEEP_MAX_RATIOS} ratios"
-        )
+    config = _checked(cls, **opts)
     _write_output(_render_sweep(run(config), fmt), out)
     return EXIT_OK
 
 
 # The runners are looked up here at call time, so tests and tracers can replace them.
 def cmd_ski_sweep(args: argparse.Namespace) -> int:
-    return _run_sweep(args, SkiSweepConfig, run_ski_sweep, ski_sweep_algorithms)
+    return _run_sweep(args, SkiSweepConfig, run_ski_sweep)
 
 
 def cmd_sched_sweep(args: argparse.Namespace) -> int:
-    return _run_sweep(args, SchedSweepConfig, run_scheduling_sweep, sched_sweep_algorithms)
+    return _run_sweep(args, SchedSweepConfig, run_scheduling_sweep)
 
 
 def cmd_verify_bounds(args: argparse.Namespace) -> int:
-    if args.b < 2:
-        raise UsageError(f"--b must be >= 2, got {args.b}")
-    _check_limit("--b", args.b, B_MAX)
+    _checked(_check_count, "--b", args.b, 2, B_MAX)
     results = run_all_checks(args.grid_density, args.seed)
     lines = []
     width = max(len(r.family) for r in results)
@@ -360,14 +336,10 @@ def cmd_trace_ski(args: argparse.Namespace) -> int:
         if args.lam is None:
             raise UsageError(f"algorithm {args.algo!r} requires --lambda")
         lam = args.lam
-    _check_limit("b", args.b, B_MAX)
-    _check_limit("x", args.x, X_MAX)
     policy = SkiPolicy(kind, lam)
-    try:  # the instance checks b, x and y, the cost the rule's lambda range
-        instance = SkiInstance(args.b, args.x, args.y)
-        cost = policy_cost(instance, policy)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    # the instance checks b, x and y, the cost the rule's lambda range
+    instance = _checked(SkiInstance, args.b, args.x, args.y)
+    cost = _checked(policy_cost, instance, policy)
     opt = ski_opt(instance)
     eta = instance.error
     big = instance.y >= instance.b
@@ -424,10 +396,7 @@ def _parse_job_spec(text: str) -> JobSet:
         except ValueError:
             raise UsageError(f"jobs must contain numbers, got chunk {chunk!r}")
         pairs.append((x, y))
-    try:
-        return JobSet.from_lengths([p[0] for p in pairs], [p[1] for p in pairs])
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return _checked(JobSet.from_lengths, [p[0] for p in pairs], [p[1] for p in pairs])
 
 
 def cmd_trace_sched(args: argparse.Namespace) -> int:
@@ -435,9 +404,7 @@ def cmd_trace_sched(args: argparse.Namespace) -> int:
     if args.algo == "prr":
         if args.lam is None:
             raise UsageError("algorithm 'prr' requires --lambda")
-        if not 0 < args.lam < 1:
-            raise UsageError(f"algorithm 'prr' requires --lambda in (0, 1), got {args.lam}")
-        result = prr(jobs, args.lam)
+        result = _checked(prr, jobs, args.lam)  # prr checks lambda
     elif args.algo == "rr":
         result = round_robin(jobs)
     elif args.algo == "spjf":

@@ -27,8 +27,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import bounds
-from .scheduling import objectives, prr_batch, sequential_batch
-from .ski_rental import PolicyKind, SkiPolicy, _check_count, ski_cost
+from .scheduling import _check_prr_lambda, objectives, prr_batch, sequential_batch
+from .ski_rental import B_MAX, PolicyKind, SkiPolicy, _check_count, ski_cost
 from .workloads import derived_rngs, gen_pareto_lengths, gen_ski_days
 
 DEFAULT_SEED = 271828
@@ -36,8 +36,16 @@ LAMBDA_RAND_DEFAULT = math.log(1.5)
 # Largest accepted noise level: truth + sigma * direction stays finite for
 # any direction a trial can draw, so every prediction passes the kernels.
 SIGMA_MAX = 1e300
+JOBS_MAX = 64  # worker processes; the pool starts them all at once
+N_MAX = 100_000  # jobs per set: 16 B per job (two float64 arrays)
+TRIALS_MAX = 1_000_000
+# A sweep holds one float64 ratio per sigma point, algorithm and trial.  The
+# default ski grid (41 points, 4 algorithms) at TRIALS_MAX is
+# 41 * 4 * 10**6 * 8 B = 1.3 GB, plus 41 * 10**6 * 8 B = 0.3 GB of errors;
+# finer grids get proportionally fewer trials.
+SWEEP_MAX_RATIOS = 41 * 4 * TRIALS_MAX
 
-# Stream key for the job set in fixed-jobs mode; far above any trial index.
+# Stream key for the job set in fixed-jobs mode; above every trial index (< TRIALS_MAX).
 _FIXED_JOBS_STREAM = 0x4A4F4253
 
 # Bound on kernel rows times jobs per block of scheduling trials, which bounds
@@ -49,10 +57,14 @@ SPJF_LABEL = "spjf"
 PRR_LABEL = "prr"
 
 
-def _check_sweep(config, default_grid: Tuple[float, ...]) -> None:
-    """Check the counts shared by both sweeps; store the sigma grid, or the default if empty."""
-    _check_count("trials", config.trials, 1)
-    _check_count("jobs", config.jobs, 1)
+def _check_sweep(config, default_grid: Tuple[float, ...], entrants: int) -> None:
+    """Check the counts, the sigma grid and the ratio count both sweeps share.
+
+    The sweep holds grid points x ``entrants`` (its algorithm count) x trials
+    ratios.  Stores the sigma grid, or the default if empty.
+    """
+    _check_count("trials", config.trials, 1, TRIALS_MAX)
+    _check_count("jobs", config.jobs, 1, JOBS_MAX)
     _check_count("seed", config.seed, 0)
     grid = tuple(float(s) for s in config.sigma_grid) or default_grid
     bad = [s for s in grid if not 0 <= s <= SIGMA_MAX]  # NaN fails too
@@ -62,6 +74,11 @@ def _check_sweep(config, default_grid: Tuple[float, ...]) -> None:
         )
     if any(lo > hi for lo, hi in zip(grid, grid[1:])):
         raise ValueError("sigma grid must be ascending")
+    if len(grid) * entrants * config.trials > SWEEP_MAX_RATIOS:
+        raise ValueError(
+            f"{len(grid)} sigma points x {entrants} algorithms x {config.trials} trials "
+            f"exceeds the limit of {SWEEP_MAX_RATIOS} ratios"
+        )
     object.__setattr__(config, "sigma_grid", grid)
 
 
@@ -69,10 +86,11 @@ def _check_sweep(config, default_grid: Tuple[float, ...]) -> None:
 class SkiSweepConfig:
     """Everything a rent-or-buy sweep needs; two configs are equal iff their outputs are.
 
-    Construction rejects a non-integer count, b < 2, a lambda outside its
-    rule's range and a sigma grid that is not finite, non-negative and
-    ascending.  An empty grid means 0..4b in steps of b/10.  ``sampled``
-    scores the randomized rules by one sampled buy day.
+    Construction rejects a non-integer count, b outside [2, B_MAX], a count
+    over its limit, a lambda outside its rule's range and a sigma grid that
+    is not finite, non-negative and ascending.  An empty grid means 0..4b in
+    steps of b/10.  ``sampled`` scores the randomized rules by one sampled
+    buy day.
     """
 
     b: int = 100
@@ -85,9 +103,10 @@ class SkiSweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        _check_count("b", self.b, 2)
-        _check_sweep(self, tuple(i * (self.b / 10.0) for i in range(41)))
-        for _, policy in ski_sweep_algorithms(self):
+        _check_count("b", self.b, 2, B_MAX)
+        entrants = ski_sweep_algorithms(self)
+        _check_sweep(self, tuple(i * (self.b / 10.0) for i in range(41)), len(entrants))
+        for _, policy in entrants:
             ski_cost(policy, self.b, 1, 0.0)  # the kernel checks lambda
 
 
@@ -95,10 +114,11 @@ class SkiSweepConfig:
 class SchedSweepConfig:
     """Everything a scheduling sweep needs; two configs are equal iff their outputs are.
 
-    Construction rejects a non-integer count, n < 1, alpha <= 1, a PRR lambda
-    outside (0, 1) and a sigma grid that is not finite, non-negative and
-    ascending.  An empty grid means 0..20 mean job lengths in steps of 2.
-    ``fixed_jobs`` draws one job set and resamples only the noise.
+    Construction rejects a non-integer count, n outside [1, N_MAX], a count
+    over its limit, alpha <= 1, a PRR lambda outside (0, 1) and a sigma grid
+    that is not finite, non-negative and ascending.  An empty grid means
+    0..20 mean job lengths in steps of 2.  ``fixed_jobs`` draws one job set
+    and resamples only the noise.
     """
 
     n: int = 50
@@ -111,13 +131,13 @@ class SchedSweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        _check_count("n", self.n, 1)
+        _check_count("n", self.n, 1, N_MAX)
         if not (math.isfinite(self.alpha) and self.alpha > 1):
             raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha!r}")
         mean = self.alpha / (self.alpha - 1.0)
-        _check_sweep(self, tuple(i * 2.0 * mean for i in range(11)))
-        if not 0 < self.lambda_sched < 1:
-            raise ValueError(f"scheduling lambda must lie in (0, 1), got {self.lambda_sched!r}")
+        grid = tuple(i * 2.0 * mean for i in range(11))
+        _check_sweep(self, grid, len(sched_sweep_algorithms(self)))
+        _check_prr_lambda(self.lambda_sched)
 
 
 @dataclass

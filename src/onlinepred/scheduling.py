@@ -51,10 +51,23 @@ def _require(ok: np.ndarray, values: np.ndarray, message: str) -> None:
 
 
 def _require_jobs(lengths: np.ndarray, predicted: np.ndarray) -> None:
-    """The checks on any array of jobs: lengths finite and >= 1, predictions finite."""
+    """The checks on any array of job sets, one set per row of the last axis.
+
+    Lengths are finite and >= 1 and predictions finite.  So is n times each
+    set's total length, which bounds every completion time and objective.
+    """
+    with np.errstate(over="ignore"):  # the overflow is what the last check looks for
+        span = np.atleast_1d(lengths.shape[-1] * lengths.sum(axis=-1))
     lengths, predicted = lengths.ravel(), predicted.ravel()
     _require(np.isfinite(lengths) & (lengths >= 1), lengths, "job length must be finite and >= 1")
     _require(np.isfinite(predicted), predicted, "predicted length must be finite")
+    _require(np.isfinite(span), span, "n times the total job length must be finite")
+
+
+def _check_prr_lambda(lam) -> None:
+    """PRR's own lambda range, (0, 1); round-robin is the kernel at lambda = 0."""
+    if not (isinstance(lam, (int, float, np.floating)) and 0 < lam < 1):
+        raise ValueError(f"PRR lambda must lie in (0, 1), got {lam!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,6 +341,5 @@ def prr(jobs: JobSet, lam: float) -> ScheduleResult:
     With k jobs unfinished every job runs at rate (1-lam)/k and the unfinished
     job with the smallest prediction gets an additional lam.
     """
-    if not (isinstance(lam, (int, float)) and 0 < lam < 1):
-        raise ValueError(f"combination parameter lambda must lie in (0, 1), got {lam!r}")
+    _check_prr_lambda(lam)
     return _shared_schedule(jobs, lam)

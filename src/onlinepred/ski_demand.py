@@ -18,19 +18,19 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .ski_rental import PolicyKind, SkiPolicy, _check_count, ski_cost
+from .ski_rental import B_MAX, PolicyKind, SkiPolicy, _check_count, ski_cost
 
 
 @dataclass(frozen=True)
 class DemandInstance:
-    """Daily demand, daily predicted demand, and the shared buy cost."""
+    """Daily demand, daily predicted demand, and the shared buy cost b in [2, B_MAX]."""
 
     b: int
     demand: Tuple[int, ...]
     predicted: Tuple[float, ...]
 
     def __post_init__(self):
-        _check_count("buy cost b", self.b, 2)
+        _check_count("buy cost b", self.b, 2, B_MAX)
         if len(self.demand) < 1 or len(self.demand) != len(self.predicted):
             raise ValueError("demand and predicted must be non-empty vectors of equal length")
         for d in self.demand:

@@ -33,19 +33,28 @@ import numpy as np
 
 # lambda * b or b / lambda within this relative distance of an integer is that integer
 SNAP_TOLERANCE = 1e-12
+# The randomized rules use r = (b-1)/b, which float64 rounds within 2**-53
+# relatively.  Their normaliser 1 - r**m then carries a relative error of at
+# most 2**-53 * m r**m / (1 - r**m) <= 2**-53 * (b - 1): 1.1e-10 at B_MAX,
+# far below the printed 6 decimals.  Supports reach m = ceil(b / lambda) < b**2,
+# 10**12 days at B_MAX, still exact in float64 (below 2**53).
+B_MAX = 1_000_000
+X_MAX = 2**53  # skiing days: the largest count a float64 cost holds exactly
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Reject a ``value`` that is a bool, not an integer, or below ``least``.
+def _check_count(name: str, value, least: int, most: Optional[int] = None) -> None:
+    """Reject a ``value`` that is a bool, not an integer, below ``least`` or above ``most``.
 
-    The one count check of the package: instances, demands and sweep
-    configs all use it.  Plain ints skip the slower abstract-class check.
+    The one count check of the package: instances, demands, sweep configs
+    and the CLI all use it.  Plain ints skip the slower abstract-class check.
     """
     plain = type(value) is int
     if not plain and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} = {value} exceeds the limit of {most}")
 
 
 class PolicyKind(Enum):
@@ -60,8 +69,8 @@ class PolicyKind(Enum):
 class SkiInstance:
     """One rent-or-buy instance.
 
-    b: cost to buy (integer, at least 2, in rent-day units).
-    x: actual number of skiing days (integer, at least 1).
+    b: cost to buy (integer in [2, B_MAX], in rent-day units).
+    x: actual number of skiing days (integer in [1, X_MAX]).
     y: predicted number of skiing days (any non-negative real).
     """
 
@@ -70,8 +79,8 @@ class SkiInstance:
     y: float
 
     def __post_init__(self):
-        _check_count("buy cost b", self.b, 2)
-        _check_count("skiing days x", self.x, 1)
+        _check_count("buy cost b", self.b, 2, B_MAX)
+        _check_count("skiing days x", self.x, 1, X_MAX)
         if not math.isfinite(self.y) or self.y < 0:
             raise ValueError(f"prediction y must be a finite real >= 0, got {self.y!r}")
 
@@ -133,14 +142,19 @@ def buy_day(policy: SkiPolicy, b: int, big: bool) -> Optional[int]:
 
     ``big`` selects the branch y >= b.  The naive rule buys on day 1 if big
     and never otherwise.  The deterministic rule buys on day ceil(lambda*b)
-    if big, else ceil(b/lambda), snapped; at lambda = 1 both are day b.
+    if big, else ceil(b/lambda), snapped; at lambda = 1 both are day b.  The
+    day is an exact int even where b/lambda overflows a float.
     """
     if policy.kind is PolicyKind.NAIVE:
         return 1 if big else None
     if policy.kind is not PolicyKind.DETERMINISTIC:
         raise ValueError("the randomized rule draws its buy day; see randomized_buy_day")
     _check_deterministic_lambda(policy.lam)
-    return math.ceil(_snap(policy.lam * b if big else b / policy.lam))
+    q = policy.lam * b if big else b / policy.lam
+    if math.isinf(q):  # b / lambda in exact integer arithmetic, lambda = num / den
+        num, den = float(policy.lam).as_integer_ratio()
+        return -(-b * den // num)
+    return math.ceil(_snap(q))
 
 
 def randomized_buy_day(b: int, lam: float, big: bool, u):
@@ -172,6 +186,8 @@ def _cost_on_branch(policy: SkiPolicy, b: int, big: bool, xs, u):
         day = buy_day(policy, b, big)
         if day is None:
             return xs * 1.0  # never buys
+        # a later day costs the same for every x <= X_MAX, and stays an int64
+        day = min(day, X_MAX + 1)
     return 1.0 * np.where(xs < day, xs, b + day - 1)
 
 

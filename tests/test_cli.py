@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -10,20 +11,23 @@ from pathlib import Path
 import pytest
 
 from onlinepred.cli import (
-    B_MAX,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
-    JOBS_MAX,
-    N_MAX,
     SIGMA_GRID_MAX_POINTS,
-    SWEEP_MAX_RATIOS,
-    TRIALS_MAX,
     main,
 )
 from onlinepred import cli, experiments
-from onlinepred.experiments import SchedSweepConfig, SkiSweepConfig
+from onlinepred.experiments import (
+    JOBS_MAX,
+    N_MAX,
+    SWEEP_MAX_RATIOS,
+    TRIALS_MAX,
+    SchedSweepConfig,
+    SkiSweepConfig,
+)
+from onlinepred.ski_rental import B_MAX
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ski-sweep.example.cfg"
 
@@ -60,6 +64,17 @@ class TestSkiSweepCommand:
         assert code == EXIT_OK, err
         assert len(out.strip().split("\n")) == 1 + 4
 
+    def test_tiny_lambda_det_is_optimal_without_noise(self, capsys):
+        # ceil(b / lambda) has 301 digits: below b the rule rents every day, at or
+        # above it buys on day 1, so at sigma 0 every ratio is 1
+        code, out, err = run_cli(
+            capsys, "ski-sweep", "--b", "10", "--trials", "3", "--sigma-grid", "0:0:1",
+            "--lambda-det", "1e-300",
+        )
+        assert code == EXIT_OK, err
+        row = [line.split(",") for line in out.splitlines() if ",deterministic," in line]
+        assert [r[5:] for r in row] == [["1.000000", "0.0000", "1.000000"]]
+
     def test_sampled_huge_support(self, capsys):
         # b / lambda = 5 * 10^9 buy days: sampling must not build the support
         code, out, err = run_cli(
@@ -95,6 +110,9 @@ class TestSkiSweepCommand:
             ("trace", "ski", "--b", "10", "--x", "3", "--y", "1", "--algo", "karlin",
              "--seed", "-1"),
             ("trace", "sched", "--jobs", "1:1", "--algo", "prr", "--lambda", "1.5"),
+            ("trace", "sched", "--jobs", "1e308:1,1e308:2", "--algo", "rr"),
+            ("trace", "sched", "--jobs", "1e308:1,1e308:2", "--algo", "sjf"),
+            ("trace", "sched", "--jobs", "1e308:1,1e308:2", "--algo", "prr", "--lambda", "0.5"),
         ],
     )
     def test_bad_input_is_usage_error(self, argv, capsys):
@@ -457,6 +475,15 @@ class TestTraceCommand:
         code, out, _ = run_cli(capsys, *base, "--x", str(2**53))
         assert code == EXIT_OK
         assert f"cost: {float(2**53)}\n" in out  # y < b: rents every day, exactly
+
+    def test_ski_tiny_lambda_rents_every_day(self, capsys):
+        code, out, err = run_cli(
+            capsys, "trace", "ski", "--b", "10", "--x", "3", "--y", "1",
+            "--algo", "det", "--lambda", "1e-300",
+        )
+        assert code == EXIT_OK, err
+        assert "cost: 3.0\n" in out
+        assert f"buy_day: {math.ceil(10 / 1e-300)}\n" in out
 
     def test_ski_missing_lambda(self, capsys):
         code, _, err = run_cli(

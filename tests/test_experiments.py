@@ -8,13 +8,18 @@ import pytest
 from onlinepred import bounds, experiments
 from onlinepred.experiments import (
     DEFAULT_SEED,
+    JOBS_MAX,
     LAMBDA_RAND_DEFAULT,
+    N_MAX,
+    SWEEP_MAX_RATIOS,
+    TRIALS_MAX,
     SchedSweepConfig,
     SkiSweepConfig,
     run_scheduling_sweep,
     run_ski_sweep,
     run_tradeoff_curve,
 )
+from onlinepred.ski_rental import B_MAX
 
 
 def small_ski_config(**overrides):
@@ -284,6 +289,36 @@ def test_sigma_above_limit_rejected(make_config):
         with pytest.raises(ValueError, match=r"in \[0, 1e\+300\]"):
             make_config(sigma_grid=grid)
     assert experiments.SIGMA_MAX == 1e300
+
+
+class TestConfigLimits:
+    """Library callers meet the CLI's size limits; these tests only build configs."""
+
+    @pytest.mark.parametrize(
+        "cls, field, limit",
+        [
+            (SkiSweepConfig, "b", B_MAX),
+            (SkiSweepConfig, "jobs", JOBS_MAX),
+            (SkiSweepConfig, "trials", TRIALS_MAX),
+            (SchedSweepConfig, "n", N_MAX),
+            (SchedSweepConfig, "jobs", JOBS_MAX),
+            (SchedSweepConfig, "trials", TRIALS_MAX),
+        ],
+    )
+    def test_count_above_limit(self, cls, field, limit):
+        assert getattr(cls(**{field: limit}), field) == limit
+        with pytest.raises(ValueError, match=f"{field} = {limit + 1} exceeds the limit of {limit}"):
+            cls(**{field: limit + 1})
+
+    def test_ratio_count_above_limit(self):
+        # 42 points x 4 algorithms: 976,190 trials stay within 41 * 4 * 10**6 ratios
+        grid = tuple(float(s) for s in range(42))
+        assert SkiSweepConfig(trials=976_190, sigma_grid=grid).trials == 976_190
+        with pytest.raises(ValueError, match=f"exceeds the limit of {SWEEP_MAX_RATIOS} ratios"):
+            SkiSweepConfig(trials=976_191, sigma_grid=grid)
+
+    def test_fixed_jobs_stream_is_above_every_trial_index(self):
+        assert experiments._FIXED_JOBS_STREAM > TRIALS_MAX
 
 
 class TestConfigTypes:

@@ -345,6 +345,7 @@ class TestBatchedKernel:
             ([[1.0, 0.5]], [[1.0, 2.0]], 0.5, "job length must be finite and >= 1"),
             ([[1.0, math.inf]], [[1.0, 2.0]], 0.5, "job length must be finite and >= 1"),
             ([[1.0, 2.0]], [[1.0, math.nan]], 0.5, "predicted length must be finite"),
+            ([[1.0, 2.0], [6e307, 6e307]], [[1.0, 2.0]] * 2, 0.5, "total job length must be"),
         ],
     )
     def test_rejects_bad_input(self, lengths, predicted, lam, message):
@@ -450,6 +451,13 @@ class TestJobSetValidation:
     def test_rejects_bad_lengths(self, lengths):
         with pytest.raises(ValueError, match="job length must be finite and >= 1"):
             JobSet.from_lengths(lengths)
+
+    @pytest.mark.parametrize("lengths", [[1e308, 1e308], [6e307, 6e307]])
+    def test_rejects_sets_whose_times_overflow(self, lengths):
+        # the last completion is the total length, the objective up to n times it
+        with pytest.raises(ValueError, match="n times the total job length must be finite"):
+            JobSet.from_lengths(lengths)
+        assert JobSet.from_lengths(lengths[:1]).n == 1
 
     def test_rejects_mismatched_predictions(self):
         with pytest.raises(ValueError, match="equal length"):

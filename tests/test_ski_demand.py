@@ -21,7 +21,7 @@ from onlinepred.ski_demand import (
     demand_opt,
     demand_opt_levels,
 )
-from onlinepred.ski_rental import PolicyKind, SkiInstance, SkiPolicy, policy_cost
+from onlinepred.ski_rental import B_MAX, PolicyKind, SkiInstance, SkiPolicy, policy_cost
 from onlinepred.workloads import derived_rngs
 
 
@@ -102,6 +102,11 @@ class TestDecompose:
         for b in (2.5, 3.0, True, "3"):
             with pytest.raises(ValueError):
                 DemandInstance(b, (1,) * 5, (1.0,) * 5)
+
+    def test_buy_cost_above_limit_rejected(self):
+        with pytest.raises(ValueError, match=f"limit of {B_MAX}"):
+            DemandInstance(B_MAX + 1, (1,), (1.0,))
+        assert DemandInstance(B_MAX, (1,), (1.0,)).b == B_MAX
 
     @pytest.mark.parametrize("demand", [(True, 2), (1, False), (1, 2.0)])
     def test_non_integer_daily_demand_rejected(self, demand):

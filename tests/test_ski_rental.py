@@ -9,6 +9,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from onlinepred.ski_rental import (
+    B_MAX,
+    X_MAX,
     PolicyKind,
     SkiInstance,
     SkiPolicy,
@@ -136,6 +138,12 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             SkiInstance(10, 5, math.inf)
 
+    @pytest.mark.parametrize("b, x", [(B_MAX + 1, 1), (10, X_MAX + 1), (10, 2**64)])
+    def test_rejects_counts_above_limits(self, b, x):
+        with pytest.raises(ValueError, match="limit of"):
+            SkiInstance(b, x, 0.0)
+        assert SkiInstance(B_MAX, X_MAX, 0.0).x == X_MAX
+
     @pytest.mark.parametrize("b, x", [(True, 5), (10, True), (10, False), (10, 5.0), (10.0, 5)])
     def test_rejects_bools_and_floats_as_counts(self, b, x):
         with pytest.raises(ValueError, match="must be an integer"):
@@ -201,6 +209,14 @@ class TestDeterministic:
         for b in (2, 7, 100):
             for y in (0.0, float(b), float(10 * b)):
                 assert day_of(BREAK_EVEN, SkiInstance(b, 1, y)) == b
+
+    @pytest.mark.parametrize("lam", [1e-19, 1e-300, 5e-324])
+    def test_tiny_lambda_rents_every_day(self, lam):
+        # ceil(b / lambda) is beyond int64 (and at 5e-324 beyond float64)
+        policy = SkiPolicy(PolicyKind.DETERMINISTIC, lam)
+        assert buy_day(policy, 10, False) > X_MAX
+        assert ski_cost(policy, 10, np.array([1, 3, X_MAX]), 1.0).tolist() == [1.0, 3.0, X_MAX]
+        assert policy_cost(SkiInstance(10, 3, 1.0), policy) == 3.0
 
     def test_randomized_rule_has_no_fixed_day(self):
         with pytest.raises(ValueError):
