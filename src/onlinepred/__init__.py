@@ -17,11 +17,9 @@ from .experiments import (
     LAMBDA_RAND_DEFAULT,
     SchedSweepConfig,
     SkiSweepConfig,
-    TradeoffPoint,
     TrialReport,
     run_scheduling_sweep,
     run_ski_sweep,
-    run_tradeoff_curve,
 )
 from .scheduling import (
     Job,

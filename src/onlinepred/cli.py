@@ -26,7 +26,6 @@ from .experiments import (
     TrialReport,
     run_scheduling_sweep,
     run_ski_sweep,
-    run_tradeoff_curve,
 )
 from .scheduling import JobSet, prediction_error, prr, round_robin, sjf_opt, spjf
 from .ski_rental import (
@@ -306,14 +305,13 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
         _write_output("\n".join(rows) + "\n", args.out)
     if args.curve_out:
         lambdas = [round(0.02 * i, 10) for i in range(1, 51)]
-        points = run_tradeoff_curve(args.b, [l for l in lambdas if l > 1.0 / args.b])
         rows = [CURVE_HEADER]
-        for p in points:
-            rows.append(
-                f"{_fmt_ratio(p.lam)},{_fmt_ratio(p.det_robustness)},"
-                f"{_fmt_ratio(p.det_consistency)},{_fmt_ratio(p.rand_robustness)},"
-                f"{_fmt_ratio(p.rand_consistency)}"
+        for lam in (l for l in lambdas if l > 1.0 / args.b):
+            values = (
+                lam, bounds.det_robustness(lam), bounds.det_consistency(lam),
+                bounds.rand_robustness(args.b, lam), bounds.rand_consistency(lam),
             )
+            rows.append(",".join(_fmt_ratio(v) for v in values))
         _write_output("\n".join(rows) + "\n", args.curve_out)
     return EXIT_OK if total_violations == 0 else EXIT_VIOLATION
 

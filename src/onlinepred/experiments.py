@@ -10,11 +10,13 @@ drawn and scored once for every (sigma, algorithm) point; ``jobs`` workers
 split the trials into contiguous ranges whose results are stitched back in
 trial order, so any worker count yields identical output.
 
-The scheduling sweep scores a block of trials with one call of the batched
-round-robin/PRR kernel: round-robin ignores predictions, so it is one row
-per trial, stacked over one PRR row per (sigma, trial).  Blocks keep kernel
-rows times jobs within ``KERNEL_ENTRIES``, which bounds the working set at
-any trial count; rows are independent, so block sizes change no value.
+Both sweeps run one block loop: a trial range's result arrays are allocated
+once, and each block of trials is scored into its slices of them, one entry
+per trial in each ``ski_cost`` call, or (sigma points + 1) rows of n jobs per
+trial in one batched round-robin/PRR kernel call (round-robin ignores
+predictions, so it takes one row per trial).  Blocks keep kernel entries
+within ``KERNEL_ENTRIES``, which bounds the working set at any trial count;
+trials are independent, so block sizes change no value.
 """
 
 from __future__ import annotations
@@ -22,16 +24,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import bounds
 from .scheduling import _check_prr_lambda, objectives, prr_batch, sequential_batch
 from .ski_rental import B_MAX, PolicyKind, SkiPolicy, _check_count, ski_cost
-from .workloads import derived_rngs, gen_pareto_lengths, gen_ski_days
+from .workloads import DEFAULT_SEED, derived_rngs, gen_pareto_lengths, gen_ski_days
 
-DEFAULT_SEED = 271828
 LAMBDA_RAND_DEFAULT = math.log(1.5)
 # Largest accepted noise level: truth + sigma * direction stays finite for
 # any direction a trial can draw, so every prediction passes the kernels.
@@ -48,13 +49,9 @@ SWEEP_MAX_RATIOS = 41 * 4 * TRIALS_MAX
 # Stream key for the job set in fixed-jobs mode; above every trial index (< TRIALS_MAX).
 _FIXED_JOBS_STREAM = 0x4A4F4253
 
-# Bound on kernel rows times jobs per block of scheduling trials, which bounds
-# the sweep's working set whatever the trial count.
+# Bound on the kernel entries of one block of trials, which bounds a sweep's
+# working set whatever the trial count.
 KERNEL_ENTRIES = 1 << 19
-
-RR_LABEL = "round-robin"
-SPJF_LABEL = "spjf"
-PRR_LABEL = "prr"
 
 
 def _check_sweep(config, default_grid: Tuple[float, ...], entrants: int) -> None:
@@ -66,6 +63,8 @@ def _check_sweep(config, default_grid: Tuple[float, ...], entrants: int) -> None
     _check_count("trials", config.trials, 1, TRIALS_MAX)
     _check_count("jobs", config.jobs, 1, JOBS_MAX)
     _check_count("seed", config.seed, 0)
+    if isinstance(config.sigma_grid, (str, bytes)):
+        raise ValueError(f"sigma grid must be a sequence of numbers, got {config.sigma_grid!r}")
     grid = tuple(float(s) for s in config.sigma_grid) or default_grid
     bad = [s for s in grid if not 0 <= s <= SIGMA_MAX]  # NaN fails too
     if bad:
@@ -185,8 +184,8 @@ def ski_sweep_algorithms(config: SkiSweepConfig) -> List[Tuple[str, SkiPolicy]]:
     ]
 
 
-def _ski_trials(config: SkiSweepConfig, lo: int, hi: int):
-    """Optima, errors and ratios of ski trials lo..hi-1 at every grid point.
+def _ski_trials(config: SkiSweepConfig, lo: int, hi: int, opts, etas, ratios) -> None:
+    """Write the optima, errors and ratios of ski trials lo..hi-1 into the given slices.
 
     Each trial's ``derived_rngs`` generator draws x days, a noise direction
     and, in sampled mode, one uniform per randomized entrant: the k-th
@@ -205,96 +204,96 @@ def _ski_trials(config: SkiSweepConfig, lo: int, hi: int):
         next(draws_left) if sampled and p.kind is PolicyKind.RANDOMIZED else None
         for _, p in entrants
     ]
-    opts = np.minimum(xs, b).astype(float)
-    etas = np.empty((len(grid), xs.size))
-    ratios = np.empty((len(grid), len(entrants), xs.size))
+    opts[:] = np.minimum(xs, b)
     for s, sigma in enumerate(grid):
         ys = np.maximum(xs + sigma * zs, 0.0)
         etas[s] = np.abs(ys - xs)
         for a, (_, policy) in enumerate(entrants):
             ratios[s, a] = ski_cost(policy, b, xs, ys, uniforms[a]) / opts
-    return opts, etas, ratios
 
 
 def sched_sweep_algorithms(config: SchedSweepConfig) -> List[Tuple[str, Optional[float]]]:
     """(label, lambda) of the three scheduling entrants."""
-    return [(RR_LABEL, None), (SPJF_LABEL, None), (PRR_LABEL, config.lambda_sched)]
+    return [("round-robin", None), ("spjf", None), ("prr", config.lambda_sched)]
 
 
-def _sched_trials(config: SchedSweepConfig, lo: int, hi: int):
-    """Optima, errors and ratios of scheduling trials lo..hi-1 at every grid point.
-
-    The trials go through in blocks whose kernel rows times jobs stay within
-    KERNEL_ENTRIES (a block is at least one trial); rows are independent, so
-    the split changes no value.
-    """
-    fixed = None
-    if config.fixed_jobs:
-        rng = next(derived_rngs(config.seed, [_FIXED_JOBS_STREAM]))
-        fixed = gen_pareto_lengths(config.alpha, config.n, rng)
-    per_block = max(1, KERNEL_ENTRIES // ((len(config.sigma_grid) + 1) * config.n))
-    parts = [
-        _sched_block(config, fixed, start, min(start + per_block, hi))
-        for start in range(lo, hi, per_block)
-    ]
-    return tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
-
-
-def _sched_block(config: SchedSweepConfig, fixed: Optional[np.ndarray], lo: int, hi: int):
-    """``_sched_trials`` for one block of T trials, in one kernel call.
+def _sched_block(config: SchedSweepConfig, lo: int, hi: int, opts, etas, ratios) -> None:
+    """Write the optima, errors and ratios of scheduling trials lo..hi-1 into the given slices.
 
     Each trial's ``derived_rngs`` generator draws its job lengths (unless the
-    jobs are fixed) and noise direction once, straight into the kernel
-    arrays.  Kernel rows come in groups of T, one per trial: first
-    round-robin at lambda = 0, scored once per trial since it ignores
-    predictions (its group takes the sigma = 0 predictions, which are the
-    lengths), then PRR at each sigma.  SPJF and the errors come from the same
-    predictions.  Only when one trial's groups exceed KERNEL_ENTRIES do the
-    groups take more than one call.
+    jobs are fixed, drawn from their own stream) and noise direction once,
+    straight into the kernel arrays.  Kernel rows come in groups of T, one
+    per trial: first round-robin at lambda = 0, scored once per trial since
+    it ignores predictions (its group takes the sigma = 0 predictions, which
+    are the lengths), then PRR at each sigma.  SPJF and the errors come from
+    the same predictions.  Only when one trial's groups exceed KERNEL_ENTRIES
+    do the groups take more than one call.
     """
+    draw, fixed = partial(gen_pareto_lengths, config.alpha, config.n), None
+    if config.fixed_jobs:
+        fixed = draw(next(derived_rngs(config.seed, [_FIXED_JOBS_STREAM])))
     lengths, directions = [], []
     for rng in derived_rngs(config.seed, range(lo, hi)):
-        drawn = fixed if fixed is not None else gen_pareto_lengths(config.alpha, config.n, rng)
-        lengths.append(drawn)
+        lengths.append(draw(rng) if fixed is None else fixed)
         directions.append(rng.standard_normal(config.n))
     lengths, directions = np.array(lengths), np.array(directions)
     trials, n = lengths.shape
     sigmas = np.array((0.0, *config.sigma_grid))
     lams = np.array((0.0,) + (config.lambda_sched,) * len(config.sigma_grid))
 
-    opts = objectives(sequential_batch(lengths, lengths))
-    etas, spjf_costs, shared = (np.empty((sigmas.size, trials)) for _ in range(3))
+    opts[:] = objectives(sequential_batch(lengths, lengths))
+    errors, spjf_costs, shared = (np.empty((sigmas.size, trials)) for _ in range(3))
     per_call = max(1, KERNEL_ENTRIES // (trials * n))
     for g in range(0, sigmas.size, per_call):
         groups = slice(g, g + per_call)
         predicted = lengths + sigmas[groups, None, None] * directions
-        etas[groups] = objectives(np.abs(lengths - predicted))
+        errors[groups] = objectives(np.abs(lengths - predicted))
         spjf_costs[groups] = objectives(sequential_batch(lengths, predicted))
         kernel_lengths = np.broadcast_to(lengths, predicted.shape).reshape(-1, n)
         lam = np.repeat(lams[groups], trials)
         completions, _ = prr_batch(kernel_lengths, predicted.reshape(-1, n), lam)
         shared[groups] = objectives(completions).reshape(-1, trials)
-    ratios = np.empty((len(config.sigma_grid), 3, trials))
+    etas[:] = errors[1:]
     ratios[:, 0] = shared[0] / opts
     ratios[:, 1] = spjf_costs[1:] / opts
     ratios[:, 2] = shared[1:] / opts
-    return opts, etas[1:], ratios
 
 
-def _run_trials(config, draw, experiment: str, entrants) -> List[TrialReport]:
-    """One report per (sigma, entrant) from ``draw(config, lo, hi)`` over all trials.
+def _fill_trials(config, fill, entrants: int, per_trial: int, lo: int, hi: int):
+    """Optima, errors and ratios of trials lo..hi-1, written by ``fill`` block by block.
+
+    The three arrays are allocated once; ``fill(config, lo, hi, opts, etas,
+    ratios)`` writes one block into its slices.  A block holds as many trials
+    as keep their ``per_trial`` kernel entries each within KERNEL_ENTRIES,
+    and at least one.
+    """
+    count, points = hi - lo, len(config.sigma_grid)
+    opts, etas = np.empty(count), np.empty((points, count))
+    ratios = np.empty((points, entrants, count))
+    per_block = max(1, KERNEL_ENTRIES // per_trial)
+    for start in range(0, count, per_block):
+        part = slice(start, min(start + per_block, count))
+        fill(config, lo + part.start, lo + part.stop, opts[part], etas[:, part], ratios[..., part])
+    return opts, etas, ratios
+
+
+def _run_trials(config, fill, per_trial: int, experiment: str, entrants) -> List[TrialReport]:
+    """One read-only report per (sigma, entrant) over all trials, from ``_fill_trials``.
 
     Workers take contiguous trial ranges, at most one per trial; the chunks
     are stitched back in trial order, so the worker count changes no value.
     """
+    fill_range = partial(_fill_trials, config, fill, len(entrants), per_trial)
     chunks = min(config.jobs, config.trials)
     if chunks == 1:
-        opts, etas, ratios = draw(config, 0, config.trials)
+        opts, etas, ratios = fill_range(0, config.trials)
     else:
         edges = [config.trials * k // chunks for k in range(chunks + 1)]
         with ProcessPoolExecutor(max_workers=chunks) as pool:
-            parts = list(pool.map(draw, [config] * chunks, edges[:-1], edges[1:]))
+            parts = list(pool.map(fill_range, edges[:-1], edges[1:]))
         opts, etas, ratios = (np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
+    for array in (opts, etas, ratios):  # the reports share them
+        array.flags.writeable = False
     return [
         TrialReport(experiment, label, lam, sigma, opts, ratios[s, a], etas[s])
         for s, sigma in enumerate(config.sigma_grid)
@@ -307,38 +306,13 @@ def run_ski_sweep(config: SkiSweepConfig) -> List[TrialReport]:
     if not isinstance(config, SkiSweepConfig):
         raise TypeError(f"expected a SkiSweepConfig, got {type(config).__name__}")
     entrants = [(label, p.lam) for label, p in ski_sweep_algorithms(config)]
-    return _run_trials(config, _ski_trials, "ski-sweep", entrants)
+    return _run_trials(config, _ski_trials, 1, "ski-sweep", entrants)
 
 
 def run_scheduling_sweep(config: SchedSweepConfig) -> List[TrialReport]:
     """Mean competitive ratio per (sigma, algorithm) for the schedulers."""
     if not isinstance(config, SchedSweepConfig):
         raise TypeError(f"expected a SchedSweepConfig, got {type(config).__name__}")
-    return _run_trials(config, _sched_trials, "sched-sweep", sched_sweep_algorithms(config))
+    entrants, per_trial = sched_sweep_algorithms(config), (len(config.sigma_grid) + 1) * config.n
+    return _run_trials(config, _sched_block, per_trial, "sched-sweep", entrants)
 
-
-@dataclass(frozen=True)
-class TradeoffPoint:
-    """Guarantee pair (robustness, consistency) of both rules at one lambda."""
-
-    lam: float
-    det_robustness: float
-    det_consistency: float
-    rand_robustness: float
-    rand_consistency: float
-
-
-def run_tradeoff_curve(b: int, lambdas) -> List[TradeoffPoint]:
-    """Evaluate both guarantee pairs across a lambda grid at buy cost b."""
-    points = []
-    for lam in lambdas:
-        points.append(
-            TradeoffPoint(
-                lam=float(lam),
-                det_robustness=bounds.det_robustness(lam),
-                det_consistency=bounds.det_consistency(lam),
-                rand_robustness=bounds.rand_robustness(b, lam),
-                rand_consistency=bounds.rand_consistency(lam),
-            )
-        )
-    return points

@@ -107,16 +107,18 @@ def ski_opt(instance: SkiInstance) -> int:
     return min(instance.b, instance.x)
 
 
+def _is_real(lam) -> bool:
+    return isinstance(lam, (int, float, np.floating)) and not isinstance(lam, bool)
+
+
 def _check_deterministic_lambda(lam: float) -> None:
-    if not (isinstance(lam, (int, float, np.floating)) and 0 < lam <= 1):
+    if not (_is_real(lam) and 0 < lam <= 1):
         raise ValueError(f"deterministic rule requires lambda in (0, 1], got {lam!r}")
 
 
 def _check_randomized_lambda(lam: float, b: int) -> None:
-    if not (isinstance(lam, (int, float, np.floating)) and 1.0 / b < lam <= 1):
-        raise ValueError(
-            f"randomized rule requires lambda in (1/{b}, 1] for b={b}, got {lam!r}"
-        )
+    if not (_is_real(lam) and 1.0 / b < lam <= 1):
+        raise ValueError(f"randomized rule requires lambda in (1/{b}, 1] for b={b}, got {lam!r}")
 
 
 def _snap(q: float):
@@ -150,9 +152,10 @@ def buy_day(policy: SkiPolicy, b: int, big: bool) -> Optional[int]:
     if policy.kind is not PolicyKind.DETERMINISTIC:
         raise ValueError("the randomized rule draws its buy day; see randomized_buy_day")
     _check_deterministic_lambda(policy.lam)
-    q = policy.lam * b if big else b / policy.lam
+    lam = float(policy.lam)  # a numpy lambda would warn where b / lambda overflows
+    q = lam * b if big else b / lam
     if math.isinf(q):  # b / lambda in exact integer arithmetic, lambda = num / den
-        num, den = float(policy.lam).as_integer_ratio()
+        num, den = lam.as_integer_ratio()
         return -(-b * den // num)
     return math.ceil(_snap(q))
 

@@ -21,8 +21,7 @@ import numpy as np
 from . import bounds
 from .scheduling import _require_jobs, objectives, prr_batch, sequential_batch
 from .ski_rental import PolicyKind, SkiPolicy, buy_day, ski_cost
-from .experiments import DEFAULT_SEED
-from .workloads import derived_rngs
+from .workloads import DEFAULT_SEED, derived_rngs
 
 NINE_LAMBDAS = tuple(round(0.1 * i, 10) for i in range(1, 10))
 TOLERANCE = 1e-9

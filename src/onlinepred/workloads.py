@@ -17,6 +17,8 @@ from typing import Iterable, Iterator, List
 
 import numpy as np
 
+# Master seed of the sweeps and of the verification grids unless one is given.
+DEFAULT_SEED = 271828
 
 # numpy's SeedSequence constants: pool words, the two hash multiplier chains,
 # the mixing multipliers and the xorshift; keys are one uint32 word each.

@@ -108,6 +108,25 @@ class TestRejectsNan:
         with pytest.raises(ValueError, match=r"must be >= (0|1), got"):
             call()
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: bounds.det_robustness(0), r"lambda must lie in \(0, 1\], got 0"),
+            (lambda: bounds.det_consistency(0), r"lambda must lie in \(0, 1\], got 0"),
+            (lambda: bounds.rand_robustness(1, 0.5), "b must be >= 2, got 1"),
+            (lambda: bounds.rand_consistency(1.5), r"lambda must lie in \(0, 1\], got 1.5"),
+            (lambda: bounds.prr_bound(5, 1.0, 1.0), r"lambda must lie in \(0, 1\), got 1.0"),
+            (lambda: bounds.prr_perfect_bound(0), r"lambda must lie in \(0, 1\), got 0"),
+        ],
+        ids=[
+            "det-robustness", "det-consistency", "rand-robustness-b", "rand-consistency",
+            "prr", "prr-perfect",
+        ],
+    )
+    def test_out_of_range_raises(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_array_below_domain_raises(self):
         with pytest.raises(ValueError, match="opt must be >= 1"):
             bounds.det_ski_bound(0.5, np.zeros(2), np.array([1.0, 0.5]))
@@ -191,6 +210,10 @@ class TestAppendixLemmas:
         assert lhs == pytest.approx(2.40176, abs=1e-4)
         assert rhs == pytest.approx(4.54994, abs=1e-4)
         assert lhs <= rhs
+
+    def test_rejects_non_positive_step(self):
+        with pytest.raises(ValueError, match="a1_step must be positive, got 0"):
+            check_appendix_families(a1_step=0)
 
     def test_grid_sizes(self):
         results = {r.family: r for r in check_appendix_families()}

@@ -120,6 +120,45 @@ class TestSkiSweepCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("ski-sweep", "--sigma-grid", "a:b:c"), "numeric start:stop:step, got 'a:b:c'"),
+            (("ski-sweep", "--seed", "abc"), "seed must be a non-negative integer, got 'abc'"),
+            (("trace", "sched", "--jobs", "1:1", "--algo", "prr"), "'prr' requires --lambda"),
+            (("trace", "sched", "--jobs", "1:x", "--algo", "rr"), "got chunk '1:x'"),
+        ],
+        ids=["sigma-grid-letters", "seed-letters", "prr-without-lambda", "job-not-a-number"],
+    )
+    def test_bad_input_names_the_fault(self, argv, message, capsys):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("b 50", "cfg:1: expected key=value, got 'b 50'"),
+            ("b=abc", "config key b: cannot parse 'abc'"),
+            ("sampled=maybe", "expected a boolean, got 'maybe'"),
+            ("format=xml", "format must be csv or json, got 'xml'"),
+        ],
+        ids=["no-equals", "b-not-a-number", "sampled-not-a-bool", "unknown-format"],
+    )
+    def test_bad_config_line_names_the_fault(self, line, message, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"{line}\ntrials=2\nsigma_grid=0:0:1\n")
+        code, out, err = run_cli(capsys, "ski-sweep", "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert message in err
+
+    def test_config_file_sampled_true(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("sampled=true\ntrials=2\nsigma_grid=0:0:1\n")
+        code, out, _ = run_cli(capsys, "ski-sweep", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert ",karlin-sampled," in out and ",randomized-sampled," in out
+
     def test_config_file_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "binary.cfg"
         cfg.write_bytes(b"\xff\xfe=1\n")
@@ -510,6 +549,25 @@ class TestTraceCommand:
         assert "completions: 1.0000" in out
         assert "ratio: 1.000000" in out
 
+    # SPJF trusts the swapped predictions and runs the long job first
+    @pytest.mark.parametrize(
+        "algo, completions", [("spjf", "4.0000, 3.0000"), ("sjf", "1.0000, 4.0000")]
+    )
+    def test_sched_sequential_rules(self, algo, completions, capsys):
+        code, out, _ = run_cli(capsys, "trace", "sched", "--jobs", "1:3,3:1", "--algo", algo)
+        assert code == EXIT_OK
+        assert f"completions: {completions}" in out
+
+    def test_sched_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "trace", "sched", "--jobs", "1:1,2:2", "--algo", "prr", "--lambda", "0.5",
+            "--format", "json",
+        )
+        assert code == EXIT_OK
+        row = json.loads(out)
+        assert (row["algorithm"], row["lambda"], row["objective"]) == ("prr", 0.5, 4.3333)
+        assert row["completions"] == {"0": 1.3333, "1": 3.0}
+
     def test_sched_malformed_jobs(self, capsys):
         code, _, err = run_cli(capsys, "trace", "sched", "--jobs", "1:2:3", "--algo", "rr")
         assert code == EXIT_USAGE
@@ -566,6 +624,19 @@ class TestVerifyBoundsCommand:
         # lambda = 1 row carries the classical deterministic endpoint (2, 2)
         last = curve_lines[-1].split(",")
         assert last[0] == "1.000000" and last[1] == "2.000000" and last[2] == "2.000000"
+
+
+    def test_curve_bytes_pinned(self, tmp_path, capsys):
+        # sha256 recorded when the rows came from a sweep-module wrapper around bounds
+        curve = tmp_path / "curve.csv"
+        code, _, _ = run_cli(
+            capsys, "verify-bounds", "--grid-density", "tiny", "--b", "100",
+            "--curve-out", str(curve),
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(curve.read_bytes()).hexdigest() == (
+            "4727a462136cd3aecaa3b16d2ee4afa837cfdd6049797a276ec0657f83d6e26e"
+        )
 
 
 class TestEntryPoint:

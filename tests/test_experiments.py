@@ -17,7 +17,6 @@ from onlinepred.experiments import (
     SkiSweepConfig,
     run_scheduling_sweep,
     run_ski_sweep,
-    run_tradeoff_curve,
 )
 from onlinepred.ski_rental import B_MAX
 
@@ -129,6 +128,28 @@ class TestSkiSweep:
             run_ski_sweep(small_ski_config(lambda_det=1.5))
 
     @pytest.mark.parametrize(
+        "field, message",
+        [("lambda_det", "deterministic rule"), ("lambda_rand", "randomized rule")],
+    )
+    def test_bool_lambda_rejected(self, field, message):
+        # True is an int equal to 1, yet no lambda
+        with pytest.raises(ValueError, match=f"{message} requires lambda in .*got True"):
+            SkiSweepConfig(b=10, trials=2, **{field: True})
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
+    def test_block_split_changes_no_bit(self, monkeypatch, sampled):
+        cfg = small_ski_config(trials=23, sampled=sampled)
+        lo, entrants = 3, len(experiments.ski_sweep_algorithms(cfg))
+        whole = experiments._fill_trials(cfg, experiments._ski_trials, entrants, 1, lo, cfg.trials)
+        for trials_per_block in (1, 7):
+            monkeypatch.setattr(experiments, "KERNEL_ENTRIES", trials_per_block)
+            split = experiments._fill_trials(
+                cfg, experiments._ski_trials, entrants, 1, lo, cfg.trials
+            )
+            for a, b in zip(whole, split):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
         "trials, workers, sampled",
         [(3, 4, False), (401, 3, False), (401, 3, True)],
         ids=["fewer-trials-than-workers", "uneven-split", "sampled"],
@@ -210,7 +231,13 @@ class TestSchedulingSweep:
 
         kernel = experiments.prr_batch
         monkeypatch.setattr(experiments, "prr_batch", recording_kernel)
-        whole = experiments._sched_trials(cfg, lo, cfg.trials)
+
+        def fill_trials():
+            return experiments._fill_trials(
+                cfg, experiments._sched_block, 3, groups * cfg.n, lo, cfg.trials
+            )
+
+        whole = fill_trials()
         assert calls == [(groups * trials, cfg.n)]
         # (entries, kernel calls): one trial and one row group per call, two
         # row groups per call, one trial per call, four trials per call
@@ -222,7 +249,7 @@ class TestSchedulingSweep:
         ]:
             monkeypatch.setattr(experiments, "KERNEL_ENTRIES", entries)
             calls.clear()
-            split = experiments._sched_trials(cfg, lo, cfg.trials)
+            split = fill_trials()
             for a, b in zip(whole, split):
                 assert a.tobytes() == b.tobytes()
             assert len(calls) == count
@@ -276,6 +303,29 @@ class TestSchedulingSweep:
 def test_non_finite_sigma_rejected(make_config, grid):
     with pytest.raises(ValueError, match="finite"):
         make_config(sigma_grid=grid)
+
+
+@pytest.mark.parametrize(
+    "make_config", [small_ski_config, small_sched_config], ids=["ski", "sched"]
+)
+def test_string_sigma_grid_rejected(make_config):
+    # read one character at a time, "123" would be the grid (1.0, 2.0, 3.0)
+    for grid in ("123", "0:4:1", b"12"):
+        with pytest.raises(ValueError, match="sigma grid must be a sequence of numbers"):
+            make_config(sigma_grid=grid)
+
+
+@pytest.mark.parametrize("run", [run_ski_sweep, run_scheduling_sweep], ids=["ski", "sched"])
+@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pooled"])
+def test_reports_are_read_only(run, jobs):
+    # every report holds the same opt_costs, and the reports at one sigma one etas row
+    make_config = small_ski_config if run is run_ski_sweep else small_sched_config
+    reports = run(make_config(trials=3, jobs=jobs))
+    for report in reports:
+        for array in (report.opt_costs, report.etas, report.ratios):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = 99
+    assert reports[0].mean_eta == reports[1].mean_eta != 99.0
 
 
 @pytest.mark.parametrize(
@@ -336,35 +386,32 @@ class TestConfigTypes:
 
 
 class TestTradeoffCurve:
+    """The robustness/consistency pairs ``verify-bounds --curve-out`` prints, from ``bounds``."""
+
     def test_classical_endpoint(self):
-        point = run_tradeoff_curve(100, [1.0])[0]
-        assert point.det_robustness == pytest.approx(2.0)
-        assert point.det_consistency == pytest.approx(2.0)
+        assert bounds.det_robustness(1.0) == pytest.approx(2.0)
+        assert bounds.det_consistency(1.0) == pytest.approx(2.0)
         # as b grows both randomized coordinates approach e/(e-1)
-        big = run_tradeoff_curve(10**7, [1.0])[0]
-        assert big.rand_robustness == pytest.approx(bounds.E_OVER_E_MINUS_1, abs=1e-3)
-        assert big.rand_consistency == pytest.approx(bounds.E_OVER_E_MINUS_1, abs=1e-12)
+        assert bounds.rand_robustness(10**7, 1.0) == pytest.approx(
+            bounds.E_OVER_E_MINUS_1, abs=1e-3
+        )
+        assert bounds.rand_consistency(1.0) == pytest.approx(bounds.E_OVER_E_MINUS_1, abs=1e-12)
 
     def test_half_lambda_row(self):
-        point = run_tradeoff_curve(100, [0.5])[0]
-        assert point.det_robustness == pytest.approx(3.0)
-        assert point.det_consistency == pytest.approx(1.5)
+        assert bounds.det_robustness(0.5) == pytest.approx(3.0)
+        assert bounds.det_consistency(0.5) == pytest.approx(1.5)
 
     def test_dominance_at_equal_robustness(self):
         # for each deterministic point, some randomized lambda has no worse
         # robustness and strictly better consistency
         b = 100
         fine = np.linspace(1.0 / b + 1e-9, 1.0, 4000)
-        rand_points = run_tradeoff_curve(b, fine)
+        rand_points = [(bounds.rand_robustness(b, l), bounds.rand_consistency(l)) for l in fine]
         for lam in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
-            det_point = run_tradeoff_curve(b, [lam])[0]
-            ok = any(
-                p.rand_robustness <= det_point.det_robustness
-                and p.rand_consistency < det_point.det_consistency
-                for p in rand_points
-            )
+            det = (bounds.det_robustness(lam), bounds.det_consistency(lam))
+            ok = any(rob <= det[0] and con < det[1] for rob, con in rand_points)
             assert ok, lam
 
     def test_out_of_range_lambda_rejected(self):
         with pytest.raises(ValueError):
-            run_tradeoff_curve(100, [0.005])
+            bounds.rand_robustness(100, 0.005)

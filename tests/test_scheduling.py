@@ -463,6 +463,10 @@ class TestJobSetValidation:
         with pytest.raises(ValueError, match="equal length"):
             JobSet.from_lengths([1.0, 2.0], [1.0])
 
+    def test_rejects_matrix(self):
+        with pytest.raises(ValueError, match=r"must form a vector, got shape \(2, 2\)"):
+            JobSet(np.ones((2, 2)), np.ones((2, 2)))
+
     def test_arrays_are_read_only(self):
         source = np.array([2.0, 1.0])
         jobs = JobSet.from_lengths(source, [5.0, 6.0])

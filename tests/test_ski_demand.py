@@ -108,6 +108,19 @@ class TestDecompose:
             DemandInstance(B_MAX + 1, (1,), (1.0,))
         assert DemandInstance(B_MAX, (1,), (1.0,)).b == B_MAX
 
+    @pytest.mark.parametrize(
+        "demand, predicted, message",
+        [
+            ((1, 2), (1.0,), "non-empty vectors of equal length"),
+            ((1, 2), (1.0, float("nan")), "finite real >= 0, got nan"),
+            ((1, 2), (1.0, -1.0), "finite real >= 0, got -1.0"),
+        ],
+        ids=["unequal-lengths", "nan-prediction", "negative-prediction"],
+    )
+    def test_rejects_bad_vectors(self, demand, predicted, message):
+        with pytest.raises(ValueError, match=message):
+            DemandInstance(10, demand, predicted)
+
     @pytest.mark.parametrize("demand", [(True, 2), (1, False), (1, 2.0)])
     def test_non_integer_daily_demand_rejected(self, demand):
         with pytest.raises(ValueError, match="daily demand must be an integer"):

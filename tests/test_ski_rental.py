@@ -1,6 +1,7 @@
 """Unit tests for the rent-or-buy rules, with independent cost oracles."""
 
 import math
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -224,9 +225,19 @@ class TestDeterministic:
 
     def test_rejects_bad_lambda(self):
         inst = SkiInstance(100, 1, 0.0)
-        for lam in (0.0, -0.5, 1.5):
+        for lam in (0.0, -0.5, 1.5, True):  # True is an int equal to 1, yet no lambda
             with pytest.raises(ValueError):
                 day_of(SkiPolicy(PolicyKind.DETERMINISTIC, lam), inst)
+        with pytest.raises(ValueError, match="got True"):
+            ski_cost(SkiPolicy(PolicyKind.DETERMINISTIC, True), 10, 20, 5.0)
+
+    def test_numpy_lambda_is_warning_free(self):
+        # numpy warns where b / lambda overflows; the rule divides in Python floats
+        numpy_lam = SkiPolicy(PolicyKind.DETERMINISTIC, np.float64(1e-320))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            day = buy_day(numpy_lam, 10, False)
+        assert day == buy_day(SkiPolicy(PolicyKind.DETERMINISTIC, 1e-320), 10, False) > X_MAX
 
 
 class TestRandomizedDistribution:
@@ -253,7 +264,7 @@ class TestRandomizedDistribution:
         assert _support_size(100, 0.5, False) == 200  # ceil(b / lambda)
 
     def test_rejects_lambda_at_or_below_1_over_b(self):
-        for lam in (0.01, 0.005, 0.0, 1.0001):
+        for lam in (0.01, 0.005, 0.0, 1.0001, True):
             policy = SkiPolicy(PolicyKind.RANDOMIZED, lam)
             for u in (None, 0.5):
                 with pytest.raises(ValueError):

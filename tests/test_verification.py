@@ -151,3 +151,8 @@ class TestRandomJobsets:
         )
         with pytest.raises(ValueError, match=message):
             random_jobsets(10, 3)
+
+
+def test_unknown_density_rejected():
+    with pytest.raises(ValueError, match="unknown grid density 'bogus'"):
+        verification.run_all_checks("bogus")
