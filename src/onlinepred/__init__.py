@@ -22,7 +22,6 @@ from .experiments import (
     run_ski_sweep,
 )
 from .scheduling import (
-    Job,
     JobSet,
     ScheduleResult,
     objectives,

@@ -328,11 +328,17 @@ _TRACE_SKI_ALGOS = {
 }
 
 
+def _free_lambda(args: argparse.Namespace, free: bool) -> bool:
+    """Whether --lambda sets the traced rule's lambda (``free``); it is given iff so."""
+    if free != (args.lam is not None):
+        fault = "requires --lambda" if free else "takes no --lambda"
+        raise UsageError(f"algorithm {args.algo!r} {fault}")
+    return free
+
+
 def cmd_trace_ski(args: argparse.Namespace) -> int:
     kind, lam = _TRACE_SKI_ALGOS[args.algo]
-    if lam is None and kind is not PolicyKind.NAIVE:
-        if args.lam is None:
-            raise UsageError(f"algorithm {args.algo!r} requires --lambda")
+    if _free_lambda(args, lam is None and kind is not PolicyKind.NAIVE):
         lam = args.lam
     policy = SkiPolicy(kind, lam)
     # the instance checks b, x and y, the cost the rule's lambda range
@@ -399,9 +405,7 @@ def _parse_job_spec(text: str) -> JobSet:
 
 def cmd_trace_sched(args: argparse.Namespace) -> int:
     jobs = _parse_job_spec(args.jobs)
-    if args.algo == "prr":
-        if args.lam is None:
-            raise UsageError("algorithm 'prr' requires --lambda")
+    if _free_lambda(args, args.algo == "prr"):
         result = _checked(prr, jobs, args.lam)  # prr checks lambda
     elif args.algo == "rr":
         result = round_robin(jobs)

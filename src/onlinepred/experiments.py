@@ -226,8 +226,8 @@ def _sched_block(config: SchedSweepConfig, lo: int, hi: int, opts, etas, ratios)
     per trial: first round-robin at lambda = 0, scored once per trial since
     it ignores predictions (its group takes the sigma = 0 predictions, which
     are the lengths), then PRR at each sigma.  SPJF and the errors come from
-    the same predictions.  Only when one trial's groups exceed KERNEL_ENTRIES
-    do the groups take more than one call.
+    the PRR groups' predictions.  Only when one trial's groups exceed
+    KERNEL_ENTRIES do the groups take more than one call.
     """
     draw, fixed = partial(gen_pareto_lengths, config.alpha, config.n), None
     if config.fixed_jobs:
@@ -242,20 +242,20 @@ def _sched_block(config: SchedSweepConfig, lo: int, hi: int, opts, etas, ratios)
     lams = np.array((0.0,) + (config.lambda_sched,) * len(config.sigma_grid))
 
     opts[:] = objectives(sequential_batch(lengths, lengths))
-    errors, spjf_costs, shared = (np.empty((sigmas.size, trials)) for _ in range(3))
+    shared = np.empty((sigmas.size, trials))
     per_call = max(1, KERNEL_ENTRIES // (trials * n))
     for g in range(0, sigmas.size, per_call):
         groups = slice(g, g + per_call)
         predicted = lengths + sigmas[groups, None, None] * directions
-        errors[groups] = objectives(np.abs(lengths - predicted))
-        spjf_costs[groups] = objectives(sequential_batch(lengths, predicted))
+        first = max(g, 1)  # group 0 is round-robin's; group s + 1 is grid point s
+        points, scored = slice(first - 1, g + per_call - 1), predicted[first - g:]
+        etas[points] = objectives(np.abs(lengths - scored))
+        ratios[points, 1] = objectives(sequential_batch(lengths, scored)) / opts
         kernel_lengths = np.broadcast_to(lengths, predicted.shape).reshape(-1, n)
         lam = np.repeat(lams[groups], trials)
         completions, _ = prr_batch(kernel_lengths, predicted.reshape(-1, n), lam)
         shared[groups] = objectives(completions).reshape(-1, trials)
-    etas[:] = errors[1:]
     ratios[:, 0] = shared[0] / opts
-    ratios[:, 1] = spjf_costs[1:] / opts
     ratios[:, 2] = shared[1:] / opts
 
 

@@ -9,7 +9,8 @@ prediction gets an extra lam (round-robin is lam = 0).  One kernel serves
 both, `prr_batch`: the exact event sweep, completion to completion, run with
 numpy across a stack of job sets with one lam per row; `prr` and
 `round_robin` are its one-row calls.  The objective throughout is the sum of
-completion times, added up in id order (`objectives`).
+completion times, added up in id order (`objectives`) like the prediction
+error, and every one-set rule builds its result and event log in `_result`.
 """
 
 from __future__ import annotations
@@ -22,14 +23,6 @@ import numpy as np
 # Remaining work below this fraction of the original length counts as done;
 # prevents zero-length phases caused by float residue.
 COMPLETION_EPS = 1e-12
-
-
-class Job(NamedTuple):
-    """One column of a JobSet, for readers that want records (unvalidated)."""
-
-    id: int
-    length: float
-    predicted: float
 
 
 def _frozen(values) -> np.ndarray:
@@ -93,17 +86,13 @@ class JobSet:
         return cls(lengths, lengths if predictions is None else predictions)
 
     @property
-    def jobs(self) -> Tuple[Job, ...]:
-        return tuple(map(Job, range(self.n), self.lengths.tolist(), self.predicted.tolist()))
-
-    @property
     def n(self) -> int:
         return self.lengths.size
 
 
 def prediction_error(jobs: JobSet) -> float:
-    """Total L1 prediction error over the job set."""
-    return sum(np.abs(jobs.lengths - jobs.predicted).tolist(), 0.0)
+    """Total L1 prediction error over the job set, added up in id order."""
+    return float(objectives(np.abs(jobs.lengths - jobs.predicted)))
 
 
 class ScheduleResult(NamedTuple):
@@ -139,11 +128,17 @@ def objectives(completions) -> np.ndarray:
     return np.cumsum(completions, axis=-1)[..., -1]
 
 
+def _result(completions: np.ndarray, event_index: np.ndarray) -> ScheduleResult:
+    """The result of one job set whose job i finished in event ``event_index[i]``."""
+    order = np.argsort(event_index, kind="stable")  # by event, then by id
+    groups = np.split(order, np.flatnonzero(np.diff(event_index[order])) + 1)
+    events = tuple((float(completions[ids[0]]), tuple(ids.tolist())) for ids in groups)
+    return ScheduleResult(completions, float(objectives(completions)), events)
+
+
 def _run_sequential(jobs: JobSet, keys: np.ndarray) -> ScheduleResult:
-    completions = sequential_batch(jobs.lengths, keys)
-    order = np.argsort(keys, kind="stable")
-    events = tuple(zip(completions[order].tolist(), zip(order.tolist())))
-    return ScheduleResult(completions, sum(completions.tolist(), 0.0), events)
+    place = np.argsort(np.argsort(keys, kind="stable"))  # each job's place in the run order
+    return _result(sequential_batch(jobs.lengths, keys), place)
 
 
 def sjf_opt(jobs: JobSet) -> ScheduleResult:
@@ -314,15 +309,9 @@ def prr_batch(lengths, predicted, lam) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _shared_schedule(jobs: JobSet, lam: float) -> ScheduleResult:
-    """One-row ``prr_batch``, with the event log rebuilt from the event indices."""
+    """One-row ``prr_batch``."""
     completions, event_index = prr_batch(jobs.lengths[None], jobs.predicted[None], lam)
-    completions, event_index = completions[0], event_index[0]
-    order = np.argsort(event_index, kind="stable")  # by event, then by id
-    starts = np.flatnonzero(np.diff(event_index[order], prepend=-1))
-    events = tuple(
-        (float(completions[ids[0]]), tuple(ids.tolist())) for ids in np.split(order, starts[1:])
-    )
-    return ScheduleResult(completions, sum(completions.tolist(), 0.0), events)
+    return _result(completions[0], event_index[0])
 
 
 def round_robin(jobs: JobSet) -> ScheduleResult:

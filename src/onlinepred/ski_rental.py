@@ -169,6 +169,10 @@ def randomized_buy_day(b: int, lam: float, big: bool, u):
     is clipped to [1, m] in float before the cast: u = 0 with an underflowed
     r^m takes the log of 0.  Returns an int64 scalar or array shaped like u.
     """
+    inside = np.logical_and(np.greater_equal(u, 0.0), np.less(u, 1.0))  # NaN fails
+    if not inside.all():
+        bad = float(np.extract(~inside, u)[0])
+        raise ValueError(f"uniform draws u must lie in [0, 1), got {bad!r}")
     m = _support_size(b, lam, big)
     ratio = (b - 1) / b
     tail = ratio**m
@@ -206,8 +210,9 @@ def ski_cost(policy: SkiPolicy, b: int, xs, ys, u=None):
     skiing day up to m adds the same 1 / (1 - r^m).  With uniform [0,1)
     draws ``u`` (broadcastable too) it buys on the day the branch's inverse
     CDF picks for each draw (`randomized_buy_day`) and costs like a day rule;
-    the day rules ignore ``u``.
+    the day rules ignore ``u``.  ``b`` must be an integer in [2, B_MAX].
     """
+    _check_count("b", b, 2, B_MAX)
     big, small = (_cost_on_branch(policy, b, branch, xs, u) for branch in (True, False))
     return np.where(np.greater_equal(ys, b), big, small)
 

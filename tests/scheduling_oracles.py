@@ -7,17 +7,33 @@ bookkeeping with the batched kernel in ``onlinepred.scheduling``.
 ``prr_sweep`` is the one-job-set event sweep the kernel replaced, kept as a
 bit-exact reference: the kernel must reproduce its float operations.
 ``run_sorted`` replays a sequential rule over ``Job`` records in ``sorted``
-key order, with none of the argsort machinery of the real schedulers.
+key order, with none of the argsort machinery of the real schedulers.  The
+package keeps a job set as two arrays only; ``records`` gives the oracles
+their own per-job view of it.
 """
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from onlinepred.scheduling import COMPLETION_EPS, ScheduleResult
 
 RATE_SUM_TOLERANCE = 1e-9
+
+
+class Job(NamedTuple):
+    """One job of a JobSet: its id (column), true length and prediction."""
+
+    id: int
+    length: float
+    predicted: float
+
+
+def records(jobs):
+    """The jobs of a JobSet as ``Job`` records in id order."""
+    return tuple(map(Job, range(jobs.n), jobs.lengths.tolist(), jobs.predicted.tolist()))
 
 
 def rr_rates(active):
@@ -47,8 +63,8 @@ def run_rate_schedule(jobs, rates):
     that leaves every remaining job at rate zero (a livelock) are rejected, and
     the work executed must equal the total length within 1e-9 relative.
     """
-    remaining = {j.id: j.length for j in jobs.jobs}
-    active = list(jobs.jobs)
+    remaining = {j.id: j.length for j in records(jobs)}
+    active = list(records(jobs))
     completions = {}
     events = []
     t = 0.0
@@ -93,7 +109,7 @@ def run_rate_schedule(jobs, rates):
     total = sum(jobs.lengths.tolist(), 0.0)
     if abs(executed - total) > 1e-9 * total:
         raise RuntimeError(f"executed work {executed!r} differs from total length {total!r}")
-    ordered = [completions[j.id] for j in jobs.jobs]
+    ordered = [completions[j.id] for j in records(jobs)]
     return ScheduleResult(np.array(ordered), sum(ordered), tuple(events))
 
 
@@ -162,15 +178,15 @@ def prr_sweep(jobs, lam):
 
 
 def run_sorted(jobs, key):
-    """Run jobs to completion one after another in ``sorted(jobs.jobs, key=key)`` order."""
+    """Run jobs to completion one after another in ``sorted(records(jobs), key=key)`` order."""
     t = 0.0
     completions = {}
     events = []
-    for job in sorted(jobs.jobs, key=key):
+    for job in sorted(records(jobs), key=key):
         t += job.length
         completions[job.id] = t
         events.append((t, (job.id,)))
-    ordered = [completions[j.id] for j in jobs.jobs]
+    ordered = [completions[j.id] for j in records(jobs)]
     return ScheduleResult(np.array(ordered), sum(ordered), tuple(events))
 
 

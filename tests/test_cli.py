@@ -127,8 +127,20 @@ class TestSkiSweepCommand:
             (("ski-sweep", "--seed", "abc"), "seed must be a non-negative integer, got 'abc'"),
             (("trace", "sched", "--jobs", "1:1", "--algo", "prr"), "'prr' requires --lambda"),
             (("trace", "sched", "--jobs", "1:x", "--algo", "rr"), "got chunk '1:x'"),
+            (("trace", "ski", "--b", "10", "--x", "3", "--y", "1", "--algo", "karlin",
+              "--lambda", "0.3"), "'karlin' takes no --lambda"),
+            (("trace", "ski", "--b", "10", "--x", "3", "--y", "1", "--algo", "break-even",
+              "--lambda", "0.2"), "'break-even' takes no --lambda"),
+            (("trace", "ski", "--b", "10", "--x", "3", "--y", "1", "--algo", "naive",
+              "--lambda", "0.5"), "'naive' takes no --lambda"),
+            (("trace", "sched", "--jobs", "1:1", "--algo", "rr", "--lambda", "0.5"),
+             "'rr' takes no --lambda"),
+            (("trace", "sched", "--jobs", "1:1", "--algo", "sjf", "--lambda", "0.9"),
+             "'sjf' takes no --lambda"),
         ],
-        ids=["sigma-grid-letters", "seed-letters", "prr-without-lambda", "job-not-a-number"],
+        ids=["sigma-grid-letters", "seed-letters", "prr-without-lambda", "job-not-a-number",
+             "karlin-with-lambda", "break-even-with-lambda", "naive-with-lambda",
+             "rr-with-lambda", "sjf-with-lambda"],
     )
     def test_bad_input_names_the_fault(self, argv, message, capsys):
         code, out, err = run_cli(capsys, *argv)

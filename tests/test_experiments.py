@@ -231,6 +231,15 @@ class TestSchedulingSweep:
 
         kernel = experiments.prr_batch
         monkeypatch.setattr(experiments, "prr_batch", recording_kernel)
+        job_sets = []  # per sequential_batch call; round-robin's group needs none
+
+        def recording_sequential(lengths, keys):
+            job_sets.append(math.prod(np.broadcast_shapes(np.shape(lengths), np.shape(keys))[:-1]))
+            return sequential(lengths, keys)
+
+        sequential = experiments.sequential_batch
+        monkeypatch.setattr(experiments, "sequential_batch", recording_sequential)
+        points = len(cfg.sigma_grid)
 
         def fill_trials():
             return experiments._fill_trials(
@@ -239,6 +248,7 @@ class TestSchedulingSweep:
 
         whole = fill_trials()
         assert calls == [(groups * trials, cfg.n)]
+        assert job_sets == [trials, points * trials]  # the optima, then SPJF per sigma
         # (entries, kernel calls): one trial and one row group per call, two
         # row groups per call, one trial per call, four trials per call
         for entries, count in [
@@ -249,10 +259,12 @@ class TestSchedulingSweep:
         ]:
             monkeypatch.setattr(experiments, "KERNEL_ENTRIES", entries)
             calls.clear()
+            job_sets.clear()
             split = fill_trials()
             for a, b in zip(whole, split):
                 assert a.tobytes() == b.tobytes()
             assert len(calls) == count
+            assert sum(job_sets) == (points + 1) * trials
             assert all(rows * n <= max(entries, n) for rows, n in calls)
 
     def test_one_worker_per_trial_at_most(self, monkeypatch):

@@ -34,6 +34,7 @@ from scheduling_oracles import (
     prr_rates,
     prr_sweep,
     prr_two_job_formula,
+    records,
     rr_closed_form,
     rr_rates,
     run_rate_schedule,
@@ -187,7 +188,7 @@ class TestPrr:
         jobs = JobSet.from_lengths([4, 2, 3], [2, 3, 1])
         lam = 0.3
         k = jobs.n
-        rates = prr_rates(lam)(jobs.jobs)
+        rates = prr_rates(lam)(records(jobs))
         assert rates[2] == pytest.approx(lam + (1 - lam) / k, abs=1e-15)
         assert rates[0] == pytest.approx((1 - lam) / k, abs=1e-15)
         assert rates[1] == pytest.approx((1 - lam) / k, abs=1e-15)
@@ -263,6 +264,15 @@ class TestSequentialReference:
     def test_signed_zero_predictions_tie(self):
         jobs = JobSet.from_lengths([3, 2, 1], [0.0, -0.0, 0.0])
         assert [ids for _, ids in spjf(jobs).events] == [(0,), (1,), (2,)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(jobs=tied_job_sets(), lam=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_one_summation_rule(self, jobs, lam):
+        # the sweep and verify-bounds sum errors and objectives with objectives()
+        eta = objectives(np.abs(jobs.lengths - jobs.predicted))
+        assert prediction_error(jobs).hex() == float(eta).hex()
+        for r in (sjf_opt(jobs), spjf(jobs), round_robin(jobs), prr(jobs, lam)):
+            assert r.objective.hex() == float(objectives(r.completions)).hex()
 
 
 @st.composite
@@ -497,11 +507,6 @@ class TestJobSetValidation:
         jobs = JobSet.from_lengths([2.0, 1.0])
         with pytest.raises(ValueError, match="equal length"):
             JobSet(jobs.lengths, preds)
-
-    def test_jobs_view(self):
-        jobs = JobSet.from_lengths([2.0, 1.0], [0.5, 3.0])
-        assert jobs.jobs == ((0, 2.0, 0.5), (1, 1.0, 3.0))
-        assert jobs.jobs[1].length == 1.0
 
     def test_negative_predictions_allowed(self):
         jobs = JobSet.from_lengths([1, 2], [-5.0, -7.0])

@@ -524,3 +524,48 @@ class TestPolicyCost:
     def test_lambda_required(self):
         with pytest.raises(ValueError):
             policy_cost(SkiInstance(10, 5, 5.0), SkiPolicy(PolicyKind.DETERMINISTIC))
+
+
+class TestKernelInputs:
+    RANDOMIZED = SkiPolicy(PolicyKind.RANDOMIZED, 0.5)
+
+    @pytest.mark.parametrize(
+        "policy", [NAIVE, SkiPolicy(PolicyKind.DETERMINISTIC, 0.5), RANDOMIZED],
+        ids=["naive", "deterministic", "randomized"],
+    )
+    @pytest.mark.parametrize(
+        "b, message",
+        [
+            (0, "b must be >= 2, got 0"),
+            (1, "b must be >= 2, got 1"),
+            (2.5, "b must be an integer, got 2.5"),
+            (True, "b must be an integer, got True"),
+            (B_MAX + 1, f"b = {B_MAX + 1} exceeds the limit of {B_MAX}"),
+        ],
+    )
+    def test_rejects_bad_b(self, policy, b, message):
+        with pytest.raises(ValueError, match=message):
+            ski_cost(policy, b, 5, 1.0)
+
+    @pytest.mark.parametrize("u", [math.nan, -0.5, 1.0, 1.5])
+    def test_rejects_draw_outside_unit_interval(self, u):
+        class FixedDraw:
+            def random(self):
+                return u
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before any cast or log warns
+            for call in (
+                lambda: ski_cost(self.RANDOMIZED, 10, 5, 20.0, u),
+                lambda: ski_cost(self.RANDOMIZED, 10, np.full(2, 5), 20.0, np.array([0.5, u])),
+                lambda: policy_cost(SkiInstance(10, 5, 20.0), self.RANDOMIZED, FixedDraw()),
+            ):
+                with pytest.raises(ValueError, match=r"u must lie in \[0, 1\)"):
+                    call()
+
+    @pytest.mark.parametrize("u", [0.0, np.nextafter(1, 0)])
+    def test_accepts_draw_in_unit_interval(self, u):
+        # support 5 on the y >= b branch: day 1 at u = 0, day 5 just below 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ski_cost(self.RANDOMIZED, 10, 5, 20.0, u) == (10.0 if u == 0.0 else 14.0)
