@@ -51,6 +51,7 @@ SWEEP_HEADER = "experiment,algorithm,lambda,sigma,trials,mean_ratio,mean_eta,max
 CURVE_HEADER = "lambda,det_robustness,det_consistency,rand_robustness,rand_consistency"
 FAMILY_HEADER = "family,points,violations,worst_excess,tolerance,status"
 SIGMA_GRID_MAX_POINTS = 10_001
+SWEEP_FORMATS = ("csv", "json")
 
 
 class UsageError(ValueError, argparse.ArgumentTypeError):
@@ -161,7 +162,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_format(text: str) -> str:
-    if text not in ("csv", "json"):
+    if text not in SWEEP_FORMATS:
         raise UsageError(f"format must be csv or json, got {text!r}")
     return text
 
@@ -251,7 +252,7 @@ def _add_sweep_parser(sub, name: str, text: str, cls, options, func) -> None:
         parse, default = schema[key]
         kind = {"action": "store_const", "const": True} if parse is _parse_bool else {"type": parse}
         p.add_argument(flag, dest=key, default=None, help=help_text.format(default=default), **kind)
-    p.add_argument("--format", choices=("csv", "json"), default=None,
+    p.add_argument("--format", choices=SWEEP_FORMATS, default=None,
                    help="output format (default csv)")
     p.add_argument("--out", default=None, help="output path, '-' for stdout (default)")
     p.add_argument("--config", default=None,
@@ -304,14 +305,11 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
             )
         _write_output("\n".join(rows) + "\n", args.out)
     if args.curve_out:
-        lambdas = [round(0.02 * i, 10) for i in range(1, 51)]
-        rows = [CURVE_HEADER]
-        for lam in (l for l in lambdas if l > 1.0 / args.b):
-            values = (
-                lam, bounds.det_robustness(lam), bounds.det_consistency(lam),
-                bounds.rand_robustness(args.b, lam), bounds.rand_consistency(lam),
-            )
-            rows.append(",".join(_fmt_ratio(v) for v in values))
+        lam = np.array([round(0.02 * i, 10) for i in range(1, 51)])
+        lam = lam[lam > 1.0 / args.b]
+        columns = (lam, bounds.det_robustness(lam), bounds.det_consistency(lam),
+                   bounds.rand_robustness(args.b, lam), bounds.rand_consistency(lam))
+        rows = [CURVE_HEADER] + [",".join(map(_fmt_ratio, row)) for row in zip(*columns)]
         _write_output("\n".join(rows) + "\n", args.curve_out)
     return EXIT_OK if total_violations == 0 else EXIT_VIOLATION
 

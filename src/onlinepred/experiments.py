@@ -11,8 +11,9 @@ split the trials into contiguous ranges whose results are stitched back in
 trial order, so any worker count yields identical output.
 
 Both sweeps run one block loop: a trial range's result arrays are allocated
-once, and each block of trials is scored into its slices of them, one entry
-per trial in each ``ski_cost`` call, or (sigma points + 1) rows of n jobs per
+once, and each block of trials is scored into its slices of them.  A ski
+block makes one ``ski_cost`` call per rule, with one entry per sigma point
+per trial; a scheduling block puts (sigma points + 1) rows of n jobs per
 trial in one batched round-robin/PRR kernel call (round-robin ignores
 predictions, so it takes one row per trial).  Blocks keep kernel entries
 within ``KERNEL_ENTRIES``, which bounds the working set at any trial count;
@@ -205,11 +206,10 @@ def _ski_trials(config: SkiSweepConfig, lo: int, hi: int, opts, etas, ratios) ->
         for _, p in entrants
     ]
     opts[:] = np.minimum(xs, b)
-    for s, sigma in enumerate(grid):
-        ys = np.maximum(xs + sigma * zs, 0.0)
-        etas[s] = np.abs(ys - xs)
-        for a, (_, policy) in enumerate(entrants):
-            ratios[s, a] = ski_cost(policy, b, xs, ys, uniforms[a]) / opts
+    ys = np.maximum(xs + np.array(grid)[:, None] * zs, 0.0)  # one row per sigma point
+    np.abs(np.subtract(ys, xs, out=etas), out=etas)
+    for a, (_, policy) in enumerate(entrants):
+        np.divide(ski_cost(policy, b, xs, ys, uniforms[a]), opts, out=ratios[:, a])
 
 
 def sched_sweep_algorithms(config: SchedSweepConfig) -> List[Tuple[str, Optional[float]]]:
@@ -264,8 +264,8 @@ def _fill_trials(config, fill, entrants: int, per_trial: int, lo: int, hi: int):
 
     The three arrays are allocated once; ``fill(config, lo, hi, opts, etas,
     ratios)`` writes one block into its slices.  A block holds as many trials
-    as keep their ``per_trial`` kernel entries each within KERNEL_ENTRIES,
-    and at least one.
+    as keep their ``per_trial`` kernel entries each (a ski trial has one per
+    sigma point) within KERNEL_ENTRIES, and at least one.
     """
     count, points = hi - lo, len(config.sigma_grid)
     opts, etas = np.empty(count), np.empty((points, count))
@@ -306,7 +306,7 @@ def run_ski_sweep(config: SkiSweepConfig) -> List[TrialReport]:
     if not isinstance(config, SkiSweepConfig):
         raise TypeError(f"expected a SkiSweepConfig, got {type(config).__name__}")
     entrants = [(label, p.lam) for label, p in ski_sweep_algorithms(config)]
-    return _run_trials(config, _ski_trials, 1, "ski-sweep", entrants)
+    return _run_trials(config, _ski_trials, len(config.sigma_grid), "ski-sweep", entrants)
 
 
 def run_scheduling_sweep(config: SchedSweepConfig) -> List[TrialReport]:

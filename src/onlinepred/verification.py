@@ -230,11 +230,10 @@ def check_jobset_families(
         )
         noisy, perfect = objectives(completions).reshape(2, len(lambdas), ids.size) / opt
         prr_excess[ids], perfect_excess[ids] = noisy.T, perfect.T
-    # the excess arrays hold ratios until one bounds call per family and lambda
+    # the excess arrays hold ratios until one broadcast bounds call per family
     spjf_excess -= bounds.spjf_bound(n, eta)
-    for k, lam in enumerate(lambdas):
-        prr_excess[:, k] -= bounds.prr_bound(n, eta, lam)
-        perfect_excess[:, k] -= bounds.prr_perfect_bound(lam)
+    prr_excess -= bounds.prr_bound(n[:, None], eta[:, None], lam_rows)
+    perfect_excess -= bounds.prr_perfect_bound(lam_rows)
 
     def lambda_label(at: int) -> str:
         s, k = divmod(at, len(lambdas))
@@ -320,22 +319,19 @@ def check_tradeoff_dominance(rand_grid_size: int = 20000) -> FamilyResult:
     classical endpoint (lambda = 1) equal consistency is accepted.
     """
     b = DOMINANCE_B
-    lo = 1.0 / b + 1e-9
-    grid = np.linspace(lo, 1.0, rand_grid_size)
-    rand_rob = np.array([bounds.rand_robustness(b, lam) for lam in grid])
-    rand_cons = np.array([bounds.rand_consistency(lam) for lam in grid])
+    grid = np.linspace(1.0 / b + 1e-9, 1.0, rand_grid_size)
+    lam_d = np.array(DOMINANCE_LAMBDAS)
+    dr, dc = bounds.det_robustness(lam_d), bounds.det_consistency(lam_d)
+    # row k: the best randomized consistency with robustness no worse than dr[k]
+    covered = bounds.rand_robustness(b, grid) <= dr[:, None]
+    best = np.where(covered, bounds.rand_consistency(grid), math.inf).min(axis=1)
+    strict = (best < dc) | ((lam_d == 1.0) & (best <= dc))
+    excesses = np.where(strict, -1.0, best - dc)
 
-    excesses = []
-    labels = []
-    for lam_d in DOMINANCE_LAMBDAS:
-        dr = bounds.det_robustness(lam_d)
-        dc = bounds.det_consistency(lam_d)
-        mask = rand_rob <= dr
-        best = float(np.min(rand_cons[mask])) if np.any(mask) else math.inf
-        strict = best < dc or (lam_d == 1.0 and best <= dc)
-        excesses.append(-1.0 if strict else best - dc)
-        labels.append(f"lambda_det={lam_d} best_rand_consistency={best:.6f}")
-    return _fold("tradeoff-dominance", 0.0, [(excesses, labels.__getitem__)])
+    def label(at: int) -> str:
+        return f"lambda_det={DOMINANCE_LAMBDAS[at]} best_rand_consistency={best[at]:.6f}"
+
+    return _fold("tradeoff-dominance", 0.0, [(excesses, label)])
 
 
 DENSITIES: Dict[str, Dict] = {

@@ -1,6 +1,7 @@
 """Closed-form guarantee evaluators and the helper-inequality grid checks."""
 
 import math
+from functools import partial
 
 import pytest
 
@@ -117,10 +118,17 @@ class TestRejectsNan:
             (lambda: bounds.rand_consistency(1.5), r"lambda must lie in \(0, 1\], got 1.5"),
             (lambda: bounds.prr_bound(5, 1.0, 1.0), r"lambda must lie in \(0, 1\), got 1.0"),
             (lambda: bounds.prr_perfect_bound(0), r"lambda must lie in \(0, 1\), got 0"),
+            # True is an int equal to 1, yet no lambda, as the rules hold
+            (lambda: bounds.det_robustness(True), r"lambda must lie in \(0, 1\], got True"),
+            (lambda: bounds.rand_consistency(True), r"lambda must lie in \(0, 1\], got True"),
+            (lambda: bounds.det_ski_bound(np.array([True]), 0.0, 1.0), "got True"),
+            (lambda: bounds.rand_robustness(2.5, 0.6), "b must be an integer, got 2.5"),
+            (lambda: bounds.rand_robustness(True, 0.6), "b must be an integer, got True"),
         ],
         ids=[
             "det-robustness", "det-consistency", "rand-robustness-b", "rand-consistency",
-            "prr", "prr-perfect",
+            "prr", "prr-perfect", "det-robustness-bool", "rand-consistency-bool",
+            "bool-array", "rand-robustness-fractional-b", "rand-robustness-bool-b",
         ],
     )
     def test_out_of_range_raises(self, call, message):
@@ -144,12 +152,26 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
+# every lambda-taking bound as a function of lambda alone: b = 100, eta = 1, opt = 2, n = 3
+LAMBDA_BOUNDS = {
+    "det-robustness": bounds.det_robustness,
+    "det-consistency": bounds.det_consistency,
+    "rand-robustness": partial(bounds.rand_robustness, 100),
+    "rand-consistency": bounds.rand_consistency,
+    "prr-perfect": bounds.prr_perfect_bound,
+    "det-ski": lambda l: bounds.det_ski_bound(l, 1.0, 2.0),
+    "rand-ski": lambda l: bounds.rand_ski_bound(100, l, 1.0, 2.0),
+    "prr": lambda l: bounds.prr_bound(3, 1.0, l),
+}
+
+
 class TestArrayForms:
     """Each bound on arrays equals its scalar calls bit for bit."""
 
     @settings(max_examples=100, deadline=None)
     @given(
         lam=st.floats(0.01, 0.99),
+        lams=st.lists(st.floats(0.02, 0.99), min_size=1, max_size=10),  # above 1/100
         b=st.integers(101, 10**6),
         instances=st.lists(
             st.tuples(
@@ -159,7 +181,7 @@ class TestArrayForms:
             max_size=20,
         ),
     )
-    def test_array_equals_scalar(self, lam, b, instances):
+    def test_array_equals_scalar(self, lam, lams, b, instances):
         eta, opt, n = (np.array(column) for column in zip(*instances))
         cases = [
             (bounds.det_ski_bound, (lam,), (eta, opt)),
@@ -172,6 +194,30 @@ class TestArrayForms:
             assert _bits(fn(*head, *arrays)) == _bits(scalars)
         scalars = [bounds.prr_bound(int(n[i]), float(eta[i]), lam) for i in range(len(eta))]
         assert _bits(bounds.prr_bound(n, eta, lam)) == _bits(scalars)
+
+        # a lambda array alone, then a (lambda, instance) grid
+        lam_array = np.array(lams)
+        for fn in LAMBDA_BOUNDS.values():
+            assert _bits(fn(lam_array)) == _bits([fn(l) for l in lams])
+        grid_cases = [
+            (bounds.det_ski_bound, (eta, opt)),
+            (partial(bounds.rand_ski_bound, b), (eta, opt)),
+            (lambda l, n, eta: bounds.prr_bound(n, eta, l), (n, eta)),
+        ]
+        for fn, arrays in grid_cases:
+            scalars = [
+                [fn(l, *(a[i].item() for a in arrays)) for i in range(len(eta))] for l in lams
+            ]
+            assert _bits(fn(lam_array[:, None], *arrays)) == _bits(scalars)
+
+    @pytest.mark.parametrize("fn", LAMBDA_BOUNDS.values(), ids=list(LAMBDA_BOUNDS))
+    def test_empty_lambda_array(self, fn):
+        assert fn(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("fn", LAMBDA_BOUNDS.values(), ids=list(LAMBDA_BOUNDS))
+    def test_one_lambda_out_of_domain_raises(self, fn):
+        with pytest.raises(ValueError, match=r"lambda must lie in .*, got 1\.5$"):
+            fn(np.array([0.3, 0.5, 1.5, 0.7]))
 
 
 class TestMonotoneInError:

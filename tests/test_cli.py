@@ -426,6 +426,8 @@ PINNED_FULL_SIZE = {
     "sched-sweep --n 1000 --trials 20":
         "b92be334b0e647dda248cc83445c0ac9e09aa7d031ae1ea5ffcf34095f0654b5",
     "verify-bounds": "c17ddece1646e7296d6b65336f429138a8d1b3c5ce0bf6bea86fc257b6b87b0a",
+    "verify-bounds --grid-density dense":
+        "b4116c4edfd000b769cd5bb207be832531c0e2d11ce7c59fb1fc1f03c22fd2d2",
 }
 
 

@@ -136,18 +136,51 @@ class TestSkiSweep:
         with pytest.raises(ValueError, match=f"{message} requires lambda in .*got True"):
             SkiSweepConfig(b=10, trials=2, **{field: True})
 
-    @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
-    def test_block_split_changes_no_bit(self, monkeypatch, sampled):
-        cfg = small_ski_config(trials=23, sampled=sampled)
-        lo, entrants = 3, len(experiments.ski_sweep_algorithms(cfg))
-        whole = experiments._fill_trials(cfg, experiments._ski_trials, entrants, 1, lo, cfg.trials)
-        for trials_per_block in (1, 7):
-            monkeypatch.setattr(experiments, "KERNEL_ENTRIES", trials_per_block)
-            split = experiments._fill_trials(
-                cfg, experiments._ski_trials, entrants, 1, lo, cfg.trials
+    @pytest.mark.parametrize(
+        "sampled, grid",
+        [
+            (False, (0.0, 100.0, 200.0)),
+            (True, (0.0, 100.0, 200.0)),
+            (False, (150.0,)),
+            (True, (150.0,)),
+            (False, tuple(np.linspace(0.0, 400.0, 10_001))),  # the CLI's most points
+            (True, tuple(np.linspace(0.0, 400.0, 10_001))),
+        ],
+        ids=["exact", "sampled", "one-point-exact", "one-point-sampled",
+             "widest-exact", "widest-sampled"],
+    )
+    def test_block_split_changes_no_bit(self, monkeypatch, sampled, grid):
+        cfg = small_ski_config(trials=23, sampled=sampled, sigma_grid=grid)
+        lo, entrants, points = 3, len(experiments.ski_sweep_algorithms(cfg)), len(grid)
+
+        def fill_trials():  # one kernel entry per sigma point per trial
+            return experiments._fill_trials(
+                cfg, experiments._ski_trials, entrants, points, lo, cfg.trials
             )
+
+        whole = fill_trials()
+        for trials_per_block in (1, 7):
+            monkeypatch.setattr(experiments, "KERNEL_ENTRIES", trials_per_block * points)
+            split = fill_trials()
             for a, b in zip(whole, split):
                 assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
+    def test_one_cost_call_per_rule_per_block(self, monkeypatch, sampled):
+        cfg = small_ski_config(trials=30, sampled=sampled, sigma_grid=())  # the 41-point default
+        points, per_block = len(cfg.sigma_grid), 10
+        calls = []
+
+        def recording_cost(policy, b, xs, ys, u=None):
+            calls.append(np.shape(ys))
+            return cost(policy, b, xs, ys, u)
+
+        cost = experiments.ski_cost
+        monkeypatch.setattr(experiments, "ski_cost", recording_cost)
+        monkeypatch.setattr(experiments, "KERNEL_ENTRIES", per_block * points)
+        run_ski_sweep(cfg)
+        blocks = cfg.trials // per_block
+        assert calls == [(points, per_block)] * (4 * blocks)
 
     @pytest.mark.parametrize(
         "trials, workers, sampled",
