@@ -30,8 +30,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .scheduling import _check_prr_lambda, objectives, prr_batch, sequential_batch
-from .ski_rental import B_MAX, PolicyKind, SkiPolicy, _check_count, ski_cost
+from .scheduling import objectives, prr_batch, sequential_batch
+from .ski_rental import B_MAX, PolicyKind, SkiPolicy, ski_cost
+from .ski_rental import _check_count, _check_lambda, _require
 from .workloads import DEFAULT_SEED, derived_rngs, gen_pareto_lengths, gen_ski_days
 
 LAMBDA_RAND_DEFAULT = math.log(1.5)
@@ -67,11 +68,9 @@ def _check_sweep(config, default_grid: Tuple[float, ...], entrants: int) -> None
     if isinstance(config.sigma_grid, (str, bytes)):
         raise ValueError(f"sigma grid must be a sequence of numbers, got {config.sigma_grid!r}")
     grid = tuple(float(s) for s in config.sigma_grid) or default_grid
-    bad = [s for s in grid if not 0 <= s <= SIGMA_MAX]  # NaN fails too
-    if bad:
-        raise ValueError(
-            f"sigma grid entries must be finite and in [0, {SIGMA_MAX:g}], got {bad[0]!r}"
-        )
+    sigmas = np.array(grid)  # NaN fails the range check too
+    message = f"sigma grid entries must be finite and in [0, {SIGMA_MAX:g}]"
+    _require((sigmas >= 0) & (sigmas <= SIGMA_MAX), sigmas, message)
     if any(lo > hi for lo, hi in zip(grid, grid[1:])):
         raise ValueError("sigma grid must be ascending")
     if len(grid) * entrants * config.trials > SWEEP_MAX_RATIOS:
@@ -132,12 +131,11 @@ class SchedSweepConfig:
 
     def __post_init__(self):
         _check_count("n", self.n, 1, N_MAX)
-        if not (math.isfinite(self.alpha) and self.alpha > 1):
-            raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha!r}")
+        _require(1 < self.alpha < math.inf, self.alpha, "alpha must be finite and exceed 1")
         mean = self.alpha / (self.alpha - 1.0)
         grid = tuple(i * 2.0 * mean for i in range(11))
         _check_sweep(self, grid, len(sched_sweep_algorithms(self)))
-        _check_prr_lambda(self.lambda_sched)
+        _check_lambda(self.lambda_sched, 0, False, "PRR lambda must lie in (0, 1)")
 
 
 @dataclass

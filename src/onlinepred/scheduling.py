@@ -20,6 +20,8 @@ from typing import Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .ski_rental import _check_lambda, _require
+
 # Remaining work below this fraction of the original length counts as done;
 # prevents zero-length phases caused by float residue.
 COMPLETION_EPS = 1e-12
@@ -38,11 +40,6 @@ def _frozen(values) -> np.ndarray:
     return array
 
 
-def _require(ok: np.ndarray, values: np.ndarray, message: str) -> None:
-    if not ok.all():
-        raise ValueError(f"{message}, got {float(values[np.argmin(ok)])!r}")
-
-
 def _require_jobs(lengths: np.ndarray, predicted: np.ndarray) -> None:
     """The checks on any array of job sets, one set per row of the last axis.
 
@@ -55,12 +52,6 @@ def _require_jobs(lengths: np.ndarray, predicted: np.ndarray) -> None:
     _require(np.isfinite(lengths) & (lengths >= 1), lengths, "job length must be finite and >= 1")
     _require(np.isfinite(predicted), predicted, "predicted length must be finite")
     _require(np.isfinite(span), span, "n times the total job length must be finite")
-
-
-def _check_prr_lambda(lam) -> None:
-    """PRR's own lambda range, (0, 1); round-robin is the kernel at lambda = 0."""
-    if not (isinstance(lam, (int, float, np.floating)) and 0 < lam < 1):
-        raise ValueError(f"PRR lambda must lie in (0, 1), got {lam!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,5 +321,5 @@ def prr(jobs: JobSet, lam: float) -> ScheduleResult:
     With k jobs unfinished every job runs at rate (1-lam)/k and the unfinished
     job with the smallest prediction gets an additional lam.
     """
-    _check_prr_lambda(lam)
+    _check_lambda(lam, 0, False, "PRR lambda must lie in (0, 1)")
     return _shared_schedule(jobs, lam)

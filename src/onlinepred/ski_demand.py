@@ -11,14 +11,13 @@ function here scores the level arrays through `ski_rental.ski_cost`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .ski_rental import B_MAX, PolicyKind, SkiPolicy, _check_count, ski_cost
+from .ski_rental import B_MAX, PolicyKind, SkiPolicy, _check_count, _require, ski_cost
 
 
 @dataclass(frozen=True)
@@ -35,9 +34,8 @@ class DemandInstance:
             raise ValueError("demand and predicted must be non-empty vectors of equal length")
         for d in self.demand:
             _check_count("daily demand", d, 0)
-        for y in self.predicted:
-            if not (math.isfinite(y) and y >= 0):
-                raise ValueError(f"predicted demand must be a finite real >= 0, got {y!r}")
+        ys = np.asarray(self.predicted)
+        _require(np.isfinite(ys) & (ys >= 0), ys, "predicted demand must be a finite real >= 0")
         if max(self.demand) < 1:
             raise ValueError("at least one day must have positive demand")
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds
 from .scheduling import _require_jobs, objectives, prr_batch, sequential_batch
-from .ski_rental import PolicyKind, SkiPolicy, buy_day, ski_cost
+from .ski_rental import PolicyKind, SkiPolicy, _require, buy_day, ski_cost
 from .workloads import DEFAULT_SEED, derived_rngs
 
 NINE_LAMBDAS = tuple(round(0.1 * i, 10) for i in range(1, 10))
@@ -289,8 +289,7 @@ def check_appendix_families(
       (1/lambda + 1/b) / (1 - exp(-1/lambda))
           <= (1 + 1/b) / (1 - exp(-(lambda - 1/b)))
     """
-    if a1_step <= 0:
-        raise ValueError(f"a1_step must be positive, got {a1_step!r}")
+    _require(a1_step > 0, a1_step, "a1_step must be positive")
     n = max(1, round(1.0 / a1_step))
     x = np.arange(1, n + 1) * (1.0 / n)
     results = [

@@ -1,6 +1,7 @@
 """Closed-form guarantee evaluators and the helper-inequality grid checks."""
 
 import math
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onlinepred import bounds
+from onlinepred.scheduling import JobSet, prr
+from onlinepred.ski_rental import B_MAX, PolicyKind, SkiPolicy, ski_cost
 from onlinepred.verification import LEMMA_SLACK, _fold, check_appendix_families
 
 
@@ -124,11 +127,22 @@ class TestRejectsNan:
             (lambda: bounds.det_ski_bound(np.array([True]), 0.0, 1.0), "got True"),
             (lambda: bounds.rand_robustness(2.5, 0.6), "b must be an integer, got 2.5"),
             (lambda: bounds.rand_robustness(True, 0.6), "b must be an integer, got True"),
+            # an array names its first bad entry, not the whole array
+            (
+                lambda: bounds.naive_ski_bound(np.zeros(3), np.array([1.0, 0.5, 2.0])),
+                "opt must be >= 1, got 0.5$",
+            ),
+            (lambda: bounds.spjf_bound(np.arange(2000), 1.0), "n must be >= 1, got 0$"),
+            (
+                lambda: bounds.det_ski_bound(0.5, np.array([0.0, 2.0, -3.0, -1.0]), 10.0),
+                "eta must be >= 0, got -3.0$",
+            ),
         ],
         ids=[
             "det-robustness", "det-consistency", "rand-robustness-b", "rand-consistency",
             "prr", "prr-perfect", "det-robustness-bool", "rand-consistency-bool",
             "bool-array", "rand-robustness-fractional-b", "rand-robustness-bool-b",
+            "opt-array", "n-array", "eta-array",
         ],
     )
     def test_out_of_range_raises(self, call, message):
@@ -218,6 +232,66 @@ class TestArrayForms:
     def test_one_lambda_out_of_domain_raises(self, fn):
         with pytest.raises(ValueError, match=r"lambda must lie in .*, got 1\.5$"):
             fn(np.array([0.3, 0.5, 1.5, 0.7]))
+
+
+def _raises(call) -> bool:
+    """Whether ``call()`` raises ValueError; any other exception fails the test."""
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
+# each lambda rule beside the bound of its guarantee, both functions of lambda alone
+RULE_AND_BOUND = {
+    "deterministic": (
+        lambda l: ski_cost(SkiPolicy(PolicyKind.DETERMINISTIC, l), 10, 1, 0),
+        bounds.det_robustness,
+    ),
+    "randomized": (
+        lambda l: ski_cost(SkiPolicy(PolicyKind.RANDOMIZED, l), 10, 1, 0),
+        partial(bounds.rand_robustness, 10),
+    ),
+    "prr": (lambda l: prr(JobSet.from_lengths([1.0, 2.0]), l), partial(bounds.prr_bound, 2, 1.0)),
+}
+
+
+class TestOneLambdaRule:
+    """A rule and the bound of its guarantee accept the same lambdas."""
+
+    @pytest.mark.parametrize("pair", RULE_AND_BOUND.values(), ids=list(RULE_AND_BOUND))
+    @pytest.mark.parametrize(
+        "lam",
+        [True, np.True_, np.int64(1), np.float32(0.5), Fraction(1, 2), "0.5", math.nan, 0, 1.5,
+         np.array([0.5, 0.7])],
+        ids=["bool", "numpy-bool", "int64", "float32", "fraction", "str", "nan", "zero",
+             "above-one", "array"],
+    )
+    def test_rule_and_bound_agree(self, pair, lam):
+        rule, bound = pair
+        if isinstance(lam, np.ndarray):  # only the bounds broadcast a lambda array
+            assert not _raises(lambda: bound(lam)) and _raises(lambda: rule(lam))
+        else:
+            assert _raises(lambda: rule(lam)) == _raises(lambda: bound(lam))
+
+    @settings(max_examples=100, deadline=None)
+    @given(b=st.integers(2, B_MAX), side=st.sampled_from([-math.inf, 0.0, math.inf]))
+    def test_randomized_edge_at_one_over_b(self, b, side):
+        lam = 1.0 / b if side == 0 else np.nextafter(1.0 / b, side)
+        rule = _raises(lambda: ski_cost(SkiPolicy(PolicyKind.RANDOMIZED, lam), b, 1, 0))
+        assert rule == _raises(lambda: bounds.rand_robustness(b, lam)) == (side <= 0)
+
+    # Python floats: numpy warns where (1 + lambda) / lambda overflows at the least lambda
+    @pytest.mark.parametrize("pair", RULE_AND_BOUND.values(), ids=list(RULE_AND_BOUND))
+    @pytest.mark.parametrize(
+        "lam",
+        [0.0, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)],
+        ids=["zero", "above-zero", "below-one", "one", "above-one"],
+    )
+    def test_edges_near_zero_and_one(self, pair, lam):
+        rule, bound = pair
+        assert _raises(lambda: rule(lam)) == _raises(lambda: bound(lam))
 
 
 class TestMonotoneInError:
