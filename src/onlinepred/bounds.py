@@ -24,27 +24,27 @@ E_OVER_E_MINUS_1 = math.e / (math.e - 1.0)
 
 def det_robustness(lam):
     """Worst-case ratio ceiling of the deterministic rule: (1 + lambda)/lambda."""
-    _check_lambda(lam, 0, True, "lambda must lie in (0, 1]", arrays=True)
+    lam = _check_lambda(lam, 0, True, "lambda must lie in (0, 1]", arrays=True)
     return (1.0 + lam) / lam
 
 
 def det_consistency(lam):
     """Ratio of the deterministic rule under perfect predictions: 1 + lambda."""
-    _check_lambda(lam, 0, True, "lambda must lie in (0, 1]", arrays=True)
+    lam = _check_lambda(lam, 0, True, "lambda must lie in (0, 1]", arrays=True)
     return 1.0 + lam
 
 
 def rand_robustness(b: int, lam):
     """Worst-case ratio ceiling of the randomized rule."""
     _check_count("b", b, 2)
-    _check_lambda(lam, 1.0 / b, True, f"lambda must lie in (1/{b}, 1]", arrays=True)
+    lam = _check_lambda(lam, 1.0 / b, True, f"lambda must lie in (1/{b}, 1]", arrays=True)
     # -expm1(-x) is 1 - exp(-x) without the cancellation to 0 within an ulp of 1/b
     return (1.0 + 1.0 / b) / -np.expm1(-(lam - 1.0 / b))
 
 
 def rand_consistency(lam):
     """Ratio of the randomized rule under perfect predictions."""
-    _check_lambda(lam, 0, True, "lambda must lie in (0, 1]", arrays=True)
+    lam = _check_lambda(lam, 0, True, "lambda must lie in (0, 1]", arrays=True)
     return lam / -np.expm1(-lam)
 
 
@@ -62,7 +62,7 @@ def naive_ski_bound(eta, opt):
 
 def det_ski_bound(lam, eta, opt):
     """Per-instance guarantee of the deterministic rule at error eta."""
-    _check_lambda(lam, 0, False, "lambda must lie in (0, 1) for the error term", arrays=True)
+    lam = _check_lambda(lam, 0, False, "lambda must lie in (0, 1) for the error term", arrays=True)
     _check_ski_instance(eta, opt)
     return np.minimum(det_robustness(lam), det_consistency(lam) + eta / ((1.0 - lam) * opt))
 
@@ -81,11 +81,11 @@ def spjf_bound(n, eta):
 
 def prr_bound(n, eta, lam):
     """Preferential round-robin guarantee: min of the two mixture terms."""
-    _check_lambda(lam, 0, False, "lambda must lie in (0, 1)", arrays=True)
+    lam = _check_lambda(lam, 0, False, "lambda must lie in (0, 1)", arrays=True)
     return np.minimum(spjf_bound(n, eta) / lam, 2.0 / (1.0 - lam))
 
 
 def prr_perfect_bound(lam):
     """Sharper preferential round-robin guarantee at zero error: (1+lambda)/(2*lambda)."""
-    _check_lambda(lam, 0, False, "lambda must lie in (0, 1)", arrays=True)
+    lam = _check_lambda(lam, 0, False, "lambda must lie in (0, 1)", arrays=True)
     return (1.0 + lam) / (2.0 * lam)

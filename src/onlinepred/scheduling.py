@@ -137,11 +137,6 @@ def sjf_opt(jobs: JobSet) -> ScheduleResult:
     return _run_sequential(jobs, jobs.lengths)
 
 
-# Positions each vectorised pointer walk looks at in its first pass; rows that
-# find nothing there take a second pass over the rest of their order.
-_WINDOW = 8
-
-
 def prr_batch(lengths, predicted, lam) -> Tuple[np.ndarray, np.ndarray]:
     """Exact PRR event sweep of R job sets at once, for ``0 <= lam < 1``.
 
@@ -175,10 +170,10 @@ def prr_batch(lengths, predicted, lam) -> Tuple[np.ndarray, np.ndarray]:
 
     # Per row: both stable orders, the lengths in length order and, at each
     # position of one order, that job's position in the other order.  Every
-    # array is padded past column n with a sentinel position that is never
-    # gone and never finishes: its rank is n and its length NaN (an infinite
-    # length would finish: inf - c <= eps * inf).
-    stride = n + _WINDOW
+    # array has one padding column n, a sentinel position that is never gone
+    # and never finishes, so it stops every pointer walk: its rank is n and
+    # its length NaN (an infinite length would finish: inf - c <= eps * inf).
+    stride = n + 1
 
     def padded(values, fill, dtype=np.int32):
         out = np.full((rows_total, stride), fill, dtype=dtype)
@@ -216,29 +211,22 @@ def prr_batch(lengths, predicted, lam) -> Tuple[np.ndarray, np.ndarray]:
     def scan(ranks, bound, sel, start, finishing=False):
         """For compact rows ``sel``: the first position >= start whose rank in
         the other order is >= bound (a job not gone) and, when ``finishing``,
-        whose job does not finish now; also the cells passed over of jobs not
-        gone that finish now.  A first pass looks ``_WINDOW`` positions ahead,
-        a second the rest of the rows it left; the sentinel stops that."""
-        found, at, sel_at, passed = start.copy(), np.arange(sel.size), sel, []
-        for width in (_WINDOW, stride):
-            cells = (base[sel_at] + found[at])[:, None] + np.arange(width)
-            if width == stride:
-                cells = np.minimum(cells, (base[sel_at] + stride - 1)[:, None])
-            stop = ranks[cells] >= bound[sel_at, None]
+        whose job does not finish now; also the jobs passed over that are not
+        gone and finish now.  Each step reads one cell of every row still
+        walking and moves the rows that did not stop one position on."""
+        cell, limit, work = base[sel] + start, bound[sel], common[sel]
+        at, passed = np.arange(sel.size), []
+        while at.size:
+            here = cell[at]
+            stop = ranks[here] >= limit[at]
             if finishing:
-                length = sorted_len[cells]
-                done = stop & (length - common[sel_at, None] <= COMPLETION_EPS * length)
+                length = sorted_len[here]
+                done = stop & (length - work[at] <= COMPLETION_EPS * length)
+                passed.append((sel[at[done]], by_length[here[done]]))
                 stop &= ~done
-            hit = stop.any(axis=1)
-            first = np.where(hit, stop.argmax(axis=1), width)
-            if finishing:
-                row_at, col_at = np.nonzero(done & (np.arange(width) < first[:, None]))
-                passed.append((sel_at[row_at], by_length[cells[row_at, col_at]]))
-            found[at] += first
-            if hit.all():
-                return found, passed
-            at = at[~hit]
-            sel_at = sel[at]
+            at = at[~stop]
+            cell[at] += 1
+        return cell - base[sel], passed
 
     base, offset = rows * stride, rows * n
     step = 0

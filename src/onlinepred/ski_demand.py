@@ -17,12 +17,15 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .ski_rental import B_MAX, PolicyKind, SkiPolicy, _check_count, _require, ski_cost
+from .ski_rental import B_MAX, PolicyKind, SkiPolicy, _check_count, _is_real, _require, ski_cost
+
+# The level arrays hold one entry per unit of the largest daily demand
+DEMAND_MAX = 1_000_000
 
 
 @dataclass(frozen=True)
 class DemandInstance:
-    """Daily demand, daily predicted demand, and the shared buy cost b in [2, B_MAX]."""
+    """Daily demand in [0, DEMAND_MAX], daily predicted demand, and the buy cost b in [2, B_MAX]."""
 
     b: int
     demand: Tuple[int, ...]
@@ -32,8 +35,9 @@ class DemandInstance:
         _check_count("buy cost b", self.b, 2, B_MAX)
         if len(self.demand) < 1 or len(self.demand) != len(self.predicted):
             raise ValueError("demand and predicted must be non-empty vectors of equal length")
-        for d in self.demand:
-            _check_count("daily demand", d, 0)
+        for d, y in zip(self.demand, self.predicted):
+            _check_count("daily demand", d, 0, DEMAND_MAX)
+            _require(_is_real(y), y, "predicted demand must be a finite real >= 0")
         ys = np.asarray(self.predicted)
         _require(np.isfinite(ys) & (ys >= 0), ys, "predicted demand must be a finite real >= 0")
         if max(self.demand) < 1:

@@ -69,22 +69,32 @@ def _require(ok, values, message: str) -> None:
         raise ValueError(f"{message}, got {bad.item() if isinstance(bad, np.generic) else bad!r}")
 
 
-def _check_lambda(lam, low: float, closed: bool, message: str, arrays: bool = False) -> None:
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real scalar: a float, an int or their numpy kinds, never a bool."""
+    return type(value) is float or (
+        isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool)
+    )
+
+
+def _check_lambda(lam, low: float, closed: bool, message: str, arrays: bool = False):
     """Reject a lambda outside (low, 1] if ``closed``, else (low, 1), with `_require`.
 
-    Lambda is a real scalar: a float, an int or their numpy kinds, never a
-    bool, a str or a Fraction.  With ``arrays`` (the bounds) a real numpy
-    array is accepted too.  A Python float gives a plain True and skips numpy.
+    Lambda is a real scalar (`_is_real`), never a bool, a str or a Fraction.
+    With ``arrays`` (the bounds) a real numpy array is accepted too.  Returns
+    lambda in float64, the precision the rules and bounds compute in, and the
+    range test compares that value: float32(1/3) lies above 1/3 in float64
+    but not in float32.  A Python float gives a plain True and skips numpy.
     """
     if arrays and isinstance(lam, np.ndarray):
         # every entry of a non-real array fails, so the message names the first
         real = lam.dtype.kind in "iuf" or np.zeros(lam.shape, bool)
+        value = lam.astype(np.float64, copy=False) if real is True else lam
     else:
-        real = type(lam) is float or (
-            isinstance(lam, (float, int, np.floating, np.integer)) and not isinstance(lam, bool)
-        )
-    inside = (low < lam) & ((lam <= 1) if closed else (lam < 1)) if real is True else real
+        real = _is_real(lam)
+        value = np.float64(lam) if isinstance(lam, np.floating) else lam
+    inside = (low < value) & ((value <= 1) if closed else (value < 1)) if real is True else real
     _require(inside, lam, message)
+    return value
 
 
 class PolicyKind(Enum):
@@ -111,7 +121,8 @@ class SkiInstance:
     def __post_init__(self):
         _check_count("buy cost b", self.b, 2, B_MAX)
         _check_count("skiing days x", self.x, 1, X_MAX)
-        _require(0 <= self.y < math.inf, self.y, "prediction y must be a finite real >= 0")
+        ok = _is_real(self.y) and 0 <= self.y < math.inf
+        _require(ok, self.y, "prediction y must be a finite real >= 0")
 
     @property
     def error(self) -> float:

@@ -275,12 +275,26 @@ class TestOneLambdaRule:
         else:
             assert _raises(lambda: rule(lam)) == _raises(lambda: bound(lam))
 
+    # a float32 lambda is accepted exactly when its float64 value lies above 1/b
     @settings(max_examples=100, deadline=None)
-    @given(b=st.integers(2, B_MAX), side=st.sampled_from([-math.inf, 0.0, math.inf]))
-    def test_randomized_edge_at_one_over_b(self, b, side):
-        lam = 1.0 / b if side == 0 else np.nextafter(1.0 / b, side)
+    @given(
+        b=st.integers(2, B_MAX),
+        side=st.sampled_from([-math.inf, 0.0, math.inf]),
+        dtype=st.sampled_from([float, np.float32]),
+    )
+    def test_randomized_edge_at_one_over_b(self, b, side, dtype):
+        lam = dtype(1.0 / b if side == 0 else np.nextafter(1.0 / b, side))
         rule = _raises(lambda: ski_cost(SkiPolicy(PolicyKind.RANDOMIZED, lam), b, 1, 0))
-        assert rule == _raises(lambda: bounds.rand_robustness(b, lam)) == (side <= 0)
+        assert rule == _raises(lambda: bounds.rand_robustness(b, lam)) == (float(lam) <= 1.0 / b)
+
+    def test_float32_array_compared_in_float64(self):
+        lams = np.array([1 / 3, 0.5, 1.0], dtype=np.float32)  # float32(1/3) lies above 1/3
+        assert _bits(bounds.rand_robustness(3, lams)) == _bits(
+            [bounds.rand_robustness(3, float(l)) for l in lams]
+        )
+        below = np.array([0.5, np.nextafter(np.float32(1 / 3), np.float32(0))], dtype=np.float32)
+        with pytest.raises(ValueError, match=r"\(1/3, 1\], got 0\.33333331"):
+            bounds.rand_robustness(3, below)
 
     # Python floats: numpy warns where (1 + lambda) / lambda overflows at the least lambda
     @pytest.mark.parametrize("pair", RULE_AND_BOUND.values(), ids=list(RULE_AND_BOUND))

@@ -302,27 +302,45 @@ def event_groups(event_index):
     return [tuple(np.flatnonzero(event_index == e).tolist()) for e in range(event_index.max() + 1)]
 
 
+def assert_rows_match_reference_sweep(lengths, predicted, lams):
+    """Each row of one `prr_batch` call equals `prr_sweep` and its own one-row call, bit for bit."""
+    completions, event_index = prr_batch(lengths, predicted, lams)
+    totals = objectives(completions)
+    for r, lam in enumerate(lams.tolist()):
+        want = prr_sweep(JobSet.from_lengths(lengths[r], predicted[r]), lam)
+        assert completions[r].tobytes() == want.completions.tobytes()
+        assert totals[r] == want.objective
+        assert event_groups(event_index[r]) == [ids for _, ids in want.events]
+        alone, alone_events = prr_batch(lengths[r:r + 1], predicted[r:r + 1], lam)
+        assert alone.tobytes() == completions[r:r + 1].tobytes()
+        assert alone_events.tobytes() == event_index[r:r + 1].tobytes()
+    return event_index
+
+
 class TestBatchedKernel:
     @settings(max_examples=300, deadline=None)
     @given(stacked=stacked_job_sets())
     def test_rows_match_reference_sweep_bit_for_bit(self, stacked):
-        lengths, predicted, lams = stacked
-        completions, event_index = prr_batch(lengths, predicted, lams)
-        totals = objectives(completions)
-        for r, lam in enumerate(lams.tolist()):
-            want = prr_sweep(JobSet.from_lengths(lengths[r], predicted[r]), lam)
-            assert completions[r].tobytes() == want.completions.tobytes()
-            assert totals[r] == want.objective
-            assert event_groups(event_index[r]) == [ids for _, ids in want.events]
-            alone, alone_events = prr_batch(lengths[r:r + 1], predicted[r:r + 1], lam)
-            assert alone.tobytes() == completions[r:r + 1].tobytes()
-            assert alone_events.tobytes() == event_index[r:r + 1].tobytes()
+        assert_rows_match_reference_sweep(*stacked)
 
     @settings(max_examples=100, deadline=None)
     @given(jobs=tied_job_sets(), lam=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     def test_schedulers_are_one_row_calls(self, jobs, lam):
         assert_identical(prr(jobs, lam), prr_sweep(jobs, lam))
         assert_identical(round_robin(jobs), prr_sweep(jobs, 0.0))
+
+    def test_long_pointer_walks(self):
+        # n = 2000 heavy-tailed lengths: one pointer walk in one event crosses
+        # hundreds of gone or finishing jobs, and all 2000 in the tied row
+        rng = np.random.default_rng(19)
+        n = 2000
+        lengths = np.round(1 + rng.pareto(1.1, (4, n)))
+        lengths[3] = 7.0  # all equal: one event finishes every job
+        predicted = lengths + 20 * rng.standard_normal((4, n))
+        predicted[2] = -lengths[2]  # the longest job is predicted shortest
+        lams = np.array([0.5, 0.0, 0.9, 0.0])
+        event_index = assert_rows_match_reference_sweep(lengths, predicted, lams)
+        assert np.all(event_index[3] == 0)
 
     def test_scalar_lambda_broadcasts(self):
         lengths = np.array([[2.0, 1.0, 3.0], [1.0, 1.0, 4.0]])

@@ -14,6 +14,7 @@ from onlinepred.bounds import (
     rand_robustness,
 )
 from onlinepred.ski_demand import (
+    DEMAND_MAX,
     DemandInstance,
     decompose,
     demand_algorithm_cost,
@@ -114,8 +115,16 @@ class TestDecompose:
             ((1, 2), (1.0,), "non-empty vectors of equal length"),
             ((1, 2), (1.0, float("nan")), "finite real >= 0, got nan"),
             ((1, 2), (1.0, -1.0), "finite real >= 0, got -1.0"),
+            ((1, 2), (True, False), "finite real >= 0, got True"),
+            ((1, 2), (1.0, np.True_), "finite real >= 0, got True"),
+            ((1, 2), (2.5, True), "finite real >= 0, got True"),
+            ((1, DEMAND_MAX + 1), (1.0, 1.0),
+             f"= {DEMAND_MAX + 1} exceeds the limit of {DEMAND_MAX}"),
+            ((2**70, 1), (1.0, 1.0), f"= {2**70} exceeds the limit of {DEMAND_MAX}"),
         ],
-        ids=["unequal-lengths", "nan-prediction", "negative-prediction"],
+        ids=["unequal-lengths", "nan-prediction", "negative-prediction", "bool-predictions",
+             "numpy-bool-prediction", "mixed-bool-prediction", "demand-above-limit",
+             "demand-2-to-70"],
     )
     def test_rejects_bad_vectors(self, demand, predicted, message):
         with pytest.raises(ValueError, match=message):

@@ -138,6 +138,9 @@ class TestInstanceValidation:
             SkiInstance(10, 5, -1.0)
         with pytest.raises(ValueError):
             SkiInstance(10, 5, math.inf)
+        for y, shown in ((True, "True"), (np.True_, "True"), ("5", "'5'")):
+            with pytest.raises(ValueError, match=f"finite real >= 0, got {shown}$"):
+                SkiInstance(10, 5, y)
 
     @pytest.mark.parametrize("b, x", [(B_MAX + 1, 1), (10, X_MAX + 1), (10, 2**64)])
     def test_rejects_counts_above_limits(self, b, x):
