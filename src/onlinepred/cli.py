@@ -110,7 +110,7 @@ def _parse_sigma_grid(text: str) -> List[float]:
 
 
 def _read_config_file(path: str) -> Dict[str, str]:
-    values = {}
+    values, first_line = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
@@ -123,7 +123,10 @@ def _read_config_file(path: str) -> Dict[str, str]:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in first_line:
+                raise UsageError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+            first_line[key], values[key] = lineno, value.strip()
     return values
 
 

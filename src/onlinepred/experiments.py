@@ -32,7 +32,7 @@ import numpy as np
 
 from .scheduling import objectives, prr_batch, sequential_batch
 from .ski_rental import B_MAX, PolicyKind, SkiPolicy, ski_cost
-from .ski_rental import _check_count, _check_lambda, _require
+from .ski_rental import _check_count, _check_lambda, _is_real, _require
 from .workloads import DEFAULT_SEED, derived_rngs, gen_pareto_lengths, gen_ski_days
 
 LAMBDA_RAND_DEFAULT = math.log(1.5)
@@ -65,9 +65,12 @@ def _check_sweep(config, default_grid: Tuple[float, ...], entrants: int) -> None
     _check_count("trials", config.trials, 1, TRIALS_MAX)
     _check_count("jobs", config.jobs, 1, JOBS_MAX)
     _check_count("seed", config.seed, 0)
-    if isinstance(config.sigma_grid, (str, bytes)):
-        raise ValueError(f"sigma grid must be a sequence of numbers, got {config.sigma_grid!r}")
-    grid = tuple(float(s) for s in config.sigma_grid) or default_grid
+    grid, numbers = config.sigma_grid, "sigma grid must be a sequence of numbers"
+    _require(not isinstance(grid, (str, bytes)), grid, numbers)
+    grid = tuple(grid)
+    for sigma in grid:
+        _require(_is_real(sigma), sigma, numbers)
+    grid = tuple(map(float, grid)) or default_grid
     sigmas = np.array(grid)  # NaN fails the range check too
     message = f"sigma grid entries must be finite and in [0, {SIGMA_MAX:g}]"
     _require((sigmas >= 0) & (sigmas <= SIGMA_MAX), sigmas, message)
@@ -87,9 +90,9 @@ class SkiSweepConfig:
 
     Construction rejects a non-integer count, b outside [2, B_MAX], a count
     over its limit, a lambda outside its rule's range and a sigma grid that
-    is not finite, non-negative and ascending.  An empty grid means 0..4b in
-    steps of b/10.  ``sampled`` scores the randomized rules by one sampled
-    buy day.
+    is not real, finite, non-negative and ascending.  An empty grid means
+    0..4b in steps of b/10.  ``sampled`` scores the randomized rules by one
+    sampled buy day.
     """
 
     b: int = 100
@@ -114,10 +117,10 @@ class SchedSweepConfig:
     """Everything a scheduling sweep needs; two configs are equal iff their outputs are.
 
     Construction rejects a non-integer count, n outside [1, N_MAX], a count
-    over its limit, alpha <= 1, a PRR lambda outside (0, 1) and a sigma grid
-    that is not finite, non-negative and ascending.  An empty grid means
-    0..20 mean job lengths in steps of 2.  ``fixed_jobs`` draws one job set
-    and resamples only the noise.
+    over its limit, an alpha that is not a real > 1, a PRR lambda outside
+    (0, 1) and a sigma grid that is not real, finite, non-negative and
+    ascending.  An empty grid means 0..20 mean job lengths in steps of 2.
+    ``fixed_jobs`` draws one job set and resamples only the noise.
     """
 
     n: int = 50
@@ -131,8 +134,9 @@ class SchedSweepConfig:
 
     def __post_init__(self):
         _check_count("n", self.n, 1, N_MAX)
-        _require(1 < self.alpha < math.inf, self.alpha, "alpha must be finite and exceed 1")
-        mean = self.alpha / (self.alpha - 1.0)
+        ok = _is_real(self.alpha) and 1 < self.alpha < math.inf
+        _require(ok, self.alpha, "alpha must be finite and exceed 1")
+        mean = float(self.alpha) / (float(self.alpha) - 1.0)  # the default grid is float64
         grid = tuple(i * 2.0 * mean for i in range(11))
         _check_sweep(self, grid, len(sched_sweep_algorithms(self)))
         _check_lambda(self.lambda_sched, 0, False, "PRR lambda must lie in (0, 1)")

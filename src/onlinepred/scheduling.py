@@ -20,20 +20,30 @@ from typing import Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .ski_rental import _check_lambda, _require
+from .ski_rental import _check_lambda, _is_real, _require
 
 # Remaining work below this fraction of the original length counts as done;
 # prevents zero-length phases caused by float residue.
 COMPLETION_EPS = 1e-12
 
 
+def _floats(values, copy: Optional[bool] = None) -> np.ndarray:
+    """``values`` as a float64 array (``copy`` as in numpy), if they are real
+    numbers: an array of an int, uint or float dtype, or else entries that
+    each pass `_is_real`.  Otherwise the error names the first entry."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+        for value in values:
+            _require(_is_real(value), value, "job values must be real numbers")
+    elif values.dtype.kind not in "iuf":
+        _require(np.zeros(values.shape, bool), values, "job values must be real numbers")
+    return np.array(values, dtype=np.float64, copy=copy)
+
+
 def _frozen(values) -> np.ndarray:
-    """A read-only float64 vector holding ``values``; frozen vectors are reused."""
-    if isinstance(values, np.ndarray):
-        reuse = values.dtype == np.float64 and not values.flags.writeable
-        array = values if reuse else values.astype(np.float64)
-    else:
-        array = np.array(list(values), dtype=np.float64)
+    """A read-only float64 vector holding ``values`` (`_floats`); frozen vectors are reused."""
+    reuse = isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable
+    array = values if reuse else _floats(values, copy=True)
     if array.ndim != 1:
         raise ValueError(f"job values must form a vector, got shape {array.shape}")
     array.flags.writeable = False
@@ -149,12 +159,12 @@ def prr_batch(lengths, predicted, lam) -> Tuple[np.ndarray, np.ndarray]:
     work S, so those jobs finish in stable length order.  The favoured job
     keeps its favour until it finishes (the unfinished set only shrinks),
     then hands it to the next unfinished job in stable (prediction, id)
-    order.  Each row keeps one pointer into each order; an event advances
-    every row by the same float operations as a one-row sweep, so a row's
-    result does not depend on the rows stacked with it.
+    order.  Each row keeps one pointer into each order and a gone flag per
+    job; an event advances every row by the same float operations as a
+    one-row sweep, so a row's result does not depend on the rows stacked
+    with it.
     """
-    lengths = np.asarray(lengths, dtype=np.float64)
-    predicted = np.asarray(predicted, dtype=np.float64)
+    lengths, predicted = _floats(np.asarray(lengths)), _floats(np.asarray(predicted))
     if lengths.ndim != 2 or predicted.shape != lengths.shape or lengths.shape[1] < 1:
         raise ValueError(
             f"lengths and predictions must be equal (R, n) arrays with n >= 1, "
@@ -168,84 +178,70 @@ def prr_batch(lengths, predicted, lam) -> Tuple[np.ndarray, np.ndarray]:
     _require((lam >= 0) & (lam < 1), lam, "combination parameter lambda must lie in [0, 1)")
     _require_jobs(lengths, predicted)
 
-    # Per row: both stable orders, the lengths in length order and, at each
-    # position of one order, that job's position in the other order.  Every
-    # array has one padding column n, a sentinel position that is never gone
-    # and never finishes, so it stops every pointer walk: its rank is n and
-    # its length NaN (an infinite length would finish: inf - c <= eps * inf).
+    # Job j of row r is the flat cell r * stride + j, int64 as R * stride can
+    # pass 2**31; by_length and by_pred hold row r's cells in order at the
+    # positions from r * stride on.  Job n is a sentinel, never gone and of
+    # length NaN, so it never finishes (an infinite length would) and stops
+    # every walk.
     stride = n + 1
+    rows = np.arange(rows_total)
+    first = rows * stride
+    cell_len = np.hstack((lengths, np.full((rows_total, 1), np.nan))).ravel()
 
-    def padded(values, fill, dtype=np.int32):
-        out = np.full((rows_total, stride), fill, dtype=dtype)
-        out[:, :n] = values
+    def cells(keys):
+        """Each row's cells in stable ``keys`` order, then its sentinel."""
+        out = np.full((rows_total, stride), n)
+        out[:, :n] = np.argsort(keys, axis=1, kind="stable")
+        out += first[:, None]
         return out.ravel()
 
-    by_length = np.argsort(lengths, axis=1, kind="stable")
-    by_pred = np.argsort(predicted, axis=1, kind="stable")
-    positions = np.broadcast_to(np.arange(n), lengths.shape)
-    rank = np.empty(lengths.shape, dtype=np.int32)
-    np.put_along_axis(rank, by_pred, positions, axis=1)
-    pred_rank_by_length = padded(np.take_along_axis(rank, by_length, axis=1), n)
-    np.put_along_axis(rank, by_length, positions, axis=1)
-    length_rank_by_pred = padded(np.take_along_axis(rank, by_pred, axis=1), n)
-    sorted_len = padded(np.take_along_axis(lengths, by_length, axis=1), np.nan, np.float64)
-    by_length, by_pred = padded(by_length, n), padded(by_pred, n)
-    flat_lengths = lengths.ravel()
-    del rank, positions
+    by_length, by_pred = cells(lengths), cells(predicted)
     completions = np.empty(rows_total * n)
     event_index = np.empty(rows_total * n, dtype=np.int64)
 
-    # Per-row state, compacted to the unfinished rows.  Jobs before next_short
-    # in length order and before next_pred in (prediction, id) order are gone
-    # (finished, or favoured); the favoured job sits at next_pred.  So a job
-    # after next_pred is gone iff its length position is before next_short,
-    # and a job at or after next_short is gone iff its (prediction, id)
-    # position is at most next_pred.
-    rows = np.arange(rows_total)
+    # Per-row state, compacted to the unfinished rows.  A job is gone once it
+    # finishes or is favoured.  The favoured job sits at position next_pred of
+    # by_pred, and every job before it in its row there, or before next_short
+    # in its row of by_length, is gone.
     k = np.full(rows_total, n)
     t, common, extra = np.zeros(rows_total), np.zeros(rows_total), np.zeros(rows_total)
-    next_short = np.zeros(rows_total, dtype=np.int64)
-    next_pred = np.full(rows_total, -1)
-    favoured = np.full(rows_total, -1)  # -1: none, choose one
+    next_short, next_pred = first, first.copy()
+    gone = np.zeros(rows_total * stride, dtype=bool)
+    gone[by_pred[next_pred]] = True  # each row favours its first job in prediction order
 
-    def scan(ranks, bound, sel, start, finishing=False):
-        """For compact rows ``sel``: the first position >= start whose rank in
-        the other order is >= bound (a job not gone) and, when ``finishing``,
-        whose job does not finish now; also the jobs passed over that are not
-        gone and finish now.  Each step reads one cell of every row still
-        walking and moves the rows that did not stop one position on."""
-        cell, limit, work = base[sel] + start, bound[sel], common[sel]
-        at, passed = np.arange(sel.size), []
+    def scan(order, sel, position, finishing=False):
+        """For compact rows ``sel``: the first position in ``order`` from
+        ``position`` on (moved in place) whose job is not gone and, when
+        ``finishing``, does not finish now; also the cells passed over that
+        are not gone and finish now.  Each step reads one cell of every row
+        still walking and moves the rows that did not stop one position on."""
+        at, passed, work = np.arange(sel.size), [], common[sel]
         while at.size:
-            here = cell[at]
-            stop = ranks[here] >= limit[at]
+            cell = order[position[at]]
+            stop = ~gone[cell]
             if finishing:
-                length = sorted_len[here]
+                length = cell_len[cell]
                 done = stop & (length - work[at] <= COMPLETION_EPS * length)
-                passed.append((sel[at[done]], by_length[here[done]]))
+                passed.append((sel[at[done]], cell[done]))
                 stop &= ~done
             at = at[~stop]
-            cell[at] += 1
-        return cell - base[sel], passed
+            position[at] += 1
+        return position, passed
 
-    base, offset = rows * stride, rows * n
     step = 0
     while rows.size:
-        need = (favoured < 0).nonzero()[0]
-        if need.size:
-            next_pred[need], _ = scan(length_rank_by_pred, next_short, need, next_pred[need] + 1)
-            favoured[need] = by_pred[base[need] + next_pred[need]]
-            extra[need] = 0.0
         # The job at next_short is the shortest one not gone, or else the
-        # favoured job, chosen just now and so with extra = 0; then its own
-        # time to finish at rate share is no less than at rate boost, and dt
-        # is the favoured job's, as when the sweep skips past it.
-        short_length = sorted_len[base + next_short]  # NaN past the last job
-        short_gone = pred_rank_by_length[base + next_short] <= next_pred
+        # favoured job, chosen since the last event and so with extra = 0;
+        # then its own time to finish at rate share is no less than at rate
+        # boost, and dt is the favoured job's, as when the sweep skips past it.
+        favoured = by_pred[next_pred]
+        short = by_length[next_short]
+        short_length = cell_len[short]  # NaN past the last job
+        short_gone = gone[short]
 
         share = (1.0 - lam) * (1.0 / k)
         boost = lam + share
-        fav_length = flat_lengths[offset + favoured]
+        fav_length = cell_len[favoured]
         dt = (fav_length - common - extra) / boost
         short_dt = (short_length - common) / share
         dt = np.where(short_dt < dt, short_dt, dt)
@@ -258,32 +254,34 @@ def prr_batch(lengths, predicted, lam) -> Tuple[np.ndarray, np.ndarray]:
         done = [(fav_done, favoured[fav_done])]
         if short_done.any():
             at = short_done.nonzero()[0]
-            done.append((at, by_length[base[at] + next_short[at]]))
+            done.append((at, short[at]))
         moving = (short_done | short_gone).nonzero()[0]
         if moving.size:  # on to the next job not gone; any before it finish too
-            next_short[moving], passed = scan(
-                pred_rank_by_length, next_pred + 1, moving, next_short[moving] + 1, True
-            )
+            next_short[moving], passed = scan(by_length, moving, next_short[moving] + 1, True)
             done += passed
         done_rows = np.concatenate([r for r, _ in done])
-        done_jobs = np.concatenate([j for _, j in done])
+        done_cells = np.concatenate([c for _, c in done])
         counts = np.bincount(done_rows, minlength=rows.size)
         if not counts.all():  # the job that set dt always crosses the threshold
             raise RuntimeError("event advanced time without completing a job")
-        out = offset[done_rows] + done_jobs
+        gone[done_cells] = True
+        out = done_cells - rows[done_rows]  # row * n + job
         completions[out] = t[done_rows]
         event_index[out] = step
-        favoured[fav_done] = -1
         k -= counts
         step += 1
 
+        handing = fav_done[k[fav_done] > 0]  # rows whose favour passes on
+        if handing.size:
+            next_pred[handing], _ = scan(by_pred, handing, next_pred[handing] + 1)
+            gone[by_pred[next_pred[handing]]] = True
+            extra[handing] = 0.0
+
         live = k > 0
         if not live.all():
-            rows, k, lam, t, common, extra = (
-                a[live] for a in (rows, k, lam, t, common, extra)
+            rows, k, lam, t, common, extra, next_short, next_pred = (
+                a[live] for a in (rows, k, lam, t, common, extra, next_short, next_pred)
             )
-            next_short, next_pred, favoured = (a[live] for a in (next_short, next_pred, favoured))
-            base, offset = rows * stride, rows * n
     return completions.reshape(rows_total, n), event_index.reshape(rows_total, n)
 
 

@@ -154,8 +154,9 @@ class TestSkiSweepCommand:
             ("b=abc", "config key b: cannot parse 'abc'"),
             ("sampled=maybe", "expected a boolean, got 'maybe'"),
             ("format=xml", "format must be csv or json, got 'xml'"),
+            ("trials=5", "cfg:2: key 'trials' repeats line 1"),
         ],
-        ids=["no-equals", "b-not-a-number", "sampled-not-a-bool", "unknown-format"],
+        ids=["no-equals", "b-not-a-number", "sampled-not-a-bool", "unknown-format", "repeated-key"],
     )
     def test_bad_config_line_names_the_fault(self, line, message, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

@@ -1,6 +1,8 @@
 """Sweep harness tests: shape, reproducibility, per-trial guarantee compliance."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -332,11 +334,19 @@ class TestSchedulingSweep:
         for bad in (dict(n=3.5), dict(n=True), dict(trials=2.5), dict(jobs=1.5)):
             with pytest.raises(ValueError, match="must be an integer"):
                 SchedSweepConfig(**bad)
-        for alpha in (1.0, 0.5, math.inf, math.nan):
+        for alpha in (1.0, 0.5, math.inf, math.nan, "2", Fraction(3, 2), True):
             with pytest.raises(ValueError, match="alpha must be finite and exceed 1"):
                 SchedSweepConfig(alpha=alpha)
         with pytest.raises(ValueError, match="n must be >= 1"):  # n is checked before alpha
             SchedSweepConfig(n=0, alpha=1.0)
+
+    def test_float32_alpha_builds_the_float64_grid(self):
+        alpha = np.float32(1.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = SchedSweepConfig(alpha=alpha).sigma_grid
+        assert grid == SchedSweepConfig(alpha=float(alpha)).sigma_grid
+        assert all(type(sigma) is float for sigma in grid)
 
 
 @pytest.mark.parametrize(
@@ -355,7 +365,8 @@ def test_non_finite_sigma_rejected(make_config, grid):
 )
 def test_string_sigma_grid_rejected(make_config):
     # read one character at a time, "123" would be the grid (1.0, 2.0, 3.0)
-    for grid in ("123", "0:4:1", b"12"):
+    entries = [("0",), (True,), (np.True_,), (Fraction(1, 2),), (0.0, "1")]
+    for grid in ["123", "0:4:1", b"12"] + entries:
         with pytest.raises(ValueError, match="sigma grid must be a sequence of numbers"):
             make_config(sigma_grid=grid)
 

@@ -305,6 +305,9 @@ def event_groups(event_index):
 def assert_rows_match_reference_sweep(lengths, predicted, lams):
     """Each row of one `prr_batch` call equals `prr_sweep` and its own one-row call, bit for bit."""
     completions, event_index = prr_batch(lengths, predicted, lams)
+    for array, dtype in ((completions, np.float64), (event_index, np.int64)):
+        assert array.shape == np.shape(lengths) and array.dtype == dtype
+        assert array.flags.c_contiguous
     totals = objectives(completions)
     for r, lam in enumerate(lams.tolist()):
         want = prr_sweep(JobSet.from_lengths(lengths[r], predicted[r]), lam)
@@ -342,6 +345,10 @@ class TestBatchedKernel:
         event_index = assert_rows_match_reference_sweep(lengths, predicted, lams)
         assert np.all(event_index[3] == 0)
 
+    def test_empty_stack(self):
+        completions, event_index = prr_batch(np.empty((0, 3)), np.empty((0, 3)), 0.5)
+        assert completions.shape == event_index.shape == (0, 3)
+
     def test_scalar_lambda_broadcasts(self):
         lengths = np.array([[2.0, 1.0, 3.0], [1.0, 1.0, 4.0]])
         predicted = np.array([[3.0, 2.0, 1.0], [0.0, -0.0, 5.0]])
@@ -374,6 +381,9 @@ class TestBatchedKernel:
             ([[1.0, math.inf]], [[1.0, 2.0]], 0.5, "job length must be finite and >= 1"),
             ([[1.0, 2.0]], [[1.0, math.nan]], 0.5, "predicted length must be finite"),
             ([[1.0, 2.0], [6e307, 6e307]], [[1.0, 2.0]] * 2, 0.5, "total job length must be"),
+            (np.array([["1", "2"]]), [[1.0, 2.0]], 0.5, "real numbers, got '1'"),
+            ([[1.0, 2.0]], np.array([[True, False]]), 0.5, "real numbers, got True"),
+            (np.array([[Fraction(3, 2), 2]]), [[1.0, 2.0]], 0.5, "real numbers, got Fraction"),
         ],
     )
     def test_rejects_bad_input(self, lengths, predicted, lam, message):
@@ -475,9 +485,21 @@ class TestJobSetValidation:
         with pytest.raises(ValueError):
             JobSet.from_lengths([])
 
-    @pytest.mark.parametrize("lengths", [[1.0, math.nan], [math.inf], [1.0, -2.0]])
-    def test_rejects_bad_lengths(self, lengths):
-        with pytest.raises(ValueError, match="job length must be finite and >= 1"):
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [
+            pytest.param([1.0, math.nan], "job length must be finite and >= 1", id="lengths0"),
+            pytest.param([math.inf], "job length must be finite and >= 1", id="lengths1"),
+            pytest.param([1.0, -2.0], "job length must be finite and >= 1", id="lengths2"),
+            pytest.param([True, 2.0], "job values must be real numbers, got True", id="bool"),
+            pytest.param(["1", "2"], "job values must be real numbers, got '1'", id="str"),
+            pytest.param([Fraction(3, 2), 2], "real numbers, got Fraction", id="fraction"),
+            pytest.param(np.array(["1", "2"]), "real numbers, got '1'", id="str-array"),
+            pytest.param(np.array([True, True]), "real numbers, got True", id="bool-array"),
+        ],
+    )
+    def test_rejects_bad_lengths(self, lengths, message):
+        with pytest.raises(ValueError, match=message):
             JobSet.from_lengths(lengths)
 
     @pytest.mark.parametrize("lengths", [[1e308, 1e308], [6e307, 6e307]])
