@@ -4,7 +4,10 @@ Each problem has its own config type, ``SkiSweepConfig`` or
 ``SchedSweepConfig``, and its own runner.  Trial t of a sweep derives its
 own generator from (seed, t) and draws the instance plus a unit-variance
 noise direction once; the prediction at noise level sigma is
-truth + sigma * direction.  Sharing the draws across sigma levels and
+truth + sigma * direction.  Ski trials take those draws from
+`workloads.ski_trial_draws`, which gives a whole block's in one array pass,
+bit for bit as the generators would; scheduling trials draw from each
+trial's generator in turn.  Sharing the draws across sigma levels and
 algorithms is plain common-random-numbers variance reduction.  Each trial is
 drawn and scored once for every (sigma, algorithm) point; ``jobs`` workers
 split the trials into contiguous ranges whose results are stitched back in
@@ -33,7 +36,7 @@ import numpy as np
 from .scheduling import objectives, prr_batch, sequential_batch
 from .ski_rental import B_MAX, PolicyKind, SkiPolicy, ski_cost
 from .ski_rental import _check_count, _check_lambda, _is_real, _require
-from .workloads import DEFAULT_SEED, derived_rngs, gen_pareto_lengths, gen_ski_days
+from .workloads import DEFAULT_SEED, derived_rngs, gen_pareto_lengths, ski_trial_draws
 
 LAMBDA_RAND_DEFAULT = math.log(1.5)
 # Largest accepted noise level: truth + sigma * direction stays finite for
@@ -190,19 +193,17 @@ def ski_sweep_algorithms(config: SkiSweepConfig) -> List[Tuple[str, SkiPolicy]]:
 def _ski_trials(config: SkiSweepConfig, lo: int, hi: int, opts, etas, ratios) -> None:
     """Write the optima, errors and ratios of ski trials lo..hi-1 into the given slices.
 
-    Each trial's ``derived_rngs`` generator draws x days, a noise direction
-    and, in sampled mode, one uniform per randomized entrant: the k-th
+    `ski_trial_draws` draws every trial of the block in one array pass, as
+    trial t's ``derived_rngs`` generator would: x days, a noise direction
+    and, in sampled mode, one uniform per randomized entrant.  The k-th
     randomized entrant takes the k-th uniform, so two entrants that share a
     policy still draw apart.
     """
-    xs, draws, sampled = [], [], config.sampled
-    for rng in derived_rngs(config.seed, range(lo, hi)):
-        xs.append(gen_ski_days(config.b, rng))
-        draws.append((rng.standard_normal(), *(rng.random(2) if sampled else ())))
-    xs, (zs, *us) = np.array(xs, dtype=np.int64), np.array(draws).T
+    sampled = config.sampled
+    xs, zs, us = ski_trial_draws(config.seed, config.b, np.arange(lo, hi), 2 if sampled else 0)
 
     b, grid, entrants = config.b, config.sigma_grid, ski_sweep_algorithms(config)
-    draws_left = iter(us)
+    draws_left = iter(us.T)
     uniforms = [
         next(draws_left) if sampled and p.kind is PolicyKind.RANDOMIZED else None
         for _, p in entrants

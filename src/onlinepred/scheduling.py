@@ -25,16 +25,21 @@ from .ski_rental import _check_lambda, _is_real, _require
 # Remaining work below this fraction of the original length counts as done;
 # prevents zero-length phases caused by float residue.
 COMPLETION_EPS = 1e-12
+# The least int magnitude that float() rounds past the largest float64.
+_FLOAT64_INT_LIMIT = 2**1024 - 2**970
 
 
 def _floats(values, copy: Optional[bool] = None) -> np.ndarray:
     """``values`` as a float64 array (``copy`` as in numpy), if they are real
-    numbers: an array of an int, uint or float dtype, or else entries that
-    each pass `_is_real`.  Otherwise the error names the first entry."""
+    numbers: an array of an int, uint or float dtype, or else (nested)
+    entries that each pass `_is_real`, ints within float64 range.  Otherwise
+    the error names the first entry."""
     if not isinstance(values, np.ndarray):
-        values = list(values)
-        for value in values:
+        values = np.array(list(values), dtype=object)  # the entries of nested sequences
+        for value in values.flat:
             _require(_is_real(value), value, "job values must be real numbers")
+            ok = not isinstance(value, int) or abs(value) < _FLOAT64_INT_LIMIT
+            _require(ok, value, "job values must fit in a float64")
     elif values.dtype.kind not in "iuf":
         _require(np.zeros(values.shape, bool), values, "job values must be real numbers")
     return np.array(values, dtype=np.float64, copy=copy)
@@ -164,7 +169,7 @@ def prr_batch(lengths, predicted, lam) -> Tuple[np.ndarray, np.ndarray]:
     one-row sweep, so a row's result does not depend on the rows stacked
     with it.
     """
-    lengths, predicted = _floats(np.asarray(lengths)), _floats(np.asarray(predicted))
+    lengths, predicted = _floats(lengths), _floats(predicted)
     if lengths.ndim != 2 or predicted.shape != lengths.shape or lengths.shape[1] < 1:
         raise ValueError(
             f"lengths and predictions must be equal (R, n) arrays with n >= 1, "

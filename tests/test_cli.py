@@ -429,6 +429,12 @@ PINNED_FULL_SIZE = {
     "verify-bounds": "c17ddece1646e7296d6b65336f429138a8d1b3c5ce0bf6bea86fc257b6b87b0a",
     "verify-bounds --grid-density dense":
         "b4116c4edfd000b769cd5bb207be832531c0e2d11ce7c59fb1fc1f03c22fd2d2",
+    # recorded from one numpy Generator per trial, before the ski draws were
+    # batched; b = B_MAX takes the bounded-integer rejection path on some trials
+    "ski-sweep --sampled --trials 20000":
+        "abfcb518e955e341fddfce88796ad2d1e7ffd865ed0df4e25038897b77f5836f",
+    "ski-sweep --b 1000000 --trials 20000":
+        "f01267222d0ef4c6ccf08e23250d666b2b881cffe81a467430a8199e5d0ec077",
 }
 
 

@@ -384,6 +384,10 @@ class TestBatchedKernel:
             (np.array([["1", "2"]]), [[1.0, 2.0]], 0.5, "real numbers, got '1'"),
             ([[1.0, 2.0]], np.array([[True, False]]), 0.5, "real numbers, got True"),
             (np.array([[Fraction(3, 2), 2]]), [[1.0, 2.0]], 0.5, "real numbers, got Fraction"),
+            # nested lists are checked entry by entry before any conversion
+            ([[True, 2]], [[1, 2]], 0.5, "real numbers, got True"),
+            ([[1.0, 2.0]], [(1, False)], 0.5, "real numbers, got False"),
+            ([[10**400, 2]], [[1, 2]], 0.5, "fit in a float64, got 1000"),
         ],
     )
     def test_rejects_bad_input(self, lengths, predicted, lam, message):
@@ -496,13 +500,16 @@ class TestJobSetValidation:
             pytest.param([Fraction(3, 2), 2], "real numbers, got Fraction", id="fraction"),
             pytest.param(np.array(["1", "2"]), "real numbers, got '1'", id="str-array"),
             pytest.param(np.array([True, True]), "real numbers, got True", id="bool-array"),
+            pytest.param([10**400, 2], "fit in a float64, got 1000", id="int-overflow"),
+            pytest.param([-(2**1024 - 2**970), 2], "fit in a float64", id="int-rounds-past-max"),
         ],
     )
     def test_rejects_bad_lengths(self, lengths, message):
         with pytest.raises(ValueError, match=message):
             JobSet.from_lengths(lengths)
 
-    @pytest.mark.parametrize("lengths", [[1e308, 1e308], [6e307, 6e307]])
+    # the last list holds the largest int that converts to a float64 (the largest float64)
+    @pytest.mark.parametrize("lengths", [[1e308, 1e308], [6e307, 6e307], [2**1024 - 2**970 - 1] * 2])
     def test_rejects_sets_whose_times_overflow(self, lengths):
         # the last completion is the total length, the objective up to n times it
         with pytest.raises(ValueError, match="n times the total job length must be finite"):
