@@ -8,19 +8,18 @@ truth + sigma * direction.  Ski trials take those draws from
 `workloads.ski_trial_draws`, which gives a whole block's in one array pass,
 bit for bit as the generators would; scheduling trials draw from each
 trial's generator in turn.  Sharing the draws across sigma levels and
-algorithms is plain common-random-numbers variance reduction.  Each trial is
-drawn and scored once for every (sigma, algorithm) point; ``jobs`` workers
-split the trials into contiguous ranges whose results are stitched back in
-trial order, so any worker count yields identical output.
+algorithms is plain common-random-numbers variance reduction.
 
-Both sweeps run one block loop: a trial range's result arrays are allocated
-once, and each block of trials is scored into its slices of them.  A ski
-block makes one ``ski_cost`` call per rule, with one entry per sigma point
-per trial; a scheduling block puts (sigma points + 1) rows of n jobs per
-trial in one batched round-robin/PRR kernel call (round-robin ignores
-predictions, so it takes one row per trial).  Blocks keep kernel entries
-within ``KERNEL_ENTRIES``, which bounds the working set at any trial count;
-trials are independent, so block sizes change no value.
+A block of trials is the unit of both the work and the reduction.  Blocks
+sit on a fixed grid of trial indices, as many trials each as keep their
+kernel entries within ``KERNEL_ENTRIES``.  A ski block makes one
+``ski_cost`` call per rule, with one entry per sigma point per trial; a
+scheduling block puts (sigma points + 1) rows of n jobs per trial in one
+batched round-robin/PRR kernel call (round-robin ignores predictions, so it
+takes one row per trial).  Each block is reduced to its sums of ratio and
+error and its largest ratio per (sigma, algorithm); the sums are added in
+block order.  ``jobs`` workers take whole blocks, so any worker count
+yields identical output.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -45,25 +44,27 @@ SIGMA_MAX = 1e300
 JOBS_MAX = 64  # worker processes; the pool starts them all at once
 N_MAX = 100_000  # jobs per set: 16 B per job (two float64 arrays)
 TRIALS_MAX = 1_000_000
-# A sweep holds one float64 ratio per sigma point, algorithm and trial.  The
-# default ski grid (41 points, 4 algorithms) at TRIALS_MAX is
-# 41 * 4 * 10**6 * 8 B = 1.3 GB, plus 41 * 10**6 * 8 B = 0.3 GB of errors;
-# finer grids get proportionally fewer trials.
+# A sweep scores one ratio per sigma point, algorithm and trial.  This caps
+# a run's work at the default ski grid (41 points, 4 algorithms) at
+# TRIALS_MAX; finer grids get proportionally fewer trials.  It also caps the
+# block of a single trial whose grid alone passes KERNEL_ENTRIES.
 SWEEP_MAX_RATIOS = 41 * 4 * TRIALS_MAX
 
 # Stream key for the job set in fixed-jobs mode; above every trial index (< TRIALS_MAX).
 _FIXED_JOBS_STREAM = 0x4A4F4253
 
 # Bound on the kernel entries of one block of trials, which bounds a sweep's
-# working set whatever the trial count.
+# working set whatever the trial count.  It also fixes the block grid, and
+# block sums are added in turn, so changing it can change the last bits of
+# a multi-block sweep's means.
 KERNEL_ENTRIES = 1 << 19
 
 
 def _check_sweep(config, default_grid: Tuple[float, ...], entrants: int) -> None:
     """Check the counts, the sigma grid and the ratio count both sweeps share.
 
-    The sweep holds grid points x ``entrants`` (its algorithm count) x trials
-    ratios.  Stores the sigma grid, or the default if empty.
+    The sweep scores grid points x ``entrants`` (its algorithm count) x
+    trials ratios.  Stores the sigma grid, or the default if empty.
     """
     _check_count("trials", config.trials, 1, TRIALS_MAX)
     _check_count("jobs", config.jobs, 1, JOBS_MAX)
@@ -147,31 +148,16 @@ class SchedSweepConfig:
 
 @dataclass
 class TrialReport:
-    """Per-trial optima, ratios and errors for one (sigma, algorithm) grid point."""
+    """Trial count, mean ratio, mean error and largest ratio of one (sigma, algorithm) point."""
 
     experiment: str
     algorithm: str
     lam: Optional[float]
     sigma: float
-    opt_costs: np.ndarray
-    ratios: np.ndarray
-    etas: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return int(self.ratios.size)
-
-    @property
-    def mean_ratio(self) -> float:
-        return float(self.ratios.mean())
-
-    @property
-    def mean_eta(self) -> float:
-        return float(self.etas.mean())
-
-    @property
-    def max_ratio(self) -> float:
-        return float(self.ratios.max())
+    count: int
+    mean_ratio: float
+    mean_eta: float
+    max_ratio: float
 
 
 def ski_sweep_algorithms(config: SkiSweepConfig) -> List[Tuple[str, SkiPolicy]]:
@@ -190,14 +176,15 @@ def ski_sweep_algorithms(config: SkiSweepConfig) -> List[Tuple[str, SkiPolicy]]:
     ]
 
 
-def _ski_trials(config: SkiSweepConfig, lo: int, hi: int, opts, etas, ratios) -> None:
-    """Write the optima, errors and ratios of ski trials lo..hi-1 into the given slices.
+def _ski_trials(config: SkiSweepConfig, lo: int, hi: int):
+    """Optima, errors and ratios of ski trials lo..hi-1.
 
-    `ski_trial_draws` draws every trial of the block in one array pass, as
-    trial t's ``derived_rngs`` generator would: x days, a noise direction
-    and, in sampled mode, one uniform per randomized entrant.  The k-th
-    randomized entrant takes the k-th uniform, so two entrants that share a
-    policy still draw apart.
+    The arrays are indexed [trial], [sigma, trial] and [sigma, entrant,
+    trial].  `ski_trial_draws` draws every trial of the block in one array
+    pass, as trial t's ``derived_rngs`` generator would: x days, a noise
+    direction and, in sampled mode, one uniform per randomized entrant.  The
+    k-th randomized entrant takes the k-th uniform, so two entrants that
+    share a policy still draw apart.
     """
     sampled = config.sampled
     xs, zs, us = ski_trial_draws(config.seed, config.b, np.arange(lo, hi), 2 if sampled else 0)
@@ -208,11 +195,14 @@ def _ski_trials(config: SkiSweepConfig, lo: int, hi: int, opts, etas, ratios) ->
         next(draws_left) if sampled and p.kind is PolicyKind.RANDOMIZED else None
         for _, p in entrants
     ]
-    opts[:] = np.minimum(xs, b)
+    opts = np.minimum(xs, b)
     ys = np.maximum(xs + np.array(grid)[:, None] * zs, 0.0)  # one row per sigma point
-    np.abs(np.subtract(ys, xs, out=etas), out=etas)
+    etas = ys - xs
+    np.abs(etas, out=etas)
+    ratios = np.empty((len(grid), len(entrants), xs.size))
     for a, (_, policy) in enumerate(entrants):
         np.divide(ski_cost(policy, b, xs, ys, uniforms[a]), opts, out=ratios[:, a])
+    return opts, etas, ratios
 
 
 def sched_sweep_algorithms(config: SchedSweepConfig) -> List[Tuple[str, Optional[float]]]:
@@ -220,8 +210,8 @@ def sched_sweep_algorithms(config: SchedSweepConfig) -> List[Tuple[str, Optional
     return [("round-robin", None), ("spjf", None), ("prr", config.lambda_sched)]
 
 
-def _sched_block(config: SchedSweepConfig, lo: int, hi: int, opts, etas, ratios) -> None:
-    """Write the optima, errors and ratios of scheduling trials lo..hi-1 into the given slices.
+def _sched_block(config: SchedSweepConfig, lo: int, hi: int):
+    """Optima, errors and ratios of scheduling trials lo..hi-1, indexed as `_ski_trials`'s.
 
     Each trial's ``derived_rngs`` generator draws its job lengths (unless the
     jobs are fixed, drawn from their own stream) and noise direction once,
@@ -244,7 +234,8 @@ def _sched_block(config: SchedSweepConfig, lo: int, hi: int, opts, etas, ratios)
     sigmas = np.array((0.0, *config.sigma_grid))
     lams = np.array((0.0,) + (config.lambda_sched,) * len(config.sigma_grid))
 
-    opts[:] = objectives(sequential_batch(lengths, lengths))
+    opts = objectives(sequential_batch(lengths, lengths))
+    etas, ratios = np.empty((sigmas.size - 1, trials)), np.empty((sigmas.size - 1, 3, trials))
     shared = np.empty((sigmas.size, trials))
     per_call = max(1, KERNEL_ENTRIES // (trials * n))
     for g in range(0, sigmas.size, per_call):
@@ -260,45 +251,48 @@ def _sched_block(config: SchedSweepConfig, lo: int, hi: int, opts, etas, ratios)
         shared[groups] = objectives(completions).reshape(-1, trials)
     ratios[:, 0] = shared[0] / opts
     ratios[:, 2] = shared[1:] / opts
-
-
-def _fill_trials(config, fill, entrants: int, per_trial: int, lo: int, hi: int):
-    """Optima, errors and ratios of trials lo..hi-1, written by ``fill`` block by block.
-
-    The three arrays are allocated once; ``fill(config, lo, hi, opts, etas,
-    ratios)`` writes one block into its slices.  A block holds as many trials
-    as keep their ``per_trial`` kernel entries each (a ski trial has one per
-    sigma point) within KERNEL_ENTRIES, and at least one.
-    """
-    count, points = hi - lo, len(config.sigma_grid)
-    opts, etas = np.empty(count), np.empty((points, count))
-    ratios = np.empty((points, entrants, count))
-    per_block = max(1, KERNEL_ENTRIES // per_trial)
-    for start in range(0, count, per_block):
-        part = slice(start, min(start + per_block, count))
-        fill(config, lo + part.start, lo + part.stop, opts[part], etas[:, part], ratios[..., part])
     return opts, etas, ratios
 
 
-def _run_trials(config, fill, per_trial: int, experiment: str, entrants) -> List[TrialReport]:
-    """One read-only report per (sigma, entrant) over all trials, from ``_fill_trials``.
+def _block_stats(config, fill, per_block: int, lo: int):
+    """Per (sigma, entrant) ratio sum and largest ratio, and per sigma error sum, of one block.
 
-    Workers take contiguous trial ranges, at most one per trial; the chunks
-    are stitched back in trial order, so the worker count changes no value.
+    The block holds trials lo..lo+per_block-1, or up to the last trial.
     """
-    fill_range = partial(_fill_trials, config, fill, len(entrants), per_trial)
-    chunks = min(config.jobs, config.trials)
-    if chunks == 1:
-        opts, etas, ratios = fill_range(0, config.trials)
+    _, etas, ratios = fill(config, lo, min(lo + per_block, config.trials))
+    return ratios.sum(axis=-1), etas.sum(axis=-1), ratios.max(axis=-1)
+
+
+def _add_block(total, block):
+    """Running ratio sums, error sums and largest ratios, with ``block``'s added."""
+    return total[0] + block[0], total[1] + block[1], np.maximum(total[2], block[2])
+
+
+def _run_trials(config, fill, per_trial: int, experiment: str, entrants) -> List[TrialReport]:
+    """One report per (sigma, entrant) over all trials, from ``fill``'s blocks.
+
+    A block holds as many trials as keep their ``per_trial`` kernel entries
+    each (a ski trial has one per sigma point) within KERNEL_ENTRIES, and at
+    least one.  Block results are added in block order as they arrive.
+    Workers take whole blocks, at most one worker per block; a single block
+    runs in this process.
+    """
+    per_block = max(1, KERNEL_ENTRIES // per_trial)
+    starts = range(0, config.trials, per_block)
+    stats = partial(_block_stats, config, fill, per_block)
+    workers = min(config.jobs, len(starts))
+    if workers == 1:
+        ratio_sums, eta_sums, top = reduce(_add_block, map(stats, starts))
     else:
-        edges = [config.trials * k // chunks for k in range(chunks + 1)]
-        with ProcessPoolExecutor(max_workers=chunks) as pool:
-            parts = list(pool.map(fill_range, edges[:-1], edges[1:]))
-        opts, etas, ratios = (np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
-    for array in (opts, etas, ratios):  # the reports share them
-        array.flags.writeable = False
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            ratio_sums, eta_sums, top = reduce(_add_block, pool.map(stats, starts))
+    trials = int(config.trials)
+    mean_ratios, mean_etas = ratio_sums / trials, eta_sums / trials
     return [
-        TrialReport(experiment, label, lam, sigma, opts, ratios[s, a], etas[s])
+        TrialReport(
+            experiment, label, lam, sigma, trials,
+            float(mean_ratios[s, a]), float(mean_etas[s]), float(top[s, a]),
+        )
         for s, sigma in enumerate(config.sigma_grid)
         for a, (label, lam) in enumerate(entrants)
     ]

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onlinepred import bounds, experiments
 from onlinepred.experiments import (
@@ -49,9 +51,21 @@ def assert_same_reports(expected, actual):
     assert len(expected) == len(actual)
     for re, ra in zip(expected, actual):
         assert (re.algorithm, re.lam, re.sigma) == (ra.algorithm, ra.lam, ra.sigma)
-        assert np.array_equal(re.ratios, ra.ratios)
-        assert np.array_equal(re.etas, ra.etas)
-        assert np.array_equal(re.opt_costs, ra.opt_costs)
+        assert (re.count, re.mean_ratio, re.mean_eta, re.max_ratio) == (
+            ra.count, ra.mean_ratio, ra.mean_eta, ra.max_ratio
+        )
+
+
+def split_fill(fill, config, lo, per_block):
+    """``fill``'s arrays for trials lo.. of ``config``, filled per_block trials at a time."""
+    starts = range(lo, config.trials, per_block)
+    blocks = [fill(config, start, min(start + per_block, config.trials)) for start in starts]
+    return [np.concatenate(parts, axis=-1) for parts in zip(*blocks)]
+
+
+def three_blocks(monkeypatch, trials, per_trial):
+    """Shrink the blocks so that a sweep of ``trials`` spans at least three (or one per trial)."""
+    monkeypatch.setattr(experiments, "KERNEL_ENTRIES", max(1, trials // 3) * per_trial)
 
 
 class TestSkiSweep:
@@ -65,11 +79,7 @@ class TestSkiSweep:
             assert r.mean_ratio >= 1.0 - 1e-9
 
     def test_reproducible(self):
-        a = run_ski_sweep(small_ski_config())
-        b = run_ski_sweep(small_ski_config())
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.ratios, rb.ratios)
-            assert np.array_equal(ra.etas, rb.etas)
+        assert_same_reports(run_ski_sweep(small_ski_config()), run_ski_sweep(small_ski_config()))
 
     def test_zero_sigma_consistency(self):
         reports = run_ski_sweep(small_ski_config())
@@ -79,21 +89,14 @@ class TestSkiSweep:
         assert rand0.max_ratio <= bounds.rand_consistency(LAMBDA_RAND_DEFAULT) + 1e-9
 
     def test_per_trial_guarantees(self):
-        reports = run_ski_sweep(small_ski_config())
-        for r in reports:
-            if r.algorithm == "deterministic":
-                for ratio, eta, opt in zip(r.ratios, r.etas, r.opt_costs):
-                    assert ratio <= bounds.det_ski_bound(0.5, eta, opt) + 1e-9
-            elif r.algorithm == "randomized":
-                for ratio, eta, opt in zip(r.ratios, r.etas, r.opt_costs):
-                    assert (
-                        ratio
-                        <= bounds.rand_ski_bound(100, LAMBDA_RAND_DEFAULT, eta, opt) + 1e-9
-                    )
-            elif r.algorithm == "break-even":
-                assert r.max_ratio <= 2.0 + 1e-9
-            else:  # classical randomized, exact expectation
-                assert r.max_ratio <= bounds.E_OVER_E_MINUS_1 + 1.0 / 100 + 1e-9
+        cfg = small_ski_config()
+        opts, etas, ratios = experiments._ski_trials(cfg, 0, cfg.trials)
+        break_even, karlin, det, rand = ratios.transpose(1, 0, 2)  # [sigma, trial] each
+        assert np.all(det <= bounds.det_ski_bound(0.5, etas, opts) + 1e-9)
+        assert np.all(rand <= bounds.rand_ski_bound(100, LAMBDA_RAND_DEFAULT, etas, opts) + 1e-9)
+        assert break_even.max() <= 2.0 + 1e-9
+        # classical randomized, exact expectation
+        assert karlin.max() <= bounds.E_OVER_E_MINUS_1 + 1.0 / 100 + 1e-9
 
     def test_classical_rows_flat_in_sigma(self):
         reports = run_ski_sweep(small_ski_config())
@@ -103,10 +106,12 @@ class TestSkiSweep:
 
     def test_sampled_mode_agrees_in_mean(self):
         exact = run_ski_sweep(small_ski_config(trials=4000))
-        sampled = run_ski_sweep(small_ski_config(trials=4000, sampled=True))
+        cfg = small_ski_config(trials=4000, sampled=True)
+        sampled = run_ski_sweep(cfg)
         ex = next(r for r in exact if r.algorithm == "randomized" and r.sigma == 0.0)
         sa = next(r for r in sampled if r.algorithm == "randomized-sampled" and r.sigma == 0.0)
-        se = sa.ratios.std() / math.sqrt(sa.count)
+        _, _, ratios = experiments._ski_trials(cfg, 0, cfg.trials)
+        se = ratios[0, 3].std() / math.sqrt(sa.count)  # sigma = 0, the lambda rule
         assert abs(sa.mean_ratio - ex.mean_ratio) < 4 * se
 
     def test_validation(self):
@@ -151,19 +156,12 @@ class TestSkiSweep:
         ids=["exact", "sampled", "one-point-exact", "one-point-sampled",
              "widest-exact", "widest-sampled"],
     )
-    def test_block_split_changes_no_bit(self, monkeypatch, sampled, grid):
+    def test_block_split_changes_no_bit(self, sampled, grid):
         cfg = small_ski_config(trials=23, sampled=sampled, sigma_grid=grid)
-        lo, entrants, points = 3, len(experiments.ski_sweep_algorithms(cfg)), len(grid)
-
-        def fill_trials():  # one kernel entry per sigma point per trial
-            return experiments._fill_trials(
-                cfg, experiments._ski_trials, entrants, points, lo, cfg.trials
-            )
-
-        whole = fill_trials()
+        lo = 3
+        whole = experiments._ski_trials(cfg, lo, cfg.trials)
         for trials_per_block in (1, 7):
-            monkeypatch.setattr(experiments, "KERNEL_ENTRIES", trials_per_block * points)
-            split = fill_trials()
+            split = split_fill(experiments._ski_trials, cfg, lo, trials_per_block)
             for a, b in zip(whole, split):
                 assert a.tobytes() == b.tobytes()
 
@@ -189,11 +187,12 @@ class TestSkiSweep:
         [(3, 4, False), (401, 3, False), (401, 3, True)],
         ids=["fewer-trials-than-workers", "uneven-split", "sampled"],
     )
-    def test_workers_do_not_change_results(self, trials, workers, sampled):
+    def test_workers_do_not_change_results(self, monkeypatch, trials, workers, sampled):
         cfg = dict(trials=trials, sampled=sampled)
+        three_blocks(monkeypatch, trials, len(small_ski_config().sigma_grid))
         serial = run_ski_sweep(small_ski_config(**cfg))
-        parallel = run_ski_sweep(small_ski_config(jobs=workers, **cfg))
-        assert_same_reports(serial, parallel)
+        for jobs in sorted({2, 3, workers}):
+            assert_same_reports(serial, run_ski_sweep(small_ski_config(jobs=jobs, **cfg)))
 
     def test_endpoint_monotonicity_for_prediction_rules(self):
         reports = run_ski_sweep(small_ski_config(trials=2000))
@@ -214,43 +213,40 @@ class TestSchedulingSweep:
         assert prr0.max_ratio <= bounds.prr_perfect_bound(0.5) + 1e-9
 
     def test_rr_ignores_noise(self):
-        reports = run_scheduling_sweep(small_sched_config())
-        rr = [r for r in reports if r.algorithm == "round-robin"]
-        assert np.array_equal(rr[0].ratios, rr[1].ratios)
+        cfg = small_sched_config()
+        _, _, ratios = experiments._sched_block(cfg, 0, cfg.trials)
+        assert np.array_equal(ratios[0, 0], ratios[1, 0])
+        rr = [r for r in run_scheduling_sweep(cfg) if r.algorithm == "round-robin"]
+        assert (rr[0].mean_ratio, rr[0].max_ratio) == (rr[1].mean_ratio, rr[1].max_ratio)
 
     def test_per_trial_guarantees(self):
-        reports = run_scheduling_sweep(small_sched_config())
-        n = 12
-        for r in reports:
-            if r.algorithm == "round-robin":
-                assert r.max_ratio <= 2.0 + 1e-9
-            elif r.algorithm == "spjf":
-                for ratio, eta in zip(r.ratios, r.etas):
-                    assert ratio <= bounds.spjf_bound(n, eta) + 1e-9
-            else:
-                for ratio, eta in zip(r.ratios, r.etas):
-                    assert ratio <= bounds.prr_bound(n, eta, 0.5) + 1e-9
+        cfg = small_sched_config()
+        _, etas, ratios = experiments._sched_block(cfg, 0, cfg.trials)
+        rr, spjf, prr = ratios.transpose(1, 0, 2)  # [sigma, trial] each
+        assert rr.max() <= 2.0 + 1e-9
+        assert np.all(spjf <= bounds.spjf_bound(cfg.n, etas) + 1e-9)
+        assert np.all(prr <= bounds.prr_bound(cfg.n, etas, 0.5) + 1e-9)
 
     def test_fixed_jobs_mode(self):
         cfg = small_sched_config(fixed_jobs=True)
-        a = run_scheduling_sweep(cfg)
-        b = run_scheduling_sweep(cfg)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.ratios, rb.ratios)
-        # the same true lengths underlie every trial: RR ratios are constant
-        rr = next(r for r in a if r.algorithm == "round-robin")
-        assert rr.ratios.max() - rr.ratios.min() == 0.0
+        assert_same_reports(run_scheduling_sweep(cfg), run_scheduling_sweep(cfg))
+        opts, _, ratios = experiments._sched_block(cfg, 0, cfg.trials)
+        # the same true lengths underlie every trial: OPT and the RR ratios are constant
+        assert opts.max() == opts.min()
+        assert ratios[:, 0].max() - ratios[:, 0].min() == 0.0
 
     @pytest.mark.parametrize(
         "trials, workers, fixed",
-        [(2, 3, False), (100, 3, False), (100, 3, True)],
+        [(3, 4, False), (100, 3, False), (100, 3, True)],
         ids=["fewer-trials-than-workers", "uneven-split", "fixed-jobs"],
     )
-    def test_workers_do_not_change_results(self, trials, workers, fixed):
+    def test_workers_do_not_change_results(self, monkeypatch, trials, workers, fixed):
         cfg = dict(trials=trials, fixed_jobs=fixed)
+        base = small_sched_config()
+        three_blocks(monkeypatch, trials, (len(base.sigma_grid) + 1) * base.n)
         serial = run_scheduling_sweep(small_sched_config(**cfg))
-        parallel = run_scheduling_sweep(small_sched_config(jobs=workers, **cfg))
-        assert_same_reports(serial, parallel)
+        for jobs in sorted({2, 3, workers}):
+            assert_same_reports(serial, run_scheduling_sweep(small_sched_config(jobs=jobs, **cfg)))
 
     @pytest.mark.parametrize("fixed", [False, True], ids=["drawn-jobs", "fixed-jobs"])
     def test_block_split_changes_no_bit(self, monkeypatch, fixed):
@@ -276,12 +272,7 @@ class TestSchedulingSweep:
         monkeypatch.setattr(experiments, "sequential_batch", recording_sequential)
         points = len(cfg.sigma_grid)
 
-        def fill_trials():
-            return experiments._fill_trials(
-                cfg, experiments._sched_block, 3, groups * cfg.n, lo, cfg.trials
-            )
-
-        whole = fill_trials()
+        whole = experiments._sched_block(cfg, lo, cfg.trials)
         assert calls == [(groups * trials, cfg.n)]
         assert job_sets == [trials, points * trials]  # the optima, then SPJF per sigma
         # (entries, kernel calls): one trial and one row group per call, two
@@ -295,7 +286,8 @@ class TestSchedulingSweep:
             monkeypatch.setattr(experiments, "KERNEL_ENTRIES", entries)
             calls.clear()
             job_sets.clear()
-            split = fill_trials()
+            per_block = max(1, entries // (groups * cfg.n))  # the sweep's blocks
+            split = split_fill(experiments._sched_block, cfg, lo, per_block)
             for a, b in zip(whole, split):
                 assert a.tobytes() == b.tobytes()
             assert len(calls) == count
@@ -318,9 +310,14 @@ class TestSchedulingSweep:
             map = staticmethod(map)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-        pooled = run_scheduling_sweep(small_sched_config(trials=2, jobs=8))
-        assert started == [2]
-        assert_same_reports(run_scheduling_sweep(small_sched_config(trials=2)), pooled)
+        run_scheduling_sweep(small_sched_config(trials=5, jobs=8))  # one block: no pool
+        assert started == []
+        base = small_sched_config()
+        per_trial = (len(base.sigma_grid) + 1) * base.n
+        monkeypatch.setattr(experiments, "KERNEL_ENTRIES", 2 * per_trial)  # blocks of 2 trials
+        pooled = run_scheduling_sweep(small_sched_config(trials=5, jobs=8))
+        assert started == [3]  # min(jobs, blocks)
+        assert_same_reports(run_scheduling_sweep(small_sched_config(trials=5)), pooled)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -371,17 +368,50 @@ def test_string_sigma_grid_rejected(make_config):
             make_config(sigma_grid=grid)
 
 
-@pytest.mark.parametrize("run", [run_ski_sweep, run_scheduling_sweep], ids=["ski", "sched"])
-@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pooled"])
-def test_reports_are_read_only(run, jobs):
-    # every report holds the same opt_costs, and the reports at one sigma one etas row
-    make_config = small_ski_config if run is run_ski_sweep else small_sched_config
-    reports = run(make_config(trials=3, jobs=jobs))
-    for report in reports:
-        for array in (report.opt_costs, report.etas, report.ratios):
-            with pytest.raises(ValueError, match="read-only"):
-                array[:] = 99
-    assert reports[0].mean_eta == reports[1].mean_eta != 99.0
+SWEEPS = pytest.mark.parametrize(
+    "make_config, run, fill",
+    [
+        (small_ski_config, run_ski_sweep, experiments._ski_trials),
+        (small_sched_config, run_scheduling_sweep, experiments._sched_block),
+    ],
+    ids=["ski", "sched"],
+)
+
+
+def assert_reports_match_arrays(reports, etas, ratios, rtol):
+    """Reports in (sigma, entrant) order: means within ``rtol`` of numpy's, maxima exact."""
+    reports = iter(reports)
+    for s, row in enumerate(ratios):
+        for entrant_ratios in row:
+            report = next(reports)
+            assert report.count == entrant_ratios.size
+            for mean, expected in [
+                (report.mean_ratio, np.mean(entrant_ratios)), (report.mean_eta, np.mean(etas[s]))
+            ]:
+                assert abs(mean - expected) <= rtol * expected
+            assert report.max_ratio == entrant_ratios.max()
+    assert next(reports, None) is None
+
+
+@SWEEPS
+def test_one_block_means_are_numpy_means(make_config, run, fill):
+    cfg = make_config()  # both small configs fit one block
+    _, etas, ratios = fill(cfg, 0, cfg.trials)
+    assert_reports_match_arrays(run(cfg), etas, ratios, rtol=0.0)
+
+
+@SWEEPS
+@settings(max_examples=30, deadline=None)
+@given(trials=st.integers(1, 60), entries=st.integers(1, 1200))
+def test_streamed_stats_match_numpy(make_config, run, fill, trials, entries):
+    cfg = make_config(trials=trials)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "KERNEL_ENTRIES", entries)  # blocks of 1 to all trials
+        _, etas, ratios = fill(cfg, 0, trials)
+        # any two orders of summing n non-negative terms agree within about
+        # 2n units of roundoff of the sum
+        rtol = 2 * trials * np.finfo(float).eps
+        assert_reports_match_arrays(run(cfg), etas, ratios, rtol)
 
 
 @pytest.mark.parametrize(
