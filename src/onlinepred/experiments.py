@@ -11,15 +11,18 @@ trial's generator in turn.  Sharing the draws across sigma levels and
 algorithms is plain common-random-numbers variance reduction.
 
 A block of trials is the unit of both the work and the reduction.  Blocks
-sit on a fixed grid of trial indices, as many trials each as keep their
-kernel entries within ``KERNEL_ENTRIES``.  A ski block makes one
-``ski_cost`` call per rule, with one entry per sigma point per trial; a
-scheduling block puts (sigma points + 1) rows of n jobs per trial in one
-batched round-robin/PRR kernel call (round-robin ignores predictions, so it
-takes one row per trial).  Each block is reduced to its sums of ratio and
-error and its largest ratio per (sigma, algorithm); the sums are added in
-block order.  ``jobs`` workers take whole blocks, so any worker count
-yields identical output.
+sit on a fixed grid of trial indices, ``KERNEL_ENTRIES`` // (sigma points)
+ski trials or as many scheduling trials as keep their kernel entries
+within ``KERNEL_ENTRIES``.  A ski rule sees a prediction only through
+y >= b, which changes at most once along the sigma grid, so a ski block
+makes one ``ski_cost`` call per rule that prices both branches of every
+trial, and finds where each trial switches branch by binary search; it
+holds O(trials + sigma points) entries at a time.  A scheduling block puts
+(sigma points + 1) rows of n jobs per trial in one batched round-robin/PRR
+kernel call (round-robin ignores predictions, so it takes one row per
+trial).  Each block yields its sums of ratio and error and its largest
+ratio per (sigma, algorithm); the sums are added in block order.  ``jobs``
+workers take whole blocks, so any worker count yields identical output.
 """
 
 from __future__ import annotations
@@ -53,11 +56,14 @@ SWEEP_MAX_RATIOS = 41 * 4 * TRIALS_MAX
 # Stream key for the job set in fixed-jobs mode; above every trial index (< TRIALS_MAX).
 _FIXED_JOBS_STREAM = 0x4A4F4253
 
-# Bound on the kernel entries of one block of trials, which bounds a sweep's
-# working set whatever the trial count.  It also fixes the block grid, and
-# block sums are added in turn, so changing it can change the last bits of
-# a multi-block sweep's means.
+# Bound on the kernel entries of one scheduling block of trials, which bounds
+# a sweep's working set whatever the trial count; a ski block, which holds
+# O(trials + sigma points) entries, takes KERNEL_ENTRIES // (sigma points)
+# trials.  It fixes the block grid, and block sums are added in turn, so
+# changing it can change the last bits of a multi-block sweep's means.
 KERNEL_ENTRIES = 1 << 19
+# Entries of one slice of a ski block's errors; 128 KB slices sum fastest.
+_ERROR_ENTRIES = 1 << 14
 
 
 def _check_sweep(config, default_grid: Tuple[float, ...], entrants: int) -> None:
@@ -176,33 +182,99 @@ def ski_sweep_algorithms(config: SkiSweepConfig) -> List[Tuple[str, SkiPolicy]]:
     ]
 
 
-def _ski_trials(config: SkiSweepConfig, lo: int, hi: int):
-    """Optima, errors and ratios of ski trials lo..hi-1.
+def _switch_index(xs, zs, grid, b: int):
+    """Per trial, the first index of the ascending ``grid`` at which x + sigma z >= b changes.
 
-    The arrays are indexed [trial], [sigma, trial] and [sigma, entrant,
-    trial].  `ski_trial_draws` draws every trial of the block in one array
-    pass, as trial t's ``derived_rngs`` generator would: x days, a noise
-    direction and, in sampled mode, one uniform per randomized entrant.  The
-    k-th randomized entrant takes the k-th uniform, so two entrants that
-    share a policy still draw apart.
+    Float rounding is monotone, so the test, in the float operations of
+    ``xs + grid[:, None] * zs >= b``, rises at most once along the grid if
+    z >= 0 and falls at most once if z < 0.  A binary search per trial
+    evaluates it at O(log S) grid points and returns the first index where
+    a rising test holds or a falling one fails, or S if there is none.
+    """
+    falling, points = zs < 0, len(grid)
+    lo, hi = np.zeros(xs.size, np.intp), np.full(xs.size, points, np.intp)
+    for _ in range(points.bit_length()):
+        mid = (lo + hi) >> 1  # below hi while a search is open
+        switched = (xs + grid[np.minimum(mid, points - 1)] * zs >= b) != falling
+        lo = np.where(switched | (lo == hi), lo, mid + 1)
+        hi = np.where(switched, mid, hi)
+    return lo
+
+
+def _fold_by_switch(ufunc, empty: float, before, after, keys, points: int):
+    """Per grid point s and row, ``ufunc`` folded over trials: before[t] if s < k_t, else after[t].
+
+    ``before`` and ``after`` are (rows, trials) and ``keys`` holds each
+    trial's k_t in [0, points].  Each row is folded per k_t, in trial order
+    from ``empty``, and the groups then as a suffix of ``before`` (k_t > s)
+    and a prefix of ``after`` (k_t <= s): a total less a running sum would
+    cancel.  Returns (points, rows).
+    """
+    rows = len(before)
+    bins = (keys + (points + 1) * np.arange(rows)[:, None]).ravel()
+    groups = np.full((2, rows * (points + 1)), empty)
+    for group, values in zip(groups, (before, after)):
+        ufunc.at(group, bins, values.ravel())
+    groups = groups.reshape(2, rows, points + 1)
+    above = ufunc.accumulate(groups[0, :, ::-1], axis=1)[:, -2::-1]
+    return ufunc(above, ufunc.accumulate(groups[1], axis=1)[:, :-1]).T
+
+
+def _error_sums(xs, zs, grid):
+    """Per sigma, the sum over trials of the error |max(x + sigma z, 0) - x|.
+
+    The errors are computed a slice of grid rows at a time, at most
+    _ERROR_ENTRIES entries, and each row summed as numpy sums a row of the
+    whole (sigma, trial) array, so the sums are that array's bit for bit.
+    Above about 1e12 a mean error is printed to its last bit, so a sum in
+    another order, or in closed form, would change the output.
+    """
+    rows, sums = max(1, _ERROR_ENTRIES // xs.size), np.empty(len(grid))
+    for s in range(0, len(grid), rows):
+        errors = np.maximum(xs + grid[s:s + rows, None] * zs, 0.0)
+        errors -= xs
+        sums[s:s + rows] = np.abs(errors, out=errors).sum(axis=-1)
+    return sums
+
+
+def _ski_block(config: SkiSweepConfig, lo: int, hi: int):
+    """Per (sigma, entrant) ratio sum and largest ratio, and per sigma error sum, of ski trials lo..hi-1.
+
+    `ski_trial_draws` draws every trial of the block in one array pass, as
+    trial t's ``derived_rngs`` generator would: x days, a noise direction z
+    and, in sampled mode, one uniform per randomized entrant.  The k-th
+    randomized entrant takes the k-th uniform, so two entrants that share a
+    policy still draw apart.
+
+    The prediction at sigma is y = max(x + sigma z, 0), which the rules see
+    only through y >= b: that test changes at most once along the grid, at
+    the trial's switch index k_t (`_switch_index`).  So each rule's one
+    ``ski_cost`` call, on ys = [[b], [0]], prices both branches of every
+    trial; grid points below k_t take the ratio of the branch the trial
+    starts on, the others that of the other branch.  The errors are summed
+    per point (`_error_sums`).
     """
     sampled = config.sampled
     xs, zs, us = ski_trial_draws(config.seed, config.b, np.arange(lo, hi), 2 if sampled else 0)
 
-    b, grid, entrants = config.b, config.sigma_grid, ski_sweep_algorithms(config)
+    b, grid, entrants = config.b, np.array(config.sigma_grid), ski_sweep_algorithms(config)
     draws_left = iter(us.T)
     uniforms = [
         next(draws_left) if sampled and p.kind is PolicyKind.RANDOMIZED else None
         for _, p in entrants
     ]
-    opts = np.minimum(xs, b)
-    ys = np.maximum(xs + np.array(grid)[:, None] * zs, 0.0)  # one row per sigma point
-    etas = ys - xs
-    np.abs(etas, out=etas)
-    ratios = np.empty((len(grid), len(entrants), xs.size))
+    opts, falling = np.minimum(xs, b), zs < 0
+    before, after = np.empty((2, len(entrants), xs.size))  # ratios either side of the switch
     for a, (_, policy) in enumerate(entrants):
-        np.divide(ski_cost(policy, b, xs, ys, uniforms[a]), opts, out=ratios[:, a])
-    return opts, etas, ratios
+        big, small = ski_cost(policy, b, xs, np.array([[b], [0]]), uniforms[a]) / opts
+        before[a], after[a] = np.where(falling, big, small), np.where(falling, small, big)
+    days = xs.astype(np.float64)  # as x + sigma z converts them, once
+    keys, points = _switch_index(days, zs, grid, b), grid.size
+    return (
+        _fold_by_switch(np.add, 0.0, before, after, keys, points),
+        _error_sums(days, zs, grid),
+        _fold_by_switch(np.maximum, -np.inf, before, after, keys, points),
+    )
 
 
 def sched_sweep_algorithms(config: SchedSweepConfig) -> List[Tuple[str, Optional[float]]]:
@@ -211,16 +283,17 @@ def sched_sweep_algorithms(config: SchedSweepConfig) -> List[Tuple[str, Optional
 
 
 def _sched_block(config: SchedSweepConfig, lo: int, hi: int):
-    """Optima, errors and ratios of scheduling trials lo..hi-1, indexed as `_ski_trials`'s.
+    """Optima, errors and ratios of scheduling trials lo..hi-1.
 
-    Each trial's ``derived_rngs`` generator draws its job lengths (unless the
-    jobs are fixed, drawn from their own stream) and noise direction once,
-    straight into the kernel arrays.  Kernel rows come in groups of T, one
-    per trial: first round-robin at lambda = 0, scored once per trial since
-    it ignores predictions (its group takes the sigma = 0 predictions, which
-    are the lengths), then PRR at each sigma.  SPJF and the errors come from
-    the PRR groups' predictions.  Only when one trial's groups exceed
-    KERNEL_ENTRIES do the groups take more than one call.
+    The arrays are indexed [trial], [sigma, trial] and [sigma, entrant,
+    trial].  Each trial's ``derived_rngs`` generator draws its job lengths
+    (unless the jobs are fixed, drawn from their own stream) and noise
+    direction once, straight into the kernel arrays.  Kernel rows come in
+    groups of T, one per trial: first round-robin at lambda = 0, scored once
+    per trial since it ignores predictions (its group takes the sigma = 0
+    predictions, which are the lengths), then PRR at each sigma.  SPJF and
+    the errors come from the PRR groups' predictions.  Only when one trial's
+    groups exceed KERNEL_ENTRIES do the groups take more than one call.
     """
     draw, fixed = partial(gen_pareto_lengths, config.alpha, config.n), None
     if config.fixed_jobs:
@@ -254,12 +327,9 @@ def _sched_block(config: SchedSweepConfig, lo: int, hi: int):
     return opts, etas, ratios
 
 
-def _block_stats(config, fill, per_block: int, lo: int):
-    """Per (sigma, entrant) ratio sum and largest ratio, and per sigma error sum, of one block.
-
-    The block holds trials lo..lo+per_block-1, or up to the last trial.
-    """
-    _, etas, ratios = fill(config, lo, min(lo + per_block, config.trials))
+def _sched_stats(config: SchedSweepConfig, lo: int, hi: int):
+    """`_ski_block`'s statistics of scheduling trials lo..hi-1, from `_sched_block`'s arrays."""
+    _, etas, ratios = _sched_block(config, lo, hi)
     return ratios.sum(axis=-1), etas.sum(axis=-1), ratios.max(axis=-1)
 
 
@@ -268,24 +338,26 @@ def _add_block(total, block):
     return total[0] + block[0], total[1] + block[1], np.maximum(total[2], block[2])
 
 
-def _run_trials(config, fill, per_trial: int, experiment: str, entrants) -> List[TrialReport]:
-    """One report per (sigma, entrant) over all trials, from ``fill``'s blocks.
+def _run_trials(config, block, per_trial: int, experiment: str, entrants) -> List[TrialReport]:
+    """One report per (sigma, entrant) over all trials, from the statistics ``block`` returns.
 
-    A block holds as many trials as keep their ``per_trial`` kernel entries
-    each (a ski trial has one per sigma point) within KERNEL_ENTRIES, and at
-    least one.  Block results are added in block order as they arrive.
-    Workers take whole blocks, at most one worker per block; a single block
-    runs in this process.
+    Blocks hold KERNEL_ENTRIES // ``per_trial`` trials each, and at least
+    one.  A scheduling trial has ``per_trial`` kernel entries; a ski trial
+    counts one per sigma point, though a ski block holds O(trials + sigma
+    points) entries, which keeps the block grid.  Block results are added in
+    block order as they arrive.  Workers take whole blocks, at most one
+    worker per block; a single block runs in this process.
     """
     per_block = max(1, KERNEL_ENTRIES // per_trial)
     starts = range(0, config.trials, per_block)
-    stats = partial(_block_stats, config, fill, per_block)
+    stops = [min(lo + per_block, config.trials) for lo in starts]
+    stats = partial(block, config)
     workers = min(config.jobs, len(starts))
     if workers == 1:
-        ratio_sums, eta_sums, top = reduce(_add_block, map(stats, starts))
+        ratio_sums, eta_sums, top = reduce(_add_block, map(stats, starts, stops))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            ratio_sums, eta_sums, top = reduce(_add_block, pool.map(stats, starts))
+            ratio_sums, eta_sums, top = reduce(_add_block, pool.map(stats, starts, stops))
     trials = int(config.trials)
     mean_ratios, mean_etas = ratio_sums / trials, eta_sums / trials
     return [
@@ -303,7 +375,7 @@ def run_ski_sweep(config: SkiSweepConfig) -> List[TrialReport]:
     if not isinstance(config, SkiSweepConfig):
         raise TypeError(f"expected a SkiSweepConfig, got {type(config).__name__}")
     entrants = [(label, p.lam) for label, p in ski_sweep_algorithms(config)]
-    return _run_trials(config, _ski_trials, len(config.sigma_grid), "ski-sweep", entrants)
+    return _run_trials(config, _ski_block, len(config.sigma_grid), "ski-sweep", entrants)
 
 
 def run_scheduling_sweep(config: SchedSweepConfig) -> List[TrialReport]:
@@ -311,5 +383,5 @@ def run_scheduling_sweep(config: SchedSweepConfig) -> List[TrialReport]:
     if not isinstance(config, SchedSweepConfig):
         raise TypeError(f"expected a SchedSweepConfig, got {type(config).__name__}")
     entrants, per_trial = sched_sweep_algorithms(config), (len(config.sigma_grid) + 1) * config.n
-    return _run_trials(config, _sched_block, per_trial, "sched-sweep", entrants)
+    return _run_trials(config, _sched_stats, per_trial, "sched-sweep", entrants)
 

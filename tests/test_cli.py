@@ -435,6 +435,15 @@ PINNED_FULL_SIZE = {
         "abfcb518e955e341fddfce88796ad2d1e7ffd865ed0df4e25038897b77f5836f",
     "ski-sweep --b 1000000 --trials 20000":
         "f01267222d0ef4c6ccf08e23250d666b2b881cffe81a467430a8199e5d0ec077",
+    # recorded from the dense sigma x entrant x trial ski scoring, before each
+    # trial was scored once per prediction branch: 16 blocks of 12,787 trials,
+    # and the widest CLI grid (10,001 points) in 77 blocks of 52 trials
+    "ski-sweep --trials 200000":
+        "ba373f783c05a1dc68ac14d15fe358732477a0bb1deaf325f05e5c495521e411",
+    "ski-sweep --trials 4000 --sigma-grid 0:400:0.04":
+        "7faf52950ab307842ab4f11e9fac72cb9227b1aa1572ab1e782ea94f76d2df4c",
+    "ski-sweep --trials 4000 --sigma-grid 0:400:0.04 --sampled":
+        "2bd65a21a1b5b07374929c73c3edf77d160d66f1bcffaf2b15abe70406a8d894",
 }
 
 

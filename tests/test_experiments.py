@@ -23,6 +23,9 @@ from onlinepred.experiments import (
     run_ski_sweep,
 )
 from onlinepred.ski_rental import B_MAX
+from ski_oracles import block_stats, ski_trials
+
+EPS = np.finfo(float).eps
 
 
 def small_ski_config(**overrides):
@@ -90,7 +93,7 @@ class TestSkiSweep:
 
     def test_per_trial_guarantees(self):
         cfg = small_ski_config()
-        opts, etas, ratios = experiments._ski_trials(cfg, 0, cfg.trials)
+        opts, etas, ratios = ski_trials(cfg, 0, cfg.trials)
         break_even, karlin, det, rand = ratios.transpose(1, 0, 2)  # [sigma, trial] each
         assert np.all(det <= bounds.det_ski_bound(0.5, etas, opts) + 1e-9)
         assert np.all(rand <= bounds.rand_ski_bound(100, LAMBDA_RAND_DEFAULT, etas, opts) + 1e-9)
@@ -110,7 +113,7 @@ class TestSkiSweep:
         sampled = run_ski_sweep(cfg)
         ex = next(r for r in exact if r.algorithm == "randomized" and r.sigma == 0.0)
         sa = next(r for r in sampled if r.algorithm == "randomized-sampled" and r.sigma == 0.0)
-        _, _, ratios = experiments._ski_trials(cfg, 0, cfg.trials)
+        _, _, ratios = ski_trials(cfg, 0, cfg.trials)
         se = ratios[0, 3].std() / math.sqrt(sa.count)  # sigma = 0, the lambda rule
         assert abs(sa.mean_ratio - ex.mean_ratio) < 4 * se
 
@@ -159,14 +162,16 @@ class TestSkiSweep:
     def test_block_split_changes_no_bit(self, sampled, grid):
         cfg = small_ski_config(trials=23, sampled=sampled, sigma_grid=grid)
         lo = 3
-        whole = experiments._ski_trials(cfg, lo, cfg.trials)
+        whole = ski_trials(cfg, lo, cfg.trials)
         for trials_per_block in (1, 7):
-            split = split_fill(experiments._ski_trials, cfg, lo, trials_per_block)
+            split = split_fill(ski_trials, cfg, lo, trials_per_block)
             for a, b in zip(whole, split):
                 assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
     def test_one_cost_call_per_rule_per_block(self, monkeypatch, sampled):
+        # each call prices both prediction branches of the block's trials,
+        # y >= b and y < b, whatever the sigma grid
         cfg = small_ski_config(trials=30, sampled=sampled, sigma_grid=())  # the 41-point default
         points, per_block = len(cfg.sigma_grid), 10
         calls = []
@@ -180,7 +185,7 @@ class TestSkiSweep:
         monkeypatch.setattr(experiments, "KERNEL_ENTRIES", per_block * points)
         run_ski_sweep(cfg)
         blocks = cfg.trials // per_block
-        assert calls == [(points, per_block)] * (4 * blocks)
+        assert calls == [(2, 1)] * (4 * blocks)
 
     @pytest.mark.parametrize(
         "trials, workers, sampled",
@@ -371,24 +376,29 @@ def test_string_sigma_grid_rejected(make_config):
 SWEEPS = pytest.mark.parametrize(
     "make_config, run, fill",
     [
-        (small_ski_config, run_ski_sweep, experiments._ski_trials),
+        (small_ski_config, run_ski_sweep, ski_trials),
         (small_sched_config, run_scheduling_sweep, experiments._sched_block),
     ],
     ids=["ski", "sched"],
 )
 
 
-def assert_reports_match_arrays(reports, etas, ratios, rtol):
-    """Reports in (sigma, entrant) order: means within ``rtol`` of numpy's, maxima exact."""
+def assert_reports_match_arrays(reports, etas, ratios, rtol, ratio_rtol=None):
+    """Reports in (sigma, entrant) order: means within ``rtol`` of numpy's, maxima exact.
+
+    ``ratio_rtol``, if given, replaces ``rtol`` for the mean ratios.
+    """
+    ratio_rtol = rtol if ratio_rtol is None else ratio_rtol
     reports = iter(reports)
     for s, row in enumerate(ratios):
         for entrant_ratios in row:
             report = next(reports)
             assert report.count == entrant_ratios.size
-            for mean, expected in [
-                (report.mean_ratio, np.mean(entrant_ratios)), (report.mean_eta, np.mean(etas[s]))
+            for mean, expected, tolerance in [
+                (report.mean_ratio, np.mean(entrant_ratios), ratio_rtol),
+                (report.mean_eta, np.mean(etas[s]), rtol),
             ]:
-                assert abs(mean - expected) <= rtol * expected
+                assert abs(mean - expected) <= tolerance * expected
             assert report.max_ratio == entrant_ratios.max()
     assert next(reports, None) is None
 
@@ -397,7 +407,11 @@ def assert_reports_match_arrays(reports, etas, ratios, rtol):
 def test_one_block_means_are_numpy_means(make_config, run, fill):
     cfg = make_config()  # both small configs fit one block
     _, etas, ratios = fill(cfg, 0, cfg.trials)
-    assert_reports_match_arrays(run(cfg), etas, ratios, rtol=0.0)
+    # a ski block adds its ratios by switch index, in another order than
+    # numpy's sum (see test_ski_block_matches_dense_oracle); every other
+    # mean is numpy's bit for bit
+    ratio_rtol = 2 * cfg.trials * EPS if run is run_ski_sweep else 0.0
+    assert_reports_match_arrays(run(cfg), etas, ratios, rtol=0.0, ratio_rtol=ratio_rtol)
 
 
 @SWEEPS
@@ -410,8 +424,84 @@ def test_streamed_stats_match_numpy(make_config, run, fill, trials, entries):
         _, etas, ratios = fill(cfg, 0, trials)
         # any two orders of summing n non-negative terms agree within about
         # 2n units of roundoff of the sum
-        rtol = 2 * trials * np.finfo(float).eps
+        rtol = 2 * trials * EPS
         assert_reports_match_arrays(run(cfg), etas, ratios, rtol)
+
+
+WIDEST_GRID = tuple(np.linspace(0.0, 400.0, 10_001))  # the CLI's most points
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(b=20, trials=300, seed=5),  # the small pinned CLI sweeps
+        dict(b=20, trials=300, seed=5, sampled=True),
+        dict(b=20, trials=300, seed=5, sampled=True, lambda_rand=1.0),
+        dict(b=20, trials=300, seed=2**32),
+        dict(b=20, trials=300, seed=2**130, sampled=True),
+        dict(trials=10_000),  # the default sweep
+        dict(b=2, trials=3000, lambda_rand=1.0),
+        dict(b=2, trials=3000, lambda_rand=0.75, sampled=True),
+        dict(b=B_MAX, trials=3000),
+        dict(b=B_MAX, trials=3000, sampled=True),
+        dict(trials=52, sigma_grid=WIDEST_GRID),
+        dict(trials=52, sigma_grid=WIDEST_GRID, sampled=True),
+        dict(trials=2000, sigma_grid=(0.0, 50.0, 50.0, 100.0, 100.0, 150.0)),
+        dict(trials=2000, sigma_grid=(0.0, 1e-300, 1e299, 1e300)),
+    ],
+    ids=[
+        "pinned", "pinned-sampled", "pinned-lambda-1", "seed-2^32", "seed-2^130-sampled",
+        "default", "b-2", "b-2-sampled", "b-max", "b-max-sampled", "widest", "widest-sampled",
+        "repeated-points", "extreme-sigmas",
+    ],
+)
+def test_ski_block_matches_dense_oracle(overrides):
+    cfg = SkiSweepConfig(**overrides)
+    lo, trials = 3, cfg.trials - 3
+    ratio_sums, eta_sums, top = experiments._ski_block(cfg, lo, cfg.trials)
+    dense_ratio_sums, dense_eta_sums, dense_top = block_stats(cfg, lo, cfg.trials)
+    assert top.tobytes() == dense_top.tobytes()
+    assert eta_sums.tobytes() == dense_eta_sums.tobytes()
+    # the ratios are the oracle's bit for bit, summed in another order
+    assert ratio_sums.shape == dense_ratio_sums.shape
+    assert np.all(np.abs(ratio_sums - dense_ratio_sums) <= 2 * trials * EPS * dense_ratio_sums)
+
+
+@st.composite
+def switch_cases(draw):
+    """b, trials (x, z) and an ascending grid that holds the trials' float edges.
+
+    The grid takes each trial's real threshold (b - x) / z and its float
+    neighbours, where x + sigma z >= b in float and sigma >= (b - x) / z
+    part, besides 0, 1e300, repeated points and x + sigma z = b exactly.
+    """
+    b = draw(st.integers(2, B_MAX))
+    directions = st.one_of(
+        st.sampled_from([0.0, -0.0, 0.5, -0.5, 5e-324, -5e-324]), st.floats(-40.0, 40.0)
+    )
+    days = st.one_of(st.just(b), st.integers(1, 4 * b))
+    trials = draw(st.lists(st.tuples(days, directions), min_size=1, max_size=8))
+    edges = [0.0, 1e300]
+    for x, z in trials:
+        if x < b:
+            edges.append(2.0 * (b - x))  # z = 0.5 lands on b exactly
+        threshold = (b - x) / z if z else -1.0
+        if 0 <= threshold <= 1e300:
+            for ulps in range(-2, 3):
+                edges.append(min(1e300, threshold * (1 + ulps * EPS)))
+    grid = draw(st.lists(st.one_of(st.sampled_from(edges), st.floats(0.0, 1e300)), min_size=1))
+    xs, zs = map(np.array, zip(*trials))
+    return b, xs, zs, np.array(sorted(grid + grid[:draw(st.integers(0, len(grid)))]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=switch_cases())
+def test_switch_index_is_the_dense_branch_test(case):
+    b, xs, zs, grid = case
+    keys = experiments._switch_index(xs, zs, grid, b)
+    big = xs + grid[:, None] * zs >= b  # [sigma, trial], the dense sweep's test
+    switched = np.arange(grid.size)[:, None] >= keys
+    assert np.array_equal(big, np.where(zs < 0, ~switched, switched))
 
 
 @pytest.mark.parametrize(
