@@ -222,7 +222,8 @@ _SKI_OPTIONS = (
     ("trials", "--trials", "trials per grid point (default {default})"),
     ("sigma_grid", "--sigma-grid", "noise grid start:stop:step (default 0:4b:b/10)"),
     ("lambda_det", "--lambda-det", "lambda of the deterministic rule (default {default})"),
-    ("lambda_rand", "--lambda-rand", "lambda of the randomized rule (default ln(3/2))"),
+    ("lambda_rand", "--lambda-rand",
+     "lambda of the randomized rule, in (1/b, 1] (default ln(3/2); --b 2 needs one above 1/2)"),
     ("sampled", "--sampled",
      "score randomized rules by one sampled buy day instead of exact expectation"),
 ) + _SHARED_OPTIONS

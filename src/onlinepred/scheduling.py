@@ -20,13 +20,11 @@ from typing import Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .ski_rental import _check_lambda, _is_real, _require
+from .ski_rental import _FLOAT64_INT_LIMIT, _check_lambda, _is_real, _require
 
 # Remaining work below this fraction of the original length counts as done;
 # prevents zero-length phases caused by float residue.
 COMPLETION_EPS = 1e-12
-# The least int magnitude that float() rounds past the largest float64.
-_FLOAT64_INT_LIMIT = 2**1024 - 2**970
 
 
 def _floats(values, copy: Optional[bool] = None) -> np.ndarray:

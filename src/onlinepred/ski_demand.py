@@ -7,6 +7,10 @@ demand >= j, and those days renumbered consecutively form an ordinary
 rent-or-buy problem.  Level j is therefore described in full by two counts,
 x_j (days with demand >= j) and y_j (days predicted >= j), and every
 function here scores the level arrays through `ski_rental.ski_cost`.
+An instance counts its levels on first use, in one histogram pass each:
+x_j is the horizon minus the days with demand below j, and y_j the same
+over the predictions floored and capped at the top level, since y >= j
+exactly when floor(y) >= j for an integer j.
 """
 
 from __future__ import annotations
@@ -17,7 +21,16 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .ski_rental import B_MAX, PolicyKind, SkiPolicy, _check_count, _is_real, _require, ski_cost
+from .ski_rental import (
+    B_MAX,
+    PolicyKind,
+    SkiPolicy,
+    _FLOAT64_INT_LIMIT,
+    _check_count,
+    _is_real,
+    _require,
+    ski_cost,
+)
 
 # The level arrays hold one entry per unit of the largest daily demand
 DEMAND_MAX = 1_000_000
@@ -38,7 +51,12 @@ class DemandInstance:
         for d, y in zip(self.demand, self.predicted):
             _check_count("daily demand", d, 0, DEMAND_MAX)
             _require(_is_real(y), y, "predicted demand must be a finite real >= 0")
-        ys = np.asarray(self.predicted)
+        try:
+            ys = np.fromiter(self.predicted, np.float64, self.horizon)
+        except OverflowError:  # an int past the float64 range: name it
+            fits = np.array([abs(y) < _FLOAT64_INT_LIMIT for y in self.predicted])
+            entries = np.array(self.predicted, dtype=object)
+            _require(fits, entries, "predicted demand must fit in a float64")
         _require(np.isfinite(ys) & (ys >= 0), ys, "predicted demand must be a finite real >= 0")
         if max(self.demand) < 1:
             raise ValueError("at least one day must have positive demand")
@@ -58,9 +76,14 @@ class DemandInstance:
 
     @cached_property
     def _level_counts(self) -> Tuple[np.ndarray, np.ndarray]:
-        levels = np.arange(1, self.max_demand + 1)
-        xs = self.horizon - np.searchsorted(np.sort(self.demand), levels)
-        ys = self.horizon - np.searchsorted(np.sort(self.predicted), levels)
+        demand = np.fromiter(self.demand, np.int64, self.horizon)
+        top = int(demand.max())
+        # clipped before the int cast, so a prediction of 1e300 is safe
+        floors = np.minimum(np.floor(np.fromiter(self.predicted, np.float64, self.horizon)), top)
+        xs, ys = (
+            self.horizon - np.bincount(days, minlength=top + 1).cumsum()[:top]
+            for days in (demand, floors.astype(np.int64))
+        )
         xs.flags.writeable = ys.flags.writeable = False  # shared by every caller
         return xs, ys
 
@@ -70,7 +93,7 @@ def decompose(instance: DemandInstance) -> Tuple[np.ndarray, np.ndarray]:
 
     ``xs[j-1]`` counts the days with demand >= j (the skiing days of level
     j) and ``ys[j-1]`` the days with predicted demand >= j (its prediction).
-    The read-only arrays are computed once per instance.
+    The read-only int64 arrays are counted once per instance, by histogram.
     """
     return instance._level_counts
 

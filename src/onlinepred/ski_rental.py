@@ -40,6 +40,8 @@ SNAP_TOLERANCE = 1e-12
 # 10**12 days at B_MAX, still exact in float64 (below 2**53).
 B_MAX = 1_000_000
 X_MAX = 2**53  # skiing days: the largest count a float64 cost holds exactly
+# The least int magnitude that float() rounds past the largest float64.
+_FLOAT64_INT_LIMIT = 2**1024 - 2**970
 
 
 def _check_count(name: str, value, least: int, most: Optional[int] = None) -> None:
@@ -135,11 +137,17 @@ class SkiPolicy:
     """A decision rule plus its hyperparameter, validated at use time.
 
     Break-even is ``SkiPolicy(DETERMINISTIC, 1.0)`` and Karlin's rule
-    ``SkiPolicy(RANDOMIZED, 1.0)``; the naive rule takes no lambda.
+    ``SkiPolicy(RANDOMIZED, 1.0)``; the naive rule takes no lambda.  The
+    object keeps the checked terms `ski_cost` derives at each b
+    (`_policy_terms`); they take no part in equality, hashing, repr or
+    pickling.
     """
 
     kind: PolicyKind
     lam: Optional[float] = None
+
+    def __getstate__(self):
+        return {"kind": self.kind, "lam": self.lam}  # a copy checks its lambda anew
 
 
 def ski_opt(instance: SkiInstance) -> int:
@@ -179,12 +187,54 @@ def buy_day(policy: SkiPolicy, b: int, big: bool) -> Optional[int]:
     if policy.kind is not PolicyKind.DETERMINISTIC:
         raise ValueError("the randomized rule draws its buy day; see randomized_buy_day")
     _check_lambda(policy.lam, 0, True, "deterministic rule requires lambda in (0, 1]")
-    lam = float(policy.lam)  # a numpy lambda would warn where b / lambda overflows
+    lam, b = float(policy.lam), int(b)  # numpy scalars would warn where b / lambda overflows
     q = lam * b if big else b / lam
     if math.isinf(q):  # b / lambda in exact integer arithmetic, lambda = num / den
         num, den = lam.as_integer_ratio()
         return -(-b * den // num)
     return math.ceil(_snap(q))
+
+
+def _policy_terms(policy: SkiPolicy, b: int):
+    """The checked terms of ``policy`` at ``b``: one tuple for y >= b, one for y < b.
+
+    A day rule's tuple holds its buy day (`buy_day`, ``None`` for never),
+    capped at X_MAX + 1: a later day costs the same for every x <= X_MAX,
+    and stays an int64.  The randomized rule's holds its support m, the
+    normaliser 1 - r^m and the tail r^m, r = (b-1)/b.  The terms are kept
+    per b in a private ``__dict__`` entry of the policy object, so a rule
+    passed on every call is checked once per b.  Each object is checked by
+    itself, never by a cache keyed on equal policies:
+    ``SkiPolicy(RANDOMIZED, True)`` equals ``SkiPolicy(RANDOMIZED, 1.0)``
+    but must still be rejected.
+    """
+    cache = policy.__dict__.setdefault("_terms", {})
+    terms = cache.get(b)
+    if terms is None:
+        if policy.kind is PolicyKind.RANDOMIZED:
+            terms = []
+            for big in (True, False):
+                m = _support_size(b, policy.lam, big)
+                tail = ((b - 1) / b) ** m
+                terms.append((m, 1.0 - tail, tail))
+        else:
+            days = (buy_day(policy, b, big) for big in (True, False))
+            terms = [(day if day is None else min(day, X_MAX + 1),) for day in days]
+        cache[b] = terms
+    return terms
+
+
+def _check_draws(u) -> None:
+    """Reject uniform draws ``u`` outside [0, 1) with `_require`."""
+    inside = np.logical_and(np.greater_equal(u, 0.0), np.less(u, 1.0))  # NaN fails
+    _require(inside, u, "uniform draws u must lie in [0, 1)")
+
+
+def _drawn_day(b: int, m: int, norm: float, tail: float, u):
+    """Buy day the inverse CDF picks for draws ``u``, support m, normaliser 1 - r^m, tail r^m."""
+    with np.errstate(divide="ignore"):
+        day = m + 1 - np.ceil(np.log(u * norm + tail) / math.log((b - 1) / b))
+    return np.clip(day, 1, m).astype(np.int64)
 
 
 def randomized_buy_day(b: int, lam: float, big: bool, u):
@@ -196,30 +246,22 @@ def randomized_buy_day(b: int, lam: float, big: bool, u):
     is clipped to [1, m] in float before the cast: u = 0 with an underflowed
     r^m takes the log of 0.  Returns an int64 scalar or array shaped like u.
     """
-    inside = np.logical_and(np.greater_equal(u, 0.0), np.less(u, 1.0))  # NaN fails
-    _require(inside, u, "uniform draws u must lie in [0, 1)")
-    m = _support_size(b, lam, big)
-    ratio = (b - 1) / b
-    tail = ratio**m
-    with np.errstate(divide="ignore"):
-        day = m + 1 - np.ceil(np.log(u * (1.0 - tail) + tail) / math.log(ratio))
-    return np.clip(day, 1, m).astype(np.int64)
+    _check_draws(u)
+    terms = _policy_terms(SkiPolicy(PolicyKind.RANDOMIZED, lam), b)
+    return _drawn_day(b, *terms[0 if big else 1], u)
 
 
-def _cost_on_branch(policy: SkiPolicy, b: int, big: bool, xs, u):
-    """`ski_cost` on the branch ``big`` for every entry of ``xs``."""
-    if policy.kind is PolicyKind.RANDOMIZED:
-        if u is None:
-            m = _support_size(b, policy.lam, big)
-            ratio = (b - 1) / b
-            return np.minimum(xs, m) / (1.0 - ratio**m)
-        day = randomized_buy_day(b, policy.lam, big, u)
-    else:
-        day = buy_day(policy, b, big)
+def _cost_on_branch(kind: PolicyKind, b: int, terms, xs, u):
+    """`ski_cost` on one branch, given its `_policy_terms` tuple, for every entry of ``xs``."""
+    if kind is not PolicyKind.RANDOMIZED:
+        (day,) = terms
         if day is None:
             return xs * 1.0  # never buys
-        # a later day costs the same for every x <= X_MAX, and stays an int64
-        day = min(day, X_MAX + 1)
+    elif u is None:
+        m, norm, _ = terms
+        return np.minimum(xs, m) / norm
+    else:
+        day = _drawn_day(b, *terms, u)
     return 1.0 * np.where(xs < day, xs, b + day - 1)
 
 
@@ -235,13 +277,20 @@ def ski_cost(policy: SkiPolicy, b: int, xs, ys, u=None):
     skiing day up to m adds the same 1 / (1 - r^m).  With uniform [0,1)
     draws ``u`` (broadcastable too) it buys on the day the branch's inverse
     CDF picks for each draw (`randomized_buy_day`) and costs like a day rule;
-    the day rules ignore ``u``.  ``b`` must be an integer in [2, B_MAX].
+    the day rules ignore ``u``.  Both branches are priced over ``xs`` from
+    the policy's checked terms at ``b`` (`_policy_terms`) and each entry
+    takes its own, so an (x, y) grid prices two costs per x, not one per
+    point.  ``b`` must be an integer in [2, B_MAX].
     ``xs`` and ``ys`` are the caller's to check (`SkiInstance`,
     `DemandInstance` and the sweep draws do): two element checks here would
-    add about 10 us to every call, near doubling a scalar call's 12 us.
+    add 6 to 11 us to every call, near doubling a scalar call's 8 to 16 us.
     """
     _check_count("b", b, 2, B_MAX)
-    big, small = (_cost_on_branch(policy, b, branch, xs, u) for branch in (True, False))
+    if u is not None and policy.kind is PolicyKind.RANDOMIZED:
+        _check_draws(u)
+    big, small = (
+        _cost_on_branch(policy.kind, b, terms, xs, u) for terms in _policy_terms(policy, b)
+    )
     return np.where(np.greater_equal(ys, b), big, small)
 
 

@@ -6,6 +6,10 @@ own: it builds each prediction max(x + sigma z, 0), passes the whole
 by the optimum.  The sweep instead scores each trial once per prediction
 branch (``experiments._ski_block``); this dense form shares none of that
 branch bookkeeping and is the reference it is checked against.
+
+``sorted_level_counts`` takes a demand instance's per-level counts by
+sorting its days and bisecting at each level, sharing nothing with the
+histogram count in ``ski_demand``.
 """
 
 import numpy as np
@@ -46,3 +50,11 @@ def block_stats(config, lo, hi):
     """``ski_trials`` reduced as a sweep block: ratio sums, error sums and largest ratios."""
     _, etas, ratios = ski_trials(config, lo, hi)
     return ratios.sum(axis=-1), etas.sum(axis=-1), ratios.max(axis=-1)
+
+
+def sorted_level_counts(instance):
+    """Per-level counts ``(xs, ys)`` of a demand instance: days in all, less those below level j."""
+    levels = np.arange(1, instance.max_demand + 1)
+    xs = instance.horizon - np.searchsorted(np.sort(instance.demand), levels)
+    ys = instance.horizon - np.searchsorted(np.sort(instance.predicted), levels)
+    return xs, ys

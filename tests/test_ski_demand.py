@@ -1,6 +1,8 @@
 """Demand-decomposition tests with brute-force optimum and per-level scan oracles."""
 
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from onlinepred.ski_demand import (
 )
 from onlinepred.ski_rental import B_MAX, PolicyKind, SkiInstance, SkiPolicy, policy_cost
 from onlinepred.workloads import derived_rngs
+from ski_oracles import sorted_level_counts
 
 
 def brute_force_opt(b, demand):
@@ -74,8 +77,17 @@ def demand_cases(draw):
     horizon = draw(st.integers(1, 30))
     demand = draw(st.lists(st.integers(0, 6), min_size=horizon, max_size=horizon))
     assume(max(demand) > 0)
-    # integral predictions make ties with the levels likely
-    value = st.one_of(st.integers(0, 7).map(float), st.floats(0.0, 7.0))
+    # predictions at a level, a ulp below one, signed zero, far above every
+    # level and numpy scalars: the edges of the floor(y) >= j count
+    level = st.integers(0, 7)
+    value = st.one_of(
+        level.map(float),
+        level.map(lambda j: np.nextafter(float(j), 0.0)),
+        st.sampled_from([-0.0, 1e300]),
+        level.map(np.int64),
+        st.floats(0.0, 7.0, width=32).map(np.float32),
+        st.floats(0.0, 7.0),
+    )
     predicted = draw(st.lists(value, min_size=horizon, max_size=horizon))
     b = draw(st.sampled_from([2, 3, 5, 9, 40]))
     return DemandInstance(b, tuple(demand), tuple(predicted))
@@ -121,14 +133,26 @@ class TestDecompose:
             ((1, DEMAND_MAX + 1), (1.0, 1.0),
              f"= {DEMAND_MAX + 1} exceeds the limit of {DEMAND_MAX}"),
             ((2**70, 1), (1.0, 1.0), f"= {2**70} exceeds the limit of {DEMAND_MAX}"),
+            ((1, 1), (1.0, 10**400), f"must fit in a float64, got {10**400}$"),
         ],
         ids=["unequal-lengths", "nan-prediction", "negative-prediction", "bool-predictions",
              "numpy-bool-prediction", "mixed-bool-prediction", "demand-above-limit",
-             "demand-2-to-70"],
+             "demand-2-to-70", "prediction-10-to-400"],
     )
     def test_rejects_bad_vectors(self, demand, predicted, message):
         with pytest.raises(ValueError, match=message):
             DemandInstance(10, demand, predicted)
+
+    def test_int_prediction_past_int64_accepted(self):
+        inst = DemandInstance(10, (1, 1), (1.0, 2**64))
+        assert decompose(inst)[1].tolist() == [2]
+
+    @pytest.mark.parametrize("predicted", [float(DEMAND_MAX), DEMAND_MAX - 0.5, 1e300, 0.0])
+    def test_top_demand_on_one_day(self, predicted):
+        inst = DemandInstance(2, (DEMAND_MAX,), (predicted,))
+        for counts, oracle in zip(decompose(inst), sorted_level_counts(inst)):
+            assert counts.shape == (DEMAND_MAX,) and np.array_equal(counts, oracle)
+        assert demand_opt(inst) == DEMAND_MAX  # one rental day per level
 
     @pytest.mark.parametrize("demand", [(True, 2), (1, False), (1, 2.0)])
     def test_non_integer_daily_demand_rejected(self, demand):
@@ -186,9 +210,9 @@ class TestDecompose:
     def test_counts_and_costs_match_level_scan(self, inst, rule, lam, seed):
         xs, ys = decompose(inst)
         assert (xs.tolist(), ys.tolist()) == scan_levels(inst)
-        for first, again in zip((xs, ys), decompose(inst)):
-            assert np.array_equal(first, again)
-            assert not first.flags.writeable and not again.flags.writeable
+        for first, again, sorted_count in zip((xs, ys), decompose(inst), sorted_level_counts(inst)):
+            assert np.array_equal(first, sorted_count) and first.dtype == np.int64
+            assert first is again and not first.flags.writeable
         if rule == "rand":
             assume(lam > 1.0 / inst.b)
         policy = {
@@ -201,6 +225,55 @@ class TestDecompose:
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         assert demand_algorithm_cost(inst, policy, rng) == level_cost_loop(inst, policy, twin)
         assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def pinned_instances():
+    """Instances shaped like the demand bench's (400 days, demand 0..8, its noise cycle).
+
+    Every other instance also sets about a tenth of its days each to an
+    integer prediction, one a ulp below an integer, and 1e300; b cycles
+    over 100, 3, 40 and 1000.
+    """
+    rng = np.random.default_rng(20240)
+    instances = []
+    for i in range(40):
+        demand = rng.integers(0, 9, 400)
+        demand[i] = max(demand[i], 1)
+        noise = (0.0, 0.5, 1.0, 2.0, 4.0)[i % 5] * rng.standard_normal(400)
+        predicted = np.maximum(demand + noise, 0.0)
+        if i % 2:
+            pick, level = rng.integers(0, 10, 400), rng.integers(0, 10, 400).astype(float)
+            predicted = np.select(
+                [pick == 0, pick == 1, pick == 2],
+                [level, np.nextafter(level, 0), 1e300],
+                predicted,
+            )
+        instances.append(DemandInstance(
+            (100, 3, 40, 1000)[i % 4], tuple(demand.tolist()), tuple(predicted.tolist())
+        ))
+    return instances
+
+
+# sha256 of the results below, recorded before the level counts became
+# histograms and the kernel cached each policy's checked terms
+PINNED_DEMAND = "813d243e0ccb33f89bd05e681230285e0af2caae3b3408ccf440d00bcdbb5ac5"
+
+
+def test_demand_outputs_are_pinned():
+    det = SkiPolicy(PolicyKind.DETERMINISTIC, 0.5)
+    rand = SkiPolicy(PolicyKind.RANDOMIZED, math.log(1.5))
+    rng = np.random.default_rng(31415)
+    rows = [
+        (
+            demand_opt(inst),
+            demand_algorithm_cost(inst, det),
+            demand_algorithm_cost(inst, rand),
+            demand_algorithm_cost(inst, rand, rng),
+            demand_level_error(inst),
+        )
+        for inst in pinned_instances()
+    ]
+    assert hashlib.sha256(np.array(rows).tobytes()).hexdigest() == PINNED_DEMAND
 
 
 class TestDemandOpt:

@@ -1,6 +1,8 @@
 """Unit tests for the rent-or-buy rules, with independent cost oracles."""
 
 import math
+import pickle
+import re
 import warnings
 from typing import Optional
 
@@ -572,3 +574,65 @@ class TestKernelInputs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert ski_cost(self.RANDOMIZED, 10, 5, 20.0, u) == (10.0 if u == 0.0 else 14.0)
+
+
+class TestPolicyTermCache:
+    """`ski_cost` keeps each policy object's checked terms per b, and still checks every object."""
+
+    # SkiPolicy(RANDOMIZED, 0.5) pickled at protocol 4 before the kernel kept any terms
+    PICKLED = (
+        b"\x80\x04\x95g\x00\x00\x00\x00\x00\x00\x00\x8c\x15onlinepred.ski_rental\x94"
+        b"\x8c\tSkiPolicy\x94\x93\x94)\x81\x94}\x94(\x8c\x04kind\x94h\x00\x8c\nPolicyKind"
+        b"\x94\x93\x94\x8c\nrandomized\x94\x85\x94R\x94\x8c\x03lam\x94G?\xe0\x00\x00\x00"
+        b"\x00\x00\x00ub."
+    )
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [(PolicyKind.RANDOMIZED, "(1/10, 1] for b=10"), (PolicyKind.DETERMINISTIC, "(0, 1]")],
+    )
+    @pytest.mark.parametrize("lam", [True, np.array([0.5])], ids=["bool", "array"])
+    def test_rejects_lambda_after_an_equal_policy_ran(self, kind, message, lam):
+        # SkiPolicy(kind, True) == SkiPolicy(kind, 1.0): a cache keyed on equal
+        # policies would accept the bool, and an array lambda cannot be hashed
+        ski_cost(SkiPolicy(kind, 1.0), 10, 5, 1.0)
+        policy = SkiPolicy(kind, lam)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(f"{message}, got {lam!r}")):
+                ski_cost(policy, 10, 5, 1.0)
+
+    def test_lambda_checked_at_each_b(self):
+        policy = SkiPolicy(PolicyKind.RANDOMIZED, 0.4)
+        assert ski_cost(policy, 100, 5, 1.0) == ski_cost(policy, 100, 5, 1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"\(1/2, 1\] for b=2, got 0\.4"):
+                ski_cost(policy, 2, 5, 1.0)
+
+    @pytest.mark.parametrize(
+        "kind, lam",
+        [(PolicyKind.NAIVE, None), (PolicyKind.DETERMINISTIC, 0.7), (PolicyKind.DETERMINISTIC, 1.0),
+         (PolicyKind.DETERMINISTIC, 1e-320), (PolicyKind.RANDOMIZED, 0.7),
+         (PolicyKind.RANDOMIZED, 1.0)],
+    )
+    def test_used_policy_costs_like_a_fresh_one(self, kind, lam):
+        used = SkiPolicy(kind, lam)
+        xs, ys = np.arange(1, 70)[:, None], np.arange(0, 71, dtype=float)
+        us = np.random.default_rng(5).random(ys.size)
+        for b in (2, 21, 30, 2, 21, np.int64(30)):
+            for u in (None, us, 0.25):
+                cost = ski_cost(used, b, xs, ys, u)
+                fresh = ski_cost(SkiPolicy(kind, lam), b, xs, ys, u)
+                assert cost.dtype == fresh.dtype and cost.tobytes() == fresh.tobytes()
+                scalar = ski_cost(used, b, 5, 40.0, u)
+                assert scalar.tobytes() == ski_cost(SkiPolicy(kind, lam), b, 5, 40.0, u).tobytes()
+
+    def test_equality_hash_repr_and_pickling_unchanged(self):
+        used, fresh = SkiPolicy(PolicyKind.RANDOMIZED, 0.5), SkiPolicy(PolicyKind.RANDOMIZED, 0.5)
+        ski_cost(used, 10, 5, 1.0)
+        ski_cost(used, 20, np.arange(1, 5), 30.0, 0.5)
+        assert used == fresh and hash(used) == hash(fresh) == hash((PolicyKind.RANDOMIZED, 0.5))
+        assert repr(used) == repr(fresh) == (
+            "SkiPolicy(kind=<PolicyKind.RANDOMIZED: 'randomized'>, lam=0.5)"
+        )
+        assert pickle.dumps(used, protocol=4) == pickle.dumps(fresh, protocol=4) == self.PICKLED
+        assert pickle.loads(pickle.dumps(used)) == used
