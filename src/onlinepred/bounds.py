@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .ski_rental import _check_count, _check_lambda, _require
+from .ski_rental import PolicyKind, _check_count, _check_lambda, _require
 
 E_OVER_E_MINUS_1 = math.e / (math.e - 1.0)
 
@@ -71,6 +71,21 @@ def rand_ski_bound(b: int, lam, eta, opt):
     """Per-instance guarantee of the randomized rule at error eta."""
     _check_ski_instance(eta, opt)
     return np.minimum(rand_robustness(b, lam), rand_consistency(lam) * (1.0 + eta / opt))
+
+
+def ski_guarantee(policy, b: int, eta, opt):
+    """Guaranteed cost/OPT of the ski rule ``policy`` at buy cost b, error eta and optimum opt.
+
+    Break-even (deterministic, lambda = 1) has no error term: 2, shaped like eta and opt broadcast.
+    """
+    if policy.kind is PolicyKind.NAIVE:
+        return naive_ski_bound(eta, opt)
+    if policy.kind is PolicyKind.RANDOMIZED:
+        return rand_ski_bound(b, policy.lam, eta, opt)
+    if policy.lam != 1:
+        return det_ski_bound(policy.lam, eta, opt)
+    _check_ski_instance(eta, opt)
+    return np.full(np.broadcast_shapes(np.shape(eta), np.shape(opt)), det_robustness(policy.lam))
 
 
 def spjf_bound(n, eta):

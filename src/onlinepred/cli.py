@@ -293,6 +293,8 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
             f"{r.family:<{width}}  points={r.points:<9} violations={r.violations:<6} "
             f"worst_excess={r.worst_excess:+.6e}  tol={r.tolerance:.1e}  {status}"
         )
+        if not r.passed:
+            print(f"{r.family}: worst point {r.worst_case}", file=sys.stderr)
     total_violations = sum(r.violations for r in results)
     overall = "PASS" if total_violations == 0 else "FAIL"
     lines.append(
@@ -363,19 +365,15 @@ def cmd_trace_ski(args: argparse.Namespace) -> int:
         day = buy_day(policy, args.b, big)
         info["buy_day"] = day if day is not None else "never"
         info["guarantee"] = round(opt + eta, 4)
-    elif kind is PolicyKind.DETERMINISTIC:
-        info["lambda"] = round(lam, 6)
-        info["buy_day"] = buy_day(policy, args.b, big)
-        bound = (
-            bounds.det_robustness(lam) if lam == 1.0 else bounds.det_ski_bound(lam, eta, opt)
-        )
-        info["bound"] = round(float(bound), 6)
     else:
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         info["lambda"] = round(lam, 6)
-        info["support_size"] = _support_size(args.b, lam, big)
-        info["sampled_buy_day"] = int(randomized_buy_day(args.b, lam, big, rng.random()))
-        info["bound"] = round(float(bounds.rand_ski_bound(args.b, lam, eta, opt)), 6)
+        if kind is PolicyKind.DETERMINISTIC:
+            info["buy_day"] = buy_day(policy, args.b, big)
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+            info["support_size"] = _support_size(args.b, lam, big)
+            info["sampled_buy_day"] = int(randomized_buy_day(args.b, lam, big, rng.random()))
+        info["bound"] = round(float(bounds.ski_guarantee(policy, args.b, eta, opt)), 6)
     info["cost"] = round(cost, 4)
     info["ratio"] = round(cost / opt, 6)
 

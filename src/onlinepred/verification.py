@@ -78,13 +78,14 @@ def _ski_label(b: int, lam, shape, at: int) -> str:
     return text if lam is None else f"{text} lambda={lam}"
 
 
-def _ski_grids(b_max: int, lambdas: Sequence, rule):
-    """cost/OPT minus its bound over b in 2..b_max, lambdas, x in 1..4b, y in 0..4b.
+def _ski_grids(b_max: int, lambdas: Sequence, kind: PolicyKind):
+    """cost/OPT minus its guarantee over b in 2..b_max, lambdas, x in 1..4b, y in 0..4b.
 
-    rule(b, lam) gives (policy, allowed), where allowed(eta, opt) is the
-    guaranteed ratio, or None where lam is outside the rule's domain.  One
-    kernel call covers the whole (x, y) grid, since the kernel picks the
-    branch y >= b per point, while the bound is evaluated on the same grid.
+    Each (b, lambda) runs ``SkiPolicy(kind, lambda)`` against
+    `bounds.ski_guarantee`; randomized lambdas at or below 1/b are outside
+    the rule's domain and are skipped.  One kernel call covers the whole
+    (x, y) grid, since the kernel picks the branch y >= b per point, while
+    the guarantee is evaluated on the same grid.
     """
     for b in range(2, b_max + 1):
         xs = np.arange(1, 4 * b + 1, dtype=float)[:, None]
@@ -92,48 +93,34 @@ def _ski_grids(b_max: int, lambdas: Sequence, rule):
         opt = np.minimum(xs, float(b))
         eta = np.abs(ys - xs)
         for lam in lambdas:
-            case = rule(b, lam)
-            if case is None:
+            if kind is PolicyKind.RANDOMIZED and lam <= 1.0 / b:
                 continue
-            policy, allowed = case
+            policy = SkiPolicy(kind, lam)
             cost = ski_cost(policy, b, xs, ys)
-            yield cost / opt - allowed(eta, opt), partial(_ski_label, b, lam, cost.shape)
+            excess = cost / opt - bounds.ski_guarantee(policy, b, eta, opt)
+            yield excess, partial(_ski_label, b, lam, cost.shape)
 
 
 def check_det_ski_guarantee(
     b_max: int = 50, lambdas: Sequence[float] = NINE_LAMBDAS
 ) -> FamilyResult:
     """Deterministic rule vs its guarantee, exhaustively over b, x, y, lambda."""
-
-    def rule(b, lam):
-        return SkiPolicy(PolicyKind.DETERMINISTIC, lam), partial(bounds.det_ski_bound, lam)
-
-    return _fold("deterministic-rule-guarantee", TOLERANCE, _ski_grids(b_max, lambdas, rule))
+    grids = _ski_grids(b_max, lambdas, PolicyKind.DETERMINISTIC)
+    return _fold("deterministic-rule-guarantee", TOLERANCE, grids)
 
 
 def check_rand_ski_guarantee(
     b_max: int = 50, lambdas: Sequence[float] = NINE_LAMBDAS
 ) -> FamilyResult:
-    """Randomized rule (exact expectation) vs its guarantee on the same grid.
-
-    Lambdas at or below 1/b are outside the rule's domain and are skipped.
-    """
-
-    def rule(b, lam):
-        if lam <= 1.0 / b:
-            return None
-        return SkiPolicy(PolicyKind.RANDOMIZED, lam), partial(bounds.rand_ski_bound, b, lam)
-
-    return _fold("randomized-rule-guarantee", TOLERANCE, _ski_grids(b_max, lambdas, rule))
+    """Randomized rule (exact expectation) vs its guarantee on the same grid."""
+    grids = _ski_grids(b_max, lambdas, PolicyKind.RANDOMIZED)
+    return _fold("randomized-rule-guarantee", TOLERANCE, grids)
 
 
 def check_naive_lemma(b_max: int = 50) -> FamilyResult:
     """Naive rule: cost <= OPT + eta, a ratio of 1 + eta/OPT, on every instance of the grid."""
-
-    def rule(b, lam):
-        return SkiPolicy(PolicyKind.NAIVE), bounds.naive_ski_bound
-
-    return _fold("naive-rule-additive-guarantee", TOLERANCE, _ski_grids(b_max, (None,), rule))
+    grids = _ski_grids(b_max, (None,), PolicyKind.NAIVE)
+    return _fold("naive-rule-additive-guarantee", TOLERANCE, grids)
 
 
 def check_classical_recovery(b_max: int = 50) -> FamilyResult:

@@ -67,6 +67,63 @@ class TestNaiveBound:
         assert bounds.naive_ski_bound(eta, opt).tolist() == [1.0, 1.75, 5.0]
 
 
+DET, RAND, NAIVE = PolicyKind.DETERMINISTIC, PolicyKind.RANDOMIZED, PolicyKind.NAIVE
+
+
+class TestSkiGuarantee:
+    # an (eta, opt) grid whose shapes broadcast to (3, 4), zero error included
+    ETA = np.array([[0.0], [2.5], [1e12]])
+    OPT = np.array([1.0, 3.0, 7.0, 20.0])
+
+    @pytest.mark.parametrize("lam", [0.1, 0.3, 0.5, 0.999])
+    def test_equals_each_rule_bound_bit_for_bit(self, lam):
+        b, eta, opt = 20, self.ETA, self.OPT
+        for policy, expected in [
+            (SkiPolicy(DET, lam), bounds.det_ski_bound(lam, eta, opt)),
+            (SkiPolicy(RAND, lam), bounds.rand_ski_bound(b, lam, eta, opt)),
+            (SkiPolicy(RAND, 1.0), bounds.rand_ski_bound(b, 1.0, eta, opt)),
+            (SkiPolicy(NAIVE), bounds.naive_ski_bound(eta, opt)),
+        ]:
+            got = bounds.ski_guarantee(policy, b, eta, opt)
+            assert got.shape == (3, 4)
+            assert got.tobytes() == expected.tobytes(), policy
+
+    def test_scalar_instance_gives_the_rule_bound(self):
+        assert bounds.ski_guarantee(SkiPolicy(DET, 0.5), 100, 50.0, 100) == 2.5
+        assert bounds.ski_guarantee(SkiPolicy(NAIVE), 100, 5.0, 10) == 1.5
+
+    def test_break_even_is_two_at_every_error(self):
+        got = bounds.ski_guarantee(SkiPolicy(DET, 1.0), 20, self.ETA, self.OPT)
+        assert got.shape == (3, 4)
+        assert np.all(got == 2.0)  # eta = 0 in the first row: 2, not NaN
+        assert bounds.ski_guarantee(SkiPolicy(DET, 1), 2, 0.0, 1.0) == 2.0
+        assert bounds.ski_guarantee(SkiPolicy(DET, 1.0), 2, np.zeros(5), 1.0).tolist() == [2.0] * 5
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0], ids=["lambda-rule", "break-even"])
+    @pytest.mark.parametrize(
+        "eta, opt, message",
+        [
+            (math.nan, 2.0, "eta must be >= 0, got nan"),
+            (-1.0, 2.0, "eta must be >= 0, got -1.0"),
+            (np.array([0.0, -0.5]), 2.0, "eta must be >= 0, got -0.5"),
+            (1.0, 0.5, "opt must be >= 1, got 0.5"),
+            (1.0, np.array([1.0, math.nan]), "opt must be >= 1, got nan"),
+        ],
+    )
+    def test_rejects_bad_instance(self, lam, eta, opt, message):
+        with pytest.raises(ValueError, match=message):
+            bounds.ski_guarantee(SkiPolicy(DET, lam), 10, eta, opt)
+
+    @pytest.mark.parametrize("lam", [True, Fraction(1), "1", None, 0.0, 1.5])
+    def test_rejects_lambda_of_the_day_rule(self, lam):
+        with pytest.raises(ValueError, match="lambda must lie in"):
+            bounds.ski_guarantee(SkiPolicy(DET, lam), 10, 1.0, 2.0)
+
+    def test_rejects_randomized_lambda_at_one_over_b(self):
+        with pytest.raises(ValueError, match=r"lambda must lie in \(1/10, 1\]"):
+            bounds.ski_guarantee(SkiPolicy(RAND, 0.1), 10, 1.0, 2.0)
+
+
 class TestSchedulingBounds:
     @pytest.mark.parametrize(
         "n,eta,expected", [(50, 0.0, 1.0), (2, 2.0, 3.0), (50, 25.0, 2.0)]

@@ -454,6 +454,133 @@ def test_full_size_bytes_pinned(command, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_FULL_SIZE[command]
 
 
+# stdout sha256 of single-instance traces, recorded while each rule's bound had
+# its own branch in the trace command: every rule, both prediction branches
+# (y < b and y >= b, the last at zero error) and both formats; the JSON bytes
+# also pin the key order
+PINNED_TRACES = {
+    "trace ski --b 10 --x 3 --y 1 --algo naive":
+        "02e2d5354b7c309c87482e5796a1707e48f0c8fbdba201d013595b8bf3d816fa",
+    "trace ski --b 10 --x 3 --y 1 --algo naive --format json":
+        "1e53c6b8535d2e73c42ef4f0d51a83806e82ba815fafba868aff15655a72e865",
+    "trace ski --b 10 --x 30 --y 4.5 --algo naive":
+        "0e49e2d49bfe37ced8e06b484f8106de1a5bffac97d1b7a0ae47da563aaec278",
+    "trace ski --b 10 --x 30 --y 4.5 --algo naive --format json":
+        "67bb5b33a3f53d0d8134def74bb97a907fa680c07c6177d0b76872e35fa5c91e",
+    "trace ski --b 10 --x 4 --y 12 --algo naive":
+        "900721e32cf26382365626be3f4aa2d4f0c164d951c98b001d20fc8400de3641",
+    "trace ski --b 10 --x 4 --y 12 --algo naive --format json":
+        "eb6f051150079d85f4877e302a7bb0d2b96f4944b31d27f4e2051f1434c3cb73",
+    "trace ski --b 10 --x 12 --y 12 --algo naive":
+        "85e24c2938ac82d55c0186afdfe2739600882d5e89e551ef8b7d78f0b3e18806",
+    "trace ski --b 10 --x 12 --y 12 --algo naive --format json":
+        "4d19ab0a5a5c833d15b33e4738b0e8b54523c138cf63bd8b5456c8825f41f767",
+    "trace ski --b 10 --x 3 --y 1 --algo break-even":
+        "8d0c00171730a9ae07a21dd76a60c7b446fc3fef5440febe83bb3eecf302a3a2",
+    "trace ski --b 10 --x 3 --y 1 --algo break-even --format json":
+        "777aa78efa5f10bffe7eded216312fb201b982d21d2c9521e455c80ae0e29402",
+    "trace ski --b 10 --x 30 --y 4.5 --algo break-even":
+        "cc6fa0605a72c1e9394bf12e7ffa57c1ca89b4e15e43ed240599242da2a73d17",
+    "trace ski --b 10 --x 30 --y 4.5 --algo break-even --format json":
+        "4de69c268a7339fd5832aadc86701319970cace99f64b4b610485ab7b5800fd3",
+    "trace ski --b 10 --x 4 --y 12 --algo break-even":
+        "192a3e595bc601f88d2bdb91ea552fa85a26ad893f6aa6981cb5f855244cb55f",
+    "trace ski --b 10 --x 4 --y 12 --algo break-even --format json":
+        "7678a4ee665d058b9ccda8761f4564bdd7b6205b1730ff0407bc8f108a3a3b89",
+    "trace ski --b 10 --x 12 --y 12 --algo break-even":
+        "29ebebe16a59cb772b74a813eb3f00aafd0c94717299f3e7844c9554cfb4f046",
+    "trace ski --b 10 --x 12 --y 12 --algo break-even --format json":
+        "fb014fc67cad8999e6ab643c0ac8ddd454488ef756a8333efd3971c683ceb1b3",
+    "trace ski --b 10 --x 3 --y 1 --algo karlin":
+        "d71a26e09cc26f847557086313cb783c5bfb158525990ba154ed537fd40e4ef0",
+    "trace ski --b 10 --x 3 --y 1 --algo karlin --format json":
+        "16024476ec508dffbeb7678a1cd2227237ad072b73568d419d6017fb9f12eb8c",
+    "trace ski --b 10 --x 30 --y 4.5 --algo karlin":
+        "90e0fb92f256673c574f8b444eed0a525e88ff4a852d5e5ea8a97b527fda424b",
+    "trace ski --b 10 --x 30 --y 4.5 --algo karlin --format json":
+        "1daba0e9715d35db93e1c7a4464f545b029ae524e2a1fb15de80cd279c709afa",
+    "trace ski --b 10 --x 4 --y 12 --algo karlin":
+        "29d614d6f27301e4f396004dcabf1c8a5ec9180c20178de0f7ad616620853c3b",
+    "trace ski --b 10 --x 4 --y 12 --algo karlin --format json":
+        "cf788cc45c2d711612a21194342cfb53029b9368fe33018319c35be67976b12f",
+    "trace ski --b 10 --x 12 --y 12 --algo karlin":
+        "59ffec891e765dbdc73d8f1cf36fd51d427dfca668625cf3586e35c782be1eeb",
+    "trace ski --b 10 --x 12 --y 12 --algo karlin --format json":
+        "d3909a5f64fe0f0f28183c038934a26c512a0ef3632af41779544f1a4ba2891c",
+    "trace ski --b 10 --x 3 --y 1 --algo det --lambda 0.5":
+        "113a3079a90de521e10d95da7d806b65df1e81134841e2fe006f4b9bc81a3bcc",
+    "trace ski --b 10 --x 3 --y 1 --algo det --lambda 0.5 --format json":
+        "29a985315369ba380d03f203f6016b5e9ea70669f390afd93fb1218c2ba4debe",
+    "trace ski --b 10 --x 30 --y 4.5 --algo det --lambda 0.5":
+        "e9ba619d2d7f0369eb9b3dec3ca8f1297d3b1e8c79f602b1494075f0bb7326c1",
+    "trace ski --b 10 --x 30 --y 4.5 --algo det --lambda 0.5 --format json":
+        "389c171698e565aa432dab750f904aa08e341294f1969f9a09ce2ed1d843d6c8",
+    "trace ski --b 10 --x 4 --y 12 --algo det --lambda 0.5":
+        "bedac209a7e34384b331aed3833214ea918f013064dd941206c8c13ec0439179",
+    "trace ski --b 10 --x 4 --y 12 --algo det --lambda 0.5 --format json":
+        "b9c5effd31c43c0d480fde81594d6dda5fc965cbf29e3d81af37d3ca6c13df3b",
+    "trace ski --b 10 --x 12 --y 12 --algo det --lambda 0.5":
+        "d8c7d1dbe90f467e947133ff71d05acefe5bdb99d6f2ed075f16824335445cc6",
+    "trace ski --b 10 --x 12 --y 12 --algo det --lambda 0.5 --format json":
+        "457a6b842a4c5bc631d22e3a1b65fc865bc5059d79b492cdaf4b20678c2882f5",
+    "trace ski --b 10 --x 3 --y 1 --algo det --lambda 1":
+        "22408ac1369470d494597d5a00a591dcbab00373aa1c52ac3c92a98a1c193c1f",
+    "trace ski --b 10 --x 3 --y 1 --algo det --lambda 1 --format json":
+        "4897950edb62ac12f0b899997f7c05c555f3d0db605ee4c14d2348a3e94fb80a",
+    "trace ski --b 10 --x 30 --y 4.5 --algo det --lambda 1":
+        "3c0737707ffa9f910ed226a05e64432d6cd0f04dd8e75b1808f42d90c60dcaaf",
+    "trace ski --b 10 --x 30 --y 4.5 --algo det --lambda 1 --format json":
+        "fc34e093d4369d521c8c1adbf8f4c9765b1089de0769e86627271a9fcdaeb946",
+    "trace ski --b 10 --x 4 --y 12 --algo det --lambda 1":
+        "125dabc2ef8ae2d15acd3e86af8ce802d1f8d3d1b5ef43298fdf82bbc6d98d6f",
+    "trace ski --b 10 --x 4 --y 12 --algo det --lambda 1 --format json":
+        "4e58e3c5a19391fa0feb94e262116984f20609a646a30c8b41389d4de363dd50",
+    "trace ski --b 10 --x 12 --y 12 --algo det --lambda 1":
+        "12fc5ec94ec8ac8854e83e3e31890a7cf3b2e53600bff0d53dda8780a5c8f65a",
+    "trace ski --b 10 --x 12 --y 12 --algo det --lambda 1 --format json":
+        "35a6ef328a09c8ae20934ac384b5ff99fe1cf82c4851dad733ef497dd4b9ba63",
+    "trace ski --b 10 --x 3 --y 1 --algo rand --lambda 0.5":
+        "6aa70cf7e673b6556771e48f524681587ceef559c133c05c99444b259f65d65c",
+    "trace ski --b 10 --x 3 --y 1 --algo rand --lambda 0.5 --format json":
+        "abb600021db2fa8fc5bf33809640b03a011bb7c6f54b14977db8752fbfc112b7",
+    "trace ski --b 10 --x 30 --y 4.5 --algo rand --lambda 0.5":
+        "5ecbda11b0e02d2a1eef26377a5a0612ae146c5db21214c995eeb73bf533ae80",
+    "trace ski --b 10 --x 30 --y 4.5 --algo rand --lambda 0.5 --format json":
+        "5901bb99e3c19b31b616b2f0e17e2b1f70208296630798e41d389f0fc29879a2",
+    "trace ski --b 10 --x 4 --y 12 --algo rand --lambda 0.5":
+        "dedf0d29836eaf56ef166ec14f6b7c93395954eb5628ad17a7b0a750ab1937ba",
+    "trace ski --b 10 --x 4 --y 12 --algo rand --lambda 0.5 --format json":
+        "9cdb2eae99d8c73b6779d68f8ce03d2e0e9fc96ef9f528d866c59e812197f7d6",
+    "trace ski --b 10 --x 12 --y 12 --algo rand --lambda 0.5":
+        "f7eb497edaf0dc0a1b2a9057d5e0783ae9967ef68abc1bc19c5ed89bc1f11f93",
+    "trace ski --b 10 --x 12 --y 12 --algo rand --lambda 0.5 --format json":
+        "eaf5d0392a849e6bd08e01ecbc7c0f1139290ecf0d72d7334950e2f1475c9d3c",
+    "trace ski --b 10 --x 3 --y 1 --algo rand --lambda 1":
+        "280d8ee9bd297054c1f55ef62f11d8c9625938565c49d259bf0fb4484a30d1f1",
+    "trace ski --b 10 --x 3 --y 1 --algo rand --lambda 1 --format json":
+        "bc59175c8b358852ea5374f4df8f26a6e8c7c4bf0595327a0b68ed71da8d7240",
+    "trace ski --b 10 --x 30 --y 4.5 --algo rand --lambda 1":
+        "7b923a7c5f7c5f1c1ecfddae20455ea4e1d51b0bc483aa23c4dcabf787fc9fdd",
+    "trace ski --b 10 --x 30 --y 4.5 --algo rand --lambda 1 --format json":
+        "0cb9f4eed1934c57bf9fb6bb61d88bead88f1a3f7976cd0d53f00f7f7883c777",
+    "trace ski --b 10 --x 4 --y 12 --algo rand --lambda 1":
+        "9bc1b5b8a07b703010b4f9099c411fd1236be48d1574c481a9ceb319b296c3db",
+    "trace ski --b 10 --x 4 --y 12 --algo rand --lambda 1 --format json":
+        "29a17555516436e1f6023a7b401bb0004f9181d45b402e36e96bb13b57562705",
+    "trace ski --b 10 --x 12 --y 12 --algo rand --lambda 1":
+        "0f5fbe766028e42f69b6571846e8dedf82fde238d5164a95bb4f8df0dfad53c4",
+    "trace ski --b 10 --x 12 --y 12 --algo rand --lambda 1 --format json":
+        "2196f662f1674ba528e1a0fa5dc1df976282a7d6c9542b3b14eea6f95c21c477",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_TRACES))
+def test_trace_bytes_pinned(command, capsys):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TRACES[command]
+
+
 class TestSchedSweepCommand:
     def test_default_algorithms_present(self, capsys):
         code, out, _ = run_cli(
@@ -621,10 +748,13 @@ class TestVerifyBoundsCommand:
         import onlinepred.cli as cli_mod
 
         fake = FamilyResult("fake-family", 10, 2, 0.5, 1e-9, "b=2")
-        monkeypatch.setattr(cli_mod, "run_all_checks", lambda density, seed: [fake])
-        code, out, _ = run_cli(capsys, "verify-bounds", "--grid-density", "tiny")
+        passing = FamilyResult("passing-family", 10, 0, -0.5, 1e-9, "b=3")
+        monkeypatch.setattr(cli_mod, "run_all_checks", lambda density, seed: [fake, passing])
+        code, out, err = run_cli(capsys, "verify-bounds", "--grid-density", "tiny")
         assert code == EXIT_VIOLATION
         assert "OVERALL: FAIL" in out
+        assert "b=2" not in out
+        assert err == "fake-family: worst point b=2\n"  # one line per failing family
 
     @pytest.mark.parametrize("b", ["0", "1", "-3"])
     def test_buy_cost_below_two_is_usage_error(self, b, tmp_path, capsys):

@@ -94,11 +94,12 @@ class TestSkiSweep:
     def test_per_trial_guarantees(self):
         cfg = small_ski_config()
         opts, etas, ratios = ski_trials(cfg, 0, cfg.trials)
-        break_even, karlin, det, rand = ratios.transpose(1, 0, 2)  # [sigma, trial] each
-        assert np.all(det <= bounds.det_ski_bound(0.5, etas, opts) + 1e-9)
-        assert np.all(rand <= bounds.rand_ski_bound(100, LAMBDA_RAND_DEFAULT, etas, opts) + 1e-9)
-        assert break_even.max() <= 2.0 + 1e-9
+        entrants = experiments.ski_sweep_algorithms(cfg)
+        for (label, policy), entrant_ratios in zip(entrants, ratios.transpose(1, 0, 2)):
+            allowed = bounds.ski_guarantee(policy, cfg.b, etas, opts)  # [sigma, trial]
+            assert np.all(entrant_ratios <= allowed + 1e-9), label
         # classical randomized, exact expectation
+        karlin = ratios[:, 1]
         assert karlin.max() <= bounds.E_OVER_E_MINUS_1 + 1.0 / 100 + 1e-9
 
     def test_classical_rows_flat_in_sigma(self):

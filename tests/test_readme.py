@@ -1,11 +1,15 @@
-"""The README's library example runs against the package and gives the values
-its comments state, so a removed or renamed public name fails here too."""
+"""The README's examples run against the package: the library example gives
+the values its comments state, so a removed or renamed public name fails here
+too, and the console example prints the lines it shows."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from onlinepred.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,3 +30,18 @@ def test_library_example_runs():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_trace_ski_console_example_prints_what_it_shows(capsys):
+    """Every shown line appears in order; a '...' line stands for any run of lines."""
+    blocks = re.findall(
+        r"```\n\$ onlinepred (trace ski .*?)\n(.*?)```", (ROOT / "README.md").read_text(), re.S
+    )
+    assert len(blocks) == 1
+    command, shown = blocks[0]
+    assert main(shlex.split(command)) == EXIT_OK
+    out = capsys.readouterr().out
+    pattern = "".join(
+        r"(?:.*\n)*" if line == "..." else re.escape(line) + "\n" for line in shown.splitlines()
+    )
+    assert re.fullmatch(pattern, out), out

@@ -9,12 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from onlinepred.bounds import (
-    det_consistency,
-    det_robustness,
-    rand_consistency,
-    rand_robustness,
-)
+from onlinepred.bounds import rand_consistency, ski_guarantee
 from onlinepred.ski_demand import (
     DEMAND_MAX,
     DemandInstance,
@@ -377,19 +372,13 @@ class TestGuaranteesCarryOver:
             opt = demand_opt(inst)
             eta = inst.error
             for lam in lambdas:
-                det_cost = demand_algorithm_cost(inst, SkiPolicy(PolicyKind.DETERMINISTIC, lam))
-                det_allowed = min(
-                    det_robustness(lam), det_consistency(lam) + eta / ((1 - lam) * opt)
-                )
-                assert det_cost / opt <= det_allowed + 1e-9, (b, demand, predicted, lam)
-                if lam > 1.0 / b:
-                    rand_cost = demand_algorithm_cost(
-                        inst, SkiPolicy(PolicyKind.RANDOMIZED, lam)
-                    )
-                    rand_allowed = min(
-                        rand_robustness(b, lam), rand_consistency(lam) * (1 + eta / opt)
-                    )
-                    assert rand_cost / opt <= rand_allowed + 1e-9, (b, demand, predicted, lam)
+                for kind in (PolicyKind.DETERMINISTIC, PolicyKind.RANDOMIZED):
+                    if kind is PolicyKind.RANDOMIZED and lam <= 1.0 / b:
+                        continue
+                    policy = SkiPolicy(kind, lam)
+                    ratio = demand_algorithm_cost(inst, policy) / opt
+                    allowed = ski_guarantee(policy, b, eta, opt)
+                    assert ratio <= allowed + 1e-9, (b, demand, predicted, policy)
 
     def test_exhaustive_short_horizons(self):
         for T in (1, 2, 3):

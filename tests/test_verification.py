@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onlinepred import cli, verification
+from onlinepred import bounds, cli, verification
 from onlinepred.scheduling import JobSet
 from onlinepred.ski_rental import PolicyKind, ski_cost
 from onlinepred.verification import (
@@ -15,6 +15,8 @@ from onlinepred.verification import (
     _fold,
     check_det_ski_guarantee,
     check_jobset_families,
+    check_naive_lemma,
+    check_rand_ski_guarantee,
     random_jobsets,
 )
 from test_workloads import derived_rng
@@ -98,7 +100,35 @@ class TestFailsClosed:
         monkeypatch.setattr(verification, "ski_cost", _nan_deterministic)
         code = cli.main(["verify-bounds", "--grid-density", "tiny"])
         assert code == cli.EXIT_VIOLATION == 3
-        assert "OVERALL: FAIL" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "OVERALL: FAIL" in captured.out
+        # the first NaN of the first grid: b = 2, x = 1, y = 0 at the first tiny lambda
+        assert captured.err == (
+            "deterministic-rule-guarantee: worst point b=2 x=1 y=0 lambda=0.3\n"
+        )
+
+    def test_nan_guarantee_fails_every_ski_family(self, monkeypatch):
+        def nan_guarantee(policy, b, eta, opt):
+            return np.full(np.broadcast_shapes(np.shape(eta), np.shape(opt)), math.nan)
+
+        monkeypatch.setattr(verification.bounds, "ski_guarantee", nan_guarantee)
+        for result in (
+            check_det_ski_guarantee(b_max=4, lambdas=(0.5,)),
+            check_rand_ski_guarantee(b_max=4, lambdas=(0.5,)),
+            check_naive_lemma(b_max=4),
+        ):
+            assert result.violations == result.points > 0, result.family
+            assert math.isnan(result.worst_excess)
+
+    def test_lowered_guarantee_fails_deterministic_family(self, monkeypatch):
+        guarantee = bounds.ski_guarantee
+        monkeypatch.setattr(
+            verification.bounds, "ski_guarantee", lambda *args: guarantee(*args) - 0.1
+        )
+        # the rule first comes within 0.1 of its bound at b = 7 (x = y = 7, ratio 10/7)
+        assert check_det_ski_guarantee(b_max=6, lambdas=(0.5,)).passed
+        result = check_det_ski_guarantee(b_max=12, lambdas=(0.5,))
+        assert result.violations > 0 and result.worst_excess > TOLERANCE
 
 
 def one_jobset(seed, s):
