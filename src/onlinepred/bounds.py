@@ -104,3 +104,21 @@ def prr_perfect_bound(lam):
     """Sharper preferential round-robin guarantee at zero error: (1+lambda)/(2*lambda)."""
     lam = _check_lambda(lam, 0, False, "lambda must lie in (0, 1)", arrays=True)
     return (1.0 + lam) / (2.0 * lam)
+
+
+def sched_guarantee(label: str, n, eta, lam=None):
+    """Guaranteed cost/OPT of the scheduling-sweep entrant ``label`` on n jobs at error eta.
+
+    Round-robin ignores predictions: 2n/(n + 1) (Motwani, Phillips and Torng,
+    1994), shaped like n and eta broadcast.  Lambda is given for PRR alone.
+    """
+    if label not in ("round-robin", "spjf", "prr"):
+        raise ValueError(f"unknown scheduling entrant {label!r}")
+    if (lam is None) == (label == "prr"):
+        raise ValueError(f"lambda is given for prr alone, got {lam!r} for {label!r}")
+    if label == "prr":
+        return prr_bound(n, eta, lam)
+    if label == "spjf":
+        return spjf_bound(n, eta)
+    _require(n >= 1, n, "n must be >= 1")
+    return np.full(np.broadcast_shapes(np.shape(n), np.shape(eta)), 2.0 * n / (n + 1.0))

@@ -40,7 +40,7 @@ from .ski_rental import (
     randomized_buy_day,
     ski_opt,
 )
-from .verification import run_all_checks
+from .verification import DENSITIES, run_all_checks
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -461,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
                       SchedSweepConfig, _SCHED_OPTIONS, cmd_sched_sweep)
 
     verify = sub.add_parser("verify-bounds", help="grid-check every proven guarantee")
-    verify.add_argument("--grid-density", choices=("tiny", "default", "dense"),
+    verify.add_argument("--grid-density", choices=tuple(DENSITIES),
                         default="default", help="grid size preset (default 'default')")
     verify.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                         help=f"seed for the random job-set grids (default {DEFAULT_SEED})")

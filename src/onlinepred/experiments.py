@@ -101,8 +101,8 @@ class SkiSweepConfig:
     Construction rejects a non-integer count, b outside [2, B_MAX], a count
     over its limit, a lambda outside its rule's range and a sigma grid that
     is not real, finite, non-negative and ascending.  An empty grid means
-    0..4b in steps of b/10.  ``sampled`` scores the randomized rules by one
-    sampled buy day.
+    0..4b in steps of b/10.  ``sampled``, a bool, scores the randomized
+    rules by one sampled buy day.
     """
 
     b: int = 100
@@ -116,6 +116,7 @@ class SkiSweepConfig:
 
     def __post_init__(self):
         _check_count("b", self.b, 2, B_MAX)
+        _require(isinstance(self.sampled, bool), self.sampled, "sampled must be a bool")
         entrants = ski_sweep_algorithms(self)
         _check_sweep(self, tuple(i * (self.b / 10.0) for i in range(41)), len(entrants))
         for _, policy in entrants:
@@ -130,7 +131,7 @@ class SchedSweepConfig:
     over its limit, an alpha that is not a real > 1, a PRR lambda outside
     (0, 1) and a sigma grid that is not real, finite, non-negative and
     ascending.  An empty grid means 0..20 mean job lengths in steps of 2.
-    ``fixed_jobs`` draws one job set and resamples only the noise.
+    ``fixed_jobs``, a bool, draws one job set and resamples only the noise.
     """
 
     n: int = 50
@@ -144,6 +145,7 @@ class SchedSweepConfig:
 
     def __post_init__(self):
         _check_count("n", self.n, 1, N_MAX)
+        _require(isinstance(self.fixed_jobs, bool), self.fixed_jobs, "fixed_jobs must be a bool")
         ok = _is_real(self.alpha) and 1 < self.alpha < math.inf
         _require(ok, self.alpha, "alpha must be finite and exceed 1")
         mean = float(self.alpha) / (float(self.alpha) - 1.0)  # the default grid is float64

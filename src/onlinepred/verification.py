@@ -218,8 +218,8 @@ def check_jobset_families(
         noisy, perfect = objectives(completions).reshape(2, len(lambdas), ids.size) / opt
         prr_excess[ids], perfect_excess[ids] = noisy.T, perfect.T
     # the excess arrays hold ratios until one broadcast bounds call per family
-    spjf_excess -= bounds.spjf_bound(n, eta)
-    prr_excess -= bounds.prr_bound(n[:, None], eta[:, None], lam_rows)
+    spjf_excess -= bounds.sched_guarantee("spjf", n, eta)
+    prr_excess -= bounds.sched_guarantee("prr", n[:, None], eta[:, None], lam_rows)
     perfect_excess -= bounds.prr_perfect_bound(lam_rows)
 
     def lambda_label(at: int) -> str:

@@ -136,6 +136,41 @@ class TestSchedulingBounds:
         assert bounds.prr_bound(10, 1e12, 0.5) == pytest.approx(4.0)
         assert bounds.prr_bound(7, 0.0, 2.0 / 3.0) == pytest.approx(1.5)
 
+    def test_sched_guarantee_is_each_entrants_bound(self):
+        n = np.array([1, 2, 7, 50])[:, None, None]
+        eta = np.array([0.0, 0.5, 3.0, 1e6])[:, None]
+        lam = np.array([0.1, 0.5, 0.9])
+        spjf = bounds.sched_guarantee("spjf", n, eta)
+        assert _bits(spjf) == _bits(bounds.spjf_bound(n, eta)) and spjf.shape == (4, 4, 1)
+        prr = bounds.sched_guarantee("prr", n, eta, lam)
+        assert _bits(prr) == _bits(bounds.prr_bound(n, eta, lam)) and prr.shape == (4, 4, 3)
+        rr = bounds.sched_guarantee("round-robin", n, eta)
+        assert rr.shape == (4, 4, 1)
+        assert rr[:, :, 0].tolist() == [[v] * 4 for v in (1.0, 4 / 3, 1.75, 100 / 51)]
+        assert bounds.sched_guarantee("round-robin", 3, 0.0) == 1.5
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: bounds.sched_guarantee("round-robin", 0, 1.0), "n must be >= 1, got 0$"),
+            (
+                lambda: bounds.sched_guarantee("round-robin", np.array([2.0, NAN]), 0.0),
+                "n must be >= 1, got nan$",
+            ),
+            (lambda: bounds.sched_guarantee("spjf", NAN, 1.0), "n must be >= 1, got nan$"),
+            (lambda: bounds.sched_guarantee("prr", 0.5, 1.0, 0.5), "n must be >= 1, got 0.5$"),
+            (lambda: bounds.sched_guarantee("sjf", 5, 1.0), "unknown scheduling entrant 'sjf'$"),
+            (lambda: bounds.sched_guarantee("round-robin", 5, 1.0, 0.5), "for 'round-robin'$"),
+            (lambda: bounds.sched_guarantee("spjf", 5, 1.0, 0.5), "got 0.5 for 'spjf'$"),
+            (lambda: bounds.sched_guarantee("prr", 5, 1.0), "got None for 'prr'$"),
+        ],
+        ids=["rr-n-zero", "rr-nan-n", "spjf-nan-n", "prr-n-half", "unknown-label",
+             "rr-with-lambda", "spjf-with-lambda", "prr-without-lambda"],
+    )
+    def test_sched_guarantee_rejects(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_prr_perfect(self):
         assert bounds.prr_perfect_bound(0.5) == pytest.approx(1.5)
         assert bounds.prr_perfect_bound(0.25) == pytest.approx(2.5)
@@ -310,7 +345,10 @@ RULE_AND_BOUND = {
         lambda l: ski_cost(SkiPolicy(PolicyKind.RANDOMIZED, l), 10, 1, 0),
         partial(bounds.rand_robustness, 10),
     ),
-    "prr": (lambda l: prr(JobSet.from_lengths([1.0, 2.0]), l), partial(bounds.prr_bound, 2, 1.0)),
+    "prr": (
+        lambda l: prr(JobSet.from_lengths([1.0, 2.0]), l),
+        partial(bounds.sched_guarantee, "prr", 2, 1.0),
+    ),
 }
 
 
@@ -376,6 +414,9 @@ class TestMonotoneInError:
                 )
                 assert bounds.spjf_bound(5, lo) <= bounds.spjf_bound(5, hi)
                 assert bounds.prr_bound(5, lo, lam) <= bounds.prr_bound(5, hi, lam)
+                for label, rule_lam in (("round-robin", None), ("spjf", None), ("prr", lam)):
+                    low = bounds.sched_guarantee(label, 5, lo, rule_lam)
+                    assert low <= bounds.sched_guarantee(label, 5, hi, rule_lam)
 
 
 class TestAppendixLemmas:

@@ -21,6 +21,7 @@ from onlinepred.experiments import (
     SkiSweepConfig,
     run_scheduling_sweep,
     run_ski_sweep,
+    sched_sweep_algorithms,
 )
 from onlinepred.ski_rental import B_MAX
 from ski_oracles import block_stats, ski_trials
@@ -226,12 +227,12 @@ class TestSchedulingSweep:
         assert (rr[0].mean_ratio, rr[0].max_ratio) == (rr[1].mean_ratio, rr[1].max_ratio)
 
     def test_per_trial_guarantees(self):
-        cfg = small_sched_config()
-        _, etas, ratios = experiments._sched_block(cfg, 0, cfg.trials)
-        rr, spjf, prr = ratios.transpose(1, 0, 2)  # [sigma, trial] each
-        assert rr.max() <= 2.0 + 1e-9
-        assert np.all(spjf <= bounds.spjf_bound(cfg.n, etas) + 1e-9)
-        assert np.all(prr <= bounds.prr_bound(cfg.n, etas, 0.5) + 1e-9)
+        for overrides in ({}, dict(n=1), dict(n=2, trials=400), dict(fixed_jobs=True)):
+            cfg = small_sched_config(**overrides)
+            _, etas, ratios = experiments._sched_block(cfg, 0, cfg.trials)
+            for k, (label, lam) in enumerate(sched_sweep_algorithms(cfg)):
+                allowed = bounds.sched_guarantee(label, cfg.n, etas, lam)  # [sigma, trial]
+                assert np.all(ratios[:, k] <= allowed + 1e-9), (overrides, label)
 
     def test_fixed_jobs_mode(self):
         cfg = small_sched_config(fixed_jobs=True)
@@ -554,6 +555,18 @@ class TestConfigTypes:
             SchedSweepConfig(b=5)
         with pytest.raises(TypeError):
             SkiSweepConfig(n=5)
+
+    # a truthy string or a 1 would switch the mode on, and the config would
+    # compare unequal to the True config whose output it gives
+    @pytest.mark.parametrize("value", ["false", "no", 1, None])
+    @pytest.mark.parametrize(
+        "config, field",
+        [(SkiSweepConfig, "sampled"), (SchedSweepConfig, "fixed_jobs")],
+        ids=["sampled", "fixed_jobs"],
+    )
+    def test_flags_must_be_bools(self, config, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a bool, got {value!r}$"):
+            config(**{field: value})
 
     def test_each_runner_rejects_the_other_sweeps_config(self):
         with pytest.raises(TypeError, match="SchedSweepConfig"):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onlinepred.bounds import prr_perfect_bound, spjf_bound
+from onlinepred.bounds import prr_perfect_bound, sched_guarantee
 from onlinepred.scheduling import (
     JobSet,
     objectives,
@@ -88,7 +88,7 @@ class TestSequential:
         assert r.objective == 5.0
         eta = prediction_error(jobs)
         assert eta == 2.0
-        assert r.objective / sjf_opt(jobs).objective <= spjf_bound(2, eta)
+        assert r.objective / sjf_opt(jobs).objective <= sched_guarantee("spjf", 2, eta)
 
     def test_spjf_perfect_predictions_optimal(self):
         rng = np.random.default_rng(11)
@@ -124,13 +124,13 @@ class TestExecutor:
         assert len(r.events) == 1
 
     def test_equal_jobs_ratio_family(self):
-        # n equal jobs: everything completes at n*c; ratio 2n/(n+1)
-        for n in (2, 5, 17):
+        # n equal jobs: everything completes at n*c, so round-robin attains its guarantee
+        for n in (1, 2, 5, 17):
             jobs = JobSet.from_lengths([3.0] * n)
             r = round_robin(jobs)
             assert r.objective == pytest.approx(n * n * 3.0, rel=1e-12)
             ratio = r.objective / sjf_opt(jobs).objective
-            assert ratio == pytest.approx(2 * n / (n + 1), rel=1e-12)
+            assert ratio == pytest.approx(sched_guarantee("round-robin", n, 0.0), rel=1e-12)
 
     def test_livelock_rejected(self):
         def zero_rates(active):
@@ -535,7 +535,7 @@ class TestJobSetValidation:
         assert source.flags.writeable
 
     # new predictions for the same jobs go through the constructor
-    def test_with_predictions_shares_lengths(self):
+    def test_constructor_shares_lengths(self):
         jobs = JobSet.from_lengths([2.0, 1.0])
         noisy = JobSet(jobs.lengths, np.array([0.5, -4.0]))
         assert noisy.lengths is jobs.lengths
@@ -544,13 +544,13 @@ class TestJobSetValidation:
         assert jobs.predicted.tolist() == [2.0, 1.0]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_with_predictions_rejects_non_finite(self, bad):
+    def test_constructor_rejects_non_finite_predictions(self, bad):
         jobs = JobSet.from_lengths([2.0, 1.0])
         with pytest.raises(ValueError, match="predicted length must be finite"):
             JobSet(jobs.lengths, [1.0, bad])
 
     @pytest.mark.parametrize("preds", [[1.0], [1.0, 2.0, 3.0]])
-    def test_with_predictions_rejects_wrong_length(self, preds):
+    def test_constructor_rejects_wrong_prediction_count(self, preds):
         jobs = JobSet.from_lengths([2.0, 1.0])
         with pytest.raises(ValueError, match="equal length"):
             JobSet(jobs.lengths, preds)

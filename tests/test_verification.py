@@ -130,6 +130,28 @@ class TestFailsClosed:
         result = check_det_ski_guarantee(b_max=12, lambdas=(0.5,))
         assert result.violations > 0 and result.worst_excess > TOLERANCE
 
+    def test_nan_guarantee_fails_both_jobset_guarantees(self, monkeypatch):
+        guarantee = bounds.sched_guarantee
+        monkeypatch.setattr(
+            verification.bounds, "sched_guarantee", lambda *args: guarantee(*args) * math.nan
+        )
+        spjf_family, prr_family, _ = check_jobset_families(count=20, lambdas=(0.3, 0.7))
+        for result in (spjf_family, prr_family):
+            assert result.violations == result.points > 0, result.family
+            assert math.isnan(result.worst_excess)
+
+    def test_lowered_guarantee_fails_spjf_family(self, monkeypatch):
+        guarantee = bounds.sched_guarantee
+        monkeypatch.setattr(
+            verification.bounds, "sched_guarantee", lambda *args: guarantee(*args) - 1e-6
+        )
+        tiny = verification.DENSITIES["tiny"]
+        spjf_family, _, _ = check_jobset_families(tiny["jobsets"], tiny["lambdas"])
+        # the 40 perfect-prediction sets (every fifth) give an SPJF ratio of
+        # exactly 1, the guarantee at eta = 0
+        assert not spjf_family.passed
+        assert spjf_family.violations == 40 and spjf_family.worst_excess > TOLERANCE
+
 
 def one_jobset(seed, s):
     """Job set s drawn on its own from derived_rng(seed, s), in the stacks' draw order."""
