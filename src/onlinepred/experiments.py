@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial, reduce
 from typing import List, Optional, Tuple
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from .scheduling import objectives, prr_batch, sequential_batch
 from .ski_rental import B_MAX, PolicyKind, SkiPolicy, ski_cost
-from .ski_rental import _check_count, _check_lambda, _is_real, _require
+from .ski_rental import _check_count, _check_lambda, _fits_float64, _is_real, _require
 from .workloads import DEFAULT_SEED, derived_rngs, gen_pareto_lengths, ski_trial_draws
 
 LAMBDA_RAND_DEFAULT = math.log(1.5)
@@ -78,11 +78,12 @@ def _check_sweep(config, default_grid: Tuple[float, ...], entrants: int) -> None
     grid, numbers = config.sigma_grid, "sigma grid must be a sequence of numbers"
     _require(not isinstance(grid, (str, bytes)), grid, numbers)
     grid = tuple(grid)
+    message = f"sigma grid entries must be finite and in [0, {SIGMA_MAX:g}]"
     for sigma in grid:
         _require(_is_real(sigma), sigma, numbers)
-    grid = tuple(map(float, grid)) or default_grid
+        _require(_fits_float64(sigma), sigma, message)  # as float() would make it infinite
+    grid = tuple(float(s) + 0.0 for s in grid) or default_grid  # stores -0.0 as 0.0
     sigmas = np.array(grid)  # NaN fails the range check too
-    message = f"sigma grid entries must be finite and in [0, {SIGMA_MAX:g}]"
     _require((sigmas >= 0) & (sigmas <= SIGMA_MAX), sigmas, message)
     if any(lo > hi for lo, hi in zip(grid, grid[1:])):
         raise ValueError("sigma grid must be ascending")
@@ -112,7 +113,7 @@ class SkiSweepConfig:
     sampled: bool = False
     sigma_grid: Tuple[float, ...] = ()
     seed: int = DEFAULT_SEED
-    jobs: int = 1
+    jobs: int = field(default=1, compare=False)  # never changes a byte
 
     def __post_init__(self):
         _check_count("b", self.b, 2, B_MAX)
@@ -141,12 +142,12 @@ class SchedSweepConfig:
     fixed_jobs: bool = False
     sigma_grid: Tuple[float, ...] = ()
     seed: int = DEFAULT_SEED
-    jobs: int = 1
+    jobs: int = field(default=1, compare=False)  # never changes a byte
 
     def __post_init__(self):
         _check_count("n", self.n, 1, N_MAX)
         _require(isinstance(self.fixed_jobs, bool), self.fixed_jobs, "fixed_jobs must be a bool")
-        ok = _is_real(self.alpha) and 1 < self.alpha < math.inf
+        ok = _is_real(self.alpha) and 1 < self.alpha < math.inf and _fits_float64(self.alpha)
         _require(ok, self.alpha, "alpha must be finite and exceed 1")
         mean = float(self.alpha) / (float(self.alpha) - 1.0)  # the default grid is float64
         grid = tuple(i * 2.0 * mean for i in range(11))
@@ -320,10 +321,7 @@ def _sched_block(config: SchedSweepConfig, lo: int, hi: int):
         points, scored = slice(first - 1, g + per_call - 1), predicted[first - g:]
         etas[points] = objectives(np.abs(lengths - scored))
         ratios[points, 1] = objectives(sequential_batch(lengths, scored)) / opts
-        kernel_lengths = np.broadcast_to(lengths, predicted.shape).reshape(-1, n)
-        lam = np.repeat(lams[groups], trials)
-        completions, _ = prr_batch(kernel_lengths, predicted.reshape(-1, n), lam)
-        shared[groups] = objectives(completions).reshape(-1, trials)
+        shared[groups] = objectives(prr_batch(lengths, predicted, lams[groups, None]))
     ratios[:, 0] = shared[0] / opts
     ratios[:, 2] = shared[1:] / opts
     return opts, etas, ratios

@@ -7,10 +7,11 @@ and preferential round-robin (PRR) share the machine: with k jobs unfinished
 every job runs at rate (1-lam)/k and the unfinished job with the smallest
 prediction gets an extra lam (round-robin is lam = 0).  One kernel serves
 both, `prr_batch`: the exact event sweep, completion to completion, run with
-numpy across a stack of job sets with one lam per row; `prr` and
-`round_robin` are its one-row calls.  The objective throughout is the sum of
+numpy across a stack of job sets with one lam per set; `prr` and
+`round_robin` are its one-set calls.  The objective throughout is the sum of
 completion times, added up in id order (`objectives`) like the prediction
-error, and every one-set rule builds its result and event log in `_result`.
+error, and every one-set rule builds its result and event log from its
+completion times in `_result`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .ski_rental import _FLOAT64_INT_LIMIT, _check_lambda, _is_real, _require
+from .ski_rental import _check_lambda, _fits_float64, _is_real, _require
 
 # Remaining work below this fraction of the original length counts as done;
 # prevents zero-length phases caused by float residue.
@@ -36,8 +37,7 @@ def _floats(values, copy: Optional[bool] = None) -> np.ndarray:
         values = np.array(list(values), dtype=object)  # the entries of nested sequences
         for value in values.flat:
             _require(_is_real(value), value, "job values must be real numbers")
-            ok = not isinstance(value, int) or abs(value) < _FLOAT64_INT_LIMIT
-            _require(ok, value, "job values must fit in a float64")
+            _require(_fits_float64(value), value, "job values must fit in a float64")
     elif values.dtype.kind not in "iuf":
         _require(np.zeros(values.shape, bool), values, "job values must be real numbers")
     return np.array(values, dtype=np.float64, copy=copy)
@@ -100,7 +100,10 @@ def prediction_error(jobs: JobSet) -> float:
 
 
 class ScheduleResult(NamedTuple):
-    """Completion times in id order, their sum, and the (time, ids) event log."""
+    """Completion times in id order, their sum, and the (time, ids) event log.
+
+    One event per distinct completion time, its ids ascending: two kernel steps
+    that end at the same float time (dt below half an ulp of t) make one."""
 
     completions: np.ndarray
     objective: float
@@ -132,31 +135,26 @@ def objectives(completions) -> np.ndarray:
     return np.cumsum(completions, axis=-1)[..., -1]
 
 
-def _result(completions: np.ndarray, event_index: np.ndarray) -> ScheduleResult:
-    """The result of one job set whose job i finished in event ``event_index[i]``."""
-    order = np.argsort(event_index, kind="stable")  # by event, then by id
-    groups = np.split(order, np.flatnonzero(np.diff(event_index[order])) + 1)
+def _result(completions: np.ndarray) -> ScheduleResult:
+    """The result of one job set from its completion times."""
+    order = np.argsort(completions, kind="stable")  # by time, then by id
+    groups = np.split(order, np.flatnonzero(np.diff(completions[order])) + 1)
     events = tuple((float(completions[ids[0]]), tuple(ids.tolist())) for ids in groups)
     return ScheduleResult(completions, float(objectives(completions)), events)
 
 
-def _run_sequential(jobs: JobSet, keys: np.ndarray) -> ScheduleResult:
-    place = np.argsort(np.argsort(keys, kind="stable"))  # each job's place in the run order
-    return _result(sequential_batch(jobs.lengths, keys), place)
-
-
 def sjf_opt(jobs: JobSet) -> ScheduleResult:
     """Clairvoyant optimum: run jobs to completion in ascending true length."""
-    return _run_sequential(jobs, jobs.lengths)
+    return _result(sequential_batch(jobs.lengths, jobs.lengths))
 
 
-def prr_batch(lengths, predicted, lam) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact PRR event sweep of R job sets at once, for ``0 <= lam < 1``.
+def prr_batch(lengths, predicted, lam) -> np.ndarray:
+    """Exact PRR event sweep of a stack of job sets at once, for ``0 <= lam < 1``.
 
-    ``lengths`` and ``predicted`` are (R, n) arrays, one job set per row;
-    ``lam`` is a scalar or one value per row (round-robin is lam = 0).
-    Returns the (R, n) completion times and, per job, the index of the event
-    in which it finished; every unfinished row has one event per step.
+    ``lengths`` and ``predicted`` are (..., n) arrays of job sets and ``lam``
+    a scalar or an array of one value per set (round-robin is lam = 0); their
+    leading axes broadcast together, as in `sequential_batch`.  Returns the
+    completion times in the broadcast (..., n) shape.
 
     Every unfinished job that has never been favoured has received the same
     work S, so those jobs finish in stable length order.  The favoured job
@@ -168,18 +166,24 @@ def prr_batch(lengths, predicted, lam) -> Tuple[np.ndarray, np.ndarray]:
     with it.
     """
     lengths, predicted = _floats(lengths), _floats(predicted)
-    if lengths.ndim != 2 or predicted.shape != lengths.shape or lengths.shape[1] < 1:
-        raise ValueError(
-            f"lengths and predictions must be equal (R, n) arrays with n >= 1, "
-            f"got {lengths.shape} and {predicted.shape}"
-        )
-    rows_total, n = lengths.shape
     lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape not in ((), (rows_total,)):
-        raise ValueError(f"lambda must be a scalar or one value per row, got shape {lam.shape}")
-    lam = np.broadcast_to(lam, (rows_total,)).copy()
+    n = lengths.shape[-1] if lengths.ndim else 0
+    try:
+        lead = np.broadcast_shapes(lengths.shape[:-1], predicted.shape[:-1], lam.shape)
+    except ValueError:
+        lead = None
+    if lead is None or n < 1 or predicted.shape[-1:] != (n,):
+        raise ValueError(
+            f"lengths and predictions must be (..., n) arrays with n >= 1 and lambda a scalar "
+            f"or one value per row, with leading axes that broadcast together, "
+            f"got shapes {lengths.shape}, {predicted.shape} and {lam.shape}"
+        )
+    lam = np.broadcast_to(lam, lead).ravel()  # one per row
     _require((lam >= 0) & (lam < 1), lam, "combination parameter lambda must lie in [0, 1)")
     _require_jobs(lengths, predicted)
+    shape, rows_total = lead + (n,), lam.size
+    lengths = np.broadcast_to(lengths, shape).reshape(rows_total, n)
+    predicted = np.broadcast_to(predicted, shape).reshape(rows_total, n)
 
     # Job j of row r is the flat cell r * stride + j, int64 as R * stride can
     # pass 2**31; by_length and by_pred hold row r's cells in order at the
@@ -200,7 +204,6 @@ def prr_batch(lengths, predicted, lam) -> Tuple[np.ndarray, np.ndarray]:
 
     by_length, by_pred = cells(lengths), cells(predicted)
     completions = np.empty(rows_total * n)
-    event_index = np.empty(rows_total * n, dtype=np.int64)
 
     # Per-row state, compacted to the unfinished rows.  A job is gone once it
     # finishes or is favoured.  The favoured job sits at position next_pred of
@@ -231,7 +234,6 @@ def prr_batch(lengths, predicted, lam) -> Tuple[np.ndarray, np.ndarray]:
             position[at] += 1
         return position, passed
 
-    step = 0
     while rows.size:
         # The job at next_short is the shortest one not gone, or else the
         # favoured job, chosen since the last event and so with extra = 0;
@@ -268,11 +270,8 @@ def prr_batch(lengths, predicted, lam) -> Tuple[np.ndarray, np.ndarray]:
         if not counts.all():  # the job that set dt always crosses the threshold
             raise RuntimeError("event advanced time without completing a job")
         gone[done_cells] = True
-        out = done_cells - rows[done_rows]  # row * n + job
-        completions[out] = t[done_rows]
-        event_index[out] = step
+        completions[done_cells - rows[done_rows]] = t[done_rows]  # at row * n + job
         k -= counts
-        step += 1
 
         handing = fav_done[k[fav_done] > 0]  # rows whose favour passes on
         if handing.size:
@@ -285,23 +284,17 @@ def prr_batch(lengths, predicted, lam) -> Tuple[np.ndarray, np.ndarray]:
             rows, k, lam, t, common, extra, next_short, next_pred = (
                 a[live] for a in (rows, k, lam, t, common, extra, next_short, next_pred)
             )
-    return completions.reshape(rows_total, n), event_index.reshape(rows_total, n)
-
-
-def _shared_schedule(jobs: JobSet, lam: float) -> ScheduleResult:
-    """One-row ``prr_batch``."""
-    completions, event_index = prr_batch(jobs.lengths[None], jobs.predicted[None], lam)
-    return _result(completions[0], event_index[0])
+    return completions.reshape(shape)
 
 
 def round_robin(jobs: JobSet) -> ScheduleResult:
     """Equal-rate sharing among all unfinished jobs."""
-    return _shared_schedule(jobs, 0.0)
+    return _result(prr_batch(jobs.lengths, jobs.predicted, 0.0))
 
 
 def spjf(jobs: JobSet) -> ScheduleResult:
     """Shortest predicted job first, run sequentially; equal predictions run in id order."""
-    return _run_sequential(jobs, jobs.predicted)
+    return _result(sequential_batch(jobs.lengths, jobs.predicted))
 
 
 def prr(jobs: JobSet, lam: float) -> ScheduleResult:
@@ -311,4 +304,4 @@ def prr(jobs: JobSet, lam: float) -> ScheduleResult:
     job with the smallest prediction gets an additional lam.
     """
     _check_lambda(lam, 0, False, "PRR lambda must lie in (0, 1)")
-    return _shared_schedule(jobs, lam)
+    return _result(prr_batch(jobs.lengths, jobs.predicted, lam))

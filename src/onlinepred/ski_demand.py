@@ -25,8 +25,8 @@ from .ski_rental import (
     B_MAX,
     PolicyKind,
     SkiPolicy,
-    _FLOAT64_INT_LIMIT,
     _check_count,
+    _fits_float64,
     _is_real,
     _require,
     ski_cost,
@@ -54,7 +54,7 @@ class DemandInstance:
         try:
             ys = np.fromiter(self.predicted, np.float64, self.horizon)
         except OverflowError:  # an int past the float64 range: name it
-            fits = np.array([abs(y) < _FLOAT64_INT_LIMIT for y in self.predicted])
+            fits = np.array([_fits_float64(y) for y in self.predicted])
             entries = np.array(self.predicted, dtype=object)
             _require(fits, entries, "predicted demand must fit in a float64")
         _require(np.isfinite(ys) & (ys >= 0), ys, "predicted demand must be a finite real >= 0")

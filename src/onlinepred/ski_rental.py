@@ -40,8 +40,6 @@ SNAP_TOLERANCE = 1e-12
 # 10**12 days at B_MAX, still exact in float64 (below 2**53).
 B_MAX = 1_000_000
 X_MAX = 2**53  # skiing days: the largest count a float64 cost holds exactly
-# The least int magnitude that float() rounds past the largest float64.
-_FLOAT64_INT_LIMIT = 2**1024 - 2**970
 
 
 def _check_count(name: str, value, least: int, most: Optional[int] = None) -> None:
@@ -69,6 +67,12 @@ def _require(ok, values, message: str) -> None:
     if ok is not True and (ok is False or not ok.all()):
         bad = np.extract(np.logical_not(ok), values)[0] if np.ndim(ok) else values
         raise ValueError(f"{message}, got {bad.item() if isinstance(bad, np.generic) else bad!r}")
+
+
+def _fits_float64(value) -> bool:
+    """Whether a real ``value`` is no int at or past 2**1024 - 2**970, the
+    least magnitude that float() rounds past the largest float64."""
+    return not isinstance(value, int) or abs(value) < 2**1024 - 2**970
 
 
 def _is_real(value) -> bool:
@@ -123,7 +127,7 @@ class SkiInstance:
     def __post_init__(self):
         _check_count("buy cost b", self.b, 2, B_MAX)
         _check_count("skiing days x", self.x, 1, X_MAX)
-        ok = _is_real(self.y) and 0 <= self.y < math.inf
+        ok = _is_real(self.y) and 0 <= self.y < math.inf and _fits_float64(self.y)
         _require(ok, self.y, "prediction y must be a finite real >= 0")
 
     @property
@@ -182,6 +186,7 @@ def buy_day(policy: SkiPolicy, b: int, big: bool) -> Optional[int]:
     if big, else ceil(b/lambda), snapped; at lambda = 1 both are day b.  The
     day is an exact int even where b/lambda overflows a float.
     """
+    _check_count("b", b, 2, B_MAX)
     if policy.kind is PolicyKind.NAIVE:
         return 1 if big else None
     if policy.kind is not PolicyKind.DETERMINISTIC:
@@ -246,6 +251,7 @@ def randomized_buy_day(b: int, lam: float, big: bool, u):
     is clipped to [1, m] in float before the cast: u = 0 with an underflowed
     r^m takes the log of 0.  Returns an int64 scalar or array shaped like u.
     """
+    _check_count("b", b, 2, B_MAX)
     _check_draws(u)
     terms = _policy_terms(SkiPolicy(PolicyKind.RANDOMIZED, lam), b)
     return _drawn_day(b, *terms[0 if big else 1], u)

@@ -208,14 +208,9 @@ def check_jobset_families(
         opt = objectives(sequential_batch(lengths, lengths))
         eta[ids] = objectives(np.abs(lengths - predicted))
         spjf_excess[ids] = objectives(sequential_batch(lengths, predicted)) / opt
-        # rows: every lambda on the noisy predictions, then on the perfect ones
-        per_lambda = (len(lambdas), 1)
-        completions, _ = prr_batch(
-            np.tile(lengths, (2 * len(lambdas), 1)),
-            np.concatenate([np.tile(predicted, per_lambda), np.tile(lengths, per_lambda)]),
-            np.tile(np.repeat(lam_rows, ids.size), 2),
-        )
-        noisy, perfect = objectives(completions).reshape(2, len(lambdas), ids.size) / opt
+        # [noisy or perfect predictions, lambda, set]
+        completions = prr_batch(lengths, np.stack([predicted, lengths])[:, None], lam_rows[:, None])
+        noisy, perfect = objectives(completions) / opt
         prr_excess[ids], perfect_excess[ids] = noisy.T, perfect.T
     # the excess arrays hold ratios until one broadcast bounds call per family
     spjf_excess -= bounds.sched_guarantee("spjf", n, eta)

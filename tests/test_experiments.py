@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onlinepred import bounds, experiments
+from onlinepred import bounds, cli, experiments
 from onlinepred.experiments import (
     DEFAULT_SEED,
     JOBS_MAX,
@@ -261,10 +261,11 @@ class TestSchedulingSweep:
         lo, groups = 3, len(cfg.sigma_grid) + 1  # a round-robin row group, then one per sigma
         trials = cfg.trials - lo
         assert experiments.KERNEL_ENTRIES >= trials * groups * cfg.n
-        calls = []
+        calls = []  # job sets per prr_batch call
 
         def recording_kernel(lengths, predicted, lam):
-            calls.append(lengths.shape)
+            shapes = np.shape(lengths)[:-1], np.shape(predicted)[:-1], np.shape(lam)
+            calls.append(math.prod(np.broadcast_shapes(*shapes)))
             return kernel(lengths, predicted, lam)
 
         kernel = experiments.prr_batch
@@ -280,7 +281,7 @@ class TestSchedulingSweep:
         points = len(cfg.sigma_grid)
 
         whole = experiments._sched_block(cfg, lo, cfg.trials)
-        assert calls == [(groups * trials, cfg.n)]
+        assert calls == [groups * trials]
         assert job_sets == [trials, points * trials]  # the optima, then SPJF per sigma
         # (entries, kernel calls): one trial and one row group per call, two
         # row groups per call, one trial per call, four trials per call
@@ -299,7 +300,8 @@ class TestSchedulingSweep:
                 assert a.tobytes() == b.tobytes()
             assert len(calls) == count
             assert sum(job_sets) == (points + 1) * trials
-            assert all(rows * n <= max(entries, n) for rows, n in calls)
+            assert sum(calls) == groups * trials
+            assert all(sets * cfg.n <= max(entries, cfg.n) for sets in calls)
 
     def test_one_worker_per_trial_at_most(self, monkeypatch):
         started = []
@@ -568,11 +570,50 @@ class TestConfigTypes:
         with pytest.raises(ValueError, match=f"^{field} must be a bool, got {value!r}$"):
             config(**{field: value})
 
+    @pytest.mark.parametrize(
+        "make_config", [small_ski_config, small_sched_config], ids=["ski", "sched"]
+    )
+    def test_ints_past_float64_rejected(self, make_config):
+        # float() of 10**400 raised OverflowError; 2**64 stays a float64
+        assert make_config(sigma_grid=(0, 2**64)).sigma_grid == (0.0, 2.0**64)
+        for grid in ((10**400,), (0.0, -(10**400))):
+            with pytest.raises(ValueError, match=r"in \[0, 1e\+300\], got -?1000000"):
+                make_config(sigma_grid=grid)
+
+    def test_alpha_past_float64_rejected(self):
+        assert small_sched_config(alpha=2**64).alpha == 2**64
+        with pytest.raises(ValueError, match="^alpha must be finite and exceed 1, got 1000000"):
+            small_sched_config(alpha=10**400)
+
     def test_each_runner_rejects_the_other_sweeps_config(self):
         with pytest.raises(TypeError, match="SchedSweepConfig"):
             run_scheduling_sweep(SkiSweepConfig(trials=2))
         with pytest.raises(TypeError, match="SkiSweepConfig"):
             run_ski_sweep(SchedSweepConfig(trials=2))
+
+
+@pytest.mark.parametrize(
+    "make_config, run",
+    [(small_ski_config, run_ski_sweep), (small_sched_config, run_scheduling_sweep)],
+    ids=["ski", "sched"],
+)
+class TestEqualConfigsEqualBytes:
+    """Two configs compare (and hash) equal iff their outputs are byte-identical."""
+
+    def test_negative_zero_sigma_is_stored_as_zero(self, make_config, run):
+        signed = make_config(sigma_grid=(-0.0, 1.0), trials=20)
+        plain = make_config(sigma_grid=(0.0, 1.0), trials=20)
+        assert signed == plain and hash(signed) == hash(plain)
+        assert math.copysign(1.0, signed.sigma_grid[0]) == 1.0
+        for fmt in cli.SWEEP_FORMATS:  # -0.0 printed as -0.0000 in CSV and -0.0 in JSON
+            assert cli._render_sweep(run(signed), fmt) == cli._render_sweep(run(plain), fmt)
+
+    def test_worker_count_takes_no_part_in_equality(self, make_config, run):
+        one, two = make_config(trials=20), make_config(trials=20, jobs=2)
+        assert one == two and hash(one) == hash(two)
+        assert two.jobs == 2 and "jobs=2" in repr(two)
+        assert cli._render_sweep(run(one), "csv") == cli._render_sweep(run(two), "csv")
+        assert cli._field_schema(type(one))["jobs"][1] == 1  # --help still shows the default
 
 
 class TestTradeoffCurve:

@@ -17,6 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 STATED = """
 assert day == 50, day
 assert np.all(np.abs(result.completions - [4 / 3, 3.0]) <= 1e-12), result.completions
+assert completions.shape == (2, 2), completions.shape
+assert np.all(np.abs(objectives(completions) - [5.0, 16 / 3]) <= 1e-12), completions
 assert reports[0].algorithm == "break-even", reports[0].algorithm
 """
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from onlinepred.bounds import prr_perfect_bound, sched_guarantee
 from onlinepred.scheduling import (
     JobSet,
+    _result,
     objectives,
     prediction_error,
     prr,
@@ -297,27 +298,21 @@ def stacked_job_sets(draw):
     return np.array(table(length_pool)), np.array(table(pred_pool)), np.array(lams)
 
 
-def event_groups(event_index):
-    """Job ids grouped by event, in event order, as an event log lists them."""
-    return [tuple(np.flatnonzero(event_index == e).tolist()) for e in range(event_index.max() + 1)]
-
-
-def assert_rows_match_reference_sweep(lengths, predicted, lams):
-    """Each row of one `prr_batch` call equals `prr_sweep` and its own one-row call, bit for bit."""
-    completions, event_index = prr_batch(lengths, predicted, lams)
-    for array, dtype in ((completions, np.float64), (event_index, np.int64)):
-        assert array.shape == np.shape(lengths) and array.dtype == dtype
-        assert array.flags.c_contiguous
+def assert_rows_match_reference_sweep(lengths, predicted, lam):
+    """Each row of one `prr_batch` call, with ``lam`` a scalar or one value per
+    row, equals `prr_sweep`, its own one-row call and its one-set rule, bit for bit."""
+    completions = prr_batch(lengths, predicted, lam)
+    assert isinstance(completions, np.ndarray) and completions.dtype == np.float64
+    assert completions.shape == np.shape(lengths) and completions.flags.c_contiguous
     totals = objectives(completions)
-    for r, lam in enumerate(lams.tolist()):
-        want = prr_sweep(JobSet.from_lengths(lengths[r], predicted[r]), lam)
+    for r, row_lam in enumerate(np.broadcast_to(lam, len(lengths)).tolist()):
+        jobs = JobSet.from_lengths(lengths[r], predicted[r])
+        want = prr_sweep(jobs, row_lam)
         assert completions[r].tobytes() == want.completions.tobytes()
         assert totals[r] == want.objective
-        assert event_groups(event_index[r]) == [ids for _, ids in want.events]
-        alone, alone_events = prr_batch(lengths[r:r + 1], predicted[r:r + 1], lam)
+        assert_identical(prr(jobs, row_lam) if row_lam else round_robin(jobs), want)
+        alone = prr_batch(lengths[r:r + 1], predicted[r:r + 1], row_lam)
         assert alone.tobytes() == completions[r:r + 1].tobytes()
-        assert alone_events.tobytes() == event_index[r:r + 1].tobytes()
-    return event_index
 
 
 class TestBatchedKernel:
@@ -325,6 +320,12 @@ class TestBatchedKernel:
     @given(stacked=stacked_job_sets())
     def test_rows_match_reference_sweep_bit_for_bit(self, stacked):
         assert_rows_match_reference_sweep(*stacked)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stacked=stacked_job_sets())
+    def test_scalar_lambda_rows_match_reference_sweep(self, stacked):
+        lengths, predicted, lams = stacked
+        assert_rows_match_reference_sweep(lengths, predicted, lams[0])
 
     @settings(max_examples=100, deadline=None)
     @given(jobs=tied_job_sets(), lam=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
@@ -342,19 +343,59 @@ class TestBatchedKernel:
         predicted = lengths + 20 * rng.standard_normal((4, n))
         predicted[2] = -lengths[2]  # the longest job is predicted shortest
         lams = np.array([0.5, 0.0, 0.9, 0.0])
-        event_index = assert_rows_match_reference_sweep(lengths, predicted, lams)
-        assert np.all(event_index[3] == 0)
+        assert_rows_match_reference_sweep(lengths, predicted, lams)
+        events = round_robin(JobSet.from_lengths(lengths[3], predicted[3])).events
+        assert events == ((7.0 * n, tuple(range(n))),)
+
+    def test_stacks_broadcast_like_their_tiled_rows(self):
+        # G = 3 prediction groups of T = 5 job sets, one lambda per group, as
+        # the scheduling sweep calls it: the same bits as the tiled (G*T, n) rows
+        rng = np.random.default_rng(27)
+        lengths = np.round(1 + rng.pareto(1.1, (5, 9)))
+        predicted = np.round(lengths + rng.normal(0, 4, (3, 5, 9)))
+        lams = np.array([0.0, 0.3, 0.9])
+        stacked = prr_batch(lengths, predicted, lams[:, None])
+        tiled = prr_batch(np.tile(lengths, (3, 1)), predicted.reshape(15, 9), np.repeat(lams, 5))
+        assert stacked.shape == (3, 5, 9)
+        assert stacked.tobytes() == tiled.tobytes()
+        # [noisy or perfect predictions, lambda, set], as verify-bounds calls it
+        both = prr_batch(lengths, np.stack([predicted[0], lengths])[:, None], lams[:, None])
+        assert both.shape == (2, 3, 5, 9)
+        assert both[0, 1].tobytes() == prr_batch(lengths, predicted[0], 0.3).tobytes()
+        assert both[1, 2].tobytes() == prr_batch(lengths, lengths, 0.9).tobytes()
+
+    def test_one_job_set_is_a_one_row_stack(self):
+        lengths, predicted = np.array([2.0, 1.0, 3.0, 1.0]), np.array([0.5, 4.0, -1.0, 0.5])
+        for lam in (0.0, 0.4):
+            alone = prr_batch(lengths, predicted, lam)
+            assert alone.shape == (4,)
+            assert alone.tobytes() == prr_batch(lengths[None], predicted[None], lam).tobytes()
+            assert prr_batch(lengths, predicted, [lam]).shape == (1, 4)
+            assert alone.tobytes() == prr_batch(lengths.tolist(), predicted, lam).tobytes()
 
     def test_empty_stack(self):
-        completions, event_index = prr_batch(np.empty((0, 3)), np.empty((0, 3)), 0.5)
-        assert completions.shape == event_index.shape == (0, 3)
+        assert prr_batch(np.empty((0, 3)), np.empty((0, 3)), 0.5).shape == (0, 3)
+        assert prr_batch(np.ones(3), np.ones(3), np.empty((2, 0))).shape == (2, 0, 3)
 
     def test_scalar_lambda_broadcasts(self):
         lengths = np.array([[2.0, 1.0, 3.0], [1.0, 1.0, 4.0]])
         predicted = np.array([[3.0, 2.0, 1.0], [0.0, -0.0, 5.0]])
-        per_row, _ = prr_batch(lengths, predicted, [0.4, 0.4])
-        scalar, _ = prr_batch(lengths, predicted, 0.4)
+        per_row = prr_batch(lengths, predicted, [0.4, 0.4])
+        scalar = prr_batch(lengths, predicted, 0.4)
         assert per_row.tobytes() == scalar.tobytes()
+
+    def test_events_are_distinct_completion_times(self):
+        result = _result(np.array([3.0, 1.0, 3.0, 2.0, 1.0]))
+        assert result.events == ((1.0, (1, 4)), (2.0, (3,)), (3.0, (0, 2)))
+        assert result.objective == 10.0
+        # the last job's step, 1.5e-12 of work at rate 1, is below half an ulp
+        # of t = 40000, so it ends at the time of the step before: one event
+        n = 40_000
+        lengths = np.ones(n)
+        lengths[-1] += 1.5e-12
+        result = round_robin(JobSet.from_lengths(lengths))
+        assert result.events == ((40_000.0, tuple(range(n))),)
+        assert np.all(result.completions == 40_000.0)
 
     def test_sequential_batch_matches_rules(self):
         rng = np.random.default_rng(4)
@@ -371,10 +412,10 @@ class TestBatchedKernel:
         "lengths, predicted, lam, message",
         [
             ([[1.0, 2.0]], [[1.0, 2.0]], 1.0, "lambda must lie in"),
-            ([[1.0, 2.0]], [[1.0, 2.0]], [0.5, 0.5], "one value per row"),
+            ([[1.0, 2.0]] * 2, [[1.0, 2.0]] * 2, [0.5] * 3, "one value per row"),
             ([[1.0, 2.0]], [[1.0, 2.0]], -0.1, "lambda must lie in"),
             ([[1.0, 2.0]], [[1.0, 2.0]], math.nan, "lambda must lie in"),
-            ([1.0, 2.0], [1.0, 2.0], 0.5, "arrays with n >= 1"),
+            (np.array(1.0), np.array(1.0), 0.5, "arrays with n >= 1"),
             ([[1.0, 2.0]], [[1.0]], 0.5, "arrays with n >= 1"),
             (np.empty((2, 0)), np.empty((2, 0)), 0.5, "arrays with n >= 1"),
             ([[1.0, 0.5]], [[1.0, 2.0]], 0.5, "job length must be finite and >= 1"),
@@ -388,6 +429,15 @@ class TestBatchedKernel:
             ([[True, 2]], [[1, 2]], 0.5, "real numbers, got True"),
             ([[1.0, 2.0]], [(1, False)], 0.5, "real numbers, got False"),
             ([[10**400, 2]], [[1, 2]], 0.5, "fit in a float64, got 1000"),
+            # the first bad lambda is named, and so are the shapes of a job
+            # axis that differs or of leading axes that do not broadcast
+            ([[1.0, 2.0]], [[1.0, 2.0]], 1.0, r"lambda must lie in \[0, 1\), got 1.0$"),
+            ([[1.0, 2.0]] * 2, [1.0, 2.0], [0.5, 1.5], r"lambda must lie in \[0, 1\), got 1.5$"),
+            ([[1.0, 2.0]], [[1.0]], 0.5, r"got shapes \(1, 2\), \(1, 1\) and \(\)$"),
+            ([1.0, 2.0], [[1.0, 2.0, 3.0]], 0.5, r"got shapes \(2,\), \(1, 3\) and \(\)$"),
+            ([[1.0, 2.0]] * 2, [[1.0, 2.0]] * 2, [0.5] * 3, r"\(2, 2\), \(2, 2\) and \(3,\)$"),
+            ([[1.0, 2.0]] * 2, [[1.0, 2.0]] * 3, 0.5, r"\(2, 2\), \(3, 2\) and \(\)$"),
+            (np.array(1.0), np.array(1.0), 0.5, r"got shapes \(\), \(\) and \(\)$"),
         ],
     )
     def test_rejects_bad_input(self, lengths, predicted, lam, message):

@@ -155,6 +155,12 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="must be an integer"):
             SkiInstance(b, x, 5.0)
 
+    def test_int_prediction_past_float64_rejected(self):
+        # 10**400 was accepted and scored; 2**64 is a float64
+        assert policy_cost(SkiInstance(10, 5, 2**64), BREAK_EVEN) == 5.0
+        with pytest.raises(ValueError, match=f"finite real >= 0, got {10**400}$"):
+            SkiInstance(10, 5, 10**400)
+
     def test_error_is_absolute(self):
         assert SkiInstance(10, 5, 8.0).error == 3.0
         assert SkiInstance(10, 5, 2.0).error == 3.0
@@ -551,6 +557,27 @@ class TestKernelInputs:
     def test_rejects_bad_b(self, policy, b, message):
         with pytest.raises(ValueError, match=message):
             ski_cost(policy, b, 5, 1.0)
+
+    # buy_day returned day 0 at b = 0, day -8 at b = -4 and day 1 at b = 2.5,
+    # and took True and 10**7; randomized_buy_day divided by zero at b = 0
+    @pytest.mark.parametrize(
+        "b, message",
+        [
+            (0, "b must be >= 2, got 0"),
+            (-4, "b must be >= 2, got -4"),
+            (-3, "b must be >= 2, got -3"),
+            (2.5, "b must be an integer, got 2.5"),
+            (True, "b must be an integer, got True"),
+            (10**7, f"b = {10**7} exceeds the limit of {B_MAX}"),
+        ],
+    )
+    def test_buy_days_reject_bad_b(self, b, message):
+        for big in (True, False):
+            for policy in (NAIVE, SkiPolicy(PolicyKind.DETERMINISTIC, 0.5)):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    buy_day(policy, b, big)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                randomized_buy_day(b, 0.9, big, 0.5)
 
     @pytest.mark.parametrize("u", [math.nan, -0.5, 1.0, 1.5])
     def test_rejects_draw_outside_unit_interval(self, u):

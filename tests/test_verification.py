@@ -86,7 +86,8 @@ class TestFailsClosed:
 
     def test_nan_objective_fails_prr_families(self, monkeypatch):
         def nan_kernel(lengths, predicted, lam):
-            return np.full(np.shape(lengths), math.nan), np.zeros(np.shape(lengths), dtype=int)
+            leading = np.shape(lengths)[:-1], np.shape(predicted)[:-1], np.shape(lam)
+            return np.full(np.broadcast_shapes(*leading) + np.shape(lengths)[-1:], math.nan)
 
         monkeypatch.setattr(verification, "prr_batch", nan_kernel)
         spjf_family, *prr_families = check_jobset_families(count=20, lambdas=(0.5,))
