@@ -32,9 +32,10 @@ def _floats(values, copy: Optional[bool] = None) -> np.ndarray:
     """``values`` as a float64 array (``copy`` as in numpy), if they are real
     numbers: an array of an int, uint or float dtype, or else (nested)
     entries that each pass `_is_real`, ints within float64 range.  Otherwise
-    the error names the first entry."""
+    the error names the first entry.  A scalar gives a 0-d array."""
     if not isinstance(values, np.ndarray):
-        values = np.array(list(values), dtype=object)  # the entries of nested sequences
+        # the entries of nested sequences, or the one entry of a scalar
+        values = np.array(list(values) if isinstance(values, Iterable) else values, dtype=object)
         for value in values.flat:
             _require(_is_real(value), value, "job values must be real numbers")
             _require(_fits_float64(value), value, "job values must fit in a float64")

@@ -121,6 +121,8 @@ def prr_sweep(jobs, lam):
     favour until it finishes (the unfinished set only shrinks), then hands it
     to the next unfinished job in (prediction, id) order.  One pointer walks
     each order, so an event costs O(1) apart from sorting its completions.
+    Steps that end at the same float time, as one whose dt is below half an
+    ulp of t does, make one event.
     """
     lengths = jobs.lengths.tolist()
     n = len(lengths)
@@ -168,11 +170,12 @@ def prr_sweep(jobs, lam):
             done.append(i)
         if not done:  # the job that set dt always crosses the threshold
             raise RuntimeError("event advanced time without completing a job")
-        done.sort()
         for i in done:
             completions[i] = t
-        events.append((t, tuple(done)))
         k -= len(done)
+        if events and events[-1][0] == t:  # a step below half an ulp of t: one event
+            done += events.pop()[1]
+        events.append((t, tuple(sorted(done))))
 
     return ScheduleResult(np.array(completions), sum(completions, 0.0), tuple(events))
 

@@ -397,6 +397,17 @@ class TestBatchedKernel:
         assert result.events == ((40_000.0, tuple(range(n))),)
         assert np.all(result.completions == 40_000.0)
 
+    def test_reference_sweep_merges_steps_that_end_together(self):
+        # the case above: the reference sweep's two steps end at t = 40000 too,
+        # and it lists them as one event, as the kernel's rules do
+        n = 40_000
+        lengths = np.ones(n)
+        lengths[-1] += 1.5e-12
+        jobs = JobSet.from_lengths(lengths)
+        want = prr_sweep(jobs, 0.0)
+        assert want.events == ((40_000.0, tuple(range(n))),)
+        assert_identical(round_robin(jobs), want)
+
     def test_sequential_batch_matches_rules(self):
         rng = np.random.default_rng(4)
         lengths = np.round(1 + rng.pareto(1.1, (30, 9)))
@@ -438,6 +449,10 @@ class TestBatchedKernel:
             ([[1.0, 2.0]] * 2, [[1.0, 2.0]] * 2, [0.5] * 3, r"\(2, 2\), \(2, 2\) and \(3,\)$"),
             ([[1.0, 2.0]] * 2, [[1.0, 2.0]] * 3, 0.5, r"\(2, 2\), \(3, 2\) and \(\)$"),
             (np.array(1.0), np.array(1.0), 0.5, r"got shapes \(\), \(\) and \(\)$"),
+            # a Python scalar is a 0-d job array, as a 0-d numpy array is
+            (1.0, 1.0, 0.5, r"got shapes \(\), \(\) and \(\)$"),
+            ([1.0, 2.0], 2, 0.5, r"got shapes \(2,\), \(\) and \(\)$"),
+            (True, 1.0, 0.5, "real numbers, got True"),
         ],
     )
     def test_rejects_bad_input(self, lengths, predicted, lam, message):
@@ -552,6 +567,11 @@ class TestJobSetValidation:
             pytest.param(np.array([True, True]), "real numbers, got True", id="bool-array"),
             pytest.param([10**400, 2], "fit in a float64, got 1000", id="int-overflow"),
             pytest.param([-(2**1024 - 2**970), 2], "fit in a float64", id="int-rounds-past-max"),
+            # a scalar is a 0-d array, whether a Python, numpy or 0-d array one
+            pytest.param(5.0, r"must form a vector, got shape \(\)$", id="float"),
+            pytest.param(5, r"must form a vector, got shape \(\)$", id="int"),
+            pytest.param(np.float64(5.0), r"must form a vector, got shape \(\)$", id="float64"),
+            pytest.param(np.array(5.0), r"must form a vector, got shape \(\)$", id="0-d"),
         ],
     )
     def test_rejects_bad_lengths(self, lengths, message):
