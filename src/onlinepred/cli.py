@@ -41,6 +41,7 @@ from .ski_rental import (
     ski_opt,
 )
 from .verification import DENSITIES, run_all_checks
+from .workloads import seed_uniform
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -370,9 +371,9 @@ def cmd_trace_ski(args: argparse.Namespace) -> int:
         if kind is PolicyKind.DETERMINISTIC:
             info["buy_day"] = buy_day(policy, args.b, big)
         else:
-            rng = np.random.default_rng(np.random.SeedSequence(args.seed))
             info["support_size"] = _support_size(args.b, lam, big)
-            info["sampled_buy_day"] = int(randomized_buy_day(args.b, lam, big, rng.random()))
+            uniform = seed_uniform(args.seed)  # default_rng(SeedSequence(seed)).random()
+            info["sampled_buy_day"] = int(randomized_buy_day(args.b, lam, big, uniform))
         info["bound"] = round(float(bounds.ski_guarantee(policy, args.b, eta, opt)), 6)
     info["cost"] = round(cost, 4)
     info["ratio"] = round(cost / opt, 6)

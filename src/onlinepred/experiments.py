@@ -4,11 +4,11 @@ Each problem has its own config type, ``SkiSweepConfig`` or
 ``SchedSweepConfig``, and its own runner.  Trial t of a sweep derives its
 own generator from (seed, t) and draws the instance plus a unit-variance
 noise direction once; the prediction at noise level sigma is
-truth + sigma * direction.  Ski trials take those draws from
-`workloads.ski_trial_draws`, which gives a whole block's in one array pass,
-bit for bit as the generators would; scheduling trials draw from each
-trial's generator in turn.  Sharing the draws across sigma levels and
-algorithms is plain common-random-numbers variance reduction.
+truth + sigma * direction.  Trials take those draws from
+`workloads.ski_trial_draws` and `workloads.sched_trial_draws`, which give a
+whole block's at once, bit for bit as the generators would.  Sharing the
+draws across sigma levels and algorithms is plain common-random-numbers
+variance reduction.
 
 A block of trials is the unit of both the work and the reduction.  Blocks
 sit on a fixed grid of trial indices, ``KERNEL_ENTRIES`` // (sigma points)
@@ -38,7 +38,7 @@ import numpy as np
 from .scheduling import objectives, prr_batch, sequential_batch
 from .ski_rental import B_MAX, PolicyKind, SkiPolicy, ski_cost
 from .ski_rental import _check_count, _check_lambda, _fits_float64, _is_real, _require
-from .workloads import DEFAULT_SEED, derived_rngs, gen_pareto_lengths, ski_trial_draws
+from .workloads import DEFAULT_SEED, sched_trial_draws, ski_trial_draws
 
 LAMBDA_RAND_DEFAULT = math.log(1.5)
 # Largest accepted noise level: truth + sigma * direction stays finite for
@@ -289,23 +289,20 @@ def _sched_block(config: SchedSweepConfig, lo: int, hi: int):
     """Optima, errors and ratios of scheduling trials lo..hi-1.
 
     The arrays are indexed [trial], [sigma, trial] and [sigma, entrant,
-    trial].  Each trial's ``derived_rngs`` generator draws its job lengths
-    (unless the jobs are fixed, drawn from their own stream) and noise
-    direction once, straight into the kernel arrays.  Kernel rows come in
-    groups of T, one per trial: first round-robin at lambda = 0, scored once
-    per trial since it ignores predictions (its group takes the sigma = 0
-    predictions, which are the lengths), then PRR at each sigma.  SPJF and
-    the errors come from the PRR groups' predictions.  Only when one trial's
-    groups exceed KERNEL_ENTRIES do the groups take more than one call.
+    trial].  `sched_trial_draws` draws every trial of the block at once, as
+    trial t's ``derived_rngs`` generator would: its job lengths (unless the
+    jobs are fixed, drawn from their own stream) and noise direction.
+    Kernel rows come in groups of T, one per trial: first round-robin at
+    lambda = 0, scored once per trial since it ignores predictions (its
+    group takes the sigma = 0 predictions, which are the lengths), then PRR
+    at each sigma.  SPJF and the errors come from the PRR groups'
+    predictions.  Only when one trial's groups exceed KERNEL_ENTRIES do the
+    groups take more than one call.
     """
-    draw, fixed = partial(gen_pareto_lengths, config.alpha, config.n), None
-    if config.fixed_jobs:
-        fixed = draw(next(derived_rngs(config.seed, [_FIXED_JOBS_STREAM])))
-    lengths, directions = [], []
-    for rng in derived_rngs(config.seed, range(lo, hi)):
-        lengths.append(draw(rng) if fixed is None else fixed)
-        directions.append(rng.standard_normal(config.n))
-    lengths, directions = np.array(lengths), np.array(directions)
+    jobs_key = _FIXED_JOBS_STREAM if config.fixed_jobs else None
+    lengths, directions = sched_trial_draws(
+        config.seed, config.alpha, config.n, np.arange(lo, hi), jobs_key
+    )
     trials, n = lengths.shape
     sigmas = np.array((0.0, *config.sigma_grid))
     lams = np.array((0.0,) + (config.lambda_sched,) * len(config.sigma_grid))

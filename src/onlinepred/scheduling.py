@@ -183,8 +183,11 @@ def prr_batch(lengths, predicted, lam) -> np.ndarray:
     _require((lam >= 0) & (lam < 1), lam, "combination parameter lambda must lie in [0, 1)")
     _require_jobs(lengths, predicted)
     shape, rows_total = lead + (n,), lam.size
+    # sets are sorted before they are broadcast, so lengths shared by many
+    # rows are sorted once
+    by_length = np.argsort(lengths, axis=-1, kind="stable")
+    by_pred = np.argsort(predicted, axis=-1, kind="stable")
     lengths = np.broadcast_to(lengths, shape).reshape(rows_total, n)
-    predicted = np.broadcast_to(predicted, shape).reshape(rows_total, n)
 
     # Job j of row r is the flat cell r * stride + j, int64 as R * stride can
     # pass 2**31; by_length and by_pred hold row r's cells in order at the
@@ -196,14 +199,14 @@ def prr_batch(lengths, predicted, lam) -> np.ndarray:
     first = rows * stride
     cell_len = np.hstack((lengths, np.full((rows_total, 1), np.nan))).ravel()
 
-    def cells(keys):
-        """Each row's cells in stable ``keys`` order, then its sentinel."""
+    def cells(order):
+        """Each row's cells in ``order``, its sets' job order, then its sentinel."""
         out = np.full((rows_total, stride), n)
-        out[:, :n] = np.argsort(keys, axis=1, kind="stable")
+        out[:, :n] = np.broadcast_to(order, shape).reshape(rows_total, n)
         out += first[:, None]
         return out.ravel()
 
-    by_length, by_pred = cells(lengths), cells(predicted)
+    by_length, by_pred = cells(by_length), cells(by_pred)
     completions = np.empty(rows_total * n)
 
     # Per-row state, compacted to the unfinished rows.  A job is gone once it

@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds
 from .scheduling import _require_jobs, objectives, prr_batch, sequential_batch
 from .ski_rental import PolicyKind, SkiPolicy, _require, buy_day, ski_cost
-from .workloads import DEFAULT_SEED, derived_rngs
+from .workloads import DEFAULT_SEED, _Draws
 
 NINE_LAMBDAS = tuple(round(0.1 * i, 10) for i in range(1, 10))
 TOLERANCE = 1e-9
@@ -155,34 +155,38 @@ def check_classical_recovery(b_max: int = 50) -> FamilyResult:
 def random_jobsets(count: int, seed: int) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Seeded job sets of 1..8 jobs with lengths in [1, 10] and assorted prediction styles.
 
-    Set s draws from generator s of ``derived_rngs(seed, range(count))``.
-    Prediction modes rotate by index: perfect, mild noise, heavy noise,
-    unrelated uniform (may be negative), and fully reversed order.  The sets
-    come stacked by size, as one (set indices, lengths, predictions) triple
-    per size in ascending order, each stack checked as a JobSet checks its
-    jobs.
+    Set s draws as generator s of ``derived_rngs(seed, range(count))``
+    would: n by ``integers(1, 9)``, lengths by ``uniform(1.0, 10.0, n)``,
+    then its predictions.  Prediction modes rotate by index: perfect, mild
+    noise (``normal(0.0, 0.5, n)`` added), heavy noise (``normal(0.0, 5.0,
+    n)`` added), unrelated uniform (``uniform(-5.0, 15.0, n)``, may be
+    negative), and fully reversed order.  All sets are drawn at once by
+    `workloads._Draws`, with numpy's loc + scale * draw on the arrays.  The
+    sets come stacked by size, as one (set indices, lengths, predictions)
+    triple per size in ascending order, each stack checked as a JobSet
+    checks its jobs.
     """
-    by_size: Dict[int, list] = {}
-    for s, rng in enumerate(derived_rngs(seed, range(count))):
-        n = int(rng.integers(1, 9))
-        lengths = rng.uniform(1.0, 10.0, n)
-        mode = s % 5
-        if mode == 0:
-            preds = lengths
-        elif mode == 1:
-            preds = lengths + rng.normal(0.0, 0.5, n)
-        elif mode == 2:
-            preds = lengths + rng.normal(0.0, 5.0, n)
-        elif mode == 3:
-            preds = rng.uniform(-5.0, 15.0, n)
-        else:
-            preds = -lengths
-        by_size.setdefault(n, []).append((s, lengths, preds))
+    draws = _Draws(seed, range(count), 1 + 8 + 8 + 8)  # n, lengths, predictions, slack
+
+    def sets(values):  # a draw's (sets, largest n) array, padded to 8 jobs
+        return np.pad(values, ((0, 0), (0, 8 - values.shape[1])))
+
+    sizes = draws.integers(8).astype(np.intp) + 1
+    modes = (np.arange(count) % 5)[:, None]
+    lengths = 1.0 + 9.0 * sets(draws.random(sizes))
+    noisy = (modes == 1) | (modes == 2)
+    noise = 0.0 + np.where(modes == 1, 0.5, 5.0) * sets(draws.standard_normal(sizes * noisy[:, 0]))
+    unrelated = -5.0 + 20.0 * sets(draws.random(sizes * (modes[:, 0] == 3)))
+    preds = np.select(
+        [modes == 0, noisy, modes == 3], [lengths, lengths + noise, unrelated], -lengths
+    )
     stacks = []
-    for size in sorted(by_size):
-        ids, lengths, preds = (np.array(column) for column in zip(*by_size[size]))
-        _require_jobs(lengths, preds)
-        stacks.append((ids, lengths, preds))
+    for size in range(1, 9):  # not np.unique, which imports numpy.ma
+        ids = np.flatnonzero(sizes == size)
+        if ids.size:
+            stack = lengths[ids, :size], preds[ids, :size]
+            _require_jobs(*stack)
+            stacks.append((ids, *stack))
     return stacks
 
 

@@ -7,20 +7,24 @@ configs do).  `derived_rngs` builds one stream per trial key by hashing
 changing a single draw: it runs numpy's `SeedSequence` hash (O'Neill's
 seed_seq mixing) on uint32 arrays over a chunk of keys at once and yields the
 generators ``default_rng(SeedSequence((master_seed, key)))`` would, bit for
-bit, which the tests check against the installed numpy.  `ski_trial_draws`
-goes one step further for the ski sweep: from the same seed states it runs
-PCG64 and numpy's bounded-integer, normal and uniform draws on arrays, and
-the few keys that leave their fast paths on a scalar PCG64 stream, so a whole
-block of trials gets the draws its generators would give without building
-one or importing ``numpy.random``.
+bit, which the tests check against the installed numpy.  It is the
+reference: the sweeps, the verification grids and ``trace ski`` draw
+through `_Draws` instead, which from the same seed states computes each
+key's PCG64 output words as one (words, keys) matrix and decodes numpy's
+bounded-integer, exponential, normal and uniform draws on arrays, each draw
+off its fast path in scalar, so a whole block of trials gets the draws its
+generators would give without building one or importing ``numpy.random``.
+`ski_trial_draws` and `sched_trial_draws` give the two sweeps' trials and
+`seed_uniform` the sampled buy day of ``trace ski``.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
+import functools
 import math
 import operator
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,11 +40,10 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
 
-# PCG64's 128-bit LCG multiplier, also as (high, low) uint64 limbs, and the
-# masks and shifts its arithmetic on two limbs uses.
+# PCG64's 128-bit LCG multiplier, and the masks and shifts its arithmetic on
+# (high, low) uint64 limbs uses.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
 _LOW32, _SHIFT32, _ROT_SHIFT = np.uint64(_MASK32), np.uint64(32), np.uint64(58)
 
 # numpy's ziggurat tables for ``standard_normal``, copied as they lie in its
@@ -210,9 +213,185 @@ _ZIG_K = _ZIG_K.view("<u8")
 # numpy's ziggurat_nor_r, where the base layer's tail starts, and its inverse
 _ZIG_R, _ZIG_INV_R = 3.6541528853610087963519472518, 0.27366123732975827203338247596
 
-# Keys whose seed states `derived_rngs` and `ski_trial_draws` derive in one
-# pass; bounds their memory.
-_RNG_CHUNK = 4096
+# numpy's ziggurat tables for ``standard_exponential``, copied the same way:
+# ``fe_double`` (the density exp(-x) at each layer's edge), ``we_double`` and
+# ``ke_double``.  Bits 3-10 of a word give layer idx and the 53 bits above
+# them ri; numpy returns ri * w[idx] at once iff ri < k[idx], which layer 1
+# never is.  The tests pin all three tables against the installed numpy.
+_EXP_F, _EXP_W, _EXP_K = np.frombuffer(bytes.fromhex(
+    "000000000000f03f371188e54505ee3ff1ff8150a6d0ec3f277beb7b00e5eb3f2a7fe60e0f21eb3f"
+    "e7fa62a5ba76ea3f9b6d551597dee93f39aa55c43154e93f2fd2d376a3d4e83fb8c50678e85de83f"
+    "2631242d8aeee73f7ed4099b6e85e73f634ba95bbb21e73fc6188449c3c2e63f065c4f6dfa67e63f"
+    "66afa7c1ed10e63f75ac4c693dbde53f7387da82986ce53f9a897815ba1ee53faff851c166d3e43f"
+    "69e08efb6a8ae43f25e1a8af9943e43f808bb12bcbfee33f14d1e144dcbbe33fd9dd08a7ad7ae33f"
+    "18630e45233be33f5eda45e323fde23f244f1fb698c0e23fbd3211116d85e23fa3508c228e4be23f"
+    "c83e81baea12e23f897b871973dbe13f253b1ec718a5e13fee6fce6dce6fe13f9c1633bc873be13f"
+    "8dc31c4a3908e13f2b1e2b81d8d5e03f2ad054885ba4e03f7d3bee31b973e03f4865d2ebe843e03f"
+    "24f360b1e214e03f764521fe3dcddf3ffac5bf8e2d72df3f4d42ebd18618df3f909d964b3dc0de3f"
+    "51d37d364569de3ffc37e1759313de3f0c21a7881dbfdd3f7aedb97dd96bdd3f0b1a7ee9bd19dd3f"
+    "92e040dcc1c8dc3f60fb83d9dc78dc3f83a50ed0062adc3fb5eeae1238dcdb3f880b9951698fdb3f"
+    "6f8054949343db3f5fef2834b0f8da3fe5f6fdd6b8aeda3f4001a36aa765da3ff4217520761dda3f"
+    "92375a691fd6d93fa87b09f29d8fd93f10819a9fec49d93f045d548c0605d93f395db704e7c0d83f"
+    "8c3fbc84897dd83f386144b5e93ad83f59ceb66903f9d73f1e80c69dd2b7d73fe3725e735377d73f"
+    "ea8db0308237d73f9d9e643e5bf8d63f9ce9e425dbb9d63f9f0dc68ffe7bd63fe4274842c23ed63f"
+    "7658ef1f2302d63f6cee31261ec6d53fefa93a6cb08ad53fe7a3bd21d74fd53ff589de8d8f15d53f"
+    "1df9260ed7dbd43fd3da8b15aba2d43fefbe802b096ad43fe24118ebee31d43f4ea130025afad33f"
+    "85b2ab3048c3d33fef7db147b78cd33fddd0fc28a556d33f352431c60f21d33f70423920f5ebd23f"
+    "6222ae4653b7d23f297645572883d23ffd76477d724fd23fff7e0bf12f1cd23fdb097bf75ee9d13f"
+    "5abc9ae1fdb6d13f8219190c0b85d13fef91e2de8453d13fba9fbacc6922d13f6ca6d952b8f1d03f"
+    "33538ff86ec1d03f133ee94e8c91d03fd2905df00e62d03f2c7c7980f532d03f6a4793ab3e04d03f"
+    "5493ff4cd2abcf3f7e3e965ce74fcf3f9be0e80fbaf4ce3ff2405900489ace3fa7832fd68e40ce3f"
+    "394f22488ce7cd3fb8eee31a3e8fcd3ffd31b420a237cd3f9fd0f638b6e0cc3f0218ce4f788acc3f"
+    "eeafb95de634cc3f35443967fedfcb3fa5e4727cbe8bcb3f3eefdcb82438cb3f0b5beb422fe5ca3f"
+    "493cc04bdc92ca3fbc5cdf0e2a41ca3f12c5e4d116f0c93f23163ee4a09fc93fa192e69ec64fc93f"
+    "79bb25648600c93fd562509fdeb1c83ff91a8cc4cd63c83fe6e794505216c83fae1b85c86ac9c73f"
+    "fe469fb9157dc73f39281ab95131c73fea84ee631de6c63f28daa65e779bc63facd130555e51c63f"
+    "316ab0fad007c63fb6c25409cebec53ff5782e425476c53f498c076d622ec53ffab63c58f7e6c43f"
+    "963098d811a0c43fc6cc2dc9b059c43f9a6a380bd313c43f05a9f88577cec33fc9d594269d89c33f"
+    "af0cfadf4245c33f6e7dbeaa6701c33f34cf04850abec23f409960722a7bc23f78e8bb7bc638c23f"
+    "65ca3dafddf6c13f66d631206fb5c13f78aef0e67974c13f2f71c920fd33c13f2017eceff7f3c03f"
+    "2fb6547b69b4c03fbea5b7ee5075c03f047f6e7aad36c03f8deacba6fcf0bf3f140419668575bf3f"
+    "3cc383aef3fabe3fccb98e044681be3ffbba61f57a08be3f9893ad169190bd3fd74d91068719bd3f"
+    "57fd806b5ba3bc3faf102ef40c2ebc3f8f2671579ab9bb3f486535540246bb3f655465b143d3ba3f"
+    "b738d93d5d61ba3f28f446d04df0b93f706b33471480b93fb974e588af10b93f3b535a831ea2b83f"
+    "bac43b2c6034b83ff3a6d78073c7b73f1e3c1986575bb73fb61684480bf0b63f20b630dc8d85b63f"
+    "f7deca5cde1bb63f3ebb91edfbb2b53f36d059b9e54ab53f29d990f29ae3b43f5c9843d31a7db43f"
+    "0eb1259d6417b43f9e9f9b9977b2b33f18e7c619534eb33fd18d9476f6eab23f7005ce106188b23f"
+    "8c9d2c519226b23f40a36fa889c5b13f9253758f4665b13f50ca5687c805b13f3b1b87190fa7b03f"
+    "17c8f5d71949b03f769669bad0d7af3f34e84499f41eaf3fe5b22ea59e67ae3f10583149ceb1ad3f"
+    "4a791e0383fdac3fe9210764bc4aac3f85d9be107a99ab3f84806ac2bbe9aa3f38f11b47813baa3f"
+    "4c7c7b82ca8ea93f6d77806e97e3a83f6b393a1ce839a83f9e08abb4bc91a73f52afb67915eba63f"
+    "41a026c7f245a63fcad2c51355a2a53febc596f23c00a53f196b2614ab5fa43fff18ff47a0c0a33f"
+    "ae143f7e1d23a33f0cc056c92387a23fd412f35fb4eca13fa1b3199fd053a13f51d67c0c7abca03f"
+    "eefa0d59b226a03f9098afc7f6249f3f6874517aaeff9d3f0c1b335490dd9c3f7058fa50a1be9b3f"
+    "9b4e92e6e6a29a3f482a130f678a993f6799ec532875983f96fc87da3163973f7740a2728b54963f"
+    "5102aba63d49953fbef087ce5141943f845d3125d23c933f323ab9e1c93b923f5f5f7254453e913f"
+    "f0021e095244903fcec789defd9b8e3f57276e14b9b68c3f2dc94255fad88a3fbda78f68ea02893f"
+    "f574aae6b634873fcb16e40b936e853f626f51c1b8b0833f7176b3ed69fb813ff9d75f29f24e803f"
+    "c55d74fa51577d3f364897d4e9237a3f2036ec379f04773ffd22e3ce97fa733f434057693d07713f"
+    "114bcd81b3586c3ffffea1f388d8663f24a3e1a86b94613f253e0c54b52b593fb9fc8df70ab24f3f"
+    "4b0b9f321cc33d3fc15dbf94ec64d13c19415d8b9d58603c2b4d5b49b2d66a3cba8d5ba93593713c"
+    "732a4ae5e622753c807ac2fb9050783cccb779efd1387b3c98bd6db7d8ec7d3c3c5cc649f03b803c"
+    "70f6d624db70813c3326da900298823cca6e3dfe88b3833c21fe0bc615c5843cc34a029df8cd853c"
+    "bd2ba7f040cf863c19d017dacdc9873c6f60d35459be883cd237225580ad893c03525dbec8978a3c"
+    "c4a3dddda57d8b3c893f8cd77b5f8c3c367cf14da23d8d3c5a73f17866188e3caa4f5fcf0cf08e3c"
+    "0932685dd2c48f3c58756aed764b903cfc809b4748b3903caff54987f319913ca0df4beb8c7f913c"
+    "e7493ee926e4913c2eff3865d247923c0b6823e19eaa923c4bda26a59a0c933c02826de2d26d933c"
+    "a06221d153ce933c486770ca282e943c12e7355f5c8d943c930bcd6bf8eb943c4d6f7829064a953c"
+    "fdbeb83d8ea7953ccf2eddc79804963ce0680c6d2d61963c44a9fa6253bd963cbb9079791119973c"
+    "737907236e74973c72817e7c6fcf973c99d5fe531b2a983cece12b2f7784983c2ac5d05088de983c"
+    "44a2fdbd5338993c3813ad42de91993cbf03ff752ceb993c4a8814be42449a3c61d29653259d9a3c"
+    "c924f244d8f59a3c9b974c795f4e9b3c898f3fb3bea69b3c99fe5993f9fe9b3c9fd2709a13579c3c"
+    "db5ac22b10af9c3cfbe6f08ef2069d3c8d6bd8f1bd5e9d3c5790426a75b69d3cfe317cf71b0e9e3c"
+    "4410cf83b4659e3c621be2e541bd9e3c9f9402e2c6149f3cb5fe572b466c9f3ca1a90465c2c39f3c"
+    "d93c9a119f0da03c62b10df65d39a03cf876721c1f65a03c72004bbbe390a03c37017103adbca03c"
+    "662f7a207ce8a03c15ac17395214a13cbe7d706f3040a13cfb7f77e1176ca13c96233da90998a13c"
+    "83523ddd06c4a13ce2c4a99010f0a13c050eb1d3271ca23c29a3c2b34d48a23c9f18d03b8374a23c"
+    "aacd8b74c9a0a23c5d3ba56421cda23c211703118cf9a23c1176fb7c0a26a33ca11b8aaa9d52a33c"
+    "f01a859a467fa33cfcefcf4c06aca33c6d338dc0ddd8a33cc4094ff4cd05a43cd06c46e6d732a43c"
+    "a76c7194fc5fa43cc483c8fc3c8da43ca4186b1d9abaa43cea45cbf414e8a43cfb00d981ae15a53c"
+    "f8b52cc46743a53c276f31bc4171a53cf99c4e6b3d9fa53c359311d45bcda53c26cf56fa9dfba53c"
+    "2e1a73e3042aa63c8c9b5c969158a63ceeebd31b4587a63cdf3c8d7e20b6a63c08a659cb24e5a63c"
+    "fba950115314a73c1c04fa61ac43a73c30d177d13173a73c0a24b176e4a2a73cf7177d6bc5d2a73c"
+    "7772ceccd502a83c2ae6dfba1633a83ce70861598963a83c540fa4cf2e94a83c9460cc4808c5a83c"
+    "1315fef316f6a83ce1738e045c27a93c8a8235b2d858a93cf4bb40398e8aa93c5d03c7da7dbca93c"
+    "51e9dddca8eea93c2d59d08a1021aa3c90c65635b653aa3c0ff3d0329b86aa3c7a6581dfc0b9aa3c"
+    "ffacca9d28edaa3cb58b6ed6d320ab3c4225cff8c354ab3cb64f327bfa88ab3c102607db78bdab3c"
+    "85fd2d9d40f2ab3c2de0424e5327ac3ca4b1ea82b25cac3cfb2323d85f92ac3c6ca595f35cc8ac3c"
+    "8071ed83abfeac3cadf230414d35ad3cfea31eed436cad3c0aa58d5391a3ad3c7f35d24a37dbad3c"
+    "9b5026b43713ae3c52a4167c944bae3c7f23f49a4f84ae3c78764a156bbdae3c68915bfce8f6ae3c"
+    "7fbca06ecb30af3cd05e5198146baf3ce5e1efb3c6a5af3cd809dd0ae4e0af3cd411f97a370eb03c"
+    "1b3911ef342cb03ca324929e6b4ab03cdb2611cfdc68b03c0fad3acf8987b03c19c833f773a6b03c"
+    "6f9400a99cc5b03cb7cfef5005e5b03cceef0b66af04b13c4a15926a9c24b13c2b3a6feccd44b13c"
+    "c104c4854565b13c9eae6fdd0486b13c2078a2a70da7b13c5a2a78a661c8b13c70339baa02eab13c"
+    "a2f4f093f20bb23c50e54f52332eb23cba3b40e6c650b23ca6dac761af73b23c2b5342e9ee96b23c"
+    "51db45b487bab23c702d960e7cdeb23c65592659ce02b33cd0a72a0b8127b33c65c93bb3964cb33c"
+    "56a88cf81172b33c4351349cf597b33c838b8d7a44beb33cd0dead8c01e5b33cadeef5e92f0cb43c"
+    "f842bdc9d233b43c2cc91b85ed5bb43c3294d3988384b43c4ca15da798adb43c27b11c7b30d7b43c"
+    "0895b9084f01b53cb2aaac71f82bb53c5aa7f8063157b53c61441b4cfd82b53c07e138fa61afb53c"
+    "9ebd880364dcb53c79180897080ab63c942e7b245538b63c32f4c3604f67b63cee48974afd96b63c"
+    "1e7b9a2f65c7b63c0725f4b18df8b63c18d25cce7d2ab73cc371bde23c5db73cf9716bb5d290b73c"
+    "d376147d47c5b73c12146ee9a3fab73cc3bec02cf130b83c427368063968b83cab5b69ce85a0b83c"
+    "95363b82e2d9b83c4475f3d25a14b93c0e2afc34fb4fb93cd81a8df1d08cb93cead9243aeacab93c"
+    "78f1493e560aba3c3b4ce843254bba3cea86adc2688dba3cc445d88233d1ba3c0ab603c09916bb3c"
+    "0fea9150b15dbb3c5eda76d291a6bb3c77ef4bde54f1bb3ca7e0c241163ebc3cf4c8c842f48cbc3c"
+    "7fa9f2ec0fdebc3cc538276b8d31bd3cec3bec6f9487bd3c9ff14eaf50e0bd3c6009196ef23bbe3c"
+    "c183f32aaf9abe3c4aea5067c2fcbe3ca7f791976e62bf3ce5c6f643fecbbf3c2eec62b3e21cc03c"
+    "ef8ef58b1156c03c4ea5cbcdc191c03ca0485d7831d0c03ca6924303a811c13c2a4475677856c13c"
+    "d6c2b3bc039fc13c7cfac9a0bcebc13c9f9159b62b3dc23ca5aa49aef593c23cf011448ae3f0c23c"
+    "5ef7cc27ee54c33c61b8c8c74ec1c33c6213e4669737c43cd15147cdd7b9c43cf673cf3cd84ac53c"
+    "d21373e17aeec53c72bf4b6d67aac63c2fc6ead65087c73c19edf2e69f93c83c857b480ddce9c93c"
+    "fc71da519ec3cb3c83bb7e29d9c9ce3cc697242714521c0000000000000000007e319cd75b7d1300"
+    "103c3f8ef56e1800aeb00e32b79b1a007c4419f727d11b001a65880f1d951c0072395c2dfe1b1d00"
+    "b2186bd55b7e1d00702c17dd34c91d00c89dacdf09041e003678d4717b331e00a2b77c178b5a1e00"
+    "6c046f09427b1e003eae08af0d971e009ef04eb1f5ae1e005665b407bdc31e00ce9987f0f6d51e00"
+    "88566eae14e61e00d01c36ca6ef41e00a4d4dd764b011f00b696a713e30c1f007af7f16963171f00"
+    "7025450cf2201f0074a85119ae291f003255b98fb1311f0006c1575112391f004c696eebe23f1f00"
+    "fa88d73233461f000e3a1dbf104c1f0022335c4c87511f00c0ecc309a1561f00969909d9665b1f00"
+    "8cd01082e05f1f00725744dd14641f00789685f609681f00e6022b2ac56b1f00f4e4323d4b6f1f00"
+    "3af19071a0721f00d6094d97c8751f00c05c041bc7781f00f43f41129f7b1f008a9f0746537e1f00"
+    "3811e23be6801f006291ad3d5a831f0012b95660b1851f006242b289ed871f00fa749375108a1f00"
+    "ac393dba1b8c1f004ad045cc108e1f00163e0102f18f1f00e0588396bd911f00d8af47ac77931f00"
+    "da648b4f20951f0092386378b8961f009288960c41981f0080ba46e1ba991f00007f69bc269b1f00"
+    "7a711b56859c1f0002d8cf59d79d1f00cea161671d9f1f00c036091458a01f0038333aeb87a11f00"
+    "fcc46b6fada21f008206ce1ac9a31f00a26aee5fdba41f007c094daae4a51f008267e45ee5a61f00"
+    "c41ea5dcdda71f0074a8e67ccea81f00ee5fce93b7a91f0058b8ad7099aa1f003282585e74ab1f00"
+    "840574a348ac1f00e89fbf8216ad1f00c082573bdead1f006c1df208a0ae1f007eb018245caf1f00"
+    "127a5bc212b01f00f4df8116c4b01f00faf1b65070b11f003a96b29e17b21f004aa8df2bbab21f00"
+    "184e7f2158b31f000cbec9a6f1b31f00d6ac0ce186b41f00fc93c7f317b51f00aafdc500a5b51f00"
+    "58fe37282eb61f000a01c988b3b61f009807b53f35b71f00a87ddc68b3b71f0008bad61e2eb81f00"
+    "f647037ba5b81f00740f9a9519b91f000472ba858ab91f00266f7961f8b91f0086e2ee3d63ba1f00"
+    "16ec412fcbba1f004491b44830bb1f00e2a4ae9c92bb1f009e02c83cf2bb1f009429d2394fbc1f00"
+    "d440e1a3a9bc1f009e8f548a01bd1f009c72defb56bd1f006ad68b06aabd1f00403fcbb7fabd1f00"
+    "de64731c49be1f005e69c94095be1f0028b18630dfbe1f007461def626bf1f00e28a829e6cbf1f00"
+    "c404a931b0bf1f00b0fd0fbaf1bf1f008845024131c01f00b2545bcf6ec01f0026148b6daac01f00"
+    "8a699923e4c01f00648a29f91bc11f0042197df551c11f004a0f771f86c11f00b4749e7db8c11f00"
+    "42ea2016e9c11f00de05d5ee17c21f00fe833c0d45c21f00c24f867670c21f000e63902f9ac21f00"
+    "4680e93cc2c21f00b4c6d2a2e8c21f00ec2241650dc31f000e9cde8730c31f00c67e0b0e52c31f00"
+    "f866dffa71c31f0086282a5190c31f00fa977413adc31f0048330144c8c31f0040abcce4e1c31f00"
+    "a84d8ef7f9c31f006050b87d10c41f0068fd777825c41f00c6bfb5e838c41f002a1115cf4ac41f00"
+    "e847f42b5bc41f0004456cff69c41f00b201504977c41f00b8fb2b0983c41f00f67f453e8dc41f00"
+    "1ad299e795c41f00b030dd039dc41f0032b47991a2c41f00fc078e8ea6c41f008cfbebf8a8c41f00"
+    "9eea16cea9c41f0034fa410ba9c41f00a0284eada6c41f00742ec8b0a2c41f00e22de6119dc41f00"
+    "f42d85cc95c41f00c05e26dc8cc41f007a23ec3b82c41f00e6de96e675c41f00827e81d667c41f00"
+    "36c09d0558c41f00202e706d46c41f0098cb0b0733c41f000e6e0dcb1dc41f00f6bb96b106c41f00"
+    "62cb48b2edc31f003c593ec4d2c31f00b49105deb5c31f004c6199f596c31f0092455a0076c31f00"
+    "709306f352c31f001828b2c12dc31f008878bd5f06c31f0062f2cbbfdcc21f009e9fb9d3b0c21f00"
+    "f0fc8f8c82c21f0064f179da51c21f009ed3b6ac1ec21f0056678cf1e8c11f003cbb3796b0c11f00"
+    "10cddc8675c11f00b6d674ae37c11f001424bbf6f6c01f00a44d1848b3c01f00f0af8b896cc01f00"
+    "64f392a022c01f00b8720f71d5bf1f008e4829dd84bf1f000ac62fc530bf1f00c60c7707d9be1f00"
+    "da7d32807dbe1f0014a64b091ebe1f000844357ababd1f0026f8b9a752bd1f001a20c663e6bc1f00"
+    "e44d2c7d75bc1f00aab763bfffbb1f00a2e63ff284bb1f008cd1a0d904bb1f00ac701a357fba1f00"
+    "18b692bff3b91f00fcabd42e62b91f00164a1733cab81f00545b76762bb81f005c895b9c85b71f00"
+    "9455d540d8b61f004269d9f722b61f00e0376f4c65b51f00d269bfbf9eb41f0046e703c8ceb31f00"
+    "3e9c53cff4b21f005228443210b21f0004965a3e20b11f00c2e1423024b01f00a679c4311baf1f00"
+    "04e1675704ae1f00722dbf9ddeac1f000a0640e6a8ab1f0028ff99f361aa1f00a2666f6508a91f00"
+    "3c8d50b39aa71f0014f2d12617a61f0000ea8bd47ba41f0094c0c593c6a21f0014f37df4f4a01f00"
+    "0abe6b33049f1f00bcf9792bf19c1f00c4ab1544b89a1f00b82f785b55981f00783fd0abc3951f00"
+    "f2f1cea9fd921f001ce49adafc8f1f00f885739eb98c1f00069647ec2a891f008edb04f945851f00"
+    "9a0336c3fd801f0026e93978427c1f00cc2a58a300771f001c241a0f20711f002a35b734826a1f00"
+    "66e2a80000631f00c4e34f90665a1f007211ce4e72501f00da6f5c66c7441f00a2598aa3e5361f00"
+    "0a34503414261f0014047b043e111f00e6cb57faaef61e001e1588a18cd31e00b02d121ea6a21e00"
+    "7c268bc761591e00b00bac2bf6dd1d00c0e8e4d94ddb1c00"
+), "<f8").reshape(3, 256)
+_EXP_K = _EXP_K.view("<u8")
+# numpy's ziggurat_exp_r, where the base layer's tail starts
+_EXP_R = 7.6971174701310497140446280481
+# Both samplers' tables as Python floats and ints, which the scalar samplers
+# index several times faster than numpy arrays.
+_ZIG_TABLES = tuple(table.tolist() for table in (_ZIG_F, _ZIG_W, _ZIG_K))
+_EXP_TABLES = tuple(table.tolist() for table in (_EXP_F, _EXP_W, _EXP_K))
+
+# Keys whose seed states `derived_rngs` and `_Draws` derive in one pass, and
+# entries of the word matrix one `_pcg_words` pass computes; they bound the
+# memory of a pass.
+_RNG_CHUNK = 8192
+_WORD_ENTRIES = 1 << 16
+# Words gathered for each scalar draw at once; a slow draw reads two or three.
+_WINDOW = 4
+# Keys with draws left below which `_Draws` takes them one at a time: a round
+# of array steps costs about as much as this many keys' slow draws in scalar.
+_ROUND_KEYS = 16
 
 
 def _words(value: int) -> List[int]:
@@ -247,14 +426,16 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _seed_states(master: List[int], keys: np.ndarray) -> np.ndarray:
+def _seed_states(master: List[int], keys: Optional[np.ndarray] = None) -> np.ndarray:
     """``SeedSequence((master, key)).generate_state(4, np.uint64)`` per key, as rows.
 
     ``master`` is the seed's words and ``keys`` a uint32 array; the entropy
-    is those words then the key.  Words past the 4-word pool (seeds of 2^128
-    and up) are mixed into every pool word after the pool is mixed.
+    is those words then the key, or without keys the words alone, which
+    gives the one row of ``SeedSequence(master)``.  Words past the 4-word
+    pool (seeds of 2^128 and up) are mixed into every pool word after the
+    pool is mixed.
     """
-    entropy = [np.full(1, word, np.uint32) for word in master] + [keys]
+    entropy = [np.full(1, word, np.uint32) for word in master] + ([] if keys is None else [keys])
     hashmix = _hashmix(_INIT_A, _MULT_A)
     pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(1, np.uint32))
             for i in range(_POOL_SIZE)]
@@ -266,7 +447,7 @@ def _seed_states(master: List[int], keys: np.ndarray) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
     hashmix = _hashmix(_INIT_B, _MULT_B)
-    out = np.empty((keys.size, 2 * _POOL_SIZE), np.uint64)
+    out = np.empty((pool[0].size, 2 * _POOL_SIZE), np.uint64)  # every pool word has the keys' shape
     for i in range(2 * _POOL_SIZE):
         out[:, i] = hashmix(pool[i % _POOL_SIZE])
     # uint32 words pair up low word first, whatever the host's byte order
@@ -317,55 +498,100 @@ def derived_rngs(master_seed: int, keys: Iterable[int]) -> Iterator[np.random.Ge
     )
 
 
-def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
-    """PCG64's LCG step, state * multiplier + inc mod 2^128, on (high, low) uint64 limbs."""
-    new_lo = lo * _PCG_MULT_LO + inc_lo
-    # high word of lo * _PCG_MULT_LO, from 32-bit halves so no partial sum wraps
-    lo0, lo1 = lo & _LOW32, lo >> _SHIFT32
-    m0, m1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _SHIFT32
-    cross = lo1 * m0 + (lo0 * m0 >> _SHIFT32)
-    product_hi = lo1 * m1 + (cross >> _SHIFT32) + ((lo0 * m1 + (cross & _LOW32)) >> _SHIFT32)
-    carry = (new_lo < inc_lo).astype(np.uint64)
-    new_hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + product_hi + inc_hi + carry
-    return new_hi, new_lo
+def _affine(hi: np.ndarray, lo: np.ndarray, mult: int, add_hi, add_lo):
+    """(hi, lo) * mult + (add_hi, add_lo) mod 2^128, on (high, low) uint64 limbs.
+
+    ``mult`` is a Python int below 2^128, and the adds broadcast to the
+    limbs' shape.  The steps work in place on new arrays, which saves a third
+    of the time on the large arrays `_pcg_words` passes.
+    """
+    mult_hi, mult_lo = np.uint64(mult >> 64), np.uint64(mult & _MASK64)
+    m0, m1 = mult_lo & _LOW32, mult_lo >> _SHIFT32
+    # high word of lo * mult_lo, from 32-bit halves so no partial sum wraps:
+    # cross = lo1 * m0 + (lo0 * m0 >> 32), then lo1 * m1 + (cross >> 32)
+    # + ((lo0 * m1 + (cross & 2^32 - 1)) >> 32)
+    lo0, high = lo & _LOW32, lo >> _SHIFT32
+    cross = lo0 * m0
+    cross >>= _SHIFT32
+    cross += high * m0
+    lo0 *= m1
+    lo0 += cross & _LOW32
+    lo0 >>= _SHIFT32
+    cross >>= _SHIFT32
+    high *= m1
+    high += cross
+    high += lo0
+    new_lo = lo * mult_lo
+    new_lo += add_lo
+    high += hi * mult_lo
+    high += lo * mult_hi
+    high += add_hi
+    high += new_lo < add_lo  # the carry out of the low limb
+    return high, new_lo
 
 
-def _pcg_words(states: np.ndarray, count: int) -> Tuple[List[np.ndarray], np.ndarray]:
-    """The first ``count`` 64-bit outputs of ``PCG64`` seeded with each row of ``states``.
+def _pcg_words(states: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The first ``count`` >= 1 64-bit outputs of ``PCG64`` seeded with each row of ``states``.
 
     A row is the 4 uint64 words a seed sequence gives PCG64: the initial state's
     high and low limbs, then those of the stream number, whose increment is
     2 * stream + 1.  Seeding steps from state 0, adds the initial state and
-    steps again; each output steps, then takes XSL-RR of the new state: its
-    high limb xor its low limb, rotated right by the state's top 6 bits.
-    Returns the output arrays and, for `_pcg_stream` to go on from, the last
-    state's and the increment's high and low limbs as (keys, 4) rows.
+    steps again; the outputs are `_pcg_run`'s from there.
     """
     init_hi, init_lo, stream_hi, stream_lo = states.T
     inc_hi = stream_hi << np.uint64(1) | stream_lo >> np.uint64(63)
     inc_lo = stream_lo << np.uint64(1) | np.uint64(1)
     lo = inc_lo + init_lo
-    hi, lo = _pcg_step(inc_hi + init_hi + (lo < inc_lo).astype(np.uint64), lo, inc_hi, inc_lo)
-    words = []
-    for _ in range(count):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        mixed, rot = hi ^ lo, hi >> _ROT_SHIFT
-        words.append(mixed >> rot | mixed << ((np.uint64(64) - rot) & np.uint64(63)))
-    return words, np.stack([hi, lo, inc_hi, inc_lo], axis=1)
+    hi = inc_hi + init_hi + (lo < inc_lo).astype(np.uint64)
+    return _pcg_run(*_affine(hi, lo, _PCG_MULT, inc_hi, inc_lo), inc_hi, inc_lo, count)
 
 
-def _pcg_stream(state: int, inc: int) -> Iterator[int]:
-    """PCG64's 64-bit outputs after the 128-bit ``state``, without end: the scalar
-    twin of `_pcg_words`, on Python ints."""
-    while True:
-        state = (state * _PCG_MULT + inc) & _MASK128
-        mixed, rot = (state >> 64 ^ state) & _MASK64, state >> 122
-        yield (mixed >> rot | mixed << (64 - rot)) & _MASK64
+def _pcg_run(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray, count: int):
+    """PCG64's next ``count`` >= 1 64-bit outputs after each 128-bit state (hi, lo).
+
+    Each output steps the state, state * multiplier + inc mod 2^128, then
+    takes XSL-RR of the new state: its high limb xor its low limb, rotated
+    right by the state's top 6 bits.  The states are computed by doubling,
+    not step by step: d steps map a state s to a^d s + (a^(d-1) + ... + 1) inc,
+    so once the first d outputs are known one affine map gives the next d.
+    Returns the (count, keys) output words and, to go on from, the last
+    state's and the increment's high and low limbs as (keys, 4) rows.
+    """
+    his, los = np.empty((2, count, hi.size), np.uint64)
+    his[0], los[0] = _affine(hi, lo, _PCG_MULT, inc_hi, inc_lo)
+    # outputs known, d, and the map of d steps: mult * state + (add_hi, add_lo)
+    done, mult, add_hi, add_lo = 1, _PCG_MULT, inc_hi, inc_lo
+    while done < count:
+        take = min(done, count - done)
+        his[done:done + take], los[done:done + take] = _affine(
+            his[:take], los[:take], mult, add_hi, add_lo
+        )
+        done += take
+        if done < count:
+            add_hi, add_lo = _affine(add_hi, add_lo, mult, add_hi, add_lo)
+            mult = mult * mult & _MASK128
+    mixed, rot = his ^ los, his >> _ROT_SHIFT
+    words = mixed >> rot | mixed << ((np.uint64(64) - rot) & np.uint64(63))
+    return words, np.stack([his[-1], los[-1], inc_hi, inc_lo], axis=1)
 
 
 def _unit(word: int) -> float:
     """numpy's ``next_double``: the top 53 bits of a word over 2^53."""
     return (word >> 11) * 2.0**-53
+
+
+def _bounded(words: Iterator[int], span: int) -> int:
+    """numpy's Lemire bounded integer on {0..span-1}, span <= 2^32, from ``words``.
+
+    It reads 32-bit halves, low half first, and retries while the leftover
+    is below (2^32 - span) mod span.
+    """
+    threshold = (2**32 - span) % span
+    halves = (half for word in words for half in (word & _MASK32, word >> 32))
+    scaled = next(halves) * span
+    while scaled & _MASK32 < threshold:
+        scaled = next(halves) * span
+    return scaled >> 32
 
 
 def _standard_normal(words: Iterator[int]) -> float:
@@ -376,13 +602,14 @@ def _standard_normal(words: Iterator[int]) -> float:
     layer's wedge falls under the density; failing that, the next word starts
     over.  The tail's sign is bit 8 of rabs, as in numpy.
     """
+    fi, wi, ki = _ZIG_TABLES
     while True:
         word = next(words)
         layer, rabs = word & 0xFF, word >> 9 & (1 << 52) - 1
-        x = rabs * _ZIG_W[layer]
+        x = rabs * wi[layer]
         if word & 0x100:
             x = -x
-        if rabs < _ZIG_K[layer]:
+        if rabs < ki[layer]:
             return x
         if layer == 0:
             while True:
@@ -390,24 +617,232 @@ def _standard_normal(words: Iterator[int]) -> float:
                 yy = -math.log1p(-_unit(next(words)))
                 if yy + yy > xx * xx:
                     return -(_ZIG_R + xx) if rabs >> 8 & 1 else _ZIG_R + xx
-        high, low = _ZIG_F[layer - 1], _ZIG_F[layer]
+        high, low = fi[layer - 1], fi[layer]
         if (high - low) * _unit(next(words)) + low < math.exp(-0.5 * x * x):
             return x
 
 
-def _slow_draws(words: Iterator[int], span: int, threshold: int, uniforms: int):
-    """One key's ski trial draws as numpy's C code makes them from PCG64's ``words``.
+def _standard_exponential(words: Iterator[int]) -> float:
+    """numpy's ziggurat ``random_standard_exponential``, reading 64-bit words from ``words``.
 
-    Lemire's bounded integer on {0..span-1} retries while its leftover is
-    below ``threshold``, reading the buffered high half of a word before the
-    next word; `_standard_normal` reads whole words, skipping a buffered half.
+    Off the fast path (`_EXP_K`), layer 0 returns r - log1p(-U) from the
+    tail at r = `_EXP_R`, and any other layer keeps x iff a uniform height
+    in its wedge falls under exp(-x); failing that, the next word starts over.
     """
-    halves = (half for word in words for half in (word & _MASK32, word >> 32))
-    scaled = next(halves) * span
-    while scaled & _MASK32 < threshold:
-        scaled = next(halves) * span
-    direction = _standard_normal(words)
-    return (scaled >> 32) + 1, direction, [_unit(next(words)) for _ in range(uniforms)]
+    fe, we, ke = _EXP_TABLES
+    while True:
+        word = next(words)
+        layer, ri = word >> 3 & 0xFF, word >> 11
+        x = ri * we[layer]
+        if ri < ke[layer]:
+            return x
+        if layer == 0:
+            return _EXP_R - math.log1p(-_unit(next(words)))
+        high, low = fe[layer - 1], fe[layer]
+        if (high - low) * _unit(next(words)) + low < math.exp(-x):
+            return x
+
+
+def _normal_fast(words: np.ndarray):
+    """`_standard_normal`'s value and fast-path test of each word, on arrays."""
+    layer = (words & np.uint64(0xFF)).astype(np.intp)
+    rabs = words >> np.uint64(9) & np.uint64((1 << 52) - 1)
+    x = rabs.astype(np.float64) * _ZIG_W[layer]
+    sign = x.view(np.uint64)
+    sign ^= (words & np.uint64(0x100)) << np.uint64(55)  # -x where bit 8 of the word is set
+    return x, rabs < _ZIG_K[layer]
+
+
+def _exponential_fast(words: np.ndarray):
+    """`_standard_exponential`'s value and fast-path test of each word, on arrays."""
+    layer = (words >> np.uint64(3) & np.uint64(0xFF)).astype(np.intp)
+    ri = words >> np.uint64(11)
+    return ri.astype(np.float64) * _EXP_W[layer], ri < _EXP_K[layer]
+
+
+def _unit_fast(words: np.ndarray):
+    """`_unit` of each word, on arrays; every word is on the fast path."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53, np.True_
+
+
+class _Draws:
+    """numpy ``Generator`` draws of many derived streams at once, bit for bit.
+
+    Column k of ``words`` holds the first ``width`` PCG64 output words of
+    key k's `derived_rngs` generator (or, with ``keys`` None, of the master
+    seed's own ``default_rng(SeedSequence(master_seed))``), and ``cursor[k]``
+    counts the words that key's draws have read so far.  Each method draws
+    ``count`` values per key (an int, or one count per key) in order, as the
+    generator would, and returns them as a float64 (keys, largest count)
+    array whose entries past a key's count are 0.
+
+    A draw on its fast path reads one word and is decoded on arrays, where
+    only exact IEEE operations run.  A key's run of fast draws stops at its
+    first word off the fast path or past the words decoded.  A draw off the
+    fast path is decoded in scalar as numpy's C code does it, from its own
+    words, before the key's next run; words past the matrix go on from the
+    key's last state (`_window`).  So the scalar work grows with the slow
+    draws, not with ``count``.  ``integers`` reads 32-bit halves and keeps none
+    buffered, so it is exact only as a key's first draw.
+    """
+
+    def __init__(self, master_seed: int, keys: Optional[Iterable[int]], width: int):
+        master = _words(master_seed)
+        keys = None if keys is None else _key_array(keys)
+        size = 1 if keys is None else keys.size
+        step = max(1, min(_RNG_CHUNK, _WORD_ENTRIES // width))
+        words, ends = zip(*(
+            _pcg_words(_seed_states(master, None if keys is None else keys[lo:lo + step]), width)
+            for lo in range(0, max(size, 1), step)
+        ))
+        self.words, self.ends = np.concatenate(words, axis=1), np.concatenate(ends)
+        self.cursor = np.zeros(size, np.intp)
+
+    def _window(self, keys: np.ndarray, at: np.ndarray, count: int) -> np.ndarray:
+        """Each key's ``count`` words from position ``at`` on, as (count, keys):
+        its matrix column, then the words past it, from the key's last state."""
+        width = self.words.shape[0]
+        ahead = at + np.arange(count)[:, None]
+        words = self.words[np.minimum(ahead, width - 1), keys]
+        past = ahead - width
+        if past.max(initial=-1) >= 0:
+            extra, _ = _pcg_run(*self.ends[keys].T, int(past.max()) + 1)
+            words = np.where(past >= 0, extra[np.maximum(past, 0), np.arange(keys.size)], words)
+        return words
+
+    def _scalar(self, key: int, at: int, window: List[int], draw) -> Tuple[float, int]:
+        """One ``draw`` of ``key`` decoded in scalar from position ``at``, and the words it read.
+
+        ``window`` holds the key's next `_WINDOW` words, which nearly every
+        draw stays within; one that reads past them reads from ever longer
+        windows.
+        """
+        count = _WINDOW
+        while True:
+            words = iter(window)
+            try:
+                return draw(words), count - operator.length_hint(words)
+            except StopIteration:
+                count *= 2
+                window = self._window(np.array([key]), np.array([at]), count)[:, 0].tolist()
+
+    def _draw(self, count, fast, draw) -> np.ndarray:
+        """``count`` draws per key: ``fast`` decodes words on arrays into (values,
+        on the fast path), ``draw`` decodes one draw in scalar from a word iterator.
+
+        The words from the lowest cursor to a little past the furthest draw
+        are decoded once, and each key's draws are first taken as if they all
+        lay on the fast path there.  The keys for which that fails go on in
+        rounds: each makes its draw at the failing word in scalar (or on
+        arrays, if that word is on the fast path past the decoded ones), then
+        its next run of fast draws, found by binary search among the words
+        off the fast path.  Those runs are copied out at the end.  Once fewer
+        than `_ROUND_KEYS` keys have draws left, each finishes on its own
+        (`_one_by_one`).
+        """
+        width, size = self.words.shape
+        steps = np.arange(np.max(count, initial=0))[:, None]
+        count = np.broadcast_to(count, (size,))
+        if not (size and steps.size):
+            return np.zeros((size, steps.size))
+        lo = min(int(self.cursor.min()), width - 1)
+        hi = min(width, int(self.cursor.max()) + steps.size + steps.size // 8 + _WINDOW)
+        values, on_path = fast(self.words[lo:hi])
+        on_path, rows = np.broadcast_to(on_path, values.shape), hi - lo
+        # (draw, key) arrays, as are ``values`` and ``out``
+        at = self.cursor - lo + steps
+        inside, wanted = at < rows, steps < count
+        at = np.minimum(at, rows - 1), np.arange(size)
+        out = np.where(wanted, values[at], 0.0)
+        kept = on_path[at] & inside | ~wanted
+        self.cursor += count
+        keys = np.flatnonzero(~kept.all(axis=0))
+        if not keys.size:
+            return np.ascontiguousarray(out.T)
+        done = kept[:, keys].argmin(axis=0)
+        self.cursor[keys] += done - count[keys]
+        slow, runs = None, []
+        while keys.size >= _ROUND_KEYS:
+            at = self.cursor[keys]
+            words = self._window(keys, at, _WINDOW)
+            # a key past the decoded words may stand at a word on the fast path
+            value, easy = fast(words[0])
+            read = np.ones(keys.size, np.intp)
+            hard = np.flatnonzero(~np.broadcast_to(easy, keys.shape))
+            made = [
+                self._scalar(key, a, window, draw)
+                for key, a, window in zip(
+                    keys[hard].tolist(), at[hard].tolist(), words[:, hard].T.tolist()
+                )
+            ]
+            if made:
+                value[hard], read[hard] = zip(*made)
+            out[done, keys] = value
+            self.cursor[keys] = at = at + read
+            done += 1
+            left = done < count[keys]
+            keys, done, at = keys[left], done[left], at[left]
+            if not keys.size:
+                break
+            if slow is None:  # words off the fast path, as flat positions key * rows + row
+                slow = np.append(np.flatnonzero(~on_path.T), size * rows)
+            start = keys * rows + np.minimum(at - lo, rows)  # past its row: the next row's
+            stop = slow[np.searchsorted(slow, start)] - keys * rows + lo
+            run = np.clip(np.minimum(stop, hi) - at, 0, count[keys] - done)
+            runs.append((keys, done.copy(), at - lo, run))
+            self.cursor[keys] = at + run
+            done += run
+            left = done < count[keys]
+            keys, done = keys[left], done[left]
+        for key, first in zip(keys.tolist(), done.tolist()):
+            self._one_by_one(key, first, int(count[key]), out, values, on_path, lo, draw)
+        if runs:
+            keys, starts, froms, run = (np.concatenate(column) for column in zip(*runs))
+            within = np.arange(run.sum()) - np.repeat(np.cumsum(run) - run, run)
+            keys = np.repeat(keys, run)
+            starts, froms = np.repeat(starts, run) + within, np.repeat(froms, run) + within
+            out[starts, keys] = values[froms, keys]
+        return np.ascontiguousarray(out.T)
+
+    def _one_by_one(self, key: int, done: int, count: int, out, values, on_path, lo: int, draw):
+        """`_draw`'s rounds for one key: its draws ``done`` to ``count`` into
+        column ``key`` of ``out``, from a cursor at a word off the fast path or
+        past the decoded ``values``, whose rows start at word ``lo``."""
+        width, hi = self.words.shape[0], lo + len(values)
+        slow = (np.flatnonzero(~on_path[:, key]) + lo).tolist()
+        at = int(self.cursor[key])
+        while done < count:
+            inside = at + _WINDOW <= width
+            window = self.words[at:at + _WINDOW, key] if inside else (
+                self._window(np.array([key]), np.array([at]), _WINDOW)[:, 0]
+            )
+            out[done, key], read = self._scalar(key, at, window.tolist(), draw)
+            at, done = at + read, done + 1
+            after = bisect.bisect_left(slow, at)
+            stop = min(slow[after] if after < len(slow) else hi, hi)
+            run = max(0, min(stop - at, count - done))
+            out[done:done + run, key] = values[at - lo:at - lo + run, key]
+            at, done = at + run, done + run
+        self.cursor[key] = at
+
+    def integers(self, span: int) -> np.ndarray:
+        """One ``integers(0, span)`` per key, 2 <= span <= 2^32, as the key's first draw."""
+        threshold = np.uint64((2**32 - span) % span)
+
+        def fast(words):
+            scaled = (words & _LOW32) * np.uint64(span)
+            return scaled >> _SHIFT32, (scaled & _LOW32) >= threshold
+
+        return self._draw(1, fast, functools.partial(_bounded, span=span))[:, 0]
+
+    def standard_normal(self, count) -> np.ndarray:
+        return self._draw(count, _normal_fast, _standard_normal)
+
+    def standard_exponential(self, count) -> np.ndarray:
+        return self._draw(count, _exponential_fast, _standard_exponential)
+
+    def random(self, count) -> np.ndarray:
+        return self._draw(count, _unit_fast, lambda words: _unit(next(words)))
 
 
 def ski_trial_draws(master_seed: int, b: int, keys: Iterable[int], uniforms: int):
@@ -418,43 +853,41 @@ def ski_trial_draws(master_seed: int, b: int, keys: Iterable[int], uniforms: int
     ``rng.random(uniforms)``: an int64 day array, a float64 direction array and
     a (keys, uniforms) float64 array.  b is at most B_MAX, so 4b - 1 takes
     numpy's 32-bit bounded path; the keys are checked as `derived_rngs`
-    checks them.
-
-    The draws are numpy's, over PCG64's output words from the same seed
-    states.  Most keys take both fast paths, drawn on arrays: Lemire's bounded
-    integer stands on the low half of word 0 iff its leftover is at least
-    (2^32 - 4b) mod 4b (``integers`` buffers the high half), the ziggurat
-    returns at once on word 1 iff rabs < k[idx] (`_ZIG_K`), and each uniform
-    is (word >> 11) * 2^-53 of a word after that.  The others, about 1.5% of
-    keys, are drawn one at a time as numpy's C code draws them
-    (`_slow_draws`), on the words already drawn and then a scalar PCG64
-    stream that goes on from the array pass's last state (`_pcg_stream`).
+    checks them.  About 1.5% of keys leave a fast path (`_Draws`).
     """
-    master, keys = _words(master_seed), _key_array(keys)
-    days, directions = np.empty(keys.size, np.int64), np.empty(keys.size)
-    uniform_draws = np.empty((keys.size, uniforms))
-    span = 4 * b
-    threshold = (2**32 - span) % span
-    for lo in range(0, keys.size, _RNG_CHUNK):
-        part = slice(lo, lo + _RNG_CHUNK)
-        words, ends = _pcg_words(_seed_states(master, keys[part]), 2 + uniforms)
-        day_word, normal_word, *uniform_words = words
-        scaled = (day_word & _LOW32) * np.uint64(span)
-        days[part] = (scaled >> _SHIFT32) + np.uint64(1)
-        layer = (normal_word & np.uint64(0xFF)).astype(np.intp)
-        rabs = normal_word >> np.uint64(9) & np.uint64((1 << 52) - 1)
-        direction = rabs.astype(np.float64) * _ZIG_W[layer]
-        np.negative(direction, out=direction, where=(normal_word & np.uint64(0x100)).astype(bool))
-        directions[part] = direction
-        for j, word in enumerate(uniform_words):
-            uniform_draws[part, j] = (word >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        slow = np.flatnonzero(((scaled & _LOW32) < np.uint64(threshold)) | (rabs >= _ZIG_K[layer]))
-        known = np.stack([word[slow] for word in words], axis=1).tolist()
-        for i, first, (hi, low, inc_hi, inc_lo) in zip(lo + slow, known, ends[slow].tolist()):
-            stream = itertools.chain(first, _pcg_stream(hi << 64 | low, inc_hi << 64 | inc_lo))
-            draws = _slow_draws(stream, span, threshold, uniforms)
-            days[i], directions[i], uniform_draws[i] = draws
-    return days, directions, uniform_draws
+    draws = _Draws(master_seed, keys, 2 + uniforms)
+    days = draws.integers(4 * b).astype(np.int64) + 1
+    return days, draws.standard_normal(1)[:, 0], draws.random(uniforms)
+
+
+def sched_trial_draws(
+    master_seed: int, alpha: float, n: int, keys: Iterable[int], jobs_key: Optional[int] = None
+):
+    """Each key's job lengths and noise directions from its `derived_rngs` generator, bit for bit.
+
+    For the generator ``rng`` of key k, row k of the (keys, n) float64
+    results holds ``gen_pareto_lengths(alpha, n, rng)``, then
+    ``rng.standard_normal(n)``.  With a ``jobs_key``, every row's lengths
+    are those of that key's generator instead, and each key draws only its
+    directions.  A Pareto length is 1 + expm1(E / alpha) of a standard
+    exponential E; expm1 runs in `math`, which is the libm numpy calls, since
+    numpy's vectorised expm1 may differ from it in the last bit.
+    """
+    slack = 8 + n // 8  # words for the slow draws, so few keys read past the matrix
+    if jobs_key is None:
+        draws = _Draws(master_seed, keys, 2 * n + slack)
+        scaled = draws.standard_exponential(n) / float(alpha)
+    else:
+        scaled = _Draws(master_seed, [jobs_key], n + slack).standard_exponential(n) / float(alpha)
+        draws = _Draws(master_seed, keys, n + slack)
+    lengths = 1.0 + np.fromiter(map(math.expm1, scaled.ravel().tolist()), np.float64, scaled.size)
+    directions = draws.standard_normal(n)
+    return np.broadcast_to(lengths.reshape(-1, n), directions.shape).copy(), directions
+
+
+def seed_uniform(master_seed: int) -> float:
+    """``default_rng(SeedSequence(master_seed)).random()``, bit for bit."""
+    return float(_Draws(master_seed, None, 1).random(1)[0, 0])
 
 
 def gen_ski_days(b: int, rng: np.random.Generator) -> int:

@@ -25,6 +25,7 @@ from onlinepred.experiments import (
 )
 from onlinepred.ski_rental import B_MAX
 from ski_oracles import block_stats, ski_trials
+from test_workloads import sched_draws_oracle
 
 EPS = np.finfo(float).eps
 
@@ -302,6 +303,27 @@ class TestSchedulingSweep:
             assert sum(job_sets) == (points + 1) * trials
             assert sum(calls) == groups * trials
             assert all(sets * cfg.n <= max(entries, cfg.n) for sets in calls)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(st.sampled_from((0, DEFAULT_SEED, 2**128 + 1)), st.integers(0, 2**160)),
+        st.integers(1, 60),
+        st.one_of(st.sampled_from((1.1, 3.0)), st.floats(1.01, 8.0)),
+        st.integers(0, 50),
+        st.integers(1, 8),
+        st.booleans(),
+    )
+    def test_block_matches_generators_drawn_in_turn(self, seed, n, alpha, lo, trials, fixed):
+        # the block's draws through the engine against today's per-trial loop
+        # of one generator per trial, fed to the same kernels
+        cfg = SchedSweepConfig(n=n, alpha=alpha, trials=lo + trials, fixed_jobs=fixed,
+                               sigma_grid=(0.0, 2.0, 30.0), seed=seed)
+        got = experiments._sched_block(cfg, lo, cfg.trials)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "sched_trial_draws", sched_draws_oracle)
+            expected = experiments._sched_block(cfg, lo, cfg.trials)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
 
     def test_one_worker_per_trial_at_most(self, monkeypatch):
         started = []

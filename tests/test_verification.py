@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onlinepred import bounds, cli, verification
+from onlinepred import bounds, cli, verification, workloads
 from onlinepred.scheduling import JobSet
 from onlinepred.ski_rental import PolicyKind, ski_cost
 from onlinepred.verification import (
@@ -19,6 +19,7 @@ from onlinepred.verification import (
     check_rand_ski_guarantee,
     random_jobsets,
 )
+from onlinepred.workloads import derived_rngs
 from test_workloads import derived_rng
 
 # ties, values on either side of the tolerance, infinities and NaN
@@ -156,7 +157,11 @@ class TestFailsClosed:
 
 def one_jobset(seed, s):
     """Job set s drawn on its own from derived_rng(seed, s), in the stacks' draw order."""
-    rng = derived_rng(seed, s)
+    return one_jobset_from(derived_rng(seed, s), s)
+
+
+def one_jobset_from(rng, s):
+    """Job set s drawn from the generator ``rng``, in the stacks' draw order."""
     n = int(rng.integers(1, 9))
     lengths = rng.uniform(1.0, 10.0, n)
     preds = [
@@ -169,7 +174,30 @@ def one_jobset(seed, s):
     return JobSet.from_lengths(lengths, preds)
 
 
+def jobsets_oracle(count, seed):
+    """`random_jobsets`'s stacks, set s drawn from generator s of
+    ``derived_rngs(seed, range(count))`` in turn."""
+    by_size = {}
+    for s, rng in enumerate(derived_rngs(seed, range(count))):
+        jobs = one_jobset_from(rng, s)
+        by_size.setdefault(len(jobs.lengths), []).append((s, jobs.lengths, jobs.predicted))
+    return [
+        tuple(np.array(column) for column in zip(*by_size[size])) for size in sorted(by_size)
+    ]
+
+
 class TestRandomJobsets:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 80), st.one_of(st.sampled_from((0, 3, 2**128 + 1)), st.integers(0, 2**160))
+    )
+    def test_stacks_match_generators_drawn_in_turn(self, count, seed):
+        got, expected = random_jobsets(count, seed), jobsets_oracle(count, seed)
+        assert len(got) == len(expected)
+        for stack, reference in zip(got, expected):
+            for a, b in zip(stack, reference):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_stacks_hold_every_set_once_by_ascending_size(self):
         stacks = random_jobsets(300, 11)
         sizes = [lengths.shape[1] for _, lengths, _ in stacks]
@@ -183,24 +211,16 @@ class TestRandomJobsets:
                 assert np.array_equal(preds[row], jobs.predicted)
 
     @pytest.mark.parametrize(
-        "draw, bad, message",
-        [
-            ("uniform", lambda low, high, size: np.full(size, 0.5), "job length"),
-            ("normal", lambda loc, scale, size: np.full(size, math.nan), "predicted length"),
-        ],
+        "draw, value, message",
+        [("random", -1 / 18, "job length"), ("standard_normal", math.nan, "predicted length")],
         ids=["length-below-one", "nan-prediction"],
     )
-    def test_stacks_are_checked_like_jobsets(self, monkeypatch, draw, bad, message):
-        class Faulty:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def __getattr__(self, name):
-                return bad if name == draw else getattr(self.rng, name)
-
-        streams = verification.derived_rngs
+    def test_stacks_are_checked_like_jobsets(self, monkeypatch, draw, value, message):
+        # the draw engine hands out the bad values: uniform -1/18 makes a
+        # length of 1 + 9 * (-1/18) = 0.5, and NaN normals make NaN noise
+        original = getattr(workloads._Draws, draw)
         monkeypatch.setattr(
-            verification, "derived_rngs", lambda seed, keys: map(Faulty, streams(seed, keys))
+            workloads._Draws, draw, lambda self, count: np.full_like(original(self, count), value)
         )
         with pytest.raises(ValueError, match=message):
             random_jobsets(10, 3)

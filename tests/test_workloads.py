@@ -4,6 +4,7 @@ import functools
 import math
 import subprocess
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 from onlinepred import workloads
 from onlinepred.experiments import SchedSweepConfig, SkiSweepConfig
 from onlinepred.ski_rental import B_MAX
-from onlinepred.workloads import derived_rngs, gen_pareto_lengths, gen_ski_days, ski_trial_draws
+from onlinepred.workloads import (
+    DEFAULT_SEED,
+    derived_rngs,
+    gen_pareto_lengths,
+    gen_ski_days,
+    ski_trial_draws,
+)
 
 # PCG64's LCG multiplier; its inverse mod 2^128 steps the state back
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -44,58 +51,148 @@ def emitting(word: int, then: int = None) -> np.random.Generator:
     return rng
 
 
-def normal_reads(rng, words: int) -> bool:
-    """Whether ``rng.standard_normal()`` on an `emitting` generator reads just ``words`` words.
+def draw_reads(rng, words: int, draw: str = "standard_normal") -> bool:
+    """Whether ``draw`` on an `emitting` generator reads just ``words`` words.
 
     The state after the last emitted word is that word itself.
     """
     last = rng.bit_generator.state["state"]["state"]
     for _ in range(words):
         last = (last * PCG_MULT + rng.bit_generator.state["state"]["inc"]) % (1 << 128)
-    rng.standard_normal()
+    getattr(rng, draw)()
     return rng.bit_generator.state["state"]["state"] == last
 
 
-def wedge_accepts(f, layer: int, x: float, m: int) -> bool:
-    """numpy's wedge test of layer ``layer`` >= 1 for x, under the fi table ``f``,
+class Ziggurat(NamedTuple):
+    """One of numpy's ziggurat samplers: its embedded tables and word layout.
+
+    A word holds layer idx and a magnitude r; numpy returns r * w[idx] (with
+    a sign bit for the normal) at once iff r < k[idx].  Otherwise, for idx
+    >= 1, it reads a uniform U and keeps x iff (f[idx - 1] - f[idx]) * U +
+    f[idx] < density(x).
+    """
+
+    f: tuple
+    w: tuple
+    k: tuple
+    word: Callable[[int, int], int]  # (layer, magnitude) -> word
+    magnitude_bits: int
+    density: Callable[[float], float]
+    draw: str  # the Generator method
+    scalar: Callable  # the package's scalar decoder
+
+
+NORMAL = Ziggurat(
+    *(tuple(table.tolist()) for table in (workloads._ZIG_F, workloads._ZIG_W, workloads._ZIG_K)),
+    lambda layer, rabs: rabs << 9 | layer, 52, lambda x: math.exp(-0.5 * x * x),
+    "standard_normal", workloads._standard_normal,
+)
+EXPONENTIAL = Ziggurat(
+    *(tuple(table.tolist()) for table in (workloads._EXP_F, workloads._EXP_W, workloads._EXP_K)),
+    lambda layer, ri: ri << 11 | layer << 3, 53, lambda x: math.exp(-x),
+    "standard_exponential", workloads._standard_exponential,
+)
+
+
+def wedge_accepts(f, layer: int, x: float, m: int, density=NORMAL.density) -> bool:
+    """numpy's wedge test of layer ``layer`` >= 1 for x, under the table ``f``,
     with the uniform m * 2^-53."""
-    return (f[layer - 1] - f[layer]) * (m * 2.0**-53) + f[layer] < math.exp(-0.5 * x * x)
+    return (f[layer - 1] - f[layer]) * (m * 2.0**-53) + f[layer] < density(x)
 
 
 @functools.lru_cache(maxsize=None)
-def wedge_probes():
-    """(layer, rabs, m) per layer >= 1 and wedge height: the wedge test of
-    x = rabs * w[layer] accepts the uniform (m - 1) * 2^-53 and rejects m * 2^-53.
+def wedge_probes(zig: Ziggurat = NORMAL):
+    """(layer, magnitude, m) per layer >= 1 and wedge height: the wedge test of
+    x = magnitude * w[layer] accepts the uniform (m - 1) * 2^-53 and rejects m * 2^-53.
 
-    The heights are 1% and 99% of the way from fi[layer] to fi[layer - 1], so
-    the probes of every layer sit next to both of its fi entries.
+    The heights are 1% and 99% of the way from f[layer] to f[layer - 1], so
+    the probes of every layer sit next to both of its f entries.
     """
-    f, w, k = (table.tolist() for table in (workloads._ZIG_F, workloads._ZIG_W, workloads._ZIG_K))
+    f, w, k = zig.f, zig.w, zig.k
     probes = []
     for layer in range(1, 256):
         for frac in (0.01, 0.99):
             height = f[layer] + (f[layer - 1] - f[layer]) * frac
-            lo, hi = k[layer], 1 << 52  # the largest rabs whose density is >= height
+            lo, hi = k[layer], 1 << zig.magnitude_bits  # the largest one whose density is >= height
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                above = math.exp(-0.5 * (mid * w[layer]) ** 2) >= height
-                lo, hi = (mid, hi) if above else (lo, mid)
+                lo, hi = (mid, hi) if zig.density(mid * w[layer]) >= height else (lo, mid)
             x, lo_m, hi_m = lo * w[layer], 0, 1 << 53
             while hi_m - lo_m > 1:
                 mid = (lo_m + hi_m) // 2
-                lo_m, hi_m = (mid, hi_m) if wedge_accepts(f, layer, x, mid) else (lo_m, mid)
+                accepted = wedge_accepts(f, layer, x, mid, zig.density)
+                lo_m, hi_m = (mid, hi_m) if accepted else (lo_m, mid)
             probes.append((layer, lo, hi_m))
     return probes
 
 
-class TestZigguratTables:
-    """The embedded ziggurat tables against numpy's sampler.
+class ZigguratChecks:
+    """The embedded tables of ``zig`` against numpy's sampler."""
 
-    ``standard_normal`` reads one word: layer idx is its low byte, then a
-    sign bit, then 52 bits rabs.  It returns +-rabs * w[idx] at once iff rabs
-    < k[idx]; otherwise, for idx >= 1, it reads a uniform U and keeps x iff
-    (fi[idx - 1] - fi[idx]) * U + fi[idx] < exp(-x^2 / 2).
-    """
+    zig: Ziggurat
+
+    def test_embedded_widths_are_numpys(self):
+        # magnitude 1 returns w[idx] itself; layer 1 always takes the slow
+        # path, which still returns x = w[1] here
+        zig = self.zig
+        for layer in range(256):
+            assert getattr(emitting(zig.word(layer, 1)), zig.draw)() == zig.w[layer]
+
+    def test_embedded_bounds_are_numpys(self):
+        # magnitude k - 1 returns fl(k - 1 * w) from one word and k reads
+        # more, so k is numpy's exactly; layer 1's k is 0
+        zig = self.zig
+        assert zig.k[1] == 0
+        for layer, k in enumerate(zig.k):
+            if k:
+                word = zig.word(layer, k - 1)
+                assert getattr(emitting(word), zig.draw)() == float(k - 1) * zig.w[layer]
+                assert draw_reads(emitting(word), 1, zig.draw)
+            assert not draw_reads(emitting(zig.word(layer, k)), 1, zig.draw)
+
+    def test_embedded_densities_are_numpys(self):
+        # numpy takes the wedge of each probe's x with uniform (m - 1) * 2^-53,
+        # reading two words, and rejects it with m * 2^-53, reading more
+        zig = self.zig
+        probes = wedge_probes(zig)
+        for layer, magnitude, m in probes:
+            x, word = float(magnitude) * zig.w[layer], zig.word(layer, magnitude)
+            assert 0 < m < 1 << 53
+            assert getattr(emitting(word, (m - 1) << 11), zig.draw)() == x
+            assert draw_reads(emitting(word, (m - 1) << 11), 2, zig.draw)
+            assert not draw_reads(emitting(word, m << 11), 2, zig.draw)
+        # and the probes pin every entry: one ulp either way flips a probe.  So
+        # the table is numpy's, not recomputed
+        f, w = zig.f, zig.w
+        for entry in range(256):
+            for toward in (-math.inf, math.inf):
+                moved = f[:entry] + (math.nextafter(f[entry], toward),) + f[entry + 1:]
+                assert any(
+                    not wedge_accepts(moved, layer, r * w[layer], m - 1, zig.density)
+                    or wedge_accepts(moved, layer, r * w[layer], m, zig.density)
+                    for layer, r, m in probes
+                    if entry in (layer - 1, layer)
+                ), (entry, toward)
+
+    def check_scalar_decides_as_numpy_at_every_boundary(self, restart: int):
+        # the package's scalar sampler on the probes' words; a third word on
+        # the fast path, ``restart``, returns 0.0 after a rejection
+        zig = self.zig
+        for layer, k in enumerate(zig.k):
+            if k:
+                x = float(k - 1) * zig.w[layer]
+                assert zig.scalar(iter([zig.word(layer, k - 1)])) == x
+        for layer, magnitude, m in wedge_probes(zig):
+            x, word = float(magnitude) * zig.w[layer], zig.word(layer, magnitude)
+            assert zig.scalar(iter([word, (m - 1) << 11, restart])) == x
+            assert zig.scalar(iter([word, m << 11, restart])) == 0.0
+
+
+class TestZigguratTables(ZigguratChecks):
+    """numpy's ``standard_normal`` tables: the word's low byte is layer idx,
+    then a sign bit, then 52 bits rabs."""
+
+    zig = NORMAL
 
     def test_emitting_outputs_the_word(self):
         for word in (0, 1, 2**63 + 12345, 2**64 - 1):
@@ -103,59 +200,39 @@ class TestZigguratTables:
             assert emitting(7, word).bit_generator.random_raw(2).tolist() == [7, word]
 
     def test_embedded_widths_are_numpys(self):
-        # rabs = 1 returns w[idx] itself; layer 1 always takes the slow path,
-        # which still returns x = w[1] here
-        for layer in range(256):
-            assert emitting(1 << 9 | layer).standard_normal() == workloads._ZIG_W[layer]
+        super().test_embedded_widths_are_numpys()
         assert workloads._ZIG_W[1] == 4.779330175727737e-17
 
-    def test_embedded_bounds_are_numpys(self):
-        # rabs = k - 1 returns fl(rabs * w) from one word and rabs = k reads
-        # more, so k is numpy's exactly; layer 1's k is 0
-        assert workloads._ZIG_K[1] == 0
-        for layer, k in enumerate(workloads._ZIG_K.tolist()):
-            if k:
-                word = (k - 1) << 9 | layer
-                assert emitting(word).standard_normal() == float(k - 1) * workloads._ZIG_W[layer]
-                assert normal_reads(emitting(word), 1)
-            assert not normal_reads(emitting(k << 9 | layer), 1)
-
     def test_embedded_densities_are_numpys(self):
-        # numpy takes the wedge of each probe's x with uniform (m - 1) * 2^-53,
-        # reading two words, and rejects it with m * 2^-53, reading more
-        probes = wedge_probes()
-        for layer, rabs, m in probes:
-            x, word = float(rabs) * workloads._ZIG_W[layer], rabs << 9 | layer
-            assert 0 < m < 1 << 53
-            assert emitting(word, (m - 1) << 11).standard_normal() == x
-            assert normal_reads(emitting(word, (m - 1) << 11), 2)
-            assert not normal_reads(emitting(word, m << 11), 2)
-        # and the probes pin every entry: one ulp either way flips a probe.  So
-        # the table is numpy's, not recomputed: fi[0] is 1.0, and fi[38] is one
-        # ulp off exp(-x^2 / 2) at its layer's edge x = w[38] * 2^52
-        f, w = workloads._ZIG_F.tolist(), workloads._ZIG_W.tolist()
-        for entry in range(256):
-            for toward in (-math.inf, math.inf):
-                moved = f[:entry] + [math.nextafter(f[entry], toward)] + f[entry + 1:]
-                assert any(
-                    not wedge_accepts(moved, layer, rabs * w[layer], m - 1)
-                    or wedge_accepts(moved, layer, rabs * w[layer], m)
-                    for layer, rabs, m in probes
-                    if entry in (layer - 1, layer)
-                ), (entry, toward)
+        # fi[0] is 1.0, and fi[38] is one ulp off exp(-x^2 / 2) at its
+        # layer's edge x = w[38] * 2^52
+        super().test_embedded_densities_are_numpys()
 
     def test_scalar_normal_decides_as_numpy_at_every_boundary(self):
-        # the package's scalar ziggurat on the probes' words; a third word on
-        # the fast path (layer 2, rabs 0) returns 0.0 after a rejection
-        normal = workloads._standard_normal
-        for layer, k in enumerate(workloads._ZIG_K.tolist()):
-            if k:
-                x = float(k - 1) * workloads._ZIG_W[layer]
-                assert normal(iter([(k - 1) << 9 | layer])) == x
-        for layer, rabs, m in wedge_probes():
-            x, word = float(rabs) * workloads._ZIG_W[layer], rabs << 9 | layer
-            assert normal(iter([word, (m - 1) << 11, 2])) == x
-            assert normal(iter([word, m << 11, 2])) == 0.0
+        self.check_scalar_decides_as_numpy_at_every_boundary(NORMAL.word(2, 0))
+
+
+class TestExponentialZigguratTables(ZigguratChecks):
+    """numpy's ``standard_exponential`` tables: bits 3-10 of the word are
+    layer idx and the 53 bits above them ri."""
+
+    zig = EXPONENTIAL
+
+    def test_embedded_widths_are_numpys(self):
+        super().test_embedded_widths_are_numpys()
+        assert workloads._EXP_W[1] == 7.089014243955414e-18
+
+    def test_scalar_exponential_decides_as_numpy_at_every_boundary(self):
+        self.check_scalar_decides_as_numpy_at_every_boundary(EXPONENTIAL.word(2, 0))
+
+    def test_tail_starts_at_numpys_r(self):
+        # layer 0 off its fast path returns r - log1p(-U) with U from the next
+        # word, so numpy's draws pin `_EXP_R`
+        tail = EXPONENTIAL.word(0, EXPONENTIAL.k[0])
+        for uniform in (0, 1 << 11, 2**63, 2**64 - 1, 0x123456789ABCDEF0):
+            expected = workloads._EXP_R - math.log1p(-workloads._unit(uniform))
+            assert emitting(tail, uniform).standard_exponential() == expected
+            assert workloads._standard_exponential(iter([tail, uniform])) == expected
 
 
 class TestSkiInstanceGenerator:
@@ -236,6 +313,15 @@ KEYS = st.integers(0, 2**32 - 1)
 SLOW_PATHS = ("lemire retry", "tail", "layer 1", "wedge accept", "wedge reject")
 
 
+def read(rng, twin) -> int:
+    """The words ``twin``, a copy of ``rng`` from before its last draws, reads to catch up."""
+    for count in range(64):
+        if rng.bit_generator.state["state"] == twin.bit_generator.state["state"]:
+            return count
+        twin.bit_generator.random_raw()
+    raise AssertionError("the twin never met the generator")
+
+
 def numpy_slow_paths(seed, b, keys, uniforms):
     """``{key: paths}``: the slow paths, of `SLOW_PATHS`, that numpy's generator
     of each key takes for its ski trial draws, empty if it takes none.
@@ -247,13 +333,6 @@ def numpy_slow_paths(seed, b, keys, uniforms):
     and otherwise one uniform for the wedge test and, if that rejects, a
     fresh word.
     """
-
-    def read(rng, twin):
-        for count in range(64):
-            if rng.bit_generator.state["state"] == twin.bit_generator.state["state"]:
-                return count
-            twin.bit_generator.random_raw()
-        raise AssertionError("the twin never met the generator")
 
     found = {}
     for key, rng, twin in zip(keys, derived_rngs(seed, keys), derived_rngs(seed, keys)):
@@ -302,8 +381,9 @@ class TestBatchedStreams:
         self.assert_matches_reference(seed, [0, 1, 2**31, 2**32 - 1])
 
     def test_chunk_boundaries_keep_key_order(self):
-        keys = range(4090, 4100)  # straddles the first chunk of 4096 keys
-        got = [rng.random() for rng in derived_rngs(271828, range(4100))][4090:]
+        chunk = workloads._RNG_CHUNK
+        keys = range(chunk - 6, chunk + 4)  # straddles the first chunk of keys
+        got = [rng.random() for rng in derived_rngs(271828, range(chunk + 4))][chunk - 6:]
         assert got == [derived_rng(271828, k).random() for k in keys]
 
     def test_empty_keys_yield_nothing(self):
@@ -347,8 +427,9 @@ class TestBatchedStreams:
 
     @pytest.mark.parametrize(
         "keys",
+        # the last crosses a chunk boundary
         [[], range(0), np.array([], dtype=np.int64), [2**32 - 1], [9, 3, 3, 2**32 - 1, 0, 70000],
-         np.arange(10, 40, 3), range(4100)],  # the last crosses the 4096-key chunk boundary
+         np.arange(10, 40, 3), range(workloads._RNG_CHUNK + 4)],
     )
     def test_ski_draws_key_shapes(self, keys):
         self.assert_ski_draws_match(271828, 100, keys, 2)
@@ -392,20 +473,149 @@ class TestBatchedStreams:
         paths = numpy_slow_paths(seed, b, keys.tolist(), uniforms)
         slow = [key for key, taken in paths.items() if taken]
         assert len(slow) > 100 and set().union(*paths.values()) == set(SLOW_PATHS)
-        scalar_stream, resumed = workloads._pcg_stream, []
+        scalar, drawn = workloads._Draws._scalar, []
 
-        def recording(state, inc):
-            resumed.append(state)
-            return scalar_stream(state, inc)
+        def recording(self, key, *args):
+            drawn.append(key)
+            return scalar(self, key, *args)
 
-        monkeypatch.setattr(workloads, "_pcg_stream", recording)
+        monkeypatch.setattr(workloads._Draws, "_scalar", recording)
         self.assert_ski_draws_match(seed, b, keys, uniforms)
-        # each goes on from the state numpy's generator has after the words
-        # drawn on arrays
-        assert resumed == [
-            rng.bit_generator.advance(2 + uniforms).state["state"]["state"]
-            for rng in derived_rngs(seed, slow)
+        assert sorted(set(drawn)) == slow  # engine rows are the keys here
+
+
+def assert_same_bits(got, expected):
+    """Equal float64 arrays, bit for bit, so a sign of zero counts too."""
+    expected = np.asarray(expected, dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def sched_draws_oracle(seed, alpha, n, keys, jobs_key=None):
+    """Each key's job lengths and noise directions, drawn from its own generator in turn."""
+    fixed = None
+    if jobs_key is not None:
+        fixed = gen_pareto_lengths(alpha, n, next(derived_rngs(seed, [jobs_key])))
+    lengths, directions = [], []
+    for rng in derived_rngs(seed, keys):
+        lengths.append(gen_pareto_lengths(alpha, n, rng) if fixed is None else fixed)
+        directions.append(rng.standard_normal(n))
+    return np.reshape(lengths, (len(keys), n)), np.reshape(directions, (len(keys), n))
+
+
+SCHED_PATHS = tuple(
+    f"{draw} {path}" for draw in ("exponential", "normal")
+    for path in ("tail", "wedge accept", "wedge reject")
+)
+
+
+@functools.lru_cache(maxsize=None)
+def sched_path_keys(seed):
+    """The first key to take each of `SCHED_PATHS` on its first exponential,
+    or on the normal after it, ``{path: key}``: a key's draws at n = 1.
+
+    Read from the generator alone: the draw's first word gives its layer,
+    and a twin counts the words it reads, one on the fast path, two for a
+    wedge it accepts and more for one it rejects; layer 0 is the tail.
+    """
+    wanted, found = set(SCHED_PATHS), {}
+    for lo in range(0, 1 << 20, 2048):
+        keys = range(lo, lo + 2048)
+        for key, rng, twin in zip(keys, derived_rngs(seed, keys), derived_rngs(seed, keys)):
+            for draw, zig in (("exponential", EXPONENTIAL), ("normal", NORMAL)):
+                word = int(twin.bit_generator.random_raw())
+                getattr(rng, zig.draw)()
+                words = 1 + read(rng, twin)
+                tail = word & zig.word(255, 0) == 0  # layer 0
+                if words > 1:
+                    path = "tail" if tail else "wedge accept" if words == 2 else "wedge reject"
+                    if f"{draw} {path}" in wanted:
+                        wanted.discard(f"{draw} {path}")
+                        found[f"{draw} {path}"] = key
+        if not wanted:
+            return found
+    raise AssertionError(f"no key takes {wanted}")
+
+
+class TestSchedDraws:
+    """sched_trial_draws and the engine under it against generators drawn one at a time."""
+
+    @pytest.mark.parametrize("jobs_key", [None, 0x4A4F4253], ids=["drawn-jobs", "fixed-jobs"])
+    @pytest.mark.parametrize("alpha", [1.1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 50, 1000])
+    @pytest.mark.parametrize("seed", [271828, 2**128 + 1], ids=["short-seed", "129-bit"])
+    def test_slow_paths_bit_for_bit(self, seed, n, alpha, jobs_key):
+        paths = sched_path_keys(seed)
+        assert set(paths) == set(SCHED_PATHS)
+        keys = sorted(set(paths.values())) + [0, 1, 2**32 - 1]
+        got = workloads.sched_trial_draws(seed, alpha, n, keys, jobs_key)
+        for array, expected in zip(got, sched_draws_oracle(seed, alpha, n, keys, jobs_key)):
+            assert_same_bits(array, expected)
+
+    def test_a_block_of_keys_bit_for_bit(self):
+        # 300 keys of 100 draws each take every path many times over
+        keys = np.arange(1000, 1300)
+        for got, expected in zip(
+            workloads.sched_trial_draws(DEFAULT_SEED, 1.1, 50, keys),
+            sched_draws_oracle(DEFAULT_SEED, 1.1, 50, keys),
+        ):
+            assert_same_bits(got, expected)
+
+    def test_empty_keys(self):
+        for jobs_key in (None, 7):
+            lengths, directions = workloads.sched_trial_draws(5, 1.1, 3, [], jobs_key)
+            assert lengths.shape == directions.shape == (0, 3)
+
+    def test_rejects_bad_seeds_and_keys(self):
+        with pytest.raises(ValueError):
+            workloads.sched_trial_draws(-1, 1.1, 3, [0])
+        with pytest.raises(ValueError):
+            workloads.sched_trial_draws(5, 1.1, 3, [2**32])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**256)),
+        st.lists(KEYS, max_size=5),
+        st.integers(1, 6),
+        st.integers(2, 2**32),
+        st.lists(
+            st.tuples(st.sampled_from(("standard_exponential", "standard_normal", "random")),
+                      st.lists(st.integers(0, 5), min_size=5, max_size=5)),
+            max_size=4,
+        ),
+    )
+    def test_engine_matches_generators_past_its_matrix(self, seed, keys, width, span, plan):
+        # a matrix of 1 to 6 words per key, so draws read past it, in calls
+        # after calls, with one count per key
+        draws = workloads._Draws(seed, keys, width)
+        got = [draws.integers(span)] + [
+            getattr(draws, name)(np.array(counts[:len(keys)], dtype=np.intp))
+            for name, counts in plan
         ]
+        rngs = list(derived_rngs(seed, keys))
+        assert_same_bits(got[0], [rng.integers(0, span) for rng in rngs])
+        for (name, counts), values in zip(plan, got[1:]):
+            for row, rng, count in zip(values, rngs, counts):
+                assert_same_bits(row[:count], getattr(rng, name)(count))
+                assert not row[count:].any()
+
+    @pytest.mark.parametrize("zig", [NORMAL, EXPONENTIAL], ids=["normal", "exponential"])
+    def test_scalar_draws_read_on_past_their_window(self, zig):
+        # an empty window sends every draw to ever longer windows, here past
+        # a one-word matrix; keys on every slow path are among them
+        keys = sorted(set(sched_path_keys(DEFAULT_SEED).values()) | set(range(50)))
+        draws = workloads._Draws(DEFAULT_SEED, keys, 1)
+        rngs, twins = derived_rngs(DEFAULT_SEED, keys), derived_rngs(DEFAULT_SEED, keys)
+        for row, rng, twin in zip(range(len(keys)), rngs, twins):
+            value, used = draws._scalar(row, 0, [], zig.scalar)
+            assert value == getattr(rng, zig.draw)()
+            assert used == read(rng, twin)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**256)))
+    def test_seed_uniform_is_the_seeds_first_random(self, seed):
+        expected = np.random.default_rng(np.random.SeedSequence(seed)).random()
+        assert workloads.seed_uniform(seed) == expected
 
 
 def test_package_import_leaves_numpy_random_unloaded(package_env):
@@ -419,16 +629,30 @@ def test_package_import_leaves_numpy_random_unloaded(package_env):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("args", [[], ["--sampled"]], ids=["defaults", "sampled"])
-def test_ski_sweep_leaves_numpy_random_unloaded(package_env, args):
-    # every ski trial is drawn in package code, so a ski sweep never loads
-    # numpy.random and never pays for its import
+DRAWING_COMMANDS = {
+    "ski-sweep": ["ski-sweep"],
+    "ski-sweep-sampled": ["ski-sweep", "--sampled"],
+    "sched-sweep": ["sched-sweep"],
+    "sched-sweep-fixed-jobs": ["sched-sweep", "--fixed-jobs"],
+    "sched-sweep-jobs-2": ["sched-sweep", "--jobs", "2"],
+    "verify-bounds-tiny": ["verify-bounds", "--grid-density", "tiny"],
+    "trace-ski-randomized": ["trace", "ski", "--algo", "randomized", "--lambda", "0.5",
+                             "--b", "100", "--x", "50", "--y", "300"],
+}
+
+
+@pytest.mark.parametrize("argv", DRAWING_COMMANDS.values(), ids=DRAWING_COMMANDS.keys())
+def test_drawing_commands_leave_numpy_random_unloaded(package_env, argv):
+    # every draw of every command is made in package code, so none loads
+    # numpy.random and pays for its import; nor numpy.ma, which np.unique
+    # loads on first use
     code = (
         "import contextlib, io, sys\n"
         "from onlinepred import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main(['ski-sweep', *{args!r}]) == 0\n"
-        "sys.exit('numpy.random' in sys.modules)\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "loaded = sorted({'numpy.random', 'numpy.ma'} & set(sys.modules))\n"
+        "sys.exit(f'loaded {loaded}' if loaded else 0)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True)
     assert proc.returncode == 0, proc.stderr
