@@ -8,10 +8,13 @@ every job runs at rate (1-lam)/k and the unfinished job with the smallest
 prediction gets an extra lam (round-robin is lam = 0).  One kernel serves
 both, `prr_batch`: the exact event sweep, completion to completion, run with
 numpy across a stack of job sets with one lam per set; `prr` and
-`round_robin` are its one-set calls.  The objective throughout is the sum of
-completion times, added up in id order (`objectives`) like the prediction
-error, and every one-set rule builds its result and event log from its
-completion times in `_result`.
+`round_robin` are its one-set calls.  It keeps each set's length and
+prediction orders as doubly linked lists and unlinks a job as it leaves one,
+so an event takes a fixed number of numpy steps, and one short step more
+for each job that finishes unfavoured in it.  The objective throughout is
+the sum of completion times, added up in id order (`objectives`) like the
+prediction error, and every one-set rule builds its result and event log
+from its completion times in `_result`.
 """
 
 from __future__ import annotations
@@ -161,10 +164,13 @@ def prr_batch(lengths, predicted, lam) -> np.ndarray:
     work S, so those jobs finish in stable length order.  The favoured job
     keeps its favour until it finishes (the unfinished set only shrinks),
     then hands it to the next unfinished job in stable (prediction, id)
-    order.  Each row keeps one pointer into each order and a gone flag per
-    job; an event advances every row by the same float operations as a
-    one-row sweep, so a row's result does not depend on the rows stacked
-    with it.
+    order.  Each row keeps both orders as doubly linked lists and unlinks a
+    job from its length list when it is favoured and from its prediction
+    list when it finishes unfavoured.  So the next unfavoured job to finish
+    heads the length list, the next favourite follows the favourite in the
+    prediction list, and no event walks past a job that left.  An event
+    advances every row by the same float operations as a one-row sweep, so
+    a row's result does not depend on the rows stacked with it.
     """
     lengths, predicted = _floats(lengths), _floats(predicted)
     lam = np.asarray(lam, dtype=np.float64)
@@ -183,112 +189,112 @@ def prr_batch(lengths, predicted, lam) -> np.ndarray:
     _require((lam >= 0) & (lam < 1), lam, "combination parameter lambda must lie in [0, 1)")
     _require_jobs(lengths, predicted)
     shape, rows_total = lead + (n,), lam.size
-    # sets are sorted before they are broadcast, so lengths shared by many
-    # rows are sorted once
-    by_length = np.argsort(lengths, axis=-1, kind="stable")
-    by_pred = np.argsort(predicted, axis=-1, kind="stable")
-    lengths = np.broadcast_to(lengths, shape).reshape(rows_total, n)
 
-    # Job j of row r is the flat cell r * stride + j, int64 as R * stride can
-    # pass 2**31; by_length and by_pred hold row r's cells in order at the
-    # positions from r * stride on.  Job n is a sentinel, never gone and of
-    # length NaN, so it never finishes (an infinite length would) and stops
-    # every walk.
+    # Job j of row r is the flat slot r * stride + j; slot r * stride + n is
+    # the row's sentinel, which closes both of its lists.  times holds a
+    # job's length until it finishes and its completion time after; the
+    # sentinel's length is NaN, so it never finishes (an infinite length
+    # would) and ends every walk.
     stride = n + 1
-    rows = np.arange(rows_total)
-    first = rows * stride
-    cell_len = np.hstack((lengths, np.full((rows_total, 1), np.nan))).ravel()
+    first = np.arange(rows_total) * stride
+    offsets = first.reshape(lead + (1,))
+    times = np.empty((rows_total, stride))
+    times.reshape(lead + (stride,))[..., :n] = lengths
+    times[:, n] = np.nan
+    times = times.ravel()
 
-    def cells(order):
-        """Each row's cells in ``order``, its sets' job order, then its sentinel."""
-        out = np.full((rows_total, stride), n)
-        out[:, :n] = np.broadcast_to(order, shape).reshape(rows_total, n)
-        out += first[:, None]
-        return out.ravel()
+    def links(values):
+        """The next and previous slots of each row's ring through its sentinel
+        and its jobs in stable ``values`` order.  Sets are linked before they
+        are broadcast, so a set shared by many rows is sorted once."""
+        order = np.argsort(values.reshape(-1, n), axis=-1, kind="stable")
+        sets = np.arange(len(order))[:, None]
+        next_slot = np.empty((len(order), stride), dtype=order.dtype)
+        next_slot[sets, order[:, :-1]] = order[:, 1:]
+        next_slot[sets[:, 0], order[:, -1]] = n
+        next_slot[:, n] = order[:, 0]
+        del order
+        prev_slot = np.empty_like(next_slot)
+        prev_slot[sets, next_slot] = np.arange(stride)
+        rows = []
+        for per_set in (next_slot, prev_slot):
+            per_set = per_set.reshape(values.shape[:-1] + (stride,))
+            if per_set.shape == lead + (stride,):
+                per_set += offsets
+            else:  # a set shared by several rows: one copy per row
+                per_set = per_set + offsets
+            rows.append(per_set.ravel())
+        return rows
 
-    by_length, by_pred = cells(by_length), cells(by_pred)
-    completions = np.empty(rows_total * n)
+    def unlink(next_slot, prev_slot, slots):
+        """Take ``slots``, at most one per row, out of their rows' lists."""
+        before, after = prev_slot[slots], next_slot[slots]
+        next_slot[before] = after
+        prev_slot[after] = before
 
-    # Per-row state, compacted to the unfinished rows.  A job is gone once it
-    # finishes or is favoured.  The favoured job sits at position next_pred of
-    # by_pred, and every job before it in its row there, or before next_short
-    # in its row of by_length, is gone.
+    next_len, prev_len = links(lengths)
+    next_pred, prev_pred = links(predicted)
+
+    # Per-row state, compacted to the unfinished rows.  The length list holds
+    # the unfinished jobs never favoured; the prediction list holds every
+    # unfinished job from the favourite on, which each row first takes from
+    # the head of its prediction order.
+    sentinel = first + n
+    favoured = next_pred[sentinel]
+    unlink(next_len, prev_len, favoured)
     k = np.full(rows_total, n)
     t, common, extra = np.zeros(rows_total), np.zeros(rows_total), np.zeros(rows_total)
-    next_short, next_pred = first, first.copy()
-    gone = np.zeros(rows_total * stride, dtype=bool)
-    gone[by_pred[next_pred]] = True  # each row favours its first job in prediction order
 
-    def scan(order, sel, position, finishing=False):
-        """For compact rows ``sel``: the first position in ``order`` from
-        ``position`` on (moved in place) whose job is not gone and, when
-        ``finishing``, does not finish now; also the cells passed over that
-        are not gone and finish now.  Each step reads one cell of every row
-        still walking and moves the rows that did not stop one position on."""
-        at, passed, work = np.arange(sel.size), [], common[sel]
-        while at.size:
-            cell = order[position[at]]
-            stop = ~gone[cell]
-            if finishing:
-                length = cell_len[cell]
-                done = stop & (length - work[at] <= COMPLETION_EPS * length)
-                passed.append((sel[at[done]], cell[done]))
-                stop &= ~done
-            at = at[~stop]
-            position[at] += 1
-        return position, passed
-
-    while rows.size:
-        # The job at next_short is the shortest one not gone, or else the
-        # favoured job, chosen since the last event and so with extra = 0;
-        # then its own time to finish at rate share is no less than at rate
-        # boost, and dt is the favoured job's, as when the sweep skips past it.
-        favoured = by_pred[next_pred]
-        short = by_length[next_short]
-        short_length = cell_len[short]  # NaN past the last job
-        short_gone = gone[short]
-
+    while k.size:
+        # short, the head of the length list, is the shortest unfinished job
+        # never favoured, or the sentinel once none is left.  fmin takes
+        # short_dt only when it is smaller, as min() does, and never its NaN.
+        short = next_len[sentinel]
+        short_length = times[short]
+        fav_length = times[favoured]
         share = (1.0 - lam) * (1.0 / k)
         boost = lam + share
-        fav_length = cell_len[favoured]
-        dt = (fav_length - common - extra) / boost
-        short_dt = (short_length - common) / share
-        dt = np.where(short_dt < dt, short_dt, dt)
+        dt = np.fmin((fav_length - common - extra) / boost, (short_length - common) / share)
         t += dt
         common += share * dt
         extra += lam * dt
 
-        fav_done = (fav_length - common - extra <= COMPLETION_EPS * fav_length).nonzero()[0]
-        short_done = ~short_gone & (short_length - common <= COMPLETION_EPS * short_length)
-        done = [(fav_done, favoured[fav_done])]
-        if short_done.any():
-            at = short_done.nonzero()[0]
-            done.append((at, short[at]))
-        moving = (short_done | short_gone).nonzero()[0]
-        if moving.size:  # on to the next job not gone; any before it finish too
-            next_short[moving], passed = scan(by_length, moving, next_short[moving] + 1, True)
-            done += passed
-        done_rows = np.concatenate([r for r, _ in done])
-        done_cells = np.concatenate([c for _, c in done])
-        counts = np.bincount(done_rows, minlength=rows.size)
-        if not counts.all():  # the job that set dt always crosses the threshold
+        fav_done = fav_length - common - extra <= COMPLETION_EPS * fav_length
+        short_done = short_length - common <= COMPLETION_EPS * short_length
+        if np.count_nonzero(fav_done | short_done) < k.size:  # the job that set dt always finishes
             raise RuntimeError("event advanced time without completing a job")
-        gone[done_cells] = True
-        completions[done_cells - rows[done_rows]] = t[done_rows]  # at row * n + job
-        k -= counts
+        k -= fav_done
+        at = short_done.nonzero()[0]
+        if at.size:
+            while at.size:  # the finishing head of the length list, one job per row and step
+                slots = short[at]
+                times[slots] = t[at]
+                k[at] -= 1
+                unlink(next_pred, prev_pred, slots)
+                short[at] = slots = next_len[slots]
+                length = times[slots]
+                at = at[length - common[at] <= COMPLETION_EPS * length]
+            next_len[sentinel] = short  # cut the finished jobs off the length list
+            prev_len[short] = sentinel
 
-        handing = fav_done[k[fav_done] > 0]  # rows whose favour passes on
+        # A row whose favourite finished hands the favour on: to the sentinel
+        # if the row is done, whose unlinking from its empty length list
+        # changes nothing.
+        handing = fav_done.nonzero()[0]
         if handing.size:
-            next_pred[handing], _ = scan(by_pred, handing, next_pred[handing] + 1)
-            gone[by_pred[next_pred[handing]]] = True
+            slots = favoured[handing]
+            times[slots] = t[handing]
+            favoured[handing] = slots = next_pred[slots]
+            unlink(next_len, prev_len, slots)
             extra[handing] = 0.0
 
-        live = k > 0
-        if not live.all():
-            rows, k, lam, t, common, extra, next_short, next_pred = (
-                a[live] for a in (rows, k, lam, t, common, extra, next_short, next_pred)
+        if np.count_nonzero(k) < k.size:
+            live = k > 0
+            sentinel, favoured, k, lam, t, common, extra = (
+                a[live] for a in (sentinel, favoured, k, lam, t, common, extra)
             )
-    return completions.reshape(shape)
+    del next_len, prev_len, next_pred, prev_pred  # freed before the copy below
+    return np.ascontiguousarray(times.reshape(rows_total, stride)[:, :n]).reshape(shape)
 
 
 def round_robin(jobs: JobSet) -> ScheduleResult:

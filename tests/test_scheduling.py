@@ -9,6 +9,7 @@ against it on random job sets, and the sequential rules against a plain
 """
 
 import math
+import tracemalloc
 
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onlinepred import experiments, scheduling
 from onlinepred.bounds import prr_perfect_bound, sched_guarantee
 from onlinepred.scheduling import (
     JobSet,
@@ -334,8 +336,9 @@ class TestBatchedKernel:
         assert_identical(round_robin(jobs), prr_sweep(jobs, 0.0))
 
     def test_long_pointer_walks(self):
-        # n = 2000 heavy-tailed lengths: one pointer walk in one event crosses
-        # hundreds of gone or finishing jobs, and all 2000 in the tied row
+        # n = 2000 heavy-tailed lengths: one event finishes hundreds of jobs
+        # from the head of a row's length list, each unlinked from the middle
+        # of its prediction list, and all 2000 in the tied row
         rng = np.random.default_rng(19)
         n = 2000
         lengths = np.round(1 + rng.pareto(1.1, (4, n)))
@@ -346,6 +349,102 @@ class TestBatchedKernel:
         assert_rows_match_reference_sweep(lengths, predicted, lams)
         events = round_robin(JobSet.from_lengths(lengths[3], predicted[3])).events
         assert events == ((7.0 * n, tuple(range(n))),)
+
+    def test_perfect_predictions_hand_the_favour_to_short(self):
+        # the favourite is always the shortest unfinished job, so each handoff
+        # unlinks the head of the length list; equal lengths tie in id order
+        lengths = np.array([[3.0, 1.0, 2.0, 2.0, 7.0, 1.0], [4.0, 4.0, 4.0, 1.0, 9.0, 2.0]] * 2)
+        lams = np.array([0.5, 0.0, 0.9, 1e-3])
+        assert_rows_match_reference_sweep(lengths, lengths, lams)
+        result = prr(JobSet.from_lengths(lengths[0]), 0.5)
+        assert [ids for _, ids in result.events] == [(1,), (5,), (2,), (3,), (0,), (4,)]
+
+    def test_favourite_inside_a_finishing_tied_run(self):
+        # job 2, favoured from the start, ties with jobs 0, 1, 3 and 4; at
+        # lambda = 0 its favour adds nothing, so the whole run ends in one event
+        lengths = np.array([[3.0, 3.0, 3.0, 3.0, 3.0, 8.0, 1.0]] * 2)
+        predicted = np.array([[5.0, 4.0, -1.0, 6.0, 7.0, 2.0, 9.0]] * 2)
+        lams = np.array([0.0, 1e-300])
+        assert_rows_match_reference_sweep(lengths, predicted, lams)
+        events = round_robin(JobSet.from_lengths(lengths[0], predicted[0])).events
+        assert [ids for _, ids in events] == [(6,), (0, 1, 2, 3, 4), (5,)]
+
+    def test_favourite_finishes_with_its_prediction_successor(self):
+        # job 0 is favoured and job 1 follows it in prediction order; both end
+        # in the first event (at lambda = 0 by equal lengths, at 0.5 because
+        # 5 / (0.5 + 0.5/4) = 1 / (0.5/4) = 8), so the favour skips to job 2
+        lengths = np.array([[2.0, 2.0, 5.0, 6.0], [5.0, 1.0, 10.0, 30.0]])
+        predicted = np.array([[0.0, 1.0, 2.0, 3.0]] * 2)
+        lams = np.array([0.0, 0.5])
+        assert_rows_match_reference_sweep(lengths, predicted, lams)
+        for row, lam in enumerate(lams.tolist()):
+            events = prr_sweep(JobSet.from_lengths(lengths[row], predicted[row]), lam).events
+            assert events[0][1] == (0, 1)
+            assert prr_batch(lengths[row], predicted[row], lam)[:2].tolist() == [8.0, 8.0]
+
+    def test_rows_finish_at_different_events(self):
+        # one row ends in one event, one takes an event per job, and the
+        # rest in between; lambda = 0 rows sit among PRR rows
+        rng = np.random.default_rng(30)
+        lengths = np.round(1 + rng.pareto(1.1, (6, 40)))
+        lengths[0] = 5.0
+        lengths[1] = np.arange(1.0, 41.0)
+        lengths[2, ::2] = 3.0
+        predicted = np.round(lengths + rng.normal(0, 6, lengths.shape))
+        lams = np.array([0.0, 0.5, 0.0, 0.9, 0.0, 0.25])
+        assert_rows_match_reference_sweep(lengths, predicted, lams)
+        counts = {np.unique(row).size for row in prr_batch(lengths, predicted, lams)}
+        assert {1, 40} <= counts and len(counts) >= 4
+
+    def test_shared_sets_beside_sets_of_their_own(self):
+        # (G, T) rows from T sets broadcast over G lambdas, whose links are
+        # built once per set and copied per row, give the bits of the tiled
+        # stack in which every row is its own set
+        rng = np.random.default_rng(31)
+        lengths = np.round(1 + rng.pareto(1.1, (4, 30)))
+        predicted = np.round(lengths + rng.normal(0, 5, (4, 30)))
+        lams = np.array([0.0, 0.2, 0.7])
+        shared = prr_batch(lengths, predicted, lams[:, None])
+        tiled = (np.tile(lengths, (3, 1)), np.tile(predicted, (3, 1)), np.repeat(lams, 4))
+        assert shared.shape == (3, 4, 30)
+        assert shared.tobytes() == prr_batch(*tiled).tobytes()
+        assert_rows_match_reference_sweep(*tiled)
+        # shared lengths against a prediction set per row, as the sweep calls it
+        own = np.round(lengths + rng.normal(0, 5, (3, 4, 30)))
+        mixed = prr_batch(lengths, own, lams[:, None])
+        tiled = (tiled[0], own.reshape(12, 30), tiled[2])
+        assert mixed.tobytes() == prr_batch(*tiled).tobytes()
+        assert_rows_match_reference_sweep(*tiled)
+
+    def test_no_completion_fails_closed(self, monkeypatch):
+        # with a negative threshold no job can finish, so the first event
+        # completes nothing and the kernel raises rather than loop or return
+        monkeypatch.setattr(scheduling, "COMPLETION_EPS", -1.0)
+        for lam in (0.0, 0.5):
+            with pytest.raises(RuntimeError, match="advanced time without completing a job"):
+                prr_batch([[2.0, 1.0, 3.0], [1.0, 1.0, 1.0]], [[1.0, 2.0, 3.0]] * 2, lam)
+
+    def test_memory_of_a_default_block(self, monkeypatch):
+        # one default sched-sweep block, 873 trials x 12 row groups x 50 jobs;
+        # the kernel with a pointer and a gone flag per job that this one
+        # replaced peaked at 23.0 MiB (numpy 2.4.6)
+        config = experiments.SchedSweepConfig()
+        trials = experiments.KERNEL_ENTRIES // ((len(config.sigma_grid) + 1) * config.n)
+        assert trials == 873
+        peaks = []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                return prr_batch(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(experiments, "prr_batch", traced)
+        experiments._sched_block(config, 0, trials)
+        assert len(peaks) == 1
+        assert peaks[0] <= 1.15 * 23.0 * 2**20
 
     def test_stacks_broadcast_like_their_tiled_rows(self):
         # G = 3 prediction groups of T = 5 job sets, one lambda per group, as
