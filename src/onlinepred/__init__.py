@@ -48,6 +48,5 @@ from .ski_rental import (
     ski_cost,
     ski_opt,
 )
-from .workloads import derived_rngs, gen_pareto_lengths, gen_ski_days
 
 __version__ = "0.1.0"

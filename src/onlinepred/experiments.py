@@ -1,10 +1,10 @@
 """Monte Carlo sweeps: average competitive ratio versus prediction noise.
 
 Each problem has its own config type, ``SkiSweepConfig`` or
-``SchedSweepConfig``, and its own runner.  Trial t of a sweep derives its
-own generator from (seed, t) and draws the instance plus a unit-variance
-noise direction once; the prediction at noise level sigma is
-truth + sigma * direction.  Trials take those draws from
+``SchedSweepConfig``, and its own runner.  Trial t of a sweep draws the
+instance plus a unit-variance noise direction once, as numpy's generator
+``default_rng(SeedSequence((seed, t)))`` would; the prediction at noise
+level sigma is truth + sigma * direction.  Trials take those draws from
 `workloads.ski_trial_draws` and `workloads.sched_trial_draws`, which give a
 whole block's at once, bit for bit as the generators would.  Sharing the
 draws across sigma levels and algorithms is plain common-random-numbers
@@ -244,10 +244,10 @@ def _ski_block(config: SkiSweepConfig, lo: int, hi: int):
     """Per (sigma, entrant) ratio sum and largest ratio, and per sigma error sum, of ski trials lo..hi-1.
 
     `ski_trial_draws` draws every trial of the block in one array pass, as
-    trial t's ``derived_rngs`` generator would: x days, a noise direction z
-    and, in sampled mode, one uniform per randomized entrant.  The k-th
-    randomized entrant takes the k-th uniform, so two entrants that share a
-    policy still draw apart.
+    trial t's generator ``default_rng(SeedSequence((seed, t)))`` would: x
+    days, a noise direction z and, in sampled mode, one uniform per
+    randomized entrant.  The k-th randomized entrant takes the k-th uniform,
+    so two entrants that share a policy still draw apart.
 
     The prediction at sigma is y = max(x + sigma z, 0), which the rules see
     only through y >= b: that test changes at most once along the grid, at
@@ -290,8 +290,9 @@ def _sched_block(config: SchedSweepConfig, lo: int, hi: int):
 
     The arrays are indexed [trial], [sigma, trial] and [sigma, entrant,
     trial].  `sched_trial_draws` draws every trial of the block at once, as
-    trial t's ``derived_rngs`` generator would: its job lengths (unless the
-    jobs are fixed, drawn from their own stream) and noise direction.
+    trial t's generator ``default_rng(SeedSequence((seed, t)))`` would: its
+    job lengths (unless the jobs are fixed, drawn from their own stream) and
+    noise direction.
     Kernel rows come in groups of T, one per trial: first round-robin at
     lambda = 0, scored once per trial since it ignores predictions (its
     group takes the sigma = 0 predictions, which are the lengths), then PRR

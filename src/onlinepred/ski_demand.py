@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -104,21 +104,20 @@ def demand_opt(instance: DemandInstance) -> int:
     return int(np.minimum(xs, instance.b).sum())
 
 
-def demand_algorithm_cost(
-    instance: DemandInstance,
-    policy: SkiPolicy,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
+def demand_algorithm_cost(instance: DemandInstance, policy: SkiPolicy, u=None) -> float:
     """Total cost of running a lambda rule independently on every level.
 
-    Randomized levels are scored by exact expectation when no generator is
-    passed, otherwise each level, in level order, samples its own buy day
-    from one uniform draw of ``rng``.
+    Randomized levels are scored by exact expectation unless uniform [0, 1)
+    draws ``u`` are given, one per level in level order (``max_demand`` of
+    them); then each level buys on the day its own draw picks, as in
+    `ski_cost`.  The deterministic rule ignores ``u``.
     """
     if policy.kind is PolicyKind.NAIVE:
         raise ValueError("the demand extension is defined for the lambda rules only")
     xs, ys = decompose(instance)
-    u = rng.random(xs.size) if rng is not None and policy.kind is PolicyKind.RANDOMIZED else None
+    if u is not None:  # a scalar would broadcast to every level
+        shape, wanted = np.shape(u), xs.shape
+        _require(shape == wanted, shape, f"u must hold one draw per demand level, shape {wanted}")
     costs = ski_cost(policy, instance.b, xs, ys, u)
     # level-order sum: numpy's pairwise sum would round differently
     return sum(costs.tolist(), 0.0)

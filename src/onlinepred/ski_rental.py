@@ -3,7 +3,7 @@
 Costs are in rent-day units: renting costs 1 per day, buying costs ``b``
 once.  Day indexing is 1-based and "buy at the start of day j" means j-1
 rental days were paid before the purchase.  Everything here is a pure
-function of its inputs; sampling takes an explicit numpy generator.
+function of its inputs; sampling takes uniform [0, 1) draws ``u``.
 
 There are three rules: naive, deterministic and randomized.  At lambda = 1
 the deterministic rule is break-even (buy on day b) and the randomized rule
@@ -300,15 +300,12 @@ def ski_cost(policy: SkiPolicy, b: int, xs, ys, u=None):
     return np.where(np.greater_equal(ys, b), big, small)
 
 
-def policy_cost(
-    instance: SkiInstance,
-    policy: SkiPolicy,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
+def policy_cost(instance: SkiInstance, policy: SkiPolicy, u=None) -> float:
     """Cost of running ``policy`` on ``instance``.
 
-    The randomized rule is scored by its exact expected cost unless a
-    generator is supplied, in which case a single buy day is sampled.
+    The randomized rule is scored by its exact expected cost unless one
+    uniform [0, 1) draw ``u``, a real scalar, is given; then it buys on the
+    day that draw picks, as in `ski_cost`.  The day rules ignore ``u``.
     """
-    u = rng.random() if rng is not None and policy.kind is PolicyKind.RANDOMIZED else None
+    _require(u is None or _is_real(u), u, "policy_cost takes one uniform draw u, a real scalar")
     return float(ski_cost(policy, instance.b, instance.x, instance.y, u))

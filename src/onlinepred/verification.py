@@ -1,7 +1,7 @@
 """Grid verification of every proven guarantee against the simulators.
 
 Each check family enumerates instances (exhaustively where the domain is
-finite, from a seeded generator otherwise), runs the real decision rule, and
+finite, from seeded draws otherwise), runs the real decision rule, and
 compares the observed ratio against the closed-form guarantee in `bounds`,
 evaluated on whole arrays.  One fold, `_fold`, turns every family's excesses
 (observed - allowed) into a `FamilyResult`; an excess that is not at most
@@ -155,12 +155,12 @@ def check_classical_recovery(b_max: int = 50) -> FamilyResult:
 def random_jobsets(count: int, seed: int) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Seeded job sets of 1..8 jobs with lengths in [1, 10] and assorted prediction styles.
 
-    Set s draws as generator s of ``derived_rngs(seed, range(count))``
-    would: n by ``integers(1, 9)``, lengths by ``uniform(1.0, 10.0, n)``,
-    then its predictions.  Prediction modes rotate by index: perfect, mild
-    noise (``normal(0.0, 0.5, n)`` added), heavy noise (``normal(0.0, 5.0,
-    n)`` added), unrelated uniform (``uniform(-5.0, 15.0, n)``, may be
-    negative), and fully reversed order.  All sets are drawn at once by
+    Set s draws as ``default_rng(SeedSequence((seed, s)))`` would: n by
+    ``integers(1, 9)``, lengths by ``uniform(1.0, 10.0, n)``, then its
+    predictions.  Prediction modes rotate by index: perfect, mild noise
+    (``normal(0.0, 0.5, n)`` added), heavy noise (``normal(0.0, 5.0, n)``
+    added), unrelated uniform (``uniform(-5.0, 15.0, n)``, may be negative),
+    and fully reversed order.  All sets are drawn at once by
     `workloads._Draws`, with numpy's loc + scale * draw on the arrays.  The
     sets come stacked by size, as one (set indices, lengths, predictions)
     triple per size in ascending order, each stack checked as a JobSet

@@ -1,21 +1,18 @@
-"""Synthetic workload generators: uniform ski demand and heavy-tailed job lengths.
+"""Synthetic workloads: uniform ski demand and heavy-tailed job lengths.
 
-Reproducibility contract: every generator is a deterministic function of its
-arguments and the generator passed in, and checks none of them (the sweep
-configs do).  `derived_rngs` builds one stream per trial key by hashing
-(master seed, key), so trials can run in any order or in parallel without
-changing a single draw: it runs numpy's `SeedSequence` hash (O'Neill's
-seed_seq mixing) on uint32 arrays over a chunk of keys at once and yields the
-generators ``default_rng(SeedSequence((master_seed, key)))`` would, bit for
-bit, which the tests check against the installed numpy.  It is the
-reference: the sweeps, the verification grids and ``trace ski`` draw
-through `_Draws` instead, which from the same seed states computes each
-key's PCG64 output words as one (words, keys) matrix and decodes numpy's
-bounded-integer, exponential, normal and uniform draws on arrays, each draw
-off its fast path in scalar, so a whole block of trials gets the draws its
-generators would give without building one or importing ``numpy.random``.
+Reproducibility contract: trial key k of a master seed draws as numpy's
+``default_rng(SeedSequence((master_seed, k)))`` would, for keys in [0, 2^32),
+so trials can run in any order or in parallel without changing a single draw.
+No generator is built: `_Draws` runs numpy's `SeedSequence` hash (O'Neill's
+seed_seq mixing) on uint32 arrays over a chunk of keys at once, computes each
+key's PCG64 output words from those seed states as one (words, keys) matrix
+and decodes numpy's bounded-integer, exponential, normal and uniform draws on
+arrays, each draw off its fast path in scalar.  So a whole block of trials
+gets the draws its generators would give, bit for bit, which the tests check
+against the installed numpy, and no module imports ``numpy.random``.
 `ski_trial_draws` and `sched_trial_draws` give the two sweeps' trials and
-`seed_uniform` the sampled buy day of ``trace ski``.
+`seed_uniform` the sampled buy day of ``trace ski``; none checks the sweep
+parameters, since the sweep configs do.
 """
 
 from __future__ import annotations
@@ -382,9 +379,8 @@ _EXP_R = 7.6971174701310497140446280481
 _ZIG_TABLES = tuple(table.tolist() for table in (_ZIG_F, _ZIG_W, _ZIG_K))
 _EXP_TABLES = tuple(table.tolist() for table in (_EXP_F, _EXP_W, _EXP_K))
 
-# Keys whose seed states `derived_rngs` and `_Draws` derive in one pass, and
-# entries of the word matrix one `_pcg_words` pass computes; they bound the
-# memory of a pass.
+# Keys whose seed states `_Draws` derives in one pass, and entries of the
+# word matrix one `_pcg_words` pass computes; they bound the memory of a pass.
 _RNG_CHUNK = 8192
 _WORD_ENTRIES = 1 << 16
 # Words gathered for each scalar draw at once; a slow draw reads two or three.
@@ -454,20 +450,6 @@ def _seed_states(master: List[int], keys: Optional[np.ndarray] = None) -> np.nda
     return out[:, 0::2] | (out[:, 1::2] << np.uint64(32))
 
 
-class _SeedState:
-    """A precomputed SeedSequence state: all PCG64 asks of its seed."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a derived seed state holds exactly 4 uint64 words")
-        return self.state
-
-
 def _key_array(keys: Iterable[int]) -> np.ndarray:
     """``keys`` as a uint32 array; ValueError unless they are integers in [0, 2^32)."""
     keys = np.asarray(keys if isinstance(keys, np.ndarray) else list(keys))
@@ -476,26 +458,6 @@ def _key_array(keys: Iterable[int]) -> np.ndarray:
     ):
         raise ValueError("keys must be a flat sequence of integers in [0, 2**32)")
     return keys.astype(np.uint32)
-
-
-def derived_rngs(master_seed: int, keys: Iterable[int]) -> Iterator[np.random.Generator]:
-    """``default_rng(SeedSequence((master_seed, key)))`` for each key in order, bit for bit.
-
-    Keys must be integers in [0, 2^32); anything else raises ValueError here,
-    not when iterated.  Generators come lazily, their seed states derived
-    ``_RNG_CHUNK`` keys at a time.  They cannot spawn children.
-    """
-    # numpy.random stays out of package import, which would otherwise load it
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_SeedState)
-    master, keys = _words(master_seed), _key_array(keys)
-    return (
-        Generator(PCG64(_SeedState(state)))
-        for lo in range(0, keys.size, _RNG_CHUNK)
-        for state in _seed_states(master, keys[lo:lo + _RNG_CHUNK])
-    )
 
 
 def _affine(hi: np.ndarray, lo: np.ndarray, mult: int, add_hi, add_lo):
@@ -666,15 +628,15 @@ def _unit_fast(words: np.ndarray):
 
 
 class _Draws:
-    """numpy ``Generator`` draws of many derived streams at once, bit for bit.
+    """numpy ``Generator`` draws of many per-key streams at once, bit for bit.
 
     Column k of ``words`` holds the first ``width`` PCG64 output words of
-    key k's `derived_rngs` generator (or, with ``keys`` None, of the master
-    seed's own ``default_rng(SeedSequence(master_seed))``), and ``cursor[k]``
-    counts the words that key's draws have read so far.  Each method draws
-    ``count`` values per key (an int, or one count per key) in order, as the
-    generator would, and returns them as a float64 (keys, largest count)
-    array whose entries past a key's count are 0.
+    key k's generator ``default_rng(SeedSequence((master_seed, key)))`` (or,
+    with ``keys`` None, of ``default_rng(SeedSequence(master_seed))``), and
+    ``cursor[k]`` counts the words that key's draws have read so far.  Each
+    method draws ``count`` values per key (an int, or one count per key) in
+    order, as the generator would, and returns them as a float64 (keys,
+    largest count) array whose entries past a key's count are 0.
 
     A draw on its fast path reads one word and is decoded on arrays, where
     only exact IEEE operations run.  A key's run of fast draws stops at its
@@ -846,14 +808,16 @@ class _Draws:
 
 
 def ski_trial_draws(master_seed: int, b: int, keys: Iterable[int], uniforms: int):
-    """Each key's ski trial draws from its `derived_rngs` generator, bit for bit, as arrays.
+    """Each key's ski trial draws, bit for bit as its numpy generator makes them, as arrays.
 
-    For the generator ``rng`` of key k, row k of the result holds
-    ``gen_ski_days(b, rng)``, then ``rng.standard_normal()``, then
-    ``rng.random(uniforms)``: an int64 day array, a float64 direction array and
-    a (keys, uniforms) float64 array.  b is at most B_MAX, so 4b - 1 takes
-    numpy's 32-bit bounded path; the keys are checked as `derived_rngs`
-    checks them.  About 1.5% of keys leave a fast path (`_Draws`).
+    For the generator ``rng = default_rng(SeedSequence((master_seed, key)))``
+    of key k, row k of the result holds the skiing days
+    ``rng.integers(1, 4 * b + 1)``, uniform on {1..4b}, then
+    ``rng.standard_normal()``, then ``rng.random(uniforms)``: an int64 day
+    array, a float64 direction array and a (keys, uniforms) float64 array.
+    b is at most B_MAX, so 4b - 1 takes numpy's 32-bit bounded path.  Keys
+    outside [0, 2^32) and negative seeds raise ValueError.  About 1.5% of
+    keys leave a fast path (`_Draws`).
     """
     draws = _Draws(master_seed, keys, 2 + uniforms)
     days = draws.integers(4 * b).astype(np.int64) + 1
@@ -863,15 +827,17 @@ def ski_trial_draws(master_seed: int, b: int, keys: Iterable[int], uniforms: int
 def sched_trial_draws(
     master_seed: int, alpha: float, n: int, keys: Iterable[int], jobs_key: Optional[int] = None
 ):
-    """Each key's job lengths and noise directions from its `derived_rngs` generator, bit for bit.
+    """Each key's job lengths and noise directions, bit for bit as its numpy generator makes them.
 
-    For the generator ``rng`` of key k, row k of the (keys, n) float64
-    results holds ``gen_pareto_lengths(alpha, n, rng)``, then
-    ``rng.standard_normal(n)``.  With a ``jobs_key``, every row's lengths
-    are those of that key's generator instead, and each key draws only its
-    directions.  A Pareto length is 1 + expm1(E / alpha) of a standard
-    exponential E; expm1 runs in `math`, which is the libm numpy calls, since
-    numpy's vectorised expm1 may differ from it in the last bit.
+    For the generator ``rng = default_rng(SeedSequence((master_seed, key)))``
+    of key k, row k of the (keys, n) float64 results holds the n i.i.d.
+    Pareto job lengths ``1.0 + rng.pareto(alpha, n)``, survival (1/t)^alpha
+    for t >= 1, so no job is shorter than the one unit the schedulers
+    assume, then ``rng.standard_normal(n)``.  With a ``jobs_key``, every
+    row's lengths are those of that key's generator instead, and each key
+    draws only its directions.  A Pareto length is 1 + expm1(E / alpha) of a
+    standard exponential E; expm1 runs in `math`, which is the libm numpy
+    calls, since numpy's vectorised expm1 may differ from it in the last bit.
     """
     slack = 8 + n // 8  # words for the slow draws, so few keys read past the matrix
     if jobs_key is None:
@@ -888,17 +854,3 @@ def sched_trial_draws(
 def seed_uniform(master_seed: int) -> float:
     """``default_rng(SeedSequence(master_seed)).random()``, bit for bit."""
     return float(_Draws(master_seed, None, 1).random(1)[0, 0])
-
-
-def gen_ski_days(b: int, rng: np.random.Generator) -> int:
-    """Skiing days uniform on {1..4b}."""
-    return int(rng.integers(1, 4 * b + 1))
-
-
-def gen_pareto_lengths(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. Pareto job lengths, survival (1/t)^alpha for t >= 1.
-
-    The shortest job is therefore never below one unit, matching the
-    normalization the schedulers assume.
-    """
-    return 1.0 + rng.pareto(alpha, n)

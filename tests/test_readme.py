@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # the values the example's comments state
 STATED = """
 assert day == 50, day
+assert sampled == 117.0, sampled
 assert np.all(np.abs(result.completions - [4 / 3, 3.0]) <= 1e-12), result.completions
 assert completions.shape == (2, 2), completions.shape
 assert np.all(np.abs(objectives(completions) - [5.0, 16 / 3]) <= 1e-12), completions

@@ -20,7 +20,7 @@ from onlinepred.ski_demand import (
     demand_opt_levels,
 )
 from onlinepred.ski_rental import B_MAX, PolicyKind, SkiInstance, SkiPolicy, policy_cost
-from onlinepred.workloads import derived_rngs
+from test_workloads import numpy_rngs
 from ski_oracles import sorted_level_counts
 
 
@@ -59,11 +59,12 @@ def scan_levels(instance):
     return xs, ys
 
 
-def level_cost_loop(instance, policy, rng=None):
-    """Oracle: `policy_cost` run level by level on the scanned counts."""
+def level_cost_loop(instance, policy, u=None):
+    """Oracle: `policy_cost` run level by level on the scanned counts, level j on draw u[j-1]."""
+    xs, ys = scan_levels(instance)
     total = 0.0
-    for x, y in zip(*scan_levels(instance)):
-        total += policy_cost(SkiInstance(instance.b, x, float(y)), policy, rng)
+    for x, y, draw in zip(xs, ys, [None] * len(xs) if u is None else u):
+        total += policy_cost(SkiInstance(instance.b, x, float(y)), policy, draw)
     return total
 
 
@@ -217,9 +218,8 @@ class TestDecompose:
             "break-even": SkiPolicy(PolicyKind.DETERMINISTIC, 1.0),
         }[rule]
         assert demand_algorithm_cost(inst, policy) == level_cost_loop(inst, policy)
-        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert demand_algorithm_cost(inst, policy, rng) == level_cost_loop(inst, policy, twin)
-        assert rng.bit_generator.state == twin.bit_generator.state
+        u = np.random.default_rng(seed).random(inst.max_demand)
+        assert demand_algorithm_cost(inst, policy, u) == level_cost_loop(inst, policy, u)
 
 
 def pinned_instances():
@@ -263,7 +263,7 @@ def test_demand_outputs_are_pinned():
             demand_opt(inst),
             demand_algorithm_cost(inst, det),
             demand_algorithm_cost(inst, rand),
-            demand_algorithm_cost(inst, rand, rng),
+            demand_algorithm_cost(inst, rand, rng.random(inst.max_demand)),
             demand_level_error(inst),
         )
         for inst in pinned_instances()
@@ -320,12 +320,24 @@ class TestAlgorithmCost:
         with pytest.raises(ValueError):
             demand_algorithm_cost(inst, SkiPolicy(PolicyKind.NAIVE))
 
+    @pytest.mark.parametrize("rule", [PolicyKind.DETERMINISTIC, PolicyKind.RANDOMIZED])
+    @pytest.mark.parametrize(
+        "u", [0.5, [0.5], np.full(3, 0.5), np.full((2, 1), 0.5)],
+        ids=["scalar", "one", "three", "column"],
+    )
+    def test_draws_must_be_one_per_level(self, rule, u):
+        # two levels take two draws: a scalar or a column would broadcast
+        inst = DemandInstance(3, (2, 1, 2), (2.0, 1.0, 2.0))
+        with pytest.raises(ValueError, match=r"one draw per demand level, shape \(2,\), got"):
+            demand_algorithm_cost(inst, SkiPolicy(rule, 0.8), u)
+
     def test_randomized_exact_is_sampled_mean(self):
         inst = DemandInstance(3, (2, 1, 2), (2.0, 1.0, 2.0))
         policy = SkiPolicy(PolicyKind.RANDOMIZED, 0.8)
         exact = demand_algorithm_cost(inst, policy)
         samples = [
-            demand_algorithm_cost(inst, policy, rng) for rng in derived_rngs(17, range(20000))
+            demand_algorithm_cost(inst, policy, rng.random(inst.max_demand))
+            for rng in numpy_rngs(17, range(20000))
         ]
         se = np.std(samples) / np.sqrt(len(samples))
         assert abs(np.mean(samples) - exact) < 3 * se
@@ -337,7 +349,8 @@ class TestAlgorithmCost:
         policy = SkiPolicy(PolicyKind.RANDOMIZED, lam)
         opt = demand_opt(inst)
         ratios = [
-            demand_algorithm_cost(inst, policy, rng) / opt for rng in derived_rngs(23, range(10000))
+            demand_algorithm_cost(inst, policy, rng.random(inst.max_demand)) / opt
+            for rng in numpy_rngs(23, range(10000))
         ]
         assert np.mean(ratios) <= rand_consistency(lam) + 0.01
 

@@ -414,8 +414,8 @@ class TestSampling:
         b = ski_cost(policy, 50, xs, 50.0, np.random.default_rng(7).random(1000))
         assert np.array_equal(a, b)
         inst = SkiInstance(50, 10, 60.0)
-        a = [policy_cost(inst, policy, rng) for rng in [np.random.default_rng(7)] * 50]
-        b = [policy_cost(inst, policy, rng) for rng in [np.random.default_rng(7)] * 50]
+        a = [policy_cost(inst, policy, u) for u in np.random.default_rng(7).random(50)]
+        b = [policy_cost(inst, policy, u) for u in np.random.default_rng(7).random(50)]
         assert a == b
 
 
@@ -529,7 +529,7 @@ class TestPolicyCost:
         exact = policy_cost(inst, policy)
         assert exact == pytest.approx(geometric_cost_oracle(b, 5, 200_000), rel=1e-12)
         assert exact == pytest.approx(summed_expected_cost(inst, lam), rel=1e-12)
-        sampled = {policy_cost(inst, policy, np.random.default_rng(s)) for s in range(20)}
+        sampled = {policy_cost(inst, policy, np.random.default_rng(s).random()) for s in range(20)}
         assert sampled <= {5.0} | {float(b + d - 1) for d in range(1, 6)}
 
     def test_lambda_required(self):
@@ -581,19 +581,24 @@ class TestKernelInputs:
 
     @pytest.mark.parametrize("u", [math.nan, -0.5, 1.0, 1.5])
     def test_rejects_draw_outside_unit_interval(self, u):
-        class FixedDraw:
-            def random(self):
-                return u
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # raised before any cast or log warns
             for call in (
                 lambda: ski_cost(self.RANDOMIZED, 10, 5, 20.0, u),
                 lambda: ski_cost(self.RANDOMIZED, 10, np.full(2, 5), 20.0, np.array([0.5, u])),
-                lambda: policy_cost(SkiInstance(10, 5, 20.0), self.RANDOMIZED, FixedDraw()),
+                lambda: policy_cost(SkiInstance(10, 5, 20.0), self.RANDOMIZED, u),
             ):
                 with pytest.raises(ValueError, match=r"u must lie in \[0, 1\)"):
                     call()
+
+    @pytest.mark.parametrize(
+        "u", [np.array([0.5]), np.array([0.5, 0.25]), [0.5], np.array(0.5), True, "0.5"],
+        ids=["one-entry", "two-entries", "list", "zero-d", "bool", "str"],
+    )
+    def test_policy_cost_takes_one_real_draw(self, u):
+        for policy in (self.RANDOMIZED, NAIVE):
+            with pytest.raises(ValueError, match="policy_cost takes one uniform draw u"):
+                policy_cost(SkiInstance(10, 5, 20.0), policy, u)
 
     @pytest.mark.parametrize("u", [0.0, np.nextafter(1, 0)])
     def test_accepts_draw_in_unit_interval(self, u):

@@ -19,8 +19,7 @@ from onlinepred.verification import (
     check_rand_ski_guarantee,
     random_jobsets,
 )
-from onlinepred.workloads import derived_rngs
-from test_workloads import derived_rng
+from test_workloads import numpy_rngs
 
 # ties, values on either side of the tolerance, infinities and NaN
 VALUES = [-1.0, -math.inf, 0.0, 5e-10, 1e-9, 2e-9, 1.0, math.inf, math.nan]
@@ -156,8 +155,8 @@ class TestFailsClosed:
 
 
 def one_jobset(seed, s):
-    """Job set s drawn on its own from derived_rng(seed, s), in the stacks' draw order."""
-    return one_jobset_from(derived_rng(seed, s), s)
+    """Job set s drawn on its own from numpy's generator of key s, in the stacks' draw order."""
+    return one_jobset_from(next(numpy_rngs(seed, [s])), s)
 
 
 def one_jobset_from(rng, s):
@@ -176,9 +175,9 @@ def one_jobset_from(rng, s):
 
 def jobsets_oracle(count, seed):
     """`random_jobsets`'s stacks, set s drawn from generator s of
-    ``derived_rngs(seed, range(count))`` in turn."""
+    ``numpy_rngs(seed, range(count))`` in turn."""
     by_size = {}
-    for s, rng in enumerate(derived_rngs(seed, range(count))):
+    for s, rng in enumerate(numpy_rngs(seed, range(count))):
         jobs = one_jobset_from(rng, s)
         by_size.setdefault(len(jobs.lengths), []).append((s, jobs.lengths, jobs.predicted))
     return [

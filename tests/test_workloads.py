@@ -1,9 +1,12 @@
-"""Generator tests: ranges, moments, determinism, seed-stream separation."""
+"""Draw engine tests: numpy's own generators as the reference, ranges, moments,
+determinism, seed-stream separation and the numpy.random-free package."""
 
+import ast
 import functools
 import math
 import subprocess
 import sys
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -11,24 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onlinepred import workloads
+from onlinepred import cli, workloads
 from onlinepred.experiments import SchedSweepConfig, SkiSweepConfig
-from onlinepred.ski_rental import B_MAX
-from onlinepred.workloads import (
-    DEFAULT_SEED,
-    derived_rngs,
-    gen_pareto_lengths,
-    gen_ski_days,
-    ski_trial_draws,
-)
+from onlinepred.ski_rental import B_MAX, PolicyKind
+from onlinepred.workloads import DEFAULT_SEED, sched_trial_draws, ski_trial_draws
 
 # PCG64's LCG multiplier; its inverse mod 2^128 steps the state back
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def derived_rng(master_seed: int, key: int) -> np.random.Generator:
-    """The per-trial stream by definition: numpy's own SeedSequence of (master seed, key)."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, key)))
+def numpy_rngs(master_seed: int, keys):
+    """The per-trial streams by definition: numpy's generators of SeedSequence((seed, key))."""
+    return (np.random.default_rng(np.random.SeedSequence((master_seed, key))) for key in keys)
 
 
 def emitting(word: int, then: int = None) -> np.random.Generator:
@@ -236,72 +233,72 @@ class TestExponentialZigguratTables(ZigguratChecks):
 
 
 class TestSkiInstanceGenerator:
+    """The skiing days the ski sweep draws: uniform on {1..4b}."""
+
     def test_range_and_mean(self):
-        rng = np.random.default_rng(0)
-        xs = np.array([gen_ski_days(100, rng) for _ in range(100_000)])
+        xs, _, _ = ski_trial_draws(0, 100, range(100_000), 0)
         assert xs.min() >= 1 and xs.max() <= 400
         assert abs(xs.mean() - 200.5) / 200.5 < 0.01
 
     def test_small_b_range(self):
-        rng = np.random.default_rng(1)
-        xs = {gen_ski_days(2, rng) for _ in range(2000)}
-        assert xs == set(range(1, 9))
+        xs, _, _ = ski_trial_draws(1, 2, range(2000), 0)
+        assert set(xs.tolist()) == set(range(1, 9))
 
     def test_reproducible(self):
-        a = [gen_ski_days(50, np.random.default_rng(42)) for _ in range(100)]
-        b = [gen_ski_days(50, np.random.default_rng(42)) for _ in range(100)]
-        assert a == b
-        assert all(type(x) is int for x in a)
+        a, b = (ski_trial_draws(42, 50, range(100), 0)[0] for _ in range(2))
+        assert a.dtype == np.int64 and np.array_equal(a, b)
 
     def test_rejects_small_b(self):
-        # gen_ski_days checks nothing; the ski sweep config owns the b >= 2 check
+        # the draws check no b; the ski sweep config owns the b >= 2 check
         for b in (1, 0, -3):
             with pytest.raises(ValueError, match="b must be >= 2"):
                 SkiSweepConfig(b=b)
 
 
 class TestParetoJobs:
+    """The job lengths the scheduling sweep draws: Pareto, survival (1/t)^alpha for t >= 1."""
+
     def test_all_lengths_at_least_one(self):
-        lengths = gen_pareto_lengths(1.1, 200, np.random.default_rng(5))
-        assert lengths.shape == (200,) and lengths.dtype == np.float64
+        lengths, _ = sched_trial_draws(5, 1.1, 200, range(20))
+        assert lengths.shape == (20, 200) and lengths.dtype == np.float64
         assert lengths.min() >= 1.0
 
     def test_fixed_seed_identical(self):
-        a = gen_pareto_lengths(1.1, 50, np.random.default_rng(6))
-        b = gen_pareto_lengths(1.1, 50, np.random.default_rng(6))
+        a, b = (sched_trial_draws(6, 1.1, 50, range(10))[0] for _ in range(2))
         assert np.array_equal(a, b)
 
     def test_median_of_per_set_means(self):
         # frozen from the sampling oracle: scale-1 Pareto(1.1), n=50 gives a
         # median per-set mean near 4.5 (heavy right tail, so a wide band)
-        means = [gen_pareto_lengths(1.1, 50, rng).mean() for rng in derived_rngs(99, range(600))]
-        assert 2.0 <= np.median(means) <= 30.0
+        lengths, _ = sched_trial_draws(99, 1.1, 50, range(600))
+        assert 2.0 <= np.median(lengths.mean(axis=1)) <= 30.0
 
     def test_heavy_tail_present(self):
-        maxima = [gen_pareto_lengths(1.1, 50, rng).max() for rng in derived_rngs(98, range(200))]
-        assert np.median(maxima) > 5.0  # the tail dominates most sets
+        lengths, _ = sched_trial_draws(98, 1.1, 50, range(200))
+        assert np.median(lengths.max(axis=1)) > 5.0  # the tail dominates most sets
 
     def test_validation(self):
-        # gen_pareto_lengths checks nothing; the scheduling sweep config owns these checks
+        # the draws check no parameter; the scheduling sweep config owns these checks
         for alpha in (1.0, math.inf):
             with pytest.raises(ValueError, match="alpha must be finite and exceed 1"):
                 SchedSweepConfig(alpha=alpha)
         with pytest.raises(ValueError, match="n must be >= 1"):
             SchedSweepConfig(n=0)
-        for n in (3.5, True):  # gen_pareto_lengths would fail inside numpy
+        for n in (3.5, True):  # the draws would fail inside numpy
             with pytest.raises(ValueError, match="must be an integer"):
                 SchedSweepConfig(n=n)
 
 
 class TestDerivedStreams:
     def test_distinct_trials_distinct_draws(self):
-        draws = {rng.integers(0, 2**62) for rng in derived_rngs(7, range(200))}
-        assert len(draws) == 200
+        draws = workloads._Draws(7, range(200), 1).random(1)
+        assert len(set(draws[:, 0].tolist())) == 200
 
     def test_same_key_same_stream(self):
-        a = next(derived_rngs(7, [3])).standard_normal(10)
-        b = next(derived_rngs(7, [3])).standard_normal(10)
-        assert np.array_equal(a, b)
+        a = workloads._Draws(7, [3], 10).standard_normal(10)
+        b = workloads._Draws(7, [3, 5, 3], 10).standard_normal(10)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(b[0], b[2])
+        assert not np.array_equal(b[0], b[1])
 
 
 # master seeds at every word-count boundary, up to entropy longer than the pool
@@ -335,9 +332,9 @@ def numpy_slow_paths(seed, b, keys, uniforms):
     """
 
     found = {}
-    for key, rng, twin in zip(keys, derived_rngs(seed, keys), derived_rngs(seed, keys)):
+    for key, rng, twin in zip(keys, numpy_rngs(seed, keys), numpy_rngs(seed, keys)):
         taken = set()
-        gen_ski_days(b, rng)
+        rng.integers(1, 4 * b + 1)
         if read(rng, twin) > 1 or not rng.bit_generator.state["has_uint32"]:
             taken.add("lemire retry")
         layer = int(twin.bit_generator.random_raw()) & 0xFF
@@ -354,19 +351,18 @@ def numpy_slow_paths(seed, b, keys, uniforms):
 
 
 class TestBatchedStreams:
-    """derived_rngs against numpy's own SeedSequence, and ski_trial_draws against
-    derived_rngs, one key at a time."""
+    """The engine's seeding and ski_trial_draws against numpy's own generators,
+    one key at a time."""
 
     @staticmethod
     def assert_matches_reference(seed, keys):
-        got = list(derived_rngs(seed, keys))
-        assert len(got) == len(keys)
-        for key, rng in zip(keys, got):
-            ref = derived_rng(seed, key)
-            assert rng.bit_generator.state == ref.bit_generator.state
-            assert rng.integers(0, 2**63) == ref.integers(0, 2**63)
-            assert rng.standard_normal() == ref.standard_normal()
-            assert rng.random() == ref.random()
+        draws = workloads._Draws(seed, keys, 4)
+        got = draws.integers(2**32), draws.standard_normal(1)[:, 0], draws.random(2)
+        assert all(len(column) == len(keys) for column in got)
+        for rng, span, normal, uniforms in zip(numpy_rngs(seed, keys), *got):
+            assert span == rng.integers(0, 2**32)
+            assert normal == rng.standard_normal()
+            assert uniforms.tolist() == rng.random(2).tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -383,13 +379,14 @@ class TestBatchedStreams:
     def test_chunk_boundaries_keep_key_order(self):
         chunk = workloads._RNG_CHUNK
         keys = range(chunk - 6, chunk + 4)  # straddles the first chunk of keys
-        got = [rng.random() for rng in derived_rngs(271828, range(chunk + 4))][chunk - 6:]
-        assert got == [derived_rng(271828, k).random() for k in keys]
+        got = workloads._Draws(271828, range(chunk + 4), 1).random(1)[chunk - 6:, 0]
+        assert got.tolist() == [rng.random() for rng in numpy_rngs(271828, keys)]
 
     def test_empty_keys_yield_nothing(self):
-        assert list(derived_rngs(5, [])) == []
-        assert list(derived_rngs(5, range(0))) == []
-        assert list(derived_rngs(5, np.array([], dtype=np.int64))) == []
+        for keys in ([], range(0), np.array([], dtype=np.int64)):
+            draws = workloads._Draws(5, keys, 2)
+            assert draws.integers(10).shape == (0,)
+            assert draws.standard_normal(3).shape == draws.random(3).shape == (0, 3)
 
     @pytest.mark.parametrize(
         "keys",
@@ -397,11 +394,11 @@ class TestBatchedStreams:
     )
     def test_rejects_keys_outside_one_word(self, keys):
         with pytest.raises(ValueError):
-            derived_rngs(5, keys)
+            workloads._Draws(5, keys, 1)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
-            derived_rngs(-1, [0])
+            workloads._Draws(-1, [0], 1)
         with pytest.raises(ValueError):
             ski_trial_draws(-1, 100, [0], 0)
 
@@ -409,8 +406,8 @@ class TestBatchedStreams:
     def assert_ski_draws_match(seed, b, keys, uniforms):
         days, directions, us = ski_trial_draws(seed, b, keys, uniforms)
         ref_days, ref_directions, ref_us = [], [], []
-        for rng in derived_rngs(seed, keys):
-            ref_days.append(gen_ski_days(b, rng))
+        for rng in numpy_rngs(seed, keys):
+            ref_days.append(int(rng.integers(1, 4 * b + 1)))
             ref_directions.append(rng.standard_normal())
             ref_us.append(rng.random(uniforms))
         assert days.dtype == np.int64 and days.tolist() == ref_days
@@ -441,7 +438,7 @@ class TestBatchedStreams:
         st.lists(st.one_of(st.sampled_from((0, 2**32 - 1)), KEYS), max_size=6),
         st.integers(0, 3),
     )
-    def test_ski_draws_match_derived_rngs(self, seed, b, keys, uniforms):
+    def test_ski_draws_match_numpy_generators(self, seed, b, keys, uniforms):
         self.assert_ski_draws_match(seed, b, keys, uniforms)
 
     @staticmethod
@@ -495,10 +492,10 @@ def sched_draws_oracle(seed, alpha, n, keys, jobs_key=None):
     """Each key's job lengths and noise directions, drawn from its own generator in turn."""
     fixed = None
     if jobs_key is not None:
-        fixed = gen_pareto_lengths(alpha, n, next(derived_rngs(seed, [jobs_key])))
+        fixed = 1.0 + next(numpy_rngs(seed, [jobs_key])).pareto(alpha, n)
     lengths, directions = [], []
-    for rng in derived_rngs(seed, keys):
-        lengths.append(gen_pareto_lengths(alpha, n, rng) if fixed is None else fixed)
+    for rng in numpy_rngs(seed, keys):
+        lengths.append(1.0 + rng.pareto(alpha, n) if fixed is None else fixed)
         directions.append(rng.standard_normal(n))
     return np.reshape(lengths, (len(keys), n)), np.reshape(directions, (len(keys), n))
 
@@ -521,7 +518,7 @@ def sched_path_keys(seed):
     wanted, found = set(SCHED_PATHS), {}
     for lo in range(0, 1 << 20, 2048):
         keys = range(lo, lo + 2048)
-        for key, rng, twin in zip(keys, derived_rngs(seed, keys), derived_rngs(seed, keys)):
+        for key, rng, twin in zip(keys, numpy_rngs(seed, keys), numpy_rngs(seed, keys)):
             for draw, zig in (("exponential", EXPONENTIAL), ("normal", NORMAL)):
                 word = int(twin.bit_generator.random_raw())
                 getattr(rng, zig.draw)()
@@ -548,7 +545,7 @@ class TestSchedDraws:
         paths = sched_path_keys(seed)
         assert set(paths) == set(SCHED_PATHS)
         keys = sorted(set(paths.values())) + [0, 1, 2**32 - 1]
-        got = workloads.sched_trial_draws(seed, alpha, n, keys, jobs_key)
+        got = sched_trial_draws(seed, alpha, n, keys, jobs_key)
         for array, expected in zip(got, sched_draws_oracle(seed, alpha, n, keys, jobs_key)):
             assert_same_bits(array, expected)
 
@@ -556,21 +553,21 @@ class TestSchedDraws:
         # 300 keys of 100 draws each take every path many times over
         keys = np.arange(1000, 1300)
         for got, expected in zip(
-            workloads.sched_trial_draws(DEFAULT_SEED, 1.1, 50, keys),
+            sched_trial_draws(DEFAULT_SEED, 1.1, 50, keys),
             sched_draws_oracle(DEFAULT_SEED, 1.1, 50, keys),
         ):
             assert_same_bits(got, expected)
 
     def test_empty_keys(self):
         for jobs_key in (None, 7):
-            lengths, directions = workloads.sched_trial_draws(5, 1.1, 3, [], jobs_key)
+            lengths, directions = sched_trial_draws(5, 1.1, 3, [], jobs_key)
             assert lengths.shape == directions.shape == (0, 3)
 
     def test_rejects_bad_seeds_and_keys(self):
         with pytest.raises(ValueError):
-            workloads.sched_trial_draws(-1, 1.1, 3, [0])
+            sched_trial_draws(-1, 1.1, 3, [0])
         with pytest.raises(ValueError):
-            workloads.sched_trial_draws(5, 1.1, 3, [2**32])
+            sched_trial_draws(5, 1.1, 3, [2**32])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -592,7 +589,7 @@ class TestSchedDraws:
             getattr(draws, name)(np.array(counts[:len(keys)], dtype=np.intp))
             for name, counts in plan
         ]
-        rngs = list(derived_rngs(seed, keys))
+        rngs = list(numpy_rngs(seed, keys))
         assert_same_bits(got[0], [rng.integers(0, span) for rng in rngs])
         for (name, counts), values in zip(plan, got[1:]):
             for row, rng, count in zip(values, rngs, counts):
@@ -605,7 +602,7 @@ class TestSchedDraws:
         # a one-word matrix; keys on every slow path are among them
         keys = sorted(set(sched_path_keys(DEFAULT_SEED).values()) | set(range(50)))
         draws = workloads._Draws(DEFAULT_SEED, keys, 1)
-        rngs, twins = derived_rngs(DEFAULT_SEED, keys), derived_rngs(DEFAULT_SEED, keys)
+        rngs, twins = numpy_rngs(DEFAULT_SEED, keys), numpy_rngs(DEFAULT_SEED, keys)
         for row, rng, twin in zip(range(len(keys)), rngs, twins):
             value, used = draws._scalar(row, 0, [], zig.scalar)
             assert value == getattr(rng, zig.draw)()
@@ -629,30 +626,69 @@ def test_package_import_leaves_numpy_random_unloaded(package_env):
     assert proc.returncode == 0, proc.stderr
 
 
+# each entry is the commands one subprocess runs; trace takes every --algo
 DRAWING_COMMANDS = {
-    "ski-sweep": ["ski-sweep"],
-    "ski-sweep-sampled": ["ski-sweep", "--sampled"],
-    "sched-sweep": ["sched-sweep"],
-    "sched-sweep-fixed-jobs": ["sched-sweep", "--fixed-jobs"],
-    "sched-sweep-jobs-2": ["sched-sweep", "--jobs", "2"],
-    "verify-bounds-tiny": ["verify-bounds", "--grid-density", "tiny"],
-    "trace-ski-randomized": ["trace", "ski", "--algo", "randomized", "--lambda", "0.5",
-                             "--b", "100", "--x", "50", "--y", "300"],
+    "ski-sweep": [["ski-sweep"]],
+    "ski-sweep-sampled": [["ski-sweep", "--sampled"]],
+    "sched-sweep": [["sched-sweep"]],
+    "sched-sweep-fixed-jobs": [["sched-sweep", "--fixed-jobs"]],
+    "sched-sweep-jobs-2": [["sched-sweep", "--jobs", "2"]],
+    "verify-bounds-tiny": [["verify-bounds", "--grid-density", "tiny"]],
+    "trace-ski": [
+        ["trace", "ski", "--algo", algo, "--b", "100", "--x", "50", "--y", "300"]
+        + (["--lambda", "0.5"] if lam is None and kind is not PolicyKind.NAIVE else [])
+        for algo, (kind, lam) in cli._TRACE_SKI_ALGOS.items()
+    ],
+    "trace-sched": [
+        ["trace", "sched", "--jobs", "1:1.2,2:1.9,4:3", "--algo", algo]
+        + (["--lambda", "0.5"] if algo == "prr" else [])
+        for algo in ("rr", "spjf", "prr", "sjf")
+    ],
 }
 
 
-@pytest.mark.parametrize("argv", DRAWING_COMMANDS.values(), ids=DRAWING_COMMANDS.keys())
-def test_drawing_commands_leave_numpy_random_unloaded(package_env, argv):
-    # every draw of every command is made in package code, so none loads
-    # numpy.random and pays for its import; nor numpy.ma, which np.unique
-    # loads on first use
+@pytest.mark.parametrize("commands", DRAWING_COMMANDS.values(), ids=DRAWING_COMMANDS.keys())
+def test_drawing_commands_leave_numpy_random_unloaded(package_env, commands):
+    # every draw of every command is made in package code: with numpy.random
+    # made unimportable, every module of the package imports and every command
+    # runs.  Nor does any load numpy.ma, which np.unique loads on first use
     code = (
-        "import contextlib, io, sys\n"
+        "import contextlib, importlib, io, pkgutil, sys\n"
+        "sys.modules['numpy.random'] = None  # importing it now raises ImportError\n"
+        "import onlinepred\n"
+        "for module in pkgutil.iter_modules(onlinepred.__path__):\n"
+        "    importlib.import_module(f'onlinepred.{module.name}')\n"
         "from onlinepred import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main({argv!r}) == 0\n"
-        "loaded = sorted({'numpy.random', 'numpy.ma'} & set(sys.modules))\n"
-        "sys.exit(f'loaded {loaded}' if loaded else 0)\n"
+        f"    for argv in {commands!r}:\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "sys.exit('loaded numpy.ma' if 'numpy.ma' in sys.modules else 0)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_modules_import_only_stdlib_numpy_and_the_package():
+    # numpy is the only runtime dependency pyproject declares, and no module
+    # refers to numpy.random: not by an import, nor by reading np.random
+    found = []
+    for path in sorted(Path(workloads.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        numpy_names, names = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+                numpy_names |= {alias.asname or alias.name for alias in node.names
+                                if alias.name == "numpy"}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names += [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        found += [
+            f"{path.name}: imports {name}" for name in names
+            if name.partition(".")[0] not in sys.stdlib_module_names | {"numpy", "onlinepred"}
+            or f"{name}.".startswith("numpy.random.")
+        ] + [
+            f"{path.name}:{node.lineno}: reads {node.value.id}.random" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "random"
+            and isinstance(node.value, ast.Name) and node.value.id in numpy_names
+        ]
+    assert found == []
