@@ -362,18 +362,18 @@ def cmd_trace_ski(args: argparse.Namespace) -> int:
         "opt": opt,
         "eta": round(eta, 4),
     }
-    if kind is PolicyKind.NAIVE:
+    if kind is not PolicyKind.NAIVE:
+        info["lambda"] = round(lam, 6)
+    if kind is PolicyKind.RANDOMIZED:
+        info["support_size"] = _support_size(args.b, lam, big)
+        uniform = seed_uniform(args.seed)  # default_rng(SeedSequence(seed)).random()
+        info["sampled_buy_day"] = int(randomized_buy_day(args.b, lam, big, uniform))
+    else:
         day = buy_day(policy, args.b, big)
-        info["buy_day"] = day if day is not None else "never"
+        info["buy_day"] = "never" if day is None else day
+    if kind is PolicyKind.NAIVE:
         info["guarantee"] = round(opt + eta, 4)
     else:
-        info["lambda"] = round(lam, 6)
-        if kind is PolicyKind.DETERMINISTIC:
-            info["buy_day"] = buy_day(policy, args.b, big)
-        else:
-            info["support_size"] = _support_size(args.b, lam, big)
-            uniform = seed_uniform(args.seed)  # default_rng(SeedSequence(seed)).random()
-            info["sampled_buy_day"] = int(randomized_buy_day(args.b, lam, big, uniform))
         info["bound"] = round(float(bounds.ski_guarantee(policy, args.b, eta, opt)), 6)
     info["cost"] = round(cost, 4)
     info["ratio"] = round(cost / opt, 6)

@@ -203,13 +203,14 @@ def buy_day(policy: SkiPolicy, b: int, big: bool) -> Optional[int]:
 def _policy_terms(policy: SkiPolicy, b: int):
     """The checked terms of ``policy`` at ``b``: one tuple for y >= b, one for y < b.
 
-    A day rule's tuple holds its buy day (`buy_day`, ``None`` for never),
-    capped at X_MAX + 1: a later day costs the same for every x <= X_MAX,
-    and stays an int64.  The randomized rule's holds its support m, the
-    normaliser 1 - r^m and the tail r^m, r = (b-1)/b.  The terms are kept
-    per b in a private ``__dict__`` entry of the policy object, so a rule
-    passed on every call is checked once per b.  Each object is checked by
-    itself, never by a cache keyed on equal policies:
+    A day rule's tuple holds its buy day (`buy_day`) capped at X_MAX + 1,
+    which also stands for never buying: no x <= X_MAX reaches that day, so
+    a later day and never both cost x, and the day stays an int64.  The
+    randomized rule's holds its support m, the normaliser 1 - r^m and the
+    tail r^m, r = (b-1)/b.  The terms are kept per b in a private
+    ``__dict__`` entry of the policy object, so a rule passed on every call
+    is checked once per b.  Each object is checked by itself, never by a
+    cache keyed on equal policies:
     ``SkiPolicy(RANDOMIZED, True)`` equals ``SkiPolicy(RANDOMIZED, 1.0)``
     but must still be rejected.
     """
@@ -224,7 +225,7 @@ def _policy_terms(policy: SkiPolicy, b: int):
                 terms.append((m, 1.0 - tail, tail))
         else:
             days = (buy_day(policy, b, big) for big in (True, False))
-            terms = [(day if day is None else min(day, X_MAX + 1),) for day in days]
+            terms = [(X_MAX + 1 if day is None else min(day, X_MAX + 1),) for day in days]
         cache[b] = terms
     return terms
 
@@ -261,14 +262,13 @@ def _cost_on_branch(kind: PolicyKind, b: int, terms, xs, u):
     """`ski_cost` on one branch, given its `_policy_terms` tuple, for every entry of ``xs``."""
     if kind is not PolicyKind.RANDOMIZED:
         (day,) = terms
-        if day is None:
-            return xs * 1.0  # never buys
     elif u is None:
         m, norm, _ = terms
         return np.minimum(xs, m) / norm
     else:
         day = _drawn_day(b, *terms, u)
-    return 1.0 * np.where(xs < day, xs, b + day - 1)
+    # day - 1 is at most X_MAX, so float64 xs compare with it exactly
+    return 1.0 * np.where(xs <= day - 1, xs, b + day - 1)
 
 
 def ski_cost(policy: SkiPolicy, b: int, xs, ys, u=None):
@@ -278,18 +278,19 @@ def ski_cost(policy: SkiPolicy, b: int, xs, ys, u=None):
     float array of their broadcast shape; each entry takes the branch its own
     prediction selects, y >= b or y < b.  The day rules (naive,
     deterministic) buy on their `buy_day` d and cost x if x < d, else
-    b + d - 1.  Without ``u`` the randomized rule is scored exactly: support
-    size m, expected cost min(x, m) / (1 - r^m), r = (b-1)/b, since each
-    skiing day up to m adds the same 1 / (1 - r^m).  With uniform [0,1)
-    draws ``u`` (broadcastable too) it buys on the day the branch's inverse
-    CDF picks for each draw (`randomized_buy_day`) and costs like a day rule;
+    b + d - 1, where never buying is day X_MAX + 1 (`_policy_terms`).
+    Without ``u`` the randomized rule is scored exactly: support size m,
+    expected cost min(x, m) / (1 - r^m), r = (b-1)/b, since each skiing
+    day up to m adds the same 1 / (1 - r^m).  With uniform [0,1) draws
+    ``u`` (broadcastable too) it buys on the day the branch's inverse CDF
+    picks for each draw (`randomized_buy_day`) and costs like a day rule;
     the day rules ignore ``u``.  Both branches are priced over ``xs`` from
     the policy's checked terms at ``b`` (`_policy_terms`) and each entry
     takes its own, so an (x, y) grid prices two costs per x, not one per
     point.  ``b`` must be an integer in [2, B_MAX].
     ``xs`` and ``ys`` are the caller's to check (`SkiInstance`,
     `DemandInstance` and the sweep draws do): two element checks here would
-    add 6 to 11 us to every call, near doubling a scalar call's 8 to 16 us.
+    cost about as much as a scalar call itself.
     """
     _check_count("b", b, 2, B_MAX)
     if u is not None and policy.kind is PolicyKind.RANDOMIZED:

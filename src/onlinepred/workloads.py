@@ -11,8 +11,8 @@ arrays, each draw off its fast path in scalar.  So a whole block of trials
 gets the draws its generators would give, bit for bit, which the tests check
 against the installed numpy, and no module imports ``numpy.random``.
 `ski_trial_draws` and `sched_trial_draws` give the two sweeps' trials and
-`seed_uniform` the sampled buy day of ``trace ski``; none checks the sweep
-parameters, since the sweep configs do.
+`seed_uniform`, from the same keyed seed states, the sampled buy day of
+``trace ski``; none checks the sweep parameters, since the sweep configs do.
 """
 
 from __future__ import annotations
@@ -379,14 +379,18 @@ _EXP_R = 7.6971174701310497140446280481
 _ZIG_TABLES = tuple(table.tolist() for table in (_ZIG_F, _ZIG_W, _ZIG_K))
 _EXP_TABLES = tuple(table.tolist() for table in (_EXP_F, _EXP_W, _EXP_K))
 
-# Keys whose seed states `_Draws` derives in one pass, and entries of the
-# word matrix one `_pcg_words` pass computes; they bound the memory of a pass.
-_RNG_CHUNK = 8192
+# Entries of the (words, keys) matrix, or of the (keys, 2 * _POOL_SIZE) seed
+# hash words, that one `_Draws` pass computes; they bound the memory of a
+# pass, which takes _WORD_ENTRIES // max(width, 2 * _POOL_SIZE) keys: 8192 at
+# widths up to 8.
 _WORD_ENTRIES = 1 << 16
 # Words gathered for each scalar draw at once; a slow draw reads two or three.
 _WINDOW = 4
-# Keys with draws left below which `_Draws` takes them one at a time: a round
-# of array steps costs about as much as this many keys' slow draws in scalar.
+# Keys with draws left below which `_Draws` takes them one at a time
+# (`_one_by_one`): a round of array steps costs about as much as this many
+# keys' slow draws in scalar.  The rounds serve wide draw calls, such as a
+# ski-sweep block's 12,787 keys; `_one_by_one` serves the last few keys of a
+# sched-sweep block and a key with a long run of draws.
 _ROUND_KEYS = 16
 
 
@@ -422,16 +426,16 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _seed_states(master: List[int], keys: Optional[np.ndarray] = None) -> np.ndarray:
+def _seed_states(master: List[int], keys: np.ndarray) -> np.ndarray:
     """``SeedSequence((master, key)).generate_state(4, np.uint64)`` per key, as rows.
 
     ``master`` is the seed's words and ``keys`` a uint32 array; the entropy
-    is those words then the key, or without keys the words alone, which
-    gives the one row of ``SeedSequence(master)``.  Words past the 4-word
-    pool (seeds of 2^128 and up) are mixed into every pool word after the
-    pool is mixed.
+    is those words then the key.  ``master`` may be empty: a seed's lower
+    words with its top word as the key give ``SeedSequence(seed)``'s state
+    (`seed_uniform`).  Words past the 4-word pool (entropy of 5 words and
+    up) are mixed into every pool word after the pool is mixed.
     """
-    entropy = [np.full(1, word, np.uint32) for word in master] + ([] if keys is None else [keys])
+    entropy = [np.full(1, word, np.uint32) for word in master] + [keys]
     hashmix = _hashmix(_INIT_A, _MULT_A)
     pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(1, np.uint32))
             for i in range(_POOL_SIZE)]
@@ -631,8 +635,8 @@ class _Draws:
     """numpy ``Generator`` draws of many per-key streams at once, bit for bit.
 
     Column k of ``words`` holds the first ``width`` PCG64 output words of
-    key k's generator ``default_rng(SeedSequence((master_seed, key)))`` (or,
-    with ``keys`` None, of ``default_rng(SeedSequence(master_seed))``), and
+    key k's generator ``default_rng(SeedSequence((master_seed, key)))``,
+    computed in passes of max(1, `_WORD_ENTRIES` // max(width, 8)) keys, and
     ``cursor[k]`` counts the words that key's draws have read so far.  Each
     method draws ``count`` values per key (an int, or one count per key) in
     order, as the generator would, and returns them as a float64 (keys,
@@ -648,17 +652,15 @@ class _Draws:
     buffered, so it is exact only as a key's first draw.
     """
 
-    def __init__(self, master_seed: int, keys: Optional[Iterable[int]], width: int):
-        master = _words(master_seed)
-        keys = None if keys is None else _key_array(keys)
-        size = 1 if keys is None else keys.size
-        step = max(1, min(_RNG_CHUNK, _WORD_ENTRIES // width))
+    def __init__(self, master_seed: int, keys: Iterable[int], width: int):
+        master, keys = _words(master_seed), _key_array(keys)
+        step = max(1, _WORD_ENTRIES // max(width, 2 * _POOL_SIZE))
         words, ends = zip(*(
-            _pcg_words(_seed_states(master, None if keys is None else keys[lo:lo + step]), width)
-            for lo in range(0, max(size, 1), step)
+            _pcg_words(_seed_states(master, keys[lo:lo + step]), width)
+            for lo in range(0, max(keys.size, 1), step)
         ))
         self.words, self.ends = np.concatenate(words, axis=1), np.concatenate(ends)
-        self.cursor = np.zeros(size, np.intp)
+        self.cursor = np.zeros(keys.size, np.intp)
 
     def _window(self, keys: np.ndarray, at: np.ndarray, count: int) -> np.ndarray:
         """Each key's ``count`` words from position ``at`` on, as (count, keys):
@@ -852,5 +854,12 @@ def sched_trial_draws(
 
 
 def seed_uniform(master_seed: int) -> float:
-    """``default_rng(SeedSequence(master_seed)).random()``, bit for bit."""
-    return float(_Draws(master_seed, None, 1).random(1)[0, 0])
+    """``default_rng(SeedSequence(master_seed)).random()``, bit for bit.
+
+    ``SeedSequence(master_seed)`` hashes the seed's uint32 words, which is
+    the entropy of the keyed stream of its lower words with its top word as
+    the key; the draw is that stream's first word as a `_unit`.
+    """
+    *lower, top = _words(master_seed)
+    words, _ = _pcg_words(_seed_states(lower, np.array([top], np.uint32)), 1)
+    return _unit(int(words[0, 0]))

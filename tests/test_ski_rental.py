@@ -202,6 +202,16 @@ class TestNaive:
         assert cost == 300
         assert cost <= ski_opt(inst) + inst.error  # 300 <= 100 + 280
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_never_buying_rents_every_day(self, dtype):
+        # never buying prices as the capped day X_MAX + 1, which no x reaches
+        for b in (2, 100, B_MAX):
+            assert buy_day(NAIVE, b, False) is None
+            xs = np.array([1, 4 * b, X_MAX], dtype)
+            for y in (0.0, b - 1):
+                costs = ski_cost(NAIVE, b, xs, y)
+                assert costs.dtype == np.float64 and costs.tolist() == [1, 4 * b, X_MAX]
+
     def test_additive_guarantee_small_grid(self):
         for b in range(2, 12):
             for x in range(1, 4 * b + 1):
@@ -227,7 +237,9 @@ class TestDeterministic:
         # ceil(b / lambda) is beyond int64 (and at 5e-324 beyond float64)
         policy = SkiPolicy(PolicyKind.DETERMINISTIC, lam)
         assert buy_day(policy, 10, False) > X_MAX
-        assert ski_cost(policy, 10, np.array([1, 3, X_MAX]), 1.0).tolist() == [1.0, 3.0, X_MAX]
+        for dtype in (np.int64, np.float64):  # day X_MAX + 1 rounds to X_MAX in float64
+            xs = np.array([1, 3, X_MAX], dtype)
+            assert ski_cost(policy, 10, xs, 1.0).tolist() == [1.0, 3.0, X_MAX]
         assert policy_cost(SkiInstance(10, 3, 1.0), policy) == 3.0
 
     def test_randomized_rule_has_no_fixed_day(self):

@@ -305,6 +305,14 @@ class TestDerivedStreams:
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 - 1, 2**128, 2**130,
               2**256 - 1)
 KEYS = st.integers(0, 2**32 - 1)
+# seeds of 1 to 5 uint32 words, every word nonzero
+WORD_SEEDS = tuple(int("9e3779b9" * words, 16) + words for words in range(1, 6))
+
+
+def pass_keys(width: int) -> int:
+    """Keys in one `_Draws` pass at ``width`` words per key, by the engine's
+    original rule: 8192 keys, or fewer so that a pass holds at most 2^16 words."""
+    return max(1, min(8192, (1 << 16) // width))
 
 
 SLOW_PATHS = ("lemire retry", "tail", "layer 1", "wedge accept", "wedge reject")
@@ -377,10 +385,33 @@ class TestBatchedStreams:
         self.assert_matches_reference(seed, [0, 1, 2**31, 2**32 - 1])
 
     def test_chunk_boundaries_keep_key_order(self):
-        chunk = workloads._RNG_CHUNK
-        keys = range(chunk - 6, chunk + 4)  # straddles the first chunk of keys
-        got = workloads._Draws(271828, range(chunk + 4), 1).random(1)[chunk - 6:, 0]
-        assert got.tolist() == [rng.random() for rng in numpy_rngs(271828, keys)]
+        for width in (1, 8, 9, 25):
+            first = pass_keys(width)
+            keys = range(first - 6, first + 4)  # straddles the first pass of keys
+            got = workloads._Draws(271828, range(first + 4), width).random(width)[first - 6:]
+            assert got.tolist() == [rng.random(width).tolist() for rng in numpy_rngs(271828, keys)]
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 25, 114, 8191, 8192, 65536, 70000])
+    def test_passes_hold_the_same_keys(self, monkeypatch, width):
+        seed_states, passes = workloads._seed_states, []
+
+        def recording(master, keys):
+            passes.append(keys.tolist())
+            return seed_states(master, keys)
+
+        monkeypatch.setattr(workloads, "_seed_states", recording)
+        size = pass_keys(width)
+        keys = list(range(5, 5 + 2 * size + 3))
+        workloads._Draws(271828, keys, width)
+        assert passes == [keys[lo:lo + size] for lo in range(0, len(keys), size)]
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS + WORD_SEEDS, ids=lambda seed: f"{seed:#x}")
+    def test_a_seeds_words_keyed_by_its_top_word_are_its_seed_sequence(self, seed):
+        # SeedSequence(seed) hashes the seed's words, as does the keyed state of
+        # its lower words with its top word as the key, which seed_uniform takes
+        *lower, top = workloads._words(seed)
+        got = workloads._seed_states(lower, np.array([top], np.uint32))
+        assert got.tolist() == [np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()]
 
     def test_empty_keys_yield_nothing(self):
         for keys in ([], range(0), np.array([], dtype=np.int64)):
@@ -424,9 +455,9 @@ class TestBatchedStreams:
 
     @pytest.mark.parametrize(
         "keys",
-        # the last crosses a chunk boundary
+        # the last crosses a pass boundary at the ski width, 2 + 2 uniforms
         [[], range(0), np.array([], dtype=np.int64), [2**32 - 1], [9, 3, 3, 2**32 - 1, 0, 70000],
-         np.arange(10, 40, 3), range(workloads._RNG_CHUNK + 4)],
+         np.arange(10, 40, 3), range(pass_keys(4) + 4)],
     )
     def test_ski_draws_key_shapes(self, keys):
         self.assert_ski_draws_match(271828, 100, keys, 2)
