@@ -6,7 +6,8 @@ them usable as independent oracles.  Robustness is the error-independent
 ceiling, consistency is the value at zero prediction error.  The bounds
 broadcast numpy arrays of lambda, eta, opt and n (b stays a scalar).  Lambda
 follows the rules' type rule (`ski_rental._check_lambda`) plus arrays: a real
-scalar or real numpy array, never a bool, a str, a Fraction or a bool array.
+scalar or a numpy array the package's real-array rule (`ski_rental._floats`)
+takes, never a bool, a str, a Fraction or a bool array.
 They reject a bool or fractional b, a NaN opt or n, and the ski bounds a NaN
 eta; each message names the first bad entry.
 """

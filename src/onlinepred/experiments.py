@@ -37,7 +37,7 @@ import numpy as np
 
 from .scheduling import objectives, prr_batch, sequential_batch
 from .ski_rental import B_MAX, PolicyKind, SkiPolicy, ski_cost
-from .ski_rental import _check_count, _check_lambda, _fits_float64, _is_real, _require
+from .ski_rental import _check_count, _check_lambda, _fits_float64, _floats, _is_real, _require
 from .workloads import DEFAULT_SEED, sched_trial_draws, ski_trial_draws
 
 LAMBDA_RAND_DEFAULT = math.log(1.5)
@@ -73,21 +73,19 @@ def _check_sweep(config, default_grid: Tuple[float, ...], entrants: int) -> None
     """Check the counts, the sigma grid and the ratio count both sweeps share.
 
     The sweep scores grid points x ``entrants`` (its algorithm count) x
-    trials ratios.  Stores the sigma grid, or the default if empty.
+    trials ratios.  The sigma grid is one real vector (`_floats`), so a
+    scalar, a str or a nested grid is named whole.  Stores it as a tuple of
+    floats, or the default if empty.
     """
     _check_count("trials", config.trials, 1, TRIALS_MAX)
     _check_count("jobs", config.jobs, 1, JOBS_MAX)
     _check_count("seed", config.seed, 0)
-    grid, numbers = config.sigma_grid, "sigma grid must be a sequence of numbers"
-    _require(not isinstance(grid, (str, bytes)), grid, numbers)
-    grid = tuple(grid)
+    numbers = "sigma grid must be a sequence of numbers"
     message = f"sigma grid entries must be finite and in [0, {SIGMA_MAX:g}]"
-    for sigma in grid:
-        _require(_is_real(sigma), sigma, numbers)
-        _require(_fits_float64(sigma), sigma, message)  # as float() would make it infinite
-    grid = tuple(float(s) + 0.0 for s in grid) or default_grid  # stores -0.0 as 0.0
-    sigmas = np.array(grid)  # NaN fails the range check too
+    sigmas = _floats(config.sigma_grid, numbers, message)  # NaN fails the range check below
+    _require(sigmas.ndim == 1, config.sigma_grid, numbers)
     _require((sigmas >= 0) & (sigmas <= SIGMA_MAX), sigmas, message)
+    grid = tuple((sigmas + 0.0).tolist()) or default_grid  # stores -0.0 as 0.0
     if any(lo > hi for lo, hi in zip(grid, grid[1:])):
         raise ValueError("sigma grid must be ascending")
     if len(grid) * entrants * config.trials > SWEEP_MAX_RATIOS:

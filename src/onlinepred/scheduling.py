@@ -24,33 +24,19 @@ from typing import Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .ski_rental import _check_lambda, _fits_float64, _is_real, _require
+from .ski_rental import _check_lambda, _floats, _require
 
 # Remaining work below this fraction of the original length counts as done;
 # prevents zero-length phases caused by float residue.
 COMPLETION_EPS = 1e-12
-
-
-def _floats(values, copy: Optional[bool] = None) -> np.ndarray:
-    """``values`` as a float64 array (``copy`` as in numpy), if they are real
-    numbers: an array of an int, uint or float dtype, or else (nested)
-    entries that each pass `_is_real`, ints within float64 range.  Otherwise
-    the error names the first entry.  A scalar gives a 0-d array."""
-    if not isinstance(values, np.ndarray):
-        # the entries of nested sequences, or the one entry of a scalar
-        values = np.array(list(values) if isinstance(values, Iterable) else values, dtype=object)
-        for value in values.flat:
-            _require(_is_real(value), value, "job values must be real numbers")
-            _require(_fits_float64(value), value, "job values must fit in a float64")
-    elif values.dtype.kind not in "iuf":
-        _require(np.zeros(values.shape, bool), values, "job values must be real numbers")
-    return np.array(values, dtype=np.float64, copy=copy)
+# The `_floats` messages for job lengths and predictions
+_JOB_VALUES = ("job values must be real numbers", "job values must fit in a float64")
 
 
 def _frozen(values) -> np.ndarray:
     """A read-only float64 vector holding ``values`` (`_floats`); frozen vectors are reused."""
     reuse = isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable
-    array = values if reuse else _floats(values, copy=True)
+    array = values if reuse else _floats(values, *_JOB_VALUES, copy=True)
     if array.ndim != 1:
         raise ValueError(f"job values must form a vector, got shape {array.shape}")
     array.flags.writeable = False
@@ -157,8 +143,10 @@ def prr_batch(lengths, predicted, lam) -> np.ndarray:
 
     ``lengths`` and ``predicted`` are (..., n) arrays of job sets and ``lam``
     a scalar or an array of one value per set (round-robin is lam = 0); their
-    leading axes broadcast together, as in `sequential_batch`.  Returns the
-    completion times in the broadcast (..., n) shape.
+    leading axes broadcast together, as in `sequential_batch`.  All three
+    are real arrays (`ski_rental._floats`), so a str, bytes or bool, or an
+    array of them, raises a `ValueError`.  Returns the completion times in
+    the broadcast (..., n) shape.
 
     Every unfinished job that has never been favoured has received the same
     work S, so those jobs finish in stable length order.  The favoured job
@@ -172,8 +160,9 @@ def prr_batch(lengths, predicted, lam) -> np.ndarray:
     advances every row by the same float operations as a one-row sweep, so
     a row's result does not depend on the rows stacked with it.
     """
-    lengths, predicted = _floats(lengths), _floats(predicted)
-    lam = np.asarray(lam, dtype=np.float64)
+    lengths, predicted = _floats(lengths, *_JOB_VALUES), _floats(predicted, *_JOB_VALUES)
+    message = "combination parameter lambda must lie in [0, 1)"
+    lam = _floats(lam, message, message)
     n = lengths.shape[-1] if lengths.ndim else 0
     try:
         lead = np.broadcast_shapes(lengths.shape[:-1], predicted.shape[:-1], lam.shape)
@@ -186,7 +175,7 @@ def prr_batch(lengths, predicted, lam) -> np.ndarray:
             f"got shapes {lengths.shape}, {predicted.shape} and {lam.shape}"
         )
     lam = np.broadcast_to(lam, lead).ravel()  # one per row
-    _require((lam >= 0) & (lam < 1), lam, "combination parameter lambda must lie in [0, 1)")
+    _require((lam >= 0) & (lam < 1), lam, message)
     _require_jobs(lengths, predicted)
     shape, rows_total = lead + (n,), lam.size
 

@@ -26,8 +26,7 @@ from .ski_rental import (
     PolicyKind,
     SkiPolicy,
     _check_count,
-    _fits_float64,
-    _is_real,
+    _floats,
     _require,
     ski_cost,
 )
@@ -38,7 +37,13 @@ DEMAND_MAX = 1_000_000
 
 @dataclass(frozen=True)
 class DemandInstance:
-    """Daily demand in [0, DEMAND_MAX], daily predicted demand, and the buy cost b in [2, B_MAX]."""
+    """Daily demand in [0, DEMAND_MAX], daily predicted demand, and the buy cost b in [2, B_MAX].
+
+    Each demand is an integer (`_check_count`).  The predictions are one
+    real vector (`_floats`) of finite entries >= 0, one per day; an int
+    prediction is taken in float64 and must fit in one.  Demands are
+    checked before predictions, each message naming the first bad entry.
+    """
 
     b: int
     demand: Tuple[int, ...]
@@ -48,16 +53,12 @@ class DemandInstance:
         _check_count("buy cost b", self.b, 2, B_MAX)
         if len(self.demand) < 1 or len(self.demand) != len(self.predicted):
             raise ValueError("demand and predicted must be non-empty vectors of equal length")
-        for d, y in zip(self.demand, self.predicted):
+        for d in self.demand:
             _check_count("daily demand", d, 0, DEMAND_MAX)
-            _require(_is_real(y), y, "predicted demand must be a finite real >= 0")
-        try:
-            ys = np.fromiter(self.predicted, np.float64, self.horizon)
-        except OverflowError:  # an int past the float64 range: name it
-            fits = np.array([_fits_float64(y) for y in self.predicted])
-            entries = np.array(self.predicted, dtype=object)
-            _require(fits, entries, "predicted demand must fit in a float64")
-        _require(np.isfinite(ys) & (ys >= 0), ys, "predicted demand must be a finite real >= 0")
+        message = "predicted demand must be a finite real >= 0"
+        ys = _floats(self.predicted, message, "predicted demand must fit in a float64")
+        _require(ys.ndim == 1, self.predicted, message)
+        _require(np.isfinite(ys) & (ys >= 0), ys, message)
         if max(self.demand) < 1:
             raise ValueError("at least one day must have positive demand")
 

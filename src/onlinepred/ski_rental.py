@@ -27,7 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -82,24 +82,46 @@ def _is_real(value) -> bool:
     )
 
 
+def _floats(values, not_real: str, too_big: str, copy: Optional[bool] = None) -> np.ndarray:
+    """``values`` as a float64 array (``copy`` as in numpy), if they are real
+    numbers: the package's one rule for a real array taken from a caller.
+
+    Real means a numpy array of an int, uint or float dtype, or else a
+    scalar or (nested) sequence whose entries each pass `_is_real`; a str
+    or bytes is one value, never a sequence of characters or byte codes.
+    The first entry that is not real raises "<not_real>, got <entry>", and
+    the first int past the float64 range (`_fits_float64`) "<too_big>, got
+    <entry>".  A scalar gives a 0-d array; a float64 array is not copied
+    unless ``copy`` asks.
+    """
+    if not isinstance(values, np.ndarray):
+        # the entries of nested sequences, or the one entry of a scalar
+        sequence = isinstance(values, Iterable) and not isinstance(values, (str, bytes))
+        values = np.array(list(values) if sequence else values, dtype=object)
+        for value in values.flat:
+            _require(_is_real(value), value, not_real)
+            _require(_fits_float64(value), value, too_big)
+    elif values.dtype.kind not in "iuf":
+        _require(np.zeros(values.shape, bool), values, not_real)
+    return np.array(values, dtype=np.float64, copy=copy)
+
+
 def _check_lambda(lam, low: float, closed: bool, message: str, arrays: bool = False):
     """Reject a lambda outside (low, 1] if ``closed``, else (low, 1), with `_require`.
 
     Lambda is a real scalar (`_is_real`), never a bool, a str or a Fraction.
-    With ``arrays`` (the bounds) a real numpy array is accepted too.  Returns
-    lambda in float64, the precision the rules and bounds compute in, and the
-    range test compares that value: float32(1/3) lies above 1/3 in float64
-    but not in float32.  A Python float gives a plain True and skips numpy.
+    With ``arrays`` (the bounds) a real numpy array is accepted too, by
+    `_floats`.  Returns lambda in float64, the precision the rules and
+    bounds compute in, and the range test compares that value: float32(1/3)
+    lies above 1/3 in float64 but not in float32.  A Python float gives a
+    plain True and skips numpy.
     """
     if arrays and isinstance(lam, np.ndarray):
-        # every entry of a non-real array fails, so the message names the first
-        real = lam.dtype.kind in "iuf" or np.zeros(lam.shape, bool)
-        value = lam.astype(np.float64, copy=False) if real is True else lam
+        value = _floats(lam, message, message)
     else:
-        real = _is_real(lam)
+        _require(_is_real(lam), lam, message)
         value = np.float64(lam) if isinstance(lam, np.floating) else lam
-    inside = (low < value) & ((value <= 1) if closed else (value < 1)) if real is True else real
-    _require(inside, lam, message)
+    _require((low < value) & ((value <= 1) if closed else (value < 1)), lam, message)
     return value
 
 
@@ -230,10 +252,17 @@ def _policy_terms(policy: SkiPolicy, b: int):
     return terms
 
 
-def _check_draws(u) -> None:
-    """Reject uniform draws ``u`` outside [0, 1) with `_require`."""
-    inside = np.logical_and(np.greater_equal(u, 0.0), np.less(u, 1.0))  # NaN fails
-    _require(inside, u, "uniform draws u must lie in [0, 1)")
+def _check_draws(u) -> np.ndarray:
+    """Uniform draws ``u`` as float64 (`_floats`), rejecting any outside [0, 1) with `_require`.
+
+    ``u`` is any real array-like, a list included, and is taken in float64
+    whatever its own precision, as lambda is.  A bad entry of an array is
+    named by that float64 value, and a bad scalar as given.
+    """
+    message = "uniform draws u must lie in [0, 1)"
+    draws = _floats(u, message, message)
+    _require((draws >= 0.0) & (draws < 1.0), draws if draws.ndim else u, message)  # NaN fails
+    return draws
 
 
 def _drawn_day(b: int, m: int, norm: float, tail: float, u):
@@ -250,10 +279,11 @@ def randomized_buy_day(b: int, lam: float, big: bool, u):
     so the CDF is F(i) = (r^(m-i) - r^m) / (1 - r^m) and the smallest day
     with F(i) > u is m + 1 - ceil(log(u(1 - r^m) + r^m) / log r).  The day
     is clipped to [1, m] in float before the cast: u = 0 with an underflowed
-    r^m takes the log of 0.  Returns an int64 scalar or array shaped like u.
+    r^m takes the log of 0.  ``u`` is any real array-like, taken in float64
+    (`_check_draws`).  Returns an int64 scalar or array shaped like u.
     """
     _check_count("b", b, 2, B_MAX)
-    _check_draws(u)
+    u = _check_draws(u)
     terms = _policy_terms(SkiPolicy(PolicyKind.RANDOMIZED, lam), b)
     return _drawn_day(b, *terms[0 if big else 1], u)
 
@@ -282,7 +312,8 @@ def ski_cost(policy: SkiPolicy, b: int, xs, ys, u=None):
     Without ``u`` the randomized rule is scored exactly: support size m,
     expected cost min(x, m) / (1 - r^m), r = (b-1)/b, since each skiing
     day up to m adds the same 1 / (1 - r^m).  With uniform [0,1) draws
-    ``u`` (broadcastable too) it buys on the day the branch's inverse CDF
+    ``u``, any real array-like (a list too) that broadcasts and is taken in
+    float64 (`_check_draws`), it buys on the day the branch's inverse CDF
     picks for each draw (`randomized_buy_day`) and costs like a day rule;
     the day rules ignore ``u``.  Both branches are priced over ``xs`` from
     the policy's checked terms at ``b`` (`_policy_terms`) and each entry
@@ -294,7 +325,7 @@ def ski_cost(policy: SkiPolicy, b: int, xs, ys, u=None):
     """
     _check_count("b", b, 2, B_MAX)
     if u is not None and policy.kind is PolicyKind.RANDOMIZED:
-        _check_draws(u)
+        u = _check_draws(u)
     big, small = (
         _cost_on_branch(policy.kind, b, terms, xs, u) for terms in _policy_terms(policy, b)
     )

@@ -454,6 +454,20 @@ def test_full_size_bytes_pinned(command, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_FULL_SIZE[command]
 
 
+# the stdout sha256 the benchmark checks, read from its own file so that a
+# change to those bytes fails here first
+BENCH_DIGESTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "bench" / "digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize("command", sorted(BENCH_DIGESTS))
+def test_bench_digests_hold(command, capsys):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCH_DIGESTS[command]
+
+
 # stdout sha256 of single-instance traces, recorded while each rule's bound had
 # its own branch in the trace command: every rule, both prediction branches
 # (y < b and y >= b, the last at zero error) and both formats; the JSON bytes
