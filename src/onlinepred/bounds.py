@@ -7,7 +7,8 @@ ceiling, consistency is the value at zero prediction error.  The bounds
 broadcast numpy arrays of lambda, eta, opt and n (b stays a scalar).  Lambda
 follows the rules' type rule (`ski_rental._check_lambda`) plus arrays: a real
 scalar or a numpy array the package's real-array rule (`ski_rental._floats`)
-takes, never a bool, a str, a Fraction or a bool array.
+takes, never a bool, a str, a Fraction or a bool array.  Eta, opt and n
+follow that real-array rule alone, so a list is taken too, in float64.
 They reject a bool or fractional b, a NaN opt or n, and the ski bounds a NaN
 eta; each message names the first bad entry.
 """
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 
-from .ski_rental import PolicyKind, _check_count, _check_lambda, _require
+from .ski_rental import PolicyKind, _check_count, _check_lambda, _floats, _require
 
 E_OVER_E_MINUS_1 = math.e / (math.e - 1.0)
 
@@ -49,28 +50,39 @@ def rand_consistency(lam):
     return lam / -np.expm1(-lam)
 
 
-def _check_ski_instance(eta, opt) -> None:
-    """Reject an opt below 1 or an eta below 0, NaN included."""
-    _require(opt >= 1, opt, "opt must be >= 1")
-    _require(eta >= 0, eta, "eta must be >= 0")
+def _reals(name: str, values, least=None):
+    """``values`` in float64 by the real-array rule (`_floats`), each >= ``least`` if given.
+
+    NaN fails the range test, and a bad entry is named as given.
+    """
+    reals = _floats(values, f"{name} must be a real number", f"{name} must fit in a float64")
+    if least is not None:
+        _require(reals >= least, values, f"{name} must be >= {least}")
+    return reals
+
+
+def _check_ski_instance(eta, opt):
+    """``(eta, opt)`` in float64 (`_reals`), rejecting an opt below 1 or an eta below 0."""
+    opt = _reals("opt", opt, 1)
+    return _reals("eta", eta, 0), opt
 
 
 def naive_ski_bound(eta, opt):
     """Per-instance guarantee of the naive rule: cost <= OPT + eta, a ratio of 1 + eta/OPT."""
-    _check_ski_instance(eta, opt)
+    eta, opt = _check_ski_instance(eta, opt)
     return 1.0 + eta / opt
 
 
 def det_ski_bound(lam, eta, opt):
     """Per-instance guarantee of the deterministic rule at error eta."""
     lam = _check_lambda(lam, 0, False, "lambda must lie in (0, 1) for the error term", arrays=True)
-    _check_ski_instance(eta, opt)
+    eta, opt = _check_ski_instance(eta, opt)
     return np.minimum(det_robustness(lam), det_consistency(lam) + eta / ((1.0 - lam) * opt))
 
 
 def rand_ski_bound(b: int, lam, eta, opt):
     """Per-instance guarantee of the randomized rule at error eta."""
-    _check_ski_instance(eta, opt)
+    eta, opt = _check_ski_instance(eta, opt)
     return np.minimum(rand_robustness(b, lam), rand_consistency(lam) * (1.0 + eta / opt))
 
 
@@ -85,20 +97,21 @@ def ski_guarantee(policy, b: int, eta, opt):
         return rand_ski_bound(b, policy.lam, eta, opt)
     if policy.lam != 1:
         return det_ski_bound(policy.lam, eta, opt)
-    _check_ski_instance(eta, opt)
-    return np.full(np.broadcast_shapes(np.shape(eta), np.shape(opt)), det_robustness(policy.lam))
+    eta, opt = _check_ski_instance(eta, opt)
+    return np.full(np.broadcast_shapes(eta.shape, opt.shape), det_robustness(policy.lam))
 
 
 def spjf_bound(n, eta):
     """Shortest-predicted-job-first guarantee: 1 + 2*eta/n."""
-    _require(n >= 1, n, "n must be >= 1")
-    return 1.0 + 2.0 * eta / n
+    n = _reals("n", n, 1)
+    return 1.0 + 2.0 * _reals("eta", eta) / n
 
 
 def prr_bound(n, eta, lam):
     """Preferential round-robin guarantee: min of the two mixture terms."""
     lam = _check_lambda(lam, 0, False, "lambda must lie in (0, 1)", arrays=True)
-    return np.minimum(spjf_bound(n, eta) / lam, 2.0 / (1.0 - lam))
+    with np.errstate(over="ignore"):  # inf at the least lambdas, where the min takes 2/(1 - lambda)
+        return np.minimum(spjf_bound(n, eta) / lam, 2.0 / (1.0 - lam))
 
 
 def prr_perfect_bound(lam):
@@ -121,5 +134,5 @@ def sched_guarantee(label: str, n, eta, lam=None):
         return prr_bound(n, eta, lam)
     if label == "spjf":
         return spjf_bound(n, eta)
-    _require(n >= 1, n, "n must be >= 1")
-    return np.full(np.broadcast_shapes(np.shape(n), np.shape(eta)), 2.0 * n / (n + 1.0))
+    n = _reals("n", n, 1)
+    return np.full(np.broadcast_shapes(n.shape, _reals("eta", eta).shape), 2.0 * n / (n + 1.0))

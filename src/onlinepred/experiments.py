@@ -28,7 +28,6 @@ workers take whole blocks, so any worker count yields identical output.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from typing import List, Optional, Tuple
@@ -355,6 +354,10 @@ def _run_trials(config, block, per_trial: int, experiment: str, entrants) -> Lis
     if workers == 1:
         ratio_sums, eta_sums, top = reduce(_add_block, map(stats, starts, stops))
     else:
+        # imported here, since it loads multiprocessing and logging (about
+        # 20 ms) that a one-worker run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             ratio_sums, eta_sums, top = reduce(_add_block, pool.map(stats, starts, stops))
     trials = int(config.trials)

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .ski_rental import _check_lambda, _floats, _require
+from .ski_rental import _check_lambda, _floats, _frozen, _require
 
 # Remaining work below this fraction of the original length counts as done;
 # prevents zero-length phases caused by float residue.
@@ -33,13 +33,11 @@ COMPLETION_EPS = 1e-12
 _JOB_VALUES = ("job values must be real numbers", "job values must fit in a float64")
 
 
-def _frozen(values) -> np.ndarray:
-    """A read-only float64 vector holding ``values`` (`_floats`); frozen vectors are reused."""
-    reuse = isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable
-    array = values if reuse else _floats(values, *_JOB_VALUES, copy=True)
+def _job_vector(values) -> np.ndarray:
+    """A read-only float64 vector holding ``values`` (`_frozen`, `_floats`)."""
+    array = _frozen(values, np.float64, lambda v: _floats(v, *_JOB_VALUES, copy=True))
     if array.ndim != 1:
         raise ValueError(f"job values must form a vector, got shape {array.shape}")
-    array.flags.writeable = False
     return array
 
 
@@ -65,7 +63,7 @@ class JobSet:
     predicted: np.ndarray
 
     def __post_init__(self):
-        lengths, predicted = _frozen(self.lengths), _frozen(self.predicted)
+        lengths, predicted = _job_vector(self.lengths), _job_vector(self.predicted)
         if predicted.shape != lengths.shape:
             raise ValueError("lengths and predictions must have equal length")
         if lengths.size < 1:
@@ -76,7 +74,7 @@ class JobSet:
 
     @classmethod
     def from_lengths(cls, lengths: Iterable[float], predictions: Optional[Iterable[float]] = None) -> "JobSet":
-        lengths = _frozen(lengths)
+        lengths = _job_vector(lengths)
         return cls(lengths, lengths if predictions is None else predictions)
 
     @property

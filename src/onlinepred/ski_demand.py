@@ -7,7 +7,9 @@ demand >= j, and those days renumbered consecutively form an ordinary
 rent-or-buy problem.  Level j is therefore described in full by two counts,
 x_j (days with demand >= j) and y_j (days predicted >= j), and every
 function here scores the level arrays through `ski_rental.ski_cost`.
-An instance counts its levels on first use, in one histogram pass each:
+An instance keeps its days as two read-only vectors of its own, the demands
+in int64 and the predictions in float64, and is equal only to itself.
+It counts its levels on first use, in one histogram pass over each vector:
 x_j is the horizon minus the days with demand below j, and y_j the same
 over the predictions floored and capped at the top level, since y >= j
 exactly when floor(y) >= j for an integer j.
@@ -27,6 +29,7 @@ from .ski_rental import (
     SkiPolicy,
     _check_count,
     _floats,
+    _frozen,
     _require,
     ski_cost,
 )
@@ -35,7 +38,33 @@ from .ski_rental import (
 DEMAND_MAX = 1_000_000
 
 
-@dataclass(frozen=True)
+def _check_days(demand) -> None:
+    """Reject the first day that is not an integer in [0, DEMAND_MAX] (`_check_count`)."""
+    for day in demand:
+        _check_count("daily demand", day, 0, DEMAND_MAX)
+
+
+def _day_vector(demand) -> np.ndarray:
+    """The daily ``demand`` as a new int64 array, for `_frozen`.
+
+    An integer numpy array is cast (a uint64 past int64 wraps below 0) and
+    Python ints are read by `np.fromiter` after one type scan: neither is
+    range-checked here.  Anything else, numpy ints included, is checked day
+    by day first (`_check_days`), since `np.fromiter` would read True as 1,
+    1.5 as 1 and '3' as 3.
+    """
+    if isinstance(demand, np.ndarray) and demand.dtype.kind in "iu":
+        return demand.astype(np.int64)
+    if set(map(type, demand)) != {int}:
+        _check_days(demand)
+    try:
+        return np.fromiter(demand, np.int64, len(demand))
+    except OverflowError:  # a day past int64 is past DEMAND_MAX too
+        _check_days(demand)
+        raise
+
+
+@dataclass(frozen=True, eq=False)
 class DemandInstance:
     """Daily demand in [0, DEMAND_MAX], daily predicted demand, and the buy cost b in [2, B_MAX].
 
@@ -43,47 +72,54 @@ class DemandInstance:
     real vector (`_floats`) of finite entries >= 0, one per day; an int
     prediction is taken in float64 and must fit in one.  Demands are
     checked before predictions, each message naming the first bad entry.
+    The instance keeps ``demand`` as a read-only int64 vector and
+    ``predicted`` as a read-only float64 vector (`_frozen`): a writable
+    caller array or any sequence is copied, a read-only array of that dtype
+    is kept as it is.  Equality is identity, as for `JobSet`.
     """
 
     b: int
-    demand: Tuple[int, ...]
-    predicted: Tuple[float, ...]
+    demand: np.ndarray
+    predicted: np.ndarray
 
     def __post_init__(self):
         _check_count("buy cost b", self.b, 2, B_MAX)
         if len(self.demand) < 1 or len(self.demand) != len(self.predicted):
             raise ValueError("demand and predicted must be non-empty vectors of equal length")
-        for d in self.demand:
-            _check_count("daily demand", d, 0, DEMAND_MAX)
+        demand = _frozen(self.demand, np.int64, _day_vector)
+        if demand.ndim != 1 or not ((demand >= 0) & (demand <= DEMAND_MAX)).all():
+            _check_days(self.demand)  # names the first bad day
         message = "predicted demand must be a finite real >= 0"
-        ys = _floats(self.predicted, message, "predicted demand must fit in a float64")
+        too_big = "predicted demand must fit in a float64"
+        ys = _frozen(self.predicted, np.float64, lambda v: _floats(v, message, too_big, copy=True))
         _require(ys.ndim == 1, self.predicted, message)
         _require(np.isfinite(ys) & (ys >= 0), ys, message)
-        if max(self.demand) < 1:
+        if demand.max() < 1:
             raise ValueError("at least one day must have positive demand")
+        object.__setattr__(self, "demand", demand)
+        object.__setattr__(self, "predicted", ys)
 
     @property
     def horizon(self) -> int:
-        return len(self.demand)
+        return self.demand.size
 
     @property
     def max_demand(self) -> int:
-        return max(self.demand)
+        return int(self.demand.max())
 
     @property
     def error(self) -> float:
-        """Total L1 error between predicted and actual daily demand."""
-        return float(sum(abs(x - y) for x, y in zip(self.demand, self.predicted)))
+        """Total L1 error between predicted and actual daily demand, added up day by day."""
+        return sum(np.abs(self.demand - self.predicted).tolist(), 0.0)
 
     @cached_property
     def _level_counts(self) -> Tuple[np.ndarray, np.ndarray]:
-        demand = np.fromiter(self.demand, np.int64, self.horizon)
-        top = int(demand.max())
+        top = self.max_demand
         # clipped before the int cast, so a prediction of 1e300 is safe
-        floors = np.minimum(np.floor(np.fromiter(self.predicted, np.float64, self.horizon)), top)
+        floors = np.minimum(np.floor(self.predicted), top)
         xs, ys = (
             self.horizon - np.bincount(days, minlength=top + 1).cumsum()[:top]
-            for days in (demand, floors.astype(np.int64))
+            for days in (self.demand, floors.astype(np.int64))
         )
         xs.flags.writeable = ys.flags.writeable = False  # shared by every caller
         return xs, ys

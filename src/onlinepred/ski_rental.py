@@ -27,7 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -97,13 +97,30 @@ def _floats(values, not_real: str, too_big: str, copy: Optional[bool] = None) ->
     if not isinstance(values, np.ndarray):
         # the entries of nested sequences, or the one entry of a scalar
         sequence = isinstance(values, Iterable) and not isinstance(values, (str, bytes))
-        values = np.array(list(values) if sequence else values, dtype=object)
-        for value in values.flat:
-            _require(_is_real(value), value, not_real)
-            _require(_fits_float64(value), value, too_big)
+        values = list(values) if sequence else values
+        if not sequence or not set(map(type, values)) <= {float}:  # plain floats pass both checks
+            values = np.array(values, dtype=object)
+            for value in values.flat:
+                _require(_is_real(value), value, not_real)
+                _require(_fits_float64(value), value, too_big)
     elif values.dtype.kind not in "iuf":
         _require(np.zeros(values.shape, bool), values, not_real)
     return np.array(values, dtype=np.float64, copy=copy)
+
+
+def _frozen(values, dtype, convert: Callable[[object], np.ndarray]) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array, for an instance to keep.
+
+    A read-only numpy array of that dtype is reused as it is; anything else
+    goes through ``convert``, which must return a new array (`_floats` with
+    ``copy=True``, say), so a writable caller array is copied, never frozen.
+    The caller checks the result's shape and entries.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
+    array = convert(values)
+    array.flags.writeable = False
+    return array
 
 
 def _check_lambda(lam, low: float, closed: bool, message: str, arrays: bool = False):

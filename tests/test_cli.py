@@ -1,5 +1,6 @@
 """CLI behaviour: flags, exit codes, formats, and byte determinism."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -324,7 +325,7 @@ class TestSweepLimits:
         def refuse(*args, **kwargs):
             pytest.fail("an over-limit sweep must not start")
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(cli, "run_ski_sweep", refuse)
         monkeypatch.setattr(cli, "run_scheduling_sweep", refuse)
         monkeypatch.setattr(cli, "run_all_checks", refuse)
@@ -825,3 +826,38 @@ class TestEntryPoint:
 
     def test_usage_error_from_argparse(self, capsys):
         assert main(["no-such-command"]) == EXIT_USAGE
+
+
+# A one-worker run never needs the process pool, which would load
+# multiprocessing, logging, socket and subprocess on every command
+STARTUP_PROBE = """
+import sys
+import onlinepred
+from onlinepred import cli
+assert cli.main(["ski-sweep", "--trials", "10"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing")))
+"""
+
+
+class TestProcessPool:
+    def test_one_worker_run_loads_no_pool(self, package_env):
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE], capture_output=True, text=True, env=package_env,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_pooled_run_prints_the_same_bytes(self, monkeypatch, capsys):
+        started = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        # blocks of 3 trials on the default 41-point grid: 10 trials make 4 blocks
+        monkeypatch.setattr(experiments, "KERNEL_ENTRIES", 3 * 41)
+        outs = [run_cli(capsys, "ski-sweep", "--trials", "10", "--jobs", jobs) for jobs in "12"]
+        assert started == [2]
+        assert outs[0] == outs[1] and outs[0][0] == EXIT_OK

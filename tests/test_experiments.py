@@ -1,5 +1,6 @@
 """Sweep harness tests: shape, reproducibility, per-trial guarantee compliance."""
 
+import concurrent.futures
 import math
 import warnings
 from fractions import Fraction
@@ -340,7 +341,7 @@ class TestSchedulingSweep:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         run_scheduling_sweep(small_sched_config(trials=5, jobs=8))  # one block: no pool
         assert started == []
         base = small_sched_config()

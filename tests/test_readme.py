@@ -21,6 +21,8 @@ assert np.all(np.abs(result.completions - [4 / 3, 3.0]) <= 1e-12), result.comple
 assert completions.shape == (2, 2), completions.shape
 assert np.all(np.abs(objectives(completions) - [5.0, 16 / 3]) <= 1e-12), completions
 assert reports[0].algorithm == "break-even", reports[0].algorithm
+assert days.demand.tolist() == [2, 2, 1, 0] and not days.demand.flags.writeable, days.demand
+assert level_opt == 5, level_opt
 """
 
 

@@ -1,8 +1,9 @@
 """The package's one real-array rule (`ski_rental._floats`) at every input it guards.
 
 Each row below is an input the rule now covers: job values, `prr_batch`'s
-lambda, uniform draws and sigma grids.  A row either raises the stated
-`ValueError` or equals the same call made with a float64 array.
+lambda, uniform draws, sigma grids and the bounds' eta, opt and n.  A row
+either raises the stated `ValueError` or equals the same call made with a
+float64 array.
 """
 
 import re
@@ -10,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from onlinepred import bounds
 from onlinepred.experiments import SchedSweepConfig, SkiSweepConfig
 from onlinepred.scheduling import JobSet, prr_batch
 from onlinepred.ski_demand import DemandInstance, demand_algorithm_cost
@@ -56,6 +58,38 @@ ROWS = {
     ),
     "scalar-sched-grid": (
         lambda: SchedSweepConfig(sigma_grid=5.0), "sigma grid must be a sequence of numbers, got 5.0"
+    ),
+    # the bounds compared eta, opt and n as given: a list met "'>=' not
+    # supported between instances of 'list' and 'int'", and a bool array
+    # was counted as 1
+    "list-eta-naive": (
+        lambda: bounds.naive_ski_bound([1.0], 2.0),
+        lambda: bounds.naive_ski_bound(np.array([1.0]), 2.0),
+    ),
+    "list-opt-det": (
+        lambda: bounds.det_ski_bound(0.5, 1.0, [2, 4.0]),
+        lambda: bounds.det_ski_bound(0.5, 1.0, np.array([2.0, 4.0])),
+    ),
+    "list-n-round-robin": (
+        lambda: bounds.sched_guarantee("round-robin", [1, 3], 0.0),
+        lambda: bounds.sched_guarantee("round-robin", np.array([1.0, 3.0]), 0.0),
+    ),
+    "list-eta-spjf": (
+        lambda: bounds.spjf_bound(2, [0.0, 1.0]),
+        lambda: bounds.spjf_bound(2, np.array([0.0, 1.0])),
+    ),
+    "bool-n-spjf": (
+        lambda: bounds.spjf_bound(np.array([True]), 1.0), "n must be a real number, got True"
+    ),
+    "bool-eta-prr": (
+        lambda: bounds.sched_guarantee("prr", 2, False, 0.5), "eta must be a real number, got False"
+    ),
+    "str-opt-rand": (
+        lambda: bounds.rand_ski_bound(10, 0.5, 1.0, "2"), "opt must be a real number, got '2'"
+    ),
+    "bool-eta-break-even": (
+        lambda: bounds.ski_guarantee(SkiPolicy(PolicyKind.DETERMINISTIC, 1.0), 10, [True], 2.0),
+        "eta must be a real number, got True",
     ),
 }
 

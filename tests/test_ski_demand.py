@@ -1,8 +1,10 @@
 """Demand-decomposition tests with brute-force optimum and per-level scan oracles."""
 
+import gc
 import hashlib
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -69,7 +71,8 @@ def level_cost_loop(instance, policy, u=None):
 
 
 @st.composite
-def demand_cases(draw):
+def demand_days(draw):
+    """``(b, demand, predicted)``: the days of a valid instance as lists."""
     horizon = draw(st.integers(1, 30))
     demand = draw(st.lists(st.integers(0, 6), min_size=horizon, max_size=horizon))
     assume(max(demand) > 0)
@@ -85,8 +88,106 @@ def demand_cases(draw):
         st.floats(0.0, 7.0),
     )
     predicted = draw(st.lists(value, min_size=horizon, max_size=horizon))
-    b = draw(st.sampled_from([2, 3, 5, 9, 40]))
-    return DemandInstance(b, tuple(demand), tuple(predicted))
+    return draw(st.sampled_from([2, 3, 5, 9, 40])), demand, predicted
+
+
+def demand_cases():
+    return demand_days().map(lambda days: DemandInstance(days[0], *map(tuple, days[1:])))
+
+
+def day_forms(demand, predicted):
+    """The same days as tuples, lists, and writable and read-only int64/float64 vectors."""
+    frozen = np.array(demand, np.int64), np.array(predicted, np.float64)
+    for array in frozen:
+        array.flags.writeable = False
+    return {
+        "tuple": (tuple(demand), tuple(predicted)),
+        "list": (list(demand), list(predicted)),
+        "writable": (np.array(demand, np.int64), np.array(predicted, np.float64)),
+        "read-only": frozen,
+    }
+
+
+def scores(inst, policies, u):
+    """Every demand result of ``inst``, with and without the draws ``u``."""
+    xs, ys = decompose(inst)
+    costs = [demand_algorithm_cost(inst, p, draws) for p in policies for draws in (None, u)]
+    return xs.tolist(), ys.tolist(), demand_opt(inst), demand_level_error(inst), inst.error, costs
+
+
+# Each case names the first bad entry; demands are checked before predictions
+BAD_VECTORS = {
+    "unequal-lengths": ((1, 2), (1.0,), "non-empty vectors of equal length"),
+    "nan-prediction": ((1, 2), (1.0, float("nan")), "finite real >= 0, got nan"),
+    "negative-prediction": ((1, 2), (1.0, -1.0), "finite real >= 0, got -1.0"),
+    "bool-predictions": ((1, 2), (True, False), "finite real >= 0, got True"),
+    "numpy-bool-prediction": ((1, 2), (1.0, np.True_), "finite real >= 0, got True"),
+    "mixed-bool-prediction": ((1, 2), (2.5, True), "finite real >= 0, got True"),
+    "demand-above-limit": (
+        (1, DEMAND_MAX + 1), (1.0, 1.0), f"= {DEMAND_MAX + 1} exceeds the limit of {DEMAND_MAX}"
+    ),
+    "demand-2-to-70": ((2**70, 1), (1.0, 1.0), f"= {2**70} exceeds the limit of {DEMAND_MAX}"),
+    "negative-before-2-to-70": ((-1, 2**70), (1.0, 1.0), "daily demand must be >= 0, got -1$"),
+    "demand-2-to-63": ((1, 2**63), (1.0, 1.0), f"= {2**63} exceeds the limit of {DEMAND_MAX}"),
+    "demand-before-prediction": ((1, -1), (1.0, -1.0), "daily demand must be >= 0, got"),
+    "prediction-10-to-400": ((1, 1), (1.0, 10**400), f"must fit in a float64, got {10**400}$"),
+}
+# np.array does not keep these entries: it reads the bools among floats as
+# numbers, (1, 2**63) as floats, and makes 10**400 an object array, which
+# the real-array rule refuses at its first entry
+NO_ARRAY_FORM = {
+    "numpy-bool-prediction", "mixed-bool-prediction", "demand-2-to-63", "prediction-10-to-400"
+}
+
+
+class TestStorage:
+    """An instance keeps its days as two read-only vectors of its own."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(demand_days(), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+    def test_every_form_of_the_days_scores_alike(self, days, lam, seed):
+        b, demand, predicted = days
+        assume(lam > 1.0 / b)
+        policies = SkiPolicy(PolicyKind.DETERMINISTIC, lam), SkiPolicy(PolicyKind.RANDOMIZED, lam)
+        u = np.random.default_rng(seed).random(max(demand))
+        results = {
+            form: scores(DemandInstance(b, *pair), policies, u)
+            for form, pair in day_forms(demand, predicted).items()
+        }
+        assert len({repr(result) for result in results.values()}) == 1, results
+
+    def test_fields_are_read_only_vectors(self):
+        inst = DemandInstance(3, [2, 0, 1], [1.5, 0.0, 2])
+        assert inst.demand.dtype == np.int64 and inst.predicted.dtype == np.float64
+        assert inst.demand.tolist() == [2, 0, 1] and inst.predicted.tolist() == [1.5, 0.0, 2.0]
+        for field in (inst.demand, inst.predicted):
+            assert field.ndim == 1 and not field.flags.writeable
+        assert (inst.horizon, inst.max_demand) == (3, 2) and type(inst.max_demand) is int
+
+    def test_writable_array_is_copied_not_frozen(self):
+        demand, predicted = np.array([1, 2]), np.array([1.0, 2.0])
+        inst = DemandInstance(3, demand, predicted)
+        for given, kept in ((demand, inst.demand), (predicted, inst.predicted)):
+            assert given.flags.writeable and not np.shares_memory(given, kept)
+        demand[0] = predicted[0] = 5
+        assert inst.demand.tolist() == [1, 2] and inst.predicted.tolist() == [1.0, 2.0]
+
+    def test_read_only_array_of_the_dtype_is_kept(self):
+        demand, predicted = day_forms([1, 2], [1.0, 2.0])["read-only"]
+        inst = DemandInstance(3, demand, predicted)
+        assert inst.demand is demand and inst.predicted is predicted
+
+    @pytest.mark.parametrize("form", ["tuple", "list", "writable"])
+    def test_holds_no_caller_sequence(self, form):
+        demand, predicted = day_forms([1, 2, 0], [1.0, 2.0, 0.5])[form]
+        inst = DemandInstance(3, demand, predicted)
+        decompose(inst)
+        held = gc.get_referents(inst) + [inst.demand.base, inst.predicted.base]
+        assert not any(obj is demand or obj is predicted for obj in held)
+
+    def test_equality_is_identity(self):
+        inst, same_days = (DemandInstance(3, (1, 2), (1.0, 2.0)) for _ in range(2))
+        assert inst == inst and inst != same_days and len({inst, same_days}) == 2
 
 
 class TestDecompose:
@@ -118,26 +219,15 @@ class TestDecompose:
         assert DemandInstance(B_MAX, (1,), (1.0,)).b == B_MAX
 
     @pytest.mark.parametrize(
-        "demand, predicted, message",
-        [
-            ((1, 2), (1.0,), "non-empty vectors of equal length"),
-            ((1, 2), (1.0, float("nan")), "finite real >= 0, got nan"),
-            ((1, 2), (1.0, -1.0), "finite real >= 0, got -1.0"),
-            ((1, 2), (True, False), "finite real >= 0, got True"),
-            ((1, 2), (1.0, np.True_), "finite real >= 0, got True"),
-            ((1, 2), (2.5, True), "finite real >= 0, got True"),
-            ((1, DEMAND_MAX + 1), (1.0, 1.0),
-             f"= {DEMAND_MAX + 1} exceeds the limit of {DEMAND_MAX}"),
-            ((2**70, 1), (1.0, 1.0), f"= {2**70} exceeds the limit of {DEMAND_MAX}"),
-            ((1, 1), (1.0, 10**400), f"must fit in a float64, got {10**400}$"),
-        ],
-        ids=["unequal-lengths", "nan-prediction", "negative-prediction", "bool-predictions",
-             "numpy-bool-prediction", "mixed-bool-prediction", "demand-above-limit",
-             "demand-2-to-70", "prediction-10-to-400"],
+        "case, form",
+        [(case, form) for case in BAD_VECTORS for form in ("tuple", "list", "ndarray")
+         if form != "ndarray" or case not in NO_ARRAY_FORM],
     )
-    def test_rejects_bad_vectors(self, demand, predicted, message):
+    def test_rejects_bad_vectors(self, case, form):
+        demand, predicted, message = BAD_VECTORS[case]
+        convert = {"tuple": tuple, "list": list, "ndarray": np.array}[form]
         with pytest.raises(ValueError, match=message):
-            DemandInstance(10, demand, predicted)
+            DemandInstance(10, convert(demand), convert(predicted))
 
     def test_int_prediction_past_int64_accepted(self):
         inst = DemandInstance(10, (1, 1), (1.0, 2**64))
@@ -150,10 +240,16 @@ class TestDecompose:
             assert counts.shape == (DEMAND_MAX,) and np.array_equal(counts, oracle)
         assert demand_opt(inst) == DEMAND_MAX  # one rental day per level
 
-    @pytest.mark.parametrize("demand", [(True, 2), (1, False), (1, 2.0)])
-    def test_non_integer_daily_demand_rejected(self, demand):
-        with pytest.raises(ValueError, match="daily demand must be an integer"):
-            DemandInstance(10, demand, (1.0, 1.0))
+    # an object array keeps each entry's type, where np.array would read them as numbers
+    @pytest.mark.parametrize(
+        "form", [tuple, list, partial(np.array, dtype=object)], ids=["tuple", "list", "ndarray"]
+    )
+    @pytest.mark.parametrize(
+        "demand, bad", [((True, 2), "True"), ((1, False), "False"), ((1, 2.0), "2.0")]
+    )
+    def test_non_integer_daily_demand_rejected(self, demand, bad, form):
+        with pytest.raises(ValueError, match=f"daily demand must be an integer, got {bad}$"):
+            DemandInstance(10, form(demand), (1.0, 1.0))
 
     def test_active_day_conservation(self):
         rng = np.random.default_rng(8)
