@@ -1,6 +1,6 @@
 """Preemptive single-machine schedulers, each simulated exactly.
 
-A job set is a pair of read-only float64 arrays, true lengths and predicted
+A job set owns a pair of read-only float64 arrays, true lengths and predicted
 lengths; a job's id is its index.  SJF and SPJF run jobs to completion one
 after another, in a stable argsort order (`sequential_batch`).  Round-robin
 and preferential round-robin (PRR) share the machine: with k jobs unfinished
@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .ski_rental import _check_lambda, _floats, _frozen, _require
+from .ski_rental import _check_lambda, _floats, _require
 
 # Remaining work below this fraction of the original length counts as done;
 # prevents zero-length phases caused by float residue.
@@ -34,10 +34,11 @@ _JOB_VALUES = ("job values must be real numbers", "job values must fit in a floa
 
 
 def _job_vector(values) -> np.ndarray:
-    """A read-only float64 vector holding ``values`` (`_frozen`, `_floats`)."""
-    array = _frozen(values, np.float64, lambda v: _floats(v, *_JOB_VALUES, copy=True))
+    """``values`` (`_floats`) copied into a new read-only float64 vector, for a `JobSet` to own."""
+    array = _floats(values, *_JOB_VALUES, copy=True)
     if array.ndim != 1:
         raise ValueError(f"job values must form a vector, got shape {array.shape}")
+    array.flags.writeable = False
     return array
 
 
@@ -57,7 +58,12 @@ def _require_jobs(lengths: np.ndarray, predicted: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class JobSet:
-    """True and predicted lengths of n >= 1 jobs; job i is column i."""
+    """True and predicted lengths of n >= 1 jobs; job i is column i.
+
+    Each field is a read-only float64 vector of the set's own (`_job_vector`),
+    never a caller's array.  Copies and pickles are built again through the
+    constructor, so they are checked and frozen anew.
+    """
 
     lengths: np.ndarray
     predicted: np.ndarray
@@ -72,9 +78,16 @@ class JobSet:
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "predicted", predicted)
 
+    def __reduce__(self):
+        return type(self), (self.lengths, self.predicted)
+
     @classmethod
     def from_lengths(cls, lengths: Iterable[float], predictions: Optional[Iterable[float]] = None) -> "JobSet":
-        lengths = _job_vector(lengths)
+        """The jobs of true ``lengths`` and ``predictions``, which default to the lengths.
+
+        Either may be any real vector `_floats` takes, a generator included.
+        """
+        lengths = _job_vector(lengths)  # converted once, so a generator can serve both fields
         return cls(lengths, lengths if predictions is None else predictions)
 
     @property

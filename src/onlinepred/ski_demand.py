@@ -29,7 +29,6 @@ from .ski_rental import (
     SkiPolicy,
     _check_count,
     _floats,
-    _frozen,
     _require,
     ski_cost,
 )
@@ -39,29 +38,12 @@ DEMAND_MAX = 1_000_000
 
 
 def _check_days(demand) -> None:
-    """Reject the first day that is not an integer in [0, DEMAND_MAX] (`_check_count`)."""
-    for day in demand:
-        _check_count("daily demand", day, 0, DEMAND_MAX)
+    """Reject the first day that is not an integer in [0, DEMAND_MAX] (`_check_count`).
 
-
-def _day_vector(demand) -> np.ndarray:
-    """The daily ``demand`` as a new int64 array, for `_frozen`.
-
-    An integer numpy array is cast (a uint64 past int64 wraps below 0) and
-    Python ints are read by `np.fromiter` after one type scan: neither is
-    range-checked here.  Anything else, numpy ints included, is checked day
-    by day first (`_check_days`), since `np.fromiter` would read True as 1,
-    1.5 as 1 and '3' as 3.
+    A str or bytes is one day, named whole, never a sequence of characters or byte codes.
     """
-    if isinstance(demand, np.ndarray) and demand.dtype.kind in "iu":
-        return demand.astype(np.int64)
-    if set(map(type, demand)) != {int}:
-        _check_days(demand)
-    try:
-        return np.fromiter(demand, np.int64, len(demand))
-    except OverflowError:  # a day past int64 is past DEMAND_MAX too
-        _check_days(demand)
-        raise
+    for day in [demand] if isinstance(demand, (str, bytes)) else demand:
+        _check_count("daily demand", day, 0, DEMAND_MAX)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +54,11 @@ class DemandInstance:
     real vector (`_floats`) of finite entries >= 0, one per day; an int
     prediction is taken in float64 and must fit in one.  Demands are
     checked before predictions, each message naming the first bad entry.
-    The instance keeps ``demand`` as a read-only int64 vector and
-    ``predicted`` as a read-only float64 vector (`_frozen`): a writable
-    caller array or any sequence is copied, a read-only array of that dtype
-    is kept as it is.  Equality is identity, as for `JobSet`.
+    The instance copies them into new read-only vectors of its own,
+    ``demand`` in int64 and ``predicted`` in float64, and never keeps a
+    caller's array.  Copies and pickles are built again through the
+    constructor, so they are checked and frozen anew.  Equality is
+    identity, as for `JobSet`.
     """
 
     b: int
@@ -84,20 +67,31 @@ class DemandInstance:
 
     def __post_init__(self):
         _check_count("buy cost b", self.b, 2, B_MAX)
-        if len(self.demand) < 1 or len(self.demand) != len(self.predicted):
+        try:
+            ok = 0 < len(self.demand) == len(self.predicted)
+        except TypeError:  # a scalar, a 0-d array or a generator has no length
+            ok = False
+        if not ok:
             raise ValueError("demand and predicted must be non-empty vectors of equal length")
-        demand = _frozen(self.demand, np.int64, _day_vector)
+        if isinstance(self.demand, np.ndarray) and self.demand.dtype.kind in "iu":
+            demand = self.demand.astype(np.int64)  # a uint64 past int64 wraps below 0
+        else:  # np.fromiter would read True as 1, 1.5 as 1 and '3' as 3
+            _check_days(self.demand)
+            demand = np.fromiter(self.demand, np.int64, len(self.demand))
         if demand.ndim != 1 or not ((demand >= 0) & (demand <= DEMAND_MAX)).all():
             _check_days(self.demand)  # names the first bad day
         message = "predicted demand must be a finite real >= 0"
-        too_big = "predicted demand must fit in a float64"
-        ys = _frozen(self.predicted, np.float64, lambda v: _floats(v, message, too_big, copy=True))
+        ys = _floats(self.predicted, message, "predicted demand must fit in a float64", copy=True)
         _require(ys.ndim == 1, self.predicted, message)
         _require(np.isfinite(ys) & (ys >= 0), ys, message)
         if demand.max() < 1:
             raise ValueError("at least one day must have positive demand")
+        demand.flags.writeable = ys.flags.writeable = False
         object.__setattr__(self, "demand", demand)
         object.__setattr__(self, "predicted", ys)
+
+    def __reduce__(self):
+        return type(self), (self.b, self.demand, self.predicted)
 
     @property
     def horizon(self) -> int:

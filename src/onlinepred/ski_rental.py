@@ -27,7 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -106,21 +106,6 @@ def _floats(values, not_real: str, too_big: str, copy: Optional[bool] = None) ->
     elif values.dtype.kind not in "iuf":
         _require(np.zeros(values.shape, bool), values, not_real)
     return np.array(values, dtype=np.float64, copy=copy)
-
-
-def _frozen(values, dtype, convert: Callable[[object], np.ndarray]) -> np.ndarray:
-    """``values`` as a read-only ``dtype`` array, for an instance to keep.
-
-    A read-only numpy array of that dtype is reused as it is; anything else
-    goes through ``convert``, which must return a new array (`_floats` with
-    ``copy=True``, say), so a writable caller array is copied, never frozen.
-    The caller checks the result's shape and entries.
-    """
-    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
-        return values
-    array = convert(values)
-    array.flags.writeable = False
-    return array
 
 
 def _check_lambda(lam, low: float, closed: bool, message: str, arrays: bool = False):

@@ -707,7 +707,7 @@ class TestJobSetValidation:
     def test_constructor_shares_lengths(self):
         jobs = JobSet.from_lengths([2.0, 1.0])
         noisy = JobSet(jobs.lengths, np.array([0.5, -4.0]))
-        assert noisy.lengths is jobs.lengths
+        assert not np.shares_memory(noisy.lengths, jobs.lengths)  # holds its own copy
         assert noisy.predicted.tolist() == [0.5, -4.0]
         assert not noisy.predicted.flags.writeable
         assert jobs.predicted.tolist() == [2.0, 1.0]

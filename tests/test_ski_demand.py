@@ -175,7 +175,8 @@ class TestStorage:
     def test_read_only_array_of_the_dtype_is_kept(self):
         demand, predicted = day_forms([1, 2], [1.0, 2.0])["read-only"]
         inst = DemandInstance(3, demand, predicted)
-        assert inst.demand is demand and inst.predicted is predicted
+        for given, kept in ((demand, inst.demand), (predicted, inst.predicted)):
+            assert not np.shares_memory(given, kept)  # holds its own copy
 
     @pytest.mark.parametrize("form", ["tuple", "list", "writable"])
     def test_holds_no_caller_sequence(self, form):
