@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
-from typing import Dict, List, Optional, get_type_hints
+import types
+from typing import Dict, List, Mapping, Optional, get_type_hints
 
 import numpy as np
 
@@ -131,7 +133,7 @@ def _read_config_file(path: str) -> Dict[str, str]:
     return values
 
 
-def _merge_config(args: argparse.Namespace, schema: Dict[str, tuple]) -> Dict:
+def _merge_config(args: argparse.Namespace, schema: Mapping[str, tuple]) -> Dict:
     """Resolve option values with precedence: built-in default < file < flag."""
     file_values = {}
     if getattr(args, "config", None):
@@ -240,13 +242,17 @@ _SCHED_OPTIONS = (
 ) + _SHARED_OPTIONS
 
 
-def _field_schema(cls) -> Dict[str, tuple]:
-    """(parser, default) of each field of the sweep config ``cls``."""
-    types = get_type_hints(cls)
-    return {
-        f.name: (_FIELD_PARSERS.get(f.name) or _TYPE_PARSERS[types[f.name]], f.default)
+@functools.cache
+def _field_schema(cls) -> Mapping[str, tuple]:
+    """(parser, default) of each field of the sweep config ``cls``.
+
+    Built once per class and shared, so it is read-only: callers copy it to extend it.
+    """
+    hints = get_type_hints(cls)
+    return types.MappingProxyType({
+        f.name: (_FIELD_PARSERS.get(f.name) or _TYPE_PARSERS[hints[f.name]], f.default)
         for f in dataclasses.fields(cls)
-    }
+    })
 
 
 def _add_sweep_parser(sub, name: str, text: str, cls, options, func) -> None:
@@ -275,6 +281,7 @@ def _run_sweep(args: argparse.Namespace, cls, run) -> int:
 
 
 # The runners are looked up here at call time, so tests and tracers can replace them.
+# The parser binds each cmd_* function once per process: replace run_*, not cmd_*.
 def cmd_ski_sweep(args: argparse.Namespace) -> int:
     return _run_sweep(args, SkiSweepConfig, run_ski_sweep)
 
@@ -449,7 +456,9 @@ def cmd_trace_sched(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one CLI parser, built on the first call; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="onlinepred",
         description="Benchmarks for rent-or-buy and scheduling rules that use predictions.",

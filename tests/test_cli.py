@@ -828,6 +828,59 @@ class TestEntryPoint:
         assert main(["no-such-command"]) == EXIT_USAGE
 
 
+BENCH_SCHED_SWEEP = "sched-sweep --n 50 --alpha 1.1 --lambda 0.5 --trials 10 --seed 271828 --jobs 1"
+# (command, exit code) in the order one process runs them
+SHARED_PARSER_RUNS = (
+    (BENCH_SCHED_SWEEP.split(), EXIT_OK),
+    (["sched-sweep", "--n", "0"], EXIT_USAGE),
+    (["no-such-command"], EXIT_USAGE),
+    (["ski-sweep", "--help"], EXIT_OK),
+    (["ski-sweep", "--config", str(EXAMPLE_CONFIG)], EXIT_OK),
+    (["verify-bounds", "--grid-density", "tiny"], EXIT_OK),
+    (["trace", "sched", "--jobs", "1:1.2,2:1.9", "--algo", "prr", "--lambda", "0.5"], EXIT_OK),
+)
+GUARDED_RUNS = (
+    ["ski-sweep", "--trials", "20"],
+    ["sched-sweep", "--trials", "2"],
+    ["verify-bounds", "--grid-density", "tiny"],
+    ["trace", "ski", "--b", "10", "--x", "12", "--y", "12", "--algo", "rand", "--lambda", "1"],
+)
+
+
+class TestSharedParser:
+    """``main`` parses with the process's one parser and carries nothing between calls."""
+
+    def test_calls_leave_no_state(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        first = []
+        for argv, expected in SHARED_PARSER_RUNS:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == expected, argv
+            first.append((argv, code, out))
+        assert hashlib.sha256(first[0][2].encode()).hexdigest() == BENCH_DIGESTS[BENCH_SCHED_SWEEP]
+        for argv, code, out in first:
+            if code == EXIT_OK:
+                assert run_cli(capsys, *argv)[:2] == (code, out), argv
+
+    def test_warm_calls_build_nothing(self, monkeypatch, capsys):
+        run_cli(capsys, "trace", "sched", "--jobs", "1:1", "--algo", "sjf")
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("the parser or a field schema was built again")
+
+        monkeypatch.setattr(cli, "get_type_hints", rebuilt)
+        monkeypatch.setattr(cli.argparse.ArgumentParser, "add_argument", rebuilt)
+        monkeypatch.setattr(cli.argparse._SubParsersAction, "add_parser", rebuilt)
+        guarded = [run_cli(capsys, *argv)[:2] for argv in GUARDED_RUNS]
+        monkeypatch.undo()
+        assert guarded == [run_cli(capsys, *argv)[:2] for argv in GUARDED_RUNS]
+        assert all(code == EXIT_OK for code, _ in guarded)
+
+    def test_field_schema_is_read_only(self):
+        with pytest.raises(TypeError):
+            cli._field_schema(SkiSweepConfig)["b"] = (int, 1)
+
+
 # A one-worker run never needs the process pool, which would load
 # multiprocessing, logging, socket and subprocess on every command
 STARTUP_PROBE = """
