@@ -20,9 +20,10 @@ trial, and finds where each trial switches branch by binary search; it
 holds O(trials + sigma points) entries at a time.  A scheduling block puts
 (sigma points + 1) rows of n jobs per trial in one batched round-robin/PRR
 kernel call (round-robin ignores predictions, so it takes one row per
-trial).  Each block yields its sums of ratio and error and its largest
-ratio per (sigma, algorithm); the sums are added in block order.  ``jobs``
-workers take whole blocks, so any worker count yields identical output.
+trial).  Each block yields a ``_BlockStats`` record of its ratio and error
+sums and largest ratios, and the records merge in block order
+(``_BlockStats.merge``).  ``jobs`` workers take whole blocks, so any worker
+count yields identical output.
 """
 
 from __future__ import annotations
@@ -240,8 +241,22 @@ def _error_sums(xs, zs, grid):
     return sums
 
 
-def _ski_block(config: SkiSweepConfig, lo: int, hi: int):
-    """Per (sigma, entrant) ratio sum and largest ratio, and per sigma error sum, of ski trials lo..hi-1.
+@dataclass(frozen=True, eq=False)
+class _BlockStats:
+    """One block's ratio sums and largest ratios per (sigma, entrant), and error sums per sigma."""
+
+    ratio_sums: np.ndarray
+    eta_sums: np.ndarray
+    top: np.ndarray
+
+    def merge(self, later: _BlockStats) -> _BlockStats:
+        """These statistics followed by the ``later`` block's: sums added, maxima taken."""
+        top = np.maximum(self.top, later.top)
+        return _BlockStats(self.ratio_sums + later.ratio_sums, self.eta_sums + later.eta_sums, top)
+
+
+def _ski_block(config: SkiSweepConfig, lo: int, hi: int) -> _BlockStats:
+    """The ``_BlockStats`` of ski trials lo..hi-1.
 
     `ski_trial_draws` draws every trial of the block in one array pass, as
     trial t's generator ``default_rng(SeedSequence((seed, t)))`` would: x
@@ -273,7 +288,7 @@ def _ski_block(config: SkiSweepConfig, lo: int, hi: int):
         before[a], after[a] = np.where(falling, big, small), np.where(falling, small, big)
     days = xs.astype(np.float64)  # as x + sigma z converts them, once
     keys, points = _switch_index(days, zs, grid, b), grid.size
-    return (
+    return _BlockStats(
         _fold_by_switch(np.add, 0.0, before, after, keys, points),
         _error_sums(days, zs, grid),
         _fold_by_switch(np.maximum, -np.inf, before, after, keys, points),
@@ -325,26 +340,21 @@ def _sched_block(config: SchedSweepConfig, lo: int, hi: int):
     return opts, etas, ratios
 
 
-def _sched_stats(config: SchedSweepConfig, lo: int, hi: int):
-    """`_ski_block`'s statistics of scheduling trials lo..hi-1, from `_sched_block`'s arrays."""
+def _sched_stats(config: SchedSweepConfig, lo: int, hi: int) -> _BlockStats:
+    """The ``_BlockStats`` of scheduling trials lo..hi-1, from `_sched_block`'s arrays."""
     _, etas, ratios = _sched_block(config, lo, hi)
-    return ratios.sum(axis=-1), etas.sum(axis=-1), ratios.max(axis=-1)
-
-
-def _add_block(total, block):
-    """Running ratio sums, error sums and largest ratios, with ``block``'s added."""
-    return total[0] + block[0], total[1] + block[1], np.maximum(total[2], block[2])
+    return _BlockStats(ratios.sum(axis=-1), etas.sum(axis=-1), ratios.max(axis=-1))
 
 
 def _run_trials(config, block, per_trial: int, experiment: str, entrants) -> List[TrialReport]:
-    """One report per (sigma, entrant) over all trials, from the statistics ``block`` returns.
+    """One report per (sigma, entrant) over all trials, from the ``_BlockStats`` ``block`` returns.
 
     Blocks hold KERNEL_ENTRIES // ``per_trial`` trials each, and at least
     one.  A scheduling trial has ``per_trial`` kernel entries; a ski trial
     counts one per sigma point, though a ski block holds O(trials + sigma
-    points) entries, which keeps the block grid.  Block results are added in
-    block order as they arrive.  Workers take whole blocks, at most one
-    worker per block; a single block runs in this process.
+    points) entries, which keeps the block grid.  The records merge in block
+    order as they arrive (``_BlockStats.merge``).  Workers take whole blocks,
+    at most one worker per block; a single block runs in this process.
     """
     per_block = max(1, KERNEL_ENTRIES // per_trial)
     starts = range(0, config.trials, per_block)
@@ -352,20 +362,20 @@ def _run_trials(config, block, per_trial: int, experiment: str, entrants) -> Lis
     stats = partial(block, config)
     workers = min(config.jobs, len(starts))
     if workers == 1:
-        ratio_sums, eta_sums, top = reduce(_add_block, map(stats, starts, stops))
+        total = reduce(_BlockStats.merge, map(stats, starts, stops))
     else:
         # imported here, since it loads multiprocessing and logging (about
         # 20 ms) that a one-worker run never needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            ratio_sums, eta_sums, top = reduce(_add_block, pool.map(stats, starts, stops))
+            total = reduce(_BlockStats.merge, pool.map(stats, starts, stops))
     trials = int(config.trials)
-    mean_ratios, mean_etas = ratio_sums / trials, eta_sums / trials
+    mean_ratios, mean_etas = total.ratio_sums / trials, total.eta_sums / trials
     return [
         TrialReport(
             experiment, label, lam, sigma, trials,
-            float(mean_ratios[s, a]), float(mean_etas[s]), float(top[s, a]),
+            float(mean_ratios[s, a]), float(mean_etas[s]), float(total.top[s, a]),
         )
         for s, sigma in enumerate(config.sigma_grid)
         for a, (label, lam) in enumerate(entrants)

@@ -14,7 +14,7 @@ histogram count in ``ski_demand``.
 
 import numpy as np
 
-from onlinepred.experiments import ski_sweep_algorithms
+from onlinepred.experiments import _BlockStats, ski_sweep_algorithms
 from onlinepred.ski_rental import PolicyKind, ski_cost
 from onlinepred.workloads import ski_trial_draws
 
@@ -47,9 +47,11 @@ def ski_trials(config, lo, hi):
 
 
 def block_stats(config, lo, hi):
-    """``ski_trials`` reduced as a sweep block: ratio sums, error sums and largest ratios."""
+    """``ski_trials`` reduced as a sweep block, by dense numpy sums and maxima."""
     _, etas, ratios = ski_trials(config, lo, hi)
-    return ratios.sum(axis=-1), etas.sum(axis=-1), ratios.max(axis=-1)
+    return _BlockStats(
+        ratio_sums=ratios.sum(axis=-1), eta_sums=etas.sum(axis=-1), top=ratios.max(axis=-1)
+    )
 
 
 def sorted_level_counts(instance):

@@ -411,6 +411,13 @@ PINNED_SWEEPS = {
         "01b30aa42aaabd89f1dee0748ee638b2781813e219070347349ea1fcf1d584cd",
     "verify-bounds --grid-density tiny --seed 4294967296":
         "d2c56ee38bd07430d5f3f725ed38a97032b389883ed46f3cecc2581a77f4d1c9",
+    # recorded while a block's statistics were a positional tuple: three blocks
+    # each (up to 47,662 ski or 873 scheduling trials) whose mean errors print
+    # every digit at these magnitudes, so another merge order shows here
+    "ski-sweep --sigma-grid 0:1e300:1e299 --trials 100000":
+        "42eed1939ef6172fb0cb97c0ee665859199f0e9bb4f7bd9f6c09028ad95eb131",
+    "sched-sweep --sigma-grid 0:1e300:1e299 --trials 2000":
+        "16e0cde16961c0350e9bab6f8cbd9d7ec50cc87b131635a0367878609ace9be5",
 }
 
 
@@ -909,8 +916,12 @@ class TestProcessPool:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        # blocks of 3 trials on the default 41-point grid: 10 trials make 4 blocks
-        monkeypatch.setattr(experiments, "KERNEL_ENTRIES", 3 * 41)
-        outs = [run_cli(capsys, "ski-sweep", "--trials", "10", "--jobs", jobs) for jobs in "12"]
-        assert started == [2]
-        assert outs[0] == outs[1] and outs[0][0] == EXIT_OK
+        # 10 trials in 4 blocks of up to 3, whose statistics the workers send
+        # back: a ski trial counts its 41 sigma points, a scheduling trial its
+        # 12 kernel rows (round-robin and 11 sigma points) of 5 jobs
+        for command, per_trial in (("ski-sweep", 41), ("sched-sweep --n 5", 12 * 5)):
+            monkeypatch.setattr(experiments, "KERNEL_ENTRIES", 3 * per_trial)
+            argv = [*command.split(), "--trials", "10", "--jobs"]
+            outs = [run_cli(capsys, *argv, jobs) for jobs in "12"]
+            assert outs[0] == outs[1] and outs[0][0] == EXIT_OK, command
+        assert started == [2, 2]

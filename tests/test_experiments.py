@@ -485,13 +485,13 @@ WIDEST_GRID = tuple(np.linspace(0.0, 400.0, 10_001))  # the CLI's most points
 def test_ski_block_matches_dense_oracle(overrides):
     cfg = SkiSweepConfig(**overrides)
     lo, trials = 3, cfg.trials - 3
-    ratio_sums, eta_sums, top = experiments._ski_block(cfg, lo, cfg.trials)
-    dense_ratio_sums, dense_eta_sums, dense_top = block_stats(cfg, lo, cfg.trials)
-    assert top.tobytes() == dense_top.tobytes()
-    assert eta_sums.tobytes() == dense_eta_sums.tobytes()
+    got, dense = experiments._ski_block(cfg, lo, cfg.trials), block_stats(cfg, lo, cfg.trials)
+    assert got.top.tobytes() == dense.top.tobytes()
+    assert got.eta_sums.tobytes() == dense.eta_sums.tobytes()
     # the ratios are the oracle's bit for bit, summed in another order
-    assert ratio_sums.shape == dense_ratio_sums.shape
-    assert np.all(np.abs(ratio_sums - dense_ratio_sums) <= 2 * trials * EPS * dense_ratio_sums)
+    assert got.ratio_sums.shape == dense.ratio_sums.shape
+    bound = 2 * trials * EPS * dense.ratio_sums
+    assert np.all(np.abs(got.ratio_sums - dense.ratio_sums) <= bound)
 
 
 @st.composite
