@@ -16,8 +16,10 @@ ski trials or as many scheduling trials as keep their kernel entries
 within ``KERNEL_ENTRIES``.  A ski rule sees a prediction only through
 y >= b, which changes at most once along the sigma grid, so a ski block
 makes one ``ski_cost`` call per rule that prices both branches of every
-trial, and finds where each trial switches branch by binary search; it
-holds O(trials + sigma points) entries at a time.  A scheduling block puts
+trial, and finds where each trial switches branch by counting its grid
+points on the y >= b branch in the pass that sums the errors; it holds
+O(trials + sigma points) float entries at a time, and one byte per (sigma,
+trial) for that count.  A scheduling block puts
 (sigma points + 1) rows of n jobs per trial in one batched round-robin/PRR
 kernel call (round-robin ignores predictions, so it takes one row per
 trial).  Each block yields a ``_BlockStats`` record of its ratio and error
@@ -58,15 +60,19 @@ _FIXED_JOBS_STREAM = 0x4A4F4253
 
 # Bound on the kernel entries of one scheduling block of trials, which bounds
 # a sweep's working set whatever the trial count; a ski block, which holds
-# O(trials + sigma points) entries, takes KERNEL_ENTRIES // (sigma points)
-# trials.  It fixes the block grid, and block sums are added in turn, so
-# changing it can change the last bits of a multi-block sweep's means.
+# O(trials + sigma points) float entries and a byte per (sigma, trial),
+# takes KERNEL_ENTRIES // (sigma points) trials.  It fixes the block grid,
+# and block sums are added in turn, so changing it can change the last bits
+# of a multi-block sweep's means.
 KERNEL_ENTRIES = 1 << 19
-# Entries of one slice of a ski block's errors; 128 KB slices sum fastest.
+# Entries of one slice of a ski block's errors; 256 KB slices run the error
+# pass fastest (a default block took 1.35 ms against 1.53 ms with 128 KB
+# slices on a 2-core x86 VM).
 # The slices serve fine sigma grids, whose blocks hold few trials, such as
 # ski-sweep --trials 4000 --sigma-grid 0:400:0.04, where one sum per sigma
-# ran several times slower; a default block's 12,787 trials fill a slice.
-_ERROR_ENTRIES = 1 << 14
+# ran several times slower; a default block's 12,787 trials fill two rows
+# of a slice.
+_ERROR_ENTRIES = 1 << 15
 
 
 def _check_sweep(config, default_grid: Tuple[float, ...], entrants: int) -> None:
@@ -186,25 +192,6 @@ def ski_sweep_algorithms(config: SkiSweepConfig) -> List[Tuple[str, SkiPolicy]]:
     ]
 
 
-def _switch_index(xs, zs, grid, b: int):
-    """Per trial, the first index of the ascending ``grid`` at which x + sigma z >= b changes.
-
-    Float rounding is monotone, so the test, in the float operations of
-    ``xs + grid[:, None] * zs >= b``, rises at most once along the grid if
-    z >= 0 and falls at most once if z < 0.  A binary search per trial
-    evaluates it at O(log S) grid points and returns the first index where
-    a rising test holds or a falling one fails, or S if there is none.
-    """
-    falling, points = zs < 0, len(grid)
-    lo, hi = np.zeros(xs.size, np.intp), np.full(xs.size, points, np.intp)
-    for _ in range(points.bit_length()):
-        mid = (lo + hi) >> 1  # below hi while a search is open
-        switched = (xs + grid[np.minimum(mid, points - 1)] * zs >= b) != falling
-        lo = np.where(switched | (lo == hi), lo, mid + 1)
-        hi = np.where(switched, mid, hi)
-    return lo
-
-
 def _fold_by_switch(ufunc, empty: float, before, after, keys, points: int):
     """Per grid point s and row, ``ufunc`` folded over trials: before[t] if s < k_t, else after[t].
 
@@ -224,21 +211,37 @@ def _fold_by_switch(ufunc, empty: float, before, after, keys, points: int):
     return ufunc(above, ufunc.accumulate(groups[1], axis=1)[:, :-1]).T
 
 
-def _error_sums(xs, zs, grid):
-    """Per sigma, the sum over trials of the error |max(x + sigma z, 0) - x|.
+def _error_sums(xs, zs, grid, b: int):
+    """Per sigma, the sum over trials of the error |max(x + sigma z, 0) - x|,
+    and per trial the first index of the ascending ``grid`` at which y >= b changes.
 
     The errors are computed a slice of grid rows at a time, at most
     _ERROR_ENTRIES entries, and each row summed as numpy sums a row of the
     whole (sigma, trial) array, so the sums are that array's bit for bit.
     Above about 1e12 a mean error is printed to its last bit, so a sum in
     another order, or in closed form, would change the output.
+
+    The same rows mark, in a (sigma, trial) byte matrix, where the test
+    ``xs + grid[:, None] * zs >= b`` holds.  Float rounding is monotone, so
+    along the grid a trial's test rises at most once if z >= 0 and falls at
+    most once if z < 0: the switch index is S less its count of marks if
+    z >= 0 and that count if z < 0, S if the test never changes.  The marks
+    are counted 255 rows at a time, whose counts fit a byte.
     """
     rows, sums = max(1, _ERROR_ENTRIES // xs.size), np.empty(len(grid))
+    marks = np.empty((len(grid), xs.size), np.uint8)
     for s in range(0, len(grid), rows):
-        errors = np.maximum(xs + grid[s:s + rows, None] * zs, 0.0)
+        errors = grid[s:s + rows, None] * zs
+        errors += xs
+        np.greater_equal(errors, b, out=marks[s:s + rows].view(bool))
+        np.maximum(errors, 0.0, out=errors)
         errors -= xs
         sums[s:s + rows] = np.abs(errors, out=errors).sum(axis=-1)
-    return sums
+    counts = sum(
+        marks[s:s + 255].sum(axis=0, dtype=np.uint8).astype(np.intp)
+        for s in range(0, len(grid), 255)
+    )
+    return sums, np.where(zs < 0, counts, len(grid) - counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,11 +269,12 @@ def _ski_block(config: SkiSweepConfig, lo: int, hi: int) -> _BlockStats:
 
     The prediction at sigma is y = max(x + sigma z, 0), which the rules see
     only through y >= b: that test changes at most once along the grid, at
-    the trial's switch index k_t (`_switch_index`).  So each rule's one
-    ``ski_cost`` call, on ys = [[b], [0]], prices both branches of every
-    trial; grid points below k_t take the ratio of the branch the trial
-    starts on, the others that of the other branch.  The errors are summed
-    per point (`_error_sums`).
+    the trial's switch index k_t.  So each rule's one ``ski_cost`` call, on
+    ys = [[b], [0]], prices both branches of every trial; grid points below
+    k_t take the ratio of the branch the trial starts on, the others that of
+    the other branch.  One pass over the predictions (`_error_sums`) sums
+    the errors per point and counts each trial's points on the y >= b
+    branch, which gives k_t.
     """
     sampled = config.sampled
     xs, zs, us = ski_trial_draws(config.seed, config.b, np.arange(lo, hi), 2 if sampled else 0)
@@ -287,11 +291,11 @@ def _ski_block(config: SkiSweepConfig, lo: int, hi: int) -> _BlockStats:
         big, small = ski_cost(policy, b, xs, np.array([[b], [0]]), uniforms[a]) / opts
         before[a], after[a] = np.where(falling, big, small), np.where(falling, small, big)
     days = xs.astype(np.float64)  # as x + sigma z converts them, once
-    keys, points = _switch_index(days, zs, grid, b), grid.size
+    eta_sums, keys = _error_sums(days, zs, grid, b)
     return _BlockStats(
-        _fold_by_switch(np.add, 0.0, before, after, keys, points),
-        _error_sums(days, zs, grid),
-        _fold_by_switch(np.maximum, -np.inf, before, after, keys, points),
+        _fold_by_switch(np.add, 0.0, before, after, keys, grid.size),
+        eta_sums,
+        _fold_by_switch(np.maximum, -np.inf, before, after, keys, grid.size),
     )
 
 
@@ -352,9 +356,10 @@ def _run_trials(config, block, per_trial: int, experiment: str, entrants) -> Lis
     Blocks hold KERNEL_ENTRIES // ``per_trial`` trials each, and at least
     one.  A scheduling trial has ``per_trial`` kernel entries; a ski trial
     counts one per sigma point, though a ski block holds O(trials + sigma
-    points) entries, which keeps the block grid.  The records merge in block
-    order as they arrive (``_BlockStats.merge``).  Workers take whole blocks,
-    at most one worker per block; a single block runs in this process.
+    points) float entries, which keeps the block grid.  The records merge in
+    block order as they arrive (``_BlockStats.merge``).  Workers take whole
+    blocks, at most one worker per block; a single block runs in this
+    process.
     """
     per_block = max(1, KERNEL_ENTRIES // per_trial)
     starts = range(0, config.trials, per_block)

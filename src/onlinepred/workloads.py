@@ -7,9 +7,12 @@ No generator is built: `_Draws` runs numpy's `SeedSequence` hash (O'Neill's
 seed_seq mixing) on uint32 arrays over a chunk of keys at once, computes each
 key's PCG64 output words from those seed states as one (words, keys) matrix
 and decodes numpy's bounded-integer, exponential, normal and uniform draws on
-arrays, each draw off its fast path in scalar.  So a whole block of trials
-gets the draws its generators would give, bit for bit, which the tests check
-against the installed numpy, and no module imports ``numpy.random``.
+arrays.  That includes the ziggurat draws off the fast path, tested with
+`math`'s exp and log1p, the libm numpy calls; only a Lemire retry, the
+normal's tail and a rejected wedge redrawn off the fast path are decoded in
+scalar.  So a whole block of trials gets the draws its generators would give,
+bit for bit, which the tests check against the installed numpy, and no module
+imports ``numpy.random``.
 `ski_trial_draws` and `sched_trial_draws` give the two sweeps' trials and
 `seed_uniform`, from the same keyed seed states, the sampled buy day of
 ``trace ski``; none checks the sweep parameters, since the sweep configs do.
@@ -384,7 +387,8 @@ _EXP_TABLES = tuple(table.tolist() for table in (_EXP_F, _EXP_W, _EXP_K))
 # pass, which takes _WORD_ENTRIES // max(width, 2 * _POOL_SIZE) keys: 8192 at
 # widths up to 8.
 _WORD_ENTRIES = 1 << 16
-# Words gathered for each scalar draw at once; a slow draw reads two or three.
+# Words gathered at once for each draw off the fast path, which mostly reads
+# two or three; the array steps read at most three.
 _WINDOW = 4
 # Keys with draws left below which `_Draws` takes them one at a time
 # (`_one_by_one`): a round of array steps costs about as much as this many
@@ -631,6 +635,58 @@ def _unit_fast(words: np.ndarray):
     return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53, np.True_
 
 
+def _wedge(fast, f: np.ndarray, layer: np.ndarray, x: np.ndarray, exponent: np.ndarray, words):
+    """A ziggurat sampler's wedge test on arrays, for draws whose first word is off the fast path.
+
+    Column j of ``words`` holds a draw's words from that first one on, which
+    gives ``layer`` and value x; for layer 0, the tail, the caller replaces
+    the result.  As in numpy's C code, x is kept iff (f[layer - 1] -
+    f[layer]) * U + f[layer] < exp(``exponent``), with U from the second
+    word and exp from `math`, the libm numpy calls (numpy's vectorised exp
+    may differ in the last bit).  A rejected x is redrawn from the third
+    word, here only if that word is on ``fast``'s fast path.  Returns the
+    values and the words each draw read: 2, 3, or 0 for a redraw off the
+    fast path, whose value is left to the scalar decoder.
+    """
+    density = np.fromiter(map(math.exp, exponent.tolist()), np.float64, x.size)
+    kept = (f[layer - 1] - f[layer]) * _unit_fast(words[1])[0] + f[layer] < density
+    again, easy = fast(words[2])
+    return np.where(kept, x, again), np.where(kept, 2, np.where(easy, 3, 0))
+
+
+def _normal_slow(words: np.ndarray, x: np.ndarray):
+    """`_standard_normal` on arrays, for draws whose first word is off the fast path.
+
+    Column j of ``words`` holds draw j's words from that first one on, and
+    x the value the first one gives.  The wedge layers go through `_wedge`;
+    the base layer's tail reads a run of uniform pairs, so it is left to the
+    scalar decoder.  Returns the values and the words each draw read, 0 for
+    one left to the scalar decoder.
+    """
+    layer = (words[0] & np.uint64(0xFF)).astype(np.intp)
+    value, read = _wedge(_normal_fast, _ZIG_F, layer, x, -0.5 * x * x, words)
+    read[layer == 0] = 0
+    return value, read
+
+
+def _exponential_slow(words: np.ndarray, x: np.ndarray):
+    """`_standard_exponential` on arrays, for draws whose first word is off the fast path.
+
+    Column j of ``words`` holds draw j's words from that first one on, and
+    x the value the first one gives.  The wedge layers go through `_wedge`;
+    the base layer returns r - log1p(-U), r = `_EXP_R`, with U from the
+    second word and log1p from `math`.  Returns the values and the words
+    each draw read, 0 for one left to the scalar decoder.
+    """
+    layer = (words[0] >> np.uint64(3) & np.uint64(0xFF)).astype(np.intp)
+    value, read = _wedge(_exponential_fast, _EXP_F, layer, x, -x, words)
+    tail = np.flatnonzero(layer == 0)
+    uniforms = (-_unit_fast(words[1, tail])[0]).tolist()
+    value[tail] = _EXP_R - np.fromiter(map(math.log1p, uniforms), np.float64, tail.size)
+    read[tail] = 2
+    return value, read
+
+
 class _Draws:
     """numpy ``Generator`` draws of many per-key streams at once, bit for bit.
 
@@ -645,11 +701,14 @@ class _Draws:
     A draw on its fast path reads one word and is decoded on arrays, where
     only exact IEEE operations run.  A key's run of fast draws stops at its
     first word off the fast path or past the words decoded.  A draw off the
-    fast path is decoded in scalar as numpy's C code does it, from its own
-    words, before the key's next run; words past the matrix go on from the
-    key's last state (`_window`).  So the scalar work grows with the slow
-    draws, not with ``count``.  ``integers`` reads 32-bit halves and keeps none
-    buffered, so it is exact only as a key's first draw.
+    fast path is decoded from its own words before the key's next run, as
+    numpy's C code does it: on arrays for the keys of a round
+    (`_normal_slow`, `_exponential_slow`), and in scalar for what those
+    leave and for a draw call's last few keys (`_one_by_one`).  Words past
+    the matrix go on from the key's last state (`_window`).  So the scalar
+    work grows with the slow draws, not with ``count``.  ``integers`` reads
+    32-bit halves and keeps none buffered, so it is exact only as a key's
+    first draw.
     """
 
     def __init__(self, master_seed: int, keys: Iterable[int], width: int):
@@ -690,19 +749,22 @@ class _Draws:
                 count *= 2
                 window = self._window(np.array([key]), np.array([at]), count)[:, 0].tolist()
 
-    def _draw(self, count, fast, draw) -> np.ndarray:
+    def _draw(self, count, fast, draw, step=None) -> np.ndarray:
         """``count`` draws per key: ``fast`` decodes words on arrays into (values,
-        on the fast path), ``draw`` decodes one draw in scalar from a word iterator.
+        on the fast path), ``draw`` decodes one draw in scalar from a word
+        iterator and ``step``, if given, decodes on arrays the draws whose
+        first word is off the fast path, as (values, words read), 0 words for
+        a draw it leaves to ``draw``.
 
         The words from the lowest cursor to a little past the furthest draw
         are decoded once, and each key's draws are first taken as if they all
         lay on the fast path there.  The keys for which that fails go on in
-        rounds: each makes its draw at the failing word in scalar (or on
-        arrays, if that word is on the fast path past the decoded ones), then
-        its next run of fast draws, found by binary search among the words
-        off the fast path.  Those runs are copied out at the end.  Once fewer
-        than `_ROUND_KEYS` keys have draws left, each finishes on its own
-        (`_one_by_one`).
+        rounds: each makes its draw at the failing word, on arrays if that
+        word is on the fast path past the decoded ones or ``step`` decodes it
+        and in scalar otherwise, then its next run of fast draws, found by
+        binary search among the words off the fast path.  Those runs are
+        copied out at the end.  Once fewer than `_ROUND_KEYS` keys have draws
+        left, each finishes on its own (`_one_by_one`), in scalar.
         """
         width, size = self.words.shape
         steps = np.arange(np.max(count, initial=0))[:, None]
@@ -733,6 +795,9 @@ class _Draws:
             value, easy = fast(words[0])
             read = np.ones(keys.size, np.intp)
             hard = np.flatnonzero(~np.broadcast_to(easy, keys.shape))
+            if step is not None and hard.size:
+                value[hard], read[hard] = step(words[:, hard], value[hard])
+                hard = hard[read[hard] == 0]
             made = [
                 self._scalar(key, a, window, draw)
                 for key, a, window in zip(
@@ -771,16 +836,23 @@ class _Draws:
     def _one_by_one(self, key: int, done: int, count: int, out, values, on_path, lo: int, draw):
         """`_draw`'s rounds for one key: its draws ``done`` to ``count`` into
         column ``key`` of ``out``, from a cursor at a word off the fast path or
-        past the decoded ``values``, whose rows start at word ``lo``."""
+        past the decoded ``values``, whose rows start at word ``lo``.
+
+        The key's words past the matrix are generated once per call, from its
+        last state, in runs that double what the call holds, so a long run of
+        draws past a narrow matrix takes time linear in its words.
+        """
         width, hi = self.words.shape[0], lo + len(values)
         slow = (np.flatnonzero(~on_path[:, key]) + lo).tolist()
         at = int(self.cursor[key])
+        base = min(at, width)  # the word column[0] holds
+        column, state = self.words[base:, key].tolist(), self.ends[key:key + 1]
         while done < count:
-            inside = at + _WINDOW <= width
-            window = self.words[at:at + _WINDOW, key] if inside else (
-                self._window(np.array([key]), np.array([at]), _WINDOW)[:, 0]
-            )
-            out[done, key], read = self._scalar(key, at, window.tolist(), draw)
+            while at + _WINDOW > base + len(column):
+                extra, state = _pcg_run(*state.T, max(len(column), _WINDOW))
+                column += extra[:, 0].tolist()
+            window = column[at - base:at - base + _WINDOW]
+            out[done, key], read = self._scalar(key, at, window, draw)
             at, done = at + read, done + 1
             after = bisect.bisect_left(slow, at)
             stop = min(slow[after] if after < len(slow) else hi, hi)
@@ -800,10 +872,10 @@ class _Draws:
         return self._draw(1, fast, functools.partial(_bounded, span=span))[:, 0]
 
     def standard_normal(self, count) -> np.ndarray:
-        return self._draw(count, _normal_fast, _standard_normal)
+        return self._draw(count, _normal_fast, _standard_normal, _normal_slow)
 
     def standard_exponential(self, count) -> np.ndarray:
-        return self._draw(count, _exponential_fast, _standard_exponential)
+        return self._draw(count, _exponential_fast, _standard_exponential, _exponential_slow)
 
     def random(self, count) -> np.ndarray:
         return self._draw(count, _unit_fast, lambda words: _unit(next(words)))

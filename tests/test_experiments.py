@@ -525,7 +525,7 @@ def switch_cases(draw):
 @given(case=switch_cases())
 def test_switch_index_is_the_dense_branch_test(case):
     b, xs, zs, grid = case
-    keys = experiments._switch_index(xs, zs, grid, b)
+    _, keys = experiments._error_sums(xs, zs, grid, b)
     big = xs + grid[:, None] * zs >= b  # [sigma, trial], the dense sweep's test
     switched = np.arange(grid.size)[:, None] >= keys
     assert np.array_equal(big, np.where(zs < 0, ~switched, switched))

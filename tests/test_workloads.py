@@ -73,21 +73,25 @@ class Ziggurat(NamedTuple):
     w: tuple
     k: tuple
     word: Callable[[int, int], int]  # (layer, magnitude) -> word
+    sign: int  # the word bit that negates x, 0 if none
     magnitude_bits: int
     density: Callable[[float], float]
     draw: str  # the Generator method
     scalar: Callable  # the package's scalar decoder
+    fast: Callable  # the package's fast-path decoder on arrays
+    slow: Callable  # the package's array step for words off the fast path
 
 
 NORMAL = Ziggurat(
     *(tuple(table.tolist()) for table in (workloads._ZIG_F, workloads._ZIG_W, workloads._ZIG_K)),
-    lambda layer, rabs: rabs << 9 | layer, 52, lambda x: math.exp(-0.5 * x * x),
-    "standard_normal", workloads._standard_normal,
+    lambda layer, rabs: rabs << 9 | layer, 0x100, 52, lambda x: math.exp(-0.5 * x * x),
+    "standard_normal", workloads._standard_normal, workloads._normal_fast, workloads._normal_slow,
 )
 EXPONENTIAL = Ziggurat(
     *(tuple(table.tolist()) for table in (workloads._EXP_F, workloads._EXP_W, workloads._EXP_K)),
-    lambda layer, ri: ri << 11 | layer << 3, 53, lambda x: math.exp(-x),
-    "standard_exponential", workloads._standard_exponential,
+    lambda layer, ri: ri << 11 | layer << 3, 0, 53, lambda x: math.exp(-x),
+    "standard_exponential", workloads._standard_exponential, workloads._exponential_fast,
+    workloads._exponential_slow,
 )
 
 
@@ -183,6 +187,32 @@ class ZigguratChecks:
             x, word = float(magnitude) * zig.w[layer], zig.word(layer, magnitude)
             assert zig.scalar(iter([word, (m - 1) << 11, restart])) == x
             assert zig.scalar(iter([word, m << 11, restart])) == 0.0
+        self.check_array_step_decides_as_numpy_at_every_boundary()
+
+    def check_array_step_decides_as_numpy_at_every_boundary(self):
+        # the array step on the probes' words, with each sign: it keeps x after
+        # reading two words, and after a rejection redraws from a fast third
+        # word (reading three) or leaves the draw to the scalar sampler
+        # (reading none) when the third word is off the fast path too
+        zig = self.zig
+        fast_word = zig.word(2, 12345) | zig.sign
+        redrawn = float(12345) * zig.w[2] * (-1.0 if zig.sign else 1.0)
+        slow_word = zig.word(1, 0)  # layer 1 never takes the fast path
+        columns, expected = [], []
+        for layer, magnitude, m in wedge_probes(zig):
+            for sign in sorted({0, zig.sign}):
+                x = float(magnitude) * zig.w[layer] * (-1.0 if sign else 1.0)
+                word = zig.word(layer, magnitude) | sign
+                for third, after in ((fast_word, (redrawn, 3)), (slow_word, (None, 0))):
+                    columns += [(word, (m - 1) << 11, third), (word, m << 11, third)]
+                    expected += [(x, 2), after]
+        words = np.array(columns, dtype=np.uint64).T
+        first, on_path = zig.fast(words[0])
+        assert not on_path.any()
+        values, read = zig.slow(words, first)
+        assert read.tolist() == [count for _, count in expected]
+        kept = [value for value, _ in expected if value is not None]
+        assert_same_bits(values[read > 0], kept)
 
 
 class TestZigguratTables(ZigguratChecks):
@@ -226,10 +256,21 @@ class TestExponentialZigguratTables(ZigguratChecks):
         # layer 0 off its fast path returns r - log1p(-U) with U from the next
         # word, so numpy's draws pin `_EXP_R`
         tail = EXPONENTIAL.word(0, EXPONENTIAL.k[0])
-        for uniform in (0, 1 << 11, 2**63, 2**64 - 1, 0x123456789ABCDEF0):
+        uniforms = (0, 1 << 11, 2**63, 2**64 - 1, 0x123456789ABCDEF0)
+        for uniform in uniforms:
             expected = workloads._EXP_R - math.log1p(-workloads._unit(uniform))
             assert emitting(tail, uniform).standard_exponential() == expected
             assert workloads._standard_exponential(iter([tail, uniform])) == expected
+        # and the array step reads the same two words to the same values, here
+        # for 200 more uniforms too, where numpy's vectorised log1p differs
+        # from libm's on some
+        uniforms += tuple(i * 0x9E3779B97F4A7C15 % 2**64 for i in range(1, 201))
+        words = np.array([[tail, uniform, 0] for uniform in uniforms], dtype=np.uint64).T
+        values, read = EXPONENTIAL.slow(words, EXPONENTIAL.fast(words[0])[0])
+        assert read.tolist() == [2] * len(uniforms)
+        assert_same_bits(values, [
+            emitting(tail, uniform).standard_exponential() for uniform in uniforms
+        ])
 
 
 class TestSkiInstanceGenerator:
@@ -315,7 +356,7 @@ def pass_keys(width: int) -> int:
     return max(1, min(8192, (1 << 16) // width))
 
 
-SLOW_PATHS = ("lemire retry", "tail", "layer 1", "wedge accept", "wedge reject")
+SLOW_PATHS = ("lemire retry", "tail", "layer 1", "wedge accept", "wedge reject", "redraw off path")
 
 
 def read(rng, twin) -> int:
@@ -336,7 +377,8 @@ def numpy_slow_paths(seed, b, keys, uniforms):
     buffer unless Lemire's draw is retried; ``standard_normal`` reads one word
     on its fast path, then the tail's pairs of uniforms if its layer is 0,
     and otherwise one uniform for the wedge test and, if that rejects, a
-    fresh word.
+    fresh word, which reads more unless it is on the fast path ("redraw off
+    path").
     """
 
     found = {}
@@ -352,6 +394,8 @@ def numpy_slow_paths(seed, b, keys, uniforms):
             taken.add("tail" if layer == 0 else "wedge accept" if words == 2 else "wedge reject")
             if layer == 1:
                 taken.add("layer 1")
+            if layer != 0 and words > 3:
+                taken.add("redraw off path")
         rng.random(uniforms)
         assert read(rng, twin) == uniforms
         found[key] = taken
@@ -494,22 +538,40 @@ class TestBatchedStreams:
         self.assert_ski_draws_match(seed, B_MAX, sorted(keys.values()), uniforms)
 
     def test_ski_draws_fall_back_only_off_the_fast_paths(self, monkeypatch):
-        # a key takes the scalar path iff numpy's generator leaves a fast
-        # path: it reads more than 2 + uniforms words, or a Lemire retry
-        # takes the buffered high half of word 0
+        # a key leaves the array decoding of fast paths iff numpy's generator
+        # leaves a fast path: it reads more than 2 + uniforms words, or a
+        # Lemire retry takes the buffered high half of word 0.  Its normal
+        # then goes to the array step, and only a tail or a rejected wedge
+        # redrawn off the fast path goes on to the scalar sampler, as does a
+        # Lemire retry
         seed, b, keys, uniforms = 271828, B_MAX, np.arange(20_000), 2
         paths = numpy_slow_paths(seed, b, keys.tolist(), uniforms)
         slow = [key for key, taken in paths.items() if taken]
         assert len(slow) > 100 and set().union(*paths.values()) == set(SLOW_PATHS)
         scalar, drawn = workloads._Draws._scalar, []
+        normal_slow, stepped = workloads._normal_slow, []
 
         def recording(self, key, *args):
             drawn.append(key)
             return scalar(self, key, *args)
 
+        def stepping(words, x):
+            stepped.extend(words[0].tolist())
+            return normal_slow(words, x)
+
         monkeypatch.setattr(workloads._Draws, "_scalar", recording)
+        monkeypatch.setattr(workloads, "_normal_slow", stepping)
         self.assert_ski_draws_match(seed, b, keys, uniforms)
-        assert sorted(set(drawn)) == slow  # engine rows are the keys here
+        # the step sees words; a key's normal starts at its word 1, as no
+        # Lemire draw here retries twice
+        normals = workloads._Draws(seed, keys, 2).words[1].tolist()
+        first = {word: key for key, word in enumerate(normals)}
+        stepped = sorted(first[word] for word in stepped)  # engine rows are the keys here
+        assert sorted(set(stepped) | set(drawn)) == slow
+        normal_paths = set(SLOW_PATHS) - {"lemire retry", "redraw off path"}
+        assert stepped == [key for key in slow if paths[key] & normal_paths]
+        scalar_paths = {"lemire retry", "tail", "redraw off path"}
+        assert sorted(set(drawn)) == [key for key in slow if paths[key] & scalar_paths]
 
 
 def assert_same_bits(got, expected):
@@ -638,6 +700,23 @@ class TestSchedDraws:
             value, used = draws._scalar(row, 0, [], zig.scalar)
             assert value == getattr(rng, zig.draw)()
             assert used == read(rng, twin)
+
+    def test_a_long_run_past_a_narrow_matrix_reads_linear_words(self, monkeypatch):
+        # one key's 3,000 normals read about 3,040 words, all but 8 past its
+        # matrix; they are generated once per draw call, in runs that double,
+        # not again from the matrix's end for every draw
+        pcg_run, produced = workloads._pcg_run, []
+
+        def counting(*args):
+            words, ends = pcg_run(*args)
+            produced.append(words.size)
+            return words, ends
+
+        draws = workloads._Draws(DEFAULT_SEED, [3], 8)
+        monkeypatch.setattr(workloads, "_pcg_run", counting)
+        got = draws.standard_normal(3000)
+        assert_same_bits(got[0], next(numpy_rngs(DEFAULT_SEED, [3])).standard_normal(3000))
+        assert sum(produced) <= 4 * 3000
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**256)))
