@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import types
-from typing import Dict, List, Mapping, Optional, get_type_hints
+from typing import Dict, List, Mapping, Optional, Set, Tuple, get_type_hints
 
 import numpy as np
 
@@ -133,15 +133,20 @@ def _read_config_file(path: str) -> Dict[str, str]:
     return values
 
 
-def _merge_config(args: argparse.Namespace, schema: Mapping[str, tuple]) -> Dict:
-    """Resolve option values with precedence: built-in default < file < flag."""
+def _merge_config(
+    args: argparse.Namespace, schema: Mapping[str, tuple]
+) -> Tuple[Dict, Set[str]]:
+    """Resolve option values with precedence: built-in default < file < flag.
+
+    Returns the values and the keys that took their built-in default.
+    """
     file_values = {}
     if getattr(args, "config", None):
         file_values = _read_config_file(args.config)
         unknown = set(file_values) - set(schema)
         if unknown:
             raise UsageError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    resolved = {}
+    resolved, defaulted = {}, set()
     for key, (convert, default) in schema.items():
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -155,7 +160,8 @@ def _merge_config(args: argparse.Namespace, schema: Mapping[str, tuple]) -> Dict
                 raise UsageError(f"config key {key}: cannot parse {file_values[key]!r}")
         else:
             resolved[key] = default
-    return resolved
+            defaulted.add(key)
+    return resolved, defaulted
 
 
 def _parse_bool(text: str) -> bool:
@@ -273,8 +279,15 @@ def _add_sweep_parser(sub, name: str, text: str, cls, options, func) -> None:
 
 def _run_sweep(args: argparse.Namespace, cls, run) -> int:
     """Resolve the fields of ``cls``, build the config (it checks them), run and write a sweep."""
-    opts = _merge_config(args, {**_field_schema(cls), **_OUTPUT_KEYS})
+    opts, defaulted = _merge_config(args, {**_field_schema(cls), **_OUTPUT_KEYS})
     fmt, out = opts.pop("format"), opts.pop("out")
+    b, lam = opts.get("b"), opts.get("lambda_rand")
+    if "lambda_rand" in defaulted and 2 <= b and not 1.0 / b < lam:
+        # b = 2 only: the config's own message would blame a lambda the user never gave
+        raise UsageError(
+            f"--lambda-rand defaults to {lam!r} (ln 3/2), outside the randomized rule's "
+            f"range (1/{b}, 1] at b={b}; give --lambda-rand in (1/{b}, 1]"
+        )
     config = _checked(cls, **opts)
     _write_output(_render_sweep(run(config), fmt), out)
     return EXIT_OK

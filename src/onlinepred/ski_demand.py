@@ -9,10 +9,11 @@ x_j (days with demand >= j) and y_j (days predicted >= j), and every
 function here scores the level arrays through `ski_rental.ski_cost`.
 An instance keeps its days as two read-only vectors of its own, the demands
 in int64 and the predictions in float64, and is equal only to itself.
-It counts its levels on first use, in one histogram pass over each vector:
-x_j is the horizon minus the days with demand below j, and y_j the same
-over the predictions floored and capped at the top level, since y >= j
-exactly when floor(y) >= j for an integer j.
+It counts its levels on first use, in one stacked histogram pass: x_j sums
+the days with each demand from the top level down to j, and y_j the same
+over the predictions capped at the top level and cast to int64, a
+truncation that floors a finite y >= 0, since y >= j exactly when
+floor(y) >= j for an integer j.
 """
 
 from __future__ import annotations
@@ -108,15 +109,16 @@ class DemandInstance:
 
     @cached_property
     def _level_counts(self) -> Tuple[np.ndarray, np.ndarray]:
-        top = self.max_demand
-        # clipped before the int cast, so a prediction of 1e300 is safe
-        floors = np.minimum(np.floor(self.predicted), top)
-        xs, ys = (
-            self.horizon - np.bincount(days, minlength=top + 1).cumsum()[:top]
-            for days in (self.demand, floors.astype(np.int64))
-        )
-        xs.flags.writeable = ys.flags.writeable = False  # shared by every caller
-        return xs, ys
+        demand_counts = np.bincount(self.demand)
+        top = demand_counts.size - 1  # the largest daily demand
+        # clipped before the int cast, so a prediction of 1e300 is safe; the
+        # cast truncates, which floors a finite y >= 0
+        floors = np.minimum(self.predicted, top).astype(np.int64)
+        counts = np.array([demand_counts, np.bincount(floors, minlength=top + 1)])
+        # level j counts the days at j or above: bins top..j summed from the top down
+        levels = np.add.accumulate(counts[:, :0:-1], axis=1)
+        levels.flags.writeable = False  # shared by every caller, rows included
+        return levels[0, ::-1], levels[1, ::-1]
 
 
 def decompose(instance: DemandInstance) -> Tuple[np.ndarray, np.ndarray]:

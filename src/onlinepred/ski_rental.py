@@ -224,17 +224,19 @@ def buy_day(policy: SkiPolicy, b: int, big: bool) -> Optional[int]:
     return math.ceil(_snap(q))
 
 
-def _policy_terms(policy: SkiPolicy, b: int):
-    """The checked terms of ``policy`` at ``b``: one tuple for y >= b, one for y < b.
+def _policy_terms(policy: SkiPolicy, b: int) -> np.ndarray:
+    """The checked terms of ``policy`` at ``b``, each as a pair of entries: y >= b, then y < b.
 
-    A day rule's tuple holds its buy day (`buy_day`) capped at X_MAX + 1,
+    A day rule's terms are the last rent day d - 1 and the purchase cost
+    float(b + d - 1) of its buy day d (`buy_day`), capped at X_MAX + 1,
     which also stands for never buying: no x <= X_MAX reaches that day, so
-    a later day and never both cost x, and the day stays an int64.  The
-    randomized rule's holds its support m, the normaliser 1 - r^m and the
-    tail r^m, r = (b-1)/b.  The terms are kept per b in a private
-    ``__dict__`` entry of the policy object, so a rule passed on every call
-    is checked once per b.  Each object is checked by itself, never by a
-    cache keyed on equal policies:
+    a later day and never both cost x.  The randomized rule's are its
+    support m, the normaliser 1 - r^m and the tail r^m, r = (b-1)/b.  The
+    pairs follow each other in one float64 vector, in which the days and
+    supports are exact: at most X_MAX + 1 and below 2**53.  The terms are
+    kept per b in a private ``__dict__`` entry of the policy object, so a
+    rule passed on every call is checked once per b.  Each object is
+    checked by itself, never by a cache keyed on equal policies:
     ``SkiPolicy(RANDOMIZED, True)`` equals ``SkiPolicy(RANDOMIZED, 1.0)``
     but must still be rejected.
     """
@@ -242,15 +244,16 @@ def _policy_terms(policy: SkiPolicy, b: int):
     terms = cache.get(b)
     if terms is None:
         if policy.kind is PolicyKind.RANDOMIZED:
-            terms = []
-            for big in (True, False):
-                m = _support_size(b, policy.lam, big)
-                tail = ((b - 1) / b) ** m
-                terms.append((m, 1.0 - tail, tail))
+            m_big, m_small = _support_size(b, policy.lam, True), _support_size(b, policy.lam, False)
+            tail_big, tail_small = ((b - 1) / b) ** m_big, ((b - 1) / b) ** m_small
+            pairs = [m_big, m_small, 1.0 - tail_big, 1.0 - tail_small, tail_big, tail_small]
         else:
-            days = (buy_day(policy, b, big) for big in (True, False))
-            terms = [(X_MAX + 1 if day is None else min(day, X_MAX + 1),) for day in days]
-        cache[b] = terms
+            big, small = (
+                X_MAX + 1 if day is None else min(day, X_MAX + 1)
+                for day in (buy_day(policy, b, True), buy_day(policy, b, False))
+            )
+            pairs = [big - 1, small - 1, float(b + big - 1), float(b + small - 1)]
+        terms = cache[b] = np.array(pairs, dtype=np.float64)
     return terms
 
 
@@ -267,8 +270,12 @@ def _check_draws(u) -> np.ndarray:
     return draws
 
 
-def _drawn_day(b: int, m: int, norm: float, tail: float, u):
-    """Buy day the inverse CDF picks for draws ``u``, support m, normaliser 1 - r^m, tail r^m."""
+def _drawn_day(b: int, m, norm, tail, u):
+    """Buy day the inverse CDF picks for draws ``u``, support m, normaliser 1 - r^m, tail r^m.
+
+    The terms are one branch's entries of `_policy_terms`, or both branches'
+    on a leading axis that broadcasts against the draws.
+    """
     with np.errstate(divide="ignore"):
         day = m + 1 - np.ceil(np.log(u * norm + tail) / math.log((b - 1) / b))
     return np.clip(day, 1, m).astype(np.int64)
@@ -287,20 +294,27 @@ def randomized_buy_day(b: int, lam: float, big: bool, u):
     _check_count("b", b, 2, B_MAX)
     u = _check_draws(u)
     terms = _policy_terms(SkiPolicy(PolicyKind.RANDOMIZED, lam), b)
-    return _drawn_day(b, *terms[0 if big else 1], u)
+    return _drawn_day(b, *terms[0 if big else 1::2], u)
 
 
-def _cost_on_branch(kind: PolicyKind, b: int, terms, xs, u):
-    """`ski_cost` on one branch, given its `_policy_terms` tuple, for every entry of ``xs``."""
+def _cost_on_branch(kind: PolicyKind, b: int, terms: np.ndarray, xs, u):
+    """`ski_cost` on both branches for every entry of ``xs``, from the `_policy_terms` pairs.
+
+    The branch axis leads, so each branch's costs are one contiguous block:
+    entry 0 prices y >= b and entry 1 y < b.  ``u`` is None or checked draws.
+    """
+    xs = np.asarray(xs)
+    # one row per term, whose pair is a leading axis that broadcasts against xs and u
+    terms = terms.reshape((-1, 2) + (1,) * max(xs.ndim, 0 if u is None else u.ndim))
     if kind is not PolicyKind.RANDOMIZED:
-        (day,) = terms
+        last, buy = terms[0], terms[1]
     elif u is None:
-        m, norm, _ = terms
-        return np.minimum(xs, m) / norm
+        return np.minimum(xs, terms[0]) / terms[1]
     else:
-        day = _drawn_day(b, *terms, u)
-    # day - 1 is at most X_MAX, so float64 xs compare with it exactly
-    return 1.0 * np.where(xs <= day - 1, xs, b + day - 1)
+        day = _drawn_day(b, terms[0], terms[1], terms[2], u)
+        last, buy = day - 1, day + (b - 1.0)
+    # the last rent day is at most X_MAX, so float64 xs compare with it exactly
+    return np.where(xs <= last, xs, buy)
 
 
 def ski_cost(policy: SkiPolicy, b: int, xs, ys, u=None):
@@ -317,21 +331,22 @@ def ski_cost(policy: SkiPolicy, b: int, xs, ys, u=None):
     ``u``, any real array-like (a list too) that broadcasts and is taken in
     float64 (`_check_draws`), it buys on the day the branch's inverse CDF
     picks for each draw (`randomized_buy_day`) and costs like a day rule;
-    the day rules ignore ``u``.  Both branches are priced over ``xs`` from
-    the policy's checked terms at ``b`` (`_policy_terms`) and each entry
-    takes its own, so an (x, y) grid prices two costs per x, not one per
+    the day rules ignore ``u``.  One pass prices both branches for every
+    entry of ``xs`` along a leading branch axis, from the policy's checked
+    terms at ``b`` (`_policy_terms`), and one ``np.where`` on y >= b picks
+    each entry's own, so an (x, y) grid prices two costs per x, not one per
     point.  ``b`` must be an integer in [2, B_MAX].
     ``xs`` and ``ys`` are the caller's to check (`SkiInstance`,
     `DemandInstance` and the sweep draws do): two element checks here would
     cost about as much as a scalar call itself.
     """
     _check_count("b", b, 2, B_MAX)
-    if u is not None and policy.kind is PolicyKind.RANDOMIZED:
+    if policy.kind is not PolicyKind.RANDOMIZED:
+        u = None  # the day rules ignore the draws
+    elif u is not None:
         u = _check_draws(u)
-    big, small = (
-        _cost_on_branch(policy.kind, b, terms, xs, u) for terms in _policy_terms(policy, b)
-    )
-    return np.where(np.greater_equal(ys, b), big, small)
+    costs = _cost_on_branch(policy.kind, b, _policy_terms(policy, b), xs, u)
+    return np.where(np.greater_equal(ys, b), costs[0], costs[1])
 
 
 def policy_cost(instance: SkiInstance, policy: SkiPolicy, u=None) -> float:

@@ -10,12 +10,19 @@ branch bookkeeping and is the reference it is checked against.
 ``sorted_level_counts`` takes a demand instance's per-level counts by
 sorting its days and bisecting at each level, sharing nothing with the
 histogram count in ``ski_demand``.
+
+``two_branch_cost`` prices ``ski_cost``'s rules one prediction branch at a
+time, from Python-int buy days and supports, and picks each entry's branch
+afterwards: the kernel's formula before it priced both branches in one pass
+over a branch axis, kept as the reference its bytes are pinned against.
 """
+
+import math
 
 import numpy as np
 
 from onlinepred.experiments import _BlockStats, ski_sweep_algorithms
-from onlinepred.ski_rental import PolicyKind, ski_cost
+from onlinepred.ski_rental import X_MAX, PolicyKind, _support_size, buy_day, ski_cost
 from onlinepred.workloads import ski_trial_draws
 
 
@@ -60,3 +67,31 @@ def sorted_level_counts(instance):
     xs = instance.horizon - np.searchsorted(np.sort(instance.demand), levels)
     ys = instance.horizon - np.searchsorted(np.sort(instance.predicted), levels)
     return xs, ys
+
+
+def two_branch_cost(policy, b, xs, ys, u=None):
+    """``ski_cost(policy, b, xs, ys, u)`` priced on each branch by itself, y >= b then y < b.
+
+    A day rule rents until its buy day d, capped at X_MAX + 1 for never, and
+    costs x if x <= d - 1, else b + d - 1, cast to float64 last.  The
+    randomized rule costs min(x, m) / (1 - r^m) in expectation, or with
+    draws ``u`` buys on the day m + 1 - ceil(log(u(1 - r^m) + r^m) / log r),
+    clipped to [1, m], and costs like a day rule.
+    """
+
+    def branch(big):
+        if policy.kind is not PolicyKind.RANDOMIZED:
+            day = buy_day(policy, b, big)
+            day = X_MAX + 1 if day is None else min(day, X_MAX + 1)
+        else:
+            m = _support_size(b, policy.lam, big)
+            tail = ((b - 1) / b) ** m
+            if u is None:
+                return np.minimum(xs, m) / (1.0 - tail)
+            draws = np.asarray(u, dtype=np.float64)
+            with np.errstate(divide="ignore"):
+                day = m + 1 - np.ceil(np.log(draws * (1.0 - tail) + tail) / math.log((b - 1) / b))
+            day = np.clip(day, 1, m).astype(np.int64)
+        return 1.0 * np.where(xs <= day - 1, xs, b + day - 1)
+
+    return np.where(np.greater_equal(ys, b), branch(True), branch(False))

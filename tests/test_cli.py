@@ -58,6 +58,37 @@ class TestSkiSweepCommand:
         assert out == ""
         assert "(1/100, 1]" in err
 
+    DEFAULT_LAMBDA_AT_B2 = (
+        "error: --lambda-rand defaults to 0.4054651081081644 (ln 3/2), outside the randomized "
+        "rule's range (1/2, 1] at b=2; give --lambda-rand in (1/2, 1]\n"
+    )
+
+    def test_b2_without_lambda_rand_names_the_flag_and_its_default(self, capsys, tmp_path):
+        config = tmp_path / "b2.cfg"
+        config.write_text("b = 2\n")
+        for argv in (("--b", "2"), ("--config", str(config))):
+            code, out, err = run_cli(capsys, "ski-sweep", "--trials", "5", *argv)
+            assert (code, out, err) == (EXIT_USAGE, "", self.DEFAULT_LAMBDA_AT_B2)
+        # a lambda the user gave is blamed as given, from a flag or a file
+        default = "0.4054651081081644"
+        config.write_text(f"b = 2\nlambda_rand = {default}\n")
+        for argv in (("--b", "2", "--lambda-rand", default), ("--config", str(config))):
+            code, out, err = run_cli(capsys, "ski-sweep", "--trials", "5", *argv)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == (
+                f"error: randomized rule requires lambda in (1/2, 1] for b=2, got {default}\n"
+            )
+        code, out, err = run_cli(capsys, "ski-sweep", "--b", "2", "--trials", "5",
+                                 "--lambda-rand", "0.6", "--sigma-grid", "0:0:1")
+        assert (code, err) == (EXIT_OK, "") and len(out.splitlines()) == 1 + 4
+
+    def test_b3_keeps_the_default_lambda_rand(self, capsys):
+        # ln 3/2 = 0.405... lies in (1/3, 1], so the default serves every b >= 3
+        code, out, err = run_cli(capsys, "ski-sweep", "--b", "3", "--trials", "5",
+                                 "--sigma-grid", "0:0:1")
+        assert (code, err) == (EXIT_OK, "")
+        assert ",randomized,0.405465," in out
+
     def test_large_b_exact_mode(self, capsys):
         code, out, err = run_cli(
             capsys, "ski-sweep", "--b", "100000", "--trials", "5", "--sigma-grid", "0:0:1",

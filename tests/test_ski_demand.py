@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import math
+import pickle
 from functools import partial
 
 import numpy as np
@@ -240,6 +241,24 @@ class TestDecompose:
         for counts, oracle in zip(decompose(inst), sorted_level_counts(inst)):
             assert counts.shape == (DEMAND_MAX,) and np.array_equal(counts, oracle)
         assert demand_opt(inst) == DEMAND_MAX  # one rental day per level
+
+    @pytest.mark.parametrize(
+        "prediction",
+        [3.0, np.nextafter(3.0, 0), 0.0, -0.0, 1e300, 2**63 + 2**11],
+        ids=["integer", "ulp-below-integer", "zero", "negative-zero", "1e300", "int-past-2**63"],
+    )
+    def test_counts_pinned_to_sorted_oracle(self, prediction):
+        # the truncating cast must count each y as floor(y) would, to the byte
+        for inst in (
+            DemandInstance(7, (4, 0, 3, 3, 1, 5), (prediction, 2.0, prediction, 5.5, 0.0, 3.0)),
+            DemandInstance(2, (0, DEMAND_MAX, 1), (prediction, DEMAND_MAX - 0.5, prediction)),
+        ):
+            counts = decompose(inst)
+            copy = pickle.loads(pickle.dumps(inst))
+            for got, again, want in zip(counts, decompose(copy), sorted_level_counts(inst)):
+                for array in (got, again):
+                    assert array.dtype == np.int64 and not array.flags.writeable
+                    assert array.shape == want.shape and array.tobytes() == want.tobytes()
 
     # an object array keeps each entry's type, where np.array would read them as numbers
     @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from onlinepred.ski_rental import (
     ski_cost,
     ski_opt,
 )
+from ski_oracles import two_branch_cost
 
 NAIVE = SkiPolicy(PolicyKind.NAIVE)
 BREAK_EVEN = SkiPolicy(PolicyKind.DETERMINISTIC, 1.0)
@@ -402,6 +403,75 @@ class TestBranchCost:
                 assert scalar == expected
             det = SkiPolicy(PolicyKind.DETERMINISTIC, 0.3)
             assert ski_cost(det, 10, xs, y, us).tolist() == ski_cost(det, 10, xs, y).tolist()
+
+
+def assert_same_array(got, want):
+    """``got`` has the type, dtype, shape and bytes of ``want``."""
+    assert (type(got), got.dtype, got.shape) == (type(want), want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def kernel_calls(b: int, rng):
+    """(xs, ys, u) of every shape a caller passes `ski_cost`, each without and with draws.
+
+    Python ints up to X_MAX against float predictions (`policy_cost`), int64
+    level counts (`demand_algorithm_cost`), float (X, 1) x (1, Y) grids
+    (verification) and int64 days against ys = [[b], [0]] (the sweep).
+    """
+    edges = [0.0, 1.0 - 2.0**-53]
+    for x in (1, b - 1, b, b + 1, X_MAX - 1, X_MAX):
+        for y in (0.0, b - 0.5, float(b), 1e300):
+            for u in (None, 0.0, 0.5, 1.0 - 2.0**-53):
+                yield x, y, u
+    levels = np.array([X_MAX, 3 * b, b + 1, b, b - 1, 2, 1, 1], dtype=np.int64)
+    predicted = np.array([X_MAX, b, b, b - 1, 1, 0, 0, 0], dtype=np.int64)
+    grid_xs = np.array([1, 2, b - 1, b, b + 1, 2 * b, X_MAX], dtype=float)[:, None]
+    grid_ys = np.array([0.0, 0.5, b - 1, b - 0.5, b, b + 0.5, 4 * b])[None, :]
+    days = np.append(rng.integers(1, 4 * b + 1, 300), [1, b, X_MAX])
+    for xs, ys, draw_shape in (
+        (levels, predicted, levels.shape),
+        (grid_xs, grid_ys, grid_ys.shape),
+        (grid_xs, grid_ys, grid_xs.shape),
+        (days, np.array([[b], [0]]), days.shape),
+    ):
+        draws = rng.random(draw_shape)
+        draws.flat[:2] = edges
+        yield xs, ys, None
+        yield xs, ys, draws
+
+
+class TestTwoBranchOracle:
+    """`ski_cost` keeps the bytes of the kernel that priced each branch by itself.
+
+    `TestBranchCost` compares expected costs to a relative 1e-12; here every
+    result must match `ski_oracles.two_branch_cost` in type, dtype, shape
+    and bytes, for a policy used at every b and for a fresh one per call.
+    """
+
+    RULES = [
+        (PolicyKind.NAIVE, None),
+        (PolicyKind.DETERMINISTIC, 1.0),
+        (PolicyKind.DETERMINISTIC, 1e-9),
+        (PolicyKind.DETERMINISTIC, 1e-320),  # buy days past X_MAX: capped, never bought
+        (PolicyKind.RANDOMIZED, 1.0),
+        (PolicyKind.RANDOMIZED, 0.6),
+        (PolicyKind.RANDOMIZED, 3e-6),  # a support of 3.3e11 days at b = 999,983
+    ]
+
+    @pytest.mark.parametrize("kind, lam", RULES)
+    def test_every_caller_shape_matches_the_two_branch_oracle(self, kind, lam):
+        used = SkiPolicy(kind, lam)
+        rng = np.random.default_rng(39)
+        for b in (2, 999_983, 2):
+            if kind is PolicyKind.RANDOMIZED and lam <= 1.0 / b:
+                continue
+            for xs, ys, u in kernel_calls(b, rng):
+                want = two_branch_cost(SkiPolicy(kind, lam), b, xs, ys, u)
+                assert_same_array(ski_cost(used, b, xs, ys, u), want)
+                assert_same_array(ski_cost(SkiPolicy(kind, lam), b, xs, ys, u), want)
+                if np.ndim(xs) == 0:
+                    cost = policy_cost(SkiInstance(b, xs, ys), used, u)
+                    assert type(cost) is float and np.float64(cost).tobytes() == want.tobytes()
 
 
 class TestSampling:
