@@ -14,8 +14,7 @@ import functools
 import json
 import math
 import sys
-import types
-from typing import Dict, List, Mapping, Optional, Set, Tuple, get_type_hints
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -214,14 +213,14 @@ def _render_sweep(reports: List[TrialReport], fmt: str) -> str:
 
 
 # Parsers of sweep option text, from a flag or a config file: by field name
-# where the field's type alone does not say how, else by the field's type.
+# where the field's default alone does not say how, else by the default's type.
 _FIELD_PARSERS = {"seed": _parse_seed, "sigma_grid": _parse_sigma_grid}
 _TYPE_PARSERS = {int: int, float: float, bool: _parse_bool}
 # Config-file keys of a sweep besides its config fields: (parser, default).
 _OUTPUT_KEYS = {"format": (_parse_format, "csv"), "out": (str, "-")}
 
 # One row per config field of each sweep: (field, flag, help).  The field's
-# type picks its parser, and "{default}" in the help shows its default.
+# default picks its parser, and "{default}" in the help shows that default.
 _SHARED_OPTIONS = (
     ("seed", "--seed", "master seed (default {default})"),
     ("jobs", "--jobs", f"worker processes (default {{default}}, at most {JOBS_MAX})"),
@@ -248,17 +247,12 @@ _SCHED_OPTIONS = (
 ) + _SHARED_OPTIONS
 
 
-@functools.cache
-def _field_schema(cls) -> Mapping[str, tuple]:
-    """(parser, default) of each field of the sweep config ``cls``.
-
-    Built once per class and shared, so it is read-only: callers copy it to extend it.
-    """
-    hints = get_type_hints(cls)
-    return types.MappingProxyType({
-        f.name: (_FIELD_PARSERS.get(f.name) or _TYPE_PARSERS[hints[f.name]], f.default)
+def _field_schema(cls) -> Dict[str, tuple]:
+    """(parser, default) of each field of the sweep config ``cls``, as a new dict."""
+    return {
+        f.name: (_FIELD_PARSERS.get(f.name) or _TYPE_PARSERS[type(f.default)], f.default)
         for f in dataclasses.fields(cls)
-    })
+    }
 
 
 def _add_sweep_parser(sub, name: str, text: str, cls, options, func) -> None:

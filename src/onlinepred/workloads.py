@@ -707,8 +707,8 @@ class _Draws:
     leave and for a draw call's last few keys (`_one_by_one`).  Words past
     the matrix go on from the key's last state (`_window`).  So the scalar
     work grows with the slow draws, not with ``count``.  ``integers`` reads
-    32-bit halves and keeps none buffered, so it is exact only as a key's
-    first draw.
+    32-bit halves and keeps none of the upper halves numpy buffers, so only a
+    first ``integers`` call is exact, after 64-bit draws too; a second raises.
     """
 
     def __init__(self, master_seed: int, keys: Iterable[int], width: int):
@@ -720,6 +720,7 @@ class _Draws:
         ))
         self.words, self.ends = np.concatenate(words, axis=1), np.concatenate(ends)
         self.cursor = np.zeros(keys.size, np.intp)
+        self.drew_integers = False
 
     def _window(self, keys: np.ndarray, at: np.ndarray, count: int) -> np.ndarray:
         """Each key's ``count`` words from position ``at`` on, as (count, keys):
@@ -862,7 +863,10 @@ class _Draws:
         self.cursor[key] = at
 
     def integers(self, span: int) -> np.ndarray:
-        """One ``integers(0, span)`` per key, 2 <= span <= 2^32, as the key's first draw."""
+        """One ``integers(0, span)`` per key, 2 <= span <= 2^32, as the key's first 32-bit draw."""
+        if self.drew_integers:
+            raise RuntimeError("a second integers call misses the halves numpy buffers")
+        self.drew_integers = True
         threshold = np.uint64((2**32 - span) % span)
 
         def fast(words):

@@ -457,6 +457,27 @@ class TestBatchedStreams:
         got = workloads._seed_states(lower, np.array([top], np.uint32))
         assert got.tolist() == [np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()]
 
+    def test_integers_after_64_bit_draws(self):
+        # 64-bit draws leave numpy's 32-bit buffer empty, so integers reads a fresh word
+        keys = range(50)
+        draws = workloads._Draws(271828, keys, 8)
+        draws.random(1)
+        got = draws.integers(8)
+        assert got.tolist() == [(rng.random(1), rng.integers(0, 8))[1]
+                                for rng in numpy_rngs(271828, keys)]
+
+    def test_second_integers_call_raises(self):
+        keys = range(50)
+        rngs = list(numpy_rngs(271828, keys))
+        for rng in rngs:
+            rng.integers(0, 8)
+        # numpy keeps the unused upper half for its next 32-bit draw, unless a retry took it
+        assert sum(rng.bit_generator.state["has_uint32"] for rng in rngs) == 50
+        draws = workloads._Draws(271828, keys, 8)
+        draws.integers(8)
+        with pytest.raises(RuntimeError, match="misses the halves numpy buffers"):
+            draws.integers(8)
+
     def test_empty_keys_yield_nothing(self):
         for keys in ([], range(0), np.array([], dtype=np.int64)):
             draws = workloads._Draws(5, keys, 2)
